@@ -256,15 +256,8 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         bad = fr.composition_violations or fr.identity_violations
         lines.append(f"functor laws: FAIL at {bad[0]}")
 
-    square_ok = True
-    witness = None
-    for k in range(0, 3):
-        d_hi = cochain.differential_matrix(system, k + 1, strict=False)
-        d_lo = cochain.differential_matrix(system, k, strict=False)
-        if d_hi.rows and d_lo.rows and not (d_hi @ d_lo).is_zero():
-            square_ok = False
-            witness = k
-            break
+    witness = cochain.d_squared_witness(system, 2, strict=False)
+    square_ok = witness is None
     report["d_squared_zero"] = {"ok": square_ok, "degree": witness}
     lines.append(
         "d^2 = 0 (degrees 0..2): ok" if square_ok else f"d^2 = 0: FAIL at degree {witness}"
@@ -333,7 +326,8 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
     except (ParseError, ArityError) as e:
         raise _InputError(f"cannot parse polynomial: {e}") from None
     fc = momentpoly.decompose(p)
-    assert momentpoly.verify_decomposition(p, fc)
+    if not momentpoly.verify_decomposition(p, fc):
+        raise RuntimeError("decomposition does not reproduce the polynomial")
     report = {
         "command": "decompose",
         "input_digest": _digest(

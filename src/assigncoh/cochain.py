@@ -14,8 +14,10 @@ same cohomology, which the homotopy operators in this module certify
 degree by degree.  Relative complexes (cochains vanishing on tuples inside
 a chosen stratum subset) reuse the same assembly with a tuple filter.
 
-Kernel/image bookkeeping is canonical: representatives come from reduced
-row echelon forms, so equal inputs give byte-equal outputs.
+Differentials are assembled as sparse rows (column -> entry, ints where
+integral) and eliminated by `ratlin.sparse_rref`.  Kernel/image
+bookkeeping is canonical: representatives come from reduced row echelon
+forms, so equal inputs give byte-equal outputs.
 """
 
 from __future__ import annotations
@@ -24,14 +26,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeffsys import CoefficientSystem, SystemMorphism, ses_check, moment_system
+from .coeffsys import (
+    CoefficientSystem,
+    SystemMorphism,
+    _check_subset,
+    moment_system,
+    ses_check,
+)
 from .errors import (
     InvalidMorphismError,
     NotExactError,
-    NotUnionOfStrataError,
     NoUniqueMinimumError,
 )
-from .ratlin import RatMatrix, kernel_basis, rank, rref, solve
+from .ratlin import (
+    RatMatrix,
+    SparseRow,
+    _exact,
+    rank,
+    solve,
+    sparse_kernel,
+    sparse_rref,
+)
 from .stratposet import PosetMap, StratSpace, chains, minimal_strata, poset_morphism_check
 
 _ZERO = Fraction(0)
@@ -70,13 +85,6 @@ class ChainBasis:
         if i is None:
             return None
         return (self.offsets[i], self.block_dims[i])
-
-    def coordinate_labels(self) -> List[Tuple[Tuple[str, ...], int]]:
-        out = []
-        for t, w in zip(self.tuples, self.block_dims):
-            for j in range(w):
-                out.append((t, j))
-        return out
 
 
 class Cochain:
@@ -131,86 +139,133 @@ def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
     return chain_basis(v, k, strict).total_dim
 
 
-def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> RatMatrix:
-    rows = [[_ZERO] * src.total_dim for _ in range(dst.total_dim)]
+Rows = List[SparseRow]
+
+
+def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
+    """Sparse rows of d from src to dst, one per coordinate of dst."""
+    rows: Rows = []
     for ti, t in enumerate(dst.tuples):
         top_dim = dst.block_dims[ti]
         if top_dim == 0:
             continue
-        r0 = dst.offsets[ti]
+        block = [{} for _ in range(top_dim)]
         # faces keeping the top stratum: identity blocks with alternating sign
         for ell in range(len(t) - 1):
-            face = t[:ell] + t[ell + 1:]
-            blk = src.block(face)
+            blk = src.block(t[:ell] + t[ell + 1:])
             if blk is None:
                 continue
             c0, _ = blk
-            s = _ONE if ell % 2 == 0 else -_ONE
-            for j in range(top_dim):
-                rows[r0 + j][c0 + j] += s
+            s = 1 if ell % 2 == 0 else -1
+            for j, row in enumerate(block):
+                row[c0 + j] = row.get(c0 + j, 0) + s
         # dropping the top stratum projects the value
-        face = t[:-1]
-        blk = src.block(face)
+        blk = src.block(t[:-1])
         if blk is not None:
-            c0, w = blk
-            s = _ONE if (len(t) - 1) % 2 == 0 else -_ONE
+            c0, _ = blk
+            s = 1 if (len(t) - 1) % 2 == 0 else -1
             pm = v.proj(t[-2], t[-1])
-            for j in range(top_dim):
-                prow = pm.data[j]
-                row = rows[r0 + j]
-                for i in range(w):
-                    if prow[i]:
-                        row[c0 + i] += s * prow[i]
-    return RatMatrix(dst.total_dim, src.total_dim, rows)
+            for row, prow in zip(block, pm.data):
+                for i, x in enumerate(prow):
+                    if x:
+                        row[c0 + i] = row.get(c0 + i, 0) + s * _exact(x)
+        # repeated faces of a weak tuple can cancel
+        rows.extend({c: x for c, x in row.items() if x} for row in block)
+    return rows
+
+
+def _transpose(rows: Rows, ncols: int) -> Rows:
+    out: Rows = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _apply(rows: Rows, vec: Sequence) -> List[Fraction]:
+    """Sparse rows times a dense vector of Fractions."""
+    return [sum((x * vec[j] for j, x in row.items()), _ZERO) for row in rows]
+
+
+def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
+    """out -= c * row, in place, dropping entries that cancel."""
+    for j, y in row.items():
+        z = out.get(j, 0) - c * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
 
 
 def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> RatMatrix:
     """Matrix of d from degree k to degree k+1 in the chosen complex."""
-    return _differential(v, chain_basis(v, k, strict), chain_basis(v, k + 1, strict))
+    src = chain_basis(v, k, strict)
+    return RatMatrix.from_sparse(
+        _differential(v, src, chain_basis(v, k + 1, strict)), src.total_dim
+    )
+
+
+def d_squared_witness(v: CoefficientSystem, max_degree: int,
+                      strict: bool = True) -> Optional[int]:
+    """First degree k <= max_degree with d_{k+1} d_k != 0, or None.
+
+    The two sparse differentials are composed row by row, stopping at the
+    first nonzero row of the product.
+    """
+    cx = _Complex(v, strict)
+    for k in range(max_degree + 1):
+        lo = cx.d(k)
+        for row in cx.d(k + 1):
+            acc: SparseRow = {}
+            for j, x in row.items():
+                for i, y in lo[j].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(acc.values()):
+                return k
+    return None
 
 
 class _CohomologyData:
-    """Kernel, image, and canonical representatives at one degree."""
+    """Kernel, image, and canonical representatives at one degree.
 
-    def __init__(self, d_in: Optional[RatMatrix], d_out: RatMatrix):
-        self.dim_chain = d_out.cols
-        self.cocycles = kernel_basis(d_out)
-        if d_in is not None and d_in.cols > 0 and d_in.rows > 0:
-            red, rk, piv = rref(d_in.transpose())
-            self.im_rows = [red.data[i] for i in range(rk)]
-            self.im_pivots = piv
-        else:
-            self.im_rows = []
-            self.im_pivots = ()
+    d_out holds the sparse rows of d_k and d_in_t those of the transpose of
+    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.
+    """
+
+    def __init__(self, d_in_t: Rows, d_out: Rows, dim_chain: int):
+        self.dim_chain = dim_chain
+        self.cocycles = sparse_kernel(*sparse_rref(d_out, dim_chain), dim_chain)
+        self.im_rows, im_pivots = sparse_rref(d_in_t, dim_chain)
+        self._im_at = dict(zip(im_pivots, self.im_rows))
         reduced = [self._reduce(z) for z in self.cocycles]
-        red, rk, piv = rref(RatMatrix.from_rows(reduced)) if reduced else rref(
-            RatMatrix.zeros(0, self.dim_chain)
-        )
-        self.reps = [red.data[i] for i in range(rk)]
-        self.rep_pivots = piv[:rk]
-        self.dim = rk
+        self._rep_rows, self.rep_pivots = sparse_rref(reduced, dim_chain)
+        self.reps = RatMatrix.from_sparse(self._rep_rows, dim_chain).data
+        self.dim = len(self.rep_pivots)
 
-    def _reduce(self, vec: Sequence) -> List[Fraction]:
-        out = [Fraction(x) for x in vec]
-        for row, p in zip(self.im_rows, self.im_pivots):
-            c = out[p]
-            if c:
-                for j in range(len(out)):
-                    if row[j]:
-                        out[j] -= c * row[j]
+    def _reduce(self, vec: SparseRow) -> SparseRow:
+        """vec minus its components along the echelon rows of the image.
+
+        The rows are fully reduced, so the coefficient of row i is vec's
+        own entry at pivot i.
+        """
+        out = dict(vec)
+        for p, c in vec.items():
+            row = self._im_at.get(p)
+            if row is not None:
+                _sub_scaled(out, c, row)
         return out
 
     def class_coords(self, vec: Sequence) -> List[Fraction]:
         """Coordinates of a cocycle's class over the canonical representatives."""
-        red = self._reduce(vec)
-        coords = [red[p] for p in self.rep_pivots]
+        red = self._reduce({j: _exact(x) for j, x in enumerate(vec) if x})
+        coords = [red.get(p, 0) for p in self.rep_pivots]
         # the residual must vanish, otherwise vec was not a cocycle
-        for c, rep in zip(coords, self.reps):
+        for c, rep in zip(coords, self._rep_rows):
             if c:
-                red = [a - c * b for a, b in zip(red, rep)]
-        if any(red):
+                _sub_scaled(red, c, rep)
+        if red:
             raise ValueError("vector does not represent a cohomology class here")
-        return coords
+        return [Fraction(c) for c in coords]
 
 
 @dataclass
@@ -229,7 +284,7 @@ class _Complex:
         self.strict = strict
         self.support = support
         self._bases: Dict[int, ChainBasis] = {}
-        self._ds: Dict[int, RatMatrix] = {}
+        self._ds: Dict[int, Rows] = {}
         self._data: Dict[int, _CohomologyData] = {}
 
     def basis(self, k: int) -> ChainBasis:
@@ -237,15 +292,15 @@ class _Complex:
             self._bases[k] = chain_basis(self.v, k, self.strict, self.support)
         return self._bases[k]
 
-    def d(self, k: int) -> RatMatrix:
+    def d(self, k: int) -> Rows:
         if k not in self._ds:
             self._ds[k] = _differential(self.v, self.basis(k), self.basis(k + 1))
         return self._ds[k]
 
     def data(self, k: int) -> _CohomologyData:
         if k not in self._data:
-            d_in = self.d(k - 1) if k > 0 else None
-            self._data[k] = _CohomologyData(d_in, self.d(k))
+            d_in_t = _transpose(self.d(k - 1), self.basis(k - 1).total_dim) if k > 0 else []
+            self._data[k] = _CohomologyData(d_in_t, self.d(k), self.basis(k).total_dim)
         return self._data[k]
 
     def result(self, k: int) -> CohomologyResult:
@@ -379,19 +434,11 @@ def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
 # ---------------------------------------------------------------------------
 # relative complexes and long exact sequences
 
-def _checked_subset(space: StratSpace, n: Iterable[str]) -> frozenset:
-    nset = frozenset(n)
-    bad = sorted(x for x in nset if x not in space.stabilizers)
-    if bad:
-        raise NotUnionOfStrataError(bad)
-    return nset
-
-
 def relative_cohomology(
     v: CoefficientSystem, n: Iterable[str], k: int, strict: bool = True
 ) -> CohomologyResult:
     """Cohomology of cochains vanishing on tuples lying entirely inside n."""
-    nset = _checked_subset(v.space, n)
+    nset = _check_subset(v.space, n)
     return _Complex(v, strict, support=("rel", nset)).result(k)
 
 
@@ -482,7 +529,7 @@ def les_pair_check(
     differential.  Degrees run to one past the last nonzero chain space
     (default cap: number of strata), beyond which everything is zero.
     """
-    nset = _checked_subset(v.space, n)
+    nset = _check_subset(v.space, n)
     rel = _Complex(v, True, support=("rel", nset))
     full = _Complex(v, True)
     sub = _Complex(v, True, support=("sub", nset))
@@ -518,7 +565,7 @@ def les_pair_check(
             images = []
             for r in ds.reps:
                 lifted = _embed(r, sub.basis(k), full.basis(k))
-                w = full.d(k).apply(lifted)
+                w = _apply(full.d(k), lifted)
                 wr = _restrict(w, full.basis(k + 1), rel.basis(k + 1))
                 back = _embed(wr, rel.basis(k + 1), full.basis(k + 1))
                 if back != w:
@@ -602,7 +649,7 @@ def les_coefficients_check(
             images = []
             for r in d3.reps:
                 lift = blockwise_solve(g, c2.basis(k), c3.basis(k), r)
-                w = c2.d(k).apply(lift)
+                w = _apply(c2.d(k), lift)
                 back = blockwise_solve(f, c1.basis(k + 1), c2.basis(k + 1), w)
                 images.append(n1.class_coords(back))
             maps.append(_induced_matrix(images, n1.dim))

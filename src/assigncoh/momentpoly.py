@@ -350,7 +350,8 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
             [[p.weights.rows[i][r] for i in support] for r in range(n)]
         )
         lam = solve(cols, list(beta))
-        assert lam is not None, "criterion passed but solve failed"
+        if lam is None:
+            raise RuntimeError("criterion passed but solve failed")
         k, l = key
         for pos, i in enumerate(support):
             if lam[pos] == 0:

@@ -1,18 +1,27 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything in the package reduces to rank / kernel / solve questions for
-small dense matrices, so this module keeps the arithmetic deliberately
-boring: `fractions.Fraction` entries, Gauss-Jordan elimination with
-first-nonzero pivoting, and canonical outputs.
+Everything in the package reduces to rank / kernel / solve questions.  The
+large matrices are cochain differentials: a few nonzeros per row, nearly
+all of them +1 or -1.  So one sparse Gauss-Jordan kernel, `sparse_rref`,
+does every elimination, and `rref`, `rank`, `kernel_basis` and `solve` are
+thin wrappers that take and give the dense `RatMatrix` value type.
 
-Canonical choices, relied on by golden tests elsewhere:
+Canonical outputs, relied on by golden tests elsewhere:
 
-* `rref` scans columns left to right and picks the first nonzero entry in
-  each column as pivot, so equal inputs give equal reduced forms.
+* Columns are scanned left to right.  The reduced row echelon form for a
+  fixed column order is unique, so the choice of pivot row is free: the
+  kernel takes the unused row with the fewest nonzeros (lowest index on
+  ties) to keep fill-in low, and the result is the same for any order of
+  the input rows.
 * `kernel_basis` parametrizes by the free columns in ascending order; the
   basis vector for free column f has entry 1 in slot f and zeros in the
   other free slots.
 * `solve` returns the particular solution with every free variable zero.
+
+Arithmetic: inside the kernel an entry is an `int` while it is integral,
+and a pivot of +1 or -1 scales by multiplication, so only a division by
+another pivot creates a `Fraction`.  Every public result other than the
+raw rows of `sparse_rref` and `sparse_kernel` carries `Fraction` entries.
 
 >>> m = RatMatrix.from_rows([[1, -1]])
 >>> kernel_basis(m)
@@ -22,9 +31,11 @@ Canonical choices, relied on by golden tests elsewhere:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 Rational = Fraction
+# column -> nonzero entry, an int while integral and a Fraction otherwise
+SparseRow = Dict[int, object]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -34,6 +45,21 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _exact(x):
+    """x as an int when it is integral, otherwise unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _div(x, p):
+    """x / p for a pivot p other than +1 and -1; an int when integral."""
+    if type(x) is int and type(p) is int:
+        q, r = divmod(x, p)
+        return Fraction(x, p) if r else q
+    return _exact(x / p)
 
 
 class RatMatrix:
@@ -57,6 +83,17 @@ class RatMatrix:
         return cls(len(data), ncols, data)
 
     @classmethod
+    def from_sparse(cls, rows: Sequence[SparseRow], cols: int) -> "RatMatrix":
+        """Dense matrix of Fractions from rows given as column -> value maps."""
+        data = []
+        for row in rows:
+            dense = [_ZERO] * cols
+            for j, x in row.items():
+                dense[j] = _frac(x)
+            data.append(dense)
+        return cls(len(data), cols, data)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
@@ -76,9 +113,6 @@ class RatMatrix:
 
     def row(self, i: int) -> list:
         return list(self.data[i])
-
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -167,6 +201,91 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
+def sparse_rref(rows: Sequence[SparseRow],
+                ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Reduced row echelon form of sparse rows: (pivot rows, pivot columns).
+
+    Rows hold nonzero entries only and are not modified.  Columns are
+    scanned left to right.  The pivot row for a column is the unused row
+    with the fewest nonzeros, lowest index on ties, and the pivot column is
+    cleared from every other row, so the result is fully reduced.  Returns
+    the nonzero rows of the RREF in pivot order, row i with its leading 1
+    in column ``pivots[i]``.
+    """
+    work = [dict(r) for r in rows]
+    at: List[Optional[set]] = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
+    for i, r in enumerate(work):
+        for j in r:
+            at[j].add(i)
+    used = bytearray(len(work))
+    pivots: List[int] = []
+    order: List[int] = []
+    for c in range(ncols):
+        hits = at[c]
+        # unused rows are zero left of c, so every later pivot row is zero
+        # in column c and its index is never read or updated again
+        at[c] = None
+        best, best_len = -1, 0
+        for i in hits:
+            if not used[i]:
+                n = len(work[i])
+                if best < 0 or n < best_len or (n == best_len and i < best):
+                    best, best_len = i, n
+        if best < 0:
+            continue
+        used[best] = 1
+        prow = work[best]
+        pv = prow.pop(c)
+        if pv == -1:
+            prow = {j: -x for j, x in prow.items()}
+        elif pv != 1:
+            prow = {j: _div(x, pv) for j, x in prow.items()}
+        tail = list(prow.items())
+        prow[c] = 1
+        work[best] = prow
+        for i in hits:
+            if i == best:
+                continue
+            row = work[i]
+            f = row.pop(c)
+            for j, x in tail:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    at[j].add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        at[j].discard(i)
+        pivots.append(c)
+        order.append(best)
+    return [work[i] for i in order], tuple(pivots)
+
+
+def sparse_kernel(red: Sequence[SparseRow], pivots: Sequence[int],
+                  ncols: int) -> List[SparseRow]:
+    """Canonical right-kernel basis from the output of `sparse_rref`.
+
+    One vector per free column f, in ascending order: entry 1 at f, zero
+    at the other free columns, and minus row i's entry at f in pivot slot
+    ``pivots[i]``.
+    """
+    pivot_set = set(pivots)
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivot_set}
+    for row, p in zip(red, pivots):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return list(basis.values())
+
+
+def _sparse(m: RatMatrix) -> List[SparseRow]:
+    return [{j: _exact(x) for j, x in enumerate(row) if x} for row in m.data]
+
+
 class RrefResult(NamedTuple):
     matrix: RatMatrix
     rank: int
@@ -174,99 +293,41 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: RatMatrix) -> RrefResult:
-    """Reduced row echelon form with deterministic first-nonzero pivoting."""
-    data = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if data[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            data[r], data[pr] = data[pr], data[r]
-        pv = data[r][c]
-        if pv != _ONE:
-            inv = _ONE / pv
-            data[r] = [x * inv for x in data[r]]
-        prow = data[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = data[i][c]
-            if f:
-                irow = data[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        irow[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return RrefResult(RatMatrix(nrows, ncols, data), len(pivots), tuple(pivots))
+    """Reduced row echelon form; zero rows come last."""
+    red, pivots = sparse_rref(_sparse(m), m.cols)
+    zero_rows = [{}] * (m.rows - len(red))
+    return RrefResult(RatMatrix.from_sparse(red + zero_rows, m.cols), len(pivots), pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return rref(m).rank
+    return len(sparse_rref(_sparse(m), m.cols)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            coef = red.data[i][f]
-            if coef:
-                v[p] = -coef
-        basis.append(v)
-    return basis
+    red, pivots = sparse_rref(_sparse(m), m.cols)
+    return RatMatrix.from_sparse(sparse_kernel(red, pivots, m.cols), m.cols).data
 
 
 def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
     """One exact solution of a x = b (free variables zero), or None."""
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    aug = RatMatrix.from_rows(
-        [list(a.data[i]) + [_frac(b[i])] for i in range(a.rows)]
-        if a.rows
-        else []
-    )
-    if a.rows == 0:
-        return [_ZERO] * a.cols
-    red, _, pivots = rref(aug)
-    if a.cols in pivots:
+    n = a.cols
+    rows = _sparse(a)
+    for row, x in zip(rows, b):
+        x = _exact(_frac(x))
+        if x:
+            row[n] = x
+    red, pivots = sparse_rref(rows, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [_ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.data[i][a.cols]
+    x = [_ZERO] * n
+    for row, p in zip(red, pivots):
+        if n in row:
+            x[p] = _frac(row[n])
     return x
 
 
-def vec_add(u: Sequence, v: Sequence) -> list:
-    return [_frac(a) + _frac(b) for a, b in zip(u, v)]
-
 def vec_sub(u: Sequence, v: Sequence) -> list:
     return [_frac(a) - _frac(b) for a, b in zip(u, v)]
-
-def vec_scale(c, v: Sequence) -> list:
-    c = _frac(c)
-    return [c * _frac(x) for x in v]
-
-def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    acc = _ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc += _frac(a) * _frac(b)
-    return acc
-
-def is_zero_vec(v: Sequence) -> bool:
-    return all(not x for x in v)

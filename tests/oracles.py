@@ -2,8 +2,9 @@
 
 Everything here is written against the mathematical definitions directly,
 without importing the package, so agreement is meaningful: plain Gaussian
-elimination for ranks, brute-force tuple enumeration, and a from-scratch
-assembly of the cochain differential.
+elimination for ranks, the dense first-nonzero Gauss-Jordan elimination
+as the reference for RREF, kernel and solve, brute-force tuple
+enumeration, and a from-scratch assembly of the cochain differential.
 """
 
 from fractions import Fraction
@@ -34,6 +35,60 @@ def brute_rank(rows):
                     m[r][c] -= factor * m[rank][c]
         rank += 1
     return rank
+
+
+def reference_rref(rows, ncols):
+    """Dense Gauss-Jordan with first-nonzero pivoting: (matrix, rank, pivots).
+
+    The reduced row echelon form for a fixed column order is unique, so
+    any correct elimination must return exactly this matrix, with the zero
+    rows last.
+    """
+    data = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(data)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if data[i][c]), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = 1 / data[r][c]
+        data[r] = [x * inv for x in data[r]]
+        for i in range(nrows):
+            f = data[i][c]
+            if i != r and f:
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+    return data, len(pivots), tuple(pivots)
+
+
+def reference_kernel(rows, ncols):
+    """Kernel basis from reference_rref: one vector per free column, ascending."""
+    red, _, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, ncols, b):
+    """Solution of rows x = b with free variables zero, or None."""
+    aug = [list(row) + [x] for row, x in zip(rows, b)]
+    red, _, pivots = reference_rref(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return x
 
 
 def brute_tuples(ids, leq, k, strict):

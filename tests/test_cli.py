@@ -336,6 +336,14 @@ def test_decompose_parse_error(capsys):
     assert "position 5" in err
 
 
+def test_decompose_self_check_failure_is_not_a_validation_error(monkeypatch):
+    # a decomposition failing its own verification is a program bug: it
+    # propagates instead of ending in exit 2 (semantic validation)
+    monkeypatch.setattr(cli.momentpoly, "verify_decomposition", lambda p, fc: False)
+    with pytest.raises(RuntimeError):
+        cli.main(["decompose", "--weights", "1;-1", "--psi", "[1] z1 z2"])
+
+
 def test_decompose_json_deterministic(capsys):
     argv = ["--json", "decompose", "--weights", "1", "--psi", "[2] z1 zb1"]
     code, out1, _ = run(capsys, argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from assigncoh import (
+    CoefficientSystem,
     NoUniqueMinimumError,
     build_polytope,
     NotExactError,
@@ -35,7 +36,7 @@ from assigncoh import (
     relative_cohomology,
     ses_check,
 )
-from assigncoh.cochain import Cochain
+from assigncoh.cochain import Cochain, d_squared_witness
 
 from oracles import (
     brute_cohomology_dim,
@@ -67,6 +68,21 @@ def test_d_squared_is_zero(make, strict):
         d0 = differential_matrix(v, k, strict=strict)
         d1 = differential_matrix(v, k + 1, strict=strict)
         assert (d1 @ d0).is_zero()
+
+
+def test_d_squared_witness_matches_dense_product():
+    space, v = cp2()
+    proj = {pair: v.proj(*pair) for pair in v.pairs()}
+    # a non-identity self-projection breaks d^2 = 0 on weak tuples only
+    proj[("e12", "e12")] = RatMatrix.from_rows([[2]])
+    bad = CoefficientSystem(space, v.dims, proj)
+    for system in (v, bad):
+        for strict in (True, False):
+            dense = next((k for k in range(3) if not (
+                differential_matrix(system, k + 1, strict=strict)
+                @ differential_matrix(system, k, strict=strict)).is_zero()), None)
+            assert d_squared_witness(system, 2, strict=strict) == dense
+    assert d_squared_witness(bad, 2, strict=False) == 0
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -197,6 +197,14 @@ def test_decompose_raises_with_failing_monomials():
     assert exc.value.failing == (((1, 0), (0, 0)),)
 
 
+def test_decompose_solve_failure_is_a_runtime_error(monkeypatch):
+    # the criterion passed, so a failing solve is a program bug
+    import assigncoh.momentpoly as momentpoly
+    monkeypatch.setattr(momentpoly, "solve", lambda a, b: None)
+    with pytest.raises(RuntimeError):
+        decompose(parse_poly("[1] z1 zb1", W1))
+
+
 def test_one_form_text():
     p = parse_poly("[1] z1 z2", W2)
     fc = decompose(p)

@@ -1,20 +1,19 @@
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
 
+import assigncoh.ratlin
 from assigncoh.ratlin import (
     RatMatrix,
     kernel_basis,
     rank,
     rref,
     solve,
-    vec_add,
-    vec_dot,
-    vec_scale,
     vec_sub,
 )
-from oracles import brute_rank
+from oracles import brute_rank, reference_kernel, reference_rref, reference_solve
 
 
 def test_rref_identity():
@@ -124,7 +123,65 @@ def test_matrix_algebra():
 
 
 def test_vector_helpers():
-    assert vec_add([1, 2], [3, 4]) == [Fraction(4), Fraction(6)]
     assert vec_sub([1, 2], [3, 4]) == [Fraction(-2), Fraction(-2)]
-    assert vec_scale(Fraction(1, 2), [2, 4]) == [Fraction(1), Fraction(2)]
-    assert vec_dot([1, 2], [3, 4]) == 11
+
+
+def test_module_doctest():
+    result = doctest.testmod(assigncoh.ratlin)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def _sparse_pm1(rng, nrows, ncols):
+    """About three entries of +1 or -1 per row, like a cochain differential."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for row in rows:
+        for _ in range(rng.randint(0, 4)):
+            row[rng.randrange(ncols)] = rng.choice((-1, 1))
+    return rows
+
+
+def _fractional(rng, nrows, ncols):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def _check_against_reference(rng, rows, ncols):
+    m = RatMatrix(len(rows), ncols, [[Fraction(x) for x in r] for r in rows])
+    ref_matrix, ref_rank, ref_pivots = reference_rref(rows, ncols)
+    res = rref(m)
+    assert (res.matrix.data, res.rank, res.pivot_cols) == (ref_matrix, ref_rank, ref_pivots)
+    assert rank(m) == ref_rank
+    kernel = kernel_basis(m)
+    assert kernel == reference_kernel(rows, ncols)
+    assert _all_fractions(res.matrix.data) and _all_fractions(kernel)
+    x0 = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+    consistent = m.apply(x0)
+    arbitrary = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]
+    for b in (consistent, arbitrary):
+        x = solve(m, b)
+        assert x == reference_solve(rows, ncols, b)
+        assert x is None or _all_fractions([x])
+    assert solve(m, consistent) is not None
+
+
+def test_kernel_matches_dense_reference_randomized():
+    rng = random.Random(2)
+    cases = [([], 0), ([], 5), ([[]] * 4, 0), ([[0] * 6] * 3, 6)]
+    for _ in range(25):
+        r, c = rng.randint(1, 40), rng.randint(1, 60)
+        cases.append((_sparse_pm1(rng, r, c), c))
+    for _ in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 10)
+        cases.append((_fractional(rng, r, c), c))
+    for rows, ncols in cases:
+        _check_against_reference(rng, rows, ncols)
+        # the pivot row is chosen by sparsity; row order must not show
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        _check_against_reference(rng, shuffled, ncols)
+        assert reference_rref(shuffled, ncols) == reference_rref(rows, ncols)
