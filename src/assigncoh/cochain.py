@@ -14,6 +14,13 @@ same cohomology, which the homotopy operators in this module certify
 degree by degree.  Relative complexes (cochains vanishing on tuples inside
 a chosen stratum subset) reuse the same assembly with a tuple filter.
 
+Both long exact sequences, of a pair and of a short exact sequence of
+coefficient systems, come from one routine: given the three complexes and
+four chain-level maps (inclusion, projection, a lift and a retraction), it
+builds the induced maps on canonical representatives and the connecting
+maps, then checks exactness node by node.  The two public checks only
+validate their input and supply those maps.
+
 Differentials are assembled as sparse rows (column -> entry, ints where
 integral) and eliminated by `ratlin.sparse_rref`.  Kernel/image
 bookkeeping is canonical: representatives come from reduced row echelon
@@ -470,14 +477,6 @@ def _restrict(vec: Sequence, src: ChainBasis, dst: ChainBasis) -> List[Fraction]
     return out
 
 
-def _induced_matrix(images: List[List[Fraction]], target_dim: int) -> RatMatrix:
-    cols = images
-    if not cols:
-        return RatMatrix.zeros(target_dim, 0)
-    data = [[cols[j][i] for j in range(len(cols))] for i in range(target_dim)]
-    return RatMatrix(target_dim, len(cols), data)
-
-
 @dataclass
 class ExactSequenceReport:
     """Dims and map ranks of a three-term-per-degree long sequence."""
@@ -520,64 +519,104 @@ def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     return ExactSequenceReport(list(node_names), list(node_dims), ranks, failures)
 
 
-def les_pair_check(
-    v: CoefficientSystem, n: Iterable[str], max_degree: Optional[int] = None
-) -> ExactSequenceReport:
+def _induced_matrix(target: _CohomologyData, images: Iterable[Sequence]) -> RatMatrix:
+    """Columns: class coordinates in target of each cocycle in images."""
+    cols = [target.class_coords(vec) for vec in images]
+    if not cols:
+        return RatMatrix.zeros(target.dim, 0)
+    data = [[col[i] for col in cols] for i in range(target.dim)]
+    return RatMatrix(target.dim, len(cols), data)
+
+
+def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
+                         i, p, lift, retract) -> ExactSequenceReport:
+    """Long exact cohomology sequence of a short exact sequence 0 -> a -> b -> c -> 0.
+
+    labels names the three terms.  The chain-level maps take a degree and a
+    coordinate vector: i carries a into b and p carries b into c; lift gives
+    any preimage in b of a cochain of c, retract the unique preimage in a of
+    a cochain of b in the image of i.  The connecting map is
+    retract(d_b(lift(r))).  Degrees run to one past the last nonzero chain
+    space of b, beyond which everything is zero.
+    """
+    top = 0
+    while b.basis(top + 1).tuples:
+        top += 1
+    names: List[str] = []
+    dims: List[int] = []
+    maps: List[RatMatrix] = []
+    for k in range(top + 2):
+        ha, hb, hc = a.data(k), b.data(k), c.data(k)
+        names += [f"H^{k}({label})" for label in labels]
+        dims += [ha.dim, hb.dim, hc.dim]
+        maps.append(_induced_matrix(hb, (i(k, r) for r in ha.reps)))
+        maps.append(_induced_matrix(hc, (p(k, r) for r in hb.reps)))
+        if k <= top:
+            maps.append(_induced_matrix(
+                a.data(k + 1),
+                (retract(k + 1, _apply(b.d(k), lift(k, r))) for r in hc.reps),
+            ))
+    return _exactness_walk(names, dims, maps)
+
+
+def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceReport:
     """Long exact sequence of the pair: relative, absolute, then subset terms.
 
-    Connecting maps extend a subset cocycle by zero and apply the ambient
-    differential.  Degrees run to one past the last nonzero chain space
-    (default cap: number of strata), beyond which everything is zero.
+    The relative complex (cochains vanishing on n) includes into the full
+    one, which restricts to tuples inside n.  Connecting maps extend a
+    subset cocycle by zero and apply the ambient differential.
     """
     nset = _check_subset(v.space, n)
     rel = _Complex(v, True, support=("rel", nset))
     full = _Complex(v, True)
     sub = _Complex(v, True, support=("sub", nset))
-    if max_degree is None:
-        max_degree = len(v.space.ids)
-    top = 0
-    for k in range(max_degree + 1):
-        if full.basis(k).tuples:
-            top = k
-        else:
-            break
-    degrees = list(range(min(top + 2, max_degree + 2)))
 
-    names: List[str] = []
-    dims: List[int] = []
-    maps: List[RatMatrix] = []
-    for k in degrees:
-        dr, da, ds = rel.data(k), full.data(k), sub.data(k)
-        names += [f"H^{k}(pair)", f"H^{k}(space)", f"H^{k}(subset)"]
-        dims += [dr.dim, da.dim, ds.dim]
-        # inclusion of the vanishing-on-n subcomplex
-        maps.append(_induced_matrix(
-            [da.class_coords(_embed(r, rel.basis(k), full.basis(k))) for r in dr.reps],
-            da.dim,
-        ))
-        # restriction to tuples inside n
-        maps.append(_induced_matrix(
-            [ds.class_coords(_restrict(r, full.basis(k), sub.basis(k))) for r in da.reps],
-            ds.dim,
-        ))
-        if k + 1 in degrees:
-            nr = rel.data(k + 1)
-            images = []
-            for r in ds.reps:
-                lifted = _embed(r, sub.basis(k), full.basis(k))
-                w = _apply(full.d(k), lifted)
-                wr = _restrict(w, full.basis(k + 1), rel.basis(k + 1))
-                back = _embed(wr, rel.basis(k + 1), full.basis(k + 1))
-                if back != w:
-                    raise AssertionError("differential left the relative subcomplex")
-                images.append(nr.class_coords(wr))
-            maps.append(_induced_matrix(images, nr.dim))
-    return _exactness_walk(names, dims, maps[: 3 * len(degrees) - 1])
+    def retract(k, w):
+        wr = _restrict(w, full.basis(k), rel.basis(k))
+        if _embed(wr, rel.basis(k), full.basis(k)) != w:
+            raise AssertionError("differential left the relative subcomplex")
+        return wr
+
+    return _long_exact_sequence(
+        ("pair", "space", "subset"), rel, full, sub,
+        lambda k, r: _embed(r, rel.basis(k), full.basis(k)),
+        lambda k, r: _restrict(r, full.basis(k), sub.basis(k)),
+        lambda k, r: _embed(r, sub.basis(k), full.basis(k)),
+        retract,
+    )
 
 
-def les_coefficients_check(
-    f: SystemMorphism, g: SystemMorphism, max_degree: Optional[int] = None
-) -> ExactSequenceReport:
+def _chain_map(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec) -> List[Fraction]:
+    """Image of a cochain under the chainwise map of h (src -> dst coords)."""
+    out = [_ZERO] * dst.total_dim
+    for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
+        if w == 0:
+            continue
+        o2, w2 = dst.block(t)
+        if w2 == 0:
+            continue
+        img = h.map_at(t[-1]).apply(vec[off:off + w])
+        for i in range(w2):
+            out[o2 + i] += img[i]
+    return out
+
+
+def _blockwise_solve(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec) -> List[Fraction]:
+    """One preimage of vec under the chainwise map of h (dst -> src coords)."""
+    out = [_ZERO] * src.total_dim
+    for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
+        if w == 0:
+            continue
+        o2, w2 = dst.block(t)
+        sol = solve(h.map_at(t[-1]), vec[o2:o2 + w2])
+        if sol is None:
+            raise AssertionError(f"no blockwise preimage at {t}")
+        for i in range(w):
+            out[off + i] = sol[i]
+    return out
+
+
+def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenceReport:
     """Long exact sequence induced by a short exact sequence of systems.
 
     Raises NotExactError unless ses_check passes stratum by stratum.  The
@@ -587,73 +626,14 @@ def les_coefficients_check(
     report = ses_check(f, g)
     if not report.ok:
         raise NotExactError(f"not a short exact sequence: {report}")
-    v1, v2, v3 = f.source, f.target, g.target
-    c1, c2, c3 = _Complex(v1, True), _Complex(v2, True), _Complex(v3, True)
-    if max_degree is None:
-        max_degree = len(v2.space.ids)
-    top = 0
-    for k in range(max_degree + 1):
-        if c2.basis(k).tuples:
-            top = k
-        else:
-            break
-    degrees = list(range(min(top + 2, max_degree + 2)))
-
-    def chain_map(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec):
-        out = [_ZERO] * dst.total_dim
-        for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
-            if w == 0:
-                continue
-            o2, w2 = dst.block(t)
-            if w2 == 0:
-                continue
-            block = h.map_at(t[-1])
-            seg = vec[off:off + w]
-            img = block.apply(seg)
-            for i in range(w2):
-                out[o2 + i] += img[i]
-        return out
-
-    def blockwise_solve(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec):
-        """One preimage of vec under the chainwise map of h (dst -> src coords)."""
-        out = [_ZERO] * src.total_dim
-        for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
-            if w == 0:
-                continue
-            o2, w2 = dst.block(t)
-            seg = vec[o2:o2 + w2]
-            sol = solve(h.map_at(t[-1]), seg)
-            if sol is None:
-                raise AssertionError(f"no blockwise preimage at {t}")
-            for i in range(w):
-                out[off + i] = sol[i]
-        return out
-
-    names: List[str] = []
-    dims: List[int] = []
-    maps: List[RatMatrix] = []
-    for k in degrees:
-        d1, d2, d3 = c1.data(k), c2.data(k), c3.data(k)
-        names += [f"H^{k}(sub)", f"H^{k}(total)", f"H^{k}(quotient)"]
-        dims += [d1.dim, d2.dim, d3.dim]
-        maps.append(_induced_matrix(
-            [d2.class_coords(chain_map(f, c1.basis(k), c2.basis(k), r)) for r in d1.reps],
-            d2.dim,
-        ))
-        maps.append(_induced_matrix(
-            [d3.class_coords(chain_map(g, c2.basis(k), c3.basis(k), r)) for r in d2.reps],
-            d3.dim,
-        ))
-        if k + 1 in degrees:
-            n1 = c1.data(k + 1)
-            images = []
-            for r in d3.reps:
-                lift = blockwise_solve(g, c2.basis(k), c3.basis(k), r)
-                w = _apply(c2.d(k), lift)
-                back = blockwise_solve(f, c1.basis(k + 1), c2.basis(k + 1), w)
-                images.append(n1.class_coords(back))
-            maps.append(_induced_matrix(images, n1.dim))
-    return _exactness_walk(names, dims, maps[: 3 * len(degrees) - 1])
+    c1, c2, c3 = _Complex(f.source, True), _Complex(f.target, True), _Complex(g.target, True)
+    return _long_exact_sequence(
+        ("sub", "total", "quotient"), c1, c2, c3,
+        lambda k, r: _chain_map(f, c1.basis(k), c2.basis(k), r),
+        lambda k, r: _chain_map(g, c2.basis(k), c3.basis(k), r),
+        lambda k, r: _blockwise_solve(g, c2.basis(k), c3.basis(k), r),
+        lambda k, r: _blockwise_solve(f, c1.basis(k), c2.basis(k), r),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +665,10 @@ def _bridge_matrices(f: PosetMap, v_target: CoefficientSystem,
         if zero_target:
             bridges[x] = RatMatrix.zeros(v_source.dims[x], 0)
             continue
-        tmat = tgt_space.stabilizer(fx).basis_matrix()
-        rows = []
-        for vrow in src_space.stabilizer(x).basis_rows:
-            c = solve(tmat, list(vrow))
-            if c is None:
-                raise AssertionError(f"stabilizer inclusion fails at {x!r}")
-            rows.append(c)
-        bridges[x] = (
-            RatMatrix.from_rows(rows)
-            if rows
-            else RatMatrix.zeros(0, v_target.dims[fx])
-        )
+        m = tgt_space.stabilizer(fx).coordinates_of(src_space.stabilizer(x))
+        if m is None:
+            raise AssertionError(f"stabilizer inclusion fails at {x!r}")
+        bridges[x] = m
     return bridges
 
 

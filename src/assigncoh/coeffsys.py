@@ -13,11 +13,11 @@ dims(Y) x dims(X) for X below Y, acting on coordinate columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, rank, solve
+from .ratlin import RatMatrix, rank
 from .stratposet import StratSpace
 
 
@@ -130,16 +130,11 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     for x in space.ids:
         proj[(x, x)] = RatMatrix.identity(dims[x])
     for x, y in space.comparable_pairs():
-        sx = space.stabilizer(x).basis_matrix()
-        rows = []
-        for v in space.stabilizer(y).basis_rows:
-            c = solve(sx, list(v))
-            if c is None:
-                raise ValueError(
-                    f"stabilizer of {y!r} does not lie inside stabilizer of {x!r}"
-                )
-            rows.append(c)
-        m = RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, dims[x])
+        m = space.stabilizer(x).coordinates_of(space.stabilizer(y))
+        if m is None:
+            raise ValueError(
+                f"stabilizer of {y!r} does not lie inside stabilizer of {x!r}"
+            )
         proj[(x, y)] = m
     return CoefficientSystem(space, dims, proj)
 
@@ -341,15 +336,15 @@ def pair_ses(
     else:
         sub, quot = on_part, off_part
 
-    def block(x, rows, cols):
+    def block(rows, cols):
         if rows == cols:
             return RatMatrix.identity(rows)
         return RatMatrix.zeros(rows, cols)
 
     inc = SystemMorphism(
-        sub, v, {x: block(x, v.dims[x], sub.dims[x]) for x in v.space.ids}
+        sub, v, {x: block(v.dims[x], sub.dims[x]) for x in v.space.ids}
     )
     prj = SystemMorphism(
-        v, quot, {x: block(x, quot.dims[x], v.dims[x]) for x in v.space.ids}
+        v, quot, {x: block(quot.dims[x], v.dims[x]) for x in v.space.ids}
     )
     return inc, prj

@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-Rational = Fraction
 # column -> nonzero entry, an int while integral and a Fraction otherwise
 SparseRow = Dict[int, object]
 

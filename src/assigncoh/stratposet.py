@@ -14,7 +14,7 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from .ratlin import RatMatrix, solve
@@ -148,16 +148,24 @@ class Subalgebra:
         """Basis vectors as columns: ambient_dim x dim."""
         return RatMatrix.from_rows(self.basis_rows).transpose() if self.basis_rows else RatMatrix.zeros(self.ambient_dim, 0)
 
-    def contains(self, other: "Subalgebra") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        if other.dim > self.dim:
-            return False
+    def coordinates_of(self, other: "Subalgebra") -> Optional[RatMatrix]:
+        """Basis of other over this basis, one row each (other.dim x self.dim).
+
+        None when other does not lie inside this subalgebra.
+        """
+        if self.ambient_dim != other.ambient_dim or other.dim > self.dim:
+            return None
         mat = self.basis_matrix()
+        rows = []
         for v in other.basis_rows:
-            if solve(mat, list(v)) is None:
-                return False
-        return True
+            c = solve(mat, list(v))
+            if c is None:
+                return None
+            rows.append(c)
+        return RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, self.dim)
+
+    def contains(self, other: "Subalgebra") -> bool:
+        return self.coordinates_of(other) is not None
 
     def contains_vector(self, v: Sequence) -> bool:
         """Rational-span membership of a single ambient vector."""

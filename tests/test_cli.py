@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from assigncoh import SpaceDescription, cli
+from assigncoh import SpaceDescription, build_from_description, cli
 
 from spaces import cp2
 
@@ -252,6 +252,42 @@ def test_check_les(capsys, cp2_file):
 
 def test_check_les_unknown_subset(capsys, cp2_file):
     code, _, err = run(capsys, ["check", cp2_file, "--les", "ghost"])
+    assert code == cli.EXIT_SUBSET
+
+
+@pytest.fixture()
+def perturbed_cube_file(capsys, tmp_path):
+    """The cube's moment system as a generic system, one non-cover pair perturbed."""
+    path = tmp_path / "cube.space"
+    assert run(capsys, ["build", "polytope", "--cube", "--out", str(path)])[0] == 0
+    obj = json.loads(path.read_text())
+    space, system = build_from_description(SpaceDescription.from_json_dict(obj))
+    assert ("v000", "x0") not in space.covers
+    obj["dims"] = dict(system.dims)
+    pairs = [(x, y, system.proj(x, y).data) for x, y in space.covers]
+    pairs.append(("v000", "x0", [[2 * e + 1 for e in row]
+                                 for row in system.proj("v000", "x0").data]))
+    obj["projections"] = [{"pair": [x, y], "matrix": [[str(e) for e in row] for row in m]}
+                          for x, y, m in pairs]
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_check_les_on_non_functorial_system_is_not_checked(capsys, perturbed_cube_file):
+    code, out, err = run(capsys, ["check", perturbed_cube_file, "--les", "v000"])
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("functor laws: FAIL at ")
+    assert lines[1].startswith("d^2 = 0")
+    assert lines[2:] == ["LES for pair (space, {v000}): not checked (functor laws fail)"]
+    code, out, _ = run(capsys, ["--json", "check", perturbed_cube_file, "--les", "v000"])
+    assert code == 0
+    assert json.loads(out)["les"] == {
+        "subset": ["v000"], "ok": False, "node_names": [], "node_dims": [],
+        "failures": ["not checked: functor laws fail"],
+    }
+    code, _, _ = run(capsys, ["check", perturbed_cube_file, "--les", "v000,ghost"])
     assert code == cli.EXIT_SUBSET
 
 

@@ -36,7 +36,7 @@ from assigncoh import (
     relative_cohomology,
     ses_check,
 )
-from assigncoh.cochain import Cochain, d_squared_witness
+from assigncoh.cochain import Cochain, _exactness_walk, d_squared_witness
 
 from oracles import (
     brute_cohomology_dim,
@@ -347,6 +347,26 @@ def test_les_coefficients_zero_then_identity():
     rep = les_coefficients_check(f, g)
     assert rep.ok
     assert rep.dims_by_degree()[0] == (0, 3, 3)
+
+
+def test_exactness_walk_reports_both_failures():
+    one = RatMatrix.identity(1)
+    rep = _exactness_walk(["A", "B", "C"], [1, 1, 1], [one, one])
+    assert not rep.ok
+    assert rep.map_ranks == [1, 1]
+    assert rep.failures == [
+        "composition through B is nonzero",
+        "rank mismatch at B: in 1 + out 1 != dim 1",
+    ]
+    # 0 -> Q -> Q -> 0 -> 0 is exact
+    rep = _exactness_walk(["A", "B", "C"], [1, 1, 0], [one, RatMatrix.zeros(0, 1)])
+    assert rep.ok
+    # a zero map leaves both ends uncovered
+    rep = _exactness_walk(["A", "B"], [1, 1], [RatMatrix.zeros(1, 1)])
+    assert rep.failures == [
+        "rank mismatch at A: in 0 + out 0 != dim 1",
+        "rank mismatch at B: in 0 + out 0 != dim 1",
+    ]
 
 
 def test_les_coefficients_rejects_inexact_input():

@@ -34,6 +34,7 @@ from assigncoh import (
     extend_minimal,
     is_assignment,
     les_coefficients_check,
+    les_pair_check,
     moment_system,
     pair_ses,
     preset_polytope,
@@ -41,6 +42,7 @@ from assigncoh import (
     restrict_to_minimal,
     verify_decomposition,
 )
+from assigncoh.coeffsys import _closure_direction
 
 from spaces import cp2, s4, two_stratum
 
@@ -256,6 +258,9 @@ def test_pair_sequences_are_exact_randomized():
         f, g = pair_ses(v, n)
         report = les_coefficients_check(f, g)
         assert report.ok, (sorted(n), report.failures)
+        # off n as the subsystem, n as the quotient: the sequence of the pair
+        if _closure_direction(space, frozenset(n)) == "down":
+            assert les_pair_check(v, n).node_dims == report.node_dims, sorted(n)
         cases += 1
     assert cases >= 200
 

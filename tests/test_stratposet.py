@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from assigncoh import PosetMap, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
+from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from oracles import brute_tuples
 from spaces import cp2, two_stratum
@@ -155,3 +155,11 @@ def test_subalgebra_contains():
     assert h.contains(Subalgebra.zero(2))
     assert Subalgebra.full(2).contains(h)
     assert not h.contains(Subalgebra.full(2))
+    assert Subalgebra.full(2).coordinates_of(h) == RatMatrix.from_rows([[1, 1]])
+    assert h.coordinates_of(Subalgebra.zero(2)) == RatMatrix.zeros(0, 1)
+    assert h.coordinates_of(Subalgebra.full(2)) is None
+    assert h.coordinates_of(Subalgebra.span(2, [[1, -1]])) is None
+    assert h.coordinates_of(Subalgebra.span(3, [[1, 1, 0]])) is None
+    plane = Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]])
+    assert plane.coordinates_of(Subalgebra.span(3, [[2, 4, 0]])) == RatMatrix.from_rows([[1, 2]])
+    assert plane.coordinates_of(plane) == RatMatrix.identity(2)
