@@ -44,11 +44,12 @@ class WeightMatrix:
 
 
 def _kernel_subalgebra(n: int, rows: List[Sequence[int]]) -> Subalgebra:
-    """Common kernel of integer covectors, as a canonical subalgebra."""
-    basis = _int_kernel([list(map(int, r)) for r in rows], n)
-    if not basis:
-        return Subalgebra.zero(n)
-    return Subalgebra.span(n, basis)
+    """Common kernel of integer covectors, as a canonical subalgebra.
+
+    A kernel lattice is saturated and _int_kernel returns its Hermite basis,
+    which is already the canonical form Subalgebra.span would give.
+    """
+    return Subalgebra(n, _int_kernel(rows, n))
 
 
 class _CellMerge:

@@ -37,6 +37,7 @@ from .coeffsys import (
     CoefficientSystem,
     SystemMorphism,
     _check_subset,
+    check_functor,
     moment_system,
     ses_check,
 )
@@ -538,7 +539,18 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     a cochain of b in the image of i.  The connecting map is
     retract(d_b(lift(r))).  Degrees run to one past the last nonzero chain
     space of b, beyond which everything is zero.
+
+    The induced maps need cocycles to stay cocycles, which holds only for
+    functors, so a system failing the functor laws raises ValueError
+    naming its first violation before any map is built.
     """
+    for v in {id(cx.v): cx.v for cx in (a, b, c)}.values():
+        report = check_functor(v)
+        if not report.ok:
+            bad = report.composition_violations or report.identity_violations
+            raise ValueError(
+                f"long exact sequence needs a functor: functor laws fail at {bad[0]}"
+            )
     top = 0
     while b.basis(top + 1).tuples:
         top += 1

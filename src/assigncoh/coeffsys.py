@@ -123,20 +123,22 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     For X below Y the stabilizer of Y sits inside the stabilizer of X, so
     each basis vector of Y expands uniquely over the basis of X; those
     coefficient rows form the projection, which is exactly restriction of
-    linear functionals in stabilizer coordinates.
+    linear functionals in stabilizer coordinates.  Only the covers are
+    solved: the other pairs are composed from them by from_cover_maps.
+    Along X < Y < Z, expanding the basis of Z over Y and then over X gives
+    an expansion of Z over X, and that expansion is unique, so every
+    composed projection equals the one a direct solve would give.
     """
     dims = {x: space.stabilizer(x).dim for x in space.ids}
-    proj: Dict[Tuple[str, str], RatMatrix] = {}
-    for x in space.ids:
-        proj[(x, x)] = RatMatrix.identity(dims[x])
-    for x, y in space.comparable_pairs():
+    cover_maps: Dict[Tuple[str, str], RatMatrix] = {}
+    for x, y in space.covers:
         m = space.stabilizer(x).coordinates_of(space.stabilizer(y))
         if m is None:
             raise ValueError(
                 f"stabilizer of {y!r} does not lie inside stabilizer of {x!r}"
             )
-        proj[(x, y)] = m
-    return CoefficientSystem(space, dims, proj)
+        cover_maps[(x, y)] = m
+    return CoefficientSystem.from_cover_maps(space, dims, cover_maps)
 
 
 @dataclass(frozen=True)

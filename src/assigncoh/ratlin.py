@@ -107,9 +107,6 @@ class RatMatrix:
         data = [[_frac(values[i]) if i == j else _ZERO for j in range(n)] for i in range(n)]
         return cls(n, n, data)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
     def row(self, i: int) -> list:
         return list(self.data[i])
 
@@ -160,21 +157,6 @@ class RatMatrix:
             for i in range(self.rows)
         ]
         return RatMatrix(self.rows, self.cols, data)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch for difference")
-        data = [
-            [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return RatMatrix(self.rows, self.cols, data)
-
-    def scale(self, c) -> "RatMatrix":
-        c = _frac(c)
-        return RatMatrix(
-            self.rows, self.cols, [[c * x for x in row] for row in self.data]
-        )
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, returning a plain list of Fractions."""

@@ -22,45 +22,32 @@ from .ratlin import RatMatrix, solve
 
 # ---------------------------------------------------------------------------
 # integer lattice helpers
+#
+# One integer elimination, _hermite_rows, does both lattice jobs: the kernel
+# of an integer matrix (_int_kernel) and, as the kernel of that kernel, the
+# saturation of a span (Subalgebra.span).
 
-def _int_kernel(rows: List[List[int]], n: int) -> List[List[int]]:
-    """Basis of {x in Z^n : rows @ x = 0}; the result lattice is saturated.
+def _int_kernel(rows: Sequence[Sequence[int]], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Hermite basis of the lattice {x in Z^n : rows @ x = 0}, which is saturated.
 
-    Column elimination with gcd pivoting against an identity transform: the
-    transform columns that end up annihilated by every row span the kernel.
+    The rows of [rows^T | I_n] span the vectors (rows @ c, c) for c in Z^n.
+    Their Hermite form is echelon, so its rows that vanish on the first
+    len(rows) columns span exactly those with rows @ c = 0, and their last
+    n columns are already the Hermite basis of the kernel lattice.
     """
-    a = [list(r) for r in rows]
-    # transform kept column-major: u[j] is the j-th column
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    acols = [[a[i][j] for i in range(len(a))] for j in range(n)]
-    frontier = 0
-    for r in range(len(rows)):
-        while True:
-            live = [j for j in range(frontier, n) if acols[j][r]]
-            if not live:
-                break
-            jmin = min(live, key=lambda j: abs(acols[j][r]))
-            acols[frontier], acols[jmin] = acols[jmin], acols[frontier]
-            u[frontier], u[jmin] = u[jmin], u[frontier]
-            pv = acols[frontier][r]
-            done = True
-            for j in range(frontier + 1, n):
-                cj = acols[j][r]
-                if cj:
-                    q = cj // pv
-                    if q:
-                        acols[j] = [x - q * y for x, y in zip(acols[j], acols[frontier])]
-                        u[j] = [x - q * y for x, y in zip(u[j], u[frontier])]
-                    if acols[j][r]:
-                        done = False
-            if done:
-                frontier += 1
-                break
-    return [list(u[j]) for j in range(frontier, n)]
+    m = len(rows)
+    h = _hermite_rows(
+        [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    )
+    return tuple(row[m:] for row in h if not any(row[:m]))
 
 
 def _hermite_rows(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Unique Hermite-normal-form basis (as rows) of the lattice the rows span."""
+    """Unique Hermite-normal-form basis (as rows) of the lattice the rows span.
+
+    Echelon with positive pivots and the entries above each pivot in
+    [0, pivot); this is the package's only integer elimination.
+    """
     h = [list(r) for r in rows]
     m = len(h)
     if m == 0:
@@ -114,6 +101,18 @@ class Subalgebra:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subalgebra":
+        """Canonical subalgebra spanned by integer vectors.
+
+        The saturation of the span is the kernel of its kernel, and
+        _int_kernel returns the Hermite basis of that lattice.
+
+        >>> Subalgebra.span(2, [[2, 2]]).basis_rows
+        ((1, 1),)
+        >>> Subalgebra.span(2, [[1, 1], [1, -1]]).basis_rows
+        ((1, 0), (0, 1))
+        >>> Subalgebra.span(2, [[0, 0]]).basis_rows
+        ()
+        """
         rows = []
         for v in vectors:
             v = [int(x) for x in v]
@@ -121,16 +120,8 @@ class Subalgebra:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dimension {ambient_dim}"
                 )
-            if any(v):
-                rows.append(v)
-        if not rows:
-            return cls(ambient_dim, ())
-        perp = _int_kernel(rows, ambient_dim)
-        if not perp:
-            sat = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
-        else:
-            sat = _int_kernel(perp, ambient_dim)
-        return cls(ambient_dim, _hermite_rows(sat))
+            rows.append(v)
+        return cls(ambient_dim, _int_kernel(_int_kernel(rows, ambient_dim), ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subalgebra":
@@ -166,12 +157,6 @@ class Subalgebra:
 
     def contains(self, other: "Subalgebra") -> bool:
         return self.coordinates_of(other) is not None
-
-    def contains_vector(self, v: Sequence) -> bool:
-        """Rational-span membership of a single ambient vector."""
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
-        return solve(self.basis_matrix(), list(v)) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Subalgebra):

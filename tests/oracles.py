@@ -3,8 +3,10 @@
 Everything here is written against the mathematical definitions directly,
 without importing the package, so agreement is meaningful: plain Gaussian
 elimination for ranks, the dense first-nonzero Gauss-Jordan elimination
-as the reference for RREF, kernel and solve, brute-force tuple
-enumeration, and a from-scratch assembly of the cochain differential.
+as the reference for RREF, kernel and solve, a column elimination with
+a unimodular transform as the reference for saturated lattices,
+brute-force tuple enumeration, and a from-scratch assembly of the
+cochain differential.
 """
 
 from fractions import Fraction
@@ -89,6 +91,98 @@ def reference_solve(rows, ncols, b):
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
     return x
+
+
+def _reference_int_kernel(rows, n):
+    """Basis of {x in Z^n : rows @ x = 0}; the result lattice is saturated.
+
+    Column elimination with gcd pivoting against an identity transform: the
+    transform columns that end up annihilated by every row span the kernel.
+    """
+    a = [list(r) for r in rows]
+    # transform kept column-major: u[j] is the j-th column
+    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    acols = [[a[i][j] for i in range(len(a))] for j in range(n)]
+    frontier = 0
+    for r in range(len(rows)):
+        while True:
+            live = [j for j in range(frontier, n) if acols[j][r]]
+            if not live:
+                break
+            jmin = min(live, key=lambda j: abs(acols[j][r]))
+            acols[frontier], acols[jmin] = acols[jmin], acols[frontier]
+            u[frontier], u[jmin] = u[jmin], u[frontier]
+            pv = acols[frontier][r]
+            done = True
+            for j in range(frontier + 1, n):
+                cj = acols[j][r]
+                if cj:
+                    q = cj // pv
+                    if q:
+                        acols[j] = [x - q * y for x, y in zip(acols[j], acols[frontier])]
+                        u[j] = [x - q * y for x, y in zip(u[j], u[frontier])]
+                    if acols[j][r]:
+                        done = False
+            if done:
+                frontier += 1
+                break
+    return [list(u[j]) for j in range(frontier, n)]
+
+
+def _reference_hermite_rows(rows):
+    """Unique Hermite-normal-form basis (as rows) of the lattice the rows span."""
+    h = [list(r) for r in rows]
+    m = len(h)
+    if m == 0:
+        return ()
+    n = len(h[0])
+    r = 0
+    for c in range(n):
+        while True:
+            live = [i for i in range(r, m) if h[i][c]]
+            if not live:
+                break
+            imin = min(live, key=lambda i: abs(h[i][c]))
+            h[r], h[imin] = h[imin], h[r]
+            pv = h[r][c]
+            done = True
+            for i in range(r + 1, m):
+                if h[i][c]:
+                    q = h[i][c] // pv
+                    if q:
+                        h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    if h[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and h[r][c]:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            r += 1
+            if r == m:
+                break
+    return tuple(tuple(row) for row in h[:r])
+
+
+def reference_span(n, vectors):
+    """Hermite basis rows of the saturated lattice the vectors span in Z^n.
+
+    The saturation is the kernel of the kernel, each kernel from the column
+    elimination above; _reference_hermite_rows then canonicalizes it.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return ()
+    perp = _reference_int_kernel(rows, n)
+    if not perp:
+        sat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        sat = _reference_int_kernel(perp, n)
+    return _reference_hermite_rows(sat)
 
 
 def brute_tuples(ids, leq, k, strict):

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from assigncoh import SpaceDescription, build_from_description, cli
+from assigncoh import (
+    SpaceDescription,
+    build_from_description,
+    check_functor,
+    cli,
+    les_coefficients_check,
+    les_pair_check,
+    pair_ses,
+)
 
 from spaces import cp2
 
@@ -289,6 +297,24 @@ def test_check_les_on_non_functorial_system_is_not_checked(capsys, perturbed_cub
     }
     code, _, _ = run(capsys, ["check", perturbed_cube_file, "--les", "v000,ghost"])
     assert code == cli.EXIT_SUBSET
+
+
+def test_les_on_non_functorial_system_names_the_violation(perturbed_cube_file):
+    with open(perturbed_cube_file) as fh:
+        obj = json.load(fh)
+    _, v = build_from_description(SpaceDescription.from_json_dict(obj))
+    report = check_functor(v)
+    assert report.composition_violations
+    expected = f"functor laws fail at {report.composition_violations[0]}"
+    with pytest.raises(ValueError) as exc:
+        les_pair_check(v, ["v000"])
+    assert expected in str(exc.value)
+    # the sub part of the split zeroes the perturbed pair; the total does not
+    f, g = pair_ses(v, ["v000"])
+    assert check_functor(f.source).ok
+    with pytest.raises(ValueError) as exc:
+        les_coefficients_check(f, g)
+    assert expected in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

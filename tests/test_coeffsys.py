@@ -6,10 +6,13 @@ from assigncoh import (
     StratSpace,
     Subalgebra,
     SystemMorphism,
+    build_polytope,
+    build_product,
     check_functor,
     cohomology,
     moment_system,
     pair_ses,
+    preset_polytope,
     quotient_system,
     restriction_system,
     ses_check,
@@ -191,11 +194,17 @@ def test_morphism_naturality_enforced():
 
 
 def test_from_cover_maps_reproduces_moment_system():
-    space, v = cp2()
-    cover_maps = {c: v.proj(*c) for c in space.covers}
-    rebuilt = CoefficientSystem.from_cover_maps(space, dict(v.dims), cover_maps)
-    for pair in v.pairs():
-        assert rebuilt.proj(*pair) == v.proj(*pair)
+    """moment_system composes cover maps; each pair must still be the direct
+    expansion of the upper stabilizer basis over the lower one."""
+    cube = build_polytope(preset_polytope("cube"))
+    segment = build_polytope(preset_polytope("segment"))
+    for space, _ in (cp2(), cube, build_product(cube, segment)):
+        v = moment_system(space)
+        pairs = [(x, x) for x in space.ids] + space.comparable_pairs()
+        assert sorted(pairs) == v.pairs()
+        for x, y in pairs:
+            direct = space.stabilizer(x).coordinates_of(space.stabilizer(y))
+            assert v.proj(x, y) == direct
 
 
 def test_from_cover_maps_missing_cover():

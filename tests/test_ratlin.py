@@ -114,12 +114,11 @@ def test_matrix_algebra():
     a = RatMatrix.from_rows([[1, 2], [0, 1]])
     b = RatMatrix.from_rows([[1, 0], [3, 1]])
     assert (a @ b) == RatMatrix.from_rows([[7, 2], [3, 1]])
-    assert (a + b) - b == a
-    assert a.scale(2) == RatMatrix.from_rows([[2, 4], [0, 2]])
+    assert a + b == RatMatrix.from_rows([[2, 2], [3, 2]])
     assert RatMatrix.zeros(2, 2).is_zero()
     assert not a.is_zero()
     assert a.transpose().transpose() == a
-    assert RatMatrix.diagonal([2, 3]).entry(1, 1) == 3
+    assert RatMatrix.diagonal([2, 3]).row(1) == [0, 3]
 
 
 def test_vector_helpers():

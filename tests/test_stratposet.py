@@ -1,10 +1,13 @@
+import doctest
 import random
 
 import pytest
 
+import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from oracles import brute_tuples
+from assigncoh.stratposet import _int_kernel
+from oracles import brute_rank, brute_tuples, reference_span
 from spaces import cp2, two_stratum
 
 
@@ -145,13 +148,50 @@ def test_subalgebra_canonical_under_unimodular_mixes():
         assert Subalgebra.span(n, mixed) == base
 
 
+def _generator_set(rng, case, n):
+    """Random integer generators in Z^n of one kind: 0 empty, 1 with zero
+    rows, 2 with dependent rows, 3 full rank, otherwise plain random."""
+    def vec():
+        return [rng.randint(-3, 3) for _ in range(n)]
+    if case == 0:
+        return []
+    rows = [vec() for _ in range(rng.randint(1, n + 1))]
+    if case == 1:
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+    elif case == 2:
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, e = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([c * x + e * y for x, y in zip(a, b)])
+    elif case == 3:
+        while brute_rank(rows) < n:
+            rows.append(vec())
+    return rows
+
+
+def test_span_matches_reference_randomized():
+    rng = random.Random(41)
+    for trial in range(1200):
+        n = rng.randint(1, 6)
+        rows = _generator_set(rng, trial % 5, n)
+        r = brute_rank(rows)
+        assert Subalgebra.span(n, rows).basis_rows == reference_span(n, rows)
+        kernel = _int_kernel(rows, n)
+        assert len(kernel) == n - r
+        assert Subalgebra.span(n, kernel).basis_rows == kernel
+        for x in kernel:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+
+def test_module_doctest():
+    result = doctest.testmod(assigncoh.stratposet)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
 def test_subalgebra_contains():
     h = Subalgebra.span(2, [[1, 1]])
-    assert h.contains_vector([2, 2])
-    assert not h.contains_vector([1, 0])
-    assert Subalgebra.full(2).contains_vector([7, -3])
-    assert not Subalgebra.zero(2).contains_vector([1, 0])
-    assert Subalgebra.zero(2).contains_vector([0, 0])
     assert h.contains(Subalgebra.zero(2))
     assert Subalgebra.full(2).contains(h)
     assert not h.contains(Subalgebra.full(2))
