@@ -338,19 +338,22 @@ def build_product(
 
     Both inputs must carry their moment systems; the result carries the
     moment system of the product, whose blocks restrict to the factors.
+    The block-diagonal rows of two Hermite bases are echelon with positive
+    pivots and zeros above the second block's pivots, and a direct sum of
+    saturated lattices is saturated, so they are already the canonical
+    basis of the direct sum.
     """
     space1, space2 = s1[0], s2[0]
     n1, n2 = space1.torus_dim, space2.torus_dim
     strata = {}
     for a in space1.ids:
-        ra = space1.stabilizer(a).basis_rows
+        ra = tuple(r + (0,) * n2 for r in space1.stabilizer(a).basis_rows)
         for b in space2.ids:
-            rb = space2.stabilizer(b).basis_rows
-            rows = [list(r) + [0] * n2 for r in ra] + [[0] * n1 + list(r) for r in rb]
+            rb = tuple((0,) * n1 + r for r in space2.stabilizer(b).basis_rows)
             name = f"{a}*{b}"
             if name in strata:
                 raise ValueError(f"product id collision at {name!r}")
-            strata[name] = Subalgebra.span(n1 + n2, rows) if rows else Subalgebra.zero(n1 + n2)
+            strata[name] = Subalgebra(n1 + n2, ra + rb)
     covers = []
     for a, b in space1.covers:
         for c in space2.ids:
@@ -364,6 +367,17 @@ def build_product(
 
 # ---------------------------------------------------------------------------
 # serializable description
+
+def _json_int(x) -> int:
+    """x when it is a JSON integer; ValueError for anything else.
+
+    Floats (1.5, or 1e400, which JSON reads as infinity) and booleans are
+    not integers, however int() would round or convert them.
+    """
+    if type(x) is not int:   # bool is a subclass of int
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
 
 @dataclass
 class SpaceDescription:
@@ -387,18 +401,20 @@ class SpaceDescription:
         if not isinstance(obj, dict):
             raise DescriptionError("top level must be an object")
         try:
-            torus_dim = int(obj["torus_dim"])
+            torus_dim = _json_int(obj["torus_dim"])
             strata_raw = obj["strata"]
             covers_raw = obj.get("covers", [])
         except (KeyError, TypeError, ValueError) as e:
             raise DescriptionError(f"missing or malformed field: {e}") from None
+        if torus_dim < 0:
+            raise DescriptionError(f"torus_dim must be >= 0, got {torus_dim}")
         if not isinstance(strata_raw, list) or not isinstance(covers_raw, list):
             raise DescriptionError("strata and covers must be arrays")
         strata = []
         for s in strata_raw:
             try:
                 sid = str(s["id"])
-                basis = [[int(x) for x in row] for row in s.get("stabilizer", [])]
+                basis = [[_json_int(x) for x in row] for row in s.get("stabilizer", [])]
             except (KeyError, TypeError, ValueError):
                 raise DescriptionError(f"malformed stratum entry: {s!r}") from None
             strata.append((sid, basis))
@@ -410,7 +426,7 @@ class SpaceDescription:
         dims = None
         if "dims" in obj:
             try:
-                dims = {str(k): int(v) for k, v in obj["dims"].items()}
+                dims = {str(k): _json_int(v) for k, v in obj["dims"].items()}
             except (AttributeError, TypeError, ValueError):
                 raise DescriptionError("malformed dims table") from None
         projections = None

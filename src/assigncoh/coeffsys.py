@@ -57,6 +57,12 @@ class CoefficientSystem:
                     f"projection ({x!r}, {y!r}) has shape {m.shape()}, "
                     f"expected ({self.dims[y]}, {self.dims[x]})"
                 )
+        extra = sorted(set(self._proj) - set(pairs))
+        if extra:
+            x, y = extra[0]
+            raise ValueError(
+                f"projection given for pair ({x!r}, {y!r}), which is not comparable"
+            )
 
     @classmethod
     def from_cover_maps(

@@ -4,8 +4,11 @@ A moment polynomial collects terms beta * z^k * zbar^l with rational
 covector coefficients beta.  The membership criterion asks each beta to lie
 in the span of the weights of the variables actually present in its
 monomial; when it holds the polynomial splits as
-sum_j (z_j f_j + zbar_j g_j) alpha_j with scalar polynomial cofactors,
-computed here by a deterministic per-monomial solve.
+sum_j (z_j f_j + zbar_j g_j) alpha_j with scalar polynomial cofactors.
+Both questions are answered by one solve per monomial: the criterion
+fails exactly at the monomials whose solve has no solution, and the
+solutions of the others (smallest-index pivots, free variables zero) are
+the cofactor coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     NonzeroConstantTermError,
     ParseError,
 )
-from .ratlin import RatMatrix, rank, solve
+from .ratlin import RatMatrix, solve
 
 ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
 
@@ -311,23 +314,31 @@ def _support(key: ExpPair) -> List[int]:
     return [i for i in range(len(k)) if k[i] or l[i]]
 
 
-def check_moment_condition(p: MomentPolynomial) -> MomentReport:
-    """Each coefficient must lie in the span of its monomial's weights."""
-    d = p.weights.count
-    zero_key = ((0,) * d, (0,) * d)
-    if zero_key in p.terms:
+def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fraction]]]]:
+    """One solve per monomial, keys sorted: (key, coefficients) pairs.
+
+    The coefficients express the term's covector over the weights of the
+    monomial's variables, with smallest-index pivots and free variables
+    zero; they are None when the covector lies outside the span of those
+    weights.
+    """
+    d, n = p.weights.count, p.weights.torus_dim
+    if ((0,) * d, (0,) * d) in p.terms:
         raise NonzeroConstantTermError(
             "polynomial has a nonzero constant term; it must vanish at the origin"
         )
-    failing = []
+    out = []
     for key in sorted(p.terms):
-        beta = p.terms[key]
-        rows = [p.weights.rows[i] for i in _support(key)]
-        base = rank(RatMatrix.from_rows(rows)) if rows else 0
-        extended = rank(RatMatrix.from_rows(rows + [beta]))
-        if extended != base:
-            failing.append(key)
-    return MomentReport(tuple(failing))
+        cols = RatMatrix.from_rows(
+            [[p.weights.rows[i][r] for i in _support(key)] for r in range(n)]
+        )
+        out.append((key, solve(cols, list(p.terms[key]))))
+    return out
+
+
+def check_moment_condition(p: MomentPolynomial) -> MomentReport:
+    """Each coefficient must lie in the span of its monomial's weights."""
+    return MomentReport(tuple(key for key, lam in _solutions(p) if lam is None))
 
 
 def decompose(p: MomentPolynomial) -> FormCoefficients:
@@ -337,23 +348,16 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
     smallest-index pivots and free variables zero; each contribution factors
     out z_i when possible, zbar_i otherwise.
     """
-    report = check_moment_condition(p)
-    if not report.ok:
-        raise ConditionFailedError(report.failing)
-    d, n = p.weights.count, p.weights.torus_dim
+    solutions = _solutions(p)
+    failing = tuple(key for key, lam in solutions if lam is None)
+    if failing:
+        raise ConditionFailedError(failing)
+    d = p.weights.count
     fs = [ScalarPoly(d) for _ in range(d)]
     gs = [ScalarPoly(d) for _ in range(d)]
-    for key in sorted(p.terms):
-        beta = p.terms[key]
-        support = _support(key)
-        cols = RatMatrix.from_rows(
-            [[p.weights.rows[i][r] for i in support] for r in range(n)]
-        )
-        lam = solve(cols, list(beta))
-        if lam is None:
-            raise RuntimeError("criterion passed but solve failed")
+    for key, lam in solutions:
         k, l = key
-        for pos, i in enumerate(support):
+        for pos, i in enumerate(_support(key)):
             if lam[pos] == 0:
                 continue
             if k[i] > 0:

@@ -8,7 +8,10 @@ must sit inside the stabilizer of X with strictly smaller dimension.
 Subalgebras are stored in a canonical form (Hermite basis of the saturated
 lattice spanned by the input vectors) so that equality of subspaces is
 equality of tuples and spaces built from different generating sets merge
-identically.
+identically.  The same form answers inclusion: coordinates of one
+subalgebra over another (Subalgebra.coordinates_of) are read off by
+reducing against the echelon basis pivot by pivot, in integers, with no
+rational elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from .ratlin import RatMatrix, solve
+from .ratlin import RatMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +132,48 @@ class Subalgebra:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subalgebra":
-        return cls.span(ambient_dim, [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)])
+        """The whole algebra; the identity rows are its Hermite basis."""
+        return cls(
+            ambient_dim,
+            tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
+        )
 
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
 
-    def basis_matrix(self) -> RatMatrix:
-        """Basis vectors as columns: ambient_dim x dim."""
-        return RatMatrix.from_rows(self.basis_rows).transpose() if self.basis_rows else RatMatrix.zeros(self.ambient_dim, 0)
-
     def coordinates_of(self, other: "Subalgebra") -> Optional[RatMatrix]:
         """Basis of other over this basis, one row each (other.dim x self.dim).
 
-        None when other does not lie inside this subalgebra.
+        None when other does not lie inside this subalgebra.  Each row of
+        other is reduced against the basis pivot by pivot, in order: the
+        basis is echelon, so the coefficient of basis row i is the residual
+        at pivot i divided by that pivot.  The lattice is saturated, so a
+        vector of the span has integer coordinates; a nonzero remainder or
+        a nonzero final residual means the vector lies outside the span.
+
+        >>> plane = Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]])
+        >>> plane.coordinates_of(Subalgebra.span(3, [[2, 4, 0]])).data
+        [[Fraction(1, 1), Fraction(2, 1)]]
+        >>> plane.coordinates_of(Subalgebra.span(3, [[0, 1, 1]])) is None
+        True
         """
         if self.ambient_dim != other.ambient_dim or other.dim > self.dim:
             return None
-        mat = self.basis_matrix()
+        pivots = [next(j for j, x in enumerate(b) if x) for b in self.basis_rows]
         rows = []
         for v in other.basis_rows:
-            c = solve(mat, list(v))
-            if c is None:
+            coords = []
+            for b, p in zip(self.basis_rows, pivots):
+                q, rem = divmod(v[p], b[p])
+                if rem:
+                    return None
+                if q:
+                    v = [x - q * y for x, y in zip(v, b)]
+                coords.append(q)
+            if any(v):
                 return None
-            rows.append(c)
+            rows.append(coords)
         return RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, self.dim)
 
     def contains(self, other: "Subalgebra") -> bool:

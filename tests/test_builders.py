@@ -299,3 +299,17 @@ def test_description_projection_unknown_stratum():
     desc.projections = [("pt", "ghost", [[1]])]
     with pytest.raises(UnknownIdError):
         build_from_description(desc)
+
+
+def test_description_projection_on_non_comparable_pair():
+    # two incomparable strata, and a comparable pair given upside down
+    flat = SpaceDescription(1, [("a", [[1]]), ("b", [[1]])], [], {"a": 1, "b": 1},
+                            [("a", "b", [[1]])])
+    with pytest.raises(ValueError, match=r"\('a', 'b'\), which is not comparable"):
+        build_from_description(flat)
+    space, _ = two_stratum()
+    desc = SpaceDescription.from_space(space)
+    desc.dims = {"pt": 1, "open": 1}
+    desc.projections = [("pt", "open", [[1]]), ("open", "pt", [[1]])]
+    with pytest.raises(ValueError, match=r"\('open', 'pt'\), which is not comparable"):
+        build_from_description(desc)

@@ -76,6 +76,36 @@ def test_schema_error_is_input_error(capsys, tmp_path):
     assert "malformed stratum entry" in err
 
 
+_NUMBER_SITES = {
+    "torus_dim": '{"torus_dim": @, "strata": [{"id": "a", "stabilizer": [[1]]}]}',
+    "stabilizer": '{"torus_dim": 1, "strata": [{"id": "a", "stabilizer": [[@]]}]}',
+    "dims": '{"torus_dim": 1, "strata": [{"id": "a", "stabilizer": [[1]]}], '
+            '"dims": {"a": @}, "projections": []}',
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NUMBER_SITES))
+@pytest.mark.parametrize("literal", ["1.5", "1e400", "true", "1.0"])
+def test_non_integer_numbers_are_input_errors(capsys, tmp_path, site, literal):
+    # int() would read 1.5 as 1 and overflow on 1e400 (infinity)
+    path = tmp_path / "bad.space"
+    path.write_text(_NUMBER_SITES[site].replace("@", literal))
+    code, out, err = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_INPUT
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "DescriptionError"
+    assert payload["exit_code"] == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_torus_dim_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.space"
+    path.write_text(_NUMBER_SITES["torus_dim"].replace("@", "-1"))
+    code, out, _ = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert "torus_dim must be >= 0" in json.loads(out)["error"]["message"]
+
+
 def test_cycle_is_validation_error(capsys, tmp_path):
     desc = {
         "torus_dim": 1,

@@ -195,9 +195,21 @@ def test_morphism_naturality_enforced():
 
 def test_from_cover_maps_reproduces_moment_system():
     """moment_system composes cover maps; each pair must still be the direct
-    expansion of the upper stabilizer basis over the lower one."""
+    expansion of the upper stabilizer basis over the lower one.  The product
+    strata take the direct sums of the factors' bases as they come, which
+    must be the canonical basis Subalgebra.span gives."""
     cube = build_polytope(preset_polytope("cube"))
     segment = build_polytope(preset_polytope("segment"))
+    square = build_polytope(preset_polytope("square"))
+    for left, right in ((cube, square), (cube, segment)):
+        product, _ = build_product(left, right)
+        s1, s2 = left[0], right[0]
+        n1, n2 = s1.torus_dim, s2.torus_dim
+        for a in s1.ids:
+            for b in s2.ids:
+                rows = [list(r) + [0] * n2 for r in s1.stabilizer(a).basis_rows]
+                rows += [[0] * n1 + list(r) for r in s2.stabilizer(b).basis_rows]
+                assert product.stabilizer(f"{a}*{b}") == Subalgebra.span(n1 + n2, rows)
     for space, _ in (cp2(), cube, build_product(cube, segment)):
         v = moment_system(space)
         pairs = [(x, x) for x in space.ids] + space.comparable_pairs()

@@ -7,7 +7,7 @@ import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from assigncoh.stratposet import _int_kernel
-from oracles import brute_rank, brute_tuples, reference_span
+from oracles import brute_rank, brute_tuples, reference_solve, reference_span
 from spaces import cp2, two_stratum
 
 
@@ -203,3 +203,54 @@ def test_subalgebra_contains():
     plane = Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]])
     assert plane.coordinates_of(Subalgebra.span(3, [[2, 4, 0]])) == RatMatrix.from_rows([[1, 2]])
     assert plane.coordinates_of(plane) == RatMatrix.identity(2)
+    assert Subalgebra.full(3) == Subalgebra.span(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _reference_coordinates(big, small):
+    """Rows of small over the basis of big by reference_solve, or None."""
+    if big.ambient_dim != small.ambient_dim:
+        return None
+    columns = [[b[i] for b in big.basis_rows] for i in range(big.ambient_dim)]
+    rows = []
+    for v in small.basis_rows:
+        c = reference_solve(columns, big.dim, list(v))
+        if c is None:
+            return None
+        rows.append(c)
+    return rows
+
+
+def test_coordinates_of_matches_reference_solve_randomized():
+    rng = random.Random(59)
+    kinds = {"contained": 0, "not contained": 0, "ambient mismatch": 0}
+    for trial in range(1500):
+        n = rng.randint(0, 5)
+        big = Subalgebra.span(n, _generator_set(rng, trial % 5, n))
+        case = trial % 3
+        if case < 2:
+            # integer combinations of the basis are contained; case 1 adds
+            # one random vector, which mostly is not
+            gens = []
+            for _ in range(rng.randint(0, big.dim + 1)):
+                c = [rng.randint(-3, 3) for _ in big.basis_rows]
+                gens.append([sum(a * b[i] for a, b in zip(c, big.basis_rows)) for i in range(n)])
+            if case == 1:
+                gens.insert(rng.randint(0, len(gens)), [rng.randint(-3, 3) for _ in range(n)])
+            small = Subalgebra.span(n, gens)
+        else:
+            m = rng.choice([k for k in range(6) if k != n])
+            small = Subalgebra.span(m, _generator_set(rng, trial % 5, m))
+        expected = _reference_coordinates(big, small)
+        got = big.coordinates_of(small)
+        if expected is None:
+            assert got is None
+            assert not big.contains(small)
+            kinds["ambient mismatch" if case == 2 else "not contained"] += 1
+        else:
+            assert got is not None and got.shape() == (small.dim, big.dim)
+            assert got.data == expected
+            assert big.contains(small)
+            kinds["contained"] += 1
+        if case == 0:
+            assert expected is not None
+    assert min(kinds.values()) >= 150, kinds
