@@ -379,6 +379,16 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_str(x) -> str:
+    """x when it is a JSON string; TypeError for anything else.
+
+    Stratum ids are names: str() would turn null, 1.5 or a list into one.
+    """
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
 @dataclass
 class SpaceDescription:
     """JSON-facing description of a space, with an optional explicit system.
@@ -413,16 +423,17 @@ class SpaceDescription:
         strata = []
         for s in strata_raw:
             try:
-                sid = str(s["id"])
+                sid = _json_str(s["id"])
                 basis = [[_json_int(x) for x in row] for row in s.get("stabilizer", [])]
             except (KeyError, TypeError, ValueError):
                 raise DescriptionError(f"malformed stratum entry: {s!r}") from None
             strata.append((sid, basis))
         covers = []
         for c in covers_raw:
-            if not isinstance(c, (list, tuple)) or len(c) != 2:
+            if not isinstance(c, (list, tuple)) or len(c) != 2 or not all(
+                    isinstance(e, str) for e in c):
                 raise DescriptionError(f"malformed cover entry: {c!r}")
-            covers.append((str(c[0]), str(c[1])))
+            covers.append((c[0], c[1]))
         dims = None
         if "dims" in obj:
             try:
@@ -436,7 +447,7 @@ class SpaceDescription:
                 raise DescriptionError("projections must be an array")
             for p in obj["projections"]:
                 try:
-                    x, y = str(p["pair"][0]), str(p["pair"][1])
+                    x, y = _json_str(p["pair"][0]), _json_str(p["pair"][1])
                     mat = [[Fraction(str(e)) for e in row] for row in p["matrix"]]
                 except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
                     raise DescriptionError(f"malformed projection entry: {p!r}") from None
@@ -488,13 +499,14 @@ def build_from_description(desc: SpaceDescription) -> Tuple[StratSpace, Coeffici
     for x in space.ids:
         if x not in desc.dims:
             raise DescriptionError(f"dims table misses stratum {x!r}")
+    covers = set(space.covers)
     cover_maps = {}
     explicit = {}
     for x, y, mat in desc.projections or []:
         if x not in strata or y not in strata:
             raise UnknownIdError(x if x not in strata else y)
         m = RatMatrix.from_rows(mat) if mat else RatMatrix.zeros(desc.dims[y], desc.dims[x])
-        if (x, y) in space.covers:
+        if (x, y) in covers:
             cover_maps[(x, y)] = m
         else:
             explicit[(x, y)] = m

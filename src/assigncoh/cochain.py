@@ -21,14 +21,19 @@ builds the induced maps on canonical representatives and the connecting
 maps, then checks exactness node by node.  The two public checks only
 validate their input and supply those maps.
 
-Differentials are assembled as sparse rows (column -> entry, ints where
-integral) and eliminated by `ratlin.sparse_rref`.  Kernel/image
-bookkeeping is canonical: representatives come from reduced row echelon
-forms, so equal inputs give byte-equal outputs.
+A cochain is a sparse vector (column -> nonzero entry, ints where
+integral) from assembly to the connecting map: differentials, kernels,
+representatives and both long exact sequences work on such rows, and
+`ratlin.sparse_rref` does every elimination.  Dense lists of Fractions
+appear only in public values (`Cochain`, `differential_matrix`, the
+homotopy operators, pullbacks).  Kernel/image bookkeeping is canonical:
+representatives come from reduced row echelon forms, so equal inputs give
+byte-equal outputs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -190,9 +195,14 @@ def _transpose(rows: Rows, ncols: int) -> Rows:
     return out
 
 
-def _apply(rows: Rows, vec: Sequence) -> List[Fraction]:
-    """Sparse rows times a dense vector of Fractions."""
-    return [sum((x * vec[j] for j, x in row.items()), _ZERO) for row in rows]
+def _apply(rows: Rows, vec: SparseRow) -> SparseRow:
+    """Sparse rows times a sparse vector, zero entries dropped."""
+    out: SparseRow = {}
+    for i, row in enumerate(rows):
+        s = sum(x * vec[j] for j, x in row.items() if j in vec)
+        if s:
+            out[i] = s
+    return out
 
 
 def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
@@ -247,7 +257,6 @@ class _CohomologyData:
         self._im_at = dict(zip(im_pivots, self.im_rows))
         reduced = [self._reduce(z) for z in self.cocycles]
         self._rep_rows, self.rep_pivots = sparse_rref(reduced, dim_chain)
-        self.reps = RatMatrix.from_sparse(self._rep_rows, dim_chain).data
         self.dim = len(self.rep_pivots)
 
     def _reduce(self, vec: SparseRow) -> SparseRow:
@@ -263,9 +272,9 @@ class _CohomologyData:
                 _sub_scaled(out, c, row)
         return out
 
-    def class_coords(self, vec: Sequence) -> List[Fraction]:
+    def class_coords(self, vec: SparseRow) -> List[Fraction]:
         """Coordinates of a cocycle's class over the canonical representatives."""
-        red = self._reduce({j: _exact(x) for j, x in enumerate(vec) if x})
+        red = self._reduce(vec)
         coords = [red.get(p, 0) for p in self.rep_pivots]
         # the residual must vanish, otherwise vec was not a cocycle
         for c, rep in zip(coords, self._rep_rows):
@@ -314,7 +323,8 @@ class _Complex:
     def result(self, k: int) -> CohomologyResult:
         data = self.data(k)
         basis = self.basis(k)
-        reps = [Cochain(basis, r) for r in data.reps]
+        reps = [Cochain(basis, r)
+                for r in RatMatrix.from_sparse(data._rep_rows, basis.total_dim).data]
         diag = {
             "dim_chain": data.dim_chain,
             "dim_cocycles": len(data.cocycles),
@@ -450,31 +460,27 @@ def relative_cohomology(
     return _Complex(v, strict, support=("rel", nset)).result(k)
 
 
-def _embed(vec: Sequence, src: ChainBasis, dst: ChainBasis) -> List[Fraction]:
-    out = [_ZERO] * dst.total_dim
-    for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
-        if w == 0:
-            continue
+def _blocks(vec: SparseRow, basis: ChainBasis):
+    """The nonzero blocks of vec: (tuple, block values as a dense list).
+
+    A coordinate belongs to the last tuple whose offset is at most it;
+    tuples with empty blocks share the offset of the next block.
+    """
+    at: Dict[int, SparseRow] = {}
+    for j, x in vec.items():
+        i = bisect_right(basis.offsets, j) - 1
+        at.setdefault(i, {})[j - basis.offsets[i]] = x
+    for i, blk in at.items():
+        yield basis.tuples[i], [blk.get(r, 0) for r in range(basis.block_dims[i])]
+
+
+def _move(vec: SparseRow, src: ChainBasis, dst: ChainBasis) -> SparseRow:
+    """vec's blocks moved to the same tuples of dst; tuples dst lacks are dropped."""
+    out: SparseRow = {}
+    for t, vals in _blocks(vec, src):
         blk = dst.block(t)
-        if blk is None:
-            if any(vec[off:off + w]):
-                raise ValueError(f"vector has support outside the target basis at {t}")
-            continue
-        o2, _ = blk
-        for i in range(w):
-            out[o2 + i] = Fraction(vec[off + i])
-    return out
-
-
-def _restrict(vec: Sequence, src: ChainBasis, dst: ChainBasis) -> List[Fraction]:
-    out = [_ZERO] * dst.total_dim
-    for t, off, w in zip(dst.tuples, dst.offsets, dst.block_dims):
-        blk = src.block(t)
-        if blk is None:
-            continue
-        o1, _ = blk
-        for i in range(w):
-            out[off + i] = Fraction(vec[o1 + i])
+        if blk is not None:
+            out.update((blk[0] + r, x) for r, x in enumerate(vals) if x)
     return out
 
 
@@ -520,7 +526,7 @@ def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     return ExactSequenceReport(list(node_names), list(node_dims), ranks, failures)
 
 
-def _induced_matrix(target: _CohomologyData, images: Iterable[Sequence]) -> RatMatrix:
+def _induced_matrix(target: _CohomologyData, images: Iterable[SparseRow]) -> RatMatrix:
     """Columns: class coordinates in target of each cocycle in images."""
     cols = [target.class_coords(vec) for vec in images]
     if not cols:
@@ -561,12 +567,12 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
         ha, hb, hc = a.data(k), b.data(k), c.data(k)
         names += [f"H^{k}({label})" for label in labels]
         dims += [ha.dim, hb.dim, hc.dim]
-        maps.append(_induced_matrix(hb, (i(k, r) for r in ha.reps)))
-        maps.append(_induced_matrix(hc, (p(k, r) for r in hb.reps)))
+        maps.append(_induced_matrix(hb, (i(k, r) for r in ha._rep_rows)))
+        maps.append(_induced_matrix(hc, (p(k, r) for r in hb._rep_rows)))
         if k <= top:
             maps.append(_induced_matrix(
                 a.data(k + 1),
-                (retract(k + 1, _apply(b.d(k), lift(k, r))) for r in hc.reps),
+                (retract(k + 1, _apply(b.d(k), lift(k, r))) for r in hc._rep_rows),
             ))
     return _exactness_walk(names, dims, maps)
 
@@ -584,47 +590,35 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
     sub = _Complex(v, True, support=("sub", nset))
 
     def retract(k, w):
-        wr = _restrict(w, full.basis(k), rel.basis(k))
-        if _embed(wr, rel.basis(k), full.basis(k)) != w:
+        wr = _move(w, full.basis(k), rel.basis(k))
+        if len(wr) != len(w):
             raise AssertionError("differential left the relative subcomplex")
         return wr
 
     return _long_exact_sequence(
         ("pair", "space", "subset"), rel, full, sub,
-        lambda k, r: _embed(r, rel.basis(k), full.basis(k)),
-        lambda k, r: _restrict(r, full.basis(k), sub.basis(k)),
-        lambda k, r: _embed(r, sub.basis(k), full.basis(k)),
+        lambda k, r: _move(r, rel.basis(k), full.basis(k)),
+        lambda k, r: _move(r, full.basis(k), sub.basis(k)),
+        lambda k, r: _move(r, sub.basis(k), full.basis(k)),
         retract,
     )
 
 
-def _chain_map(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec) -> List[Fraction]:
-    """Image of a cochain under the chainwise map of h (src -> dst coords)."""
-    out = [_ZERO] * dst.total_dim
-    for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
-        if w == 0:
-            continue
-        o2, w2 = dst.block(t)
-        if w2 == 0:
-            continue
-        img = h.map_at(t[-1]).apply(vec[off:off + w])
-        for i in range(w2):
-            out[o2 + i] += img[i]
-    return out
+def _blockwise(h: SystemMorphism, vec: SparseRow, src: ChainBasis, dst: ChainBasis,
+               solving: bool = False) -> SparseRow:
+    """vec's nonzero blocks mapped through h (src -> dst coords).
 
-
-def _blockwise_solve(h: SystemMorphism, src: ChainBasis, dst: ChainBasis, vec) -> List[Fraction]:
-    """One preimage of vec under the chainwise map of h (dst -> src coords)."""
-    out = [_ZERO] * src.total_dim
-    for t, off, w in zip(src.tuples, src.offsets, src.block_dims):
-        if w == 0:
-            continue
-        o2, w2 = dst.block(t)
-        sol = solve(h.map_at(t[-1]), vec[o2:o2 + w2])
-        if sol is None:
+    With solving, vec lies in the target of h and each block gets one
+    preimage instead (free variables zero); zero blocks stay zero.
+    """
+    out: SparseRow = {}
+    for t, vals in _blocks(vec, src):
+        m = h.map_at(t[-1])
+        img = solve(m, vals) if solving else m.apply(vals)
+        if img is None:
             raise AssertionError(f"no blockwise preimage at {t}")
-        for i in range(w):
-            out[off + i] = sol[i]
+        o = dst.block(t)[0]
+        out.update((o + r, _exact(x)) for r, x in enumerate(img) if x)
     return out
 
 
@@ -641,10 +635,10 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
     c1, c2, c3 = _Complex(f.source, True), _Complex(f.target, True), _Complex(g.target, True)
     return _long_exact_sequence(
         ("sub", "total", "quotient"), c1, c2, c3,
-        lambda k, r: _chain_map(f, c1.basis(k), c2.basis(k), r),
-        lambda k, r: _chain_map(g, c2.basis(k), c3.basis(k), r),
-        lambda k, r: _blockwise_solve(g, c2.basis(k), c3.basis(k), r),
-        lambda k, r: _blockwise_solve(f, c1.basis(k), c2.basis(k), r),
+        lambda k, r: _blockwise(f, r, c1.basis(k), c2.basis(k)),
+        lambda k, r: _blockwise(g, r, c2.basis(k), c3.basis(k)),
+        lambda k, r: _blockwise(g, r, c3.basis(k), c2.basis(k), solving=True),
+        lambda k, r: _blockwise(f, r, c2.basis(k), c1.basis(k), solving=True),
     )
 
 
@@ -736,6 +730,10 @@ def pullback(
         v_source = moment_system(f.source)
     k = phi.basis.degree
     full_target = chain_basis(v_target, k, strict=False)
-    vec = _embed(phi.coords, phi.basis, full_target)
+    coords = {j: x for j, x in enumerate(phi.coords) if x}
+    vec = _move(coords, phi.basis, full_target)
+    if len(vec) != len(coords):
+        raise ValueError("cochain has support outside the full basis")
     mat = pullback_matrix(f, v_target, k, v_source)
-    return Cochain(chain_basis(v_source, k, strict=False), mat.apply(vec))
+    return Cochain(chain_basis(v_source, k, strict=False),
+                   [sum((row[j] * x for j, x in vec.items()), _ZERO) for row in mat.data])

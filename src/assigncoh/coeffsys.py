@@ -89,12 +89,12 @@ class CoefficientSystem:
             if m is None:
                 raise ValueError(f"missing cover map for ({x!r}, {y!r})")
             proj[(x, y)] = m
-        # strata sorted by shrinking upset is a linear extension of the order
+        # strata sorted by shrinking upset is a linear extension of the order,
+        # so proj[(x, y)] is composed by the time the walk above x reaches y
         topo = sorted(space.ids, key=lambda x: (-len(space.upset(x)), x))
+        position = {y: i for i, y in enumerate(topo)}
         for x in space.ids:
-            for y in topo:
-                if y == x or not space.leq(x, y) or (x, y) not in proj:
-                    continue
+            for y in sorted(space.above(x), key=position.__getitem__):
                 for z in sorted(succ[y]):
                     if (x, z) not in proj:
                         proj[(x, z)] = proj[(y, z)] @ proj[(x, y)]

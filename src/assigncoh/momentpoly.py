@@ -5,10 +5,10 @@ covector coefficients beta.  The membership criterion asks each beta to lie
 in the span of the weights of the variables actually present in its
 monomial; when it holds the polynomial splits as
 sum_j (z_j f_j + zbar_j g_j) alpha_j with scalar polynomial cofactors.
-Both questions are answered by one solve per monomial: the criterion
-fails exactly at the monomials whose solve has no solution, and the
-solutions of the others (smallest-index pivots, free variables zero) are
-the cofactor coefficients.
+Both questions are answered by one elimination per monomial support: the
+criterion fails exactly at the monomials whose covector has no solution
+over those weights, and the solutions of the others (smallest-index
+pivots, free variables zero) are the cofactor coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     NonzeroConstantTermError,
     ParseError,
 )
-from .ratlin import RatMatrix, solve
+from .ratlin import _exact, sparse_rref
 
 ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
 
@@ -315,25 +315,45 @@ def _support(key: ExpPair) -> List[int]:
 
 
 def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fraction]]]]:
-    """One solve per monomial, keys sorted: (key, coefficients) pairs.
+    """One elimination per monomial support, keys sorted: (key, coefficients).
 
     The coefficients express the term's covector over the weights of the
     monomial's variables, with smallest-index pivots and free variables
     zero; they are None when the covector lies outside the span of those
-    weights.
+    weights.  All terms on one support are solved together: the weight
+    columns come first and each term's covector is one more column, so a
+    term fails exactly when its column is nonzero on a row whose pivot is
+    not a weight column, and otherwise its solution is that column read
+    at the pivot rows.
     """
     d, n = p.weights.count, p.weights.torus_dim
     if ((0,) * d, (0,) * d) in p.terms:
         raise NonzeroConstantTermError(
             "polynomial has a nonzero constant term; it must vanish at the origin"
         )
-    out = []
+    by_support: Dict[Tuple[int, ...], List[ExpPair]] = {}
     for key in sorted(p.terms):
-        cols = RatMatrix.from_rows(
-            [[p.weights.rows[i][r] for i in _support(key)] for r in range(n)]
-        )
-        out.append((key, solve(cols, list(p.terms[key]))))
-    return out
+        by_support.setdefault(tuple(_support(key)), []).append(key)
+    solutions = {}
+    for support, keys in by_support.items():
+        m = len(support)
+        rows = []
+        for r in range(n):
+            row = {c: p.weights.rows[i][r] for c, i in enumerate(support)}
+            row.update((m + t, _exact(p.terms[key][r])) for t, key in enumerate(keys))
+            rows.append({c: x for c, x in row.items() if x})
+        red, pivots = sparse_rref(rows, m + len(keys))
+        rank = sum(1 for c in pivots if c < m)
+        for t, key in enumerate(keys):
+            c = m + t
+            if any(c in row for row in red[rank:]):
+                solutions[key] = None
+                continue
+            lam = [Fraction(0)] * m
+            for row, piv in zip(red[:rank], pivots):
+                lam[piv] = Fraction(row.get(c, 0))
+            solutions[key] = lam
+    return [(key, solutions[key]) for key in sorted(p.terms)]
 
 
 def check_moment_condition(p: MomentPolynomial) -> MomentReport:

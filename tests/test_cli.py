@@ -98,6 +98,29 @@ def test_non_integer_numbers_are_input_errors(capsys, tmp_path, site, literal):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_ID_SITES = {
+    "stratum": '{"torus_dim": 1, "strata": [{"id": @, "stabilizer": [[1]]}]}',
+    "cover": '{"torus_dim": 1, "strata": [{"id": "a", "stabilizer": [[1]]}, '
+             '{"id": "b", "stabilizer": []}], "covers": [["a", @]]}',
+    "projection": '{"torus_dim": 1, "strata": [{"id": "a", "stabilizer": [[1]]}], '
+                  '"dims": {"a": 1}, "projections": [{"pair": [@, "a"], "matrix": [["1"]]}]}',
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ID_SITES))
+@pytest.mark.parametrize("literal", ["null", "1.5", "true", "[]", "{}"])
+def test_non_string_ids_are_input_errors(capsys, tmp_path, site, literal):
+    # str() would name a stratum "None", "1.5", "True", "[]" or "{}"
+    path = tmp_path / "bad.space"
+    path.write_text(_ID_SITES[site].replace("@", literal))
+    code, out, err = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_INPUT
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "DescriptionError"
+    assert payload["exit_code"] == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_negative_torus_dim_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.space"
     path.write_text(_NUMBER_SITES["torus_dim"].replace("@", "-1"))

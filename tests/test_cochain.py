@@ -1,5 +1,6 @@
 """Cochain complexes, cohomology, homotopies, relative/LES machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,14 @@ from assigncoh import (
     relative_cohomology,
     ses_check,
 )
-from assigncoh.cochain import Cochain, _exactness_walk, d_squared_witness
+from assigncoh.cochain import (
+    Cochain,
+    _apply,
+    _differential,
+    _exactness_walk,
+    _move,
+    d_squared_witness,
+)
 
 from oracles import (
     brute_cohomology_dim,
@@ -316,6 +324,51 @@ def test_les_pair_rejects_unknown_strata():
         les_pair_check(v, ["nope"])
 
 
+def _random_sparse(rng, n):
+    vec = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(n)
+           if rng.random() < 0.4}
+    return {j: x for j, x in vec.items() if x}
+
+
+@pytest.mark.parametrize("make", [cp2, lambda: S6])
+def test_sparse_apply_matches_dense_differential(make):
+    # connecting maps multiply sparse rows by sparse vectors; the product
+    # must be the public dense matrix applied to the same vector
+    _, v = make()
+    rng = random.Random(11)
+    for k in range(3):
+        d = differential_matrix(v, k)
+        rows = _differential(v, chain_basis(v, k), chain_basis(v, k + 1))
+        for _ in range(10):
+            vec = _random_sparse(rng, d.cols)
+            dense = d.apply([vec.get(j, 0) for j in range(d.cols)])
+            assert _apply(rows, vec) == {i: x for i, x in enumerate(dense) if x}
+
+
+def test_move_splits_cochains_into_relative_and_subset_parts():
+    # every tuple lies in exactly one of the relative and subset bases, and
+    # an entry keeps its tuple and its place in the block
+    space, v = cp2()
+    n = {"p1", "p2", "e12", "e23", "open"}
+    rng = random.Random(13)
+    for k in range(3):
+        full = chain_basis(v, k)
+        rel = chain_basis(v, k, support=("rel", n))
+        sub = chain_basis(v, k, support=("sub", n))
+        for _ in range(10):
+            vec = _random_sparse(rng, full.total_dim)
+            parts = [(b, _move(vec, full, b)) for b in (rel, sub)]
+            assert sum(len(w) for _, w in parts) == len(vec)
+            whole = Cochain(full, [vec.get(j, 0) for j in range(full.total_dim)])
+            back = {}
+            for b, w in parts:
+                part = Cochain(b, [w.get(j, 0) for j in range(b.total_dim)])
+                for t in b.tuples:
+                    assert part.value_on(t) == whole.value_on(t)
+                back.update(_move(w, b, full))
+            assert back == vec
+
+
 def test_les_coefficients_reproduces_pair_sequence():
     space, v = cp2()
     nonfixed = [x for x in space.ids if x not in CP2_FIXED]
@@ -419,6 +472,15 @@ def test_pullback_sends_cocycles_to_cocycles():
         psi = pullback(f, tri_v, phi, seg_v)
         d0 = differential_matrix(seg_v, 0, strict=False)
         assert all(c == 0 for c in d0.apply(psi.coords))
+
+
+def test_pullback_rejects_support_outside_the_full_basis():
+    f, tri_v, seg_v = _segment_into_triangle()
+    _, v = cp2()
+    foreign = chain_basis(v, 0)
+    phi = Cochain(foreign, [1] * foreign.total_dim)
+    with pytest.raises(ValueError, match="support outside"):
+        pullback(f, tri_v, phi, seg_v)
 
 
 def test_pullback_collapse_to_point():

@@ -20,7 +20,8 @@ from assigncoh import (
     recombine,
     verify_decomposition,
 )
-from oracles import brute_rank
+from assigncoh.momentpoly import _solutions
+from oracles import brute_rank, reference_solve
 
 W1 = WeightMatrix.from_rows([(1,)])
 W2 = WeightMatrix.from_rows([(1,), (-1,)])
@@ -170,10 +171,15 @@ def test_criterion_matches_brute_rank_randomized():
             terms[key] = vec
         p = MomentPolynomial(w, terms)
         expected = []
+        solutions = dict(_solutions(p))
         for key in sorted(p.terms):
             rows = [w.rows[i] for i in range(d) if key[0][i] or key[1][i]]
             if brute_rank(rows + [p.terms[key]]) != brute_rank(rows):
                 expected.append(key)
+            # terms sharing a support are solved together; each must still
+            # get its own solve's coefficients
+            cols = [[row[r] for row in rows] for r in range(n)]
+            assert solutions[key] == reference_solve(cols, len(rows), p.terms[key])
         assert check_moment_condition(p).failing == tuple(expected)
         if expected:
             with pytest.raises(ConditionFailedError) as exc:

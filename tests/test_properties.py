@@ -29,6 +29,7 @@ from assigncoh import (
     build_sphere_product,
     check_functor,
     check_moment_condition,
+    cohomology,
     decompose,
     differential_matrix,
     extend_minimal,
@@ -39,6 +40,7 @@ from assigncoh import (
     pair_ses,
     preset_polytope,
     recombine,
+    relative_cohomology,
     restrict_to_minimal,
     verify_decomposition,
 )
@@ -244,13 +246,17 @@ def _random_closed_subset(rng, space):
     return closed, "down"
 
 
-def test_pair_sequences_are_exact_randomized():
-    rng = random.Random(71)
-    pool = [cp2(), s4(), two_stratum(),
+def _pair_pool():
+    return [cp2(), s4(), two_stratum(),
             build_polytope(preset_polytope("triangle")),
             build_polytope(preset_polytope("square")),
             build_linear_rep([(1, 0), (0, 1)]),
             build_sphere_product(2, [(1, 0), (0, 1)])]
+
+
+def test_pair_sequences_are_exact_randomized():
+    rng = random.Random(71)
+    pool = _pair_pool()
     cases = 0
     while cases < 200:
         space, v = pool[rng.randrange(len(pool))]
@@ -263,6 +269,28 @@ def test_pair_sequences_are_exact_randomized():
             assert les_pair_check(v, n).node_dims == report.node_dims, sorted(n)
         cases += 1
     assert cases >= 200
+
+
+def test_pair_sequences_of_arbitrary_subsets_randomized():
+    # the cochains vanishing on tuples inside n form a subcomplex for any
+    # subset n, closed or not, so the sequence of the pair is always exact;
+    # its terms must be the relative and absolute cohomology computed alone
+    rng = random.Random(73)
+    pool = _pair_pool()
+    cases = unclosed = 0
+    while cases < 200:
+        space, v = pool[rng.randrange(len(pool))]
+        n = {x for x in space.ids if rng.random() < 0.5}
+        report = les_pair_check(v, n)
+        assert report.ok, (sorted(n), report.failures)
+        for k, (pair_dim, space_dim, _) in enumerate(report.dims_by_degree()):
+            assert pair_dim == relative_cohomology(v, n, k).dim, (sorted(n), k)
+            assert space_dim == cohomology(v, k).dim, (sorted(n), k)
+        up = all(space.upset(x) <= n for x in n)
+        down = all(space.upset(x).isdisjoint(n) for x in space.ids if x not in n)
+        unclosed += not (up or down)
+        cases += 1
+    assert unclosed >= 50
 
 
 # ---------------------------------------------------------------------------
