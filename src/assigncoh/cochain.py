@@ -24,9 +24,11 @@ validate their input and supply those maps.
 A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
-`ratlin.sparse_rref` does every elimination.  Dense lists of Fractions
-appear only in public values (`Cochain`, `differential_matrix`, the
-homotopy operators, pullbacks).  Kernel/image bookkeeping is canonical:
+`ratlin.sparse_echelon` does every elimination, fraction-free.  Cocycles,
+coboundary rows and the reduction of one against the other stay integer;
+the representatives' rows are divided by their pivots once.  Dense lists
+of Fractions appear only in public values (`Cochain`, `differential_matrix`,
+the homotopy operators, pullbacks).  Kernel/image bookkeeping is canonical:
 representatives come from reduced row echelon forms, so equal inputs give
 byte-equal outputs.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffsys import (
@@ -55,12 +58,14 @@ from .ratlin import (
     RatMatrix,
     SparseRow,
     _exact,
+    _integral,
+    _normalize,
     rank,
     solve,
+    sparse_echelon,
     sparse_kernel,
-    sparse_rref,
 )
-from .stratposet import PosetMap, StratSpace, chains, minimal_strata, poset_morphism_check
+from .stratposet import PosetMap, chains, minimal_strata, poset_morphism_check
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -132,8 +137,7 @@ class Cochain:
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
 
 
-def _filtered_tuples(space: StratSpace, k: int, strict: bool, support) -> List[Tuple[str, ...]]:
-    ts = chains(space, k, strict)
+def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[str, ...]]:
     if support is None:
         return ts
     kind, nset = support
@@ -145,7 +149,7 @@ def _filtered_tuples(space: StratSpace, k: int, strict: bool, support) -> List[T
 
 
 def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None) -> ChainBasis:
-    return ChainBasis(v, k, strict, _filtered_tuples(v.space, k, strict, support))
+    return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
 
 
 def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
@@ -215,6 +219,31 @@ def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
             del out[j]
 
 
+def _reduce(vec: SparseRow, at: Dict[int, SparseRow]) -> Tuple[SparseRow, int]:
+    """(s*vec minus a combination of the rows in at, s): vec reduced, cross-multiplied.
+
+    at maps pivot columns to integer echelon rows (`sparse_echelon`), each
+    zero at the other pivots, and vec has integer entries.  The result is
+    zero at every pivot; s > 0 collects the row scalings, so no division
+    happens and the entries stay ints.
+    """
+    out = dict(vec)
+    s = 1
+    for c in [c for c in vec if c in at]:
+        row = at[c]
+        p, f = row[c], out[c]
+        if p != 1:
+            g = gcd(p, f)
+            f //= g
+            a = p // g
+            if a != 1:
+                for j in out:
+                    out[j] *= a
+                s *= a
+        _sub_scaled(out, f, row)
+    return out, s
+
+
 def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> RatMatrix:
     """Matrix of d from degree k to degree k+1 in the chosen complex."""
     src = chain_basis(v, k, strict)
@@ -247,42 +276,35 @@ class _CohomologyData:
     """Kernel, image, and canonical representatives at one degree.
 
     d_out holds the sparse rows of d_k and d_in_t those of the transpose of
-    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.
+    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.  Cocycles, image
+    rows and the reduction between them stay integer; the representatives'
+    rows are divided by their pivots once, for the canonical
+    representatives.
     """
 
     def __init__(self, d_in_t: Rows, d_out: Rows, dim_chain: int):
         self.dim_chain = dim_chain
-        self.cocycles = sparse_kernel(*sparse_rref(d_out, dim_chain), dim_chain)
-        self.im_rows, im_pivots = sparse_rref(d_in_t, dim_chain)
-        self._im_at = dict(zip(im_pivots, self.im_rows))
-        reduced = [self._reduce(z) for z in self.cocycles]
-        self._rep_rows, self.rep_pivots = sparse_rref(reduced, dim_chain)
+        self.cocycles = sparse_kernel(*sparse_echelon(d_out, dim_chain), dim_chain)
+        im_rows, im_pivots = sparse_echelon(d_in_t, dim_chain)
+        self.im_rank = len(im_pivots)
+        self._im_at = dict(zip(im_pivots, im_rows))
+        reduced = [_reduce(z, self._im_at)[0] for z in self.cocycles]
+        rep_rows, self.rep_pivots = sparse_echelon(reduced, dim_chain)
+        self._rep_at = dict(zip(self.rep_pivots, rep_rows))
+        self._rep_rows = _normalize(rep_rows, self.rep_pivots)
         self.dim = len(self.rep_pivots)
 
-    def _reduce(self, vec: SparseRow) -> SparseRow:
-        """vec minus its components along the echelon rows of the image.
-
-        The rows are fully reduced, so the coefficient of row i is vec's
-        own entry at pivot i.
-        """
-        out = dict(vec)
-        for p, c in vec.items():
-            row = self._im_at.get(p)
-            if row is not None:
-                _sub_scaled(out, c, row)
-        return out
-
     def class_coords(self, vec: SparseRow) -> List[Fraction]:
-        """Coordinates of a cocycle's class over the canonical representatives."""
-        red = self._reduce(vec)
-        coords = [red.get(p, 0) for p in self.rep_pivots]
-        # the residual must vanish, otherwise vec was not a cocycle
-        for c, rep in zip(coords, self._rep_rows):
-            if c:
-                _sub_scaled(red, c, rep)
-        if red:
+        """Coordinates of a cocycle's class over the canonical representatives.
+
+        Raises ValueError when vec is not a cocycle.
+        """
+        vec, m = _integral(vec)
+        red, s = _reduce(vec, self._im_at)
+        # the reduced cocycles are exactly the span of the representatives
+        if _reduce(red, self._rep_at)[0]:
             raise ValueError("vector does not represent a cohomology class here")
-        return [Fraction(c) for c in coords]
+        return [Fraction(red.get(p, 0), s * m) for p in self.rep_pivots]
 
 
 @dataclass
@@ -294,19 +316,28 @@ class CohomologyResult:
 
 
 class _Complex:
-    """Lazy basis/differential/cohomology cache for one filtered complex."""
+    """Lazy basis/differential/cohomology cache for one filtered complex.
 
-    def __init__(self, v: CoefficientSystem, strict: bool = True, support=None):
+    A complex with a support can filter the tuples of `whole`, the
+    unfiltered complex of the same system, instead of enumerating chains.
+    """
+
+    def __init__(self, v: CoefficientSystem, strict: bool = True, support=None,
+                 whole: Optional["_Complex"] = None):
         self.v = v
         self.strict = strict
         self.support = support
+        self.whole = whole
         self._bases: Dict[int, ChainBasis] = {}
         self._ds: Dict[int, Rows] = {}
         self._data: Dict[int, _CohomologyData] = {}
 
     def basis(self, k: int) -> ChainBasis:
         if k not in self._bases:
-            self._bases[k] = chain_basis(self.v, k, self.strict, self.support)
+            ts = (self.whole.basis(k).tuples if self.whole is not None
+                  else chains(self.v.space, k, self.strict))
+            self._bases[k] = ChainBasis(self.v, k, self.strict,
+                                        _filtered_tuples(ts, self.support))
         return self._bases[k]
 
     def d(self, k: int) -> Rows:
@@ -328,7 +359,7 @@ class _Complex:
         diag = {
             "dim_chain": data.dim_chain,
             "dim_cocycles": len(data.cocycles),
-            "rank_coboundaries": len(data.im_rows),
+            "rank_coboundaries": data.im_rank,
         }
         return CohomologyResult(k, data.dim, reps, diag)
 
@@ -345,15 +376,24 @@ def assignment_space_dim(v: CoefficientSystem) -> int:
 
 
 def euler_characteristic(v: CoefficientSystem) -> int:
-    """Alternating sum of reduced chain dimensions (finitely many degrees)."""
-    total = 0
-    k = 0
-    while True:
-        basis = chain_basis(v, k, strict=True)
-        if not basis.tuples:
-            break
-        total += basis.total_dim if k % 2 == 0 else -basis.total_dim
-        k += 1
+    """Alternating sum of reduced chain dimensions, by counting chains.
+
+    N_k(y), the number of strict chains of k+1 strata ending at y, is 1 for
+    k = 0 and the sum of N_{k-1}(x) over x < y; the result is
+    sum_k (-1)^k sum_y dim V(y) N_k(y).  No chain is enumerated.
+    """
+    space = v.space
+    below: Dict[str, List[str]] = {y: [] for y in space.ids}
+    for x in space.ids:
+        for y in space.upset(x):
+            if y != x:
+                below[y].append(x)
+    counts = dict.fromkeys(space.ids, 1)
+    total, sign = 0, 1
+    while any(counts.values()):
+        total += sign * sum(v.dims[y] * n for y, n in counts.items())
+        counts = {y: sum(counts[x] for x in below[y]) for y in space.ids}
+        sign = -sign
     return total
 
 
@@ -585,9 +625,9 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
     subset cocycle by zero and apply the ambient differential.
     """
     nset = _check_subset(v.space, n)
-    rel = _Complex(v, True, support=("rel", nset))
     full = _Complex(v, True)
-    sub = _Complex(v, True, support=("sub", nset))
+    rel = _Complex(v, True, support=("rel", nset), whole=full)
+    sub = _Complex(v, True, support=("sub", nset), whole=full)
 
     def retract(k, w):
         wr = _move(w, full.basis(k), rel.basis(k))

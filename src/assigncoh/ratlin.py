@@ -2,9 +2,10 @@
 
 Everything in the package reduces to rank / kernel / solve questions.  The
 large matrices are cochain differentials: a few nonzeros per row, nearly
-all of them +1 or -1.  So one sparse Gauss-Jordan kernel, `sparse_rref`,
-does every elimination, and `rref`, `rank`, `kernel_basis` and `solve` are
-thin wrappers that take and give the dense `RatMatrix` value type.
+all of them +1 or -1.  So one sparse Gauss-Jordan kernel, `sparse_echelon`,
+does every elimination; `sparse_rref` divides its rows by their pivots, and
+`rref`, `rank`, `kernel_basis` and `solve` are thin wrappers that take and
+give the dense `RatMatrix` value type.
 
 Canonical outputs, relied on by golden tests elsewhere:
 
@@ -18,10 +19,16 @@ Canonical outputs, relied on by golden tests elsewhere:
   other free slots.
 * `solve` returns the particular solution with every free variable zero.
 
-Arithmetic: inside the kernel an entry is an `int` while it is integral,
-and a pivot of +1 or -1 scales by multiplication, so only a division by
-another pivot creates a `Fraction`.  Every public result other than the
-raw rows of `sparse_rref` and `sparse_kernel` carries `Fraction` entries.
+Arithmetic: the elimination is fraction-free (integer-preserving, after
+Bareiss).  Each input row is scaled to a primitive integer row, a row is
+reduced by a pivot p with entry f by cross-multiplication,
+(p/g)*row - (f/g)*pivot_row for g = gcd(p, f), and a row reduced by a
+pivot other than 1 is divided by its content again.  Pivots stay positive
+ints, and no Fraction is created inside the loop.  Each row is divided by
+its pivot once, at the public boundary: `sparse_rref` keeps entries ints
+where integral, and every `RatMatrix` result carries `Fraction` entries.
+Scaling a row keeps its support, so the pivot rows and the fill-in are
+those of division-based elimination, and the RREF is the same.
 
 >>> m = RatMatrix.from_rows([[1, -1]])
 >>> kernel_basis(m)
@@ -31,6 +38,7 @@ raw rows of `sparse_rref` and `sparse_kernel` carries `Fraction` entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 # column -> nonzero entry, an int while integral and a Fraction otherwise
@@ -51,14 +59,6 @@ def _exact(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
-
-
-def _div(x, p):
-    """x / p for a pivot p other than +1 and -1; an int when integral."""
-    if type(x) is int and type(p) is int:
-        q, r = divmod(x, p)
-        return Fraction(x, p) if r else q
-    return _exact(x / p)
 
 
 class RatMatrix:
@@ -182,18 +182,51 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def sparse_rref(rows: Sequence[SparseRow],
-                ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
-    """Reduced row echelon form of sparse rows: (pivot rows, pivot columns).
+def _integral(row: SparseRow) -> Tuple[SparseRow, int]:
+    """(m*row with int entries, m) for m the lcm of the entries' denominators.
 
-    Rows hold nonzero entries only and are not modified.  Columns are
-    scanned left to right.  The pivot row for a column is the unused row
-    with the fewest nonzeros, lowest index on ties, and the pivot column is
-    cleared from every other row, so the result is fully reduced.  Returns
-    the nonzero rows of the RREF in pivot order, row i with its leading 1
-    in column ``pivots[i]``.
+    Creates no Fraction; the row itself comes back when it is all ints.
     """
-    work = [dict(r) for r in rows]
+    m = 0
+    for x in row.values():
+        if type(x) is not int:
+            m = lcm(m or 1, x.denominator)
+    if not m:
+        return row, 1
+    return {j: x * m if type(x) is int else x.numerator * (m // x.denominator)
+            for j, x in row.items()}, m
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """A new dict: the row scaled to integers, then divided by its content."""
+    ints, _ = _integral(row)
+    g = gcd(*ints.values())
+    if g > 1:
+        return {j: x // g for j, x in ints.items()}
+    return dict(ints) if ints is row else ints
+
+
+def sparse_echelon(rows: Sequence[SparseRow],
+                   ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Fraction-free reduced echelon form: (integer pivot rows, pivot columns).
+
+    Rows hold nonzero entries only and are not modified.  Each row is first
+    scaled to a primitive integer row.  Columns are scanned left to right.
+    The pivot row for a column is the unused row with the fewest nonzeros,
+    lowest index on ties; its sign is flipped to make the pivot p positive,
+    and every other row with an entry f in the pivot column becomes
+    (p/g)*row - (f/g)*pivot_row with g = gcd(p, f).  Scaling a row keeps its
+    support, so the pivot rows and the fill-in are those of division-based
+    elimination.  Returns the nonzero rows in pivot order, row i primitive
+    with a positive entry in column ``pivots[i]`` and zero in the other
+    pivot columns: row i of the RREF times that entry.
+
+    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 3, 2: 1}], 3)
+    ([{0: 1, 2: 4}, {1: 1, 2: -5}], (0, 1))
+    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 2, 2: 1}], 3)
+    ([{0: 2, 1: 1}, {2: 1}], (0, 2))
+    """
+    work = [_primitive(r) for r in rows]
     at: List[Optional[set]] = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
     for i, r in enumerate(work):
         for j in r:
@@ -216,19 +249,28 @@ def sparse_rref(rows: Sequence[SparseRow],
             continue
         used[best] = 1
         prow = work[best]
-        pv = prow.pop(c)
-        if pv == -1:
-            prow = {j: -x for j, x in prow.items()}
-        elif pv != 1:
-            prow = {j: _div(x, pv) for j, x in prow.items()}
-        tail = list(prow.items())
-        prow[c] = 1
-        work[best] = prow
+        p = prow[c]
+        if p < 0:
+            prow = work[best] = {j: -x for j, x in prow.items()}
+            p = -p
+        if p != 1:
+            g = gcd(*prow.values())
+            if g != 1:
+                prow = work[best] = {j: x // g for j, x in prow.items()}
+                p //= g
+        tail = [(j, x) for j, x in prow.items() if j != c]
         for i in hits:
             if i == best:
                 continue
             row = work[i]
             f = row.pop(c)
+            if p != 1:
+                g = gcd(p, f)
+                f //= g
+                a = p // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
             for j, x in tail:
                 y = row.get(j)
                 if y is None:
@@ -241,26 +283,86 @@ def sparse_rref(rows: Sequence[SparseRow],
                     else:
                         del row[j]
                         at[j].discard(i)
+            if p != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         pivots.append(c)
         order.append(best)
-    return [work[i] for i in order], tuple(pivots)
+    out = []
+    for i, c in zip(order, pivots):
+        row = work[i]
+        # a unit-pivot step can leave a common factor in an earlier row
+        if row[c] != 1:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        out.append(row)
+    return out, tuple(pivots)
+
+
+def _normalize(red: Sequence[SparseRow], pivots: Sequence[int]) -> List[SparseRow]:
+    """Rows of `sparse_echelon` divided by their pivots: the RREF rows.
+
+    Entries stay ints where integral; this is the one division by a pivot.
+    """
+    out = []
+    for row, c in zip(red, pivots):
+        p = row[c]
+        if p == 1:
+            out.append(row)
+            continue
+        norm = {}
+        for j, x in row.items():
+            q, r = divmod(x, p)
+            norm[j] = Fraction(x, p) if r else q
+        out.append(norm)
+    return out
+
+
+def sparse_rref(rows: Sequence[SparseRow],
+                ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Reduced row echelon form of sparse rows: (pivot rows, pivot columns).
+
+    `sparse_echelon` with each row divided by its pivot: row i has its
+    leading 1 in column ``pivots[i]`` and entries that are ints where
+    integral, Fractions otherwise.
+
+    >>> sparse_rref([{0: 2, 1: 1}, {0: 4, 1: 2}], 2)
+    ([{0: 1, 1: Fraction(1, 2)}], (0,))
+    >>> sparse_rref([{0: 2, 1: 1}, {0: 4, 1: 3}], 2)
+    ([{0: 1}, {1: 1}], (0, 1))
+    """
+    red, pivots = sparse_echelon(rows, ncols)
+    return _normalize(red, pivots), pivots
 
 
 def sparse_kernel(red: Sequence[SparseRow], pivots: Sequence[int],
                   ncols: int) -> List[SparseRow]:
-    """Canonical right-kernel basis from the output of `sparse_rref`.
+    """Integer right-kernel basis from the output of `sparse_echelon`.
 
-    One vector per free column f, in ascending order: entry 1 at f, zero
-    at the other free columns, and minus row i's entry at f in pivot slot
-    ``pivots[i]``.
+    One vector per free column f, in ascending order: a positive entry m
+    at f (the lcm of the pivots of the rows with an entry at f), zero at
+    the other free columns, and -(m/p)*x in pivot slot ``pivots[i]`` where
+    row i has pivot p and entry x at f.  Divided by m, it is the canonical
+    vector with entry 1 at f.
     """
     pivot_set = set(pivots)
-    basis = {f: {f: 1} for f in range(ncols) if f not in pivot_set}
-    for row, p in zip(red, pivots):
+    at: Dict[int, list] = {f: [] for f in range(ncols) if f not in pivot_set}
+    for row, c in zip(red, pivots):
+        p = row[c]
         for j, x in row.items():
-            if j != p:
-                basis[j][p] = -x
-    return list(basis.values())
+            if j != c:
+                at[j].append((c, p, x))
+    basis = []
+    for f, entries in at.items():
+        m = lcm(*(p for _, p, _ in entries))
+        vec = {f: m}
+        for c, p, x in entries:
+            vec[c] = -x * (m // p)
+        basis.append(vec)
+    return basis
 
 
 def _sparse(m: RatMatrix) -> List[SparseRow]:
@@ -281,13 +383,17 @@ def rref(m: RatMatrix) -> RrefResult:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(sparse_rref(_sparse(m), m.cols)[1])
+    return len(sparse_echelon(_sparse(m), m.cols)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, pivots = sparse_rref(_sparse(m), m.cols)
-    return RatMatrix.from_sparse(sparse_kernel(red, pivots, m.cols), m.cols).data
+    red, pivots = sparse_echelon(_sparse(m), m.cols)
+    pivot_set = set(pivots)
+    free = [f for f in range(m.cols) if f not in pivot_set]
+    basis = [{j: Fraction(x, vec[f]) for j, x in vec.items()}
+             for f, vec in zip(free, sparse_kernel(red, pivots, m.cols))]
+    return RatMatrix.from_sparse(basis, m.cols).data
 
 
 def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
@@ -300,13 +406,13 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
         x = _exact(_frac(x))
         if x:
             row[n] = x
-    red, pivots = sparse_rref(rows, n + 1)
+    red, pivots = sparse_echelon(rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     x = [_ZERO] * n
     for row, p in zip(red, pivots):
         if n in row:
-            x[p] = _frac(row[n])
+            x[p] = Fraction(row[n], row[p])
     return x
 
 

@@ -1,0 +1,46 @@
+"""Byte identity of the benchmark's recorded outputs, seed 0.
+
+The `elim` and `full` workloads of seed 0 are generated with the
+benchmark's own generator (`perfbench/workloads.py`), every op is run
+through `assigncoh.cli.main`, and each exit code and stdout SHA-256 must
+equal the digests recorded in `perfbench/reference/<workload>.json`.
+Nothing under `perfbench/` is written.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import assigncoh
+from assigncoh import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["elim", "full"])
+def test_seed0_matches_recorded_digests(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    files, ops = workloads.generate(assigncoh, workload, 0)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    reference = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())
+    expected = reference["seeds"]["0"]
+    assert len(expected) == len(ops)
+    monkeypatch.chdir(tmp_path)
+    for i, (op, (code, digest)) in enumerate(zip(ops, expected)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                got = cli.main(list(op.argv))
+            except SystemExit as e:  # argparse usage errors
+                got = e.code
+        sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert (got, sha) == (code, digest), f"op {i}: {' '.join(op.argv)}"

@@ -1,6 +1,7 @@
 """Cochain complexes, cohomology, homotopies, relative/LES machinery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from assigncoh import (
     SystemMorphism,
     block_scaling_matrix,
     build_linear_rep,
+    build_product,
     build_sphere_product,
     chain_basis,
     chain_space_dim,
@@ -37,8 +39,10 @@ from assigncoh import (
     relative_cohomology,
     ses_check,
 )
+import assigncoh.cochain
 from assigncoh.cochain import (
     Cochain,
+    _Complex,
     _apply,
     _differential,
     _exactness_walk,
@@ -324,10 +328,78 @@ def test_les_pair_rejects_unknown_strata():
         les_pair_check(v, ["nope"])
 
 
+def test_les_pair_enumerates_each_degree_once(monkeypatch):
+    # the relative and subset complexes filter the full complex's tuples
+    space, v = build_product(_poly("square"), _poly("segment"))
+    n = [x for x in space.ids if space.stabilizer(x).dim == 3]
+    nset = frozenset(n)
+    expected = []
+    for k in range(5):
+        expected += [relative_cohomology(v, n, k).dim, cohomology(v, k).dim,
+                     _Complex(v, True, support=("sub", nset)).data(k).dim]
+    calls = []
+    chains = assigncoh.cochain.chains
+
+    def counting(space, k, strict):
+        calls.append(k)
+        return chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", counting)
+    rep = les_pair_check(v, n)
+    assert rep.ok
+    assert rep.node_dims == expected
+    # degrees 0..4 carry nodes; degree 5 closes the last differential
+    assert sorted(Counter(calls).items()) == [(k, 1) for k in range(6)]
+
+
 def _random_sparse(rng, n):
     vec = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(n)
            if rng.random() < 0.4}
     return {j: x for j, x in vec.items() if x}
+
+
+def _elim_class_sphere_product():
+    # an (S^2)^4 over T^3 with weights in {-1, 0, 1}, like the elim
+    # workload's; its degree-1 image has pivots other than 1 in
+    # fraction-free elimination, and dim H^1 = 3
+    return build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1), (1, -1, 0)])
+
+
+def _cube_relative_to_vertices():
+    space, v = _poly("cube")
+    vertices = frozenset(x for x in space.ids if space.stabilizer(x).dim == 3)
+    return _Complex(v, True, support=("rel", vertices))
+
+
+@pytest.mark.parametrize("make, k, non_unit_image", [
+    (lambda: _Complex(_elim_class_sphere_product()[1], True), 1, True),
+    (lambda: _Complex(_poly("cube")[1], True), 0, False),
+    (_cube_relative_to_vertices, 1, False),
+], ids=["sphere-product", "cube", "cube-rel-vertices"])
+def test_class_coords_round_trip(make, k, non_unit_image):
+    cx = make()
+    data = cx.data(k)
+    assert data.dim > 0
+    assert any(row[c] != 1 for c, row in data._im_at.items()) == non_unit_image
+    rng = random.Random(17)
+    reps = cx.result(k).representatives
+    for j, rep in enumerate(reps):
+        vec = {i: x for i, x in enumerate(rep.coords) if x}
+        unit = [Fraction(int(i == j)) for i in range(data.dim)]
+        assert data.class_coords(vec) == unit
+        if k > 0:
+            for _ in range(3):
+                bd = _apply(cx.d(k - 1), _random_sparse(rng, cx.basis(k - 1).total_dim))
+                moved = {i: vec.get(i, 0) + bd.get(i, 0) for i in vec.keys() | bd.keys()}
+                moved = {i: x for i, x in moved.items() if x}
+                assert moved != vec
+                assert data.class_coords(moved) == unit
+        # a coordinate whose column of d_k is nonzero breaks the cocycle
+        col = next(iter(cx.d(k)[0]))
+        broken = dict(vec)
+        broken[col] = broken.get(col, 0) + 1
+        with pytest.raises(ValueError):
+            data.class_coords(broken)
 
 
 @pytest.mark.parametrize("make", [cp2, lambda: S6])

@@ -27,11 +27,14 @@ from assigncoh import (
     build_polytope,
     build_product,
     build_sphere_product,
+    chain_space_dim,
+    chains,
     check_functor,
     check_moment_condition,
     cohomology,
     decompose,
     differential_matrix,
+    euler_characteristic,
     extend_minimal,
     is_assignment,
     les_coefficients_check,
@@ -227,6 +230,29 @@ def test_product_dimension_formula_randomized():
         _, v = build_product(factors[i], factors[j])
         assert assignment_space_dim(v) == dims[i] + dims[j]
         cases += 1
+    assert cases >= 200
+
+
+def _enumerated_euler(v):
+    total, k = 0, 0
+    while chains(v.space, k, True):
+        total += (-1) ** k * chain_space_dim(v, k)
+        k += 1
+    return total
+
+
+def test_counted_euler_characteristic_matches_enumeration_randomized():
+    rng = random.Random(61)
+    cases = 0
+    for _ in range(100):
+        _, v = _random_builder_output(rng)
+        assert euler_characteristic(v) == _enumerated_euler(v)
+        v = _random_tree_system(rng)
+        assert euler_characteristic(v) == _enumerated_euler(v)
+        cases += 2
+    _, v = build_product(build_polytope(preset_polytope("cube")),
+                         build_polytope(preset_polytope("square")))
+    assert euler_characteristic(v) == _enumerated_euler(v)
     assert cases >= 200
 
 

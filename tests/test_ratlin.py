@@ -1,6 +1,7 @@
 import doctest
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,8 @@ from assigncoh.ratlin import (
     rank,
     rref,
     solve,
+    sparse_echelon,
+    sparse_kernel,
     vec_sub,
 )
 from oracles import brute_rank, reference_kernel, reference_rref, reference_solve
@@ -184,3 +187,59 @@ def test_kernel_matches_dense_reference_randomized():
         rng.shuffle(shuffled)
         _check_against_reference(rng, shuffled, ncols)
         assert reference_rref(shuffled, ncols) == reference_rref(rows, ncols)
+
+
+def _dense_int(rng, nrows, ncols, density):
+    return [[rng.randint(-7, 7) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _check_integer_echelon(rows, ncols):
+    """The integer rows are the RREF rows scaled to primitive, positive pivots."""
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    red, pivots = sparse_echelon(sparse, ncols)
+    ref_matrix, _, ref_pivots = reference_rref(rows, ncols)
+    assert pivots == ref_pivots
+    for row, c, ref in zip(red, pivots, ref_matrix):
+        assert all(type(x) is int and x for x in row.values())
+        assert row[c] > 0
+        assert gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == ref
+    # an integer kernel vector per free column: positive there, zero at the
+    # other free columns, and annihilated by every input row
+    free = [f for f in range(ncols) if f not in pivots]
+    kernel = sparse_kernel(red, pivots, ncols)
+    assert len(kernel) == len(free)
+    for f, vec in zip(free, kernel):
+        assert vec[f] > 0 and all(j == f or j in pivots for j in vec)
+        assert all(type(x) is int for x in vec.values())
+        assert all(sum(r.get(j, 0) * x for j, x in vec.items()) == 0 for r in sparse)
+
+
+def test_fraction_free_elimination_matches_reference_randomized():
+    rng = random.Random(5)
+    cases = []
+    for _ in range(60):
+        r, c = rng.randint(1, 9), rng.randint(1, 10)
+        cases.append(_dense_int(rng, r, c, rng.choice((0.3, 0.6, 1.0))))
+    for _ in range(30):
+        r, c = rng.randint(2, 8), rng.randint(1, 9)
+        rows = _dense_int(rng, r, c, 0.7)
+        # rows sharing a common factor, a zero row and a repeated row
+        rows = [[rng.randint(2, 6) * x for x in row] for row in rows]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * c)
+        rows.append([3 * x for x in rng.choice(rows)])
+        cases.append(rows)
+    for _ in range(30):
+        r, c = rng.randint(1, 8), rng.randint(1, 10)
+        cases.append(_fractional(rng, r, c))
+    non_unit = 0
+    for rows in cases:
+        ncols = len(rows[0])
+        for order in (rows, rng.sample(rows, len(rows))):
+            _check_against_reference(rng, order, ncols)
+            _check_integer_echelon(order, ncols)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        red, pivots = sparse_echelon(sparse, ncols)
+        non_unit += any(row[c] != 1 for row, c in zip(red, pivots))
+    assert non_unit >= 20
