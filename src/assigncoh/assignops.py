@@ -17,13 +17,13 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .coeffsys import CoefficientSystem
-from .cochain import chain_basis, cohomology
+from .cochain import cohomology
 from .errors import (
     IncompatibleMinimalValuesError,
     MissingMinimalValueError,
     UnknownIdError,
 )
-from .ratlin import vec_sub
+from .ratlin import _frac, vec_sub
 from .stratposet import minimal_strata
 
 
@@ -40,7 +40,7 @@ class AssignmentVector:
         for x in space.ids:
             if x not in self.values:
                 raise UnknownIdError(x)
-            v = tuple(Fraction(c) for c in self.values[x])
+            v = tuple(_frac(c) for c in self.values[x])
             if len(v) != self.system.dims[x]:
                 raise ValueError(
                     f"value at {x!r} has length {len(v)}, expected {self.system.dims[x]}"
@@ -87,11 +87,9 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
 
 def assignment_basis(v: CoefficientSystem) -> List[AssignmentVector]:
     """Canonical basis of the assignment space (degree-zero cohomology)."""
-    result = cohomology(v, 0, strict=True)
-    basis0 = chain_basis(v, 0, strict=True)
     out = []
-    for rep in result.representatives:
-        values = {t[0]: tuple(rep.value_on(t)) for t in basis0.tuples}
+    for rep in cohomology(v, 0, strict=True).representatives:
+        values = {t[0]: tuple(rep.value_on(t)) for t in rep.basis.tuples}
         out.append(AssignmentVector(v, values))
     return out
 

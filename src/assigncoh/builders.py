@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .coeffsys import CoefficientSystem, moment_system
@@ -89,25 +90,22 @@ class _CellMerge:
             a, b = name[self.find(lo)], name[self.find(hi)]
             if a != b:
                 rel.add((a, b))
-        # transitive closure, then reduction to cover edges
-        ids = sorted(strata)
-        below: Dict[str, set] = {x: {y for (a, y) in rel if a == x} for x in ids}
-        changed = True
-        while changed:
-            changed = False
-            for x in ids:
-                grown = set(below[x])
-                for y in below[x]:
-                    grown |= below[y]
-                if grown != below[x]:
-                    below[x] = grown
-                    changed = True
-        covers = []
-        for x in ids:
-            for y in sorted(below[x]):
-                if not any(y in below[z] for z in below[x] if z != y):
-                    covers.append((x, y))
-        return StratSpace.from_covers(torus_dim, strata, covers)
+        return StratSpace.from_covers(torus_dim, strata, _cover_pairs(rel))
+
+
+def _cover_pairs(rel: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """Cover pairs of the order an acyclic relation generates: y above x and
+    not above another stratum above x.  static_order puts y before x."""
+    succ: Dict[str, set] = {}
+    for a, b in rel:
+        succ.setdefault(a, set()).add(b)
+    above: Dict[str, set] = {}
+    for x in TopologicalSorter(succ).static_order():
+        above[x] = set().union(*(above[y] | {y} for y in succ.get(x, ())))
+    return [
+        (x, y) for x, ys in succ.items() for y in ys
+        if not any(y in above[z] for z in ys)
+    ]
 
 
 def build_linear_rep(weights: WeightMatrix) -> Tuple[StratSpace, CoefficientSystem]:
@@ -187,6 +185,17 @@ class PolytopeData:
         vs = tuple((str(vid), tuple(str(f) for f in fids)) for vid, fids in vertices)
         return cls(dim, fs, vs)
 
+    @classmethod
+    def from_json_dict(cls, obj) -> "PolytopeData":
+        """Polytope from a parsed JSON file, without make's int() and str():
+        KeyError, TypeError or ValueError unless `dim` and the normal entries
+        are JSON integers, the ids JSON strings and the lists JSON arrays."""
+        fs = [(_json_str(fid), tuple(map(_json_int, _json_list(nrm))))
+              for fid, nrm in map(_json_list, _json_list(obj["facets"]))]
+        vs = [(_json_str(vid), tuple(map(_json_str, _json_list(fids))))
+              for vid, fids in map(_json_list, _json_list(obj["vertices"]))]
+        return cls(_json_int(obj["dim"]), tuple(fs), tuple(vs))
+
 
 def build_polytope(data: PolytopeData) -> Tuple[StratSpace, CoefficientSystem]:
     """Face poset of a simple polytope as a toric stratification.
@@ -256,17 +265,8 @@ def build_polytope(data: PolytopeData) -> Tuple[StratSpace, CoefficientSystem]:
             raise MalformedPolytopeError(f"face id collision at {fid!r}")
         strata[fid] = Subalgebra.span(n, [normals[f] for f in fs])
         members[fid] = vs
-    order = []
-    for a in strata:
-        for b in strata:
-            if a != b and members[a] < members[b]:
-                order.append((a, b))
-    covers = [
-        (a, b)
-        for a, b in order
-        if not any(members[a] < members[c] < members[b] for c in strata)
-    ]
-    space = StratSpace.from_covers(n, strata, covers)
+    order = [(a, b) for a in strata for b in strata if members[a] < members[b]]
+    space = StratSpace.from_covers(n, strata, _cover_pairs(order))
     return space, moment_system(space)
 
 
@@ -379,6 +379,13 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_list(x) -> list:
+    """x when it is a JSON array; TypeError otherwise (iterating "12" gives a row)."""
+    if not isinstance(x, list):
+        raise TypeError(f"expected an array, got {x!r}")
+    return x
+
+
 def _json_str(x) -> str:
     """x when it is a JSON string; TypeError for anything else.
 
@@ -447,8 +454,10 @@ class SpaceDescription:
                 raise DescriptionError("projections must be an array")
             for p in obj["projections"]:
                 try:
-                    x, y = _json_str(p["pair"][0]), _json_str(p["pair"][1])
-                    mat = [[Fraction(str(e)) for e in row] for row in p["matrix"]]
+                    x, y = _json_list(p["pair"])
+                    x, y = _json_str(x), _json_str(y)
+                    mat = [[Fraction(str(e)) for e in _json_list(row)]
+                           for row in _json_list(p["matrix"])]
                 except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
                     raise DescriptionError(f"malformed projection entry: {p!r}") from None
                 projections.append((x, y, mat))

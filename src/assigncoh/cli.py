@@ -33,6 +33,7 @@ from .errors import (
     StabilizerMonotonicityError,
     UnknownIdError,
 )
+from .ratlin import _frac
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,7 +67,7 @@ class _InputError(Exception):
 
 
 def _rat_list(values) -> List[str]:
-    return [str(Fraction(v)) for v in values]
+    return [str(_frac(v)) for v in values]
 
 
 def _vector_table(values: Dict[str, Tuple[Fraction, ...]]) -> Dict[str, List[str]]:
@@ -196,9 +197,7 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
                 with open(args.file, "rb") as fh:
                     raw = fh.read()
                 obj = json.loads(raw.decode("utf-8"))
-                data = builders.PolytopeData.make(
-                    obj["dim"], obj["facets"], obj["vertices"]
-                )
+                data = builders.PolytopeData.from_json_dict(obj)
             except OSError as e:
                 raise _InputError(f"cannot read {args.file}: {e.strerror}") from None
             except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as e:
@@ -298,7 +297,7 @@ def cmd_extend(args) -> Tuple[dict, List[str]]:
             raw = fh.read()
         obj = json.loads(raw.decode("utf-8"))
         table = {
-            str(x): tuple(Fraction(str(e)) for e in vec)
+            str(x): tuple(Fraction(str(e)) for e in builders._json_list(vec))
             for x, vec in obj["values"].items()
         }
     except OSError as e:
@@ -346,11 +345,11 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
         "g": [g.to_text() for _, g in fc.pairs],
         "one_form": fc.one_form_text(),
     }
-    lines = [f"psi = {p.to_text()}", "condition: ok"]
-    for j, (f, g) in enumerate(fc.pairs):
-        lines.append(f"f{j + 1} = {f.to_text()}")
-        lines.append(f"g{j + 1} = {g.to_text()}")
-    lines.append(fc.one_form_text())
+    lines = [f"psi = {report['psi']}", "condition: ok"]
+    for j, (f, g) in enumerate(zip(report["f"], report["g"])):
+        lines.append(f"f{j + 1} = {f}")
+        lines.append(f"g{j + 1} = {g}")
+    lines.append(report["one_form"])
     return report, lines
 
 

@@ -58,6 +58,7 @@ from .ratlin import (
     RatMatrix,
     SparseRow,
     _exact,
+    _frac,
     _integral,
     _normalize,
     rank,
@@ -114,7 +115,7 @@ class Cochain:
                 f"coordinate length {len(coords)} != chain dimension {basis.total_dim}"
             )
         self.basis = basis
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(_frac(c) for c in coords)
 
     def value_on(self, t: Tuple[str, ...]) -> List[Fraction]:
         if len(t) != self.basis.degree + 1:
@@ -385,9 +386,8 @@ def euler_characteristic(v: CoefficientSystem) -> int:
     space = v.space
     below: Dict[str, List[str]] = {y: [] for y in space.ids}
     for x in space.ids:
-        for y in space.upset(x):
-            if y != x:
-                below[y].append(x)
+        for y in space.above(x):
+            below[y].append(x)
     counts = dict.fromkeys(space.ids, 1)
     total, sign = 0, 1
     while any(counts.values()):

@@ -130,21 +130,14 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     each basis vector of Y expands uniquely over the basis of X; those
     coefficient rows form the projection, which is exactly restriction of
     linear functionals in stabilizer coordinates.  Only the covers are
-    solved: the other pairs are composed from them by from_cover_maps.
+    solved, once, when the space is loaded (StratSpace.cover_coords): the
+    other pairs are composed from them by from_cover_maps.
     Along X < Y < Z, expanding the basis of Z over Y and then over X gives
     an expansion of Z over X, and that expansion is unique, so every
     composed projection equals the one a direct solve would give.
     """
     dims = {x: space.stabilizer(x).dim for x in space.ids}
-    cover_maps: Dict[Tuple[str, str], RatMatrix] = {}
-    for x, y in space.covers:
-        m = space.stabilizer(x).coordinates_of(space.stabilizer(y))
-        if m is None:
-            raise ValueError(
-                f"stabilizer of {y!r} does not lie inside stabilizer of {x!r}"
-            )
-        cover_maps[(x, y)] = m
-    return CoefficientSystem.from_cover_maps(space, dims, cover_maps)
+    return CoefficientSystem.from_cover_maps(space, dims, space.cover_coords)
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
             bad_id.append(x)
     bad_comp = []
     for x, y in space.comparable_pairs():
-        for z in sorted(space.upset(y) - {y}):
+        for z in space.above(y):
             if v.proj(y, z) @ v.proj(x, y) != v.proj(x, z):
                 bad_comp.append((x, y, z))
     return FunctorReport(tuple(bad_id), tuple(bad_comp))
@@ -188,22 +181,10 @@ def _closure_direction(space: StratSpace, n: frozenset) -> str:
     violating triple X <= Y <= Z needs Y inside and X, Z outside, which
     one-sided closure forbids.
     """
-    up_witness = None
-    down = True
-    for x in sorted(n):
-        for y in space.above(x):
-            if y not in n:
-                up_witness = (x, y)
-                break
-        if up_witness:
-            break
-    for y in sorted(n):
-        for x in space.ids:
-            if x not in n and space.leq(x, y) and x != y:
-                down = False
-                break
-        if not down:
-            break
+    up_witness = next(
+        ((x, y) for x in sorted(n) for y in space.above(x) if y not in n), None
+    )
+    down = all(space.upset(x).isdisjoint(n) for x in space.ids if x not in n)
     if up_witness is None and down:
         return "both"
     if up_witness is None:

@@ -12,6 +12,10 @@ identically.  The same form answers inclusion: coordinates of one
 subalgebra over another (Subalgebra.coordinates_of) are read off by
 reducing against the echelon basis pivot by pivot, in integers, with no
 rational elimination.
+
+StratSpace.from_covers computes the order and inclusion facts once (upsets,
+sorted strictly-above tuples, cover coordinates); coeffsys, cochain and
+builders read them from the space instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -195,14 +199,21 @@ class Subalgebra:
 # the poset
 
 class StratSpace:
-    """Finite stratification poset with a stabilizer subalgebra per stratum."""
+    """Finite stratification poset with a stabilizer subalgebra per stratum.
 
-    def __init__(self, torus_dim, ids, stabilizers, covers, upsets):
+    from_covers stores the upsets (leq, upset, _closure_direction), the
+    sorted strictly-above tuples (above, chains, check_functor, the Euler
+    count) and each cover's coordinates (cover_coords, read by moment_system).
+    """
+
+    def __init__(self, torus_dim, ids, stabilizers, cover_coords, upsets):
         self.torus_dim = torus_dim
         self.ids = ids                    # sorted tuple of stratum ids
         self.stabilizers = stabilizers    # id -> Subalgebra
-        self.covers = covers              # tuple of (lower, upper) edges
+        self.cover_coords = cover_coords  # (lower, upper) -> RatMatrix, sorted
+        self.covers = tuple(cover_coords)
         self._upsets = upsets             # id -> frozenset of ids weakly above
+        self._above = {x: tuple(sorted(s - {x})) for x, s in upsets.items()}
 
     @classmethod
     def from_covers(
@@ -229,28 +240,30 @@ class StratSpace:
             cover_list.append((x, y))
         cover_list = sorted(set(cover_list))
 
-        # topological order first; leftovers witness a cycle
+        # topological order first; leftovers witness a cycle.  Any order gives
+        # the same upsets and the same leftovers, so a plain stack will do.
         succ = {x: [] for x in ids}
         indeg = {x: 0 for x in ids}
         for x, y in cover_list:
             succ[x].append(y)
             indeg[y] += 1
-        queue = sorted(x for x in ids if indeg[x] == 0)
+        stack = [x for x in ids if indeg[x] == 0]
         order = []
-        while queue:
-            x = queue.pop(0)
+        while stack:
+            x = stack.pop()
             order.append(x)
             for y in succ[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
-                    queue.append(y)
-            queue.sort()
+                    stack.append(y)
         if len(order) != len(ids):
             raise CycleError(sorted(x for x in ids if indeg[x] > 0))
 
+        cover_coords = {}
         for x, y in cover_list:
             sx, sy = stabilizers[x], stabilizers[y]
-            if not sx.contains(sy):
+            m = sx.coordinates_of(sy)
+            if m is None:
                 raise StabilizerMonotonicityError(
                     (x, y), "stabilizer of the upper stratum is not inside the lower one"
                 )
@@ -258,13 +271,14 @@ class StratSpace:
                 raise StabilizerMonotonicityError(
                     (x, y), "stabilizer dimension does not strictly decrease"
                 )
+            cover_coords[(x, y)] = m
 
         upsets = {x: {x} for x in ids}
         for x in reversed(order):
             for y in succ[x]:
                 upsets[x] |= upsets[y]
         upsets = {x: frozenset(s) for x, s in upsets.items()}
-        return cls(torus_dim, ids, stabilizers, tuple(cover_list), upsets)
+        return cls(torus_dim, ids, stabilizers, cover_coords, upsets)
 
     def leq(self, x: str, y: str) -> bool:
         """True when x is weakly below y (x in the closure order below y)."""
@@ -276,7 +290,7 @@ class StratSpace:
 
     def above(self, x: str) -> Tuple[str, ...]:
         """Ids strictly above x, sorted."""
-        return tuple(sorted(self._upsets[x] - {x}))
+        return self._above[x]
 
     def upset(self, x: str) -> frozenset:
         if x not in self._upsets:
@@ -298,43 +312,24 @@ class StratSpace:
 
 
 def minimal_strata(space: StratSpace) -> Tuple[str, ...]:
-    """Sorted ids with nothing strictly below them."""
-    not_minimal = set()
-    for x in space.ids:
-        not_minimal.update(space.above(x))
-    return tuple(x for x in space.ids if x not in not_minimal)
+    """Sorted ids with nothing strictly below them: no cover ends there."""
+    uppers = {y for _, y in space.covers}
+    return tuple(x for x in space.ids if x not in uppers)
 
 
 def chains(space: StratSpace, k: int, strict: bool) -> List[Tuple[str, ...]]:
     """All (k+1)-tuples X0 <= ... <= Xk, lexicographic in sorted-id order.
 
     With strict=True consecutive entries must differ; repeats are allowed
-    otherwise.  k = 0 gives the singleton tuples either way.
+    otherwise.  k = 0 gives the singleton tuples either way.  Extending each
+    chain of degree k-1, in order, by sorted strata keeps the order.
     """
     if k < 0:
         raise ValueError("chain degree must be >= 0")
-    out: List[Tuple[str, ...]] = []
-    ids = space.ids
-
-    def grow(prefix: List[str]):
-        if len(prefix) == k + 1:
-            out.append(tuple(prefix))
-            return
-        if not prefix:
-            for x in ids:
-                prefix.append(x)
-                grow(prefix)
-                prefix.pop()
-            return
-        last = prefix[-1]
-        for y in sorted(space.upset(last)):
-            if strict and y == last:
-                continue
-            prefix.append(y)
-            grow(prefix)
-            prefix.pop()
-
-    grow([])
+    step = space._above if strict else {x: tuple(sorted(space.upset(x))) for x in space.ids}
+    out = [(x,) for x in space.ids]
+    for _ in range(k):
+        out = [t + (y,) for t in out for y in step[t[-1]]]
     return out
 
 

@@ -5,8 +5,8 @@ without importing the package, so agreement is meaningful: plain Gaussian
 elimination for ranks, the dense first-nonzero Gauss-Jordan elimination
 as the reference for RREF, kernel and solve, a column elimination with
 a unimodular transform as the reference for saturated lattices,
-brute-force tuple enumeration, and a from-scratch assembly of the
-cochain differential.
+brute-force tuple enumeration and cover relations, and a from-scratch
+assembly of the cochain differential.
 """
 
 from fractions import Fraction
@@ -201,6 +201,16 @@ def brute_tuples(ids, leq, k, strict):
         if good:
             out.append(t)
     return out
+
+
+def brute_covers(ids, leq):
+    """Pairs x < y with no z strictly between them (the transitive reduction)."""
+    ids = sorted(ids)
+    return [
+        (x, y) for x in ids for y in ids
+        if x != y and leq(x, y)
+        and not any(z not in (x, y) and leq(x, z) and leq(z, y) for z in ids)
+    ]
 
 
 def brute_assignment_dim(ids, leq, dims, proj_rows):

@@ -1,6 +1,6 @@
 """Byte identity of the benchmark's recorded outputs, seed 0.
 
-The `elim` and `full` workloads of seed 0 are generated with the
+The `elim`, `full` and `light` workloads of seed 0 are generated with the
 benchmark's own generator (`perfbench/workloads.py`), every op is run
 through `assigncoh.cli.main`, and each exit code and stdout SHA-256 must
 equal the digests recorded in `perfbench/reference/<workload>.json`.
@@ -22,7 +22,7 @@ from assigncoh import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["elim", "full"])
+@pytest.mark.parametrize("workload", ["elim", "full", "light"])
 def test_seed0_matches_recorded_digests(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

@@ -25,6 +25,7 @@ from assigncoh import (
 )
 from assigncoh.stratposet import StratSpace
 
+from oracles import brute_covers
 from spaces import cp2, free_stratum, s4, two_stratum
 
 
@@ -222,6 +223,24 @@ def test_product_id_collision():
     s2 = discrete(["y*z", "z"], 1)
     with pytest.raises(ValueError):
         build_product((s1, moment_system(s1)), (s2, moment_system(s2)))
+
+
+def _built(kind):
+    if kind == "linear-rep":   # opposite weights: cells merge
+        return build_linear_rep([(1, 0), (-1, 0), (0, 1), (1, 1)])
+    if kind == "sphere-product":   # 27 cells merge into 21 strata
+        return build_sphere_product(2, [(1, 0), (0, 1), (1, -1)])
+    if kind == "product":
+        return build_product(build_polytope(preset_polytope("square")),
+                             build_polytope(preset_polytope("segment")))
+    return build_polytope(preset_polytope(kind))
+
+
+@pytest.mark.parametrize("kind", ["linear-rep", "sphere-product", "segment", "triangle",
+                                  "square", "pentagon", "cube", "product"])
+def test_covers_are_the_transitive_reduction(kind):
+    space, _ = _built(kind)
+    assert list(space.covers) == brute_covers(space.ids, space.leq)
 
 
 # ---------------------------------------------------------------------------

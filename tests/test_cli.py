@@ -121,6 +121,24 @@ def test_non_string_ids_are_input_errors(capsys, tmp_path, site, literal):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("projection", [
+    '{"pair": ["a", "b"], "matrix": ["12"]}',   # a row "12" would read as [1, 2]
+    '{"pair": "ab", "matrix": [[1, 2]]}',       # a pair "ab" would read as ["a", "b"]
+    '{"pair": ["a", "b"], "matrix": "1"}',
+])
+def test_projection_arrays_must_be_arrays(capsys, tmp_path, projection):
+    path = tmp_path / "bad.space"
+    path.write_text(
+        '{"torus_dim": 2, "strata": [{"id": "a", "stabilizer": [[1, 0], [0, 1]]}, '
+        '{"id": "b", "stabilizer": []}], "covers": [["a", "b"]], '
+        '"dims": {"a": 2, "b": 1}, "projections": [' + projection + ']}'
+    )
+    code, out, err = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"]["type"] == "DescriptionError"
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_negative_torus_dim_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.space"
     path.write_text(_NUMBER_SITES["torus_dim"].replace("@", "-1"))
@@ -251,6 +269,37 @@ def test_build_polytope_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, ["build", "polytope", "--file", str(poly_file)])
     assert code == cli.EXIT_INPUT
     assert "malformed polytope file" in err
+
+
+_TRIANGLE = {
+    "dim": 2,
+    "facets": [["a", [1, 0]], ["b", [0, 1]], ["c", [-1, -1]]],
+    "vertices": [["v0", ["a", "b"]], ["v1", ["b", "c"]], ["v2", ["a", "c"]]],
+}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("dim",), 2.0), (("dim",), True), (("dim",), "2"),
+    (("facets", 0, 1), [1.5, 0]), (("facets", 0, 1), [True, 0]),
+    (("facets", 0, 1), ["1", "0"]), (("facets", 0, 1), "10"),
+    (("vertices", 0, 1), "ab"),
+    (("facets", 0, 0), 1), (("vertices", 0, 0), None),
+])
+def test_polytope_file_json_types_are_input_errors(capsys, tmp_path, path, value):
+    # int() and str() would accept 2.0, true, "1", 1 and null, and a string
+    # "ab" would be split into the facets "a" and "b"
+    data = json.loads(json.dumps(_TRIANGLE))
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    poly_file = tmp_path / "bad.json"
+    poly_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["--json", "build", "polytope", "--file", str(poly_file)])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["exit_code"] == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_build_polytope_invalid_geometry(capsys, tmp_path):
@@ -411,6 +460,15 @@ def test_extend_malformed_values_file(capsys, cp2_file, tmp_path):
     path.write_text(json.dumps({"values": {"p1": ["x", "0"]}}))
     code, _, err = run(capsys, ["extend", cp2_file, "--values", str(path)])
     assert code == cli.EXIT_INPUT
+
+
+def test_values_vector_must_be_an_array(capsys, cp2_file, tmp_path):
+    # iterating the string "00" would read it as [0, 0]
+    values = _write_values(tmp_path, {"p1": "00", "p2": ["1", "0"], "p3": ["0", "1"]})
+    code, out, err = run(capsys, ["--json", "extend", cp2_file, "--values", values])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["exit_code"] == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

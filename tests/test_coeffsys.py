@@ -3,11 +3,14 @@ import pytest
 from assigncoh import (
     CoefficientSystem,
     RatMatrix,
+    SpaceDescription,
     StratSpace,
     Subalgebra,
     SystemMorphism,
+    build_from_description,
     build_polytope,
     build_product,
+    build_sphere_product,
     check_functor,
     cohomology,
     moment_system,
@@ -217,6 +220,32 @@ def test_from_cover_maps_reproduces_moment_system():
         for x, y in pairs:
             direct = space.stabilizer(x).coordinates_of(space.stabilizer(y))
             assert v.proj(x, y) == direct
+
+
+@pytest.mark.parametrize("kind", ["cube*square", "merged spheres^4"])
+def test_loading_solves_each_cover_once(monkeypatch, kind):
+    """from_covers keeps each cover's coordinates; moment_system solves nothing."""
+    if kind == "cube*square":
+        built = build_product(build_polytope(preset_polytope("cube")),
+                              build_polytope(preset_polytope("square")))
+    else:
+        built = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1), (1, -1, 0)])
+    desc = SpaceDescription.from_space(built[0])
+    calls = []
+    solve = Subalgebra.coordinates_of
+
+    def counted(self, other):
+        calls.append((self, other))
+        return solve(self, other)
+
+    monkeypatch.setattr(Subalgebra, "coordinates_of", counted)
+    space, v = build_from_description(desc)
+    monkeypatch.undo()
+    assert len(calls) == len(space.covers) > 0
+    assert tuple(space.cover_coords) == space.covers == tuple(sorted(space.covers))
+    for (x, y), m in space.cover_coords.items():
+        assert m == space.stabilizer(x).coordinates_of(space.stabilizer(y))
+        assert v.proj(x, y) == m
 
 
 def test_from_cover_maps_missing_cover():

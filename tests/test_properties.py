@@ -9,6 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from assigncoh import (
     AssignmentVector,
     CoefficientSystem,
@@ -39,6 +41,7 @@ from assigncoh import (
     is_assignment,
     les_coefficients_check,
     les_pair_check,
+    minimal_strata,
     moment_system,
     pair_ses,
     preset_polytope,
@@ -48,7 +51,9 @@ from assigncoh import (
     verify_decomposition,
 )
 from assigncoh.coeffsys import _closure_direction
+from assigncoh.errors import NotOpenError
 
+from oracles import brute_covers
 from spaces import cp2, s4, two_stratum
 
 
@@ -317,6 +322,47 @@ def test_pair_sequences_of_arbitrary_subsets_randomized():
         unclosed += not (up or down)
         cases += 1
     assert unclosed >= 50
+
+
+def _brute_direction(space, n):
+    """_closure_direction from the definitions; an escaping pair when neither."""
+    below = [(x, y) for x in space.ids for y in space.ids if x != y and space.leq(x, y)]
+    up = all(y in n for x, y in below if x in n)
+    down = all(x in n for x, y in below if y in n)
+    if up or down:
+        return "both" if up and down else "up" if up else "down"
+    return min((x, y) for x, y in below if x in n and y not in n)
+
+
+def test_closure_direction_and_minimal_strata_match_brute_force_randomized():
+    rng = random.Random(79)
+    pool = _pair_pool()
+    outcomes = set()
+    for case in range(240):
+        space, _ = pool[rng.randrange(len(pool))]
+        if case % 2:
+            n = _random_closed_subset(rng, space)[0]
+        else:
+            n = {x for x in space.ids if rng.random() < 0.5}
+        n = frozenset(n)
+        expected = _brute_direction(space, n)
+        if isinstance(expected, tuple):
+            with pytest.raises(NotOpenError) as exc:
+                _closure_direction(space, n)
+            assert exc.value.pair == expected, sorted(n)
+            outcomes.add("witness")
+        else:
+            assert _closure_direction(space, n) == expected, sorted(n)
+            outcomes.add(expected)
+        # minimal strata of the order the space induces on n (or on all of it)
+        ids = sorted(n or space.ids)
+        sub = StratSpace.from_covers(
+            space.torus_dim, {x: space.stabilizer(x) for x in ids}, brute_covers(ids, space.leq)
+        )
+        assert minimal_strata(sub) == tuple(
+            x for x in ids if not any(y != x and space.leq(y, x) for y in ids)
+        ), ids
+    assert outcomes == {"up", "down", "both", "witness"}
 
 
 # ---------------------------------------------------------------------------

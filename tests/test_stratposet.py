@@ -5,6 +5,7 @@ import pytest
 
 import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
+from assigncoh import build_polytope, build_product, build_sphere_product, preset_polytope
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from assigncoh.stratposet import _int_kernel
 from oracles import brute_rank, brute_tuples, reference_solve, reference_span
@@ -69,6 +70,31 @@ def test_chains_match_brute_force_non_strict():
         assert chains(space, k, strict=False) == brute_tuples(
             space.ids, space.leq, k, strict=False
         )
+
+
+_CHAIN_SPACES = {
+    "cp2": lambda: cp2()[0],
+    "cube": lambda: build_polytope(preset_polytope("cube"))[0],
+    "square*segment": lambda: build_product(
+        build_polytope(preset_polytope("square")), build_polytope(preset_polytope("segment"))
+    )[0],
+    # merged (S^2)^4 over T^3, weights in {-1, 0, 1}: 45 strata, as in the elim benchmark
+    "spheres^4": lambda: build_sphere_product(
+        3, [(-1, -1, -1), (-1, -1, -1), (-1, -1, 0), (0, -1, 1)]
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_SPACES))
+def test_chains_match_brute_force_through_degree_three(name):
+    space = _CHAIN_SPACES[name]()
+    for k in range(4):
+        weak = brute_tuples(space.ids, space.leq, k, strict=False)
+        assert chains(space, k, strict=False) == weak
+        # a strict chain is a weak one without repeated neighbours; filtering
+        # saves a second pass over all (k+1)-tuples of the 45 strata
+        strict = [t for t in weak if all(a != b for a, b in zip(t, t[1:]))]
+        assert chains(space, k, strict=True) == strict
 
 
 def test_strict_chains_vanish_beyond_stratum_count():
