@@ -125,7 +125,7 @@ def cmd_cohomology(args) -> Tuple[dict, List[str]]:
         "command": "cohomology",
         "input_digest": digest,
         "degree": args.degree,
-        "relative": sorted(relative) if relative else None,
+        "relative": sorted(relative) if relative is not None else None,
         "results": {},
     }
     lines = []
@@ -272,7 +272,7 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         # the sequence is only defined for a functor: class coordinates of
         # induced maps fail on a perturbed system
         if fr.ok:
-            les = cochain.les_pair_check(system, n)
+            les = cochain._les_pair(system, n)
             verdict = "exact" if les.ok else f"NOT exact: {les.failures[0]}"
         else:
             les = cochain.ExactSequenceReport([], [], [], ["not checked: functor laws fail"])

@@ -14,6 +14,12 @@ same cohomology, which the homotopy operators in this module certify
 degree by degree.  Relative complexes (cochains vanishing on tuples inside
 a chosen stratum subset) reuse the same assembly with a tuple filter.
 
+One routine, `_assemble`, assembles every chain-level operator: the
+differential, the block scaling, the homotopies L and Q and the pullback
+each list, for a tuple, the tuples it reaches with a sign and a block, and
+`_assemble` writes those blocks into sparse rows.  It is the only code that
+looks up faces.
+
 Both long exact sequences, of a pair and of a short exact sequence of
 coefficient systems, come from one routine: given the three complexes and
 four chain-level maps (inclusion, projection, a lift and a retraction), it
@@ -28,9 +34,9 @@ representatives and both long exact sequences work on such rows, and
 coboundary rows and the reduction of one against the other stay integer;
 the representatives' rows are divided by their pivots once.  Dense lists
 of Fractions appear only in public values (`Cochain`, `differential_matrix`,
-the homotopy operators, pullbacks).  Kernel/image bookkeeping is canonical:
-representatives come from reduced row echelon forms, so equal inputs give
-byte-equal outputs.
+the homotopy operators, pullbacks), converted once when they are returned.
+Kernel/image bookkeeping is canonical: representatives come from reduced
+row echelon forms, so equal inputs give byte-equal outputs.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,7 +76,6 @@ from .ratlin import (
 from .stratposet import PosetMap, chains, minimal_strata, poset_morphism_check
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ChainBasis:
@@ -160,36 +166,53 @@ def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
 Rows = List[SparseRow]
 
 
-def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
-    """Sparse rows of d from src to dst, one per coordinate of dst."""
+def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
+    """Sparse rows of a chain-level operator, one per coordinate of rows_of.
+
+    For each tuple t of rows_of, terms(t) lists (u, sign, block): sign times
+    block (a matrix, or None for the identity) goes into the rows of t at
+    the columns of u in cols_of.  Tuples that cols_of lacks are skipped, and
+    entries that cancel (repeated faces of a weak tuple) are dropped.
+    """
+    index, offsets = cols_of.index, cols_of.offsets
     rows: Rows = []
-    for ti, t in enumerate(dst.tuples):
-        top_dim = dst.block_dims[ti]
-        if top_dim == 0:
+    for t, w in zip(rows_of.tuples, rows_of.block_dims):
+        if not w:
             continue
-        block = [{} for _ in range(top_dim)]
-        # faces keeping the top stratum: identity blocks with alternating sign
-        for ell in range(len(t) - 1):
-            blk = src.block(t[:ell] + t[ell + 1:])
-            if blk is None:
+        block = [{} for _ in range(w)]
+        for u, s, m in terms(t):
+            i = index.get(u)
+            if i is None:
                 continue
-            c0, _ = blk
-            s = 1 if ell % 2 == 0 else -1
-            for j, row in enumerate(block):
-                row[c0 + j] = row.get(c0 + j, 0) + s
-        # dropping the top stratum projects the value
-        blk = src.block(t[:-1])
-        if blk is not None:
-            c0, _ = blk
-            s = 1 if (len(t) - 1) % 2 == 0 else -1
-            pm = v.proj(t[-2], t[-1])
-            for row, prow in zip(block, pm.data):
-                for i, x in enumerate(prow):
+            c0 = offsets[i]
+            if m is None:
+                for c, row in enumerate(block, c0):
+                    row[c] = row.get(c, 0) + s
+                continue
+            for row, mrow in zip(block, m.data):
+                for c, x in enumerate(mrow, c0):
                     if x:
-                        row[c0 + i] = row.get(c0 + i, 0) + s * _exact(x)
-        # repeated faces of a weak tuple can cancel
-        rows.extend({c: x for c, x in row.items() if x} for row in block)
+                        row[c] = row.get(c, 0) + s * _exact(x)
+        rows.extend(row if all(row.values()) else {c: x for c, x in row.items() if x}
+                    for row in block)
     return rows
+
+
+def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
+    """Sparse rows of d from src to dst, one per coordinate of dst.
+
+    Faces keeping the top stratum are identity blocks with alternating
+    sign; dropping the top stratum projects the value.
+    """
+    proj = v.proj
+
+    def terms(t):
+        n = len(t) - 1
+        out = [(t[:i] + t[i + 1:], -1 if i & 1 else 1, None) for i in range(n)]
+        out.append((t[:-1], -1 if n & 1 else 1, proj(t[-2], t[-1])))
+        return out
+
+    return _assemble(dst, src, terms)
 
 
 def _transpose(rows: Rows, ncols: int) -> Rows:
@@ -400,29 +423,16 @@ def euler_characteristic(v: CoefficientSystem) -> int:
 # ---------------------------------------------------------------------------
 # homotopy operators on the full complex
 
-def _run_length(t: Tuple[str, ...]) -> List[Tuple[str, int]]:
-    out = []
-    for x in t:
-        if out and out[-1][0] == x:
-            out[-1] = (x, out[-1][1] + 1)
-        else:
-            out.append((x, 1))
-    return out
-
-
 def repeated_block_count(t: Tuple[str, ...]) -> int:
     """Number of run-length blocks of length > 1 in the tuple."""
-    return sum(1 for _, m in _run_length(t) if m > 1)
+    return sum(len(list(run)) > 1 for _, run in groupby(t))
 
 
 def block_scaling_matrix(v: CoefficientSystem, k: int) -> RatMatrix:
     """Diagonal operator scaling each degree-k tuple by its repeated blocks."""
     basis = chain_basis(v, k, strict=False)
-    diag = []
-    for t, w in zip(basis.tuples, basis.block_dims):
-        c = repeated_block_count(t)
-        diag.extend([Fraction(c)] * w)
-    return RatMatrix.diagonal(diag)
+    rows = _assemble(basis, basis, lambda t: [(t, repeated_block_count(t), None)])
+    return RatMatrix.from_sparse(rows, basis.total_dim)
 
 
 def homotopy_L(v: CoefficientSystem, k: int) -> RatMatrix:
@@ -437,26 +447,13 @@ def homotopy_L(v: CoefficientSystem, k: int) -> RatMatrix:
         raise ValueError("homotopy_L is defined for degree >= 1")
     src = chain_basis(v, k, strict=False)
     dst = chain_basis(v, k - 1, strict=False)
-    rows = [[_ZERO] * src.total_dim for _ in range(dst.total_dim)]
-    for ti, t in enumerate(dst.tuples):
-        w = dst.block_dims[ti]
-        if w == 0:
-            continue
-        r0 = dst.offsets[ti]
-        blocks = _run_length(t)
-        prefix = 0
-        for j, (x, m) in enumerate(blocks):
-            fat = []
-            for jj, (y, mm) in enumerate(blocks):
-                fat.extend([y] * (mm + 1 if jj == j else mm))
-            blk = src.block(tuple(fat))
-            if blk is not None:
-                c0, _ = blk
-                s = _ONE if prefix % 2 == 0 else -_ONE
-                for i in range(w):
-                    rows[r0 + i][c0 + i] += s
-            prefix += m
-    return RatMatrix(dst.total_dim, src.total_dim, rows)
+
+    def terms(t):
+        # block j starts at i: repeat t[i] there
+        return [(t[:i] + t[i:i + 1] + t[i:], -1 if i & 1 else 1, None)
+                for i in range(len(t)) if i == 0 or t[i] != t[i - 1]]
+
+    return RatMatrix.from_sparse(_assemble(dst, src, terms), src.total_dim)
 
 
 def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
@@ -474,19 +471,8 @@ def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
     x0 = minima[0]
     src = chain_basis(v, k, strict=False)
     dst = chain_basis(v, k - 1, strict=False)
-    rows = [[_ZERO] * src.total_dim for _ in range(dst.total_dim)]
-    for ti, t in enumerate(dst.tuples):
-        w = dst.block_dims[ti]
-        if w == 0:
-            continue
-        blk = src.block((x0,) + t)
-        if blk is None:
-            continue
-        r0 = dst.offsets[ti]
-        c0, _ = blk
-        for i in range(w):
-            rows[r0 + i][c0 + i] += _ONE
-    return RatMatrix(dst.total_dim, src.total_dim, rows)
+    rows = _assemble(dst, src, lambda t: [((x0,) + t, 1, None)])
+    return RatMatrix.from_sparse(rows, src.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +570,10 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     any preimage in b of a cochain of c, retract the unique preimage in a of
     a cochain of b in the image of i.  The connecting map is
     retract(d_b(lift(r))).  Degrees run to one past the last nonzero chain
-    space of b, beyond which everything is zero.
-
-    The induced maps need cocycles to stay cocycles, which holds only for
-    functors, so a system failing the functor laws raises ValueError
-    naming its first violation before any map is built.
+    space of b, beyond which everything is zero.  The induced maps need
+    cocycles to stay cocycles, which holds only for functors
+    (`_require_functors`).
     """
-    for v in {id(cx.v): cx.v for cx in (a, b, c)}.values():
-        report = check_functor(v)
-        if not report.ok:
-            bad = report.composition_violations or report.identity_violations
-            raise ValueError(
-                f"long exact sequence needs a functor: functor laws fail at {bad[0]}"
-            )
     top = 0
     while b.basis(top + 1).tuples:
         top += 1
@@ -617,14 +594,32 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     return _exactness_walk(names, dims, maps)
 
 
+def _require_functors(*systems: CoefficientSystem) -> None:
+    """Raise ValueError naming the first functor-law violation of the systems."""
+    for v in {id(v): v for v in systems}.values():
+        report = check_functor(v)
+        if not report.ok:
+            bad = report.composition_violations or report.identity_violations
+            raise ValueError(
+                f"long exact sequence needs a functor: functor laws fail at {bad[0]}"
+            )
+
+
 def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceReport:
     """Long exact sequence of the pair: relative, absolute, then subset terms.
 
     The relative complex (cochains vanishing on n) includes into the full
     one, which restricts to tuples inside n.  Connecting maps extend a
-    subset cocycle by zero and apply the ambient differential.
+    subset cocycle by zero and apply the ambient differential.  A system
+    failing the functor laws raises ValueError naming its first violation.
     """
     nset = _check_subset(v.space, n)
+    _require_functors(v)
+    return _les_pair(v, nset)
+
+
+def _les_pair(v: CoefficientSystem, nset: frozenset) -> ExactSequenceReport:
+    """`les_pair_check` for a checked subset of a system known to be a functor."""
     full = _Complex(v, True)
     rel = _Complex(v, True, support=("rel", nset), whole=full)
     sub = _Complex(v, True, support=("sub", nset), whole=full)
@@ -665,13 +660,15 @@ def _blockwise(h: SystemMorphism, vec: SparseRow, src: ChainBasis, dst: ChainBas
 def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenceReport:
     """Long exact sequence induced by a short exact sequence of systems.
 
-    Raises NotExactError unless ses_check passes stratum by stratum.  The
-    connecting map lifts through g (any preimage), applies the middle
+    Raises NotExactError unless ses_check passes stratum by stratum, then
+    ValueError naming the first functor-law violation of the three systems.
+    The connecting map lifts through g (any preimage), applies the middle
     differential, and pulls back through f (unique by injectivity).
     """
     report = ses_check(f, g)
     if not report.ok:
         raise NotExactError(f"not a short exact sequence: {report}")
+    _require_functors(f.source, f.target, g.target)
     c1, c2, c3 = _Complex(f.source, True), _Complex(f.target, True), _Complex(g.target, True)
     return _long_exact_sequence(
         ("sub", "total", "quotient"), c1, c2, c3,
@@ -718,6 +715,18 @@ def _bridge_matrices(f: PosetMap, v_target: CoefficientSystem,
     return bridges
 
 
+def _pullback_rows(f: PosetMap, v_target: CoefficientSystem,
+                   v_source: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
+    """Sparse rows of the pullback from dst (target cochains) to src."""
+    report = poset_morphism_check(dict(f.mapping), f.source, f.target)
+    if not report.ok:
+        raise InvalidMorphismError(
+            f"not a morphism of stratified spaces: {report}"
+        )
+    bridges = _bridge_matrices(f, v_target, v_source)
+    return _assemble(src, dst, lambda t: [(tuple(map(f, t)), 1, bridges[t[-1]])])
+
+
 def pullback_matrix(
     f: PosetMap,
     v_target: CoefficientSystem,
@@ -725,34 +734,11 @@ def pullback_matrix(
     v_source: Optional[CoefficientSystem] = None,
 ) -> RatMatrix:
     """Matrix of the pullback on full degree-k cochains."""
-    report = poset_morphism_check(dict(f.mapping), f.source, f.target)
-    if not report.ok:
-        raise InvalidMorphismError(
-            f"not a morphism of stratified spaces: {report}"
-        )
     if v_source is None:
         v_source = moment_system(f.source)
-    bridges = _bridge_matrices(f, v_target, v_source)
-    src = chain_basis(v_source, k, strict=False)
     dst = chain_basis(v_target, k, strict=False)
-    rows = [[_ZERO] * dst.total_dim for _ in range(src.total_dim)]
-    for ti, t in enumerate(src.tuples):
-        w = src.block_dims[ti]
-        if w == 0:
-            continue
-        image = tuple(f(x) for x in t)
-        blk = dst.block(image)
-        if blk is None:
-            continue
-        c0, w2 = blk
-        br = bridges[t[-1]]
-        r0 = src.offsets[ti]
-        for i in range(w):
-            brow = br.data[i]
-            for j in range(w2):
-                if brow[j]:
-                    rows[r0 + i][c0 + j] += brow[j]
-    return RatMatrix(src.total_dim, dst.total_dim, rows)
+    rows = _pullback_rows(f, v_target, v_source, chain_basis(v_source, k, strict=False), dst)
+    return RatMatrix.from_sparse(rows, dst.total_dim)
 
 
 def pullback(
@@ -769,11 +755,11 @@ def pullback(
     if v_source is None:
         v_source = moment_system(f.source)
     k = phi.basis.degree
-    full_target = chain_basis(v_target, k, strict=False)
+    dst = chain_basis(v_target, k, strict=False)
     coords = {j: x for j, x in enumerate(phi.coords) if x}
-    vec = _move(coords, phi.basis, full_target)
+    vec = _move(coords, phi.basis, dst)
     if len(vec) != len(coords):
         raise ValueError("cochain has support outside the full basis")
-    mat = pullback_matrix(f, v_target, k, v_source)
-    return Cochain(chain_basis(v_source, k, strict=False),
-                   [sum((row[j] * x for j, x in vec.items()), _ZERO) for row in mat.data])
+    src = chain_basis(v_source, k, strict=False)
+    out = _apply(_pullback_rows(f, v_target, v_source, src, dst), vec)
+    return Cochain(src, [out.get(i, 0) for i in range(src.total_dim)])

@@ -194,6 +194,18 @@ def _closure_direction(space: StratSpace, n: frozenset) -> str:
     raise NotOpenError(up_witness)
 
 
+def _kept_on(v: CoefficientSystem, keep: frozenset) -> CoefficientSystem:
+    """v on the strata of keep, zero elsewhere: projections touching the rest vanish."""
+    dims = {x: (v.dims[x] if x in keep else 0) for x in v.space.ids}
+    proj = {}
+    for x, y in v.pairs():
+        if x in keep and y in keep:
+            proj[(x, y)] = v.proj(x, y)
+        else:
+            proj[(x, y)] = RatMatrix.zeros(dims[y], dims[x])
+    return CoefficientSystem(v.space, dims, proj)
+
+
 def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem:
     """Zero the system on n: dims drop to 0 on n, crossing projections vanish.
 
@@ -203,28 +215,14 @@ def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem
     """
     nset = _check_subset(v.space, n)
     _closure_direction(v.space, nset)
-    dims = {x: (0 if x in nset else v.dims[x]) for x in v.space.ids}
-    proj = {}
-    for x, y in v.pairs():
-        if x in nset or y in nset:
-            proj[(x, y)] = RatMatrix.zeros(dims[y], dims[x])
-        else:
-            proj[(x, y)] = v.proj(x, y)
-    return CoefficientSystem(v.space, dims, proj)
+    return _kept_on(v, frozenset(v.space.ids) - nset)
 
 
 def restriction_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem:
     """Keep the system on n only; complementary construction to quotient_system."""
     nset = _check_subset(v.space, n)
     _closure_direction(v.space, nset)
-    dims = {x: (v.dims[x] if x in nset else 0) for x in v.space.ids}
-    proj = {}
-    for x, y in v.pairs():
-        if x in nset and y in nset:
-            proj[(x, y)] = v.proj(x, y)
-        else:
-            proj[(x, y)] = RatMatrix.zeros(dims[y], dims[x])
-    return CoefficientSystem(v.space, dims, proj)
+    return _kept_on(v, nset)
 
 
 class SystemMorphism:

@@ -5,8 +5,9 @@ without importing the package, so agreement is meaningful: plain Gaussian
 elimination for ranks, the dense first-nonzero Gauss-Jordan elimination
 as the reference for RREF, kernel and solve, a column elimination with
 a unimodular transform as the reference for saturated lattices,
-brute-force tuple enumeration and cover relations, and a from-scratch
-assembly of the cochain differential.
+brute-force tuple enumeration and cover relations, a from-scratch
+assembly of the cochain differential, and one dense loop each for the
+block scaling, the homotopies L and Q and the pullback.
 """
 
 from fractions import Fraction
@@ -293,3 +294,94 @@ def system_adapter(system):
         return [list(m.row(i)) for i in range(m.rows)]
 
     return list(space.ids), space.leq, dims, proj_rows
+
+
+# ---------------------------------------------------------------------------
+# dense chain-level operators on weak tuples, one dense loop each.  A basis
+# is read through its `tuples`, `offsets` and `block_dims` only.
+
+def _by_tuple(basis):
+    return {t: off for t, off in zip(basis.tuples, basis.offsets)}
+
+
+def _zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def _runs(t):
+    out = []
+    for x in t:
+        if out and out[-1][0] == x:
+            out[-1] = (x, out[-1][1] + 1)
+        else:
+            out.append((x, 1))
+    return out
+
+
+def reference_block_scaling(basis):
+    """Diagonal matrix: each tuple's coordinates times its runs of length > 1."""
+    diag = []
+    for t, w in zip(basis.tuples, basis.block_dims):
+        diag.extend([Fraction(sum(1 for _, m in _runs(t) if m > 1))] * w)
+    mat = _zeros(len(diag), len(diag))
+    for i, c in enumerate(diag):
+        mat[i][i] = c
+    return mat
+
+
+def reference_homotopy_L(src, dst):
+    """Matrix of L from degree k (src) to degree k-1 (dst).
+
+    The j-th summand repeats the j-th run of the tuple once more, with sign
+    (-1)^(length of the runs before it).
+    """
+    col = _by_tuple(src)
+    mat = _zeros(sum(dst.block_dims), sum(src.block_dims))
+    for t, r0, w in zip(dst.tuples, dst.offsets, dst.block_dims):
+        if w == 0:
+            continue
+        runs = _runs(t)
+        prefix = 0
+        for j, (_, m) in enumerate(runs):
+            fat = []
+            for jj, (y, mm) in enumerate(runs):
+                fat.extend([y] * (mm + 1 if jj == j else mm))
+            c0 = col.get(tuple(fat))
+            if c0 is not None:
+                s = Fraction(1) if prefix % 2 == 0 else Fraction(-1)
+                for i in range(w):
+                    mat[r0 + i][c0 + i] += s
+            prefix += m
+    return mat
+
+
+def reference_homotopy_Q(src, dst, x0):
+    """Matrix of Q from degree k (src) to degree k-1 (dst): prepend x0."""
+    col = _by_tuple(src)
+    mat = _zeros(sum(dst.block_dims), sum(src.block_dims))
+    for t, r0, w in zip(dst.tuples, dst.offsets, dst.block_dims):
+        c0 = col.get((x0,) + t)
+        if w == 0 or c0 is None:
+            continue
+        for i in range(w):
+            mat[r0 + i][c0 + i] += Fraction(1)
+    return mat
+
+
+def reference_pullback(src, dst, image, bridge_rows):
+    """Matrix of the pullback from target cochains (dst) to source cochains (src).
+
+    image maps a source stratum to its target stratum, and bridge_rows(x)
+    gives the rows of the matrix carrying the value at image(x) to x.
+    """
+    col = _by_tuple(dst)
+    mat = _zeros(sum(src.block_dims), sum(dst.block_dims))
+    for t, r0, w in zip(src.tuples, src.offsets, src.block_dims):
+        c0 = col.get(tuple(image(x) for x in t))
+        if w == 0 or c0 is None:
+            continue
+        for i, brow in enumerate(bridge_rows(t[-1])):
+            for j, x in enumerate(brow):
+                if x:
+                    mat[r0 + i][c0 + j] += x
+    return mat

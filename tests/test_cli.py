@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import assigncoh.cochain
+import assigncoh.coeffsys
 from assigncoh import (
     SpaceDescription,
     build_from_description,
@@ -193,6 +195,17 @@ def test_cohomology_relative(capsys, cp2_file):
                                 "--relative", "p1,p2,p3"])
     assert code == 0
     assert out.splitlines()[0] == "reduced: dim HA_rel^1 = 3"
+
+
+def test_cohomology_relative_to_no_strata(capsys, cp2_file):
+    code, out, _ = run(capsys, ["cohomology", cp2_file, "--degree", "0",
+                                "--relative", ","])
+    assert code == 0
+    assert out.splitlines()[0] == "reduced: dim HA_rel^0 = 3"
+    code, out, _ = run(capsys, ["--json", "cohomology", cp2_file, "--degree", "0",
+                                "--relative", ","])
+    assert code == 0
+    assert json.loads(out)["relative"] == []
 
 
 def test_cohomology_relative_unknown_subset(capsys, cp2_file):
@@ -399,6 +412,23 @@ def test_check_les_on_non_functorial_system_is_not_checked(capsys, perturbed_cub
     }
     code, _, _ = run(capsys, ["check", perturbed_cube_file, "--les", "v000,ghost"])
     assert code == cli.EXIT_SUBSET
+
+
+def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
+    path = str(tmp_path / "cube.space")
+    assert run(capsys, ["build", "polytope", "--cube", "--out", path])[0] == 0
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return check_functor(v)
+
+    monkeypatch.setattr(assigncoh.coeffsys, "check_functor", counting)
+    monkeypatch.setattr(assigncoh.cochain, "check_functor", counting)
+    code, out, _ = run(capsys, ["check", path, "--les", "v000"])
+    assert code == 0
+    assert "LES for pair (space, {v000}): exact" in out
+    assert len(calls) == 1
 
 
 def test_les_on_non_functorial_system_names_the_violation(perturbed_cube_file):

@@ -54,9 +54,21 @@ from oracles import (
     brute_cohomology_dim,
     brute_differential,
     brute_rank,
+    reference_block_scaling,
+    reference_homotopy_L,
+    reference_homotopy_Q,
+    reference_pullback,
     system_adapter,
 )
-from spaces import CP2_FIXED, cp2, s4, two_stratum, zero_system
+from spaces import (
+    CP2_FIXED,
+    cp2,
+    free_stratum,
+    s4,
+    s4_chain,
+    two_stratum,
+    zero_system,
+)
 
 S6 = build_sphere_product(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -244,6 +256,48 @@ def test_homotopies_reject_degree_zero():
     _, w = build_linear_rep([(1,)])
     with pytest.raises(ValueError):
         homotopy_Q(w, 0)
+
+
+def _dense_fractions(m):
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    return m.data
+
+
+def _random_dims_system(rng, space):
+    """Dims 0-3 and random rational cover maps: blocks of every width, empty ones too."""
+    dims = {x: rng.randint(0, 3) for x in space.ids}
+    maps = {(x, y): RatMatrix(dims[y], dims[x],
+                              [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                for _ in range(dims[x])] for _ in range(dims[y])])
+            for x, y in space.covers}
+    return CoefficientSystem.from_cover_maps(space, dims, maps)
+
+
+def test_homotopies_and_block_scaling_match_dense_reference_seeded():
+    rng = random.Random(89)
+    makers = [cp2, s4, lambda: s4_chain(2), two_stratum, free_stratum,
+              lambda: build_linear_rep([(1, 2), (1, 0), (0, 1)])]
+    checked_q = 0
+    for make in makers:
+        space, v = make()
+        minima = [x for x in space.ids
+                  if not any(y != x and space.leq(y, x) for y in space.ids)]
+        for w in (v, zero_system(space), _random_dims_system(rng, space),
+                  _random_dims_system(rng, space)):
+            for k in (1, 2, 3):
+                src = chain_basis(w, k, strict=False)
+                dst = chain_basis(w, k - 1, strict=False)
+                assert _dense_fractions(block_scaling_matrix(w, k)) == \
+                    reference_block_scaling(src)
+                assert _dense_fractions(homotopy_L(w, k)) == reference_homotopy_L(src, dst)
+                if len(minima) == 1:
+                    assert _dense_fractions(homotopy_Q(w, k)) == \
+                        reference_homotopy_Q(src, dst, minima[0])
+                    checked_q += 1
+                else:
+                    with pytest.raises(NoUniqueMinimumError):
+                        homotopy_Q(w, k)
+    assert checked_q == 3 * 4 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -563,3 +617,35 @@ def test_pullback_collapse_to_point():
     f = PosetMap(space, point, {x: "pt" for x in space.ids})
     m = pullback_matrix(f, zero_system(point), 0, v)
     assert (m.rows, m.cols) == (9, 0)
+
+
+def _pullback_cases():
+    space, v = cp2()
+    identity = PosetMap(space, space, {x: x for x in space.ids})
+    point = StratSpace.from_covers(2, {"pt": Subalgebra.full(2)}, [])
+    collapse = PosetMap(space, point, {x: "pt" for x in space.ids})
+    f, tri_v, seg_v = _segment_into_triangle()
+    # the maps above have identity or empty bridges; onto the point's own
+    # moment system the edges' bridges are 1x2
+    return [(identity, v, v, (0, 1, 2)), (f, tri_v, seg_v, (0, 1, 2)),
+            (collapse, zero_system(point), v, (0, 1)),
+            (collapse, moment_system(point), v, (0, 1, 2))]
+
+
+def test_pullback_matches_dense_reference_seeded():
+    rng = random.Random(97)
+    for f, v_target, v_source, degrees in _pullback_cases():
+        bridges = assigncoh.cochain._bridge_matrices(f, v_target, v_source)
+        for k in degrees:
+            src = chain_basis(v_source, k, strict=False)
+            dst = chain_basis(v_target, k, strict=False)
+            ref = reference_pullback(src, dst, f, lambda x: bridges[x].data)
+            assert _dense_fractions(pullback_matrix(f, v_target, k, v_source)) == ref
+            for _ in range(3):
+                coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(dst.total_dim)]
+                psi = pullback(f, v_target, Cochain(dst, coords), v_source)
+                assert psi.basis.tuples == src.tuples
+                assert list(psi.coords) == [sum((a * b for a, b in zip(row, coords)),
+                                                Fraction(0)) for row in ref]
+                assert all(type(x) is Fraction for x in psi.coords)
