@@ -14,7 +14,7 @@ from fractions import Fraction
 from graphlib import TopologicalSorter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coeffsys import CoefficientSystem, moment_system
+from .coeffsys import CoefficientSystem, _check_shapes, moment_system
 from .errors import MalformedPolytopeError, UnknownIdError
 from .errors import DescriptionError
 from .ratlin import RatMatrix, rank
@@ -508,6 +508,7 @@ def build_from_description(desc: SpaceDescription) -> Tuple[StratSpace, Coeffici
     for x in space.ids:
         if x not in desc.dims:
             raise DescriptionError(f"dims table misses stratum {x!r}")
+    _check_shapes(space, desc.dims, {}, ())  # before any zero block is built
     covers = set(space.covers)
     cover_maps = {}
     explicit = {}

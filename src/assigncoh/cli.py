@@ -103,6 +103,13 @@ def _cochain_blocks(c) -> Dict[str, List[str]]:
     }
 
 
+def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
+    """The checked subset a comma-separated option names ("" names {}); None if absent."""
+    if text is None:
+        return None
+    return coeffsys._check_subset(space, (s for s in text.split(",") if s))
+
+
 def _cohomology_block(system, degree: int, strict: bool, relative) -> dict:
     if relative is None:
         res = cochain.cohomology(system, degree, strict=strict)
@@ -117,9 +124,7 @@ def _cohomology_block(system, degree: int, strict: bool, relative) -> dict:
 
 def cmd_cohomology(args) -> Tuple[dict, List[str]]:
     space, system, digest = _load_space(args.file)
-    relative = None
-    if args.relative:
-        relative = frozenset(s for s in args.relative.split(",") if s)
+    relative = _subset_option(space, args.relative)
     which = {"full": [False], "reduced": [True], "both": [True, False]}[args.complex]
     report = {
         "command": "cohomology",
@@ -240,6 +245,7 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
 
 def cmd_check(args) -> Tuple[dict, List[str]]:
     space, system, digest = _load_space(args.file)
+    n = _subset_option(space, args.les)
     report = {"command": "check", "input_digest": digest}
     lines = []
 
@@ -267,8 +273,7 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         report["euler_characteristic"] = chi
         lines.append(f"euler characteristic = {chi}")
 
-    if args.les:
-        n = coeffsys._check_subset(space, (s for s in args.les.split(",") if s))
+    if n is not None:
         # the sequence is only defined for a functor: class coordinates of
         # induced maps fail on a perturbed system
         if fr.ok:

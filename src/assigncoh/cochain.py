@@ -21,11 +21,16 @@ each list, for a tuple, the tuples it reaches with a sign and a block, and
 looks up faces.
 
 Both long exact sequences, of a pair and of a short exact sequence of
-coefficient systems, come from one routine: given the three complexes and
-four chain-level maps (inclusion, projection, a lift and a retraction), it
-builds the induced maps on canonical representatives and the connecting
-maps, then checks exactness node by node.  The two public checks only
-validate their input and supply those maps.
+coefficient systems, come from one routine given the three complexes and
+the sequence's stratum maps f and g; a pair has none, and its blocks move
+unchanged.  Each chain map acts on one tuple's block at a time, through f
+or g (or solving through them) at the tuple's top stratum.  The block map
+`_carry` does that, and `pullback` uses it for its change of basis.
+Beside the public accessors (`ChainBasis.block`, `Cochain.value_on`),
+`_assemble` and `_carry` are the only code that looks up blocks by tuple.
+The routine checks that every connecting value lies in the image of the
+first complex, builds the induced maps on canonical representatives, then
+checks exactness node by node.
 
 A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
@@ -486,27 +491,33 @@ def relative_cohomology(
     return _Complex(v, strict, support=("rel", nset)).result(k)
 
 
-def _blocks(vec: SparseRow, basis: ChainBasis):
-    """The nonzero blocks of vec: (tuple, block values as a dense list).
+def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
+           h: Optional[SystemMorphism] = None, solving: bool = False) -> SparseRow:
+    """The block map: vec's blocks carried to the same tuples of dst.
 
-    A coordinate belongs to the last tuple whose offset is at most it;
-    tuples with empty blocks share the offset of the next block.
+    Tuples that dst lacks are dropped.  With h, each block goes through h
+    at the tuple's top stratum; with solving, it gets a preimage under h
+    instead (free variables zero), or is dropped if it has none.  Empty
+    blocks share the offset of the next block.
     """
     at: Dict[int, SparseRow] = {}
     for j, x in vec.items():
-        i = bisect_right(basis.offsets, j) - 1
-        at.setdefault(i, {})[j - basis.offsets[i]] = x
-    for i, blk in at.items():
-        yield basis.tuples[i], [blk.get(r, 0) for r in range(basis.block_dims[i])]
-
-
-def _move(vec: SparseRow, src: ChainBasis, dst: ChainBasis) -> SparseRow:
-    """vec's blocks moved to the same tuples of dst; tuples dst lacks are dropped."""
+        i = bisect_right(src.offsets, j) - 1
+        at.setdefault(i, {})[j - src.offsets[i]] = x
     out: SparseRow = {}
-    for t, vals in _blocks(vec, src):
-        blk = dst.block(t)
-        if blk is not None:
-            out.update((blk[0] + r, x) for r, x in enumerate(vals) if x)
+    for i, blk in at.items():
+        t = src.tuples[i]
+        o = dst.block(t)
+        if o is None:
+            continue
+        if h is not None:
+            m = h.map_at(t[-1])
+            vals = [blk.get(r, 0) for r in range(src.block_dims[i])]
+            img = solve(m, vals) if solving else m.apply(vals)
+            if img is None:
+                continue
+            blk = {r: _exact(x) for r, x in enumerate(img) if x}
+        out.update((o[0] + r, x) for r, x in blk.items())
     return out
 
 
@@ -562,35 +573,46 @@ def _induced_matrix(target: _CohomologyData, images: Iterable[SparseRow]) -> Rat
 
 
 def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
-                         i, p, lift, retract) -> ExactSequenceReport:
+                         f: Optional[SystemMorphism] = None,
+                         g: Optional[SystemMorphism] = None) -> ExactSequenceReport:
     """Long exact cohomology sequence of a short exact sequence 0 -> a -> b -> c -> 0.
 
-    labels names the three terms.  The chain-level maps take a degree and a
-    coordinate vector: i carries a into b and p carries b into c; lift gives
-    any preimage in b of a cochain of c, retract the unique preimage in a of
-    a cochain of b in the image of i.  The connecting map is
-    retract(d_b(lift(r))).  Degrees run to one past the last nonzero chain
-    space of b, beyond which everything is zero.  The induced maps need
-    cocycles to stay cocycles, which holds only for functors
-    (`_require_functors`).
+    labels names the three terms.  The chain maps act on each tuple's block
+    alone (`_carry`): i carries a into b through the stratum maps f and p
+    carries b into c through g; with no maps, as for a pair, every block
+    moves unchanged.  The connecting map lifts a cocycle of c through g,
+    applies d_b and retracts through f; carrying the retracted value back
+    through i must give d_b of the lift again.  Degrees run to one past the
+    last nonzero chain space of b, beyond which everything is zero.  The
+    induced maps need cocycles to stay cocycles, which holds only for
+    functors (`_require_functors`).
     """
     top = 0
     while b.basis(top + 1).tuples:
         top += 1
+
+    def connect(k, r):
+        w = _apply(b.d(k), _carry(r, c.basis(k), b.basis(k), g, solving=True))
+        lo, hi = a.basis(k + 1), b.basis(k + 1)
+        back = _carry(w, hi, lo, f, solving=True)
+        if _carry(back, lo, hi, f) != w:
+            raise AssertionError(
+                f"connecting value in degree {k + 1} leaves the image of {labels[0]}"
+            )
+        return back
+
     names: List[str] = []
     dims: List[int] = []
     maps: List[RatMatrix] = []
     for k in range(top + 2):
         ha, hb, hc = a.data(k), b.data(k), c.data(k)
+        ba, bb, bc = a.basis(k), b.basis(k), c.basis(k)
         names += [f"H^{k}({label})" for label in labels]
         dims += [ha.dim, hb.dim, hc.dim]
-        maps.append(_induced_matrix(hb, (i(k, r) for r in ha._rep_rows)))
-        maps.append(_induced_matrix(hc, (p(k, r) for r in hb._rep_rows)))
+        maps.append(_induced_matrix(hb, (_carry(r, ba, bb, f) for r in ha._rep_rows)))
+        maps.append(_induced_matrix(hc, (_carry(r, bb, bc, g) for r in hb._rep_rows)))
         if k <= top:
-            maps.append(_induced_matrix(
-                a.data(k + 1),
-                (retract(k + 1, _apply(b.d(k), lift(k, r))) for r in hc._rep_rows),
-            ))
+            maps.append(_induced_matrix(a.data(k + 1), (connect(k, r) for r in hc._rep_rows)))
     return _exactness_walk(names, dims, maps)
 
 
@@ -623,38 +645,7 @@ def _les_pair(v: CoefficientSystem, nset: frozenset) -> ExactSequenceReport:
     full = _Complex(v, True)
     rel = _Complex(v, True, support=("rel", nset), whole=full)
     sub = _Complex(v, True, support=("sub", nset), whole=full)
-
-    def retract(k, w):
-        wr = _move(w, full.basis(k), rel.basis(k))
-        if len(wr) != len(w):
-            raise AssertionError("differential left the relative subcomplex")
-        return wr
-
-    return _long_exact_sequence(
-        ("pair", "space", "subset"), rel, full, sub,
-        lambda k, r: _move(r, rel.basis(k), full.basis(k)),
-        lambda k, r: _move(r, full.basis(k), sub.basis(k)),
-        lambda k, r: _move(r, sub.basis(k), full.basis(k)),
-        retract,
-    )
-
-
-def _blockwise(h: SystemMorphism, vec: SparseRow, src: ChainBasis, dst: ChainBasis,
-               solving: bool = False) -> SparseRow:
-    """vec's nonzero blocks mapped through h (src -> dst coords).
-
-    With solving, vec lies in the target of h and each block gets one
-    preimage instead (free variables zero); zero blocks stay zero.
-    """
-    out: SparseRow = {}
-    for t, vals in _blocks(vec, src):
-        m = h.map_at(t[-1])
-        img = solve(m, vals) if solving else m.apply(vals)
-        if img is None:
-            raise AssertionError(f"no blockwise preimage at {t}")
-        o = dst.block(t)[0]
-        out.update((o + r, _exact(x)) for r, x in enumerate(img) if x)
-    return out
+    return _long_exact_sequence(("pair", "space", "subset"), rel, full, sub)
 
 
 def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenceReport:
@@ -669,14 +660,8 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
     if not report.ok:
         raise NotExactError(f"not a short exact sequence: {report}")
     _require_functors(f.source, f.target, g.target)
-    c1, c2, c3 = _Complex(f.source, True), _Complex(f.target, True), _Complex(g.target, True)
-    return _long_exact_sequence(
-        ("sub", "total", "quotient"), c1, c2, c3,
-        lambda k, r: _blockwise(f, r, c1.basis(k), c2.basis(k)),
-        lambda k, r: _blockwise(g, r, c2.basis(k), c3.basis(k)),
-        lambda k, r: _blockwise(g, r, c3.basis(k), c2.basis(k), solving=True),
-        lambda k, r: _blockwise(f, r, c2.basis(k), c1.basis(k), solving=True),
-    )
+    return _long_exact_sequence(("sub", "total", "quotient"), _Complex(f.source, True),
+                                _Complex(f.target, True), _Complex(g.target, True), f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +742,7 @@ def pullback(
     k = phi.basis.degree
     dst = chain_basis(v_target, k, strict=False)
     coords = {j: x for j, x in enumerate(phi.coords) if x}
-    vec = _move(coords, phi.basis, dst)
+    vec = _carry(coords, phi.basis, dst)
     if len(vec) != len(coords):
         raise ValueError("cochain has support outside the full basis")
     src = chain_basis(v_source, k, strict=False)

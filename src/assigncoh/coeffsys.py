@@ -21,6 +21,30 @@ from .ratlin import RatMatrix, rank
 from .stratposet import StratSpace
 
 
+def _check_shapes(space: StratSpace, dims: Mapping[str, int], proj, pairs) -> None:
+    """Check dims against the space and proj's matrix at each of pairs.
+
+    Runs before any matrix is built from dims or composed from proj.
+    """
+    for x in space.ids:
+        if x not in dims:
+            raise UnknownIdError(x)
+        if dims[x] < 0:
+            raise ValueError(f"negative dimension at {x!r}")
+    for x in dims:
+        if x not in space.stabilizers:
+            raise UnknownIdError(x)
+    for x, y in pairs:
+        m = proj.get((x, y))
+        if m is None:
+            raise ValueError(f"missing projection for pair ({x!r}, {y!r})")
+        if m.shape() != (dims[y], dims[x]):
+            raise ValueError(
+                f"projection ({x!r}, {y!r}) has shape {m.shape()}, "
+                f"expected ({dims[y]}, {dims[x]})"
+            )
+
+
 class CoefficientSystem:
     """Dimensions and projection matrices over a StratSpace.
 
@@ -36,27 +60,11 @@ class CoefficientSystem:
         dims: Mapping[str, int],
         proj: Mapping[Tuple[str, str], RatMatrix],
     ):
-        for x in space.ids:
-            if x not in dims:
-                raise UnknownIdError(x)
-            if dims[x] < 0:
-                raise ValueError(f"negative dimension at {x!r}")
-        for x in dims:
-            if x not in space.stabilizers:
-                raise UnknownIdError(x)
+        pairs = [(x, x) for x in space.ids] + space.comparable_pairs()
+        _check_shapes(space, dims, proj, pairs)
         self.space = space
         self.dims = dict(dims)
         self._proj = dict(proj)
-        pairs = [(x, x) for x in space.ids] + space.comparable_pairs()
-        for x, y in pairs:
-            m = self._proj.get((x, y))
-            if m is None:
-                raise ValueError(f"missing projection for pair ({x!r}, {y!r})")
-            if m.shape() != (self.dims[y], self.dims[x]):
-                raise ValueError(
-                    f"projection ({x!r}, {y!r}) has shape {m.shape()}, "
-                    f"expected ({self.dims[y]}, {self.dims[x]})"
-                )
         extra = sorted(set(self._proj) - set(pairs))
         if extra:
             x, y = extra[0]
@@ -79,16 +87,14 @@ class CoefficientSystem:
         the first and check_functor will name a violating triple.  Entries
         in `explicit` override anything composed.
         """
+        _check_shapes(space, dims, cover_maps, space.covers)
         proj: Dict[Tuple[str, str], RatMatrix] = {}
         for x in space.ids:
             proj[(x, x)] = RatMatrix.identity(dims[x])
         succ: Dict[str, List[str]] = {x: [] for x in space.ids}
         for x, y in space.covers:
             succ[x].append(y)
-            m = cover_maps.get((x, y))
-            if m is None:
-                raise ValueError(f"missing cover map for ({x!r}, {y!r})")
-            proj[(x, y)] = m
+            proj[(x, y)] = cover_maps[(x, y)]
         # strata sorted by shrinking upset is a linear extension of the order,
         # so proj[(x, y)] is composed by the time the walk above x reaches y
         topo = sorted(space.ids, key=lambda x: (-len(space.upset(x)), x))

@@ -149,6 +149,30 @@ def test_negative_torus_dim_is_input_error(capsys, tmp_path):
     assert "torus_dim must be >= 0" in json.loads(out)["error"]["message"]
 
 
+_CHAIN = ('{"torus_dim": 2, "strata": [{"id": "a", "stabilizer": [[1, 0], [0, 1]]}, '
+          '{"id": "b", "stabilizer": [[1, 0]]}, {"id": "c", "stabilizer": []}], '
+          '"covers": [["a", "b"], ["b", "c"]], "dims": {"a": 1, "b": @, "c": 1}, '
+          '"projections": [{"pair": ["a", "b"], "matrix": #}, '
+          '{"pair": ["b", "c"], "matrix": [["1"]]}]}')
+
+
+@pytest.mark.parametrize("dim_b, matrix, message", [
+    ("-1", '[["1"]]', "negative dimension at 'b'"),
+    ("-1", "[]", "negative dimension at 'b'"),
+    ("1", '[["1"], ["1"]]', "projection ('a', 'b') has shape (2, 1), expected (1, 1)"),
+])
+def test_system_data_is_checked_before_matrices_are_built(capsys, tmp_path, dim_b,
+                                                         matrix, message):
+    # a negative size or a wrong cover shape used to surface from ratlin,
+    # as "negative matrix dimensions" or a product shape mismatch
+    path = tmp_path / "chain.space"
+    path.write_text(_CHAIN.replace("@", dim_b).replace("#", matrix))
+    code, out, err = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(out)["error"]["message"] == message
+    assert err == f"error: {message}\n"
+
+
 def test_cycle_is_validation_error(capsys, tmp_path):
     desc = {
         "torus_dim": 1,
@@ -206,6 +230,27 @@ def test_cohomology_relative_to_no_strata(capsys, cp2_file):
                                 "--relative", ","])
     assert code == 0
     assert json.loads(out)["relative"] == []
+
+
+@pytest.mark.parametrize("subset", ["", ","])
+def test_empty_subset_options_name_the_empty_subset(capsys, cp2_file, subset):
+    # an empty option is a subset, not an absent one
+    code, out, _ = run(capsys, ["cohomology", cp2_file, "--degree", "0",
+                                "--relative", subset])
+    assert code == 0
+    assert out.splitlines()[0] == "reduced: dim HA_rel^0 = 3"
+    code, out, _ = run(capsys, ["--json", "cohomology", cp2_file, "--degree", "0",
+                                "--relative", subset])
+    assert code == 0
+    assert json.loads(out)["relative"] == []
+    code, out, _ = run(capsys, ["check", cp2_file, "--les", subset])
+    assert code == 0
+    assert out.splitlines()[2:] == ["LES for pair (space, {}): exact",
+                                    "node dims: 3, 3" + ", 0" * 10]
+    code, out, _ = run(capsys, ["--json", "check", cp2_file, "--les", subset])
+    assert code == 0
+    les = json.loads(out)["les"]
+    assert les["subset"] == [] and les["ok"]
 
 
 def test_cohomology_relative_unknown_subset(capsys, cp2_file):
@@ -373,9 +418,15 @@ def test_check_les(capsys, cp2_file):
     assert "node dims: 0, 3, 6, 3, 0, 0" in out
 
 
-def test_check_les_unknown_subset(capsys, cp2_file):
+def test_check_les_unknown_subset(capsys, cp2_file, monkeypatch):
+    # an unknown subset fails before the functor laws and d^2 = 0 are checked
+    calls = []
+    monkeypatch.setattr(assigncoh.coeffsys, "check_functor", calls.append)
+    monkeypatch.setattr(assigncoh.cochain, "d_squared_witness", calls.append)
     code, _, err = run(capsys, ["check", cp2_file, "--les", "ghost"])
     assert code == cli.EXIT_SUBSET
+    assert "ghost" in err
+    assert calls == []
 
 
 @pytest.fixture()

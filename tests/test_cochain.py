@@ -44,9 +44,9 @@ from assigncoh.cochain import (
     Cochain,
     _Complex,
     _apply,
+    _carry,
     _differential,
     _exactness_walk,
-    _move,
     d_squared_witness,
 )
 
@@ -483,7 +483,7 @@ def test_move_splits_cochains_into_relative_and_subset_parts():
         sub = chain_basis(v, k, support=("sub", n))
         for _ in range(10):
             vec = _random_sparse(rng, full.total_dim)
-            parts = [(b, _move(vec, full, b)) for b in (rel, sub)]
+            parts = [(b, _carry(vec, full, b)) for b in (rel, sub)]
             assert sum(len(w) for _, w in parts) == len(vec)
             whole = Cochain(full, [vec.get(j, 0) for j in range(full.total_dim)])
             back = {}
@@ -491,7 +491,7 @@ def test_move_splits_cochains_into_relative_and_subset_parts():
                 part = Cochain(b, [w.get(j, 0) for j in range(b.total_dim)])
                 for t in b.tuples:
                     assert part.value_on(t) == whole.value_on(t)
-                back.update(_move(w, b, full))
+                back.update(_carry(w, b, full))
             assert back == vec
 
 
@@ -506,6 +506,68 @@ def test_les_coefficients_reproduces_pair_sequence():
     assert rep.node_dims[:n] == pair_rep.node_dims[:n]
     assert rep.dims_by_degree()[0] == (0, 3, 6)
     assert rep.dims_by_degree()[1] == (3, 0, 0)
+
+
+def _bidiagonal(n, inverse=False):
+    # T = 2I + N, N the shift above the diagonal; T^-1 = sum_k (-N)^k / 2^(k+1)
+    if inverse:
+        return RatMatrix.from_rows(
+            [[Fraction((-1) ** (j - i), 2 ** (j - i + 1)) if j >= i else 0 for j in range(n)]
+             for i in range(n)])
+    return RatMatrix.from_rows(
+        [[2 if j == i else int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+def test_les_coefficients_through_non_identity_stratum_maps():
+    # pair_ses with its middle system conjugated by T at each stratum:
+    # f becomes T and g becomes g T^-1, neither identities nor zeros, and
+    # the sequence keeps its dims and ranks
+    space, v = cp2()
+    nonfixed = [x for x in space.ids if x not in CP2_FIXED]
+    f, g = pair_ses(v, nonfixed)
+    t = {x: _bidiagonal(v.dims[x]) for x in space.ids}
+    t_inv = {x: _bidiagonal(v.dims[x], inverse=True) for x in space.ids}
+    assert all(t[x] @ t_inv[x] == RatMatrix.identity(v.dims[x]) for x in space.ids)
+    w = CoefficientSystem(space, dict(v.dims),
+                          {(x, y): t[y] @ v.proj(x, y) @ t_inv[x] for x, y in v.pairs()})
+    f2 = SystemMorphism(f.source, w, {x: t[x] @ f.map_at(x) for x in space.ids})
+    g2 = SystemMorphism(w, g.target, {x: g.map_at(x) @ t_inv[x] for x in space.ids})
+    maps = [f2.map_at(x) for x in space.ids] + [g2.map_at(x) for x in space.ids]
+    assert not any(m.is_zero() or m == RatMatrix.identity(m.rows) for m in maps
+                   if m.rows and m.cols)
+    rep = les_coefficients_check(f2, g2)
+    plain = les_coefficients_check(f, g)
+    assert rep.ok
+    assert rep.node_dims == plain.node_dims
+    assert rep.map_ranks == plain.map_ranks
+    assert rep.dims_by_degree()[:2] == [(0, 3, 6), (3, 0, 0)]
+
+
+def _connecting_value_all_ones(monkeypatch):
+    # d_b(lift(r)) is the only product of sparse rows by a vector in the
+    # sequence; make it 1 at every coordinate of the next chain space
+    monkeypatch.setattr(assigncoh.cochain, "_apply",
+                        lambda rows, vec: {i: 1 for i in range(len(rows))})
+
+
+def test_les_pair_connecting_check_fires(monkeypatch):
+    # tuples inside the subset, such as (p1, e12), are not relative chains
+    _, v = cp2()
+    n = {"p1", "p2", "e12"}
+    assert les_pair_check(v, n).ok
+    _connecting_value_all_ones(monkeypatch)
+    with pytest.raises(AssertionError, match="connecting value in degree 1"):
+        les_pair_check(v, n)
+
+
+def test_les_coefficients_connecting_check_fires(monkeypatch):
+    space, v = cp2()
+    f = SystemMorphism.zero(zero_system(space), v)
+    g = SystemMorphism.identity(v)
+    assert les_coefficients_check(f, g).ok
+    _connecting_value_all_ones(monkeypatch)
+    with pytest.raises(AssertionError, match="connecting value in degree 1"):
+        les_coefficients_check(f, g)
 
 
 def test_les_coefficients_identity_then_zero():
