@@ -6,7 +6,8 @@ serialized as "p/q" strings, never floats.
 
 Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax),
 2 semantic validation, 3 subset is not a union of strata, 4 incompatible
-minimal values, 5 moment condition failed.
+minimal values, 5 moment condition failed, 6 stdout closed before the
+output was written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -41,6 +43,7 @@ EXIT_VALIDATION = 2
 EXIT_SUBSET = 3
 EXIT_INCOMPATIBLE = 4
 EXIT_CONDITION = 5
+EXIT_PIPE = 6
 
 
 def _digest(data: bytes) -> str:
@@ -261,7 +264,17 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         bad = fr.composition_violations or fr.identity_violations
         lines.append(f"functor laws: FAIL at {bad[0]}")
 
-    witness = cochain.d_squared_witness(system, 2, strict=False)
+    # Degree 0 decides d^2 = 0 in every degree.  For a weak tuple
+    # t = (x_0, ..., x_{k+2}) and u = t minus two entries, the (t, u) block of
+    # d_{k+1} d_k sums the two orders of removing them:
+    # - two non-top entries: identity blocks of opposite sign, which cancel;
+    # - the top and x_i with i < k+1: proj(x_{k+1}, x_{k+2}) with opposite
+    #   sign, which cancel;
+    # - the pair {k+1, k+2}: -D(x_k, x_{k+1}, x_{k+2}), where
+    #   D(a, b, c) = proj(b, c) proj(a, b) - proj(a, c).
+    # (x_k, x_{k+1}, x_{k+2}) is itself a weak tuple of degree 2, so
+    # d_{k+1} d_k != 0 only if d_1 d_0 != 0, and the verdict covers 0..2.
+    witness = cochain.d_squared_witness(system, 0, strict=False)
     square_ok = witness is None
     report["d_squared_zero"] = {"ok": square_ok, "degree": witness}
     lines.append(
@@ -442,6 +455,20 @@ def _fail(args, exc: Exception, code: int) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point stdout at os.devnull so that
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _run(args) -> int:
     try:
         report, lines = args.handler(args)
     except tuple(c for classes, _ in _ERROR_EXITS for c in classes) as exc:

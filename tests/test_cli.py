@@ -1,6 +1,10 @@
 """Command line interface: commands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -427,6 +431,59 @@ def test_check_les_unknown_subset(capsys, cp2_file, monkeypatch):
     assert code == cli.EXIT_SUBSET
     assert "ghost" in err
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def cs_file(tmp_path_factory):
+    """cube x square (243 strata), built through the command line."""
+    d = tmp_path_factory.mktemp("cs")
+    cube, square, cs = (str(d / f"{n}.space") for n in ("cube", "square", "cs"))
+    for argv in (["build", "polytope", "--cube", "--out", cube],
+                 ["build", "polytope", "--square", "--out", square],
+                 ["build", "product", "--left", cube, "--right", square, "--out", cs]):
+        assert cli.main(argv) == 0
+    return cs
+
+
+def test_check_builds_no_weak_basis_above_degree_two(capsys, cp2_file, monkeypatch):
+    built = []
+
+    class Spy(assigncoh.cochain.ChainBasis):
+        def __init__(self, system, degree, strict, tuples):
+            built.append((degree, strict))
+            super().__init__(system, degree, strict, tuples)
+
+    monkeypatch.setattr(assigncoh.cochain, "ChainBasis", Spy)
+    code, out, _ = run(capsys, ["check", cp2_file, "--euler"])
+    assert code == 0
+    assert "d^2 = 0 (degrees 0..2): ok" in out
+    assert built and max(k for k, strict in built if not strict) == 2
+
+
+def test_check_euler_on_cube_times_square(capsys, cs_file):
+    code, out, err = run(capsys, ["check", cs_file, "--euler"])
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == [
+        "functor laws: ok",
+        "d^2 = 0 (degrees 0..2): ok",
+        "euler characteristic = 10",
+    ]
+
+
+def test_closed_stdout_pipe_exits_cleanly(cs_file):
+    # the report (about 177 KB) is larger than a pipe buffer, so the write
+    # itself meets the closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "assigncoh", "--json", "assignments", cs_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 @pytest.fixture()

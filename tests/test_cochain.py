@@ -23,6 +23,7 @@ from assigncoh import (
     build_sphere_product,
     chain_basis,
     chain_space_dim,
+    check_functor,
     cohomology,
     differential_matrix,
     euler_characteristic,
@@ -107,6 +108,77 @@ def test_d_squared_witness_matches_dense_product():
                 @ differential_matrix(system, k, strict=strict)).is_zero()), None)
             assert d_squared_witness(system, 2, strict=strict) == dense
     assert d_squared_witness(bad, 2, strict=False) == 0
+
+
+def _constant_system(space, n):
+    """The constant functor Q^n: every tuple has a nonzero block."""
+    return CoefficientSystem.from_cover_maps(
+        space, dict.fromkeys(space.ids, n),
+        {pair: RatMatrix.identity(n) for pair in space.covers})
+
+
+def _perturbed(rng, v, pairs):
+    """v with a new random block on one of `pairs` whose two strata have nonzero dim."""
+    proj = {pair: v.proj(*pair) for pair in v.pairs()}
+    x, y = rng.choice([(x, y) for x, y in pairs if v.dims[x] and v.dims[y]])
+    new = proj[(x, y)]
+    while new == proj[(x, y)]:
+        new = RatMatrix(v.dims[y], v.dims[x],
+                        [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                          for _ in range(v.dims[x])] for _ in range(v.dims[y])])
+    proj[(x, y)] = new
+    return CoefficientSystem(v.space, v.dims, proj)
+
+
+def test_idempotent_identity_breaks_the_functor_laws_but_not_d_squared():
+    # proj(open, open) = P with P^2 = P, and every map into open lands in the
+    # image of P: D(a, open, open), D(a, a, open) and D(open, open, open) vanish
+    space, _ = cp2()
+    v = _constant_system(space, 2)
+    p = RatMatrix.from_rows([[1, 0], [0, 0]])
+    proj = {pair: v.proj(*pair) for pair in v.pairs()}
+    for x, y in proj:
+        if y == "open":
+            proj[(x, y)] = p
+    w = CoefficientSystem(space, v.dims, proj)
+    assert check_functor(w).identity_violations == ("open",)
+    assert not check_functor(w).composition_violations
+    for strict in (False, True):
+        assert d_squared_witness(w, 3, strict=strict) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _poly("cube"), cp2, lambda: S6,
+    lambda: build_product(_poly("square"), _poly("segment")),
+], ids=["cube", "cp2", "s6", "square*segment"])
+def test_degree_zero_witness_decides_degrees_zero_to_three_seeded(make):
+    # every non-cancelling block of d_{k+1} d_k is +-D(x_k, x_{k+1}, x_{k+2}),
+    # and that triple is a tuple of degree 2, so `check` reads degree 0 only
+    rng = random.Random(97)
+    space, moment = make()
+    identities = [(x, x) for x in space.ids]
+    others = space.comparable_pairs()
+    kinds = {"identity": [identities], "composition": [others],
+             "mixed": [identities, others]}
+    seen = Counter()
+    for base in (moment, _constant_system(space, 2)):
+        cases = [("none", base)]
+        for kind, groups in kinds.items():
+            for _ in range(3):
+                w = base
+                for pairs in groups:
+                    w = _perturbed(rng, w, pairs)
+                cases.append((kind, w))
+        for kind, w in cases:
+            for strict in (False, True):
+                top = d_squared_witness(w, 3, strict=strict)
+                assert d_squared_witness(w, 0, strict=strict) == top, (kind, strict)
+                seen[kind, strict, top] += 1
+    # perturbations do break d^2; the strict complex never reads proj(x, x)
+    assert seen["identity", False, 0] and seen["composition", False, 0]
+    assert seen["mixed", False, 0] and seen["composition", True, 0]
+    assert not seen["identity", True, 0]
+    assert seen["none", False, None] == seen["none", True, None] == 2
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -512,3 +512,37 @@ def test_recombination_is_additive_randomized():
             merged.append((f, g))
         assert recombine(FormCoefficients(w, tuple(merged))) == \
             recombine(fa).add(recombine(fb))
+
+
+# ---------------------------------------------------------------------------
+# suite 7: full and reduced complexes agree in every degree
+
+def _random_small_system(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return build_linear_rep(_random_weight_rows(rng, rng.randint(1, 2), rng.randint(1, 3)))
+    if kind == 1:
+        rows = _random_weight_rows(rng, 2, rng.randint(1, 3))
+        if all(x == 0 for x in rows[0]):
+            rows[0] = (1, rows[0][1])
+        return build_sphere_product(2, rows)
+    polygon = rng.choice(("triangle", "square", "pentagon"))
+    return build_product(build_polytope(preset_polytope(polygon)),
+                         build_polytope(preset_polytope("segment")))
+
+
+def test_full_equals_reduced_in_every_degree_randomized():
+    # weak tuples repeat entries, so the full chain spaces never vanish;
+    # the degrees run to one past the last nonzero reduced chain space,
+    # where the reduced dim is 0 and the full dim must be 0 too
+    rng = random.Random(83)
+    cases = higher = 0
+    while cases < 200:
+        _, v = _random_small_system(rng)
+        top = max((k for k in range(len(v.space.ids)) if chain_space_dim(v, k)), default=-1)
+        for k in range(top + 2):
+            dim = cohomology(v, k).dim
+            assert cohomology(v, k, strict=False).dim == dim, k
+            higher += k > 0 and dim > 0
+            cases += 1
+    assert cases >= 200 and higher
