@@ -4,10 +4,10 @@ Commands read JSON space files, run the exact computations, and emit
 deterministic reports: same input bytes, same output bytes.  Rationals are
 serialized as "p/q" strings, never floats.
 
-Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax),
-2 semantic validation, 3 subset is not a union of strata, 4 incompatible
-minimal values, 5 moment condition failed, 6 stdout closed before the
-output was written.
+Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax,
+over-long integer literals, over-deep nesting), 2 semantic validation,
+3 subset is not a union of strata, 4 incompatible minimal values, 5 moment
+condition failed, 6 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -50,16 +50,28 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_space(path: str):
+def _read_json(path: str, malformed: str):
+    """(decoded JSON, raw bytes) of an input file.
+
+    An unreadable file raises _InputError "cannot read <path>: <reason>";
+    bytes that do not decode raise _InputError "<path>: <malformed> (<error>)".
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e.strerror}") from None
     try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise _InputError(f"{path}: not valid JSON ({e})") from None
+        return json.loads(raw.decode("utf-8")), raw
+    except (ValueError, RecursionError) as e:
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and an
+        # integer literal longer than the interpreter converts;
+        # RecursionError is over-deep nesting
+        raise _InputError(f"{path}: {malformed} ({e})") from None
+
+
+def _load_space(path: str):
+    obj, raw = _read_json(path, "not valid JSON")
     desc = SpaceDescription.from_json_dict(obj)
     space, system = builders.build_from_description(desc)
     return space, system, _digest(raw)
@@ -201,15 +213,12 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
             data = builders.preset_polytope(chosen[0])
             params = {"preset": chosen[0]}
         else:
+            malformed = "malformed polytope file"
+            obj, raw = _read_json(args.file, malformed)
             try:
-                with open(args.file, "rb") as fh:
-                    raw = fh.read()
-                obj = json.loads(raw.decode("utf-8"))
                 data = builders.PolytopeData.from_json_dict(obj)
-            except OSError as e:
-                raise _InputError(f"cannot read {args.file}: {e.strerror}") from None
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as e:
-                raise _InputError(f"{args.file}: malformed polytope file ({e})") from None
+            except (KeyError, TypeError, ValueError) as e:
+                raise _InputError(f"{args.file}: {malformed} ({e})") from None
             params = {"file_digest": _digest(raw)}
         space, system = builders.build_polytope(data)
     elif args.kind == "product":
@@ -310,19 +319,15 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
 
 def cmd_extend(args) -> Tuple[dict, List[str]]:
     space, system, digest = _load_space(args.file)
+    malformed = "malformed values file"
+    obj, raw = _read_json(args.values, malformed)
     try:
-        with open(args.values, "rb") as fh:
-            raw = fh.read()
-        obj = json.loads(raw.decode("utf-8"))
         table = {
             str(x): tuple(Fraction(str(e)) for e in builders._json_list(vec))
             for x, vec in obj["values"].items()
         }
-    except OSError as e:
-        raise _InputError(f"cannot read {args.values}: {e.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, AttributeError,
-            TypeError, ValueError, ZeroDivisionError) as e:
-        raise _InputError(f"{args.values}: malformed values file ({e})") from None
+    except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise _InputError(f"{args.values}: {malformed} ({e})") from None
     minimal = assignops.MinimalAssignment(table)
     full = assignops.extend_minimal(system, minimal)
     values = _vector_table(full.values)
@@ -352,6 +357,8 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
     fc = momentpoly.decompose(p)
     if not momentpoly.verify_decomposition(p, fc):
         raise RuntimeError("decomposition does not reproduce the polynomial")
+    fs = [f.to_text() for f, _ in fc.pairs]
+    gs = [g.to_text() for _, g in fc.pairs]
     report = {
         "command": "decompose",
         "input_digest": _digest(
@@ -359,9 +366,9 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
         ),
         "psi": p.to_text(),
         "condition": "ok",
-        "f": [f.to_text() for f, _ in fc.pairs],
-        "g": [g.to_text() for _, g in fc.pairs],
-        "one_form": fc.one_form_text(),
+        "f": fs,
+        "g": gs,
+        "one_form": momentpoly._one_form(zip(fs, gs)),
     }
     lines = [f"psi = {report['psi']}", "condition: ok"]
     for j, (f, g) in enumerate(zip(report["f"], report["g"])):

@@ -9,6 +9,11 @@ Both questions are answered by one elimination per monomial support: the
 criterion fails exactly at the monomials whose covector has no solution
 over those weights, and the solutions of the others (smallest-index
 pivots, free variables zero) are the cofactor coefficients.
+
+Coefficients follow the convention of `ratlin.sparse_rref`: an int where
+the value is integral, a `Fraction` only where a denominator remains, never
+`Fraction(n, 1)`.  Values compare and hash equal either way, and
+`str(3) == str(Fraction(3))`, so the texts do not depend on it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from .errors import (
 from .ratlin import _exact, sparse_rref
 
 ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
+
+
+def _coef(x):
+    """x as an exact coefficient: an int where integral, else a Fraction."""
+    return x if type(x) is int else _exact(Fraction(x))
 
 
 def _exp_text(k: Sequence[int], l: Sequence[int]) -> str:
@@ -54,7 +64,7 @@ class MomentPolynomial:
         self.weights = weights
         clean = {}
         for key, vec in terms.items():
-            v = tuple(Fraction(x) for x in vec)
+            v = tuple(map(_coef, vec))
             if len(v) != weights.torus_dim:
                 raise ArityError(
                     f"coefficient has length {len(v)}, expected {weights.torus_dim}"
@@ -89,7 +99,7 @@ class MomentPolynomial:
         return MomentPolynomial(self.weights, out)
 
     def scale(self, c) -> "MomentPolynomial":
-        c = Fraction(c)
+        c = _coef(c)
         return MomentPolynomial(
             self.weights,
             {key: tuple(c * x for x in vec) for key, vec in self.terms.items()},
@@ -116,7 +126,7 @@ class ScalarPoly:
     def __init__(self, d: int, terms: Optional[Dict[ExpPair, Fraction]] = None):
         self.d = d
         self.terms = {
-            key: Fraction(c) for key, c in (terms or {}).items() if c != 0
+            key: _coef(c) for key, c in (terms or {}).items() if c != 0
         }
 
     def __eq__(self, other):
@@ -132,11 +142,11 @@ class ScalarPoly:
         return not self.terms
 
     def added(self, key: ExpPair, c: Fraction) -> None:
-        cur = self.terms.get(key, Fraction(0)) + c
+        cur = self.terms.get(key, 0) + c
         if cur == 0:
             self.terms.pop(key, None)
         else:
-            self.terms[key] = cur
+            self.terms[key] = _exact(cur)
 
     def to_text(self) -> str:
         if not self.terms:
@@ -165,40 +175,41 @@ class FormCoefficients:
 
     def one_form_text(self) -> str:
         """Invariant primitive one-form, written out coordinate by coordinate."""
-        inner = []
-        for j, (f, g) in enumerate(self.pairs):
-            inner.append(f"({f.to_text()}) dz{j + 1} - ({g.to_text()}) dzb{j + 1}")
-        return "mu = -sqrt(-1) * [ " + " + ".join(inner) + " ]"
+        return _one_form((f.to_text(), g.to_text()) for f, g in self.pairs)
+
+
+def _one_form(texts) -> str:
+    """The one-form from the texts (f_j, g_j) of the cofactor pairs."""
+    inner = [f"({f}) dz{j + 1} - ({g}) dzb{j + 1}" for j, (f, g) in enumerate(texts)]
+    return "mu = -sqrt(-1) * [ " + " + ".join(inner) + " ]"
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
+# every non-space character starts a match, so the matches tile the text
 _TOKEN = re.compile(
-    r"\s*(?:(?P<var>zb?\d+)|(?P<num>\d+)|(?P<punct>[\[\],+\-*/^]))"
+    r"\s*(?:(?P<var>zb?\d+)|(?P<num>\d+)|(?P<punct>[\[\],+\-*/^])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        if m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        elif m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append((m.group("punct"), m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, at = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", at)
+        tokens.append((value if kind == "punct" else kind, value, at))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _int(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:   # more digits than the interpreter converts
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
 
 
 class _Parser:
@@ -217,22 +228,26 @@ class _Parser:
         self.i += 1
         return tok
 
-    def rational(self) -> Fraction:
+    def number(self) -> int:
+        _, digits, at = self.take("num")
+        return _int(digits, at)
+
+    def rational(self):
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
                 sign = -sign
-        num_tok = self.take("num")
-        value = Fraction(int(num_tok[1]))
+        value = self.number()
         if self.peek()[0] == "/":
             self.take()
-            den_tok = self.take("num")
-            if int(den_tok[1]) == 0:
-                raise ParseError("zero denominator", den_tok[2])
-            value /= int(den_tok[1])
+            at = self.peek()[2]
+            den = self.number()
+            if den == 0:
+                raise ParseError("zero denominator", at)
+            value = Fraction(value, den)
         return sign * value
 
-    def vector(self) -> Tuple[Fraction, ...]:
+    def vector(self) -> tuple:
         open_tok = self.take("[")
         entries = []
         if self.peek()[0] != "]":
@@ -248,7 +263,7 @@ class _Parser:
             )
         return tuple(entries)
 
-    def term(self) -> Tuple[ExpPair, Tuple[Fraction, ...]]:
+    def term(self) -> Tuple[ExpPair, tuple]:
         vec = self.vector()
         d = self.weights.count
         k, l = [0] * d, [0] * d
@@ -258,7 +273,7 @@ class _Parser:
             var_tok = self.take("var")
             name = var_tok[1]
             conj = name.startswith("zb")
-            idx = int(name[2:] if conj else name[1:])
+            idx = _int(name[2:] if conj else name[1:], var_tok[2])
             if not 1 <= idx <= d:
                 raise ArityError(
                     f"variable {name} out of range for {d} coordinates "
@@ -267,16 +282,16 @@ class _Parser:
             exp = 1
             if self.peek()[0] == "^":
                 self.take()
-                exp = int(self.take("num")[1])
+                exp = self.number()
             (l if conj else k)[idx - 1] += exp
         return (tuple(k), tuple(l)), vec
 
     def poly(self) -> MomentPolynomial:
-        terms: Dict[ExpPair, List[Fraction]] = {}
+        terms: Dict[ExpPair, list] = {}
 
         def absorb(sign: int):
             key, vec = self.term()
-            cur = terms.setdefault(key, [Fraction(0)] * self.weights.torus_dim)
+            cur = terms.setdefault(key, [0] * self.weights.torus_dim)
             for j, x in enumerate(vec):
                 cur[j] += sign * x
         sign = 1
@@ -340,7 +355,7 @@ def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fractio
         rows = []
         for r in range(n):
             row = {c: p.weights.rows[i][r] for c, i in enumerate(support)}
-            row.update((m + t, _exact(p.terms[key][r])) for t, key in enumerate(keys))
+            row.update((m + t, p.terms[key][r]) for t, key in enumerate(keys))
             rows.append({c: x for c, x in row.items() if x})
         red, pivots = sparse_rref(rows, m + len(keys))
         rank = sum(1 for c in pivots if c < m)
@@ -349,9 +364,9 @@ def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fractio
             if any(c in row for row in red[rank:]):
                 solutions[key] = None
                 continue
-            lam = [Fraction(0)] * m
+            lam = [0] * m
             for row, piv in zip(red[:rank], pivots):
-                lam[piv] = Fraction(row.get(c, 0))
+                lam[piv] = row.get(c, 0)
             solutions[key] = lam
     return [(key, solutions[key]) for key in sorted(p.terms)]
 
@@ -392,10 +407,10 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
 def recombine(fc: FormCoefficients) -> MomentPolynomial:
     """Expand sum_j (z_j f_j + zbar_j g_j) alpha_j back into a polynomial."""
     w = fc.weights
-    terms: Dict[ExpPair, List[Fraction]] = {}
+    terms: Dict[ExpPair, list] = {}
 
-    def bump(key: ExpPair, c: Fraction, alpha: Sequence[int]):
-        cur = terms.setdefault(key, [Fraction(0)] * w.torus_dim)
+    def bump(key: ExpPair, c, alpha: Sequence[int]):
+        cur = terms.setdefault(key, [0] * w.torus_dim)
         for r in range(w.torus_dim):
             cur[r] += c * alpha[r]
 

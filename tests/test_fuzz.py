@@ -5,6 +5,10 @@ dims and cover projections) get one or two leaves replaced by hostile
 JSON values.  Every command run on the result must return a documented
 exit code (0-5) and raise nothing.  Mutations that grow sizes (a huge
 torus_dim, say) are left out: there is no size budget to refuse them yet.
+
+Integer literals longer than the interpreter converts and nesting deeper
+than the JSON decoder follows are tried on their own, in every input file
+and in a polynomial: each must exit 1.
 """
 
 import copy
@@ -81,3 +85,43 @@ def test_mutated_space_files_end_in_documented_exit_codes(capsys, tmp_path, squa
                 assert code in range(6), (name, changes, command, code)
                 codes.add(code)
     assert {0, 1, 2} <= codes
+
+
+LONG = "9" * 5000   # over the interpreter's default limit of 4300 digits
+DEEP = "[" * 200_000
+
+
+def test_over_long_literals_and_deep_nesting_exit_1(capsys, tmp_path, square_files):
+    space = tmp_path / "square.space"
+    space.write_text(json.dumps(square_files["square"]))
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps({"values": {}}))
+    long_space = json.dumps(square_files["square"]).replace('"torus_dim": 2', '"torus_dim": ' + LONG)
+    assert LONG in long_space
+    hostile = {
+        "long.space": long_space,
+        "long-values.json": '{"values": {"v0": [' + LONG + ', 0]}}',
+        "long-polytope.json": '{"dim": ' + LONG + ', "facets": [], "vertices": []}',
+        "deep.json": DEEP,
+    }
+    runs = []
+    for name, text in hostile.items():
+        path = tmp_path / name
+        path.write_text(text)
+        runs += [
+            ["assignments", str(path)],
+            ["extend", str(path), "--values", str(values)],
+            ["extend", str(space), "--values", str(path)],
+            ["build", "polytope", "--file", str(path)],
+        ]
+    for psi in ["[" + LONG + "] z1", "[1] z1^" + LONG, "[1/" + LONG + "] z1", "[1] z" + LONG]:
+        runs.append(["decompose", "--weights", "1", "--psi", psi])
+    for argv in runs:
+        for report in ([], ["--json"]):
+            try:
+                code = cli.main(report + argv)
+            except Exception as exc:   # the finding: report the input
+                pytest.fail(f"{[a[:40] for a in argv]}: raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code == 1, ([a[:40] for a in argv], code, err[:200])
+            assert err.startswith("error: ") and "Traceback" not in err

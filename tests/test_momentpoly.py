@@ -76,6 +76,30 @@ def test_parse_error_unexpected_character():
         parse_poly("[1] z1 +", W1)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("[1] z1 + #", "unexpected character '#'", 9),
+    ("[1] z", "unexpected character 'z'", 4),
+    ("", "expected '[', found 'end of input'", 0),
+    ("[1/0] z1", "zero denominator", 3),
+    ("[1] z1^", "expected 'num', found 'end of input'", 7),
+    # longer than the interpreter's integer digit limit (4300 by default)
+    ("[" + "9" * 5000 + "] z1", "integer literal of 5000 digits is too long", 1),
+    ("[1] z1^" + "9" * 5000, "integer literal of 5000 digits is too long", 7),
+    ("[1/" + "9" * 5000 + "] z1", "integer literal of 5000 digits is too long", 3),
+    ("[1] z" + "9" * 5000, "integer literal of 5000 digits is too long", 4),
+], ids=["character", "variable", "empty", "denominator", "exponent",
+        "long-numerator", "long-exponent", "long-denominator", "long-index"])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, W1)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_parse_ignores_surrounding_whitespace():
+    assert parse_poly("  [1] z1  ", W1) == parse_poly("[1] z1", W1)
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ParseError):
         parse_poly("[1/0] z1", W1)
@@ -88,6 +112,47 @@ def test_parse_arity_errors():
         parse_poly("[1] z3", WSTD)           # no third variable
     with pytest.raises(ArityError):
         parse_poly("[1] zb9", W2)
+
+
+def _exact_types(values):
+    """Every value is an int, or a Fraction with a denominator other than 1."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values
+    )
+
+
+def test_coefficients_are_ints_where_integral():
+    p = parse_poly("[4/2, 3] z1 + [1/2, 0] z2 + [1/2, 0] z2 + [-1/3, 1] zb1", WSTD)
+    assert p.terms == {
+        ((1, 0), (0, 0)): (2, 3),
+        ((0, 1), (0, 0)): (1, 0),
+        ((0, 0), (1, 0)): (Fraction(-1, 3), 1),
+    }
+    assert all(_exact_types(v) for v in p.terms.values())
+    built = MomentPolynomial(WSTD, {((1, 0), (0, 0)): (Fraction(6, 3), "1/2"),
+                                    ((0, 1), (0, 0)): (True, 2.0)})
+    assert built.terms == {((1, 0), (0, 0)): (2, Fraction(1, 2)), ((0, 1), (0, 0)): (1, 2)}
+    assert all(_exact_types(v) for v in built.terms.values())
+    assert all(_exact_types(v) for v in p.scale(Fraction(3)).terms.values())
+    assert all(_exact_types(v) for v in p.scale("3/2").terms.values())
+    s = ScalarPoly(2, {((1, 0), (0, 0)): Fraction(4, 2), ((0, 1), (0, 0)): Fraction(1, 2)})
+    assert _exact_types(s.terms.values())
+    s.added(((0, 1), (0, 0)), Fraction(1, 2))
+    assert s.terms == {((1, 0), (0, 0)): 2, ((0, 1), (0, 0)): 1}
+    assert _exact_types(s.terms.values())
+
+
+def test_decompose_and_recombine_keep_the_convention():
+    # opposite weights: z1 z2 has solutions with a denominator, others do not
+    w = WeightMatrix.from_rows([(2,), (-2,), (1,)])
+    p = parse_poly("[3] z1 zb1 + [1] z1 zb3 + [3] z3^2 + [6] z1 z3 zb2", w)
+    fc = decompose(p)
+    values = [c for pair in fc.pairs for poly in pair for c in poly.terms.values()]
+    assert any(type(c) is Fraction for c in values) and any(type(c) is int for c in values)
+    assert _exact_types(values)
+    back = recombine(fc)
+    assert back == p
+    assert all(_exact_types(v) for v in back.terms.values())
 
 
 def test_text_roundtrip():
@@ -261,6 +326,19 @@ def test_verify_rejects_wrong_cofactors():
     bad = FormCoefficients(W1, ((zero, zero),))
     assert not verify_decomposition(p, bad)
     assert verify_decomposition(MomentPolynomial(W1, {}), bad)
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 2)])
+def test_verify_rejects_one_cofactor_off(delta):
+    p = parse_poly("[3] z1 zb1 + [2] z1^2 zb1 + [1] zb1", W1)
+    fc = decompose(p)
+    assert verify_decomposition(p, fc)
+    (f1, g1), = fc.pairs
+    key = min(f1.terms)
+    assert type(f1.terms[key]) is int
+    bad = ScalarPoly(1, dict(f1.terms))
+    bad.added(key, delta)
+    assert not verify_decomposition(p, FormCoefficients(W1, ((bad, g1),)))
 
 
 def test_hand_built_symmetric_split_verifies():
