@@ -515,7 +515,10 @@ def build_from_description(desc: SpaceDescription) -> Tuple[StratSpace, Coeffici
     for x, y, mat in desc.projections or []:
         if x not in strata or y not in strata:
             raise UnknownIdError(x if x not in strata else y)
-        m = RatMatrix.from_rows(mat) if mat else RatMatrix.zeros(desc.dims[y], desc.dims[x])
+        if (x, y) in cover_maps or (x, y) in explicit:
+            raise DescriptionError(f"duplicate projection for pair ({x!r}, {y!r})")
+        # [] has no rows to give its width: the 0-row matrix on V(x)
+        m = RatMatrix.from_rows(mat) if mat else RatMatrix.zeros(0, desc.dims[x])
         if (x, y) in covers:
             cover_maps[(x, y)] = m
         else:

@@ -273,22 +273,10 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         bad = fr.composition_violations or fr.identity_violations
         lines.append(f"functor laws: FAIL at {bad[0]}")
 
-    # Degree 0 decides d^2 = 0 in every degree.  For a weak tuple
-    # t = (x_0, ..., x_{k+2}) and u = t minus two entries, the (t, u) block of
-    # d_{k+1} d_k sums the two orders of removing them:
-    # - two non-top entries: identity blocks of opposite sign, which cancel;
-    # - the top and x_i with i < k+1: proj(x_{k+1}, x_{k+2}) with opposite
-    #   sign, which cancel;
-    # - the pair {k+1, k+2}: -D(x_k, x_{k+1}, x_{k+2}), where
-    #   D(a, b, c) = proj(b, c) proj(a, b) - proj(a, c).
-    # (x_k, x_{k+1}, x_{k+2}) is itself a weak tuple of degree 2, so
-    # d_{k+1} d_k != 0 only if d_1 d_0 != 0, and the verdict covers 0..2.
-    witness = cochain.d_squared_witness(system, 0, strict=False)
-    square_ok = witness is None
-    report["d_squared_zero"] = {"ok": square_ok, "degree": witness}
-    lines.append(
-        "d^2 = 0 (degrees 0..2): ok" if square_ok else f"d^2 = 0: FAIL at degree {witness}"
-    )
+    # every degree's d^2 = 0, read off the functor report (README, `check`)
+    square_ok = coeffsys.weak_square_zero(system, fr)
+    report["d_squared_zero"] = {"ok": square_ok, "degree": None if square_ok else 0}
+    lines.append("d^2 = 0 (degrees 0..2): ok" if square_ok else "d^2 = 0: FAIL at degree 0")
 
     if args.euler:
         chi = cochain.euler_characteristic(system)

@@ -281,26 +281,6 @@ def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> Ra
     )
 
 
-def d_squared_witness(v: CoefficientSystem, max_degree: int,
-                      strict: bool = True) -> Optional[int]:
-    """First degree k <= max_degree with d_{k+1} d_k != 0, or None.
-
-    The two sparse differentials are composed row by row, stopping at the
-    first nonzero row of the product.
-    """
-    cx = _Complex(v, strict)
-    for k in range(max_degree + 1):
-        lo = cx.d(k)
-        for row in cx.d(k + 1):
-            acc: SparseRow = {}
-            for j, x in row.items():
-                for i, y in lo[j].items():
-                    acc[i] = acc.get(i, 0) + x * y
-            if any(acc.values()):
-                return k
-    return None
-
-
 class _CohomologyData:
     """Kernel, image, and canonical representatives at one degree.
 

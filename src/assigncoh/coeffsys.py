@@ -171,6 +171,26 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
     return FunctorReport(tuple(bad_id), tuple(bad_comp))
 
 
+def weak_square_zero(v: CoefficientSystem, report: FunctorReport) -> bool:
+    """Whether d^2 = 0 on the weak-tuple complex, read off v's functor report.
+
+    It holds exactly when D(a, b, c) = proj(b, c) proj(a, b) - proj(a, c)
+    vanishes on every weak triple (README, `check`).  On a strict triple that
+    is a composition law; a triple with a repeat repeats b, and can fail only
+    where P = proj(b, b) is not the identity.
+    """
+    if report.composition_violations:
+        return False
+    space = v.space
+    for x in report.identity_violations:
+        p = v.proj(x, x)
+        outs = [v.proj(x, c) for c in space.above(x)]
+        ins = [v.proj(a, x) for a in space.ids if a != x and space.leq(a, x)]
+        if p @ p != p or any(m @ p != m for m in outs) or any(p @ m != m for m in ins):
+            return False
+    return True
+
+
 def _check_subset(space: StratSpace, n: Iterable[str]) -> frozenset:
     n = frozenset(n)
     bad = sorted(x for x in n if x not in space.stabilizers)

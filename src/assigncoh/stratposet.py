@@ -329,6 +329,8 @@ def chains(space: StratSpace, k: int, strict: bool) -> List[Tuple[str, ...]]:
     step = space._above if strict else {x: tuple(sorted(space.upset(x))) for x in space.ids}
     out = [(x,) for x in space.ids]
     for _ in range(k):
+        if not out:
+            break
         out = [t + (y,) for t in out for y in step[t[-1]]]
     return out
 

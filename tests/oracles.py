@@ -1,17 +1,22 @@
 """Independent oracles used by the tests.
 
-Everything here is written against the mathematical definitions directly,
-without importing the package, so agreement is meaningful: plain Gaussian
-elimination for ranks, the dense first-nonzero Gauss-Jordan elimination
-as the reference for RREF, kernel and solve, a column elimination with
-a unimodular transform as the reference for saturated lattices,
-brute-force tuple enumeration and cover relations, a from-scratch
-assembly of the cochain differential, and one dense loop each for the
-block scaling, the homotopies L and Q and the pullback.
+Everything here but `d_squared_witness` is written against the
+mathematical definitions directly, without the package's code, so
+agreement is meaningful: plain Gaussian elimination for ranks, the dense
+first-nonzero Gauss-Jordan elimination as the reference for RREF, kernel
+and solve, a column elimination with a unimodular transform as the
+reference for saturated lattices, brute-force tuple enumeration and cover
+relations, a from-scratch assembly of the cochain differential, and one
+dense loop each for the block scaling, the homotopies L and Q and the
+pullback.  `d_squared_witness` multiplies the package's own assembled
+differentials: it is the reference that `check`'s closed-form d^2 = 0
+verdict is gated against, and it fails when the assembly's signs are off.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from assigncoh.cochain import _Complex
 
 
 def brute_rank(rows):
@@ -294,6 +299,25 @@ def system_adapter(system):
         return [list(m.row(i)) for i in range(m.rows)]
 
     return list(space.ids), space.leq, dims, proj_rows
+
+
+def d_squared_witness(v, max_degree, strict=True):
+    """First degree k <= max_degree with d_{k+1} d_k != 0, or None.
+
+    The two sparse differentials are composed row by row, stopping at the
+    first nonzero row of the product.
+    """
+    cx = _Complex(v, strict)
+    for k in range(max_degree + 1):
+        lo = cx.d(k)
+        for row in cx.d(k + 1):
+            acc = {}
+            for j, x in row.items():
+                for i, y in lo[j].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(acc.values()):
+                return k
+    return None
 
 
 # ---------------------------------------------------------------------------

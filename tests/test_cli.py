@@ -38,6 +38,12 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _module_env():
+    """Environment in which `python -m assigncoh` imports this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 # ---------------------------------------------------------------------------
 # assignments
 
@@ -164,6 +170,8 @@ _CHAIN = ('{"torus_dim": 2, "strata": [{"id": "a", "stabilizer": [[1, 0], [0, 1]
     ("-1", '[["1"]]', "negative dimension at 'b'"),
     ("-1", "[]", "negative dimension at 'b'"),
     ("1", '[["1"], ["1"]]', "projection ('a', 'b') has shape (2, 1), expected (1, 1)"),
+    # [] is the matrix with no rows, not a zero block of the expected shape
+    ("1", "[]", "projection ('a', 'b') has shape (0, 1), expected (1, 1)"),
 ])
 def test_system_data_is_checked_before_matrices_are_built(capsys, tmp_path, dim_b,
                                                          matrix, message):
@@ -175,6 +183,20 @@ def test_system_data_is_checked_before_matrices_are_built(capsys, tmp_path, dim_
     assert code == cli.EXIT_VALIDATION
     assert json.loads(out)["error"]["message"] == message
     assert err == f"error: {message}\n"
+
+
+def test_duplicate_projection_is_input_error(capsys, tmp_path):
+    # a second entry for (a, b) would otherwise replace the first unseen
+    path = tmp_path / "chain.space"
+    path.write_text(_CHAIN.replace("@", "1").replace(
+        "#", '[["1"]]}, {"pair": ["a", "b"], "matrix": [["2"]]'))
+    code, out, err = run(capsys, ["--json", "check", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"] == {
+        "type": "DescriptionError",
+        "message": "duplicate projection for pair ('a', 'b')",
+    }
+    assert err == "error: duplicate projection for pair ('a', 'b')\n"
 
 
 def test_cycle_is_validation_error(capsys, tmp_path):
@@ -262,6 +284,18 @@ def test_cohomology_relative_unknown_subset(capsys, cp2_file):
                                 "--relative", "p1,ghost"])
     assert code == cli.EXIT_SUBSET
     assert "ghost" in err
+
+
+def test_cohomology_far_above_the_longest_chain(cp2_file):
+    # no strict chain is that long: enumeration must stop once none is left,
+    # not run one round per degree
+    env = _module_env()
+    degree = str(10**18)
+    proc = subprocess.run([sys.executable, "-m", "assigncoh", "cohomology", cp2_file,
+                           "--degree", degree],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"reduced: dim HA^{degree} = 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +460,7 @@ def test_check_les_unknown_subset(capsys, cp2_file, monkeypatch):
     # an unknown subset fails before the functor laws and d^2 = 0 are checked
     calls = []
     monkeypatch.setattr(assigncoh.coeffsys, "check_functor", calls.append)
-    monkeypatch.setattr(assigncoh.cochain, "d_squared_witness", calls.append)
+    monkeypatch.setattr(assigncoh.coeffsys, "weak_square_zero", calls.append)
     code, _, err = run(capsys, ["check", cp2_file, "--les", "ghost"])
     assert code == cli.EXIT_SUBSET
     assert "ghost" in err
@@ -446,6 +480,7 @@ def cs_file(tmp_path_factory):
 
 
 def test_check_builds_no_weak_basis_above_degree_two(capsys, cp2_file, monkeypatch):
+    # the d^2 line is read off the functor report: without --les, no basis at all
     built = []
 
     class Spy(assigncoh.cochain.ChainBasis):
@@ -457,7 +492,7 @@ def test_check_builds_no_weak_basis_above_degree_two(capsys, cp2_file, monkeypat
     code, out, _ = run(capsys, ["check", cp2_file, "--euler"])
     assert code == 0
     assert "d^2 = 0 (degrees 0..2): ok" in out
-    assert built and max(k for k, strict in built if not strict) == 2
+    assert built == []
 
 
 def test_check_euler_on_cube_times_square(capsys, cs_file):
@@ -474,8 +509,7 @@ def test_check_euler_on_cube_times_square(capsys, cs_file):
 def test_closed_stdout_pipe_exits_cleanly(cs_file):
     # the report (about 177 KB) is larger than a pipe buffer, so the write
     # itself meets the closed pipe
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = _module_env()
     proc = subprocess.Popen([sys.executable, "-m", "assigncoh", "--json", "assignments", cs_file],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.read(1) == b"{"
