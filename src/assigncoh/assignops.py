@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .coeffsys import CoefficientSystem
+from .coeffsys import CoefficientSystem, _push
 from .cochain import cohomology
 from .errors import (
     IncompatibleMinimalValuesError,
@@ -78,7 +78,7 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
     """
     bad = []
     for x, y in v.space.comparable_pairs():
-        pushed = v.proj(x, y).apply(list(candidate.value(x)))
+        pushed = _push(v._rows(x, y), candidate.value(x))
         residual = vec_sub(pushed, candidate.value(y))
         if any(residual):
             bad.append(((x, y), tuple(residual)))
@@ -127,7 +127,7 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
         origin[x] = x
     for x in minima:
         for y in space.above(x):
-            pushed = tuple(v.proj(x, y).apply(list(values[x])))
+            pushed = _push(v._rows(x, y), values[x])
             if y in values:
                 if values[y] != pushed:
                     raise IncompatibleMinimalValuesError((origin[y], x, y))

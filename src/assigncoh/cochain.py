@@ -73,6 +73,7 @@ from .ratlin import (
     _frac,
     _integral,
     _normalize,
+    _sparse,
     rank,
     solve,
     sparse_echelon,
@@ -175,9 +176,10 @@ def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
     """Sparse rows of a chain-level operator, one per coordinate of rows_of.
 
     For each tuple t of rows_of, terms(t) lists (u, sign, block): sign times
-    block (a matrix, or None for the identity) goes into the rows of t at
-    the columns of u in cols_of.  Tuples that cols_of lacks are skipped, and
-    entries that cancel (repeated faces of a weak tuple) are dropped.
+    block (a projection's sparse rows, or None for the identity) goes into
+    the rows of t at the columns of u in cols_of.  Tuples that cols_of
+    lacks are skipped, and entries that cancel (repeated faces of a weak
+    tuple) are dropped.
     """
     index, offsets = cols_of.index, cols_of.offsets
     rows: Rows = []
@@ -194,10 +196,10 @@ def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
                 for c, row in enumerate(block, c0):
                     row[c] = row.get(c, 0) + s
                 continue
-            for row, mrow in zip(block, m.data):
-                for c, x in enumerate(mrow, c0):
-                    if x:
-                        row[c] = row.get(c, 0) + s * _exact(x)
+            for row, mrow in zip(block, m):
+                for c, x in mrow.items():
+                    c += c0
+                    row[c] = row.get(c, 0) + s * x
         rows.extend(row if all(row.values()) else {c: x for c, x in row.items() if x}
                     for row in block)
     return rows
@@ -209,7 +211,7 @@ def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Row
     Faces keeping the top stratum are identity blocks with alternating
     sign; dropping the top stratum projects the value.
     """
-    proj = v.proj
+    proj = v._rows
 
     def terms(t):
         n = len(t) - 1
@@ -688,7 +690,7 @@ def _pullback_rows(f: PosetMap, v_target: CoefficientSystem,
         raise InvalidMorphismError(
             f"not a morphism of stratified spaces: {report}"
         )
-    bridges = _bridge_matrices(f, v_target, v_source)
+    bridges = {x: _sparse(m) for x, m in _bridge_matrices(f, v_target, v_source).items()}
     return _assemble(src, dst, lambda t: [(tuple(map(f, t)), 1, bridges[t[-1]])])
 
 

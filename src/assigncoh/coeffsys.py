@@ -7,18 +7,69 @@ example is the moment system, whose space at X is spanned by the canonical
 stabilizer basis of X, with projections given by restriction of
 functionals.
 
-Projection matrices are stored for every weakly comparable pair, shaped
-dims(Y) x dims(X) for X below Y, acting on coordinate columns.
+A projection for X below Y is dims(Y) x dims(X), acting on coordinate
+columns.  A system keeps the matrices it is given (the identities and the
+cover maps, the explicit entries of a description, or every pair when the
+constructor is given them all) as sparse rows, one per coordinate of Y,
+with int entries where integral and Fractions only where a denominator
+remains.  Any other pair is composed from the cover maps on first use and
+memoized.  The readers in this package (the differential, the functor and
+d^2 checks, sub/quotient systems, assignments) take those rows; `proj`
+builds the public `RatMatrix` of Fractions on demand.
+
+>>> from assigncoh.builders import build_linear_rep
+>>> space, v = build_linear_rep([(1, 0), (0, 1)])
+>>> space.covers[0], v._rows(*space.covers[0])
+(('c', 'c_1'), [{1: 1}])
+>>> all(type(x) is int for p in v.pairs() for row in v._rows(*p) for x in row.values())
+True
+>>> from assigncoh.builders import SpaceDescription, build_from_description
+>>> desc = SpaceDescription.from_json_dict({
+...     "torus_dim": 1, "covers": [["a", "b"]], "dims": {"a": 1, "b": 1},
+...     "strata": [{"id": "a", "stabilizer": [[1]]}, {"id": "b", "stabilizer": []}],
+...     "projections": [{"pair": ["a", "b"], "matrix": [["1/2"]]}]})
+>>> _, w = build_from_description(desc)
+>>> w._rows("a", "b")
+[{0: Fraction(1, 2)}]
+>>> w.proj("b", "b").data, w.proj("a", "b").data
+([[Fraction(1, 1)]], [[Fraction(1, 2)]])
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, rank
+from .ratlin import RatMatrix, SparseRow, _exact, _sparse, rank
 from .stratposet import StratSpace
+
+# a projection as sparse rows, one per coordinate of the upper stratum
+Rows = List[SparseRow]
+
+_ZERO = Fraction(0)
+
+
+def _identity_rows(n: int) -> Rows:
+    return [{i: 1} for i in range(n)]
+
+
+def _mul(a: Rows, b: Rows) -> Rows:
+    """The rows of a @ b, ints kept where integral and columns ascending."""
+    out = []
+    for arow in a:
+        acc: SparseRow = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: _exact(acc[j]) for j in sorted(acc) if acc[j]})
+    return out
+
+
+def _push(rows: Rows, vec) -> Tuple:
+    """The rows applied to a vector of Fractions, as a tuple of Fractions."""
+    return tuple(sum((x * vec[j] for j, x in row.items()), _ZERO) for row in rows)
 
 
 def _check_shapes(space: StratSpace, dims: Mapping[str, int], proj, pairs) -> None:
@@ -45,6 +96,17 @@ def _check_shapes(space: StratSpace, dims: Mapping[str, int], proj, pairs) -> No
             )
 
 
+def _check_comparable(space: StratSpace, pairs) -> None:
+    """Raise ValueError at the first of pairs (sorted) that is not weakly comparable."""
+    extra = sorted(p for p in pairs
+                   if p[0] not in space.stabilizers or p[1] not in space.upset(p[0]))
+    if extra:
+        x, y = extra[0]
+        raise ValueError(
+            f"projection given for pair ({x!r}, {y!r}), which is not comparable"
+        )
+
+
 class CoefficientSystem:
     """Dimensions and projection matrices over a StratSpace.
 
@@ -60,17 +122,31 @@ class CoefficientSystem:
         dims: Mapping[str, int],
         proj: Mapping[Tuple[str, str], RatMatrix],
     ):
-        pairs = [(x, x) for x in space.ids] + space.comparable_pairs()
-        _check_shapes(space, dims, proj, pairs)
+        _check_shapes(space, dims, proj, [(x, x) for x in space.ids] + space.comparable_pairs())
+        _check_comparable(space, proj)
+        self._keep(space, dims, {pair: _sparse(m) for pair, m in proj.items()}, {})
+
+    def _keep(self, space: StratSpace, dims: Mapping[str, int],
+              given: Dict[Tuple[str, str], Rows],
+              covers: Mapping[Tuple[str, str], Rows]) -> None:
+        """Store the given rows; covers are what compositions are made of."""
         self.space = space
         self.dims = dict(dims)
-        self._proj = dict(proj)
-        extra = sorted(set(self._proj) - set(pairs))
-        if extra:
-            x, y = extra[0]
-            raise ValueError(
-                f"projection given for pair ({x!r}, {y!r}), which is not comparable"
-            )
+        self._at = given             # public rows, memoized compositions too
+        self._covers = covers
+        self._composed: Dict[Tuple[str, str], Rows] = {}
+        self._lower: Optional[Dict[str, List[str]]] = None
+
+    @classmethod
+    def _of_rows(cls, space: StratSpace, dims: Mapping[str, int],
+                 covers: Mapping[Tuple[str, str], Rows],
+                 explicit: Mapping[Tuple[str, str], Rows]) -> "CoefficientSystem":
+        given = {(x, x): _identity_rows(dims[x]) for x in space.ids}
+        given.update(covers)
+        given.update(explicit)
+        v = cls.__new__(cls)
+        v._keep(space, dims, given, covers)
+        return v
 
     @classmethod
     def from_cover_maps(
@@ -85,42 +161,69 @@ class CoefficientSystem:
         Composition walks covers in a fixed order, so the result is
         deterministic; if different paths disagree the construction keeps
         the first and check_functor will name a violating triple.  Entries
-        in `explicit` override anything composed.
+        in `explicit` override the public value of their pair, never a
+        step of another pair's composition.  Pairs are composed on first
+        use (see _compose).
         """
         _check_shapes(space, dims, cover_maps, space.covers)
-        proj: Dict[Tuple[str, str], RatMatrix] = {}
-        for x in space.ids:
-            proj[(x, x)] = RatMatrix.identity(dims[x])
-        succ: Dict[str, List[str]] = {x: [] for x in space.ids}
-        for x, y in space.covers:
-            succ[x].append(y)
-            proj[(x, y)] = cover_maps[(x, y)]
-        # strata sorted by shrinking upset is a linear extension of the order,
-        # so proj[(x, y)] is composed by the time the walk above x reaches y
-        topo = sorted(space.ids, key=lambda x: (-len(space.upset(x)), x))
-        position = {y: i for i, y in enumerate(topo)}
-        for x in space.ids:
-            for y in sorted(space.above(x), key=position.__getitem__):
-                for z in sorted(succ[y]):
-                    if (x, z) not in proj:
-                        proj[(x, z)] = proj[(y, z)] @ proj[(x, y)]
-        if explicit:
-            for pair, m in explicit.items():
-                proj[pair] = m
-        return cls(space, dims, proj)
+        explicit = dict(explicit or {})
+        order = sorted(explicit, key=lambda p: (p[0] != p[1], p))
+        _check_shapes(space, dims, explicit,
+                      [p for p in order if p[0] in space.stabilizers
+                       and p[1] in space.upset(p[0])])
+        _check_comparable(space, explicit)
+        return cls._of_rows(
+            space, dims, {c: _sparse(cover_maps[c]) for c in space.covers},
+            {pair: _sparse(m) for pair, m in explicit.items()})
+
+    def _rows(self, x: str, y: str) -> Rows:
+        """proj(x, y) as rows; x must lie weakly below y."""
+        rows = self._at.get((x, y))
+        if rows is None:
+            rows = self._at[(x, y)] = self._path(x, y)
+        return rows
+
+    def _path(self, x: str, z: str) -> Rows:
+        """The cover map at (x, z), or its composition: never an explicit entry."""
+        rows = self._covers.get((x, z))
+        if rows is None:
+            rows = self._composed.get((x, z))
+            if rows is None:
+                rows = self._composed[(x, z)] = self._compose(x, z)
+        return rows
+
+    def _compose(self, x: str, z: str) -> Rows:
+        """proj(x, z) for x < z not a cover: cover(y, z) @ path(x, y).
+
+        y is the lower cover of z strictly above x that comes first in the
+        order by shrinking upset, then id.  That order is a linear extension,
+        so this is the first path a walk up from x along it reaches z by.
+        """
+        if self._lower is None:
+            space = self.space
+            topo = sorted(space.ids, key=lambda s: (-len(space.upset(s)), s))
+            position = {s: i for i, s in enumerate(topo)}
+            lower: Dict[str, List[str]] = {s: [] for s in space.ids}
+            for a, b in space.covers:
+                lower[b].append(a)
+            for ys in lower.values():
+                ys.sort(key=position.__getitem__)
+            self._lower = lower
+        up = self.space.upset(x)   # x itself is no lower cover of z here
+        y = next(y for y in self._lower[z] if y in up)
+        return _mul(self._covers[(y, z)], self._path(x, y))
 
     def proj(self, x: str, y: str) -> RatMatrix:
         if x not in self.dims:
             raise UnknownIdError(x)
         if y not in self.dims:
             raise UnknownIdError(y)
-        try:
-            return self._proj[(x, y)]
-        except KeyError:
-            raise ValueError(f"strata {x!r} and {y!r} are not comparable") from None
+        if y not in self.space.upset(x):
+            raise ValueError(f"strata {x!r} and {y!r} are not comparable")
+        return RatMatrix.from_sparse(self._rows(x, y), self.dims[x])
 
     def pairs(self) -> List[Tuple[str, str]]:
-        return sorted(self._proj)
+        return sorted([(x, x) for x in self.space.ids] + self.space.comparable_pairs())
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -136,14 +239,15 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     each basis vector of Y expands uniquely over the basis of X; those
     coefficient rows form the projection, which is exactly restriction of
     linear functionals in stabilizer coordinates.  Only the covers are
-    solved, once, when the space is loaded (StratSpace.cover_coords): the
-    other pairs are composed from them by from_cover_maps.
-    Along X < Y < Z, expanding the basis of Z over Y and then over X gives
-    an expansion of Z over X, and that expansion is unique, so every
-    composed projection equals the one a direct solve would give.
+    solved, once, when the space is loaded (StratSpace.cover_coords, integer
+    rows that the system keeps as they are): the other pairs are composed
+    from them on first use, as from_cover_maps would.  Along X < Y < Z,
+    expanding the basis of Z over Y and then over X gives an expansion of
+    Z over X, and that expansion is unique, so every composed projection
+    equals the one a direct solve would give.
     """
     dims = {x: space.stabilizer(x).dim for x in space.ids}
-    return CoefficientSystem.from_cover_maps(space, dims, space.cover_coords)
+    return CoefficientSystem._of_rows(space, dims, space.cover_coords, {})
 
 
 @dataclass(frozen=True)
@@ -159,14 +263,13 @@ class FunctorReport:
 def check_functor(v: CoefficientSystem) -> FunctorReport:
     """Exhaustively verify identity and composition laws of the system."""
     space = v.space
-    bad_id = []
-    for x in space.ids:
-        if v.proj(x, x) != RatMatrix.identity(v.dims[x]):
-            bad_id.append(x)
+    rows = v._rows
+    bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
     bad_comp = []
     for x, y in space.comparable_pairs():
+        first = rows(x, y)
         for z in space.above(y):
-            if v.proj(y, z) @ v.proj(x, y) != v.proj(x, z):
+            if _mul(rows(y, z), first) != rows(x, z):
                 bad_comp.append((x, y, z))
     return FunctorReport(tuple(bad_id), tuple(bad_comp))
 
@@ -183,10 +286,11 @@ def weak_square_zero(v: CoefficientSystem, report: FunctorReport) -> bool:
         return False
     space = v.space
     for x in report.identity_violations:
-        p = v.proj(x, x)
-        outs = [v.proj(x, c) for c in space.above(x)]
-        ins = [v.proj(a, x) for a in space.ids if a != x and space.leq(a, x)]
-        if p @ p != p or any(m @ p != m for m in outs) or any(p @ m != m for m in ins):
+        p = v._rows(x, x)
+        outs = [v._rows(x, c) for c in space.above(x)]
+        ins = [v._rows(a, x) for a in space.ids if a != x and space.leq(a, x)]
+        if (_mul(p, p) != p or any(_mul(m, p) != m for m in outs)
+                or any(_mul(p, m) != m for m in ins)):
             return False
     return True
 
@@ -223,13 +327,13 @@ def _closure_direction(space: StratSpace, n: frozenset) -> str:
 def _kept_on(v: CoefficientSystem, keep: frozenset) -> CoefficientSystem:
     """v on the strata of keep, zero elsewhere: projections touching the rest vanish."""
     dims = {x: (v.dims[x] if x in keep else 0) for x in v.space.ids}
-    proj = {}
+    rows = {}
     for x, y in v.pairs():
         if x in keep and y in keep:
-            proj[(x, y)] = v.proj(x, y)
+            rows[(x, y)] = v._rows(x, y)
         else:
-            proj[(x, y)] = RatMatrix.zeros(dims[y], dims[x])
-    return CoefficientSystem(v.space, dims, proj)
+            rows[(x, y)] = [{}] * dims[y]
+    return CoefficientSystem._of_rows(v.space, dims, {}, rows)
 
 
 def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem:
@@ -276,10 +380,9 @@ class SystemMorphism:
                     f"map at {x!r} has shape {m.shape()}, expected "
                     f"({target.dims[x]}, {source.dims[x]})"
                 )
+        rows = {x: _sparse(maps[x]) for x in space.ids}
         for x, y in space.comparable_pairs():
-            left = maps[y] @ source.proj(x, y)
-            right = target.proj(x, y) @ maps[x]
-            if left != right:
+            if _mul(rows[y], source._rows(x, y)) != _mul(target._rows(x, y), rows[x]):
                 raise ValueError(f"naturality square fails at pair ({x!r}, {y!r})")
         self.source = source
         self.target = target

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from .ratlin import RatMatrix
+from .ratlin import RatMatrix, SparseRow
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +149,7 @@ class Subalgebra:
     def coordinates_of(self, other: "Subalgebra") -> Optional[RatMatrix]:
         """Basis of other over this basis, one row each (other.dim x self.dim).
 
-        None when other does not lie inside this subalgebra.  Each row of
-        other is reduced against the basis pivot by pivot, in order: the
-        basis is echelon, so the coefficient of basis row i is the residual
-        at pivot i divided by that pivot.  The lattice is saturated, so a
-        vector of the span has integer coordinates; a nonzero remainder or
-        a nonzero final residual means the vector lies outside the span.
+        None when other does not lie inside this subalgebra.
 
         >>> plane = Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]])
         >>> plane.coordinates_of(Subalgebra.span(3, [[2, 4, 0]])).data
@@ -162,23 +157,40 @@ class Subalgebra:
         >>> plane.coordinates_of(Subalgebra.span(3, [[0, 1, 1]])) is None
         True
         """
+        rows = self._coordinate_rows(other)
+        return None if rows is None else RatMatrix.from_sparse(rows, self.dim)
+
+    def _coordinate_rows(self, other: "Subalgebra") -> Optional[List[SparseRow]]:
+        """coordinates_of as sparse integer rows (basis index -> coefficient).
+
+        Each row of other is reduced against the basis pivot by pivot, in
+        order: the basis is echelon, so the coefficient of basis row i is
+        the residual at pivot i divided by that pivot.  The lattice is
+        saturated, so a vector of the span has integer coordinates; a
+        nonzero remainder or a nonzero final residual means the vector lies
+        outside the span.
+
+        >>> Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]])._coordinate_rows(
+        ...     Subalgebra.span(3, [[2, 4, 0]]))
+        [{0: 1, 1: 2}]
+        """
         if self.ambient_dim != other.ambient_dim or other.dim > self.dim:
             return None
         pivots = [next(j for j, x in enumerate(b) if x) for b in self.basis_rows]
         rows = []
         for v in other.basis_rows:
-            coords = []
-            for b, p in zip(self.basis_rows, pivots):
+            coords = {}
+            for i, (b, p) in enumerate(zip(self.basis_rows, pivots)):
                 q, rem = divmod(v[p], b[p])
                 if rem:
                     return None
                 if q:
                     v = [x - q * y for x, y in zip(v, b)]
-                coords.append(q)
+                    coords[i] = q
             if any(v):
                 return None
             rows.append(coords)
-        return RatMatrix.from_rows(rows) if rows else RatMatrix.zeros(0, self.dim)
+        return rows
 
     def contains(self, other: "Subalgebra") -> bool:
         return self.coordinates_of(other) is not None
@@ -195,6 +207,38 @@ class Subalgebra:
         return f"Subalgebra(dim={self.dim}/{self.ambient_dim}, basis={self.basis_rows})"
 
 
+def _canonical_span(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> Subalgebra:
+    """Subalgebra.span(ambient_dim, vectors), without elimination when the
+    vectors already are its basis.
+
+    They are when no row is zero, each leading entry is 1, the leading
+    columns strictly increase and every other row is 0 in each leading
+    column.  Such rows are reduced echelon with unit pivots: they span a
+    saturated lattice and are its Hermite basis.  The check is exact and
+    O(rows x ambient_dim); anything else goes through span.
+
+    >>> _canonical_span(3, [[1, 0, 2], [0, 1, -1]]).basis_rows
+    ((1, 0, 2), (0, 1, -1))
+    >>> _canonical_span(2, [[2, 2]]).basis_rows
+    ((1, 1),)
+    """
+    vectors = list(vectors)
+    rows = []
+    for v in vectors:
+        row = tuple(int(x) for x in v)
+        if len(row) != ambient_dim:
+            break
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if (lead is None or row[lead] != 1 or (rows and lead <= last)
+                or any(r[lead] for r in rows)):
+            break
+        rows.append(row)
+        last = lead
+    else:
+        return Subalgebra(ambient_dim, tuple(rows))
+    return Subalgebra.span(ambient_dim, vectors)
+
+
 # ---------------------------------------------------------------------------
 # the poset
 
@@ -203,14 +247,15 @@ class StratSpace:
 
     from_covers stores the upsets (leq, upset, _closure_direction), the
     sorted strictly-above tuples (above, chains, check_functor, the Euler
-    count) and each cover's coordinates (cover_coords, read by moment_system).
+    count) and each cover's coordinates as sparse integer rows (cover_coords,
+    which moment_system keeps as its cover maps).
     """
 
     def __init__(self, torus_dim, ids, stabilizers, cover_coords, upsets):
         self.torus_dim = torus_dim
         self.ids = ids                    # sorted tuple of stratum ids
         self.stabilizers = stabilizers    # id -> Subalgebra
-        self.cover_coords = cover_coords  # (lower, upper) -> RatMatrix, sorted
+        self.cover_coords = cover_coords  # (lower, upper) -> integer rows, sorted
         self.covers = tuple(cover_coords)
         self._upsets = upsets             # id -> frozenset of ids weakly above
         self._above = {x: tuple(sorted(s - {x})) for x, s in upsets.items()}
@@ -262,7 +307,7 @@ class StratSpace:
         cover_coords = {}
         for x, y in cover_list:
             sx, sy = stabilizers[x], stabilizers[y]
-            m = sx.coordinates_of(sy)
+            m = sx._coordinate_rows(sy)
             if m is None:
                 raise StabilizerMonotonicityError(
                     (x, y), "stabilizer of the upper stratum is not inside the lower one"

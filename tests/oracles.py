@@ -1,8 +1,8 @@
 """Independent oracles used by the tests.
 
-Everything here but `d_squared_witness` is written against the
-mathematical definitions directly, without the package's code, so
-agreement is meaningful: plain Gaussian elimination for ranks, the dense
+Everything here but `d_squared_witness` and `reference_from_cover_maps`
+is written against the mathematical definitions directly, without the
+package's code, so agreement is meaningful: plain Gaussian elimination for ranks, the dense
 first-nonzero Gauss-Jordan elimination as the reference for RREF, kernel
 and solve, a column elimination with a unimodular transform as the
 reference for saturated lattices, brute-force tuple enumeration and cover
@@ -11,12 +11,16 @@ dense loop each for the block scaling, the homotopies L and Q and the
 pullback.  `d_squared_witness` multiplies the package's own assembled
 differentials: it is the reference that `check`'s closed-form d^2 = 0
 verdict is gated against, and it fails when the assembly's signs are off.
+`reference_from_cover_maps` is the eager composition loop that
+`CoefficientSystem.from_cover_maps` once ran, with `RatMatrix` products:
+the reference for the pairs the system now composes on first use.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from assigncoh.cochain import _Complex
+from assigncoh.ratlin import RatMatrix
 
 
 def brute_rank(rows):
@@ -318,6 +322,35 @@ def d_squared_witness(v, max_degree, strict=True):
             if any(acc.values()):
                 return k
     return None
+
+
+def reference_from_cover_maps(space, dims, cover_maps, explicit=None):
+    """Every weakly comparable pair's projection, composed eagerly.
+
+    Each pair is composed along the first path a walk up from its lower
+    end reaches it by, in the order of shrinking upset, then id; entries in
+    explicit override the result afterwards.
+    """
+    proj = {}
+    for x in space.ids:
+        proj[(x, x)] = RatMatrix.identity(dims[x])
+    succ = {x: [] for x in space.ids}
+    for x, y in space.covers:
+        succ[x].append(y)
+        proj[(x, y)] = cover_maps[(x, y)]
+    # strata sorted by shrinking upset is a linear extension of the order,
+    # so proj[(x, y)] is composed by the time the walk above x reaches y
+    topo = sorted(space.ids, key=lambda x: (-len(space.upset(x)), x))
+    position = {y: i for i, y in enumerate(topo)}
+    for x in space.ids:
+        for y in sorted(space.above(x), key=position.__getitem__):
+            for z in sorted(succ[y]):
+                if (x, z) not in proj:
+                    proj[(x, z)] = proj[(y, z)] @ proj[(x, y)]
+    if explicit:
+        for pair, m in explicit.items():
+            proj[pair] = m
+    return proj
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
+import doctest
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
+import assigncoh.coeffsys
 from assigncoh import (
     CoefficientSystem,
     RatMatrix,
@@ -11,8 +17,10 @@ from assigncoh import (
     build_polytope,
     build_product,
     build_sphere_product,
+    MinimalAssignment,
     check_functor,
     cohomology,
+    extend_minimal,
     moment_system,
     pair_ses,
     preset_polytope,
@@ -20,9 +28,11 @@ from assigncoh import (
     restriction_system,
     ses_check,
 )
-from assigncoh.errors import NotOpenError, NotUnionOfStrataError
-from oracles import brute_cohomology_dim, system_adapter
-from spaces import CP2_FIXED, cp2, free_stratum, zero_system
+import assigncoh.cli
+from assigncoh.errors import IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError
+from assigncoh.stratposet import minimal_strata
+from oracles import brute_cohomology_dim, reference_from_cover_maps, system_adapter
+from spaces import CP2_FIXED, cp2, free_stratum, s4, zero_system
 
 
 def single_sphere():
@@ -224,7 +234,8 @@ def test_from_cover_maps_reproduces_moment_system():
 
 @pytest.mark.parametrize("kind", ["cube*square", "merged spheres^4"])
 def test_loading_solves_each_cover_once(monkeypatch, kind):
-    """from_covers keeps each cover's coordinates; moment_system solves nothing."""
+    """from_covers keeps each cover's coordinates as integer rows; moment_system
+    solves nothing and keeps those rows as its cover maps."""
     if kind == "cube*square":
         built = build_product(build_polytope(preset_polytope("cube")),
                               build_polytope(preset_polytope("square")))
@@ -232,20 +243,23 @@ def test_loading_solves_each_cover_once(monkeypatch, kind):
         built = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1), (1, -1, 0)])
     desc = SpaceDescription.from_space(built[0])
     calls = []
-    solve = Subalgebra.coordinates_of
+    solve = Subalgebra._coordinate_rows
 
     def counted(self, other):
         calls.append((self, other))
         return solve(self, other)
 
-    monkeypatch.setattr(Subalgebra, "coordinates_of", counted)
+    monkeypatch.setattr(Subalgebra, "_coordinate_rows", counted)
     space, v = build_from_description(desc)
     monkeypatch.undo()
     assert len(calls) == len(space.covers) > 0
     assert tuple(space.cover_coords) == space.covers == tuple(sorted(space.covers))
     for (x, y), m in space.cover_coords.items():
-        assert m == space.stabilizer(x).coordinates_of(space.stabilizer(y))
-        assert v.proj(x, y) == m
+        assert all(type(q) is int for row in m for q in row.values())
+        direct = space.stabilizer(x).coordinates_of(space.stabilizer(y))
+        assert RatMatrix.from_sparse(m, v.dims[x]) == direct
+        assert v.proj(x, y) == direct
+        assert v._rows(x, y) is m
 
 
 def test_from_cover_maps_missing_cover():
@@ -254,3 +268,183 @@ def test_from_cover_maps_missing_cover():
     cover_maps.pop(("p1", "e12"))
     with pytest.raises(ValueError):
         CoefficientSystem.from_cover_maps(space, dict(v.dims), cover_maps)
+
+
+# ---------------------------------------------------------------------------
+# pairs composed on first use
+
+
+def _reference_cases(rng):
+    """(system, space, dims, cover maps, explicit) with the reference inputs.
+
+    Moment systems, the constant system Q^2, and description systems with
+    random cover maps, whose cover squares disagree, and explicit entries on
+    random pairs that are not covers.
+    """
+    cube = build_polytope(preset_polytope("cube"))
+    square = build_polytope(preset_polytope("square"))
+    segment = build_polytope(preset_polytope("segment"))
+    spheres = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1)])
+    for space, _ in (cp2(), s4(), cube, build_product(square, segment), spheres):
+        v = moment_system(space)
+        covers = {c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]])
+                  for c in space.covers}
+        yield v, space, v.dims, covers, None
+        two = dict.fromkeys(space.ids, 2)
+        ones = {c: RatMatrix.identity(2) for c in space.covers}
+        yield CoefficientSystem.from_cover_maps(space, two, ones), space, two, ones, None
+        for _ in range(3):
+            dims = {x: rng.randint(0, 2) for x in space.ids}
+            covers = {(x, y): _random_matrix(rng, dims[y], dims[x]) for x, y in space.covers}
+            longer = [p for p in space.comparable_pairs() if p not in covers]
+            explicit = {p: _random_matrix(rng, dims[p[1]], dims[p[0]])
+                        for p in rng.sample(longer, min(3, len(longer)))}
+            obj = SpaceDescription.from_space(space).to_json_dict()
+            obj["dims"] = dims
+            obj["projections"] = [
+                {"pair": list(p), "matrix": [[str(e) for e in row] for row in m.data]}
+                for p, m in list(covers.items()) + list(explicit.items())]
+            _, w = build_from_description(SpaceDescription.from_json_dict(obj))
+            yield w, space, dims, covers, explicit
+
+
+def _random_matrix(rng, rows, cols):
+    return RatMatrix(rows, cols, [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                   for _ in range(cols)] for _ in range(rows)])
+
+
+def test_lazy_pairs_match_eager_composition_seeded():
+    """Every pair, read in a random order, is the pair the eager loop composed."""
+    rng = random.Random(97)
+    disagree = 0
+    for v, space, dims, covers, explicit in _reference_cases(rng):
+        ref = reference_from_cover_maps(space, dims, covers, explicit)
+        assert v.pairs() == sorted(ref)
+        order = v.pairs()
+        rng.shuffle(order)
+        for x, y in order:
+            m = v.proj(x, y)
+            assert m == ref[(x, y)], (x, y)
+            assert all(type(e) is Fraction for row in m.data for e in row)
+        disagree += not check_functor(v).ok
+    assert disagree >= 10
+
+
+def test_rows_are_ints_where_integral():
+    """Moment rows hold ints; a description's 1/2 stays a Fraction in its rows."""
+    space = build_product(build_polytope(preset_polytope("cube")),
+                          build_polytope(preset_polytope("segment")))[0]
+    v = moment_system(space)
+    assert all(type(e) is int for p in v.pairs() for row in v._rows(*p) for e in row.values())
+    plane = cp2()[0]
+    obj = SpaceDescription.from_space(plane).to_json_dict()
+    obj["dims"] = dict.fromkeys(plane.ids, 1)
+    obj["projections"] = [{"pair": ["p1", "e12"], "matrix": [["1/2"]]},
+                          {"pair": ["p1", "open"], "matrix": [["3"]]}]
+    obj["projections"] += [{"pair": list(c), "matrix": [["1"]]}
+                           for c in plane.covers if c != ("p1", "e12")]
+    _, w = build_from_description(SpaceDescription.from_json_dict(obj))
+    assert w._rows("p1", "e12") == [{0: Fraction(1, 2)}]
+    assert type(w._rows("p1", "e12")[0][0]) is Fraction
+    assert type(w._rows("p1", "open")[0][0]) is int
+    assert w.proj("p1", "open").data == [[Fraction(3)]]
+    assert all(type(e) is Fraction for p in w.pairs() for row in w.proj(*p).data for e in row)
+
+
+def _record_compositions(monkeypatch):
+    seen = []
+    compose = CoefficientSystem._compose
+
+    def recorded(self, x, z):
+        seen.append((x, z))
+        return compose(self, x, z)
+
+    monkeypatch.setattr(CoefficientSystem, "_compose", recorded)
+    return seen
+
+
+def _write_space(tmp_path, name, space):
+    path = tmp_path / name
+    path.write_text(json.dumps(SpaceDescription.from_space(space).to_json_dict()))
+    return str(path)
+
+
+def test_loading_and_building_a_product_compose_no_pair(monkeypatch, tmp_path, capsys):
+    left = _write_space(tmp_path, "cube.json", build_polytope(preset_polytope("cube"))[0])
+    right = _write_space(tmp_path, "square.json",
+                         build_polytope(preset_polytope("square"))[0])
+    out = tmp_path / "product.json"
+    seen = _record_compositions(monkeypatch)
+    argv = ["build", "product", "--left", left, "--right", right, "--out", str(out)]
+    assert assigncoh.cli.main(argv) == 0
+    capsys.readouterr()
+    space, v = build_from_description(SpaceDescription.from_json_dict(json.loads(out.read_text())))
+    assert len(space.ids) == 243
+    assert seen == []
+    covers = set(space.covers)
+    v.proj(*next(p for p in space.comparable_pairs() if p not in covers))
+    assert len(seen) == 1
+
+
+def _functional_values(space, xi):
+    return {x: [sum(a * b for a, b in zip(xi, r)) for r in space.stabilizer(x).basis_rows]
+            for x in space.ids}
+
+
+def test_extend_composes_only_pairs_from_minimal_strata(monkeypatch):
+    space, _ = build_product(build_polytope(preset_polytope("cube")),
+                             build_polytope(preset_polytope("square")))
+    v = moment_system(space)
+    minima = minimal_strata(space)
+    values = _functional_values(space, (3, -1, 2, 5, -7))
+    seen = _record_compositions(monkeypatch)
+    full = extend_minimal(v, MinimalAssignment({x: values[x] for x in minima}))
+    assert seen and all(x in minima for x, _ in seen)
+    assert full.values == {x: tuple(Fraction(c) for c in values[x]) for x in space.ids}
+
+
+def _eager_extend_witness(space, proj, values):
+    """The triple the walk of extend_minimal names, on eagerly composed pairs."""
+    minima = minimal_strata(space)
+    pushed, origin = {x: values[x] for x in minima}, {x: x for x in minima}
+    for x in minima:
+        for y in space.above(x):
+            val = proj[(x, y)].apply(values[x])
+            if y not in pushed:
+                pushed[y], origin[y] = val, x
+            elif pushed[y] != val:
+                return (origin[y], x, y)
+    return None
+
+
+def test_incompatible_minimal_values_name_the_eager_triple(tmp_path, capsys):
+    rng = random.Random(5)
+    space, _ = build_product(build_polytope(preset_polytope("cube")),
+                             build_polytope(preset_polytope("segment")))
+    path = _write_space(tmp_path, "space.json", space)
+    v = moment_system(space)
+    ref = reference_from_cover_maps(space, v.dims, {
+        c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]]) for c in space.covers})
+    minima = minimal_strata(space)
+    for _ in range(4):
+        values = _functional_values(space, [rng.randint(-3, 3) for _ in range(4)])
+        values = {x: [Fraction(c) for c in values[x]] for x in minima}
+        bad = rng.choice(minima)
+        values[bad][rng.randrange(len(values[bad]))] += Fraction(1, 2)
+        triple = _eager_extend_witness(space, ref, values)
+        assert triple is not None
+        (tmp_path / "values.json").write_text(json.dumps(
+            {"values": {x: [str(c) for c in vals] for x, vals in values.items()}}))
+        argv = ["--json", "extend", path, "--values", str(tmp_path / "values.json")]
+        assert assigncoh.cli.main(argv) == assigncoh.cli.EXIT_INCOMPATIBLE
+        out = capsys.readouterr()
+        message = str(IncompatibleMinimalValuesError(triple))
+        assert json.loads(out.out)["error"] == {
+            "type": "IncompatibleMinimalValuesError", "message": message}
+        assert out.err == f"error: {message}\n"
+
+
+def test_module_doctest():
+    result = doctest.testmod(assigncoh.coeffsys)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -7,7 +7,7 @@ import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
 from assigncoh import build_polytope, build_product, build_sphere_product, preset_polytope
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from assigncoh.stratposet import _int_kernel
+from assigncoh.stratposet import _canonical_span, _int_kernel
 from oracles import brute_rank, brute_tuples, reference_solve, reference_span
 from spaces import cp2, two_stratum
 
@@ -208,6 +208,44 @@ def test_span_matches_reference_randomized():
         assert Subalgebra.span(n, kernel).basis_rows == kernel
         for x in kernel:
             assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+
+def _near_canonical(rng, n):
+    """A canonical basis as span gives it, often edited so that it is not."""
+    rows = [list(r) for r in Subalgebra.span(n, _generator_set(rng, rng.randrange(5), n)).basis_rows]
+    edit = rng.randrange(7)
+    if rows and edit == 1:          # a leading entry other than 1
+        i = rng.randrange(len(rows))
+        rows[i] = [rng.choice((2, -1)) * x for x in rows[i]]
+    elif rows and edit == 2:        # a repeated row
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    elif edit == 3:                 # a zero row
+        rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+    elif len(rows) > 1 and edit == 4:   # leading columns out of order
+        i = rng.randrange(len(rows) - 1)
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif len(rows) > 1 and edit == 5:   # a nonzero entry in another row's leading column
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_canonical_span_equals_span_randomized():
+    rng = random.Random(61)
+    fixed = [(2, [[2, 1]]), (2, [[2, 2]]), (3, [[1, 0, 0], [0, 0, 0], [0, 1, 0]]),
+             (2, [[1, 0], [1, 0]]), (2, [[1, 1], [0, 1]]), (2, []), (3, [[0, 1, 5]])]
+    cases = fixed + [(n, _near_canonical(rng, n))
+                     for n in (rng.randint(1, 6) for _ in range(1500))]
+    taken = 0
+    for n, rows in cases:
+        expected = Subalgebra.span(n, rows)
+        assert _canonical_span(n, rows) == expected
+        assert _canonical_span(n, iter(rows)) == expected
+        taken += expected.basis_rows == tuple(map(tuple, rows))
+    assert 300 < taken < len(cases) - 300
+    for n, rows in ((2, [[1, 0, 0]]), (2, [[2, 2], [1]])):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            _canonical_span(n, rows)
 
 
 def test_module_doctest():
