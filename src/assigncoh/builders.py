@@ -18,7 +18,7 @@ from .coeffsys import CoefficientSystem, _check_shapes, moment_system
 from .errors import MalformedPolytopeError, UnknownIdError
 from .errors import DescriptionError
 from .ratlin import RatMatrix, rank
-from .stratposet import StratSpace, Subalgebra, _canonical_span, _int_kernel
+from .stratposet import StratSpace, Subalgebra, _int_kernel
 
 
 @dataclass(frozen=True)
@@ -495,13 +495,15 @@ class SpaceDescription:
 
 def build_from_description(desc: SpaceDescription) -> Tuple[StratSpace, CoefficientSystem]:
     """Space and system from a description; moment system unless dims given."""
+    if desc.dims is None and desc.projections is not None:
+        raise DescriptionError("projections need a dims table")
     seen = set()
     strata = {}
     for sid, basis in desc.strata:
         if sid in seen:
             raise DescriptionError(f"duplicate stratum id {sid!r}")
         seen.add(sid)
-        strata[sid] = _canonical_span(desc.torus_dim, basis)
+        strata[sid] = Subalgebra.span(desc.torus_dim, basis)
     space = StratSpace.from_covers(desc.torus_dim, strata, desc.covers)
     if desc.dims is None:
         return space, moment_system(space)

@@ -5,7 +5,8 @@ deterministic reports: same input bytes, same output bytes.  Rationals are
 serialized as "p/q" strings, never floats.
 
 Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax,
-over-long integer literals, over-deep nesting), 2 semantic validation,
+over-long integer literals, over-deep nesting) or a value too long to
+print, 2 semantic validation,
 3 subset is not a union of strata, 4 incompatible minimal values, 5 moment
 condition failed, 6 stdout closed before the output was written.
 """
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -81,8 +83,19 @@ class _InputError(Exception):
     """Unreadable input file; maps to exit code 1."""
 
 
+@contextmanager
+def _printable():
+    """str()'s ValueError on an int past the interpreter's digit limit, as _InputError."""
+    try:
+        yield
+    except ValueError:
+        raise _InputError(f"a value has more than {sys.get_int_max_str_digits()} "
+                          "digits, the limit for printing one") from None
+
+
 def _rat_list(values) -> List[str]:
-    return [str(_frac(v)) for v in values]
+    with _printable():
+        return [str(_frac(v)) for v in values]
 
 
 def _vector_table(values: Dict[str, Tuple[Fraction, ...]]) -> Dict[str, List[str]]:
@@ -345,14 +358,16 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
     fc = momentpoly.decompose(p)
     if not momentpoly.verify_decomposition(p, fc):
         raise RuntimeError("decomposition does not reproduce the polynomial")
-    fs = [f.to_text() for f, _ in fc.pairs]
-    gs = [g.to_text() for _, g in fc.pairs]
+    with _printable():
+        fs = [f.to_text() for f, _ in fc.pairs]
+        gs = [g.to_text() for _, g in fc.pairs]
+        psi = p.to_text()
     report = {
         "command": "decompose",
         "input_digest": _digest(
             json.dumps({"weights": rows, "psi": args.psi}, sort_keys=True).encode()
         ),
-        "psi": p.to_text(),
+        "psi": psi,
         "condition": "ok",
         "f": fs,
         "g": gs,

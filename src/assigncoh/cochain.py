@@ -23,14 +23,15 @@ looks up faces.
 Both long exact sequences, of a pair and of a short exact sequence of
 coefficient systems, come from one routine given the three complexes and
 the sequence's stratum maps f and g; a pair has none, and its blocks move
-unchanged.  Each chain map acts on one tuple's block at a time, through f
-or g (or solving through them) at the tuple's top stratum.  The block map
-`_carry` does that, and `pullback` uses it for its change of basis.
-Beside the public accessors (`ChainBasis.block`, `Cochain.value_on`),
-`_assemble` and `_carry` are the only code that looks up blocks by tuple.
-The routine checks that every connecting value lies in the image of the
-first complex, builds the induced maps on canonical representatives, then
-checks exactness node by node.
+unchanged.  Each chain map acts on one tuple's block at a time, through
+per-stratum rows at the tuple's top stratum: the image rows of f or g, or
+of a preimage map of f or g (`ratlin._preimage`), built once per stratum.
+The block map `_carry` does that, and `pullback` uses it for its change
+of basis.  Beside the public accessors (`ChainBasis.block`,
+`Cochain.value_on`), `_assemble` and `_carry` are the only code that looks
+up blocks by tuple.  The routine checks that every connecting value lies
+in the image of the first complex, builds the induced maps on canonical
+representatives as sparse image rows, then checks exactness node by node.
 
 A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
@@ -57,6 +58,7 @@ from .coeffsys import (
     CoefficientSystem,
     SystemMorphism,
     _check_subset,
+    _mul,
     check_functor,
     moment_system,
     ses_check,
@@ -69,13 +71,10 @@ from .errors import (
 from .ratlin import (
     RatMatrix,
     SparseRow,
-    _exact,
     _frac,
     _integral,
     _normalize,
-    _sparse,
-    rank,
-    solve,
+    _preimage,
     sparse_echelon,
     sparse_kernel,
 )
@@ -474,13 +473,13 @@ def relative_cohomology(
 
 
 def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
-           h: Optional[SystemMorphism] = None, solving: bool = False) -> SparseRow:
+           blocks: Optional[Dict[str, Rows]] = None) -> SparseRow:
     """The block map: vec's blocks carried to the same tuples of dst.
 
-    Tuples that dst lacks are dropped.  With h, each block goes through h
-    at the tuple's top stratum; with solving, it gets a preimage under h
-    instead (free variables zero), or is dropped if it has none.  Empty
-    blocks share the offset of the next block.
+    Tuples that dst lacks are dropped.  With blocks, each block goes
+    through the rows blocks[x] at the tuple's top stratum x, one row per
+    coordinate of the block: the image of that basis vector.  Empty blocks
+    share the offset of the next block.
     """
     at: Dict[int, SparseRow] = {}
     for j, x in vec.items():
@@ -492,13 +491,8 @@ def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
         o = dst.block(t)
         if o is None:
             continue
-        if h is not None:
-            m = h.map_at(t[-1])
-            vals = [blk.get(r, 0) for r in range(src.block_dims[i])]
-            img = solve(m, vals) if solving else m.apply(vals)
-            if img is None:
-                continue
-            blk = {r: _exact(x) for r, x in enumerate(img) if x}
+        if blocks is not None:
+            blk = _mul([blk], blocks[t[-1]])[0]
         out.update((o[0] + r, x) for r, x in blk.items())
     return out
 
@@ -526,18 +520,17 @@ class ExactSequenceReport:
 def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     """Check ker = im at every node of 0 -> N0 -> N1 -> ... -> 0.
 
-    maps[i] sends node i to node i+1; the virtual maps into node 0 and out
-    of the last node are zero.  Exactness at a node is composition zero
-    plus the rank count rank(in) + rank(out) = dim.
+    maps[i] sends node i to node i+1, as image rows (of node i's basis); the
+    virtual maps into node 0 and out of the last node are zero.  Exactness
+    at a node is composition zero plus the rank count rank(in) + rank(out) = dim.
     """
     failures = []
-    ranks = [rank(m) for m in maps]
+    ranks = [len(sparse_echelon(m, node_dims[i + 1])[1]) for i, m in enumerate(maps)]
     for i, name in enumerate(node_names):
         rin = ranks[i - 1] if i > 0 else 0
         rout = ranks[i] if i < len(maps) else 0
-        if 0 < i < len(maps):
-            if not (maps[i] @ maps[i - 1]).is_zero():
-                failures.append(f"composition through {name} is nonzero")
+        if 0 < i < len(maps) and any(_mul(maps[i - 1], maps[i])):
+            failures.append(f"composition through {name} is nonzero")
         if rin + rout != node_dims[i]:
             failures.append(
                 f"rank mismatch at {name}: in {rin} + out {rout} != dim {node_dims[i]}"
@@ -545,13 +538,9 @@ def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     return ExactSequenceReport(list(node_names), list(node_dims), ranks, failures)
 
 
-def _induced_matrix(target: _CohomologyData, images: Iterable[SparseRow]) -> RatMatrix:
-    """Columns: class coordinates in target of each cocycle in images."""
-    cols = [target.class_coords(vec) for vec in images]
-    if not cols:
-        return RatMatrix.zeros(target.dim, 0)
-    data = [[col[i] for col in cols] for i in range(target.dim)]
-    return RatMatrix(target.dim, len(cols), data)
+def _induced_rows(target: _CohomologyData, images: Iterable[SparseRow]) -> Rows:
+    """Image rows of an induced map: the class coordinates in target of each cocycle."""
+    return [{i: x for i, x in enumerate(target.class_coords(vec)) if x} for vec in images]
 
 
 def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
@@ -562,22 +551,26 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     labels names the three terms.  The chain maps act on each tuple's block
     alone (`_carry`): i carries a into b through the stratum maps f and p
     carries b into c through g; with no maps, as for a pair, every block
-    moves unchanged.  The connecting map lifts a cocycle of c through g,
-    applies d_b and retracts through f; carrying the retracted value back
-    through i must give d_b of the lift again.  Degrees run to one past the
-    last nonzero chain space of b, beyond which everything is zero.  The
-    induced maps need cocycles to stay cocycles, which holds only for
-    functors (`_require_functors`).
+    moves unchanged.  The connecting map lifts a cocycle of c through g's
+    preimage map (free variables zero), applies d_b and retracts through
+    f's; carrying the retracted value back through i must give d_b of the
+    lift again.  Degrees run to one past the last nonzero chain space of b,
+    beyond which everything is zero.  The induced maps need cocycles to
+    stay cocycles, which holds only for functors (`_require_functors`).
     """
     top = 0
     while b.basis(top + 1).tuples:
         top += 1
+    # image rows of f and g and of their preimage maps at each stratum; None for a pair
+    f_img, f_pre, g_img, g_pre = (
+        h and {x: make(rows, h.source.dims[x]) for x, rows in h._rows.items()}
+        for h in (f, g) for make in (_transpose, _preimage))
 
     def connect(k, r):
-        w = _apply(b.d(k), _carry(r, c.basis(k), b.basis(k), g, solving=True))
+        w = _apply(b.d(k), _carry(r, c.basis(k), b.basis(k), g_pre))
         lo, hi = a.basis(k + 1), b.basis(k + 1)
-        back = _carry(w, hi, lo, f, solving=True)
-        if _carry(back, lo, hi, f) != w:
+        back = _carry(w, hi, lo, f_pre)
+        if _carry(back, lo, hi, f_img) != w:
             raise AssertionError(
                 f"connecting value in degree {k + 1} leaves the image of {labels[0]}"
             )
@@ -585,16 +578,16 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
 
     names: List[str] = []
     dims: List[int] = []
-    maps: List[RatMatrix] = []
+    maps: List[Rows] = []
     for k in range(top + 2):
         ha, hb, hc = a.data(k), b.data(k), c.data(k)
         ba, bb, bc = a.basis(k), b.basis(k), c.basis(k)
         names += [f"H^{k}({label})" for label in labels]
         dims += [ha.dim, hb.dim, hc.dim]
-        maps.append(_induced_matrix(hb, (_carry(r, ba, bb, f) for r in ha._rep_rows)))
-        maps.append(_induced_matrix(hc, (_carry(r, bb, bc, g) for r in hb._rep_rows)))
+        maps.append(_induced_rows(hb, (_carry(r, ba, bb, f_img) for r in ha._rep_rows)))
+        maps.append(_induced_rows(hc, (_carry(r, bb, bc, g_img) for r in hb._rep_rows)))
         if k <= top:
-            maps.append(_induced_matrix(a.data(k + 1), (connect(k, r) for r in hc._rep_rows)))
+            maps.append(_induced_rows(a.data(k + 1), (connect(k, r) for r in hc._rep_rows)))
     return _exactness_walk(names, dims, maps)
 
 
@@ -649,13 +642,13 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
 # ---------------------------------------------------------------------------
 # functoriality along poset maps
 
-def _bridge_matrices(f: PosetMap, v_target: CoefficientSystem,
-                     v_source: CoefficientSystem) -> Dict[str, RatMatrix]:
-    """Per-stratum matrices carrying target values to source values.
+def _bridge_rows(f: PosetMap, v_target: CoefficientSystem,
+                 v_source: CoefficientSystem) -> Dict[str, Rows]:
+    """Per-stratum rows carrying target values to source values.
 
     In stabilizer coordinates the bridge is restriction of functionals
-    along the inclusion stab_source(X) <= stab_target(f(X)); with an
-    all-zero target system every bridge is the empty matrix.
+    along the inclusion stab_source(X) <= stab_target(f(X)), as integer
+    rows (`_coordinate_rows`); with an all-zero target system they are empty.
     """
     src_space, tgt_space = f.source, f.target
     zero_target = all(d == 0 for d in v_target.dims.values())
@@ -671,14 +664,13 @@ def _bridge_matrices(f: PosetMap, v_target: CoefficientSystem,
                 raise ValueError("pullback needs stabilizer coordinates on the source")
     bridges = {}
     for x in src_space.ids:
-        fx = f(x)
         if zero_target:
-            bridges[x] = RatMatrix.zeros(v_source.dims[x], 0)
+            bridges[x] = [{}] * v_source.dims[x]
             continue
-        m = tgt_space.stabilizer(fx).coordinates_of(src_space.stabilizer(x))
-        if m is None:
+        rows = tgt_space.stabilizer(f(x))._coordinate_rows(src_space.stabilizer(x))
+        if rows is None:
             raise AssertionError(f"stabilizer inclusion fails at {x!r}")
-        bridges[x] = m
+        bridges[x] = rows
     return bridges
 
 
@@ -690,7 +682,7 @@ def _pullback_rows(f: PosetMap, v_target: CoefficientSystem,
         raise InvalidMorphismError(
             f"not a morphism of stratified spaces: {report}"
         )
-    bridges = {x: _sparse(m) for x, m in _bridge_matrices(f, v_target, v_source).items()}
+    bridges = _bridge_rows(f, v_target, v_source)
     return _assemble(src, dst, lambda t: [(tuple(map(f, t)), 1, bridges[t[-1]])])
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, SparseRow, _exact, _sparse, rank
+from .ratlin import RatMatrix, SparseRow, _exact, _sparse, sparse_echelon
 from .stratposet import StratSpace
 
 # a projection as sparse rows, one per coordinate of the upper stratum
@@ -387,6 +387,7 @@ class SystemMorphism:
         self.source = source
         self.target = target
         self.maps = dict(maps)
+        self._rows = rows  # sparse, one row per target coordinate (ses_check, cochain)
 
     def map_at(self, x: str) -> RatMatrix:
         return self.maps[x]
@@ -423,13 +424,12 @@ def ses_check(f: SystemMorphism, g: SystemMorphism) -> SesReport:
         raise ValueError("middle systems of the sequence differ")
     inj, surj, mid = [], [], []
     for x in f.source.space.ids:
-        fx, gx = f.map_at(x), g.map_at(x)
-        rf, rg = rank(fx), rank(gx)
+        rf, rg = (len(sparse_echelon(h._rows[x], h.source.dims[x])[1]) for h in (f, g))
         if rf != f.source.dims[x]:
             inj.append(x)
         if rg != g.target.dims[x]:
             surj.append(x)
-        if not (gx @ fx).is_zero() or rf + rg != f.target.dims[x]:
+        if any(_mul(g._rows[x], f._rows[x])) or rf + rg != f.target.dims[x]:
             mid.append(x)
     return SesReport(tuple(inj), tuple(surj), tuple(mid))
 

@@ -5,7 +5,7 @@ large matrices are cochain differentials: a few nonzeros per row, nearly
 all of them +1 or -1.  So one sparse Gauss-Jordan kernel, `sparse_echelon`,
 does every elimination; `sparse_rref` divides its rows by their pivots, and
 `rref`, `rank`, `kernel_basis` and `solve` are thin wrappers that take and
-give the dense `RatMatrix` value type.
+give the dense `RatMatrix` value type (`solve` through `_preimage`).
 
 Canonical outputs, relied on by golden tests elsewhere:
 
@@ -396,24 +396,36 @@ def kernel_basis(m: RatMatrix) -> list:
     return RatMatrix.from_sparse(basis, m.cols).data
 
 
+def _preimage(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
+    """A preimage map of the matrix with these rows and ncols columns, as image rows.
+
+    Row k is the image of e_k, read off one `sparse_rref` of [rows | I].  For
+    b in the column space, sum_k b[k] * (row k) solves rows @ x = b with every
+    free variable zero, as `solve` does; for any other b it is no solution.
+    """
+    m = len(rows)
+    red, pivots = sparse_rref([{**row, ncols + k: 1} for k, row in enumerate(rows)],
+                              ncols + m)
+    out: List[SparseRow] = [{} for _ in range(m)]
+    for row, p in zip(red, pivots):
+        if p >= ncols:
+            break
+        for j, x in row.items():
+            if j >= ncols:
+                out[j - ncols][p] = x
+    return out
+
+
 def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
     """One exact solution of a x = b (free variables zero), or None."""
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    n = a.cols
-    rows = _sparse(a)
-    for row, x in zip(rows, b):
-        x = _exact(_frac(x))
-        if x:
-            row[n] = x
-    red, pivots = sparse_echelon(rows, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [_ZERO] * n
-    for row, p in zip(red, pivots):
-        if n in row:
-            x[p] = Fraction(row[n], row[p])
-    return x
+    b = [_frac(y) for y in b]
+    x = [_ZERO] * a.cols
+    for y, image in zip(b, _preimage(_sparse(a), a.cols)):
+        for j, z in image.items():
+            x[j] += y * z
+    return x if a.apply(x) == b else None
 
 
 def vec_sub(u: Sequence, v: Sequence) -> list:

@@ -111,7 +111,9 @@ class Subalgebra:
         """Canonical subalgebra spanned by integer vectors.
 
         The saturation of the span is the kernel of its kernel, and
-        _int_kernel returns the Hermite basis of that lattice.
+        _int_kernel returns the Hermite basis of that lattice.  Rows in
+        reduced echelon form with unit pivots (an exact O(rows x ambient_dim)
+        check) span a saturated lattice and are its Hermite basis already.
 
         >>> Subalgebra.span(2, [[2, 2]]).basis_rows
         ((1, 1),)
@@ -119,15 +121,22 @@ class Subalgebra:
         ((1, 0), (0, 1))
         >>> Subalgebra.span(2, [[0, 0]]).basis_rows
         ()
+        >>> Subalgebra.span(3, [[1, 0, 2], [0, 1, -1]]).basis_rows
+        ((1, 0, 2), (0, 1, -1))
         """
         rows = []
         for v in vectors:
-            v = [int(x) for x in v]
+            v = tuple(int(x) for x in v)
             if len(v) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dimension {ambient_dim}"
                 )
             rows.append(v)
+        leads = [next((j for j, x in enumerate(v) if x), None) for v in rows]
+        if (None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
+                and all(v[j] == 1 and sum(1 for u in rows if u[j]) == 1
+                        for v, j in zip(rows, leads))):
+            return cls(ambient_dim, tuple(rows))
         return cls(ambient_dim, _int_kernel(_int_kernel(rows, ambient_dim), ambient_dim))
 
     @classmethod
@@ -205,38 +214,6 @@ class Subalgebra:
 
     def __repr__(self):
         return f"Subalgebra(dim={self.dim}/{self.ambient_dim}, basis={self.basis_rows})"
-
-
-def _canonical_span(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> Subalgebra:
-    """Subalgebra.span(ambient_dim, vectors), without elimination when the
-    vectors already are its basis.
-
-    They are when no row is zero, each leading entry is 1, the leading
-    columns strictly increase and every other row is 0 in each leading
-    column.  Such rows are reduced echelon with unit pivots: they span a
-    saturated lattice and are its Hermite basis.  The check is exact and
-    O(rows x ambient_dim); anything else goes through span.
-
-    >>> _canonical_span(3, [[1, 0, 2], [0, 1, -1]]).basis_rows
-    ((1, 0, 2), (0, 1, -1))
-    >>> _canonical_span(2, [[2, 2]]).basis_rows
-    ((1, 1),)
-    """
-    vectors = list(vectors)
-    rows = []
-    for v in vectors:
-        row = tuple(int(x) for x in v)
-        if len(row) != ambient_dim:
-            break
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if (lead is None or row[lead] != 1 or (rows and lead <= last)
-                or any(r[lead] for r in rows)):
-            break
-        rows.append(row)
-        last = lead
-    else:
-        return Subalgebra(ambient_dim, tuple(rows))
-    return Subalgebra.span(ambient_dim, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,40 @@ def test_duplicate_projection_is_input_error(capsys, tmp_path):
     assert err == "error: duplicate projection for pair ('a', 'b')\n"
 
 
+def test_projections_without_dims_are_input_error(capsys, tmp_path):
+    # without a dims table the moment system is used, and the projections
+    # used to be dropped unread
+    desc = {"torus_dim": 1, "covers": [["a", "b"]],
+            "strata": [{"id": "a", "stabilizer": [[1]]}, {"id": "b", "stabilizer": []}],
+            "projections": [{"pair": ["a", "b"], "matrix": [["7"]]}]}
+    path = tmp_path / "nodims.space"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, ["--json", "assignments", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"] == {
+        "type": "DescriptionError", "message": "projections need a dims table"}
+    assert err == "error: projections need a dims table\n"
+
+
+def test_value_too_long_to_print_is_input_error(capsys, tmp_path):
+    # each literal is under the interpreter's digit limit (4300 by default),
+    # but a product or a merged coefficient has a denominator of about 5,000
+    # digits, which str() refuses; that used to exit 2
+    sevens, threes = "7" * 2500, "3" * 2499 + "1"
+    path = tmp_path / "chain.space"
+    path.write_text(_CHAIN.replace("@", "1").replace("#", f'[["1/{threes}"]]'))
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps({"values": {"a": [f"1/{sevens}"]}}))
+    for argv in (["extend", str(path), "--values", str(values)],
+                 ["decompose", "--weights", "1", "--psi", f"[1/{sevens}] z1 + [1/{threes}] z1"]):
+        code, out, err = run(capsys, ["--json"] + argv)
+        assert code == cli.EXIT_INPUT
+        message = (f"a value has more than {sys.get_int_max_str_digits()} digits, "
+                   "the limit for printing one")
+        assert json.loads(out)["error"] == {"type": "_InputError", "message": message}
+        assert err == f"error: {message}\n"
+
+
 def test_cycle_is_validation_error(capsys, tmp_path):
     desc = {
         "torus_dim": 1,

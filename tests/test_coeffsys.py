@@ -1,11 +1,9 @@
-import doctest
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-import assigncoh.coeffsys
 from assigncoh import (
     CoefficientSystem,
     RatMatrix,
@@ -442,9 +440,3 @@ def test_incompatible_minimal_values_name_the_eager_triple(tmp_path, capsys):
         assert json.loads(out.out)["error"] == {
             "type": "IncompatibleMinimalValuesError", "message": message}
         assert out.err == f"error: {message}\n"
-
-
-def test_module_doctest():
-    result = doctest.testmod(assigncoh.coeffsys)
-    assert result.attempted > 0
-    assert result.failed == 0

@@ -1,14 +1,19 @@
-"""Every module of the package uses every name it imports, and every helper.
+"""Every module of the package uses every name it imports, and every helper,
+and passes its doctests.
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.  A module-level function or class is a helper unless it is in
 `assigncoh.__all__`; each helper must be named on some other line of the
-package.
+package.  Every module's doctests run, so a new one needs no wiring.
 """
 
 import ast
+import doctest
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import assigncoh
 
@@ -82,3 +87,12 @@ def test_modules_use_every_helper():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _unused_helpers(sources, set(assigncoh.__all__)) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
+def test_module_doctest(path):
+    name = "assigncoh" if path.stem == "__init__" else f"assigncoh.{path.stem}"
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+    # a module whose source shows an example must have doctests that ran
+    assert result.attempted > 0 or ">>>" not in path.read_text(encoding="utf-8")

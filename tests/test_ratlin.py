@@ -1,4 +1,3 @@
-import doctest
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,6 +7,7 @@ import pytest
 import assigncoh.ratlin
 from assigncoh.ratlin import (
     RatMatrix,
+    _preimage,
     kernel_basis,
     rank,
     rref,
@@ -128,10 +128,46 @@ def test_vector_helpers():
     assert vec_sub([1, 2], [3, 4]) == [Fraction(-2), Fraction(-2)]
 
 
-def test_module_doctest():
-    result = doctest.testmod(assigncoh.ratlin)
-    assert result.attempted > 0
-    assert result.failed == 0
+def _of_rank(rng, m, n, r):
+    """An m x n matrix of rank r with some fractional rows: B @ C, B m x r, C r x n."""
+    while True:
+        b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        rows = [[Fraction(sum(x * y for x, y in zip(brow, col)), rng.choice((1, 1, 2, 3)))
+                 for col in zip(*c)] if c else [Fraction(0)] * n for brow in b]
+        if brute_rank(rows) == r:
+            return rows
+
+
+def test_preimage_and_solve_match_reference_solve_seeded():
+    # maps injective, surjective, both or neither, with 0-row and 0-column
+    # ones among them; right-hand sides in the image and arbitrary ones
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        r = rng.randint(0, min(m, n))
+        rows = _of_rank(rng, m, n, r)
+        a = RatMatrix(m, n, rows)
+        pre = _preimage([{j: x for j, x in enumerate(row) if x} for row in rows], n)
+        assert len(pre) == m
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        for b in (a.apply(x0), arbitrary):
+            ref = reference_solve(rows, n, b)
+            x = [sum((y * image.get(j, 0) for y, image in zip(b, pre)), Fraction(0))
+                 for j in range(n)]
+            assert solve(a, b) == ref
+            if ref is None:
+                assert a.apply(x) != b
+            else:
+                assert x == ref
+            seen.add((r == n, r == m, m == 0, n == 0, ref is None))
+    for injective in (False, True):
+        for surjective in (False, True):
+            assert any(k[:2] == (injective, surjective) for k in seen)
+    assert any(k[2] and not k[3] for k in seen) and any(k[3] and not k[2] for k in seen)
+    assert any(k[4] for k in seen) and any(not k[4] for k in seen)
 
 
 def _sparse_pm1(rng, nrows, ncols):

@@ -1,4 +1,3 @@
-import doctest
 import random
 
 import pytest
@@ -7,7 +6,7 @@ import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
 from assigncoh import build_polytope, build_product, build_sphere_product, preset_polytope
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from assigncoh.stratposet import _canonical_span, _int_kernel
+from assigncoh.stratposet import _int_kernel
 from oracles import brute_rank, brute_tuples, reference_solve, reference_span
 from spaces import cp2, two_stratum
 
@@ -236,22 +235,18 @@ def test_canonical_span_equals_span_randomized():
              (2, [[1, 0], [1, 0]]), (2, [[1, 1], [0, 1]]), (2, []), (3, [[0, 1, 5]])]
     cases = fixed + [(n, _near_canonical(rng, n))
                      for n in (rng.randint(1, 6) for _ in range(1500))]
+    # span takes a reduced echelon basis with unit pivots as it comes: it
+    # must still be the reference Hermite basis
     taken = 0
-    for n, rows in cases:
-        expected = Subalgebra.span(n, rows)
-        assert _canonical_span(n, rows) == expected
-        assert _canonical_span(n, iter(rows)) == expected
-        taken += expected.basis_rows == tuple(map(tuple, rows))
+    for n, rows in cases + [(0, []), (0, [[]])]:
+        expected = reference_span(n, rows)
+        assert Subalgebra.span(n, rows).basis_rows == expected
+        assert Subalgebra.span(n, iter(rows)).basis_rows == expected
+        taken += expected == tuple(map(tuple, rows))
     assert 300 < taken < len(cases) - 300
     for n, rows in ((2, [[1, 0, 0]]), (2, [[2, 2], [1]])):
         with pytest.raises(ValueError, match="ambient dimension"):
-            _canonical_span(n, rows)
-
-
-def test_module_doctest():
-    result = doctest.testmod(assigncoh.stratposet)
-    assert result.attempted > 0
-    assert result.failed == 0
+            Subalgebra.span(n, rows)
 
 
 def test_subalgebra_contains():
