@@ -5,8 +5,8 @@ deterministic reports: same input bytes, same output bytes.  Rationals are
 serialized as "p/q" strings, never floats.
 
 Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax,
-over-long integer literals, over-deep nesting) or a value too long to
-print, 2 semantic validation,
+over-long integer literals, over-deep nesting), an output file that cannot
+be written or a value too long to print, 2 semantic validation,
 3 subset is not a union of strata, 4 incompatible minimal values, 5 moment
 condition failed, 6 stdout closed before the output was written.
 """
@@ -20,7 +20,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import assignops, builders, cochain, coeffsys, momentpoly
 from .builders import DescriptionError, SpaceDescription, WeightMatrix
@@ -80,7 +80,7 @@ def _load_space(path: str):
 
 
 class _InputError(Exception):
-    """Unreadable input file; maps to exit code 1."""
+    """Unreadable input or unwritable output file; maps to exit code 1."""
 
 
 @contextmanager
@@ -247,8 +247,11 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
     desc = SpaceDescription.from_space(space)
     payload = json.dumps(desc.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise _InputError(f"cannot write {args.out}: {e.strerror}") from None
     report = {
         "command": "build",
         "kind": args.kind,
@@ -383,27 +386,14 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="assigncoh",
-        description="Exact assignment spaces and assignment cohomology "
-        "for stratified torus actions.",
-    )
-    ap.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("assignments", help="dimension and basis of the assignment space")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_assignments)
-
-    p = sub.add_parser("cohomology", help="assignment cohomology in one degree")
+def _cohomology_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--complex", choices=("full", "reduced", "both"), default="reduced")
     p.add_argument("--relative", help="comma-separated stratum ids")
-    p.set_defaults(handler=cmd_cohomology)
 
-    p = sub.add_parser("build", help="construct a space file")
+
+def _build_args(p) -> None:
     p.add_argument("kind", choices=("linear-rep", "sphere-product", "polytope", "product"))
     p.add_argument("--weights", help="rows 'a,b;c,d' for linear-rep")
     p.add_argument("--n", type=int, help="torus dimension for sphere-product")
@@ -414,23 +404,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left factor space file")
     p.add_argument("--right", help="right factor space file")
     p.add_argument("--out", help="write the space description here")
-    p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("check", help="validate functor laws, d^2 = 0, LES, Euler")
+
+def _check_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--les", help="comma-separated subset of stratum ids")
     p.add_argument("--euler", action="store_true")
-    p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("extend", help="extend minimal-stratum values to an assignment")
+
+def _extend_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--values", required=True)
-    p.set_defaults(handler=cmd_extend)
 
-    p = sub.add_parser("decompose", help="moment condition and cofactor split")
+
+def _decompose_args(p) -> None:
     p.add_argument("--weights", required=True)
     p.add_argument("--psi", required=True)
-    p.set_defaults(handler=cmd_decompose)
+
+
+# (name, help, handler, add-arguments) of each subcommand
+_COMMANDS = (
+    ("assignments", "dimension and basis of the assignment space", cmd_assignments,
+     lambda p: p.add_argument("file")),
+    ("cohomology", "assignment cohomology in one degree", cmd_cohomology, _cohomology_args),
+    ("build", "construct a space file", cmd_build, _build_args),
+    ("check", "validate functor laws, d^2 = 0, LES, Euler", cmd_check, _check_args),
+    ("extend", "extend minimal-stratum values to an assignment", cmd_extend, _extend_args),
+    ("decompose", "moment condition and cofactor split", cmd_decompose, _decompose_args),
+)
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv.
+
+    Every subcommand is registered, but only those whose name appears in
+    argv get their arguments: the only subparser that parses is the one
+    argv names, and adding arguments is most of the cost of building.
+    """
+    ap = argparse.ArgumentParser(
+        prog="assigncoh",
+        description="Exact assignment spaces and assignment cohomology "
+        "for stratified torus actions.",
+    )
+    ap.add_argument("--json", action="store_true", help="emit a JSON report")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    named = set(argv)
+    for name, help_text, handler, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name in named:
+            add_arguments(p)
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -464,7 +487,9 @@ def _fail(args, exc: Exception, code: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()

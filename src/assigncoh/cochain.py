@@ -11,8 +11,14 @@ a projection:
 
 The reduced complex keeps only strictly increasing tuples; it computes the
 same cohomology, which the homotopy operators in this module certify
-degree by degree.  Relative complexes (cochains vanishing on tuples inside
-a chosen stratum subset) reuse the same assembly with a tuple filter.
+degree by degree.  In degree 0 the strict, unfiltered complex takes its
+cocycles (the assignments) from the rows of d_0 at the system's cut pairs
+(`CoefficientSystem._cut`: the covers and explicit entries, from which
+every other pair is composed): they have the kernel of d_0, hence the
+same reduced echelon form and the same canonical representatives.  The
+differential d_0 itself stays whole, for degree 1 and the connecting
+maps.  Relative complexes (cochains vanishing on tuples inside a chosen
+stratum subset) reuse the same assembly with a tuple filter.
 
 One routine, `_assemble`, assembles every chain-level operator: the
 differential, the block scaling, the homotopies L and Q and the pullback
@@ -59,6 +65,7 @@ from .coeffsys import (
     SystemMorphism,
     _check_subset,
     _mul,
+    _strict_downsets,
     check_functor,
     moment_system,
     ses_check,
@@ -357,8 +364,16 @@ class _Complex:
 
     def data(self, k: int) -> _CohomologyData:
         if k not in self._data:
-            d_in_t = _transpose(self.d(k - 1), self.basis(k - 1).total_dim) if k > 0 else []
-            self._data[k] = _CohomologyData(d_in_t, self.d(k), self.basis(k).total_dim)
+            src = self.basis(k)
+            if k > 0:
+                d_in_t, d_out = _transpose(self.d(k - 1), self.basis(k - 1).total_dim), self.d(k)
+            elif self.strict and self.support is None:
+                # the rows of d_0 at the system's cut pairs have its kernel
+                d_in_t, d_out = [], _differential(
+                    self.v, src, ChainBasis(self.v, 1, True, self.v._cut))
+            else:
+                d_in_t, d_out = [], self.d(0)
+            self._data[k] = _CohomologyData(d_in_t, d_out, src.total_dim)
         return self._data[k]
 
     def result(self, k: int) -> CohomologyResult:
@@ -393,10 +408,7 @@ def euler_characteristic(v: CoefficientSystem) -> int:
     sum_k (-1)^k sum_y dim V(y) N_k(y).  No chain is enumerated.
     """
     space = v.space
-    below: Dict[str, List[str]] = {y: [] for y in space.ids}
-    for x in space.ids:
-        for y in space.above(x):
-            below[y].append(x)
+    below = _strict_downsets(space)
     counts = dict.fromkeys(space.ids, 1)
     total, sign = 0, 1
     while any(counts.values()):

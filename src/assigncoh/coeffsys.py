@@ -17,6 +17,17 @@ memoized.  The readers in this package (the differential, the functor and
 d^2 checks, sub/quotient systems, assignments) take those rows; `proj`
 builds the public `RatMatrix` of Fractions on demand.
 
+Because every other pair is composed from the cover maps, a family of
+values with a_y = proj(x, y) a_x on every cover and every explicit
+non-identity entry has it on every comparable pair.  A system records
+those pairs once, as its cut, and the assignments (degree-0 cocycles)
+are solved on the cut alone.  An explicit entry on a cover pair
+(`from_cover_maps` accepts one, a description file cannot give one)
+overrides that pair's public value but not the compositions, so then the
+cut is every comparable pair.  Likewise check_functor tests composition
+on the cover squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover
+of z and x < y, which give every strict triple by induction along covers.
+
 >>> from assigncoh.builders import build_linear_rep
 >>> space, v = build_linear_rep([(1, 0), (0, 1)])
 >>> space.covers[0], v._rows(*space.covers[0])
@@ -124,16 +135,23 @@ class CoefficientSystem:
     ):
         _check_shapes(space, dims, proj, [(x, x) for x in space.ids] + space.comparable_pairs())
         _check_comparable(space, proj)
-        self._keep(space, dims, {pair: _sparse(m) for pair, m in proj.items()}, {})
+        self._keep(space, dims, {pair: _sparse(m) for pair, m in proj.items()}, {},
+                   space.comparable_pairs())
 
     def _keep(self, space: StratSpace, dims: Mapping[str, int],
               given: Dict[Tuple[str, str], Rows],
-              covers: Mapping[Tuple[str, str], Rows]) -> None:
-        """Store the given rows; covers are what compositions are made of."""
+              covers: Mapping[Tuple[str, str], Rows],
+              cut: List[Tuple[str, str]]) -> None:
+        """Store the given rows; covers are what compositions are made of.
+
+        cut lists the pairs whose conditions a_y = proj(x, y) a_x cut out
+        the assignments (`cochain._Complex.data(0)`).
+        """
         self.space = space
         self.dims = dict(dims)
         self._at = given             # public rows, memoized compositions too
         self._covers = covers
+        self._cut = cut
         self._composed: Dict[Tuple[str, str], Rows] = {}
         self._lower: Optional[Dict[str, List[str]]] = None
 
@@ -141,11 +159,16 @@ class CoefficientSystem:
     def _of_rows(cls, space: StratSpace, dims: Mapping[str, int],
                  covers: Mapping[Tuple[str, str], Rows],
                  explicit: Mapping[Tuple[str, str], Rows]) -> "CoefficientSystem":
+        """A system from its cover maps and explicit entries, with its cut."""
         given = {(x, x): _identity_rows(dims[x]) for x in space.ids}
         given.update(covers)
         given.update(explicit)
+        if any(p in covers for p in explicit):
+            cut = space.comparable_pairs()
+        else:
+            cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
         v = cls.__new__(cls)
-        v._keep(space, dims, given, covers)
+        v._keep(space, dims, given, covers, cut)
         return v
 
     @classmethod
@@ -260,11 +283,33 @@ class FunctorReport:
         return not self.identity_violations and not self.composition_violations
 
 
+def _strict_downsets(space: StratSpace) -> Dict[str, List[str]]:
+    """Each stratum's strict downset, in sorted-id order."""
+    below: Dict[str, List[str]] = {y: [] for y in space.ids}
+    for x in space.ids:
+        for y in space.above(x):
+            below[y].append(x)
+    return below
+
+
 def check_functor(v: CoefficientSystem) -> FunctorReport:
-    """Exhaustively verify identity and composition laws of the system."""
+    """Verify the identity and composition laws of the system.
+
+    The composition law on every strict triple follows from the cover
+    squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and
+    x < y, by induction along covers: for y < w < z with w a lower cover
+    of z, proj(y, z) proj(x, y) = proj(w, z) proj(y, w) proj(x, y)
+    = proj(w, z) proj(x, w) = proj(x, z).  So the squares are checked
+    first, walking each y's strict downset, and every strict triple is
+    walked only when a square fails, to list every violation.
+    """
     space = v.space
     rows = v._rows
     bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
+    below = _strict_downsets(space)
+    if all(_mul(rows(y, z), rows(x, y)) == rows(x, z)
+           for y, z in space.covers for x in below[y]):
+        return FunctorReport(tuple(bad_id), ())
     bad_comp = []
     for x, y in space.comparable_pairs():
         first = rows(x, y)

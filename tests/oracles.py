@@ -6,7 +6,8 @@ package's code, so agreement is meaningful: plain Gaussian elimination for ranks
 first-nonzero Gauss-Jordan elimination as the reference for RREF, kernel
 and solve, a column elimination with a unimodular transform as the
 reference for saturated lattices, brute-force tuple enumeration and cover
-relations, a from-scratch assembly of the cochain differential, and one
+relations, a from-scratch assembly of the cochain differential, a dense
+walk over every strict triple for the functor laws, and one
 dense loop each for the block scaling, the homotopies L and Q and the
 pullback.  `d_squared_witness` multiplies the package's own assembled
 differentials: it is the reference that `check`'s closed-form d^2 = 0
@@ -247,6 +248,32 @@ def brute_assignment_dim(ids, leq, dims, proj_rows):
                 row[offset[y] + r] -= 1
                 rows.append(row)
     return total - brute_rank(rows)
+
+
+def brute_functor_violations(ids, leq, dims, proj_rows):
+    """(identity violations, composition violations), sorted, by a dense walk.
+
+    A stratum x violates the identity law when proj(x, x) is not the
+    identity; a strict triple x < y < z violates composition when
+    proj(y, z) proj(x, y) != proj(x, z).  Every stratum and every triple
+    is checked.  proj_rows(x, y) must return the projection as row lists.
+    """
+    order = sorted(ids)
+
+    def proj(x, y):
+        return [[Fraction(e) for e in row] for row in proj_rows(x, y)]
+
+    def mul(a, b, ncols):
+        return [[sum((r[k] * b[k][j] for k in range(len(b))), Fraction(0))
+                 for j in range(ncols)] for r in a]
+
+    identity = [x for x in order if proj(x, x) != [
+        [Fraction(int(i == j)) for j in range(dims[x])] for i in range(dims[x])]]
+    composition = [
+        (x, y, z) for x in order for y in order for z in order
+        if x != y and y != z and leq(x, y) and leq(y, z)
+        and mul(proj(y, z), proj(x, y), dims[x]) != proj(x, z)]
+    return identity, composition
 
 
 def _basis(ids, leq, dims, k, strict):

@@ -1,5 +1,6 @@
 """Command line interface: commands, exit codes, deterministic output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -42,6 +43,36 @@ def _module_env():
     """Environment in which `python -m assigncoh` imports this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def _subparser(ap, name):
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_parser_for_argv_matches_the_parser_for_every_name():
+    """A parser given only the argv it parses answers as one built with every name."""
+    names = [name for name, *_ in cli._COMMANDS]
+    full = cli._build_parser(names)
+    rests = {
+        "assignments": ["a.space"],
+        "cohomology": ["a.space", "--degree", "1", "--complex", "both", "--relative", "x,y"],
+        "build": ["polytope", "--cube", "--out", "c.space"],
+        "check": ["a.space", "--euler", "--les", "x"],
+        "extend": ["a.space", "--values", "v.json"],
+        "decompose": ["--weights", "1,0;0,1", "--psi", "z1"],
+    }
+    assert sorted(rests) == sorted(names)
+    assert cli._build_parser([]).format_help() == full.format_help()
+    for name, rest in rests.items():
+        for argv in ([name] + rest, ["--json", name] + rest):
+            ap = cli._build_parser(argv)
+            assert vars(ap.parse_args(argv)) == vars(full.parse_args(argv))
+            assert _subparser(ap, name).format_help() == _subparser(full, name).format_help()
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +495,20 @@ def test_build_missing_parameters(capsys):
     assert code == cli.EXIT_INPUT
     code, _, err = run(capsys, ["build", "product", "--left", "x"])
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_build_out_that_cannot_be_written_is_input_error(capsys, tmp_path, target):
+    out = str(tmp_path) + os.sep if target == "directory" else str(tmp_path / "no" / "x.space")
+    argv = ["build", "polytope", "--cube", "--out", out]
+    code, stdout, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert stdout == "" and err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    code, stdout, err = run(capsys, ["--json"] + argv)
+    assert code == cli.EXIT_INPUT
+    assert json.loads(stdout) == {"error": {"type": "_InputError", "message": err[7:-1]},
+                                  "exit_code": cli.EXIT_INPUT}
 
 
 def test_build_bad_weight_rows(capsys):

@@ -27,9 +27,16 @@ from assigncoh import (
     ses_check,
 )
 import assigncoh.cli
+from assigncoh.cochain import _CohomologyData, _Complex
 from assigncoh.errors import IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError
 from assigncoh.stratposet import minimal_strata
-from oracles import brute_cohomology_dim, reference_from_cover_maps, system_adapter
+from oracles import (
+    brute_assignment_dim,
+    brute_cohomology_dim,
+    brute_functor_violations,
+    reference_from_cover_maps,
+    system_adapter,
+)
 from spaces import CP2_FIXED, cp2, free_stratum, s4, zero_system
 
 
@@ -272,6 +279,31 @@ def test_from_cover_maps_missing_cover():
 # pairs composed on first use
 
 
+def _gate_spaces():
+    """Small moment spaces with chains of up to four strata."""
+    square = build_polytope(preset_polytope("square"))
+    segment = build_polytope(preset_polytope("segment"))
+    spheres = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1)])
+    return [cp2()[0], s4()[0], build_polytope(preset_polytope("cube"))[0],
+            build_product(square, segment)[0], spheres[0]]
+
+
+def _described(space, dims, covers, explicit):
+    """The system of a description file with these dims and projections."""
+    obj = SpaceDescription.from_space(space).to_json_dict()
+    obj["dims"] = dims
+    obj["projections"] = [
+        {"pair": list(p), "matrix": [[str(e) for e in row] for row in m.data]}
+        for p, m in list(covers.items()) + list(explicit.items())]
+    return build_from_description(SpaceDescription.from_json_dict(obj))[1]
+
+
+def _random_explicit(rng, space, dims, count):
+    longer = [p for p in space.comparable_pairs() if p not in space.cover_coords]
+    return {p: _random_matrix(rng, dims[p[1]], dims[p[0]])
+            for p in rng.sample(longer, min(count, len(longer)))}
+
+
 def _reference_cases(rng):
     """(system, space, dims, cover maps, explicit) with the reference inputs.
 
@@ -279,11 +311,7 @@ def _reference_cases(rng):
     random cover maps, whose cover squares disagree, and explicit entries on
     random pairs that are not covers.
     """
-    cube = build_polytope(preset_polytope("cube"))
-    square = build_polytope(preset_polytope("square"))
-    segment = build_polytope(preset_polytope("segment"))
-    spheres = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1)])
-    for space, _ in (cp2(), s4(), cube, build_product(square, segment), spheres):
+    for space in _gate_spaces():
         v = moment_system(space)
         covers = {c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]])
                   for c in space.covers}
@@ -294,16 +322,8 @@ def _reference_cases(rng):
         for _ in range(3):
             dims = {x: rng.randint(0, 2) for x in space.ids}
             covers = {(x, y): _random_matrix(rng, dims[y], dims[x]) for x, y in space.covers}
-            longer = [p for p in space.comparable_pairs() if p not in covers]
-            explicit = {p: _random_matrix(rng, dims[p[1]], dims[p[0]])
-                        for p in rng.sample(longer, min(3, len(longer)))}
-            obj = SpaceDescription.from_space(space).to_json_dict()
-            obj["dims"] = dims
-            obj["projections"] = [
-                {"pair": list(p), "matrix": [[str(e) for e in row] for row in m.data]}
-                for p, m in list(covers.items()) + list(explicit.items())]
-            _, w = build_from_description(SpaceDescription.from_json_dict(obj))
-            yield w, space, dims, covers, explicit
+            explicit = _random_explicit(rng, space, dims, 3)
+            yield _described(space, dims, covers, explicit), space, dims, covers, explicit
 
 
 def _random_matrix(rng, rows, cols):
@@ -347,6 +367,88 @@ def test_rows_are_ints_where_integral():
     assert type(w._rows("p1", "open")[0][0]) is int
     assert w.proj("p1", "open").data == [[Fraction(3)]]
     assert all(type(e) is Fraction for p in w.pairs() for row in w.proj(*p).data for e in row)
+
+
+# ---------------------------------------------------------------------------
+# degree 0 from the cut pairs, composition laws from cover squares
+
+
+def _cut_cases(rng):
+    """Systems for the degree-0 and functor-law gates.
+
+    Per space: descriptions with random cover maps and 0-6 random explicit
+    entries on pairs that are not covers.  Then, for the moment system and
+    the constant system Q: the system itself; descriptions with its cover
+    maps and explicit entries on longer pairs, one equal to the composed
+    value, one on a diagonal pair, and one on a pair that no square of
+    three covers contains, where only a square with a longer lower side
+    sees a violation; and a from_cover_maps system with a random explicit
+    entry on a cover pair, which the compositions do not see.  On the flag
+    chain no other path avoids that cover.
+    """
+    for space in _gate_spaces() + [flag_chain()[0]]:
+        for count in range(7):
+            dims = {x: rng.randint(0, 2) for x in space.ids}
+            covers = {(x, y): _random_matrix(rng, dims[y], dims[x]) for x, y in space.covers}
+            yield _described(space, dims, covers, _random_explicit(rng, space, dims, count))
+        one = dict.fromkeys(space.ids, 1)
+        for v in (moment_system(space), CoefficientSystem.from_cover_maps(
+                space, one, {c: RatMatrix.identity(1) for c in space.covers})):
+            yield v
+            covers = {c: v.proj(*c) for c in space.covers}
+            far = [(x, z) for x, z in space.comparable_pairs()
+                   if v.dims[z] and (x, z) not in covers and not any(
+                       (x, y) in covers and (y, z) in covers for y in space.ids)]
+            for count in (1, 3):
+                explicit = _random_explicit(rng, space, v.dims, count)
+                kept = rng.choice(sorted(explicit))
+                explicit[kept] = v.proj(*kept)
+                if count == 3:
+                    x = rng.choice([x for x in space.ids if v.dims[x]])
+                    explicit[(x, x)] = _random_matrix(rng, v.dims[x], v.dims[x])
+                yield _described(space, v.dims, covers, explicit)
+            if far:
+                x, z = rng.choice(far)
+                yield _described(space, v.dims, covers,
+                                 {(x, z): _random_matrix(rng, v.dims[z], v.dims[x])})
+            x, y = rng.choice([c for c in space.covers if v.dims[c[1]]])
+            yield CoefficientSystem.from_cover_maps(
+                space, v.dims, covers, {(x, y): _random_matrix(rng, v.dims[y], v.dims[x])})
+
+
+def test_degree_zero_from_cut_pairs_matches_d0_seeded():
+    """H^0 from the rows at the cut pairs is H^0 of the whole d_0, byte for byte.
+
+    The cut holds the covers and the explicit non-identity entries, or
+    every comparable pair when an explicit entry overrides a cover map.
+    """
+    rng = random.Random(16)
+    fewer = every = 0
+    for v in _cut_cases(rng):
+        cx = _Complex(v, True)
+        data = cx.data(0)
+        assert 0 not in cx._ds  # d_0 itself was not assembled
+        ref = _CohomologyData([], cx.d(0), cx.basis(0).total_dim)
+        assert data.cocycles == ref.cocycles
+        assert (data._rep_rows, data.rep_pivots) == (ref._rep_rows, ref.rep_pivots)
+        assert data.dim == brute_assignment_dim(*system_adapter(v))
+        fewer += len(v._cut) < len(v.space.comparable_pairs())
+        every += v._cut == v.space.comparable_pairs()
+    assert fewer >= 30 and every >= 5
+
+
+def test_check_functor_matches_dense_triple_walk_seeded():
+    """check_functor names exactly the violations a walk over every triple finds."""
+    rng = random.Random(61)
+    failing = passing = 0
+    for v in _cut_cases(rng):
+        identity, composition = brute_functor_violations(*system_adapter(v))
+        report = check_functor(v)
+        assert report.identity_violations == tuple(identity)
+        assert report.composition_violations == tuple(composition)
+        failing += bool(composition)
+        passing += not composition
+    assert failing >= 20 and passing >= 5
 
 
 def _record_compositions(monkeypatch):
