@@ -23,7 +23,7 @@ from .errors import (
     MissingMinimalValueError,
     UnknownIdError,
 )
-from .ratlin import _frac, vec_sub
+from .ratlin import _frac
 from .stratposet import minimal_strata
 
 
@@ -79,7 +79,7 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
     bad = []
     for x, y in v.space.comparable_pairs():
         pushed = _push(v._rows(x, y), candidate.value(x))
-        residual = vec_sub(pushed, candidate.value(y))
+        residual = [_frac(a) - _frac(b) for a, b in zip(pushed, candidate.value(y))]
         if any(residual):
             bad.append(((x, y), tuple(residual)))
     return AssignmentReport(tuple(bad))

@@ -65,7 +65,6 @@ from .coeffsys import (
     SystemMorphism,
     _check_subset,
     _mul,
-    _strict_downsets,
     check_functor,
     moment_system,
     ses_check,
@@ -408,12 +407,11 @@ def euler_characteristic(v: CoefficientSystem) -> int:
     sum_k (-1)^k sum_y dim V(y) N_k(y).  No chain is enumerated.
     """
     space = v.space
-    below = _strict_downsets(space)
     counts = dict.fromkeys(space.ids, 1)
     total, sign = 0, 1
     while any(counts.values()):
         total += sign * sum(v.dims[y] * n for y, n in counts.items())
-        counts = {y: sum(counts[x] for x in below[y]) for y in space.ids}
+        counts = {y: sum(counts[x] for x in space.below(y)) for y in space.ids}
         sign = -sign
     return total
 

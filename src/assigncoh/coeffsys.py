@@ -8,25 +8,28 @@ stabilizer basis of X, with projections given by restriction of
 functionals.
 
 A projection for X below Y is dims(Y) x dims(X), acting on coordinate
-columns.  A system keeps the matrices it is given (the identities and the
-cover maps, the explicit entries of a description, or every pair when the
-constructor is given them all) as sparse rows, one per coordinate of Y,
-with int entries where integral and Fractions only where a denominator
-remains.  Any other pair is composed from the cover maps on first use and
-memoized.  The readers in this package (the differential, the functor and
-d^2 checks, sub/quotient systems, assignments) take those rows; `proj`
-builds the public `RatMatrix` of Fractions on demand.
+columns.  A system keeps its matrices as sparse rows, one per coordinate
+of Y, with int entries where integral and Fractions only where a
+denominator remains, in two tables.  `_explicit` holds the explicit
+entries of a description (every pair, when the constructor is given them
+all) and serves public values only.  `_at` holds the identity rows and the
+cover maps; every other pair is composed from them on first use, along
+the route `space.lower_covers` fixes, and memoized there.  The readers in
+this package (the differential, the functor and d^2 checks, sub/quotient
+systems, assignments) take those rows; `proj` builds the public
+`RatMatrix` of Fractions on demand.
 
 Because every other pair is composed from the cover maps, a family of
 values with a_y = proj(x, y) a_x on every cover and every explicit
 non-identity entry has it on every comparable pair.  A system records
-those pairs once, as its cut, and the assignments (degree-0 cocycles)
-are solved on the cut alone.  An explicit entry on a cover pair
-(`from_cover_maps` accepts one, a description file cannot give one)
-overrides that pair's public value but not the compositions, so then the
-cut is every comparable pair.  Likewise check_functor tests composition
-on the cover squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover
-of z and x < y, which give every strict triple by induction along covers.
+those pairs once, as its cut, which follows from the two tables, and the
+assignments (degree-0 cocycles) are solved on the cut alone.  An explicit
+entry on a cover pair (`from_cover_maps` accepts one, a description file
+cannot give one) overrides that pair's public value but not the
+compositions, so then the cut is every comparable pair.  Likewise
+check_functor tests composition on the cover squares
+proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
+give every strict triple by induction along covers.
 
 >>> from assigncoh.builders import build_linear_rep
 >>> space, v = build_linear_rep([(1, 0), (0, 1)])
@@ -121,6 +124,11 @@ def _check_comparable(space: StratSpace, pairs) -> None:
 class CoefficientSystem:
     """Dimensions and projection matrices over a StratSpace.
 
+    Two tables of rows: _explicit, the explicit entries, gives public values
+    only; _at holds the identities, the cover maps and their compositions
+    along the route space.lower_covers fixes, never an explicit entry.  The
+    cut follows from the two (see _keep).
+
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
     the business of check_functor, so that deliberately perturbed systems
@@ -135,40 +143,33 @@ class CoefficientSystem:
     ):
         _check_shapes(space, dims, proj, [(x, x) for x in space.ids] + space.comparable_pairs())
         _check_comparable(space, proj)
-        self._keep(space, dims, {pair: _sparse(m) for pair, m in proj.items()}, {},
-                   space.comparable_pairs())
+        self._keep(space, dims, {}, {pair: _sparse(m) for pair, m in proj.items()})
 
     def _keep(self, space: StratSpace, dims: Mapping[str, int],
-              given: Dict[Tuple[str, str], Rows],
               covers: Mapping[Tuple[str, str], Rows],
-              cut: List[Tuple[str, str]]) -> None:
-        """Store the given rows; covers are what compositions are made of.
-
-        cut lists the pairs whose conditions a_y = proj(x, y) a_x cut out
-        the assignments (`cochain._Complex.data(0)`).
+              explicit: Dict[Tuple[str, str], Rows]) -> None:
+        """Store the tables and the cut, the pairs whose conditions cut out
+        the assignments (`cochain._Complex.data(0)`): the covers and explicit
+        non-identity entries, or every comparable pair once an explicit
+        entry hides a cover map that the compositions still use.
         """
         self.space = space
         self.dims = dict(dims)
-        self._at = given             # public rows, memoized compositions too
-        self._covers = covers
-        self._cut = cut
-        self._composed: Dict[Tuple[str, str], Rows] = {}
-        self._lower: Optional[Dict[str, List[str]]] = None
+        self._at = {(x, x): _identity_rows(dims[x]) for x in space.ids}
+        self._at.update(covers)
+        self._explicit = explicit
+        if any(p in covers for p in explicit):
+            self._cut = space.comparable_pairs()
+        else:
+            self._cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
 
     @classmethod
     def _of_rows(cls, space: StratSpace, dims: Mapping[str, int],
                  covers: Mapping[Tuple[str, str], Rows],
-                 explicit: Mapping[Tuple[str, str], Rows]) -> "CoefficientSystem":
-        """A system from its cover maps and explicit entries, with its cut."""
-        given = {(x, x): _identity_rows(dims[x]) for x in space.ids}
-        given.update(covers)
-        given.update(explicit)
-        if any(p in covers for p in explicit):
-            cut = space.comparable_pairs()
-        else:
-            cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
+                 explicit: Dict[Tuple[str, str], Rows]) -> "CoefficientSystem":
+        """A system from its cover maps and explicit entries, as rows."""
         v = cls.__new__(cls)
-        v._keep(space, dims, given, covers, cut)
+        v._keep(space, dims, covers, explicit)
         return v
 
     @classmethod
@@ -181,9 +182,9 @@ class CoefficientSystem:
     ) -> "CoefficientSystem":
         """Fill all comparable pairs by composing cover maps along one path.
 
-        Composition walks covers in a fixed order, so the result is
+        The path is the route space.lower_covers fixes, so the result is
         deterministic; if different paths disagree the construction keeps
-        the first and check_functor will name a violating triple.  Entries
+        that one and check_functor will name a violating triple.  Entries
         in `explicit` override the public value of their pair, never a
         step of another pair's composition.  Pairs are composed on first
         use (see _compose).
@@ -200,41 +201,27 @@ class CoefficientSystem:
             {pair: _sparse(m) for pair, m in explicit.items()})
 
     def _rows(self, x: str, y: str) -> Rows:
-        """proj(x, y) as rows; x must lie weakly below y."""
-        rows = self._at.get((x, y))
-        if rows is None:
-            rows = self._at[(x, y)] = self._path(x, y)
-        return rows
+        """proj(x, y) as rows: the explicit entry, else the path; x <= y."""
+        rows = self._explicit.get((x, y))
+        return self._path(x, y) if rows is None else rows
 
     def _path(self, x: str, z: str) -> Rows:
-        """The cover map at (x, z), or its composition: never an explicit entry."""
-        rows = self._covers.get((x, z))
+        """The identity or cover map at (x, z), or its composition, memoized."""
+        rows = self._at.get((x, z))
         if rows is None:
-            rows = self._composed.get((x, z))
-            if rows is None:
-                rows = self._composed[(x, z)] = self._compose(x, z)
+            rows = self._at[(x, z)] = self._compose(x, z)
         return rows
 
     def _compose(self, x: str, z: str) -> Rows:
         """proj(x, z) for x < z not a cover: cover(y, z) @ path(x, y).
 
-        y is the lower cover of z strictly above x that comes first in the
-        order by shrinking upset, then id.  That order is a linear extension,
-        so this is the first path a walk up from x along it reaches z by.
+        y is the first of space.lower_covers(z) above x (x itself is no
+        lower cover of z here): the first path a walk up from x along the
+        linear extension those lists are sorted by reaches z by.
         """
-        if self._lower is None:
-            space = self.space
-            topo = sorted(space.ids, key=lambda s: (-len(space.upset(s)), s))
-            position = {s: i for i, s in enumerate(topo)}
-            lower: Dict[str, List[str]] = {s: [] for s in space.ids}
-            for a, b in space.covers:
-                lower[b].append(a)
-            for ys in lower.values():
-                ys.sort(key=position.__getitem__)
-            self._lower = lower
-        up = self.space.upset(x)   # x itself is no lower cover of z here
-        y = next(y for y in self._lower[z] if y in up)
-        return _mul(self._covers[(y, z)], self._path(x, y))
+        up = self.space.upset(x)
+        y = next(y for y in self.space.lower_covers(z) if y in up)
+        return _mul(self._at[(y, z)], self._path(x, y))
 
     def proj(self, x: str, y: str) -> RatMatrix:
         if x not in self.dims:
@@ -283,15 +270,6 @@ class FunctorReport:
         return not self.identity_violations and not self.composition_violations
 
 
-def _strict_downsets(space: StratSpace) -> Dict[str, List[str]]:
-    """Each stratum's strict downset, in sorted-id order."""
-    below: Dict[str, List[str]] = {y: [] for y in space.ids}
-    for x in space.ids:
-        for y in space.above(x):
-            below[y].append(x)
-    return below
-
-
 def check_functor(v: CoefficientSystem) -> FunctorReport:
     """Verify the identity and composition laws of the system.
 
@@ -306,9 +284,8 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
     space = v.space
     rows = v._rows
     bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
-    below = _strict_downsets(space)
     if all(_mul(rows(y, z), rows(x, y)) == rows(x, z)
-           for y, z in space.covers for x in below[y]):
+           for y, z in space.covers for x in space.below(y)):
         return FunctorReport(tuple(bad_id), ())
     bad_comp = []
     for x, y in space.comparable_pairs():
@@ -333,7 +310,7 @@ def weak_square_zero(v: CoefficientSystem, report: FunctorReport) -> bool:
     for x in report.identity_violations:
         p = v._rows(x, x)
         outs = [v._rows(x, c) for c in space.above(x)]
-        ins = [v._rows(a, x) for a in space.ids if a != x and space.leq(a, x)]
+        ins = [v._rows(a, x) for a in space.below(x)]
         if (_mul(p, p) != p or any(_mul(m, p) != m for m in outs)
                 or any(_mul(p, m) != m for m in ins)):
             return False

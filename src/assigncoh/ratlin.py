@@ -426,7 +426,3 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
         for j, z in image.items():
             x[j] += y * z
     return x if a.apply(x) == b else None
-
-
-def vec_sub(u: Sequence, v: Sequence) -> list:
-    return [_frac(a) - _frac(b) for a, b in zip(u, v)]

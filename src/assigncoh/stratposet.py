@@ -14,8 +14,8 @@ reducing against the echelon basis pivot by pivot, in integers, with no
 rational elimination.
 
 StratSpace.from_covers computes the order and inclusion facts once (upsets,
-sorted strictly-above tuples, cover coordinates); coeffsys, cochain and
-builders read them from the space instead of deriving them again.
+strict upsets and downsets, lower covers, cover coordinates); coeffsys,
+cochain and builders read them from the space instead of deriving them again.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class Subalgebra:
         return rows
 
     def contains(self, other: "Subalgebra") -> bool:
-        return self.coordinates_of(other) is not None
+        return self._coordinate_rows(other) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Subalgebra):
@@ -223,9 +223,10 @@ class StratSpace:
     """Finite stratification poset with a stabilizer subalgebra per stratum.
 
     from_covers stores the upsets (leq, upset, _closure_direction), the
-    sorted strictly-above tuples (above, chains, check_functor, the Euler
-    count) and each cover's coordinates as sparse integer rows (cover_coords,
-    which moment_system keeps as its cover maps).
+    sorted strict upsets and downsets (above, below), the lower covers in
+    the order compositions take them (lower_covers) and each cover's
+    coordinates as sparse integer rows (cover_coords, which moment_system
+    keeps as its cover maps).
     """
 
     def __init__(self, torus_dim, ids, stabilizers, cover_coords, upsets):
@@ -236,6 +237,15 @@ class StratSpace:
         self.covers = tuple(cover_coords)
         self._upsets = upsets             # id -> frozenset of ids weakly above
         self._above = {x: tuple(sorted(s - {x})) for x, s in upsets.items()}
+        self._below = {x: [] for x in ids}      # id -> ids strictly below, sorted
+        self._covered = {x: [] for x in ids}    # id -> lower covers, route order
+        for x in ids:
+            for y in self._above[x]:
+                self._below[y].append(x)
+        for x, y in self.covers:
+            self._covered[y].append(x)
+        for xs in self._covered.values():
+            xs.sort(key=lambda x: (-len(upsets[x]), x))
 
     @classmethod
     def from_covers(
@@ -314,6 +324,18 @@ class StratSpace:
         """Ids strictly above x, sorted."""
         return self._above[x]
 
+    def below(self, x: str) -> List[str]:
+        """Ids strictly below x, sorted."""
+        return self._below[x]
+
+    def lower_covers(self, x: str) -> List[str]:
+        """The strata x covers, by shrinking upset, then id: a linear extension.
+
+        A CoefficientSystem composes proj(w, x) through the first of these
+        that lies above w.
+        """
+        return self._covered[x]
+
     def upset(self, x: str) -> frozenset:
         if x not in self._upsets:
             raise UnknownIdError(x)
@@ -334,9 +356,8 @@ class StratSpace:
 
 
 def minimal_strata(space: StratSpace) -> Tuple[str, ...]:
-    """Sorted ids with nothing strictly below them: no cover ends there."""
-    uppers = {y for _, y in space.covers}
-    return tuple(x for x in space.ids if x not in uppers)
+    """Sorted ids with nothing strictly below them."""
+    return tuple(x for x in space.ids if not space.below(x))
 
 
 def chains(space: StratSpace, k: int, strict: bool) -> List[Tuple[str, ...]]:

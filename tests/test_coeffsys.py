@@ -92,6 +92,22 @@ def flag_chain():
     return space, moment_system(space)
 
 
+def fork():
+    """o below a, a below b and c, both below z, and c below w too.
+
+    c's upset is the larger, so the route of (o, z) and of (a, z) runs
+    through c, though b comes first by id.
+    """
+    space = StratSpace.from_covers(
+        3,
+        {"o": Subalgebra.full(3), "a": Subalgebra.span(3, [[1, 0, 0], [0, 1, 0]]),
+         "b": Subalgebra.span(3, [[1, 0, 0]]), "c": Subalgebra.span(3, [[0, 1, 0]]),
+         "w": Subalgebra.zero(3), "z": Subalgebra.zero(3)},
+        [("o", "a"), ("a", "b"), ("a", "c"), ("b", "z"), ("c", "z"), ("c", "w")],
+    )
+    return space, moment_system(space)
+
+
 def test_functor_perturbed_projection_named():
     space, v = flag_chain()
     proj = {pair: v.proj(*pair) for pair in v.pairs()}
@@ -309,9 +325,10 @@ def _reference_cases(rng):
 
     Moment systems, the constant system Q^2, and description systems with
     random cover maps, whose cover squares disagree, and explicit entries on
-    random pairs that are not covers.
+    random pairs that are not covers.  On the fork, the order of the lower
+    covers decides which cover square a composed pair takes.
     """
-    for space in _gate_spaces():
+    for space in _gate_spaces() + [fork()[0]]:
         v = moment_system(space)
         covers = {c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]])
                   for c in space.covers}

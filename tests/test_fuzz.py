@@ -1,8 +1,9 @@
 """Seeded fuzz of the command line on mutated space files.
 
-The square's space file and the same space as a generic system (explicit
-dims and cover projections) get one or two leaves replaced by hostile
-JSON values.  Every command run on the result must return a documented
+The square's space file, the same space as a generic system (explicit
+dims and cover projections), and that generic system with explicit
+entries on two of its vertex -> interior pairs get one or two leaves
+replaced by hostile JSON values.  Every command run on the result must return a documented
 exit code (0-5) and raise nothing.  Mutations that grow sizes (a huge
 torus_dim, say) are left out: there is no size budget to refuse them yet.
 
@@ -37,7 +38,13 @@ def square_files(capsys, tmp_path):
         {"pair": [x, y], "matrix": [[str(e) for e in row] for row in system.proj(x, y).data]}
         for x, y in space.covers
     ]
-    return {"square": plain, "square-generic": generic}
+    explicit = copy.deepcopy(generic)
+    explicit["projections"] += [
+        {"pair": [x, "interior"],
+         "matrix": [[str(e) for e in row] for row in system.proj(x, "interior").data]}
+        for x in ("v00", "v01")
+    ]
+    return {"square": plain, "square-generic": generic, "square-explicit": explicit}
 
 
 def _leaves(obj, path=()):

@@ -14,7 +14,6 @@ from assigncoh.ratlin import (
     solve,
     sparse_echelon,
     sparse_kernel,
-    vec_sub,
 )
 from oracles import brute_rank, reference_kernel, reference_rref, reference_solve
 
@@ -122,10 +121,6 @@ def test_matrix_algebra():
     assert not a.is_zero()
     assert a.transpose().transpose() == a
     assert RatMatrix.diagonal([2, 3]).row(1) == [0, 3]
-
-
-def test_vector_helpers():
-    assert vec_sub([1, 2], [3, 4]) == [Fraction(-2), Fraction(-2)]
 
 
 def _of_rank(rng, m, n, r):

@@ -4,11 +4,19 @@ import pytest
 
 import assigncoh.stratposet
 from assigncoh import PosetMap, RatMatrix, StratSpace, Subalgebra, chains, minimal_strata, poset_morphism_check
-from assigncoh import build_polytope, build_product, build_sphere_product, preset_polytope
+from assigncoh import (
+    SpaceDescription,
+    build_from_description,
+    build_linear_rep,
+    build_polytope,
+    build_product,
+    build_sphere_product,
+    preset_polytope,
+)
 from assigncoh.errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from assigncoh.stratposet import _int_kernel
-from oracles import brute_rank, brute_tuples, reference_solve, reference_span
-from spaces import cp2, two_stratum
+from oracles import brute_covers, brute_rank, brute_tuples, reference_solve, reference_span
+from spaces import cp2, s4, two_stratum
 
 
 def test_two_stratum_space_valid():
@@ -109,6 +117,46 @@ def test_minimal_strata():
         1, {"a": Subalgebra.zero(1), "b": Subalgebra.zero(1)}, []
     )
     assert minimal_strata(discrete) == ("a", "b")
+
+
+def _order_spaces(rng):
+    """(space, transitive pair or None): builders' spaces, products, and a
+    description whose covers list also names a pair two covers compose."""
+    built = [build_polytope(preset_polytope(name))
+             for name in ("segment", "triangle", "square", "pentagon", "cube")]
+    built += [cp2(), s4()]
+    for _ in range(3):
+        n = rng.randint(1, 3)
+        built.append(build_linear_rep(
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]))
+        built.append(build_sphere_product(
+            2, [(rng.randint(-1, 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 3))]))
+    for space, _ in built:
+        yield space, None
+    small = [b for b in built if len(b[0].ids) <= 12]
+    for _ in range(4):
+        yield build_product(*rng.sample(small, 2))[0], None
+    obj = SpaceDescription.from_space(cp2()[0]).to_json_dict()
+    obj["covers"].append(["p1", "open"])
+    yield build_from_description(SpaceDescription.from_json_dict(obj))[0], ("p1", "open")
+
+
+def test_order_tables_match_brute_force_seeded():
+    """below, lower_covers and minimal_strata against leq and the covers list."""
+    rng = random.Random(17)
+    for space, extra in _order_spaces(rng):
+        ids, leq = space.ids, space.leq
+        hasse = brute_covers(ids, leq)
+        assert sorted(space.covers) == sorted(hasse + ([extra] if extra else []))
+        for x in ids:
+            assert space.below(x) == sorted(a for a in ids if a != x and leq(a, x))
+            lower = space.lower_covers(x)
+            assert sorted(lower) == sorted(a for a, b in space.covers if b == x)
+            keys = [(-len(space.upset(a)), a) for a in lower]
+            assert keys == sorted(keys)
+        assert minimal_strata(space) == tuple(
+            x for x in ids if not any(a != x and leq(a, x) for a in ids))
+    assert "p1" in space.lower_covers("open")
 
 
 def test_morphism_identity_ok():
