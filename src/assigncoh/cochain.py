@@ -42,7 +42,9 @@ representatives as sparse image rows, then checks exactness node by node.
 A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
-`ratlin.sparse_echelon` does every elimination, fraction-free.  Cocycles,
+the two passes of `ratlin.sparse_echelon` do every elimination,
+fraction-free.  A degree's dimension comes from ranks, the forward pass
+alone; only a degree with classes takes the kernel.  Cocycles,
 coboundary rows and the reduction of one against the other stay integer;
 the representatives' rows are divided by their pivots once.  Dense lists
 of Fractions appear only in public values (`Cochain`, `differential_matrix`,
@@ -77,10 +79,13 @@ from .errors import (
 from .ratlin import (
     RatMatrix,
     SparseRow,
+    _back,
+    _forward,
     _frac,
     _integral,
     _normalize,
     _preimage,
+    _rank,
     sparse_echelon,
     sparse_kernel,
 )
@@ -245,6 +250,23 @@ def _apply(rows: Rows, vec: SparseRow) -> SparseRow:
     return out
 
 
+def _composes_to_zero(d_in_t: Rows, d_out: Rows, ncols: int) -> bool:
+    """Whether d_k d_{k-1} = 0, given the rows of d_k and of d_{k-1}'s transpose.
+
+    Each image vector d_{k-1} e_i goes through d_k by the columns of d_k;
+    the walk stops at the first nonzero product.
+    """
+    cols = _transpose(d_out, ncols)
+    for vec in d_in_t:
+        acc: SparseRow = {}
+        for j, y in vec.items():
+            for r, x in cols[j].items():
+                acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
 def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
     """out -= c * row, in place, dropping entries that cancel."""
     for j, y in row.items():
@@ -292,23 +314,34 @@ class _CohomologyData:
     """Kernel, image, and canonical representatives at one degree.
 
     d_out holds the sparse rows of d_k and d_in_t those of the transpose of
-    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.  Cocycles, image
-    rows and the reduction between them stay integer; the representatives'
-    rows are divided by their pivots once, for the canonical
-    representatives.
+    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.  Dimensions come
+    first, from the forward passes of `ratlin.sparse_echelon` alone:
+    dim = dim C^k - rank d_k - rank d_{k-1}.  The image is back-substituted
+    for `class_coords`.  Only when dim > 0, or when d_k d_{k-1} != 0 (a
+    system off the functor laws, where the count can miss classes), does
+    the canonical pass run: the kernel of d_k (`cocycles`, else None), each
+    cocycle reduced against the image, and the echelon form of what
+    remains, whose rows are divided by their pivots once for the canonical
+    representatives.  Cocycles, image rows and the reduction between them
+    stay integer.
     """
 
     def __init__(self, d_in_t: Rows, d_out: Rows, dim_chain: int):
         self.dim_chain = dim_chain
-        self.cocycles = sparse_kernel(*sparse_echelon(d_out, dim_chain), dim_chain)
-        im_rows, im_pivots = sparse_echelon(d_in_t, dim_chain)
+        out = _forward(d_out, dim_chain)
+        im_rows, im_pivots = _back(*_forward(d_in_t, dim_chain))
         self.im_rank = len(im_pivots)
         self._im_at = dict(zip(im_pivots, im_rows))
-        reduced = [_reduce(z, self._im_at)[0] for z in self.cocycles]
-        rep_rows, self.rep_pivots = sparse_echelon(reduced, dim_chain)
-        self._rep_at = dict(zip(self.rep_pivots, rep_rows))
-        self._rep_rows = _normalize(rep_rows, self.rep_pivots)
-        self.dim = len(self.rep_pivots)
+        self.dim_cocycles = dim_chain - len(out[1])
+        self.dim = self.dim_cocycles - self.im_rank
+        self.cocycles, self._rep_at, self._rep_rows, self.rep_pivots = None, {}, [], ()
+        if self.dim or not _composes_to_zero(d_in_t, d_out, dim_chain):
+            self.cocycles = sparse_kernel(*_back(*out), dim_chain)
+            reduced = [_reduce(z, self._im_at)[0] for z in self.cocycles]
+            rep_rows, self.rep_pivots = sparse_echelon(reduced, dim_chain)
+            self._rep_at = dict(zip(self.rep_pivots, rep_rows))
+            self._rep_rows = _normalize(rep_rows, self.rep_pivots)
+            self.dim = len(self.rep_pivots)
 
     def class_coords(self, vec: SparseRow) -> List[Fraction]:
         """Coordinates of a cocycle's class over the canonical representatives.
@@ -382,7 +415,7 @@ class _Complex:
                 for r in RatMatrix.from_sparse(data._rep_rows, basis.total_dim).data]
         diag = {
             "dim_chain": data.dim_chain,
-            "dim_cocycles": len(data.cocycles),
+            "dim_cocycles": data.dim_cocycles,
             "rank_coboundaries": data.im_rank,
         }
         return CohomologyResult(k, data.dim, reps, diag)
@@ -535,7 +568,7 @@ def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     at a node is composition zero plus the rank count rank(in) + rank(out) = dim.
     """
     failures = []
-    ranks = [len(sparse_echelon(m, node_dims[i + 1])[1]) for i, m in enumerate(maps)]
+    ranks = [_rank(m, node_dims[i + 1]) for i, m in enumerate(maps)]
     for i, name in enumerate(node_names):
         rin = ranks[i - 1] if i > 0 else 0
         rout = ranks[i] if i < len(maps) else 0

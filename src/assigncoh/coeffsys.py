@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, SparseRow, _exact, _sparse, sparse_echelon
+from .ratlin import RatMatrix, SparseRow, _exact, _rank, _sparse
 from .stratposet import StratSpace
 
 # a projection as sparse rows, one per coordinate of the upper stratum
@@ -278,14 +278,33 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
     x < y, by induction along covers: for y < w < z with w a lower cover
     of z, proj(y, z) proj(x, y) = proj(w, z) proj(y, w) proj(x, y)
     = proj(w, z) proj(x, w) = proj(x, z).  So the squares are checked
-    first, walking each y's strict downset, and every strict triple is
-    walked only when a square fails, to list every violation.
+    first, walking each z's lower covers y in order and each y's strict
+    downset, and every strict triple is walked only when a square fails,
+    to list every violation.  A square holds by construction, and is
+    skipped, when y is the route of (x, z), the first lower cover of z
+    above x (`CoefficientSystem._compose`), and none of its three pairs
+    carries an explicit entry.
     """
     space = v.space
-    rows = v._rows
+    rows, explicit = v._rows, v._explicit
     bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
-    if all(_mul(rows(y, z), rows(x, y)) == rows(x, z)
-           for y, z in space.covers for x in space.below(y)):
+
+    def squares_hold() -> bool:
+        for z in space.ids:
+            routed = set()
+            for y in space.lower_covers(z):
+                for x in space.below(y):
+                    # the first y reached from x is the route of (x, z)
+                    if x not in routed:
+                        routed.add(x)
+                        if not (explicit and any(
+                                p in explicit for p in ((x, y), (y, z), (x, z)))):
+                            continue
+                    if _mul(rows(y, z), rows(x, y)) != rows(x, z):
+                        return False
+        return True
+
+    if squares_hold():
         return FunctorReport(tuple(bad_id), ())
     bad_comp = []
     for x, y in space.comparable_pairs():
@@ -446,7 +465,7 @@ def ses_check(f: SystemMorphism, g: SystemMorphism) -> SesReport:
         raise ValueError("middle systems of the sequence differ")
     inj, surj, mid = [], [], []
     for x in f.source.space.ids:
-        rf, rg = (len(sparse_echelon(h._rows[x], h.source.dims[x])[1]) for h in (f, g))
+        rf, rg = (_rank(h._rows[x], h.source.dims[x]) for h in (f, g))
         if rf != f.source.dims[x]:
             inj.append(x)
         if rg != g.target.dims[x]:

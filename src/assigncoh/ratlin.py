@@ -2,10 +2,15 @@
 
 Everything in the package reduces to rank / kernel / solve questions.  The
 large matrices are cochain differentials: a few nonzeros per row, nearly
-all of them +1 or -1.  So one sparse Gauss-Jordan kernel, `sparse_echelon`,
-does every elimination; `sparse_rref` divides its rows by their pivots, and
-`rref`, `rank`, `kernel_basis` and `solve` are thin wrappers that take and
-give the dense `RatMatrix` value type (`solve` through `_preimage`).
+all of them +1 or -1.  So one sparse Gauss-Jordan kernel does every
+elimination, in two passes that share one row-clearing step (`_clear`):
+`_forward` clears each pivot column below the pivot and yields the rank,
+and `_back` clears it above.  `sparse_echelon` runs both; rank-only
+callers (`_rank`, `rank`) and cohomology degrees with no classes stop
+after the forward pass.  `sparse_rref` divides the rows of
+`sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
+`solve` are thin wrappers that take and give the dense `RatMatrix` value
+type (`solve` through `_preimage`).
 
 Canonical outputs, relied on by golden tests elsewhere:
 
@@ -28,7 +33,11 @@ ints, and no Fraction is created inside the loop.  Each row is divided by
 its pivot once, at the public boundary: `sparse_rref` keeps entries ints
 where integral, and every `RatMatrix` result carries `Fraction` entries.
 Scaling a row keeps its support, so the pivot rows and the fill-in are
-those of division-based elimination, and the RREF is the same.
+those of division-based elimination, and the RREF is the same.  The
+forward pass updates unused rows only, exactly as a one-pass Gauss-Jordan
+elimination does, so both choose the same pivots; the RREF is unique and
+each output row is primitive with a positive pivot, so the two passes
+give the one-pass output entry for entry.
 
 >>> m = RatMatrix.from_rows([[1, -1]])
 >>> kernel_basis(m)
@@ -206,25 +215,61 @@ def _primitive(row: SparseRow) -> SparseRow:
     return dict(ints) if ints is row else ints
 
 
-def sparse_echelon(rows: Sequence[SparseRow],
-                   ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
-    """Fraction-free reduced echelon form: (integer pivot rows, pivot columns).
+def _clear(work: List[SparseRow], targets: Sequence[int], c: int, prow: SparseRow,
+           at: Optional[List[set]] = None) -> None:
+    """Clear column c, in place, from the integer rows work[i], i in targets.
 
-    Rows hold nonzero entries only and are not modified.  Each row is first
-    scaled to a primitive integer row.  Columns are scanned left to right.
-    The pivot row for a column is the unused row with the fewest nonzeros,
-    lowest index on ties; its sign is flipped to make the pivot p positive,
-    and every other row with an entry f in the pivot column becomes
-    (p/g)*row - (f/g)*pivot_row with g = gcd(p, f).  Scaling a row keeps its
-    support, so the pivot rows and the fill-in are those of division-based
-    elimination.  Returns the nonzero rows in pivot order, row i primitive
-    with a positive entry in column ``pivots[i]`` and zero in the other
-    pivot columns: row i of the RREF times that entry.
+    prow is the pivot row, with a positive entry p at c.  With f a row's
+    entry at c and g = gcd(p, f), the row becomes (p/g)*row - (f/g)*prow,
+    divided by its content when p != 1.  When at is given, at[j] gains or
+    loses i where column j of row i fills in or cancels.
+    """
+    p = prow[c]
+    tail = [(j, x) for j, x in prow.items() if j != c]
+    for i in targets:
+        row = work[i]
+        f = row.pop(c)
+        if p != 1:
+            g = gcd(p, f)
+            f //= g
+            a = p // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+        for j, x in tail:
+            y = row.get(j)
+            if y is None:
+                row[j] = -f * x
+                if at is not None:
+                    at[j].add(i)
+            else:
+                y -= f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    if at is not None:
+                        at[j].discard(i)
+        if p != 1:
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
 
-    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 3, 2: 1}], 3)
-    ([{0: 1, 2: 4}, {1: 1, 2: -5}], (0, 1))
-    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 2, 2: 1}], 3)
-    ([{0: 2, 1: 1}, {2: 1}], (0, 2))
+
+def _forward(rows: Sequence[SparseRow],
+             ncols: int) -> Tuple[List[SparseRow], List[int], List[int], List[List[int]]]:
+    """The forward pass of `sparse_echelon`: (rows, pivots, order, earlier).
+
+    Each row is scaled to a primitive integer row; columns are scanned left
+    to right.  The pivot row for a column is the unused row with the fewest
+    nonzeros, lowest index on ties; its sign is flipped to make the pivot
+    positive, it is divided by its content, and `_clear` clears the column
+    from every other unused row.  A pivot row is never updated after it is
+    chosen, so it is zero left of its pivot but not yet at later pivot
+    columns.  pivots lists the pivot columns and order the pivot rows; for
+    each pivot, earlier lists the earlier pivot rows with an entry at its
+    column, the rows `_back` clears there.  len(pivots) is the rank.
     """
     work = [_primitive(r) for r in rows]
     at: List[Optional[set]] = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
@@ -234,17 +279,22 @@ def sparse_echelon(rows: Sequence[SparseRow],
     used = bytearray(len(work))
     pivots: List[int] = []
     order: List[int] = []
+    above: List[List[int]] = []
     for c in range(ncols):
         hits = at[c]
-        # unused rows are zero left of c, so every later pivot row is zero
-        # in column c and its index is never read or updated again
+        # unused rows are zero left of c, and pivot rows are no longer
+        # updated, so the index of column c is never read or updated again
         at[c] = None
         best, best_len = -1, 0
+        earlier, below = [], []
         for i in hits:
-            if not used[i]:
-                n = len(work[i])
-                if best < 0 or n < best_len or (n == best_len and i < best):
-                    best, best_len = i, n
+            if used[i]:
+                earlier.append(i)
+                continue
+            below.append(i)
+            n = len(work[i])
+            if best < 0 or n < best_len or (n == best_len and i < best):
+                best, best_len = i, n
         if best < 0:
             continue
         used[best] = 1
@@ -257,49 +307,59 @@ def sparse_echelon(rows: Sequence[SparseRow],
             g = gcd(*prow.values())
             if g != 1:
                 prow = work[best] = {j: x // g for j, x in prow.items()}
-                p //= g
-        tail = [(j, x) for j, x in prow.items() if j != c]
-        for i in hits:
-            if i == best:
-                continue
-            row = work[i]
-            f = row.pop(c)
-            if p != 1:
-                g = gcd(p, f)
-                f //= g
-                a = p // g
-                if a != 1:
-                    for j in row:
-                        row[j] *= a
-            for j, x in tail:
-                y = row.get(j)
-                if y is None:
-                    row[j] = -f * x
-                    at[j].add(i)
-                else:
-                    y -= f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                        at[j].discard(i)
-            if p != 1:
-                g = gcd(*row.values())
-                if g != 1:
-                    for j in row:
-                        row[j] //= g
+        if len(below) > 1:
+            below.remove(best)
+            _clear(work, below, c, prow, at)
         pivots.append(c)
         order.append(best)
-    out = []
-    for i, c in zip(order, pivots):
-        row = work[i]
+        above.append(earlier)
+    return work, pivots, order, above
+
+
+def _back(work: List[SparseRow], pivots: List[int], order: List[int],
+          above: List[List[int]]) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Back-substitution after `_forward`: the output of `sparse_echelon`.
+
+    From the last pivot to the first, the pivot row is divided by its
+    content and `_clear` clears its column from the earlier pivot rows the
+    forward pass recorded.  That row is already zero at every other pivot column
+    (left of its pivot since the forward pass, right of it since the later
+    steps), so the pass fills in no pivot column and needs no index.
+    """
+    for c, i, earlier in zip(reversed(pivots), reversed(order), reversed(above)):
+        prow = work[i]
         # a unit-pivot step can leave a common factor in an earlier row
-        if row[c] != 1:
-            g = gcd(*row.values())
+        if prow[c] != 1:
+            g = gcd(*prow.values())
             if g != 1:
-                row = {j: x // g for j, x in row.items()}
-        out.append(row)
-    return out, tuple(pivots)
+                prow = work[i] = {j: x // g for j, x in prow.items()}
+        if earlier:
+            _clear(work, earlier, c, prow)
+    return [work[i] for i in order], tuple(pivots)
+
+
+def _rank(rows: Sequence[SparseRow], ncols: int) -> int:
+    """Rank of sparse rows: the forward pass alone."""
+    return len(_forward(rows, ncols)[1])
+
+
+def sparse_echelon(rows: Sequence[SparseRow],
+                   ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Fraction-free reduced echelon form: (integer pivot rows, pivot columns).
+
+    Rows hold nonzero entries only and are not modified.  `_forward`
+    eliminates below the pivots and `_back` above them.  Scaling a row
+    keeps its support, so the pivot rows and the fill-in are those of
+    division-based elimination.  Returns the nonzero rows in pivot order,
+    row i primitive with a positive entry in column ``pivots[i]`` and zero
+    in the other pivot columns: row i of the RREF times that entry.
+
+    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 3, 2: 1}], 3)
+    ([{0: 1, 2: 4}, {1: 1, 2: -5}], (0, 1))
+    >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 2, 2: 1}], 3)
+    ([{0: 2, 1: 1}, {2: 1}], (0, 2))
+    """
+    return _back(*_forward(rows, ncols))
 
 
 def _normalize(red: Sequence[SparseRow], pivots: Sequence[int]) -> List[SparseRow]:
@@ -383,7 +443,7 @@ def rref(m: RatMatrix) -> RrefResult:
 
 
 def rank(m: RatMatrix) -> int:
-    return len(sparse_echelon(_sparse(m), m.cols)[1])
+    return _rank(_sparse(m), m.cols)
 
 
 def kernel_basis(m: RatMatrix) -> list:

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests.
 
-Everything here but `d_squared_witness` and `reference_from_cover_maps`
-is written against the mathematical definitions directly, without the
+Everything here but `d_squared_witness`, `reference_from_cover_maps`,
+`interleaved_echelon` and `ReferenceCohomologyData` is written against the mathematical definitions directly, without the
 package's code, so agreement is meaningful: plain Gaussian elimination for ranks, the dense
 first-nonzero Gauss-Jordan elimination as the reference for RREF, kernel
 and solve, a column elimination with a unimodular transform as the
@@ -15,13 +15,26 @@ verdict is gated against, and it fails when the assembly's signs are off.
 `reference_from_cover_maps` is the eager composition loop that
 `CoefficientSystem.from_cover_maps` once ran, with `RatMatrix` products:
 the reference for the pairs the system now composes on first use.
+`interleaved_echelon` and `ReferenceCohomologyData` are the package's own
+former one-pass elimination and one-pass cohomology at a degree, kept as
+the references that the two-pass kernel and the dims-first cohomology
+must match byte for byte.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex
-from assigncoh.ratlin import RatMatrix
+from assigncoh.cochain import _Complex, _reduce
+from assigncoh.ratlin import (
+    RatMatrix,
+    SparseRow,
+    _integral,
+    _normalize,
+    _primitive,
+    sparse_kernel,
+)
 
 
 def brute_rank(rows):
@@ -102,6 +115,102 @@ def reference_solve(rows, ncols, b):
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
     return x
+
+
+def interleaved_echelon(rows: Sequence[SparseRow],
+                        ncols: int) -> Tuple[List[SparseRow], Tuple[int, ...]]:
+    """Fraction-free reduced echelon form: (integer pivot rows, pivot columns).
+
+    The one-pass Gauss-Jordan elimination `ratlin.sparse_echelon` ran
+    before it was split into a forward and a back pass: every other row,
+    earlier pivot rows included, is cleared as each pivot is chosen.
+
+    Rows hold nonzero entries only and are not modified.  Each row is first
+    scaled to a primitive integer row.  Columns are scanned left to right.
+    The pivot row for a column is the unused row with the fewest nonzeros,
+    lowest index on ties; its sign is flipped to make the pivot p positive,
+    and every other row with an entry f in the pivot column becomes
+    (p/g)*row - (f/g)*pivot_row with g = gcd(p, f).  Scaling a row keeps its
+    support, so the pivot rows and the fill-in are those of division-based
+    elimination.  Returns the nonzero rows in pivot order, row i primitive
+    with a positive entry in column ``pivots[i]`` and zero in the other
+    pivot columns: row i of the RREF times that entry.
+
+    """
+    work = [_primitive(r) for r in rows]
+    at: List[Optional[set]] = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
+    for i, r in enumerate(work):
+        for j in r:
+            at[j].add(i)
+    used = bytearray(len(work))
+    pivots: List[int] = []
+    order: List[int] = []
+    for c in range(ncols):
+        hits = at[c]
+        # unused rows are zero left of c, so every later pivot row is zero
+        # in column c and its index is never read or updated again
+        at[c] = None
+        best, best_len = -1, 0
+        for i in hits:
+            if not used[i]:
+                n = len(work[i])
+                if best < 0 or n < best_len or (n == best_len and i < best):
+                    best, best_len = i, n
+        if best < 0:
+            continue
+        used[best] = 1
+        prow = work[best]
+        p = prow[c]
+        if p < 0:
+            prow = work[best] = {j: -x for j, x in prow.items()}
+            p = -p
+        if p != 1:
+            g = gcd(*prow.values())
+            if g != 1:
+                prow = work[best] = {j: x // g for j, x in prow.items()}
+                p //= g
+        tail = [(j, x) for j, x in prow.items() if j != c]
+        for i in hits:
+            if i == best:
+                continue
+            row = work[i]
+            f = row.pop(c)
+            if p != 1:
+                g = gcd(p, f)
+                f //= g
+                a = p // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
+            for j, x in tail:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    at[j].add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        at[j].discard(i)
+            if p != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
+        pivots.append(c)
+        order.append(best)
+    out = []
+    for i, c in zip(order, pivots):
+        row = work[i]
+        # a unit-pivot step can leave a common factor in an earlier row
+        if row[c] != 1:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        out.append(row)
+    return out, tuple(pivots)
 
 
 def _reference_int_kernel(rows, n):
@@ -469,3 +578,37 @@ def reference_pullback(src, dst, image, bridge_rows):
                 if x:
                     mat[r0 + i][c0 + j] += x
     return mat
+
+
+class ReferenceCohomologyData:
+    """Kernel, image and canonical representatives at one degree, in one pass.
+
+    The body `cochain._CohomologyData` had before it took dimensions from
+    ranks first, with `interleaved_echelon` for every elimination: the
+    cocycles are the kernel of d_k, each is reduced against the image, and
+    the representatives are the echelon form of what remains.
+    """
+
+    def __init__(self, d_in_t, d_out, dim_chain):
+        self.dim_chain = dim_chain
+        self.cocycles = sparse_kernel(*interleaved_echelon(d_out, dim_chain), dim_chain)
+        im_rows, im_pivots = interleaved_echelon(d_in_t, dim_chain)
+        self.im_rank = len(im_pivots)
+        self._im_at = dict(zip(im_pivots, im_rows))
+        reduced = [_reduce(z, self._im_at)[0] for z in self.cocycles]
+        rep_rows, self.rep_pivots = interleaved_echelon(reduced, dim_chain)
+        self._rep_at = dict(zip(self.rep_pivots, rep_rows))
+        self._rep_rows = _normalize(rep_rows, self.rep_pivots)
+        self.dim = len(self.rep_pivots)
+
+    def class_coords(self, vec):
+        """Coordinates of a cocycle's class over the canonical representatives.
+
+        Raises ValueError when vec is not a cocycle.
+        """
+        vec, m = _integral(vec)
+        red, s = _reduce(vec, self._im_at)
+        # the reduced cocycles are exactly the span of the representatives
+        if _reduce(red, self._rep_at)[0]:
+            raise ValueError("vector does not represent a cohomology class here")
+        return [Fraction(red.get(p, 0), s * m) for p in self.rep_pivots]

@@ -48,10 +48,12 @@ from assigncoh.cochain import (
     _carry,
     _differential,
     _exactness_walk,
+    _transpose,
 )
 from assigncoh.coeffsys import weak_square_zero
 
 from oracles import (
+    ReferenceCohomologyData,
     brute_cohomology_dim,
     brute_differential,
     brute_rank,
@@ -560,6 +562,86 @@ def test_class_coords_round_trip(make, k, non_unit_image):
         broken[col] = broken.get(col, 0) + 1
         with pytest.raises(ValueError):
             data.class_coords(broken)
+
+
+def _class_outcome(data, vec):
+    try:
+        return data.class_coords(vec)
+    except ValueError:
+        return "not a cocycle"
+
+
+def _dims_first_cases(rng):
+    """Complexes of moment systems, their perturbations, and relative supports."""
+    for space, v in (cp2(), s4(), s4_chain(2), _poly("cube"), S6,
+                     _elim_class_sphere_product()):
+        others = space.comparable_pairs()
+        systems = [v, _perturbed(rng, v, others), _perturbed(rng, v, others)]
+        minimal = frozenset(x for x in space.ids if not space.below(x))
+        for w in systems:
+            for strict in (True, False):
+                yield _Complex(w, strict)
+            yield _Complex(w, True, support=("rel", minimal))
+            yield _Complex(w, False, support=("rel", frozenset(rng.sample(space.ids, 2))))
+
+
+def test_dims_first_matches_one_pass_cohomology_seeded():
+    """Ranks first, canonical pass only where needed: the one-pass values, byte for byte.
+
+    The canonical pass runs when dim H^k > 0, and also when d_k d_{k-1} != 0
+    (a perturbed system), where the rank count undercounts the classes.
+    """
+    rng = random.Random(31)
+    seen = Counter()
+    for cx in _dims_first_cases(random.Random(29)):
+        for k in range(4):
+            n = cx.basis(k).total_dim
+            d_in_t = _transpose(cx.d(k - 1), cx.basis(k - 1).total_dim) if k else []
+            data, ref = cx.data(k), ReferenceCohomologyData(d_in_t, cx.d(k), n)
+            assert (data.dim, data.dim_cocycles, data.im_rank) == (
+                ref.dim, len(ref.cocycles), ref.im_rank)
+            assert (data._rep_rows, data.rep_pivots) == (ref._rep_rows, ref.rep_pivots)
+            square_zero = not any(_apply(cx.d(k), r) for r in d_in_t)
+            count = data.dim_cocycles - data.im_rank
+            assert (data.cocycles is None) == (square_zero and not data.dim)
+            assert square_zero <= (count == data.dim)
+            if data.cocycles is None:
+                seen["skipped"] += 1
+            elif square_zero:
+                seen["canonical"] += 1
+            # the rank count reads 0, and only d_k d_{k-1} != 0 finds the classes
+            seen["count misses"] += not count and data.dim > 0
+            vectors = [{i: x for i, x in enumerate(row) if x}
+                       for row in RatMatrix.from_sparse(data._rep_rows, n).data]
+            vectors.append({})
+            for vec in vectors:
+                if k:
+                    bd = _apply(cx.d(k - 1), _random_sparse(rng, cx.basis(k - 1).total_dim))
+                    vec = {i: vec.get(i, 0) + bd.get(i, 0) for i in vec.keys() | bd.keys()}
+                    vec = {i: x for i, x in vec.items() if x}
+                assert _class_outcome(data, vec) == _class_outcome(ref, vec)
+            if cx.d(k) and square_zero and not data.dim:
+                # H^k = 0: a vector off the kernel of d_k is no cocycle
+                broken = {next(iter(row)): 1 for row in cx.d(k) if row}
+                assert _class_outcome(ref, broken) == "not a cocycle"
+                with pytest.raises(ValueError):
+                    data.class_coords(broken)
+    assert seen["skipped"] >= 20 and seen["canonical"] >= 20 and seen["count misses"]
+
+
+def test_degree_one_of_the_cube_runs_no_kernel(monkeypatch):
+    calls = Counter()
+
+    def counted(*args):
+        calls["kernel"] += 1
+        return sparse_kernel(*args)
+
+    sparse_kernel = assigncoh.cochain.sparse_kernel
+    monkeypatch.setattr(assigncoh.cochain, "sparse_kernel", counted)
+    space, _ = _poly("cube")
+    assert cohomology(moment_system(space), 1).dim == 0
+    assert not calls
+    assert cohomology(moment_system(space), 0).dim > 0 and calls["kernel"] == 1
 
 
 @pytest.mark.parametrize("make", [cp2, lambda: S6])

@@ -27,6 +27,7 @@ from assigncoh import (
     ses_check,
 )
 import assigncoh.cli
+import assigncoh.coeffsys
 from assigncoh.cochain import _CohomologyData, _Complex
 from assigncoh.errors import IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError
 from assigncoh.stratposet import minimal_strata
@@ -452,6 +453,27 @@ def test_degree_zero_from_cut_pairs_matches_d0_seeded():
         fewer += len(v._cut) < len(v.space.comparable_pairs())
         every += v._cut == v.space.comparable_pairs()
     assert fewer >= 30 and every >= 5
+
+
+def test_check_functor_skips_the_squares_composed_through_their_route(monkeypatch):
+    """Each composed pair (x, z) has one cover square that holds by construction.
+
+    Once every pair is composed, check_functor multiplies the other cover
+    squares only; with explicit entries on every pair it skips none.
+    """
+    space, v = build_polytope(preset_polytope("cube"))
+    explicit = CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})
+    squares = sum(len(space.below(y)) for y, _ in space.covers)
+    composed = len(space.comparable_pairs()) - len(space.covers)
+    mul = assigncoh.coeffsys._mul
+    for w, skipped in ((v, composed), (explicit, 0)):
+        for x, z in space.comparable_pairs():
+            w._rows(x, z)
+        calls = []
+        monkeypatch.setattr(assigncoh.coeffsys, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+        assert check_functor(w).ok
+        monkeypatch.setattr(assigncoh.coeffsys, "_mul", mul)
+        assert len(calls) == squares - skipped and composed > 0
 
 
 def test_check_functor_matches_dense_triple_walk_seeded():

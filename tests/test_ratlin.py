@@ -5,9 +5,12 @@ from math import gcd
 import pytest
 
 import assigncoh.ratlin
+from assigncoh.cochain import _Complex, _transpose
 from assigncoh.ratlin import (
     RatMatrix,
+    _forward,
     _preimage,
+    _rank,
     kernel_basis,
     rank,
     rref,
@@ -15,7 +18,14 @@ from assigncoh.ratlin import (
     sparse_echelon,
     sparse_kernel,
 )
-from oracles import brute_rank, reference_kernel, reference_rref, reference_solve
+from oracles import (
+    brute_rank,
+    interleaved_echelon,
+    reference_kernel,
+    reference_rref,
+    reference_solve,
+)
+from spaces import cp2, s4, s4_chain
 
 
 def test_rref_identity():
@@ -274,3 +284,46 @@ def test_fraction_free_elimination_matches_reference_randomized():
         red, pivots = sparse_echelon(sparse, ncols)
         non_unit += any(row[c] != 1 for row, c in zip(red, pivots))
     assert non_unit >= 20
+
+
+def _sparse_small_ints(rng, nrows, ncols):
+    """Rows with entries in -3..3, with zero rows and repeated rows."""
+    rows = [{j: rng.choice((-3, -2, -1, 1, 2, 3))
+             for j in rng.sample(range(ncols), rng.randint(0, min(ncols, 6)))}
+            for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randrange(len(rows) + 1), {})
+        rows.append(dict(rng.choice(rows)))
+    return rows
+
+
+def _differentials(rng):
+    """d_k of seeded complexes, and the transposes, rows shuffled."""
+    for make in (cp2, s4, lambda: s4_chain(3)):
+        _, v = make()
+        for strict in (True, False):
+            cx = _Complex(v, strict)
+            for k in range(3):
+                n = cx.basis(k).total_dim
+                for rows, ncols in ((cx.d(k), n), (_transpose(cx.d(k), n), len(cx.d(k)))):
+                    yield rng.sample(rows, len(rows)), ncols
+
+
+def test_two_pass_echelon_matches_interleaved_seeded():
+    """Forward then back pass: the one-pass Gauss-Jordan's rows and pivots, byte for byte."""
+    rng = random.Random(41)
+    cases = list(_differentials(rng))
+    for _ in range(150):
+        ncols = rng.randint(1, 40)
+        cases.append((_sparse_small_ints(rng, rng.randint(1, 30), ncols), ncols))
+    non_unit = back = 0
+    for rows, ncols in cases:
+        before = [dict(r) for r in rows]
+        red, pivots = sparse_echelon(rows, ncols)
+        assert rows == before
+        assert (red, pivots) == interleaved_echelon(rows, ncols)
+        assert _rank(rows, ncols) == len(pivots)
+        non_unit += any(row[c] != 1 for row, c in zip(red, pivots))
+        # the forward pass leaves entries above some pivot for the back pass
+        back += any(_forward(rows, ncols)[3])
+    assert non_unit >= 30 and back >= 30
