@@ -43,12 +43,13 @@ A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
 the two passes of `ratlin.sparse_echelon` do every elimination,
-fraction-free.  A degree's dimension comes from ranks, the forward pass
-alone; only a degree with classes takes the kernel.  Cocycles,
-coboundary rows and the reduction of one against the other stay integer;
-the representatives' rows are divided by their pivots once.  Dense lists
-of Fractions appear only in public values (`Cochain`, `differential_matrix`,
-the homotopy operators, pullbacks), converted once when they are returned.
+fraction-free.  A degree's dimension is a rank, from the forward pass on
+d_k with the image's pivot columns pinned to zero; a degree k >= 1 where
+d_k d_{k-1} != 0 has no cohomology and raises ValueError.  Only a degree
+with classes takes the kernel, whose RREF is the representatives.  Dense
+lists of Fractions appear only in public values (`Cochain`,
+`differential_matrix`, the homotopy operators, pullbacks), converted once
+when they are returned.
 Kernel/image bookkeeping is canonical: representatives come from reduced
 row echelon forms, so equal inputs give byte-equal outputs.
 """
@@ -58,8 +59,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffsys import (
@@ -82,12 +83,11 @@ from .ratlin import (
     _back,
     _forward,
     _frac,
-    _integral,
     _normalize,
     _preimage,
     _rank,
-    sparse_echelon,
     sparse_kernel,
+    sparse_rref,
 )
 from .stratposet import PosetMap, chains, minimal_strata, poset_morphism_check
 
@@ -277,31 +277,6 @@ def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
             del out[j]
 
 
-def _reduce(vec: SparseRow, at: Dict[int, SparseRow]) -> Tuple[SparseRow, int]:
-    """(s*vec minus a combination of the rows in at, s): vec reduced, cross-multiplied.
-
-    at maps pivot columns to integer echelon rows (`sparse_echelon`), each
-    zero at the other pivots, and vec has integer entries.  The result is
-    zero at every pivot; s > 0 collects the row scalings, so no division
-    happens and the entries stay ints.
-    """
-    out = dict(vec)
-    s = 1
-    for c in [c for c in vec if c in at]:
-        row = at[c]
-        p, f = row[c], out[c]
-        if p != 1:
-            g = gcd(p, f)
-            f //= g
-            a = p // g
-            if a != 1:
-                for j in out:
-                    out[j] *= a
-                s *= a
-        _sub_scaled(out, f, row)
-    return out, s
-
-
 def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> RatMatrix:
     """Matrix of d from degree k to degree k+1 in the chosen complex."""
     src = chain_basis(v, k, strict)
@@ -311,49 +286,55 @@ def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> Ra
 
 
 class _CohomologyData:
-    """Kernel, image, and canonical representatives at one degree.
+    """Kernel, image, and canonical representatives at one degree of a complex.
 
     d_out holds the sparse rows of d_k and d_in_t those of the transpose of
-    d_{k-1} (no rows in degree 0); dim_chain is dim C^k.  Dimensions come
-    first, from the forward passes of `ratlin.sparse_echelon` alone:
-    dim = dim C^k - rank d_k - rank d_{k-1}.  The image is back-substituted
-    for `class_coords`.  Only when dim > 0, or when d_k d_{k-1} != 0 (a
-    system off the functor laws, where the count can miss classes), does
-    the canonical pass run: the kernel of d_k (`cocycles`, else None), each
-    cocycle reduced against the image, and the echelon form of what
-    remains, whose rows are divided by their pivots once for the canonical
-    representatives.  Cocycles, image rows and the reduction between them
-    stay integer.
+    d_{k-1} (no rows in degree 0); dim_chain is dim C^k, and d_k d_{k-1} = 0
+    (`_Complex.data` refuses other degrees).  The forward pass of
+    `ratlin.sparse_echelon` on d_in_t gives the image's rank and pivot
+    columns P.  The cocycles that vanish on P, W = ker [d_k ; e_p, p in P],
+    complement the image in ker d_k, so dim H^k = dim C^k - rank of those
+    pinned rows.  Only when dim > 0 does the canonical pass run: the back
+    pass, the kernel W (`cocycles`, else None) and its RREF, the canonical
+    representatives.
     """
 
     def __init__(self, d_in_t: Rows, d_out: Rows, dim_chain: int):
         self.dim_chain = dim_chain
-        out = _forward(d_out, dim_chain)
-        im_rows, im_pivots = _back(*_forward(d_in_t, dim_chain))
-        self.im_rank = len(im_pivots)
-        self._im_at = dict(zip(im_pivots, im_rows))
-        self.dim_cocycles = dim_chain - len(out[1])
-        self.dim = self.dim_cocycles - self.im_rank
-        self.cocycles, self._rep_at, self._rep_rows, self.rep_pivots = None, {}, [], ()
-        if self.dim or not _composes_to_zero(d_in_t, d_out, dim_chain):
-            self.cocycles = sparse_kernel(*_back(*out), dim_chain)
-            reduced = [_reduce(z, self._im_at)[0] for z in self.cocycles]
-            rep_rows, self.rep_pivots = sparse_echelon(reduced, dim_chain)
-            self._rep_at = dict(zip(self.rep_pivots, rep_rows))
-            self._rep_rows = _normalize(rep_rows, self.rep_pivots)
-            self.dim = len(self.rep_pivots)
+        self._im = _forward(d_in_t, dim_chain)
+        pins = self._im[1]
+        self.im_rank = len(pins)
+        pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain)
+        self.dim = dim_chain - len(pinned[1])
+        self.dim_cocycles = self.dim + self.im_rank
+        self.cocycles, self._rep_rows, self.rep_pivots = None, [], ()
+        if self.dim:
+            self.cocycles = sparse_kernel(*_back(*pinned), dim_chain)
+            self._rep_rows, self.rep_pivots = sparse_rref(self.cocycles, dim_chain)
+
+    @cached_property
+    def _im_at(self) -> Dict[int, SparseRow]:
+        """The image's RREF rows by pivot column, built on first use: only
+        `class_coords`, for the long exact sequences, reads them."""
+        rows, pivots = _back(*self._im)
+        return dict(zip(pivots, _normalize(rows, pivots)))
 
     def class_coords(self, vec: SparseRow) -> List[Fraction]:
         """Coordinates of a cocycle's class over the canonical representatives.
 
-        Raises ValueError when vec is not a cocycle.
+        A cocycle is sum_{p in P} vec[p] * (image row p) + w, w in W.  Raises
+        ValueError when vec is not a cocycle.
         """
-        vec, m = _integral(vec)
-        red, s = _reduce(vec, self._im_at)
-        # the reduced cocycles are exactly the span of the representatives
-        if _reduce(red, self._rep_at)[0]:
+        out = dict(vec)
+        for p in [p for p in vec if p in self._im_at]:
+            _sub_scaled(out, vec[p], self._im_at[p])
+        coords = [out.get(q, 0) for q in self.rep_pivots]
+        for c, row in zip(coords, self._rep_rows):
+            if c:
+                _sub_scaled(out, c, row)
+        if out:
             raise ValueError("vector does not represent a cohomology class here")
-        return [Fraction(red.get(p, 0), s * m) for p in self.rep_pivots]
+        return [_frac(c) for c in coords]
 
 
 @dataclass
@@ -399,6 +380,9 @@ class _Complex:
             src = self.basis(k)
             if k > 0:
                 d_in_t, d_out = _transpose(self.d(k - 1), self.basis(k - 1).total_dim), self.d(k)
+                if not _composes_to_zero(d_in_t, d_out, src.total_dim):
+                    raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
+                                     "so the system fails the functor laws (see `check`)")
             elif self.strict and self.support is None:
                 # the rows of d_0 at the system's cut pairs have its kernel
                 d_in_t, d_out = [], _differential(
@@ -422,7 +406,10 @@ class _Complex:
 
 
 def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
-    """Cohomology at degree k with canonical echelon representatives."""
+    """Cohomology at degree k with canonical echelon representatives.
+
+    Raises ValueError in a degree k >= 1 where d_k d_{k-1} != 0.
+    """
     if k < 0:
         raise ValueError("degree must be >= 0")
     return _Complex(v, strict).result(k)
@@ -510,7 +497,10 @@ def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
 def relative_cohomology(
     v: CoefficientSystem, n: Iterable[str], k: int, strict: bool = True
 ) -> CohomologyResult:
-    """Cohomology of cochains vanishing on tuples lying entirely inside n."""
+    """Cohomology of cochains vanishing on tuples lying entirely inside n.
+
+    Raises ValueError in a degree k >= 1 where this complex's d_k d_{k-1} != 0.
+    """
     nset = _check_subset(v.space, n)
     return _Complex(v, strict, support=("rel", nset)).result(k)
 

@@ -6,8 +6,10 @@ all of them +1 or -1.  So one sparse Gauss-Jordan kernel does every
 elimination, in two passes that share one row-clearing step (`_clear`):
 `_forward` clears each pivot column below the pivot and yields the rank,
 and `_back` clears it above.  `sparse_echelon` runs both; rank-only
-callers (`_rank`, `rank`) and cohomology degrees with no classes stop
-after the forward pass.  `sparse_rref` divides the rows of
+callers (`_rank`, `rank`) stop after the forward pass, and so does a
+cohomology degree with no classes, whose dimension comes from the forward
+pass on d_k with the image's pivot columns pinned to zero
+(`cochain._CohomologyData`).  `sparse_rref` divides the rows of
 `sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
 `solve` are thin wrappers that take and give the dense `RatMatrix` value
 type (`solve` through `_preimage`).

@@ -1,32 +1,37 @@
 """Independent oracles used by the tests.
 
 Everything here but `d_squared_witness`, `reference_from_cover_maps`,
-`interleaved_echelon` and `ReferenceCohomologyData` is written against the mathematical definitions directly, without the
-package's code, so agreement is meaningful: plain Gaussian elimination for ranks, the dense
-first-nonzero Gauss-Jordan elimination as the reference for RREF, kernel
-and solve, a column elimination with a unimodular transform as the
-reference for saturated lattices, brute-force tuple enumeration and cover
-relations, a from-scratch assembly of the cochain differential, a dense
-walk over every strict triple for the functor laws, and one
-dense loop each for the block scaling, the homotopies L and Q and the
-pullback.  `d_squared_witness` multiplies the package's own assembled
-differentials: it is the reference that `check`'s closed-form d^2 = 0
-verdict is gated against, and it fails when the assembly's signs are off.
+`interleaved_echelon`, `_reduce` and `ReferenceCohomologyData` is written
+against the mathematical definitions directly, without the package's
+code, so agreement is meaningful: plain Gaussian elimination for ranks,
+the dense first-nonzero Gauss-Jordan elimination as the reference for
+RREF, kernel and solve, a column elimination with a unimodular transform
+as the reference for saturated lattices, brute-force tuple enumeration
+and cover relations, a from-scratch assembly of the cochain
+differential, a dense walk over every strict triple for the functor
+laws, and one dense loop each for the block scaling, the homotopies L
+and Q and the pullback.  `d_squared_witness` multiplies the package's
+own assembled differentials: it is the reference that `check`'s
+closed-form d^2 = 0 verdict is gated against, and it fails when the
+assembly's signs are off.
 `reference_from_cover_maps` is the eager composition loop that
 `CoefficientSystem.from_cover_maps` once ran, with `RatMatrix` products:
 the reference for the pairs the system now composes on first use.
 `interleaved_echelon` and `ReferenceCohomologyData` are the package's own
 former one-pass elimination and one-pass cohomology at a degree, kept as
 the references that the two-pass kernel and the dims-first cohomology
-must match byte for byte.
+must match byte for byte.  `_reduce`, the cross-multiplied reduction of a
+cocycle against the image that `ReferenceCohomologyData` runs, is the
+package's former `cochain._reduce`, moved here verbatim once `cochain`
+took its classes from one elimination with the image's pivots pinned.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _reduce
+from assigncoh.cochain import _Complex, _sub_scaled
 from assigncoh.ratlin import (
     RatMatrix,
     SparseRow,
@@ -578,6 +583,31 @@ def reference_pullback(src, dst, image, bridge_rows):
                 if x:
                     mat[r0 + i][c0 + j] += x
     return mat
+
+
+def _reduce(vec: SparseRow, at: Dict[int, SparseRow]) -> Tuple[SparseRow, int]:
+    """(s*vec minus a combination of the rows in at, s): vec reduced, cross-multiplied.
+
+    at maps pivot columns to integer echelon rows (`sparse_echelon`), each
+    zero at the other pivots, and vec has integer entries.  The result is
+    zero at every pivot; s > 0 collects the row scalings, so no division
+    happens and the entries stay ints.
+    """
+    out = dict(vec)
+    s = 1
+    for c in [c for c in vec if c in at]:
+        row = at[c]
+        p, f = row[c], out[c]
+        if p != 1:
+            g = gcd(p, f)
+            f //= g
+            a = p // g
+            if a != 1:
+                for j in out:
+                    out[j] *= a
+                s *= a
+        _sub_scaled(out, f, row)
+    return out, s
 
 
 class ReferenceCohomologyData:

@@ -11,6 +11,7 @@ import pytest
 
 import assigncoh.cochain
 import assigncoh.coeffsys
+from assigncoh.cochain import _Complex, _composes_to_zero, _transpose
 from assigncoh import (
     SpaceDescription,
     build_from_description,
@@ -650,6 +651,41 @@ def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "LES for pair (space, {v000}): exact" in out
     assert len(calls) == 1
+
+
+def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_file):
+    with open(perturbed_cube_file) as fh:
+        _, v = build_from_description(SpaceDescription.from_json_dict(json.load(fh)))
+
+    def square_zero(strict, k):
+        cx = _Complex(v, strict)
+        return _composes_to_zero(_transpose(cx.d(k - 1), cx.basis(k - 1).total_dim),
+                                 cx.d(k), cx.basis(k).total_dim)
+
+    k = next(k for k in range(1, 4) if not square_zero(True, k))
+    code, out, err = run(capsys, ["cohomology", perturbed_cube_file, "--degree", str(k)])
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith(f"error: degree {k} has no cohomology: d_{k} d_{k - 1} != 0")
+    assert "functor laws" in err and "check" in err
+    code, out, _ = run(capsys, ["--json", "cohomology", perturbed_cube_file,
+                                "--degree", str(k)])
+    assert json.loads(out) == {
+        "error": {"type": "ValueError", "message": err[len("error: "):].rstrip("\n")},
+        "exit_code": cli.EXIT_VALIDATION,
+    }
+    # degree 0 is defined for any data
+    code, out, err = run(capsys, ["cohomology", perturbed_cube_file, "--degree", "0",
+                                  "--complex", "both"])
+    assert code == 0 and err == ""
+    assert out.startswith("reduced: dim HA^0 = ")
+    # with both complexes, a refusal of either one prints no result
+    j = next(j for j in range(1, 4) if square_zero(True, j) and not square_zero(False, j))
+    assert run(capsys, ["cohomology", perturbed_cube_file, "--degree", str(j)])[0] == 0
+    for degree in (k, j):
+        code, out, err = run(capsys, ["cohomology", perturbed_cube_file, "--degree",
+                                      str(degree), "--complex", "both"])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert f"degree {degree} has no cohomology" in err
 
 
 def test_les_on_non_functorial_system_names_the_violation(perturbed_cube_file):
