@@ -290,7 +290,7 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         lines.append(f"functor laws: FAIL at {bad[0]}")
 
     # every degree's d^2 = 0, read off the functor report (README, `check`)
-    square_ok = coeffsys.weak_square_zero(system, fr)
+    square_ok = not coeffsys.square_failures(system, strict=False)
     report["d_squared_zero"] = {"ok": square_ok, "degree": None if square_ok else 0}
     lines.append("d^2 = 0 (degrees 0..2): ok" if square_ok else "d^2 = 0: FAIL at degree 0")
 
@@ -303,7 +303,7 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         # the sequence is only defined for a functor: class coordinates of
         # induced maps fail on a perturbed system
         if fr.ok:
-            les = cochain._les_pair(system, n)
+            les = cochain.les_pair_check(system, n)
             verdict = "exact" if les.ok else f"NOT exact: {les.failures[0]}"
         else:
             les = cochain.ExactSequenceReport([], [], [], ["not checked: functor laws fail"])

@@ -43,11 +43,13 @@ A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
 the two passes of `ratlin.sparse_echelon` do every elimination,
-fraction-free.  A degree's dimension is a rank, from the forward pass on
-d_k with the image's pivot columns pinned to zero; a degree k >= 1 where
-d_k d_{k-1} != 0 has no cohomology and raises ValueError.  Only a degree
-with classes takes the kernel, whose RREF is the representatives.  Dense
-lists of Fractions appear only in public values (`Cochain`,
+fraction-free.  A degree k >= 1 where d_k d_{k-1} != 0 has no cohomology
+and raises ValueError before anything is assembled: some tuple t of
+degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
+a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
+rank, from the forward pass on d_k with the image's pivot columns pinned
+to zero.  Only a degree with classes takes the kernel, whose RREF is the
+representatives.  Dense lists of Fractions appear only in public values (`Cochain`,
 `differential_matrix`, the homotopy operators, pullbacks), converted once
 when they are returned.
 Kernel/image bookkeeping is canonical: representatives come from reduced
@@ -68,9 +70,9 @@ from .coeffsys import (
     SystemMorphism,
     _check_subset,
     _mul,
-    check_functor,
     moment_system,
     ses_check,
+    square_failures,
 )
 from .errors import (
     InvalidMorphismError,
@@ -250,23 +252,6 @@ def _apply(rows: Rows, vec: SparseRow) -> SparseRow:
     return out
 
 
-def _composes_to_zero(d_in_t: Rows, d_out: Rows, ncols: int) -> bool:
-    """Whether d_k d_{k-1} = 0, given the rows of d_k and of d_{k-1}'s transpose.
-
-    Each image vector d_{k-1} e_i goes through d_k by the columns of d_k;
-    the walk stops at the first nonzero product.
-    """
-    cols = _transpose(d_out, ncols)
-    for vec in d_in_t:
-        acc: SparseRow = {}
-        for j, y in vec.items():
-            for r, x in cols[j].items():
-                acc[r] = acc.get(r, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
-
-
 def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
     """out -= c * row, in place, dropping entries that cancel."""
     for j, y in row.items():
@@ -379,10 +364,12 @@ class _Complex:
         if k not in self._data:
             src = self.basis(k)
             if k > 0:
-                d_in_t, d_out = _transpose(self.d(k - 1), self.basis(k - 1).total_dim), self.d(k)
-                if not _composes_to_zero(d_in_t, d_out, src.total_dim):
+                bad = square_failures(self.v, self.strict)
+                if bad and any(t[-3:] in bad and t[:-2] in self.basis(k - 1).index
+                               for t in self.basis(k + 1).tuples):
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
+                d_in_t, d_out = _transpose(self.d(k - 1), self.basis(k - 1).total_dim), self.d(k)
             elif self.strict and self.support is None:
                 # the rows of d_0 at the system's cut pairs have its kernel
                 d_in_t, d_out = [], _differential(
@@ -393,6 +380,8 @@ class _Complex:
         return self._data[k]
 
     def result(self, k: int) -> CohomologyResult:
+        if k < 0:
+            raise ValueError("degree must be >= 0")
         data = self.data(k)
         basis = self.basis(k)
         reps = [Cochain(basis, r)
@@ -408,10 +397,8 @@ class _Complex:
 def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
     """Cohomology at degree k with canonical echelon representatives.
 
-    Raises ValueError in a degree k >= 1 where d_k d_{k-1} != 0.
+    Raises ValueError for k < 0 and in a degree where d_k d_{k-1} != 0.
     """
-    if k < 0:
-        raise ValueError("degree must be >= 0")
     return _Complex(v, strict).result(k)
 
 
@@ -499,7 +486,7 @@ def relative_cohomology(
 ) -> CohomologyResult:
     """Cohomology of cochains vanishing on tuples lying entirely inside n.
 
-    Raises ValueError in a degree k >= 1 where this complex's d_k d_{k-1} != 0.
+    Raises ValueError for k < 0 and where this complex's d_k d_{k-1} != 0.
     """
     nset = _check_subset(v.space, n)
     return _Complex(v, strict, support=("rel", nset)).result(k)
@@ -627,7 +614,7 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
 def _require_functors(*systems: CoefficientSystem) -> None:
     """Raise ValueError naming the first functor-law violation of the systems."""
     for v in {id(v): v for v in systems}.values():
-        report = check_functor(v)
+        report = v._report
         if not report.ok:
             bad = report.composition_violations or report.identity_violations
             raise ValueError(
@@ -645,11 +632,6 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
     """
     nset = _check_subset(v.space, n)
     _require_functors(v)
-    return _les_pair(v, nset)
-
-
-def _les_pair(v: CoefficientSystem, nset: frozenset) -> ExactSequenceReport:
-    """`les_pair_check` for a checked subset of a system known to be a functor."""
     full = _Complex(v, True)
     rel = _Complex(v, True, support=("rel", nset), whole=full)
     sub = _Complex(v, True, support=("sub", nset), whole=full)

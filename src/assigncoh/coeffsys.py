@@ -29,7 +29,9 @@ cannot give one) overrides that pair's public value but not the
 compositions, so then the cut is every comparable pair.  Likewise
 check_functor tests composition on the cover squares
 proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
-give every strict triple by induction along covers.
+give every strict triple by induction along covers, once per system: the
+report is kept, and square_failures reads off it the triples on which every
+cochain complex's d^2 = 0 fails (README, `check`).
 
 >>> from assigncoh.builders import build_linear_rep
 >>> space, v = build_linear_rep([(1, 0), (0, 1)])
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
@@ -132,7 +135,7 @@ class CoefficientSystem:
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
     the business of check_functor, so that deliberately perturbed systems
-    can be loaded and then diagnosed.
+    can be loaded and then diagnosed; the report is kept (_report).
     """
 
     def __init__(
@@ -223,6 +226,11 @@ class CoefficientSystem:
         y = next(y for y in self.space.lower_covers(z) if y in up)
         return _mul(self._at[(y, z)], self._path(x, y))
 
+    @cached_property
+    def _report(self) -> FunctorReport:
+        """The functor laws, walked on first use and kept (`check_functor`)."""
+        return _walk_laws(self)
+
     def proj(self, x: str, y: str) -> RatMatrix:
         if x not in self.dims:
             raise UnknownIdError(x)
@@ -273,6 +281,14 @@ class FunctorReport:
 def check_functor(v: CoefficientSystem) -> FunctorReport:
     """Verify the identity and composition laws of the system.
 
+    A system never changes, so its laws are walked once (`_walk_laws`) and kept.
+    """
+    return v._report
+
+
+def _walk_laws(v: CoefficientSystem) -> FunctorReport:
+    """The functor report of v.
+
     The composition law on every strict triple follows from the cover
     squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and
     x < y, by induction along covers: for y < w < z with w a lower cover
@@ -315,25 +331,24 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
     return FunctorReport(tuple(bad_id), tuple(bad_comp))
 
 
-def weak_square_zero(v: CoefficientSystem, report: FunctorReport) -> bool:
-    """Whether d^2 = 0 on the weak-tuple complex, read off v's functor report.
+def square_failures(v: CoefficientSystem, strict: bool) -> frozenset:
+    """The triples of the complex where D(a, b, c) = proj(b, c) proj(a, b) - proj(a, c) != 0.
 
-    It holds exactly when D(a, b, c) = proj(b, c) proj(a, b) - proj(a, c)
-    vanishes on every weak triple (README, `check`).  On a strict triple that
-    is a composition law; a triple with a repeat repeats b, and can fail only
-    where P = proj(b, b) is not the identity.
+    d_k d_{k-1} has the block -D(t[-3:]) at (t, t[:-2]) and no other nonzero
+    block (README, `check`).  On a strict triple D = 0 is a composition law; a
+    weak triple with a repeat repeats its middle x, and fails only where
+    P = proj(x, x) is not the identity: (x, x, x) where P P != P, (x, x, c)
+    where proj(x, c) P != proj(x, c), (a, x, x) where P proj(a, x) != proj(a, x).
     """
-    if report.composition_violations:
-        return False
-    space = v.space
-    for x in report.identity_violations:
-        p = v._rows(x, x)
-        outs = [v._rows(x, c) for c in space.above(x)]
-        ins = [v._rows(a, x) for a in space.below(x)]
-        if (_mul(p, p) != p or any(_mul(m, p) != m for m in outs)
-                or any(_mul(p, m) != m for m in ins)):
-            return False
-    return True
+    rows, space = v._rows, v.space
+    bad = set(v._report.composition_violations)
+    for x in () if strict else v._report.identity_violations:
+        p = rows(x, x)
+        if _mul(p, p) != p:
+            bad.add((x, x, x))
+        bad.update((x, x, c) for c in space.above(x) if _mul(rows(x, c), p) != rows(x, c))
+        bad.update((a, x, x) for a in space.below(x) if _mul(p, rows(a, x)) != rows(a, x))
+    return frozenset(bad)
 
 
 def _check_subset(space: StratSpace, n: Iterable[str]) -> frozenset:

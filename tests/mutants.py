@@ -40,10 +40,19 @@ MUTANTS = (
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",
         "cochain.py",
-        "if not _composes_to_zero(d_in_t, d_out, src.total_dim):",
-        "if False:",
+        "if bad and any(t[-3:] in bad",
+        "if False and any(t[-3:] in bad",
         ("tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
+         "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",
          "tests/test_cli.py::test_cohomology_refuses_where_d_squared_is_not_zero"),
+    ),
+    Mutant(
+        "refusal-without-the-prefix-test",
+        "cochain.py",
+        "t[-3:] in bad and t[:-2] in self.basis(k - 1).index",
+        "t[-3:] in bad",
+        ("tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",),
+        note="a relative or subset complex would refuse where t[:-2] is no chain of it",
     ),
     Mutant(
         "class-coords-skip-the-image",
@@ -92,9 +101,51 @@ MUTANTS = (
     Mutant(
         "closed-form-ignores-identity-violations",
         "coeffsys.py",
-        "    if report.composition_violations:\n        return False\n",
-        "    return not report.composition_violations\n",
-        ("tests/test_cochain.py::test_degree_zero_witness_decides_degrees_zero_to_three_seeded",),
+        "for x in () if strict else v._report.identity_violations:",
+        "for x in ():",
+        ("tests/test_cochain.py::test_degree_zero_witness_decides_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded"),
+    ),
+    Mutant(
+        "identity-triples-on-strict-complexes",
+        "coeffsys.py",
+        "() if strict else v._report.identity_violations",
+        "v._report.identity_violations",
+        ("tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",),
+        note="no strict tuple ends in a repeat, so no refusal changes: only "
+             "the gate's dense walk over the triples sees the extra ones",
+    ),
+    Mutant(
+        "repeat-family-x-x-x-omitted",
+        "coeffsys.py",
+        "        if _mul(p, p) != p:\n",
+        "        if False:\n",
+        ("tests/test_cochain.py::test_closed_form_reads_each_repeat_product",
+         "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded"),
+    ),
+    Mutant(
+        "repeat-family-x-x-c-omitted",
+        "coeffsys.py",
+        "bad.update((x, x, c) for c in space.above(x)",
+        "bad.update((x, x, c) for c in ()",
+        ("tests/test_cochain.py::test_closed_form_reads_each_repeat_product",
+         "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded"),
+    ),
+    Mutant(
+        "repeat-family-a-x-x-omitted",
+        "coeffsys.py",
+        "bad.update((a, x, x) for a in space.below(x)",
+        "bad.update((a, x, x) for a in ()",
+        ("tests/test_cochain.py::test_closed_form_reads_each_repeat_product",
+         "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded"),
+    ),
+    Mutant(
+        "functor-report-not-kept",
+        "coeffsys.py",
+        "    @cached_property\n    def _report(",
+        "    @property\n    def _report(",
+        ("tests/test_cli.py::test_check_les_checks_the_functor_laws_once",),
+        note="every reader would walk the laws again: correct but slower",
     ),
     Mutant(
         "compose-through-the-last-lower-cover",

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
-Everything here but `d_squared_witness`, `reference_from_cover_maps`,
-`interleaved_echelon`, `_reduce` and `ReferenceCohomologyData` is written
+Everything here but `d_squared_witness`, `_composes_to_zero`,
+`reference_from_cover_maps`, `interleaved_echelon`, `_reduce` and
+`ReferenceCohomologyData` is written
 against the mathematical definitions directly, without the package's
 code, so agreement is meaningful: plain Gaussian elimination for ranks,
 the dense first-nonzero Gauss-Jordan elimination as the reference for
@@ -11,9 +12,13 @@ and cover relations, a from-scratch assembly of the cochain
 differential, a dense walk over every strict triple for the functor
 laws, and one dense loop each for the block scaling, the homotopies L
 and Q and the pullback.  `d_squared_witness` multiplies the package's
-own assembled differentials: it is the reference that `check`'s
-closed-form d^2 = 0 verdict is gated against, and it fails when the
-assembly's signs are off.
+own assembled differentials, and `_composes_to_zero` multiplies d_k by
+d_{k-1} of one degree, on any complex: they are the references that the
+rule `coeffsys.square_failures` (a degree refuses where a tuple ends in a
+failing triple) is gated against, for `check` and for every complex that
+`cochain` builds, and they fail when the assembly's signs are off.
+`_composes_to_zero` is the package's former refusal test, moved here
+verbatim once `cochain` took that verdict from `square_failures`.
 `reference_from_cover_maps` is the eager composition loop that
 `CoefficientSystem.from_cover_maps` once ran, with `RatMatrix` products:
 the reference for the pairs the system now composes on first use.
@@ -31,7 +36,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _sub_scaled
+from assigncoh.cochain import _Complex, _sub_scaled, _transpose
 from assigncoh.ratlin import (
     RatMatrix,
     SparseRow,
@@ -40,6 +45,8 @@ from assigncoh.ratlin import (
     _primitive,
     sparse_kernel,
 )
+
+Rows = List[SparseRow]
 
 
 def brute_rank(rows):
@@ -463,6 +470,23 @@ def d_squared_witness(v, max_degree, strict=True):
             if any(acc.values()):
                 return k
     return None
+
+
+def _composes_to_zero(d_in_t: Rows, d_out: Rows, ncols: int) -> bool:
+    """Whether d_k d_{k-1} = 0, given the rows of d_k and of d_{k-1}'s transpose.
+
+    Each image vector d_{k-1} e_i goes through d_k by the columns of d_k;
+    the walk stops at the first nonzero product.
+    """
+    cols = _transpose(d_out, ncols)
+    for vec in d_in_t:
+        acc: SparseRow = {}
+        for j, y in vec.items():
+            for r, x in cols[j].items():
+                acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def reference_from_cover_maps(space, dims, cover_maps, explicit=None):

@@ -11,7 +11,7 @@ import pytest
 
 import assigncoh.cochain
 import assigncoh.coeffsys
-from assigncoh.cochain import _Complex, _composes_to_zero, _transpose
+from assigncoh.cochain import _Complex, _transpose
 from assigncoh import (
     SpaceDescription,
     build_from_description,
@@ -22,6 +22,7 @@ from assigncoh import (
     pair_ses,
 )
 
+from oracles import _composes_to_zero
 from spaces import cp2
 
 
@@ -352,6 +353,12 @@ def test_cohomology_relative_unknown_subset(capsys, cp2_file):
     assert "ghost" in err
 
 
+def test_cohomology_negative_degree_is_one_error_with_or_without_relative(capsys, cp2_file):
+    for relative in ([], ["--relative", "p1"], ["--relative", ""]):
+        code, out, err = run(capsys, ["cohomology", cp2_file, "--degree", "-1", *relative])
+        assert (code, out, err) == (cli.EXIT_VALIDATION, "", "error: degree must be >= 0\n")
+
+
 def test_cohomology_far_above_the_longest_chain(cp2_file):
     # no strict chain is that long: enumeration must stop once none is left,
     # not run one round per degree
@@ -540,7 +547,7 @@ def test_check_les_unknown_subset(capsys, cp2_file, monkeypatch):
     # an unknown subset fails before the functor laws and d^2 = 0 are checked
     calls = []
     monkeypatch.setattr(assigncoh.coeffsys, "check_functor", calls.append)
-    monkeypatch.setattr(assigncoh.coeffsys, "weak_square_zero", calls.append)
+    monkeypatch.setattr(assigncoh.coeffsys, "square_failures", calls.append)
     code, _, err = run(capsys, ["check", cp2_file, "--les", "ghost"])
     assert code == cli.EXIT_SUBSET
     assert "ghost" in err
@@ -639,18 +646,20 @@ def test_check_les_on_non_functorial_system_is_not_checked(capsys, perturbed_cub
 def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
     path = str(tmp_path / "cube.space")
     assert run(capsys, ["build", "polytope", "--cube", "--out", path])[0] == 0
-    calls = []
+    # the report is read by the functor line, the d^2 line, the sequence's
+    # own check and each degree of its three complexes, and walked once
+    walks = []
+    walk = assigncoh.coeffsys._walk_laws
 
     def counting(v):
-        calls.append(v)
-        return check_functor(v)
+        walks.append(v)
+        return walk(v)
 
-    monkeypatch.setattr(assigncoh.coeffsys, "check_functor", counting)
-    monkeypatch.setattr(assigncoh.cochain, "check_functor", counting)
+    monkeypatch.setattr(assigncoh.coeffsys, "_walk_laws", counting)
     code, out, _ = run(capsys, ["check", path, "--les", "v000"])
     assert code == 0
     assert "LES for pair (space, {v000}): exact" in out
-    assert len(calls) == 1
+    assert len(walks) == 1
 
 
 def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_file):

@@ -23,6 +23,7 @@ from assigncoh import (
     build_sphere_product,
     chain_basis,
     chain_space_dim,
+    chains,
     check_functor,
     cohomology,
     differential_matrix,
@@ -50,10 +51,11 @@ from assigncoh.cochain import (
     _exactness_walk,
     _transpose,
 )
-from assigncoh.coeffsys import weak_square_zero
+from assigncoh.coeffsys import square_failures
 
 from oracles import (
     ReferenceCohomologyData,
+    _composes_to_zero,
     brute_cohomology_dim,
     brute_differential,
     brute_rank,
@@ -148,7 +150,7 @@ def test_idempotent_identity_breaks_the_functor_laws_but_not_d_squared():
     report = check_functor(w)
     assert report.identity_violations == ("open",)
     assert not report.composition_violations
-    assert weak_square_zero(w, report)
+    assert not square_failures(w, strict=False)
     for strict in (False, True):
         assert d_squared_witness(w, 3, strict=strict) is None
 
@@ -174,7 +176,7 @@ def test_closed_form_reads_each_repeat_product():
         w = _with(v, blocks)
         report = check_functor(w)
         assert report.identity_violations and not report.composition_violations, name
-        assert weak_square_zero(w, report) == ok, name
+        assert (not square_failures(w, strict=False)) == ok, name
         assert (d_squared_witness(w, 3, strict=False) is None) == ok, name
 
 
@@ -185,7 +187,7 @@ def test_closed_form_reads_each_repeat_product():
 def test_degree_zero_witness_decides_degrees_zero_to_three_seeded(make):
     # every non-cancelling block of d_{k+1} d_k is +-D(x_k, x_{k+1}, x_{k+2}),
     # and that triple is a tuple of degree 2: `check` reads the D blocks off
-    # the functor report (weak_square_zero), and the assembled product
+    # the functor report (square_failures), and the assembled product
     # through degree 3 is the reference for that verdict and for the strict
     # complex's degree-0 witness
     rng = random.Random(97)
@@ -205,7 +207,7 @@ def test_degree_zero_witness_decides_degrees_zero_to_three_seeded(make):
                 cases.append((kind, w))
         for kind, w in cases:
             weak = d_squared_witness(w, 3, strict=False)
-            assert weak_square_zero(w, check_functor(w)) == (weak is None), kind
+            assert (not square_failures(w, strict=False)) == (weak is None), kind
             strict = d_squared_witness(w, 3, strict=True)
             assert d_squared_witness(w, 0, strict=True) == strict, kind
             seen[kind, False, weak] += 1
@@ -215,6 +217,74 @@ def test_degree_zero_witness_decides_degrees_zero_to_three_seeded(make):
     assert seen["mixed", False, 0] and seen["composition", True, 0]
     assert not seen["identity", True, 0]
     assert seen["none", False, None] == seen["none", True, None] == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _poly("cube"), cp2, lambda: S6,
+    lambda: build_product(_poly("square"), _poly("segment")),
+], ids=["cube", "cp2", "s6", "square*segment"])
+def test_square_failures_decide_every_degree_of_every_complex_seeded(make, monkeypatch):
+    # `_Complex.data` refuses degree k >= 1 where a tuple t of degree k+1
+    # ends in a failing triple and keeps t[:-2] (`square_failures`); the
+    # assembled product d_k d_{k-1} (`_composes_to_zero`) is the reference,
+    # on strict and weak complexes with no support, "rel" and "sub".  Only
+    # the verdict is compared, so no degree is eliminated.  The failing
+    # triples themselves are the dense walk over every triple of degree 2.
+    monkeypatch.setattr(assigncoh.cochain, "_CohomologyData", lambda *args: None)
+    rng = random.Random(53)
+    space, moment = make()
+    identities = [(x, x) for x in space.ids]
+    others = space.comparable_pairs()
+    kinds = {"identity": [identities], "composition": [others],
+             "mixed": [identities, others]}
+    seen = Counter()
+    for base in (moment, _constant_system(space, 2)):
+        cases = [("none", base)]
+        for kind, groups in kinds.items():
+            for _ in range(3):
+                w = base
+                for pairs in groups:
+                    w = _perturbed(rng, w, pairs)
+                cases.append((kind, w))
+        for kind, w in cases:
+            nset = frozenset(rng.sample(space.ids, len(space.ids) // 2))
+            answers = {}
+            for strict in (True, False):
+                assert square_failures(w, strict) == {
+                    (a, b, c) for a, b, c in chains(space, 2, strict)
+                    if w.proj(b, c) @ w.proj(a, b) != w.proj(a, c)}, (kind, strict)
+                whole = _Complex(w, strict)
+                for support in (None, ("rel", nset), ("sub", nset)):
+                    cx = whole if support is None else _Complex(w, strict, support, whole)
+                    for k in (1, 2, 3):
+                        zero = _composes_to_zero(
+                            _transpose(cx.d(k - 1), cx.basis(k - 1).total_dim),
+                            cx.d(k), cx.basis(k).total_dim)
+                        try:
+                            cx.data(k)
+                        except ValueError as e:
+                            assert f"degree {k} has no cohomology" in str(e)
+                            answered = False
+                        else:
+                            answered = True
+                        assert answered == zero, (kind, strict, support, k)
+                        answers[strict, support and support[0], k] = zero
+                        seen["cases"] += 1
+                        seen["refused"] += not zero
+                        seen["answers with failing triples"] += (
+                            zero and bool(square_failures(w, strict)))
+                    assert cx.data(0) is None
+            for k in (1, 2, 3):
+                seen["identity fault: weak refuses, strict answers"] += (
+                    kind == "identity" and answers[True, None, k]
+                    and not answers[False, None, k])
+                seen["rel answers, whole refuses"] += sum(
+                    answers[strict, "rel", k] and not answers[strict, None, k]
+                    for strict in (True, False))
+    assert seen["cases"] == 360 and seen["refused"]
+    assert seen["identity fault: weak refuses, strict answers"]
+    assert seen["rel answers, whole refuses"]
+    assert seen["answers with failing triples"]
 
 
 @pytest.mark.parametrize("strict", [True, False])
