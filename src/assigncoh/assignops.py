@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .coeffsys import CoefficientSystem, _push
+from .coeffsys import CoefficientSystem
 from .cochain import cohomology
 from .errors import (
     IncompatibleMinimalValuesError,
     MissingMinimalValueError,
     UnknownIdError,
 )
-from .ratlin import _frac
+from .ratlin import SparseRow, _apply, _exact, _frac
 from .stratposet import minimal_strata
 
 
@@ -78,8 +78,8 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
     """
     bad = []
     for x, y in v.space.comparable_pairs():
-        pushed = _push(v._rows(x, y), candidate.value(x))
-        residual = [_frac(a) - _frac(b) for a, b in zip(pushed, candidate.value(y))]
+        pushed = _apply(v._rows(x, y), {j: c for j, c in enumerate(candidate.value(x)) if c})
+        residual = [_frac(pushed.get(i, 0)) - b for i, b in enumerate(candidate.value(y))]
         if any(residual):
             bad.append(((x, y), tuple(residual)))
     return AssignmentReport(tuple(bad))
@@ -104,7 +104,9 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
 
     Every stratum Y lies above some minimal stratum, and all minimal strata
     below Y must push the same value to Y; a disagreement raises
-    IncompatibleMinimalValuesError naming the first offending triple.
+    IncompatibleMinimalValuesError naming the first offending triple, and so
+    does the first pair of the system's cut (`CoefficientSystem._cut`) that
+    the values break, as they can where the functor laws fail.
     """
     space = v.space
     minima = minimal_strata(space)
@@ -120,18 +122,22 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
                 f"value at {x!r} has length {len(val)}, expected {v.dims[x]}"
             )
 
-    values: Dict[str, Tuple[Fraction, ...]] = {}
+    values: Dict[str, SparseRow] = {}
     origin: Dict[str, str] = {}
     for x in minima:
-        values[x] = tuple(Fraction(c) for c in m.values[x])
+        values[x] = {j: _exact(c) for j, c in enumerate(map(Fraction, m.values[x])) if c}
         origin[x] = x
     for x in minima:
         for y in space.above(x):
-            pushed = _push(v._rows(x, y), values[x])
+            pushed = _apply(v._rows(x, y), values[x])
             if y in values:
                 if values[y] != pushed:
                     raise IncompatibleMinimalValuesError((origin[y], x, y))
             else:
                 values[y] = pushed
                 origin[y] = x
-    return AssignmentVector(v, values)
+    for x, y in v._cut:
+        if _apply(v._rows(x, y), values[x]) != values[y]:
+            raise IncompatibleMinimalValuesError((x, y))
+    return AssignmentVector(v, {y: [vec.get(i, 0) for i in range(v.dims[y])]
+                                for y, vec in values.items()})

@@ -62,14 +62,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice, takewhile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffsys import (
     CoefficientSystem,
     SystemMorphism,
     _check_subset,
-    _mul,
     moment_system,
     ses_check,
     square_failures,
@@ -81,17 +80,22 @@ from .errors import (
 )
 from .ratlin import (
     RatMatrix,
+    Rows,
     SparseRow,
+    _apply,
     _back,
     _forward,
     _frac,
+    _mul,
     _normalize,
     _preimage,
     _rank,
+    _sub_scaled,
+    _transpose,
     sparse_kernel,
     sparse_rref,
 )
-from .stratposet import PosetMap, chains, minimal_strata, poset_morphism_check
+from .stratposet import PosetMap, StratSpace, chains, minimal_strata, poset_morphism_check
 
 _ZERO = Fraction(0)
 
@@ -177,11 +181,22 @@ def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None)
     return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
 
 
+def _chain_counts(space: StratSpace, strict: bool):
+    """N_0, N_1, ...: N_k(y) chains of k+1 strata end at y, with N_0(y) = 1 and
+    N_k(y) the sum of N_{k-1}(x) over x < y (strict) or x <= y (weak)."""
+    counts = dict.fromkeys(space.ids, 1)
+    while True:
+        yield counts
+        counts = {y: sum(counts[x] for x in space.below(y)) + (0 if strict else counts[y])
+                  for y in space.ids}
+
+
 def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
-    return chain_basis(v, k, strict).total_dim
-
-
-Rows = List[SparseRow]
+    """dim C^k = sum_y dim V(y) N_k(y), by counting chains (`_chain_counts`)."""
+    if k < 0:
+        raise ValueError("chain degree must be >= 0")
+    counts = next(islice(_chain_counts(v.space, strict), k, None))
+    return sum(v.dims[y] * n for y, n in counts.items())
 
 
 def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
@@ -232,34 +247,6 @@ def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Row
         return out
 
     return _assemble(dst, src, terms)
-
-
-def _transpose(rows: Rows, ncols: int) -> Rows:
-    out: Rows = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
-def _apply(rows: Rows, vec: SparseRow) -> SparseRow:
-    """Sparse rows times a sparse vector, zero entries dropped."""
-    out: SparseRow = {}
-    for i, row in enumerate(rows):
-        s = sum(x * vec[j] for j, x in row.items() if j in vec)
-        if s:
-            out[i] = s
-    return out
-
-
-def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
-    """out -= c * row, in place, dropping entries that cancel."""
-    for j, y in row.items():
-        z = out.get(j, 0) - c * y
-        if z:
-            out[j] = z
-        else:
-            del out[j]
 
 
 def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> RatMatrix:
@@ -407,20 +394,10 @@ def assignment_space_dim(v: CoefficientSystem) -> int:
 
 
 def euler_characteristic(v: CoefficientSystem) -> int:
-    """Alternating sum of reduced chain dimensions, by counting chains.
-
-    N_k(y), the number of strict chains of k+1 strata ending at y, is 1 for
-    k = 0 and the sum of N_{k-1}(x) over x < y; the result is
-    sum_k (-1)^k sum_y dim V(y) N_k(y).  No chain is enumerated.
-    """
-    space = v.space
-    counts = dict.fromkeys(space.ids, 1)
-    total, sign = 0, 1
-    while any(counts.values()):
-        total += sign * sum(v.dims[y] * n for y, n in counts.items())
-        counts = {y: sum(counts[x] for x in space.below(y)) for y in space.ids}
-        sign = -sign
-    return total
+    """Alternating sum of reduced chain dimensions, sum_k (-1)^k sum_y dim V(y) N_k(y),
+    from the strict counts of `_chain_counts` up to the first k with no chain."""
+    counts = takewhile(lambda c: any(c.values()), _chain_counts(v.space, True))
+    return sum((-1) ** k * sum(v.dims[y] * n for y, n in c.items()) for k, c in enumerate(counts))
 
 
 # ---------------------------------------------------------------------------

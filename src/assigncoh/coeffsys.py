@@ -17,7 +17,8 @@ cover maps; every other pair is composed from them on first use, along
 the route `space.lower_covers` fixes, and memoized there.  The readers in
 this package (the differential, the functor and d^2 checks, sub/quotient
 systems, assignments) take those rows; `proj` builds the public
-`RatMatrix` of Fractions on demand.
+`RatMatrix` of Fractions on demand.  Every product of rows here is
+`ratlin._mul`: the row arithmetic lives in `ratlin` alone.
 
 Because every other pair is composed from the cover maps, a family of
 values with a_y = proj(x, y) a_x on every cover and every explicit
@@ -54,39 +55,12 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, SparseRow, _exact, _rank, _sparse
+from .ratlin import RatMatrix, Rows, _identity_rows, _mul, _rank, _sparse
 from .stratposet import StratSpace
-
-# a projection as sparse rows, one per coordinate of the upper stratum
-Rows = List[SparseRow]
-
-_ZERO = Fraction(0)
-
-
-def _identity_rows(n: int) -> Rows:
-    return [{i: 1} for i in range(n)]
-
-
-def _mul(a: Rows, b: Rows) -> Rows:
-    """The rows of a @ b, ints kept where integral and columns ascending."""
-    out = []
-    for arow in a:
-        acc: SparseRow = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: _exact(acc[j]) for j in sorted(acc) if acc[j]})
-    return out
-
-
-def _push(rows: Rows, vec) -> Tuple:
-    """The rows applied to a vector of Fractions, as a tuple of Fractions."""
-    return tuple(sum((x * vec[j] for j, x in row.items()), _ZERO) for row in rows)
 
 
 def _check_shapes(space: StratSpace, dims: Mapping[str, int], proj, pairs) -> None:

@@ -66,14 +66,18 @@ class InvalidMorphismError(ValueError):
 
 
 class IncompatibleMinimalValuesError(ValueError):
-    """Minimal-stratum values that disagree after projection to a common stratum."""
+    """Minimal-stratum values that disagree after projection: witness (x0, x1, y)
+    when their pushes disagree on y, (x, y) when the extension breaks proj(x, y)."""
 
     def __init__(self, witness):
         self.witness = tuple(witness)
-        x0, x1, y = self.witness
-        super().__init__(
-            f"values at minimal strata {x0!r} and {x1!r} disagree on {y!r}"
-        )
+        if len(self.witness) == 2:
+            x, y = self.witness
+            message = f"extended values break the projection from {x!r} to {y!r}"
+        else:
+            x0, x1, y = self.witness
+            message = f"values at minimal strata {x0!r} and {x1!r} disagree on {y!r}"
+        super().__init__(message)
 
 
 class MissingMinimalValueError(ValueError):

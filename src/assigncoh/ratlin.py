@@ -12,7 +12,10 @@ pass on d_k with the image's pivot columns pinned to zero
 (`cochain._CohomologyData`).  `sparse_rref` divides the rows of
 `sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
 `solve` are thin wrappers that take and give the dense `RatMatrix` value
-type (`solve` through `_preimage`).
+type (`solve` through `_preimage`).  It is also the package's only
+arithmetic on sparse rows (`Rows`): `_mul`, `_apply`, `_transpose`,
+`_sub_scaled` and `_identity_rows`, which `RatMatrix`'s `@`, `apply` and
+`transpose` wrap as well.
 
 Canonical outputs, relied on by golden tests elsewhere:
 
@@ -54,6 +57,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 # column -> nonzero entry, an int while integral and a Fraction otherwise
 SparseRow = Dict[int, object]
+Rows = List[SparseRow]  # a matrix as its sparse rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,6 +74,63 @@ def _exact(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _identity_rows(n: int) -> Rows:
+    return [{i: 1} for i in range(n)]
+
+
+def _mul(a: Rows, b: Rows) -> Rows:
+    """The rows of a @ b, ints kept where integral and columns ascending.
+
+    >>> _mul([{0: 1, 1: 2}], [{1: Fraction(1, 2)}, {0: 3, 1: Fraction(1, 4)}])
+    [{0: 6, 1: 1}]
+    """
+    out = []
+    for arow in a:
+        acc: SparseRow = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: _exact(acc[j]) for j in sorted(acc) if acc[j]})
+    return out
+
+
+def _transpose(rows: Rows, ncols: int) -> Rows:
+    """The rows of the transpose of the matrix with these rows and ncols columns.
+
+    >>> _transpose([{0: 1, 2: 5}, {1: -1}], 3)
+    [{0: 1}, {1: -1}, {0: 5}]
+    """
+    out: Rows = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _apply(rows: Rows, vec: SparseRow) -> SparseRow:
+    """Sparse rows times a sparse vector, zero entries dropped.
+
+    >>> _apply([{0: 1, 1: -1}, {1: 2}], {0: 3, 1: 3})
+    {1: 6}
+    """
+    out: SparseRow = {}
+    for i, row in enumerate(rows):
+        s = sum(x * vec[j] for j, x in row.items() if j in vec)
+        if s:
+            out[i] = s
+    return out
+
+
+def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
+    """out -= c * row, in place, dropping entries that cancel."""
+    for j, y in row.items():
+        z = out.get(j, 0) - c * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
 
 
 class RatMatrix:
@@ -122,8 +183,7 @@ class RatMatrix:
         return list(self.data[i])
 
     def transpose(self) -> "RatMatrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return RatMatrix(self.cols, self.rows, data)
+        return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.rows)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
@@ -145,20 +205,7 @@ class RatMatrix:
             raise ValueError(
                 f"shape mismatch for product: {self.shape()} @ {other.shape()}"
             )
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] += a * b
-        return RatMatrix(self.rows, other.cols, out)
+        return RatMatrix.from_sparse(_mul(_sparse(self), _sparse(other)), other.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape() != other.shape():
@@ -173,15 +220,8 @@ class RatMatrix:
         """Matrix-vector product, returning a plain list of Fractions."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != column count {self.cols}")
-        out = []
-        for i in range(self.rows):
-            srow = self.data[i]
-            acc = _ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    acc += srow[j] * _frac(v)
-            out.append(acc)
-        return out
+        out = _apply(_sparse(self), {j: v for j, v in enumerate(map(_frac, vec)) if v})
+        return [_frac(out.get(i, 0)) for i in range(self.rows)]
 
     def shape(self) -> tuple:
         return (self.rows, self.cols)
@@ -453,9 +493,7 @@ def kernel_basis(m: RatMatrix) -> list:
     red, pivots = sparse_echelon(_sparse(m), m.cols)
     pivot_set = set(pivots)
     free = [f for f in range(m.cols) if f not in pivot_set]
-    basis = [{j: Fraction(x, vec[f]) for j, x in vec.items()}
-             for f, vec in zip(free, sparse_kernel(red, pivots, m.cols))]
-    return RatMatrix.from_sparse(basis, m.cols).data
+    return RatMatrix.from_sparse(_normalize(sparse_kernel(red, pivots, m.cols), free), m.cols).data
 
 
 def _preimage(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
@@ -483,8 +521,6 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
     b = [_frac(y) for y in b]
-    x = [_ZERO] * a.cols
-    for y, image in zip(b, _preimage(_sparse(a), a.cols)):
-        for j, z in image.items():
-            x[j] += y * z
+    x = _apply(_transpose(_preimage(_sparse(a), a.cols), a.cols), dict(enumerate(b)))
+    x = [_frac(x.get(j, 0)) for j in range(a.cols)]
     return x if a.apply(x) == b else None

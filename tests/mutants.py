@@ -212,4 +212,29 @@ MUTANTS = (
         "                    continue\n",
         ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",),
     ),
+    Mutant(
+        "extend-skips-the-cut-check",
+        "assignops.py",
+        "        if _apply(v._rows(x, y), values[x]) != values[y]:\n"
+        "            raise IncompatibleMinimalValuesError((x, y))\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_extend_checks_the_cut_of_a_system_that_breaks_the_functor_laws",
+         "tests/test_cochain.py::test_every_successful_extend_is_an_assignment_seeded"),
+        note="on a system that breaks the functor laws extend would print a non-assignment",
+    ),
+    Mutant(
+        "weak-chain-counter-with-the-strict-step",
+        "cochain.py",
+        "+ (0 if strict else counts[y])",
+        "+ 0",
+        ("tests/test_cochain.py::test_counted_chain_dims_match_enumeration_seeded[weak]",
+         "tests/test_cochain.py::test_counted_chain_dims_reach_large_degrees"),
+    ),
+    Mutant(
+        "transpose-wrapper-swaps-the-shape",
+        "ratlin.py",
+        "return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.rows)",
+        "return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.cols)",
+        ("tests/test_ratlin.py::test_product_apply_and_transpose_match_dense_loops_seeded",),
+    ),
 )

@@ -20,8 +20,12 @@ failing triple) is gated against, for `check` and for every complex that
 `_composes_to_zero` is the package's former refusal test, moved here
 verbatim once `cochain` took that verdict from `square_failures`.
 `reference_from_cover_maps` is the eager composition loop that
-`CoefficientSystem.from_cover_maps` once ran, with `RatMatrix` products:
-the reference for the pairs the system now composes on first use.
+`CoefficientSystem.from_cover_maps` once ran: the reference for the pairs
+the system now composes on first use.  Its products are `dense_matmul`,
+the dense loop `RatMatrix.__matmul__` ran before `@` went through the
+sparse row kernel (`ratlin._mul`), so the reference does not run the code
+under test; `dense_apply` and `dense_transpose` are the former loops of
+`RatMatrix.apply` and `RatMatrix.transpose`, kept for the same reason.
 `interleaved_echelon` and `ReferenceCohomologyData` are the package's own
 former one-pass elimination and one-pass cohomology at a degree, kept as
 the references that the two-pass kernel and the dims-first cohomology
@@ -36,17 +40,20 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _sub_scaled, _transpose
+from assigncoh.cochain import _Complex
 from assigncoh.ratlin import (
     RatMatrix,
+    Rows,
     SparseRow,
     _integral,
     _normalize,
     _primitive,
+    _sub_scaled,
+    _transpose,
     sparse_kernel,
 )
 
-Rows = List[SparseRow]
+_ZERO = Fraction(0)
 
 
 def brute_rank(rows):
@@ -489,6 +496,49 @@ def _composes_to_zero(d_in_t: Rows, d_out: Rows, ncols: int) -> bool:
     return True
 
 
+def dense_matmul(self: RatMatrix, other: RatMatrix) -> RatMatrix:
+    """self @ other by the dense loop `RatMatrix.__matmul__` once ran, verbatim."""
+    if self.cols != other.rows:
+        raise ValueError(
+            f"shape mismatch for product: {self.shape()} @ {other.shape()}"
+        )
+    out = [[_ZERO] * other.cols for _ in range(self.rows)]
+    for i in range(self.rows):
+        srow = self.data[i]
+        orow = out[i]
+        for k in range(self.cols):
+            a = srow[k]
+            if not a:
+                continue
+            brow = other.data[k]
+            for j in range(other.cols):
+                b = brow[j]
+                if b:
+                    orow[j] += a * b
+    return RatMatrix(self.rows, other.cols, out)
+
+
+def dense_apply(m: RatMatrix, vec) -> List[Fraction]:
+    """m applied to a vector, by the dense loop `RatMatrix.apply` once ran."""
+    if len(vec) != m.cols:
+        raise ValueError(f"vector length {len(vec)} != column count {m.cols}")
+    out = []
+    for i in range(m.rows):
+        srow = m.data[i]
+        acc = _ZERO
+        for j, v in enumerate(vec):
+            if v:
+                acc += srow[j] * Fraction(v)
+        out.append(acc)
+    return out
+
+
+def dense_transpose(m: RatMatrix) -> RatMatrix:
+    """The transpose, by the dense loop `RatMatrix.transpose` once ran."""
+    data = [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    return RatMatrix(m.cols, m.rows, data)
+
+
 def reference_from_cover_maps(space, dims, cover_maps, explicit=None):
     """Every weakly comparable pair's projection, composed eagerly.
 
@@ -511,7 +561,7 @@ def reference_from_cover_maps(space, dims, cover_maps, explicit=None):
         for y in sorted(space.above(x), key=position.__getitem__):
             for z in sorted(succ[y]):
                 if (x, z) not in proj:
-                    proj[(x, z)] = proj[(y, z)] @ proj[(x, y)]
+                    proj[(x, z)] = dense_matmul(proj[(y, z)], proj[(x, y)])
     if explicit:
         for pair, m in explicit.items():
             proj[pair] = m

@@ -11,7 +11,8 @@ import pytest
 
 import assigncoh.cochain
 import assigncoh.coeffsys
-from assigncoh.cochain import _Complex, _transpose
+from assigncoh.cochain import _Complex
+from assigncoh.ratlin import _transpose
 from assigncoh import (
     SpaceDescription,
     build_from_description,
@@ -739,6 +740,26 @@ def test_extend_incompatible(capsys, cp2_file, tmp_path):
     code, _, err = run(capsys, ["extend", cp2_file, "--values", values])
     assert code == cli.EXIT_INCOMPATIBLE
     assert "'e23'" in err
+
+
+def test_extend_checks_the_cut_of_a_system_that_breaks_the_functor_laws(capsys, tmp_path):
+    # chain m < a < b with proj(m, b) = 2 but proj(a, b) proj(m, a) = 1: the
+    # one minimal stratum pushes a = [1], b = [2], which break proj(a, b)
+    space = tmp_path / "chain.space"
+    space.write_text(json.dumps({
+        "torus_dim": 2,
+        "strata": [{"id": "m", "stabilizer": [[1, 0], [0, 1]]},
+                   {"id": "a", "stabilizer": [[1, 0]]}, {"id": "b", "stabilizer": []}],
+        "covers": [["m", "a"], ["a", "b"]],
+        "dims": {"m": 1, "a": 1, "b": 1},
+        "projections": [{"pair": ["m", "a"], "matrix": [["1"]]},
+                        {"pair": ["a", "b"], "matrix": [["1"]]},
+                        {"pair": ["m", "b"], "matrix": [["2"]]}]}))
+    values = _write_values(tmp_path, {"m": ["1"]})
+    code, out, err = run(capsys, ["extend", str(space), "--values", values])
+    assert code == cli.EXIT_INCOMPATIBLE and out == ""
+    assert err == "error: extended values break the projection from 'a' to 'b'\n"
+    assert run(capsys, ["assignments", str(space)])[1] == "dim A = 0\n"
 
 
 def test_extend_missing_minimal_value(capsys, cp2_file, tmp_path):

@@ -8,6 +8,8 @@ import pytest
 
 from assigncoh import (
     CoefficientSystem,
+    IncompatibleMinimalValuesError,
+    MinimalAssignment,
     NoUniqueMinimumError,
     build_polytope,
     NotExactError,
@@ -17,6 +19,7 @@ from assigncoh import (
     StratSpace,
     Subalgebra,
     SystemMorphism,
+    assignment_basis,
     block_scaling_matrix,
     build_linear_rep,
     build_product,
@@ -28,10 +31,13 @@ from assigncoh import (
     cohomology,
     differential_matrix,
     euler_characteristic,
+    extend_minimal,
     homotopy_L,
     homotopy_Q,
+    is_assignment,
     les_coefficients_check,
     les_pair_check,
+    minimal_strata,
     moment_system,
     pair_ses,
     preset_polytope,
@@ -45,13 +51,12 @@ import assigncoh.cochain
 from assigncoh.cochain import (
     Cochain,
     _Complex,
-    _apply,
     _carry,
     _differential,
     _exactness_walk,
-    _transpose,
 )
 from assigncoh.coeffsys import square_failures
+from assigncoh.ratlin import _apply, _transpose
 
 from oracles import (
     ReferenceCohomologyData,
@@ -374,6 +379,64 @@ def test_euler_characteristics():
     assert euler_characteristic(v6) == 4
     space, _ = cp2()
     assert euler_characteristic(zero_system(space)) == 0
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
+def test_counted_chain_dims_match_enumeration_seeded(strict):
+    # chain_space_dim counts chains ending at each stratum; the chains that
+    # `chains` enumerates, weighted by the top stratum's dim, are the reference
+    rng = random.Random(29)
+    makers = [cp2, s4, two_stratum, free_stratum, lambda: _poly("cube"), lambda: S6,
+              lambda: build_product(_poly("square"), _poly("segment"))]
+    for make in makers:
+        space, v = make()
+        for w in (v, _random_dims_system(rng, space), _random_dims_system(rng, space)):
+            for k in range(5):
+                want = sum(w.dims[t[-1]] for t in chains(space, k, strict))
+                assert chain_space_dim(w, k, strict) == want, (k, strict)
+    with pytest.raises(ValueError, match="chain degree must be >= 0"):
+        chain_space_dim(v, -1, strict)
+
+
+def test_counted_chain_dims_reach_large_degrees():
+    cube = _poly("cube")
+    _, cc = build_product(cube, cube)
+    assert chain_space_dim(cc, 2, strict=False) == 201_684
+    assert chain_space_dim(cube[1], 1000, strict=False) == 24_072_054
+    assert chain_space_dim(cube[1], 1000, strict=True) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _poly("cube"), cp2, lambda: S6,
+    lambda: build_product(_poly("square"), _poly("segment")),
+], ids=["cube", "cp2", "s6", "square*segment"])
+def test_every_successful_extend_is_an_assignment_seeded(make):
+    # on a perturbed system the pushes from the minimal strata can agree and
+    # still break a projection higher up: extend_minimal then refuses on the
+    # system's cut, naming the pair, and whatever it returns is an assignment
+    rng = random.Random(71)
+    space, moment = make()
+    minima = minimal_strata(space)
+    others = space.comparable_pairs()
+    seen = Counter()
+    for base in (moment, _constant_system(space, 2)):
+        basis = assignment_basis(base)
+        for _ in range(5):
+            w = _perturbed(rng, base, others)
+            for _ in range(4):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                values = {x: tuple(sum(c * a.value(x)[i] for c, a in zip(coeffs, basis))
+                                   for i in range(base.dims[x])) for x in minima}
+                try:
+                    a = extend_minimal(w, MinimalAssignment(values))
+                except IncompatibleMinimalValuesError as e:
+                    seen[len(e.witness)] += 1
+                    if len(e.witness) == 2:
+                        assert e.witness in w._cut
+                else:
+                    assert is_assignment(w, a).ok
+                    seen["ok"] += 1
+    assert seen["ok"] and seen[2], seen
 
 
 # ---------------------------------------------------------------------------

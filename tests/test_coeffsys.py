@@ -30,6 +30,7 @@ import assigncoh.cli
 import assigncoh.coeffsys
 from assigncoh.cochain import _CohomologyData, _Complex
 from assigncoh.errors import IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError
+from assigncoh.ratlin import _mul
 from assigncoh.stratposet import minimal_strata
 from oracles import (
     brute_assignment_dim,
@@ -465,14 +466,13 @@ def test_check_functor_skips_the_squares_composed_through_their_route(monkeypatc
     explicit = CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})
     squares = sum(len(space.below(y)) for y, _ in space.covers)
     composed = len(space.comparable_pairs()) - len(space.covers)
-    mul = assigncoh.coeffsys._mul
     for w, skipped in ((v, composed), (explicit, 0)):
         for x, z in space.comparable_pairs():
             w._rows(x, z)
         calls = []
-        monkeypatch.setattr(assigncoh.coeffsys, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+        monkeypatch.setattr(assigncoh.coeffsys, "_mul", lambda a, b: calls.append(1) or _mul(a, b))
         assert check_functor(w).ok
-        monkeypatch.setattr(assigncoh.coeffsys, "_mul", mul)
+        monkeypatch.setattr(assigncoh.coeffsys, "_mul", _mul)
         assert len(calls) == squares - skipped and composed > 0
 
 

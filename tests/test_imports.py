@@ -1,10 +1,13 @@
 """Every module of the package uses every name it imports, and every helper,
-and passes its doctests.
+and passes its doctests; every private name is taken from its home.
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.  A module-level function or class is a helper unless it is in
 `assigncoh.__all__`; each helper must be named on some other line of the
-package.  Every module's doctests run, so a new one needs no wiring.
+package.  Every module's doctests run, so a new one needs no wiring.  A
+private name (one leading underscore) that `src/` or `tests/` imports, or
+reads as a module attribute, must come from the module that defines it, so
+a helper that moves leaves no second way to it.
 """
 
 import ast
@@ -18,6 +21,7 @@ import pytest
 import assigncoh
 
 PACKAGE_DIR = Path(assigncoh.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def _unused_imports(source: str):
@@ -96,3 +100,79 @@ def test_module_doctest(path):
     assert result.failed == 0
     # a module whose source shows an example must have doctests that ran
     assert result.attempted > 0 or ">>>" not in path.read_text(encoding="utf-8")
+
+
+def _defined_names(source: str):
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _dotted(node):
+    """The dotted name of a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _private_detours(files, modules):
+    """(file, line, module, name) of each private name that one of files
+    (name -> (package or None, source)) takes from one of modules (dotted
+    name -> source) that does not define it: `from m import _x`, relative
+    imports resolved against the file's package, or a read of `m._x`."""
+    defined = {m: _defined_names(text) for m, text in modules.items()}
+    found = []
+    for name, (package, text) in files.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = f"{package}.{node.module}" if node.level else node.module
+                taken = [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                taken = [(_dotted(node.value), node.attr)]
+            else:
+                continue
+            for module, attr in taken:
+                if (module in defined and attr.startswith("_") and not attr.startswith("__")
+                        and attr not in defined[module]):
+                    found.append((name, node.lineno, module, attr))
+    return sorted(found)
+
+
+def test_private_detour_detector():
+    modules = {
+        "pkg": "from .a import _x\n",
+        "pkg.a": "def _x():\n    pass\n\n\nRows = list\n_Y: int = 1\n",
+        "pkg.b": "from .a import _x, Rows\n",
+    }
+    files = {
+        "b.py": ("pkg", "from .a import _x, _Y\nfrom .b import _x as y\n"),
+        "t.py": (None, "import pkg.b\nfrom pkg import _x\npkg.a._x()\npkg.b._x()\n"),
+    }
+    assert _private_detours(files, modules) == [
+        ("b.py", 2, "pkg.b", "_x"), ("t.py", 2, "pkg", "_x"), ("t.py", 4, "pkg.b", "_x"),
+    ]
+
+
+def test_private_names_come_from_their_home():
+    modules, files = {}, {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        stem = "assigncoh" if path.stem == "__init__" else f"assigncoh.{path.stem}"
+        modules[stem] = text
+        files[f"src/assigncoh/{path.name}"] = ("assigncoh", text)
+    for path in sorted(TESTS_DIR.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        modules[path.stem] = text
+        files[f"tests/{path.name}"] = (None, text)
+    assert _private_detours(files, modules) == []

@@ -5,12 +5,13 @@ from math import gcd
 import pytest
 
 import assigncoh.ratlin
-from assigncoh.cochain import _Complex, _transpose
+from assigncoh.cochain import _Complex
 from assigncoh.ratlin import (
     RatMatrix,
     _forward,
     _preimage,
     _rank,
+    _transpose,
     kernel_basis,
     rank,
     rref,
@@ -20,6 +21,9 @@ from assigncoh.ratlin import (
 )
 from oracles import (
     brute_rank,
+    dense_apply,
+    dense_matmul,
+    dense_transpose,
     interleaved_echelon,
     reference_kernel,
     reference_rref,
@@ -131,6 +135,37 @@ def test_matrix_algebra():
     assert not a.is_zero()
     assert a.transpose().transpose() == a
     assert RatMatrix.diagonal([2, 3]).row(1) == [0, 3]
+
+
+def test_product_apply_and_transpose_match_dense_loops_seeded():
+    # `@`, `apply` and `transpose` go through the sparse row kernel
+    # (`_mul`, `_apply`, `_transpose`); the dense loops they replaced are
+    # the reference, on shapes with no rows or no columns too, and `apply`
+    # still takes int and string entries
+    rng = random.Random(43)
+
+    def rand(m, n):
+        return RatMatrix.from_rows(
+            [[Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(m)]) if m else RatMatrix.zeros(0, n)
+
+    for _ in range(300):
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        a, b = rand(m, k), rand(k, n)
+        product = a @ b
+        assert product == dense_matmul(a, b)
+        assert product.shape() == (m, n)
+        assert all(type(x) is Fraction for row in product.data for x in row)
+        t = a.transpose()
+        assert t == dense_transpose(a) and t.shape() == (k, m)
+        vec = [rng.choice((0, 1, -2, "1/2", Fraction(-3, 4))) for _ in range(k)]
+        out = a.apply(vec)
+        assert out == dense_apply(a, vec)
+        assert all(type(x) is Fraction for x in out)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        rand(2, 3) @ rand(2, 3)
+    with pytest.raises(ValueError, match="vector length"):
+        rand(2, 3).apply([1, 2])
 
 
 def _of_rank(rng, m, n, r):
