@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 from .coeffsys import CoefficientSystem
 from .cochain import cohomology
 from .errors import (
+    BrokenProjectionError,
     IncompatibleMinimalValuesError,
     MissingMinimalValueError,
     UnknownIdError,
@@ -104,9 +105,10 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
 
     Every stratum Y lies above some minimal stratum, and all minimal strata
     below Y must push the same value to Y; a disagreement raises
-    IncompatibleMinimalValuesError naming the first offending triple, and so
-    does the first pair of the system's cut (`CoefficientSystem._cut`) that
-    the values break, as they can where the functor laws fail.
+    IncompatibleMinimalValuesError naming the first offending triple.  The
+    first pair of the system's cut (`CoefficientSystem._cut`) that the values
+    break, as they can where the functor laws fail, raises its subclass
+    BrokenProjectionError naming the pair.
     """
     space = v.space
     minima = minimal_strata(space)
@@ -138,6 +140,6 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
                 origin[y] = x
     for x, y in v._cut:
         if _apply(v._rows(x, y), values[x]) != values[y]:
-            raise IncompatibleMinimalValuesError((x, y))
+            raise BrokenProjectionError((x, y))
     return AssignmentVector(v, {y: [vec.get(i, 0) for i in range(v.dims[y])]
                                 for y, vec in values.items()})

@@ -66,18 +66,24 @@ class InvalidMorphismError(ValueError):
 
 
 class IncompatibleMinimalValuesError(ValueError):
-    """Minimal-stratum values that disagree after projection: witness (x0, x1, y)
-    when their pushes disagree on y, (x, y) when the extension breaks proj(x, y)."""
+    """Minimal-stratum values that disagree after projection: witness (x0, x1, y)."""
 
     def __init__(self, witness):
         self.witness = tuple(witness)
-        if len(self.witness) == 2:
-            x, y = self.witness
-            message = f"extended values break the projection from {x!r} to {y!r}"
-        else:
-            x0, x1, y = self.witness
-            message = f"values at minimal strata {x0!r} and {x1!r} disagree on {y!r}"
-        super().__init__(message)
+        x0, x1, y = self.witness
+        super().__init__(f"values at minimal strata {x0!r} and {x1!r} disagree on {y!r}")
+
+
+class BrokenProjectionError(IncompatibleMinimalValuesError):
+    """Extended values that break proj(x, y) at a pair (x, y) of the system's
+    cut, as they can where the functor laws fail."""
+
+    def __init__(self, pair):
+        self.pair = tuple(pair)
+        x, y = self.pair
+        ValueError.__init__(
+            self, f"extended values break the projection from {x!r} to {y!r}"
+        )
 
 
 class MissingMinimalValueError(ValueError):

@@ -216,7 +216,7 @@ MUTANTS = (
         "extend-skips-the-cut-check",
         "assignops.py",
         "        if _apply(v._rows(x, y), values[x]) != values[y]:\n"
-        "            raise IncompatibleMinimalValuesError((x, y))\n",
+        "            raise BrokenProjectionError((x, y))\n",
         "        pass\n",
         ("tests/test_cli.py::test_extend_checks_the_cut_of_a_system_that_breaks_the_functor_laws",
          "tests/test_cochain.py::test_every_successful_extend_is_an_assignment_seeded"),

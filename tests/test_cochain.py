@@ -56,6 +56,7 @@ from assigncoh.cochain import (
     _exactness_walk,
 )
 from assigncoh.coeffsys import square_failures
+from assigncoh.errors import BrokenProjectionError
 from assigncoh.ratlin import _apply, _transpose
 
 from oracles import (
@@ -429,14 +430,15 @@ def test_every_successful_extend_is_an_assignment_seeded(make):
                                    for i in range(base.dims[x])) for x in minima}
                 try:
                     a = extend_minimal(w, MinimalAssignment(values))
-                except IncompatibleMinimalValuesError as e:
-                    seen[len(e.witness)] += 1
-                    if len(e.witness) == 2:
-                        assert e.witness in w._cut
+                except BrokenProjectionError as e:
+                    assert e.pair in w._cut
+                    seen["cut"] += 1
+                except IncompatibleMinimalValuesError:
+                    seen["pushes"] += 1
                 else:
                     assert is_assignment(w, a).ok
                     seen["ok"] += 1
-    assert seen["ok"] and seen[2], seen
+    assert seen["ok"] and seen["cut"], seen
 
 
 # ---------------------------------------------------------------------------
