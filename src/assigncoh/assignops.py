@@ -105,10 +105,9 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
 
     Every stratum Y lies above some minimal stratum, and all minimal strata
     below Y must push the same value to Y; a disagreement raises
-    IncompatibleMinimalValuesError naming the first offending triple.  The
-    first pair of the system's cut (`CoefficientSystem._cut`) that the values
-    break, as they can where the functor laws fail, raises its subclass
-    BrokenProjectionError naming the pair.
+    IncompatibleMinimalValuesError naming the first offending triple; its
+    subclass BrokenProjectionError names the first pair of the system's cut
+    (`CoefficientSystem._cut`) the values break, as where the functor laws fail.
     """
     space = v.space
     minima = minimal_strata(space)

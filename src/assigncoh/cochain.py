@@ -82,6 +82,7 @@ from .ratlin import (
     RatMatrix,
     Rows,
     SparseRow,
+    _ZERO,
     _apply,
     _back,
     _forward,
@@ -96,8 +97,6 @@ from .ratlin import (
     sparse_rref,
 )
 from .stratposet import PosetMap, StratSpace, chains, minimal_strata, poset_morphism_check
-
-_ZERO = Fraction(0)
 
 
 class ChainBasis:

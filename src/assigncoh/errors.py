@@ -75,15 +75,12 @@ class IncompatibleMinimalValuesError(ValueError):
 
 
 class BrokenProjectionError(IncompatibleMinimalValuesError):
-    """Extended values that break proj(x, y) at a pair (x, y) of the system's
-    cut, as they can where the functor laws fail."""
+    """Extended values that break proj(x, y) at a pair of the system's cut."""
 
     def __init__(self, pair):
         self.pair = tuple(pair)
         x, y = self.pair
-        ValueError.__init__(
-            self, f"extended values break the projection from {x!r} to {y!r}"
-        )
+        ValueError.__init__(self, f"extended values break the projection from {x!r} to {y!r}")
 
 
 class MissingMinimalValueError(ValueError):

@@ -60,7 +60,6 @@ SparseRow = Dict[int, object]
 Rows = List[SparseRow]  # a matrix as its sparse rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -170,14 +169,11 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        data = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        return cls(n, n, data)
+        return cls.from_sparse(_identity_rows(n), n)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "RatMatrix":
-        n = len(values)
-        data = [[_frac(values[i]) if i == j else _ZERO for j in range(n)] for i in range(n)]
-        return cls(n, n, data)
+        return cls.from_sparse([{i: x} for i, x in enumerate(values)], len(values))
 
     def row(self, i: int) -> list:
         return list(self.data[i])
