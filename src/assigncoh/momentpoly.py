@@ -10,6 +10,13 @@ criterion fails exactly at the monomials whose covector has no solution
 over those weights, and the solutions of the others (smallest-index
 pivots, free variables zero) are the cofactor coefficients.
 
+The path of `decompose` touches each token and each term a few times in
+straight-line code.  `parse_poly` splits the text with one `findall` pass
+and walks the token strings by index; a character position is worked out
+only on the way to an error, by scanning the text again.  The keys are
+sorted once and each support computed once.  Each monomial of a cofactor
+comes from exactly one term, so its coefficient is assigned, not summed.
+
 Coefficients follow the convention of `ratlin.sparse_rref`: an int where
 the value is integral, a `Fraction` only where a denominator remains, never
 `Fraction(n, 1)`.  Values compare and hash equal either way, and
@@ -64,7 +71,7 @@ class MomentPolynomial:
         self.weights = weights
         clean = {}
         for key, vec in terms.items():
-            v = tuple(map(_coef, vec))
+            v = tuple([x if type(x) is int else _coef(x) for x in vec])
             if len(v) != weights.torus_dim:
                 raise ArityError(
                     f"coefficient has length {len(v)}, expected {weights.torus_dim}"
@@ -187,127 +194,139 @@ def _one_form(texts) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# every non-space character starts a match, so the matches tile the text
-_TOKEN = re.compile(
-    r"\s*(?:(?P<var>zb?\d+)|(?P<num>\d+)|(?P<punct>[\[\],+\-*/^])|(?P<bad>\S))"
-)
+# one alternative per kind of token: a variable, a number, a punctuation
+# mark, or any other character but ASCII whitespace, which is a token of its
+# own and always an error; so the tokens tile the text up to whitespace
+_TOKEN = re.compile(r"zb?\d+|\d+|[\[\],+\-*/^]|\S", re.ASCII)
+_GOOD_CHARS = "[],+-*/^0123456789"    # the one-character tokens that are no error
+_DIGITS = frozenset("0123456789")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value, at = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", at)
-        tokens.append((value if kind == "punct" else kind, value, at))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _at(text: str, i: int) -> int:
+    """Character position of token i of text, len(text) for the end.
+
+    Called only on the way to an error.  A bad character anywhere in the
+    text is the error to report, before any syntax or arity error, so this
+    raises it in place of returning.
+    """
+    at = len(text)
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        s = m.group()
+        if len(s) == 1 and s not in _GOOD_CHARS:
+            raise ParseError(f"unexpected character {s!r}", m.start()) from None
+        if j == i:
+            at = m.start()
+    return at
 
 
-def _int(digits: str, at: int) -> int:
+def _expected(text: str, toks: List[str], i: int, kind: str) -> ParseError:
+    return ParseError(f"expected {kind!r}, found {toks[i] or 'end of input'!r}", _at(text, i))
+
+
+def _too_long(text: str, digits: str, i: int) -> ParseError:
+    # int() refuses more digits than the interpreter's limit
+    return ParseError(f"integer literal of {len(digits)} digits is too long", _at(text, i))
+
+
+def _number(text: str, toks: List[str], i: int) -> int:
+    """Token i as an int; a ParseError unless it is a number int() converts."""
+    t = toks[i]
+    if t[:1] not in _DIGITS:
+        raise _expected(text, toks, i, "num")
     try:
-        return int(digits)
-    except ValueError:   # more digits than the interpreter converts
-        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
-
-
-class _Parser:
-    def __init__(self, text: str, weights: WeightMatrix):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.weights = weights
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def number(self) -> int:
-        _, digits, at = self.take("num")
-        return _int(digits, at)
-
-    def rational(self):
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        value = self.number()
-        if self.peek()[0] == "/":
-            self.take()
-            at = self.peek()[2]
-            den = self.number()
-            if den == 0:
-                raise ParseError("zero denominator", at)
-            value = Fraction(value, den)
-        return sign * value
-
-    def vector(self) -> tuple:
-        open_tok = self.take("[")
-        entries = []
-        if self.peek()[0] != "]":
-            entries.append(self.rational())
-            while self.peek()[0] == ",":
-                self.take()
-                entries.append(self.rational())
-        self.take("]")
-        if len(entries) != self.weights.torus_dim:
-            raise ArityError(
-                f"coefficient vector has length {len(entries)}, "
-                f"expected {self.weights.torus_dim} (at position {open_tok[2]})"
-            )
-        return tuple(entries)
-
-    def term(self) -> Tuple[ExpPair, tuple]:
-        vec = self.vector()
-        d = self.weights.count
-        k, l = [0] * d, [0] * d
-        while self.peek()[0] in ("*", "var"):
-            if self.peek()[0] == "*":
-                self.take()
-            var_tok = self.take("var")
-            name = var_tok[1]
-            conj = name.startswith("zb")
-            idx = _int(name[2:] if conj else name[1:], var_tok[2])
-            if not 1 <= idx <= d:
-                raise ArityError(
-                    f"variable {name} out of range for {d} coordinates "
-                    f"(at position {var_tok[2]})"
-                )
-            exp = 1
-            if self.peek()[0] == "^":
-                self.take()
-                exp = self.number()
-            (l if conj else k)[idx - 1] += exp
-        return (tuple(k), tuple(l)), vec
-
-    def poly(self) -> MomentPolynomial:
-        terms: Dict[ExpPair, list] = {}
-
-        def absorb(sign: int):
-            key, vec = self.term()
-            cur = terms.setdefault(key, [0] * self.weights.torus_dim)
-            for j, x in enumerate(vec):
-                cur[j] += sign * x
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        absorb(sign)
-        while self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-            absorb(sign)
-        self.take("end")
-        return MomentPolynomial(self.weights, {k: tuple(v) for k, v in terms.items()})
+        return int(t)
+    except ValueError:
+        raise _too_long(text, t, i) from None
 
 
 def parse_poly(text: str, weights: WeightMatrix) -> MomentPolynomial:
-    """Parse `[c,...] z1^a zb2^b + ...`; raises ParseError or ArityError."""
-    return _Parser(text, weights).poly()
+    """Parse `[c,...] z1^a zb2^b + ...`; raises ParseError or ArityError.
+
+    The grammar, token by token (ASCII whitespace between tokens is free):
+
+        poly     := [sign] term (sign term)*
+        term     := '[' [rational (',' rational)*] ']' (['*'] var ['^' int])*
+        rational := sign* int ['/' int]
+        var      := 'z' int | 'zb' int
+    """
+    toks = _TOKEN.findall(text)
+    toks.append("")                  # the end of the input
+    n, d = weights.torus_dim, weights.count
+    terms: Dict[ExpPair, list] = {}
+    t = toks[0]
+    i = 1 if t == "+" or t == "-" else 0
+    sign = -1 if t == "-" else 1
+    while True:
+        if toks[i] != "[":
+            raise _expected(text, toks, i, "[")
+        start = i
+        i += 1
+        vec = []
+        if toks[i] != "]":
+            while True:
+                s, t = sign, toks[i]
+                while t == "+" or t == "-":
+                    if t == "-":
+                        s = -s
+                    i += 1
+                    t = toks[i]
+                x = _number(text, toks, i)
+                i += 1
+                if toks[i] == "/":
+                    i += 1
+                    den = _number(text, toks, i)
+                    if not den:
+                        raise ParseError("zero denominator", _at(text, i))
+                    x = Fraction(x, den)
+                    i += 1
+                vec.append(s * x)
+                if toks[i] != ",":
+                    break
+                i += 1
+        if toks[i] != "]":
+            raise _expected(text, toks, i, "]")
+        i += 1
+        if len(vec) != n:
+            raise ArityError(f"coefficient vector has length {len(vec)}, "
+                             f"expected {n} (at position {_at(text, start)})")
+        k, l = [0] * d, [0] * d
+        t = toks[i]
+        while t == "*" or (len(t) > 1 and t[0] == "z"):
+            if t == "*":
+                i += 1
+                t = toks[i]
+                if not (len(t) > 1 and t[0] == "z"):
+                    raise _expected(text, toks, i, "var")
+            conj = t[1] == "b"
+            digits = t[2:] if conj else t[1:]
+            try:
+                idx = int(digits)
+            except ValueError:
+                raise _too_long(text, digits, i) from None
+            if not 1 <= idx <= d:
+                raise ArityError(f"variable {t} out of range for {d} coordinates "
+                                 f"(at position {_at(text, i)})")
+            i += 1
+            exp = 1
+            if toks[i] == "^":
+                i += 1
+                exp = _number(text, toks, i)
+                i += 1
+            (l if conj else k)[idx - 1] += exp
+            t = toks[i]
+        key = (tuple(k), tuple(l))
+        cur = terms.get(key)
+        if cur is None:
+            terms[key] = vec
+        else:
+            terms[key] = [a + b for a, b in zip(cur, vec)]
+        if t == "+" or t == "-":
+            sign = -1 if t == "-" else 1
+            i += 1
+        elif t:
+            raise _expected(text, toks, i, "end")
+        else:
+            return MomentPolynomial(weights, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +343,13 @@ class MomentReport:
         return not self.failing
 
 
-def _support(key: ExpPair) -> List[int]:
-    k, l = key
-    return [i for i in range(len(k)) if k[i] or l[i]]
+# (support, keys, solutions): the terms on one monomial support and, per
+# term, its coefficients over the weights of that support, or None
+_Group = Tuple[Tuple[int, ...], List[ExpPair], List[Optional[list]]]
 
 
-def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fraction]]]]:
-    """One elimination per monomial support, keys sorted: (key, coefficients).
+def _solve(p: MomentPolynomial) -> Tuple[List[ExpPair], List[_Group]]:
+    """The keys sorted, and one elimination per monomial support.
 
     The coefficients express the term's covector over the weights of the
     monomial's variables, with smallest-index pivots and free variables
@@ -346,29 +365,39 @@ def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[List[Fractio
         raise NonzeroConstantTermError(
             "polynomial has a nonzero constant term; it must vanish at the origin"
         )
+    keys = sorted(p.terms)
     by_support: Dict[Tuple[int, ...], List[ExpPair]] = {}
-    for key in sorted(p.terms):
-        by_support.setdefault(tuple(_support(key)), []).append(key)
-    solutions = {}
-    for support, keys in by_support.items():
+    for key in keys:
+        k, l = key
+        by_support.setdefault(tuple([i for i in range(d) if k[i] or l[i]]), []).append(key)
+    wrows, terms = p.weights.rows, p.terms
+    groups = []
+    for support, group in by_support.items():
         m = len(support)
-        rows = []
-        for r in range(n):
-            row = {c: p.weights.rows[i][r] for c, i in enumerate(support)}
-            row.update((m + t, p.terms[key][r]) for t, key in enumerate(keys))
-            rows.append({c: x for c, x in row.items() if x})
-        red, pivots = sparse_rref(rows, m + len(keys))
+        cols = [wrows[i] for i in support] + [terms[key] for key in group]
+        rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(n)]
+        red, pivots = sparse_rref(rows, len(cols))
         rank = sum(1 for c in pivots if c < m)
-        for t, key in enumerate(keys):
-            c = m + t
-            if any(c in row for row in red[rank:]):
-                solutions[key] = None
+        outside = set().union(*red[rank:])
+        head = list(zip(red[:rank], pivots))
+        lams = []
+        for c in range(m, len(cols)):
+            if c in outside:
+                lams.append(None)
                 continue
             lam = [0] * m
-            for row, piv in zip(red[:rank], pivots):
+            for row, piv in head:
                 lam[piv] = row.get(c, 0)
-            solutions[key] = lam
-    return [(key, solutions[key]) for key in sorted(p.terms)]
+            lams.append(lam)
+        groups.append((support, group, lams))
+    return keys, groups
+
+
+def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[list]]]:
+    """(key, coefficients) of each term, keys sorted; see `_solve`."""
+    keys, groups = _solve(p)
+    lam_of = {key: lam for _, group, lams in groups for key, lam in zip(group, lams)}
+    return [(key, lam_of[key]) for key in keys]
 
 
 def check_moment_condition(p: MomentPolynomial) -> MomentReport:
@@ -381,26 +410,34 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
 
     Per monomial the coefficient is solved over the supported weights with
     smallest-index pivots and free variables zero; each contribution factors
-    out z_i when possible, zbar_i otherwise.
+    out z_i when possible, zbar_i otherwise.  So each monomial of f_i comes
+    from the one term with k = k' + e_i, and each monomial of g_i from the
+    one term with l = l' + e_i and k_i = 0: every cofactor coefficient is
+    assigned once, never summed.
     """
-    solutions = _solutions(p)
-    failing = tuple(key for key, lam in solutions if lam is None)
+    _, groups = _solve(p)
+    failing = tuple(sorted(key for _, group, lams in groups
+                           for key, lam in zip(group, lams) if lam is None))
     if failing:
         raise ConditionFailedError(failing)
     d = p.weights.count
     fs = [ScalarPoly(d) for _ in range(d)]
     gs = [ScalarPoly(d) for _ in range(d)]
-    for key, lam in solutions:
-        k, l = key
-        for pos, i in enumerate(_support(key)):
-            if lam[pos] == 0:
-                continue
-            if k[i] > 0:
-                smaller = tuple(e - (j == i) for j, e in enumerate(k))
-                fs[i].added((smaller, l), lam[pos])
-            else:
-                smaller = tuple(e - (j == i) for j, e in enumerate(l))
-                gs[i].added((k, smaller), lam[pos])
+    f_terms = [f.terms for f in fs]
+    g_terms = [g.terms for g in gs]
+    for support, group, lams in groups:
+        for (k, l), lam in zip(group, lams):
+            for i, c in zip(support, lam):
+                if not c:
+                    continue
+                if k[i] > 0:
+                    smaller = list(k)
+                    smaller[i] -= 1
+                    f_terms[i][(tuple(smaller), l)] = c
+                else:
+                    smaller = list(l)
+                    smaller[i] -= 1
+                    g_terms[i][(k, tuple(smaller))] = c
     return FormCoefficients(p.weights, tuple(zip(fs, gs)))
 
 
@@ -408,21 +445,23 @@ def recombine(fc: FormCoefficients) -> MomentPolynomial:
     """Expand sum_j (z_j f_j + zbar_j g_j) alpha_j back into a polynomial."""
     w = fc.weights
     terms: Dict[ExpPair, list] = {}
-
-    def bump(key: ExpPair, c, alpha: Sequence[int]):
-        cur = terms.setdefault(key, [0] * w.torus_dim)
-        for r in range(w.torus_dim):
-            cur[r] += c * alpha[r]
-
     for j, (f, g) in enumerate(fc.pairs):
         alpha = w.rows[j]
         for (k, l), c in f.terms.items():
-            bigger = tuple(e + (i == j) for i, e in enumerate(k))
-            bump((bigger, l), c, alpha)
+            bigger = list(k)
+            bigger[j] += 1
+            key = (tuple(bigger), l)
+            cur = terms.get(key)
+            terms[key] = ([c * a for a in alpha] if cur is None
+                          else [x + c * a for x, a in zip(cur, alpha)])
         for (k, l), c in g.terms.items():
-            bigger = tuple(e + (i == j) for i, e in enumerate(l))
-            bump((k, bigger), c, alpha)
-    return MomentPolynomial(w, {key: tuple(v) for key, v in terms.items()})
+            bigger = list(l)
+            bigger[j] += 1
+            key = (k, tuple(bigger))
+            cur = terms.get(key)
+            terms[key] = ([c * a for a in alpha] if cur is None
+                          else [x + c * a for x, a in zip(cur, alpha)])
+    return MomentPolynomial(w, terms)
 
 
 def verify_decomposition(p: MomentPolynomial, fc: FormCoefficients) -> bool:

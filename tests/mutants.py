@@ -237,4 +237,23 @@ MUTANTS = (
         "return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.cols)",
         ("tests/test_ratlin.py::test_product_apply_and_transpose_match_dense_loops_seeded",),
     ),
+    Mutant(
+        "parse-error-position-of-the-next-token",
+        "momentpoly.py",
+        "        if j == i:\n            at = m.start()\n",
+        "        if j == i + 1:\n            at = m.start()\n",
+        ("tests/test_momentpoly.py::test_parse_error_messages_and_positions",),
+        note="every syntax and arity error would point one token too far",
+    ),
+    Mutant(
+        "cofactor-factors-z-where-k-is-zero",
+        "momentpoly.py",
+        "if k[i] > 0:",
+        "if k[i] >= 0:",
+        ("tests/test_momentpoly.py::test_decompose_antiholomorphic_term",
+         "tests/test_momentpoly.py::test_text_roundtrip",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[light]"),
+        note="z^-1 zbar-terms land in f; recombine adds the exponent back, so "
+             "verify_decomposition still holds and only the texts show it",
+    ),
 )

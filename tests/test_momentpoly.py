@@ -87,8 +87,16 @@ def test_parse_error_unexpected_character():
     ("[1] z1^" + "9" * 5000, "integer literal of 5000 digits is too long", 7),
     ("[1/" + "9" * 5000 + "] z1", "integer literal of 5000 digits is too long", 3),
     ("[1] z" + "9" * 5000, "integer literal of 5000 digits is too long", 4),
+    # a bad character wins over an earlier syntax or arity error
+    ("[1/0] z1 #", "unexpected character '#'", 9),
+    ("[1, 2] z1 + [1] z1 w", "unexpected character 'w'", 19),
+    # the grammar is ASCII: no other digits, no other spaces
+    ("[\u0663] z1", "unexpected character '\u0663'", 1),
+    ("[1]\u00a0z1", "unexpected character '\\xa0'", 3),
 ], ids=["character", "variable", "empty", "denominator", "exponent",
-        "long-numerator", "long-exponent", "long-denominator", "long-index"])
+        "long-numerator", "long-exponent", "long-denominator", "long-index",
+        "bad-after-syntax-error", "bad-after-arity-error", "arabic-indic-digit",
+        "no-break-space"])
 def test_parse_error_messages_and_positions(text, message, position):
     with pytest.raises(ParseError) as exc:
         parse_poly(text, W1)
@@ -155,6 +163,57 @@ def test_decompose_and_recombine_keep_the_convention():
     assert all(_exact_types(v) for v in back.terms.values())
 
 
+def _noisy_text(rng, p: MomentPolynomial) -> str:
+    """p printed the long way round: random ASCII whitespace, signs, '*'s,
+    split powers, unreduced fractions, repeated monomials and zero terms."""
+    n, d = p.weights.torus_dim, p.weights.count
+
+    def ws():
+        return rng.choice(["", "", " ", "  ", "\t", "\n"])
+
+    def rational(x):
+        signs = [rng.choice("+-") for _ in range(rng.randint(0, 3))]
+        if signs.count("-") % 2 != (x < 0):
+            signs.append("-")
+        x, m = abs(Fraction(x)), rng.choice([1, 1, 2, 3])
+        body = f"{x.numerator * m}/{x.denominator * m}"
+        if x.denominator == 1 and m == 1 and rng.random() < 0.7:
+            body = str(x.numerator)
+        return ws().join(signs + [body])
+
+    def factors(name, e):
+        while e:
+            part = rng.randint(1, e)
+            e -= part
+            power = ws() + "^" + ws() + str(part) if part > 1 or rng.random() < 0.3 else ""
+            yield ws() + rng.choice(["", "*" + ws()]) + name + power
+
+    pieces = []
+    for (k, l), vec in p.terms.items():
+        parts = [vec]
+        if rng.random() < 0.3:        # the same monomial twice: the parts merge
+            half = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            parts = [half, [x - h for x, h in zip(vec, half)]]
+        for part in parts:
+            pieces.append((k, l, part))
+    if not pieces or rng.random() < 0.5:     # a zero vector drops its term
+        pieces.append(((rng.randint(0, 2),) * d, (0,) * d, [0] * n))
+    rng.shuffle(pieces)
+    out = []
+    for t, (k, l, vec) in enumerate(pieces):
+        negate = rng.random() < 0.5
+        if t or rng.random() < 0.5:
+            out.append(ws() + ("-" if negate else "+") + ws())
+        else:
+            negate = False
+        entries = [rational(-x if negate else x) for x in vec]
+        out.append("[" + ws() + (ws() + "," + ws()).join(entries) + ws() + "]")
+        for i in range(d):
+            out.extend(factors(f"z{i + 1}", k[i]))
+            out.extend(factors(f"zb{i + 1}", l[i]))
+    return "".join(out) + ws()
+
+
 def test_text_roundtrip():
     texts = [
         "[1] z1 zb1",
@@ -165,6 +224,39 @@ def test_text_roundtrip():
         w = W1 if s == texts[0] else WSTD
         p = parse_poly(s, w)
         assert parse_poly(p.to_text(), w) == p
+    # random polynomials, each printed three ways, parse back to themselves;
+    # those whose terms lie in the span also decompose and recombine
+    rng = random.Random(22)
+    decomposed = 0
+    for _ in range(200):
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        w = WeightMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)], torus_dim=n
+        )
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            key = (tuple(rng.randint(0, 3) for _ in range(d)),
+                   tuple(rng.randint(0, 2) for _ in range(d)))
+            support = [i for i in range(d) if key[0][i] or key[1][i]]
+            if support and rng.random() < 0.7:
+                c = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in support}
+                terms[key] = [sum(c[i] * w.rows[i][r] for i in support) for r in range(n)]
+            else:
+                terms[key] = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+        p = MomentPolynomial(w, terms)
+        assert parse_poly(p.to_text(), w) == p
+        for _ in range(3):
+            text = _noisy_text(rng, p)
+            assert parse_poly(text, w) == p, text
+        zero = ((0,) * d, (0,) * d)
+        if zero not in p.terms and check_moment_condition(p).ok:
+            fc = decompose(p)
+            assert verify_decomposition(p, fc)
+            # the cofactors are polynomials: no exponent below zero
+            assert all(min(k + l) >= 0 for pair in fc.pairs for poly in pair
+                       for k, l in poly.terms)
+            decomposed += 1
+    assert decomposed > 50
 
 
 def test_zero_poly_text():
