@@ -37,7 +37,6 @@ from .errors import (
     StabilizerMonotonicityError,
     UnknownIdError,
 )
-from .ratlin import _frac
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,13 +92,9 @@ def _printable():
                           "digits, the limit for printing one") from None
 
 
-def _rat_list(values) -> List[str]:
-    with _printable():
-        return [str(_frac(v)) for v in values]
-
-
 def _vector_table(values: Dict[str, Tuple[Fraction, ...]]) -> Dict[str, List[str]]:
-    return {x: _rat_list(values[x]) for x in sorted(values)}
+    with _printable():
+        return {x: [str(v) for v in values[x]] for x in sorted(values)}
 
 
 def _format_assignment(values: Dict[str, List[str]]) -> str:
@@ -125,10 +120,9 @@ def cmd_assignments(args) -> Tuple[dict, List[str]]:
 
 
 def _cochain_blocks(c) -> Dict[str, List[str]]:
-    return {
-        ",".join(t): _rat_list(vec)
-        for t, vec in c.as_dict().items()
-    }
+    blocks = c.as_dict()
+    with _printable():
+        return {",".join(t): [str(v) for v in vec] for t, vec in blocks.items()}
 
 
 def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
@@ -434,12 +428,19 @@ _COMMANDS = (
 )
 
 
+def _subparser(built: bool, **kwargs) -> Optional[argparse.ArgumentParser]:
+    """A subcommand's parser, or None for a name registered but not built."""
+    return argparse.ArgumentParser(**kwargs) if built else None
+
+
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser for argv.
 
-    Every subcommand is registered, but only those whose name appears in
-    argv get their arguments: the only subparser that parses is the one
-    argv names, and adding arguments is most of the cost of building.
+    Every subcommand is registered with its name and help line, so usage,
+    help and `invalid choice` messages list them all, but only those whose
+    name appears in argv get a parser: the only subparser that parses is
+    the one argv names, and constructing a parser costs far more than
+    registering a name.
     """
     ap = argparse.ArgumentParser(
         prog="assigncoh",
@@ -447,13 +448,13 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         "for stratified torus actions.",
     )
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_subparser)
     named = set(argv)
     for name, help_text, handler, add_arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if name in named:
+        p = sub.add_parser(name, help=help_text, built=name in named)
+        if p is not None:
             add_arguments(p)
-        p.set_defaults(handler=handler)
+            p.set_defaults(handler=handler)
     return ap
 
 

@@ -148,13 +148,6 @@ class ScalarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def added(self, key: ExpPair, c: Fraction) -> None:
-        cur = self.terms.get(key, 0) + c
-        if cur == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = _exact(cur)
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"

@@ -256,4 +256,13 @@ MUTANTS = (
         note="z^-1 zbar-terms land in f; recombine adds the exponent back, so "
              "verify_decomposition still holds and only the texts show it",
     ),
+    Mutant(
+        "parser-registers-only-the-named-subcommands",
+        "cli.py",
+        "p = sub.add_parser(name, help=help_text, built=name in named)",
+        "p = sub.add_parser(name, help=help_text, built=True) if name in named else None",
+        ("tests/test_cli.py::test_parser_for_argv_matches_the_parser_for_every_name",),
+        note="help, the usage {...} line and the invalid choice list would "
+             "name only the subcommands in argv",
+    ),
 )

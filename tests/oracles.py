@@ -33,6 +33,8 @@ must match byte for byte.  `_reduce`, the cross-multiplied reduction of a
 cocycle against the image that `ReferenceCohomologyData` runs, is the
 package's former `cochain._reduce`, moved here verbatim once `cochain`
 took its classes from one elimination with the image's pivots pinned.
+`plus_terms` adds terms to a `ScalarPoly` through the package's own
+constructor, which drops zeros and keeps ints where integral.
 """
 
 from fractions import Fraction
@@ -41,6 +43,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assigncoh.cochain import _Complex
+from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
     RatMatrix,
     Rows,
@@ -716,3 +719,11 @@ class ReferenceCohomologyData:
         if _reduce(red, self._rep_at)[0]:
             raise ValueError("vector does not represent a cohomology class here")
         return [Fraction(red.get(p, 0), s * m) for p in self.rep_pivots]
+
+
+def plus_terms(s: ScalarPoly, terms) -> ScalarPoly:
+    """s plus the {key: coefficient} terms, normalized by the constructor."""
+    out = dict(s.terms)
+    for key, c in terms.items():
+        out[key] = out.get(key, 0) + c
+    return ScalarPoly(s.d, out)

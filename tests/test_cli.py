@@ -57,7 +57,16 @@ def _subparser(ap, name):
     return action.choices[name]
 
 
-def test_parser_for_argv_matches_the_parser_for_every_name():
+def _usage_error(capsys, ap, argv):
+    """(exit code, stderr) of a parse that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(argv)
+    out = capsys.readouterr()
+    assert out.out == ""
+    return exc.value.code, out.err
+
+
+def test_parser_for_argv_matches_the_parser_for_every_name(capsys, monkeypatch):
     """A parser given only the argv it parses answers as one built with every name."""
     names = [name for name, *_ in cli._COMMANDS]
     full = cli._build_parser(names)
@@ -76,6 +85,35 @@ def test_parser_for_argv_matches_the_parser_for_every_name():
             ap = cli._build_parser(argv)
             assert vars(ap.parse_args(argv)) == vars(full.parse_args(argv))
             assert _subparser(ap, name).format_help() == _subparser(full, name).format_help()
+
+    # usage errors: an unknown subcommand, none, an unknown option, no file
+    errors = {}
+    for argv in (["bogus"], [], ["--bogus", "check", "f"], ["check"]):
+        errors[tuple(argv)] = _usage_error(capsys, cli._build_parser(argv), argv)
+        assert errors[tuple(argv)] == _usage_error(capsys, full, argv)
+        assert errors[tuple(argv)][0] == 2
+    listed = "{" + ",".join(names) + "}"
+    assert all(listed in errors[argv][1] for argv in [("bogus",), (), ("--bogus", "check", "f")])
+    assert "(choose from " + ", ".join(map(repr, names)) + ")" in errors[("bogus",)][1]
+    assert errors[("check",)][1].endswith(
+        "assigncoh check: error: the following arguments are required: file\n")
+
+    # a parser for one subcommand constructs none for the other five
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in names:
+        built.clear()
+        cli._build_parser(["--json", name, "a.space"])
+        assert built == ["assigncoh", f"assigncoh {name}"]
+    built.clear()
+    cli._build_parser(names)
+    assert len(built) == 1 + len(names)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +291,19 @@ def test_value_too_long_to_print_is_input_error(capsys, tmp_path):
     # but a product or a merged coefficient has a denominator of about 5,000
     # digits, which str() refuses; that used to exit 2
     sevens, threes = "7" * 2500, "3" * 2499 + "1"
+    chain = _CHAIN.replace("@", "1").replace("#", f'[["1/{threes}"]]')
     path = tmp_path / "chain.space"
-    path.write_text(_CHAIN.replace("@", "1").replace("#", f'[["1/{threes}"]]'))
+    path.write_text(chain)
+    # the composed projection proj(a, c) = 1/(threes * sevens), so a canonical
+    # basis vector or representative holds a value of about 5,000 digits
+    composed = tmp_path / "composed.space"
+    composed.write_text(chain.replace('"matrix": [["1"]]', f'"matrix": [["1/{sevens}"]]'))
     values = tmp_path / "values.json"
     values.write_text(json.dumps({"values": {"a": [f"1/{sevens}"]}}))
     for argv in (["extend", str(path), "--values", str(values)],
-                 ["decompose", "--weights", "1", "--psi", f"[1/{sevens}] z1 + [1/{threes}] z1"]):
+                 ["decompose", "--weights", "1", "--psi", f"[1/{sevens}] z1 + [1/{threes}] z1"],
+                 ["assignments", str(composed)],
+                 ["cohomology", str(composed), "--degree", "0"]):
         code, out, err = run(capsys, ["--json"] + argv)
         assert code == cli.EXIT_INPUT
         message = (f"a value has more than {sys.get_int_max_str_digits()} digits, "

@@ -21,7 +21,7 @@ from assigncoh import (
     verify_decomposition,
 )
 from assigncoh.momentpoly import _solutions
-from oracles import brute_rank, reference_solve
+from oracles import brute_rank, plus_terms, reference_solve
 
 W1 = WeightMatrix.from_rows([(1,)])
 W2 = WeightMatrix.from_rows([(1,), (-1,)])
@@ -145,7 +145,7 @@ def test_coefficients_are_ints_where_integral():
     assert all(_exact_types(v) for v in p.scale("3/2").terms.values())
     s = ScalarPoly(2, {((1, 0), (0, 0)): Fraction(4, 2), ((0, 1), (0, 0)): Fraction(1, 2)})
     assert _exact_types(s.terms.values())
-    s.added(((0, 1), (0, 0)), Fraction(1, 2))
+    s = plus_terms(s, {((0, 1), (0, 0)): Fraction(1, 2)})
     assert s.terms == {((1, 0), (0, 0)): 2, ((0, 1), (0, 0)): 1}
     assert _exact_types(s.terms.values())
 
@@ -428,8 +428,7 @@ def test_verify_rejects_one_cofactor_off(delta):
     (f1, g1), = fc.pairs
     key = min(f1.terms)
     assert type(f1.terms[key]) is int
-    bad = ScalarPoly(1, dict(f1.terms))
-    bad.added(key, delta)
+    bad = plus_terms(f1, {key: delta})
     assert not verify_decomposition(p, FormCoefficients(W1, ((bad, g1),)))
 
 

@@ -53,7 +53,7 @@ from assigncoh import (
 from assigncoh.coeffsys import _closure_direction
 from assigncoh.errors import NotOpenError
 
-from oracles import brute_covers
+from oracles import brute_covers, plus_terms
 from spaces import cp2, s4, two_stratum
 
 
@@ -506,13 +506,7 @@ def test_recombination_is_additive_randomized():
             for _ in range(d)))
         merged = []
         for (f1, g1), (f2, g2) in zip(fa.pairs, fb.pairs):
-            f = ScalarPoly(d, dict(f1.terms))
-            for k, c in f2.terms.items():
-                f.added(k, c)
-            g = ScalarPoly(d, dict(g1.terms))
-            for k, c in g2.terms.items():
-                g.added(k, c)
-            merged.append((f, g))
+            merged.append((plus_terms(f1, f2.terms), plus_terms(g1, g2.terms)))
         assert recombine(FormCoefficients(w, tuple(merged))) == \
             recombine(fa).add(recombine(fb))
 
