@@ -87,16 +87,17 @@ def test_parser_for_argv_matches_the_parser_for_every_name(capsys, monkeypatch):
             assert _subparser(ap, name).format_help() == _subparser(full, name).format_help()
 
     # usage errors: an unknown subcommand, none, an unknown option, no file
-    errors = {}
     for argv in (["bogus"], [], ["--bogus", "check", "f"], ["check"]):
-        errors[tuple(argv)] = _usage_error(capsys, cli._build_parser(argv), argv)
-        assert errors[tuple(argv)] == _usage_error(capsys, full, argv)
-        assert errors[tuple(argv)][0] == 2
-    listed = "{" + ",".join(names) + "}"
-    assert all(listed in errors[argv][1] for argv in [("bogus",), (), ("--bogus", "check", "f")])
-    assert "(choose from " + ", ".join(map(repr, names)) + ")" in errors[("bogus",)][1]
-    assert errors[("check",)][1].endswith(
-        "assigncoh check: error: the following arguments are required: file\n")
+        code, err = _usage_error(capsys, cli._build_parser(argv), argv)
+        assert (code, err) == _usage_error(capsys, full, argv)
+        assert code == 2
+        if argv == ["check"]:
+            assert err.endswith("assigncoh check: error: the following arguments are "
+                                "required: file\n")
+        else:
+            assert "{" + ",".join(names) + "}" in err
+        if argv == ["bogus"]:
+            assert "(choose from " + ", ".join(map(repr, names)) + ")" in err
 
     # a parser for one subcommand constructs none for the other five
     built = []
