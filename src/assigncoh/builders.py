@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from graphlib import TopologicalSorter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .coeffsys import CoefficientSystem, _check_shapes, moment_system
@@ -90,22 +89,7 @@ class _CellMerge:
             a, b = name[self.find(lo)], name[self.find(hi)]
             if a != b:
                 rel.add((a, b))
-        return StratSpace.from_covers(torus_dim, strata, _cover_pairs(rel))
-
-
-def _cover_pairs(rel: Iterable[Tuple[str, str]]) -> List[Tuple[str, str]]:
-    """Cover pairs of the order an acyclic relation generates: y above x and
-    not above another stratum above x.  static_order puts y before x."""
-    succ: Dict[str, set] = {}
-    for a, b in rel:
-        succ.setdefault(a, set()).add(b)
-    above: Dict[str, set] = {}
-    for x in TopologicalSorter(succ).static_order():
-        above[x] = set().union(*(above[y] | {y} for y in succ.get(x, ())))
-    return [
-        (x, y) for x, ys in succ.items() for y in ys
-        if not any(y in above[z] for z in ys)
-    ]
+        return StratSpace.from_covers(torus_dim, strata, rel)
 
 
 def build_linear_rep(weights: WeightMatrix) -> Tuple[StratSpace, CoefficientSystem]:
@@ -266,7 +250,7 @@ def build_polytope(data: PolytopeData) -> Tuple[StratSpace, CoefficientSystem]:
         strata[fid] = Subalgebra.span(n, [normals[f] for f in fs])
         members[fid] = vs
     order = [(a, b) for a in strata for b in strata if members[a] < members[b]]
-    space = StratSpace.from_covers(n, strata, _cover_pairs(order))
+    space = StratSpace.from_covers(n, strata, order)
     return space, moment_system(space)
 
 

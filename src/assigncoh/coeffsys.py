@@ -20,15 +20,13 @@ systems, assignments) take those rows; `proj` builds the public
 `RatMatrix` of Fractions on demand.  Every product of rows here is
 `ratlin._mul`: the row arithmetic lives in `ratlin` alone.
 
-Because every other pair is composed from the cover maps, a family of
-values with a_y = proj(x, y) a_x on every cover and every explicit
-non-identity entry has it on every comparable pair.  A system records
-those pairs once, as its cut, which follows from the two tables, and the
-assignments (degree-0 cocycles) are solved on the cut alone.  An explicit
-entry on a cover pair (`from_cover_maps` accepts one, a description file
-cannot give one) overrides that pair's public value but not the
-compositions, so then the cut is every comparable pair.  Likewise
-check_functor tests composition on the cover squares
+Every pair in `space.covers` is immediate (`StratSpace.from_covers` keeps
+no implied pair), and no explicit entry sits on a cover, so every other
+pair is composed from the cover maps: a family of values with
+a_y = proj(x, y) a_x on every cover and every explicit non-identity entry
+has it on every comparable pair.  A system records those pairs once, as
+its cut, and the assignments (degree-0 cocycles) are solved on the cut
+alone.  Likewise check_functor tests composition on the cover squares
 proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
 give every strict triple by induction along covers, once per system: the
 report is kept, and square_failures reads off it the triples on which every
@@ -103,8 +101,8 @@ class CoefficientSystem:
 
     Two tables of rows: _explicit, the explicit entries, gives public values
     only; _at holds the identities, the cover maps and their compositions
-    along the route space.lower_covers fixes, never an explicit entry.  The
-    cut follows from the two (see _keep).
+    along the route space.lower_covers fixes, never an explicit entry.  No
+    pair is in both, and the cut follows from the two (see _keep).
 
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
@@ -126,19 +124,15 @@ class CoefficientSystem:
               covers: Mapping[Tuple[str, str], Rows],
               explicit: Dict[Tuple[str, str], Rows]) -> None:
         """Store the tables and the cut, the pairs whose conditions cut out
-        the assignments (`cochain._Complex.data(0)`): the covers and explicit
-        non-identity entries, or every comparable pair once an explicit
-        entry hides a cover map that the compositions still use.
+        the assignments (`cochain._Complex.data(0)`): the covers and the
+        explicit non-identity entries.
         """
         self.space = space
         self.dims = dict(dims)
         self._at = {(x, x): _identity_rows(dims[x]) for x in space.ids}
         self._at.update(covers)
         self._explicit = explicit
-        if any(p in covers for p in explicit):
-            self._cut = space.comparable_pairs()
-        else:
-            self._cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
+        self._cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
 
     @classmethod
     def _of_rows(cls, space: StratSpace, dims: Mapping[str, int],
@@ -162,12 +156,16 @@ class CoefficientSystem:
         The path is the route space.lower_covers fixes, so the result is
         deterministic; if different paths disagree the construction keeps
         that one and check_functor will name a violating triple.  Entries
-        in `explicit` override the public value of their pair, never a
-        step of another pair's composition.  Pairs are composed on first
-        use (see _compose).
+        in `explicit` give the public value of their pair, never a step of
+        another pair's composition; a cover's map belongs in `cover_maps`,
+        and an explicit entry on a cover raises ValueError.  Pairs are
+        composed on first use (see _compose).
         """
         _check_shapes(space, dims, cover_maps, space.covers)
         explicit = dict(explicit or {})
+        on_cover = min((p for p in explicit if p in space.cover_coords), default=None)
+        if on_cover:
+            raise ValueError(f"explicit entry on the cover pair {on_cover}; pass it in cover_maps")
         order = sorted(explicit, key=lambda p: (p[0] != p[1], p))
         _check_shapes(space, dims, explicit,
                       [p for p in order if p[0] in space.stabilizers
@@ -194,7 +192,9 @@ class CoefficientSystem:
 
         y is the first of space.lower_covers(z) above x (x itself is no
         lower cover of z here): the first path a walk up from x along the
-        linear extension those lists are sorted by reaches z by.
+        linear extension those lists are sorted by reaches z by.  The covers
+        are immediate, so for every y in lower_covers(z) strictly above x,
+        (x, z) is no cover and its path value is this composition.
         """
         up = self.space.upset(x)
         y = next(y for y in self.space.lower_covers(z) if y in up)
@@ -273,7 +273,9 @@ def _walk_laws(v: CoefficientSystem) -> FunctorReport:
     to list every violation.  A square holds by construction, and is
     skipped, when y is the route of (x, z), the first lower cover of z
     above x (`CoefficientSystem._compose`), and none of its three pairs
-    carries an explicit entry.
+    carries an explicit entry.  That rests on the covers being immediate:
+    with x < y and y a lower cover of z, (x, z) is no cover, so without an
+    explicit entry proj(x, z) is the composition through its route.
     """
     space = v.space
     rows, explicit = v._rows, v._explicit

@@ -13,7 +13,8 @@ subalgebra over another (Subalgebra.coordinates_of) are read off by
 reducing against the echelon basis pivot by pivot, in integers, with no
 rational elimination.
 
-StratSpace.from_covers computes the order and inclusion facts once (upsets,
+StratSpace.from_covers takes any acyclic relation, keeps only its immediate
+pairs as the covers, and computes the order and inclusion facts once (upsets,
 strict upsets and downsets, lower covers, cover coordinates); coeffsys,
 cochain and builders read them from the space instead of deriving them again.
 """
@@ -226,7 +227,9 @@ class StratSpace:
     sorted strict upsets and downsets (above, below), the lower covers in
     the order compositions take them (lower_covers) and each cover's
     coordinates as sparse integer rows (cover_coords, which moment_system
-    keeps as its cover maps).
+    keeps as its cover maps).  Every pair in covers is immediate: no
+    stratum lies strictly between its ends.  coeffsys checks assignments
+    and the functor laws on the covers alone, which rests on that.
     """
 
     def __init__(self, torus_dim, ids, stabilizers, cover_coords, upsets):
@@ -291,8 +294,24 @@ class StratSpace:
         if len(order) != len(ids):
             raise CycleError(sorted(x for x in ids if indeg[x] > 0))
 
+        # (x, y) is implied when y lies in the upset of another successor z of
+        # x, which comes first in topological order: so walking the successors
+        # in that order, y is implied when the upsets kept so far hold it
+        rank = {x: i for i, x in enumerate(order)}
+        upsets = {x: {x} for x in ids}
+        kept = set()
+        for x in reversed(order):
+            up = upsets[x]
+            for y in sorted(succ[x], key=rank.__getitem__):
+                if y not in up:
+                    kept.add((x, y))
+                    up |= upsets[y]
+        upsets = {x: frozenset(s) for x, s in upsets.items()}
+
+        # inclusion and a strict dimension drop are transitive, so the kept
+        # pairs carry every check an implied pair would add
         cover_coords = {}
-        for x, y in cover_list:
+        for x, y in filter(kept.__contains__, cover_list):
             sx, sy = stabilizers[x], stabilizers[y]
             m = sx._coordinate_rows(sy)
             if m is None:
@@ -304,12 +323,6 @@ class StratSpace:
                     (x, y), "stabilizer dimension does not strictly decrease"
                 )
             cover_coords[(x, y)] = m
-
-        upsets = {x: {x} for x in ids}
-        for x in reversed(order):
-            for y in succ[x]:
-                upsets[x] |= upsets[y]
-        upsets = {x: frozenset(s) for x, s in upsets.items()}
         return cls(torus_dim, ids, stabilizers, cover_coords, upsets)
 
     def leq(self, x: str, y: str) -> bool:

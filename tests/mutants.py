@@ -155,6 +155,25 @@ MUTANTS = (
         ("tests/test_coeffsys.py::test_lazy_pairs_match_eager_composition_seeded",),
     ),
     Mutant(
+        "from-covers-keeps-implied-pairs",
+        "stratposet.py",
+        "                if y not in up:\n",
+        "                if True:\n",
+        ("tests/test_stratposet.py::test_order_tables_match_brute_force_seeded",
+         "tests/test_stratposet.py::test_implied_pairs_leave_the_order_tables_unchanged_seeded",
+         "tests/test_cli.py::test_implied_pair_in_covers_is_checked_as_an_explicit_entry"),
+        note="a listed implied pair would count as a cover, and check would skip "
+             "the square its projection breaks",
+    ),
+    Mutant(
+        "implied-check-in-id-order",
+        "stratposet.py",
+        "for y in sorted(succ[x], key=rank.__getitem__):",
+        "for y in succ[x]:",
+        ("tests/test_stratposet.py::test_implied_pairs_leave_the_order_tables_unchanged_seeded",),
+        note="an implied pair listed before the pair that composes it would be kept",
+    ),
+    Mutant(
         "lower-covers-sorted-by-id-alone",
         "stratposet.py",
         "xs.sort(key=lambda x: (-len(upsets[x]), x))",
@@ -173,11 +192,13 @@ MUTANTS = (
          "tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded"),
     ),
     Mutant(
-        "cut-without-the-overridden-cover-fallback",
+        "explicit-entry-on-a-cover-accepted",
         "coeffsys.py",
-        "if any(p in covers for p in explicit):",
+        "if on_cover:",
         "if False:",
-        ("tests/test_coeffsys.py::test_degree_zero_from_cut_pairs_matches_d0_seeded",),
+        ("tests/test_coeffsys.py::test_from_cover_maps_refuses_an_explicit_entry_on_a_cover",),
+        note="the entry would hide the cover's map from the cut while the "
+             "compositions still use it",
     ),
     Mutant(
         "square-skip-ignores-explicit-entries",

@@ -744,6 +744,40 @@ def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_f
         assert f"degree {degree} has no cohomology" in err
 
 
+def _chain_with_implied_pair(tmp_path, name, covers, far):
+    """Chain a < b < c with proj(a, b) = proj(b, c) = 1 and proj(a, c) = far."""
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "torus_dim": 2,
+        "strata": [{"id": "a", "stabilizer": [[1, 0], [0, 1]]},
+                   {"id": "b", "stabilizer": [[1, 0]]}, {"id": "c", "stabilizer": []}],
+        "covers": covers,
+        "dims": {"a": 1, "b": 1, "c": 1},
+        "projections": [{"pair": ["a", "b"], "matrix": [["1"]]},
+                        {"pair": ["b", "c"], "matrix": [["1"]]},
+                        {"pair": ["a", "c"], "matrix": [[far]]}]}))
+    return str(path)
+
+
+def test_implied_pair_in_covers_is_checked_as_an_explicit_entry(capsys, tmp_path):
+    """A covers list may name a pair two covers compose; its projection is an
+    explicit entry, so the functor laws see proj(b, c) proj(a, b) != proj(a, c)."""
+    listed = [["a", "b"], ["b", "c"], ["a", "c"]]
+    bad = _chain_with_implied_pair(tmp_path, "bad.space", listed, "2")
+    code, out, _ = run(capsys, ["check", bad])
+    assert code == 0
+    assert out.startswith("functor laws: FAIL at ('a', 'b', 'c')\n")
+    assert "d^2 = 0: FAIL" in out
+    code, out, err = run(capsys, ["cohomology", bad, "--degree", "1"])
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith("error: degree 1 has no cohomology: d_1 d_0 != 0")
+    good = _chain_with_implied_pair(tmp_path, "good.space", listed, "1")
+    plain = _chain_with_implied_pair(tmp_path, "plain.space", listed[:2], "1")
+    for argv in (["assignments"], ["check", "--euler"], ["cohomology", "--degree", "1"]):
+        assert run(capsys, argv + [good]) == run(capsys, argv + [plain])
+    assert run(capsys, ["check", good])[1].startswith("functor laws: ok\n")
+
+
 def test_les_on_non_functorial_system_names_the_violation(perturbed_cube_file):
     with open(perturbed_cube_file) as fh:
         obj = json.load(fh)

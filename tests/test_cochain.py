@@ -16,11 +16,13 @@ from assigncoh import (
     NotUnionOfStrataError,
     PosetMap,
     RatMatrix,
+    SpaceDescription,
     StratSpace,
     Subalgebra,
     SystemMorphism,
     assignment_basis,
     block_scaling_matrix,
+    build_from_description,
     build_linear_rep,
     build_product,
     build_sphere_product,
@@ -1043,3 +1045,50 @@ def test_pullback_matches_dense_reference_seeded():
                 assert list(psi.coords) == [sum((a * b for a, b in zip(row, coords)),
                                                 Fraction(0)) for row in ref]
                 assert all(type(x) is Fraction for x in psi.coords)
+
+
+# ---------------------------------------------------------------------------
+# products against the Kunneth formula
+
+
+def _crown():
+    """Fixed points a1, a2, each below b1 = <(1, 0)> and b2 = <(0, 1)>: the
+    order complex is a circle."""
+    return build_from_description(SpaceDescription.from_json_dict({
+        "torus_dim": 2,
+        "strata": [{"id": "a1", "stabilizer": [[1, 0], [0, 1]]},
+                   {"id": "a2", "stabilizer": [[1, 0], [0, 1]]},
+                   {"id": "b1", "stabilizer": [[1, 0]]}, {"id": "b2", "stabilizer": [[0, 1]]}],
+        "covers": [["a1", "b1"], ["a1", "b2"], ["a2", "b1"], ["a2", "b2"]]}))
+
+
+def _constant(space):
+    """The constant system Q: dims 1, identity cover maps."""
+    return CoefficientSystem.from_cover_maps(
+        space, dict.fromkeys(space.ids, 1), {c: RatMatrix.identity(1) for c in space.covers})
+
+
+def test_product_cohomology_matches_the_kunneth_formula():
+    """The moment system of P x Q is pi_1^* V_1 + pi_2^* V_2, so in degree k
+    dim H^k(P x Q) = sum_{i+j=k} h^i(P; V_1) h^j(Q; Q) + h^i(P; Q) h^j(Q; V_2).
+
+    The crown's order complex is a circle (H^1(crown; Q) = 1), so products
+    with it have classes above degree 0.
+    """
+    factors = [build_polytope(preset_polytope(name))
+               for name in ("segment", "triangle", "square")]
+    factors += [build_sphere_product(1, [[1]]), build_linear_rep([(1, 0), (0, 1), (1, 1)]),
+                _crown()]
+    degrees = range(4)
+    moment = [[cohomology(v, k).dim for k in degrees] for _, v in factors]
+    constant = [[cohomology(_constant(space), k).dim for k in degrees] for space, _ in factors]
+    assert constant[-1] == [1, 1, 0, 0]
+    above_zero = 0
+    for p, left in enumerate(factors):
+        for q, right in enumerate(factors):
+            got = [cohomology(build_product(left, right)[1], k).dim for k in degrees]
+            expected = [sum(moment[p][i] * constant[q][k - i] + constant[p][i] * moment[q][k - i]
+                            for i in range(k + 1)) for k in degrees]
+            assert got == expected, (p, q)
+            above_zero += any(got[1:])
+    assert above_zero == 11

@@ -119,9 +119,8 @@ def test_minimal_strata():
     assert minimal_strata(discrete) == ("a", "b")
 
 
-def _order_spaces(rng):
-    """(space, transitive pair or None): builders' spaces, products, and a
-    description whose covers list also names a pair two covers compose."""
+def _built_spaces(rng):
+    """Builders' spaces, cp2 and s4, and products of the small ones."""
     built = [build_polytope(preset_polytope(name))
              for name in ("segment", "triangle", "square", "pentagon", "cube")]
     built += [cp2(), s4()]
@@ -131,23 +130,28 @@ def _order_spaces(rng):
             [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]))
         built.append(build_sphere_product(
             2, [(rng.randint(-1, 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 3))]))
-    for space, _ in built:
-        yield space, None
     small = [b for b in built if len(b[0].ids) <= 12]
     for _ in range(4):
-        yield build_product(*rng.sample(small, 2))[0], None
+        built.append(build_product(*rng.sample(small, 2)))
+    return [space for space, _ in built]
+
+
+def _order_spaces(rng):
+    """The built spaces, then a description whose covers list also names a
+    pair two covers compose."""
+    yield from _built_spaces(rng)
     obj = SpaceDescription.from_space(cp2()[0]).to_json_dict()
     obj["covers"].append(["p1", "open"])
-    yield build_from_description(SpaceDescription.from_json_dict(obj))[0], ("p1", "open")
+    yield build_from_description(SpaceDescription.from_json_dict(obj))[0]
 
 
 def test_order_tables_match_brute_force_seeded():
-    """below, lower_covers and minimal_strata against leq and the covers list."""
+    """covers, below, lower_covers and minimal_strata against leq alone."""
     rng = random.Random(17)
-    for space, extra in _order_spaces(rng):
+    for space in _order_spaces(rng):
         ids, leq = space.ids, space.leq
         hasse = brute_covers(ids, leq)
-        assert sorted(space.covers) == sorted(hasse + ([extra] if extra else []))
+        assert space.covers == tuple(sorted(hasse))
         for x in ids:
             assert space.below(x) == sorted(a for a in ids if a != x and leq(a, x))
             lower = space.lower_covers(x)
@@ -156,7 +160,26 @@ def test_order_tables_match_brute_force_seeded():
             assert keys == sorted(keys)
         assert minimal_strata(space) == tuple(
             x for x in ids if not any(a != x and leq(a, x) for a in ids))
-    assert "p1" in space.lower_covers("open")
+    assert "p1" not in space.lower_covers("open")
+
+
+def test_implied_pairs_leave_the_order_tables_unchanged_seeded():
+    """A covers list padded with random implied pairs, in any order, loads the
+    same space: the same covers, lower covers, downsets and cover coordinates."""
+    rng = random.Random(23)
+    padded = 0
+    for space in _built_spaces(rng):
+        implied = [p for p in space.comparable_pairs() if p not in space.cover_coords]
+        relation = list(space.covers) + rng.sample(implied, min(len(implied), 8))
+        rng.shuffle(relation)
+        again = StratSpace.from_covers(space.torus_dim, space.stabilizers, relation)
+        assert again.covers == space.covers
+        assert again.cover_coords == space.cover_coords
+        for x in space.ids:
+            assert again.lower_covers(x) == space.lower_covers(x)
+            assert again.below(x) == space.below(x)
+        padded += len(relation) > len(space.covers)
+    assert padded >= 10
 
 
 def test_morphism_identity_ok():
