@@ -141,9 +141,13 @@ def build_sphere_product(
             raise ValueError(f"weight row {row} has length {len(row)}, expected {n}")
     d = len(lam)
     cells = {}
+    kernels = {}   # open factors -> their common kernel: 2^d of them for 3^d cells
     for labels in itertools.product("NOS", repeat=d):
-        rows = [lam[j] for j in range(d) if labels[j] == "O"]
-        cells["".join(labels)] = _kernel_subalgebra(n, rows)
+        opened = tuple(j for j in range(d) if labels[j] == "O")
+        kernel = kernels.get(opened)
+        if kernel is None:
+            kernel = kernels[opened] = _kernel_subalgebra(n, [lam[j] for j in opened])
+        cells["".join(labels)] = kernel
     merge = _CellMerge(cells)
     for labels in itertools.product("NOS", repeat=d):
         lo = "".join(labels)
@@ -478,16 +482,23 @@ class SpaceDescription:
 
 
 def build_from_description(desc: SpaceDescription) -> Tuple[StratSpace, CoefficientSystem]:
-    """Space and system from a description; moment system unless dims given."""
+    """Space and system from a description; moment system unless dims given.
+
+    Strata with the same generator list share one canonical Subalgebra, and
+    from_covers validates and solves each distinct stabilizer pair once.
+    """
     if desc.dims is None and desc.projections is not None:
         raise DescriptionError("projections need a dims table")
-    seen = set()
     strata = {}
+    spans = {}   # generator list -> its canonical subalgebra, shared by the strata
     for sid, basis in desc.strata:
-        if sid in seen:
+        if sid in strata:
             raise DescriptionError(f"duplicate stratum id {sid!r}")
-        seen.add(sid)
-        strata[sid] = Subalgebra.span(desc.torus_dim, basis)
+        key = tuple(map(tuple, basis))
+        s = spans.get(key)
+        if s is None:
+            s = spans[key] = Subalgebra.span(desc.torus_dim, basis)
+        strata[sid] = s
     space = StratSpace.from_covers(desc.torus_dim, strata, desc.covers)
     if desc.dims is None:
         return space, moment_system(space)

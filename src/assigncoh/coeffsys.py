@@ -158,10 +158,18 @@ class CoefficientSystem:
         that one and check_functor will name a violating triple.  Entries
         in `explicit` give the public value of their pair, never a step of
         another pair's composition; a cover's map belongs in `cover_maps`,
-        and an explicit entry on a cover raises ValueError.  Pairs are
-        composed on first use (see _compose).
+        and an explicit entry on a cover raises ValueError.  Likewise every
+        key of `cover_maps` must be a cover: the first other key in sorted
+        order raises UnknownIdError for an unknown id, else ValueError.
+        Pairs are composed on first use (see _compose).
         """
         _check_shapes(space, dims, cover_maps, space.covers)
+        stray = min((p for p in cover_maps if p not in space.cover_coords), default=None)
+        if stray:
+            for x in stray:
+                if x not in space.stabilizers:
+                    raise UnknownIdError(x)
+            raise ValueError(f"cover_maps entry on the non-cover pair {stray}")
         explicit = dict(explicit or {})
         on_cover = min((p for p in explicit if p in space.cover_coords), default=None)
         if on_cover:

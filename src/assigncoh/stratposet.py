@@ -17,6 +17,9 @@ StratSpace.from_covers takes any acyclic relation, keeps only its immediate
 pairs as the covers, and computes the order and inclusion facts once (upsets,
 strict upsets and downsets, lower covers, cover coordinates); coeffsys,
 cochain and builders read them from the space instead of deriving them again.
+Most strata share a stabilizer, so each distinct stabilizer pair along the
+covers is validated and solved once per load, and its rows are shared by
+every cover with that pair.
 """
 
 from __future__ import annotations
@@ -257,6 +260,15 @@ class StratSpace:
         strata: Mapping[str, Subalgebra],
         covers: Iterable[Tuple[str, str]],
     ) -> "StratSpace":
+        """The space whose covers are the immediate pairs of `covers`.
+
+        Raises UnknownIdError for an unknown id, CycleError for a cycle, and
+        StabilizerMonotonicityError at the first cover in sorted order whose
+        upper stabilizer is not inside the lower one with a strictly smaller
+        dimension.  Each distinct (lower, upper) stabilizer pair is checked
+        and solved once; covers with that pair share its rows, which no
+        reader mutates.
+        """
         stabilizers = dict(strata)
         ids = tuple(sorted(stabilizers))
         if not ids:
@@ -309,19 +321,29 @@ class StratSpace:
         upsets = {x: frozenset(s) for x, s in upsets.items()}
 
         # inclusion and a strict dimension drop are transitive, so the kept
-        # pairs carry every check an implied pair would add
+        # pairs carry every check an implied pair would add.  Each distinct
+        # stabilizer gets a class number, and each (lower class, upper class)
+        # pair is checked and solved at its first cover; a failing pair raises
+        # there, so only passing pairs are memoized.
+        klass = {}
+        of = {x: klass.setdefault(s.basis_rows, len(klass)) for x, s in stabilizers.items()}
+        solved = {}
         cover_coords = {}
         for x, y in filter(kept.__contains__, cover_list):
-            sx, sy = stabilizers[x], stabilizers[y]
-            m = sx._coordinate_rows(sy)
+            key = (of[x], of[y])
+            m = solved.get(key)
             if m is None:
-                raise StabilizerMonotonicityError(
-                    (x, y), "stabilizer of the upper stratum is not inside the lower one"
-                )
-            if sy.dim >= sx.dim:
-                raise StabilizerMonotonicityError(
-                    (x, y), "stabilizer dimension does not strictly decrease"
-                )
+                sx, sy = stabilizers[x], stabilizers[y]
+                m = sx._coordinate_rows(sy)
+                if m is None:
+                    raise StabilizerMonotonicityError(
+                        (x, y), "stabilizer of the upper stratum is not inside the lower one"
+                    )
+                if sy.dim >= sx.dim:
+                    raise StabilizerMonotonicityError(
+                        (x, y), "stabilizer dimension does not strictly decrease"
+                    )
+                solved[key] = m
             cover_coords[(x, y)] = m
         return cls(torus_dim, ids, stabilizers, cover_coords, upsets)
 

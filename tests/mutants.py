@@ -286,4 +286,25 @@ MUTANTS = (
         note="help, the usage {...} line and the invalid choice list would "
              "name only the subcommands in argv",
     ),
+    Mutant(
+        "cover-memo-keyed-by-upper-class",
+        "stratposet.py",
+        "key = (of[x], of[y])",
+        "key = of[y]",
+        ("tests/test_coeffsys.py::test_loading_solves_each_cover_once[cube*square]",
+         "tests/test_coeffsys.py::test_shared_cover_rows_stay_intact[cube*square]",
+         "tests/test_stratposet.py::test_first_failing_cover_matches_a_per_cover_walk_seeded"),
+        note="covers with one upper stabilizer would share the first lower "
+             "stabilizer's rows and verdict",
+    ),
+    Mutant(
+        "sphere-kernel-keyed-by-open-count",
+        "builders.py",
+        "kernel = kernels.get(opened)\n        if kernel is None:\n"
+        "            kernel = kernels[opened] =",
+        "kernel = kernels.get(len(opened))\n        if kernel is None:\n"
+        "            kernel = kernels[len(opened)] =",
+        ("tests/test_builders.py::test_sphere_product_stabilizers_match_per_cell_kernels_seeded",),
+        note="cells with as many open factors would share the first one's kernel",
+    ),
 )

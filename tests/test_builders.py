@@ -2,6 +2,7 @@
 and the serializable space description."""
 
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from assigncoh import (
     minimal_strata,
     preset_polytope,
 )
+from assigncoh.builders import _kernel_subalgebra
 from assigncoh.stratposet import StratSpace
 
 from oracles import brute_covers
@@ -116,6 +118,19 @@ def test_single_sphere():
     space, v = build_sphere_product(1, [(1,)])
     assert space.ids == ("N", "O", "S")
     assert assignment_space_dim(v) == 2
+
+
+def test_sphere_product_stabilizers_match_per_cell_kernels_seeded():
+    """Each stratum of a sphere product, named by its first cell, has that
+    cell's stabilizer: the common kernel of the weights at its O positions."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        lam = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+        space, _ = build_sphere_product(n, lam)
+        for x in space.ids:
+            rows = [lam[j] for j in range(d) if x[j] == "O"]
+            assert space.stabilizer(x) == _kernel_subalgebra(n, rows), (lam, x)
 
 
 def test_sphere_product_input_validation():

@@ -11,6 +11,7 @@ from assigncoh import (
     StratSpace,
     Subalgebra,
     SystemMorphism,
+    assignment_basis,
     build_from_description,
     build_polytope,
     build_product,
@@ -29,7 +30,9 @@ from assigncoh import (
 import assigncoh.cli
 import assigncoh.coeffsys
 from assigncoh.cochain import _CohomologyData, _Complex
-from assigncoh.errors import IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError
+from assigncoh.errors import (
+    IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError, UnknownIdError,
+)
 from assigncoh.ratlin import _mul
 from assigncoh.stratposet import minimal_strata
 from oracles import (
@@ -257,7 +260,9 @@ def test_from_cover_maps_reproduces_moment_system():
 
 @pytest.mark.parametrize("kind", ["cube*square", "merged spheres^4"])
 def test_loading_solves_each_cover_once(monkeypatch, kind):
-    """from_covers keeps each cover's coordinates as integer rows; moment_system
+    """Loading canonicalizes each distinct generator list once and solves each
+    distinct (lower, upper) stabilizer pair once, fewer than the covers;
+    from_covers keeps each cover's coordinates as integer rows; moment_system
     solves nothing and keeps those rows as its cover maps."""
     if kind == "cube*square":
         built = build_product(build_polytope(preset_polytope("cube")),
@@ -265,23 +270,56 @@ def test_loading_solves_each_cover_once(monkeypatch, kind):
     else:
         built = build_sphere_product(3, [(1, -1, 1), (-1, 1, 0), (-1, 1, 1), (1, -1, 0)])
     desc = SpaceDescription.from_space(built[0])
-    calls = []
-    solve = Subalgebra._coordinate_rows
+    calls, spans = [], []
+    solve, span = Subalgebra._coordinate_rows, Subalgebra.span.__func__
 
     def counted(self, other):
-        calls.append((self, other))
+        calls.append((self.basis_rows, other.basis_rows))
         return solve(self, other)
 
+    def counted_span(cls, n, vectors):
+        spans.append(tuple(map(tuple, vectors)))
+        return span(cls, n, spans[-1])
+
     monkeypatch.setattr(Subalgebra, "_coordinate_rows", counted)
+    monkeypatch.setattr(Subalgebra, "span", classmethod(counted_span))
     space, v = build_from_description(desc)
     monkeypatch.undo()
-    assert len(calls) == len(space.covers) > 0
+    pairs = {(space.stabilizer(x).basis_rows, space.stabilizer(y).basis_rows)
+             for x, y in space.covers}
+    assert sorted(calls) == sorted(pairs)
+    assert 0 < len(calls) < len(space.covers)
+    lists = {tuple(map(tuple, basis)) for _, basis in desc.strata}
+    assert sorted(spans) == sorted(lists)
+    assert len(spans) < len(desc.strata)
     assert tuple(space.cover_coords) == space.covers == tuple(sorted(space.covers))
     for (x, y), m in space.cover_coords.items():
         assert all(type(q) is int for row in m for q in row.values())
         direct = space.stabilizer(x).coordinates_of(space.stabilizer(y))
         assert RatMatrix.from_sparse(m, v.dims[x]) == direct
         assert v.proj(x, y) == direct
+        assert v._rows(x, y) is m
+
+
+@pytest.mark.parametrize("kind", ["cube*square", "spheres^4"])
+def test_shared_cover_rows_stay_intact(kind):
+    """Covers with the same stabilizer pair share one list of rows; the law
+    walk, cohomology and extension must leave every cover's rows as solved."""
+    if kind == "cube*square":
+        space, v = build_product(build_polytope(preset_polytope("cube")),
+                                 build_polytope(preset_polytope("square")))
+    else:
+        space, v = build_sphere_product(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        assert len(space.ids) == 73
+    rows = list(space.cover_coords.values())
+    assert len({id(m) for m in rows}) < len(rows)
+    assert check_functor(v).ok
+    cohomology(v, 1)
+    a = assignment_basis(v)[-1]
+    minimal = MinimalAssignment({x: a.value(x) for x in minimal_strata(space)})
+    assert extend_minimal(v, minimal).values == a.values
+    for (x, y), m in space.cover_coords.items():
+        assert m == space.stabilizer(x)._coordinate_rows(space.stabilizer(y))
         assert v._rows(x, y) is m
 
 
@@ -307,6 +345,32 @@ def test_from_cover_maps_refuses_an_explicit_entry_on_a_cover():
     del explicit[("p2", "e23")]
     w = CoefficientSystem.from_cover_maps(space, dict(v.dims), cover_maps, explicit)
     assert w._cut == sorted(space.covers + (("p1", "open"),))
+
+
+def test_from_cover_maps_refuses_a_non_cover_pair():
+    """Every key of cover_maps is a cover: an implied pair, an incomparable
+    pair or an unknown id raises at the first such key in sorted order."""
+    space, v = cp2()
+    cover_maps = {c: v.proj(*c) for c in space.covers}
+    cases = [
+        ({("p1", "open"): v.proj("p1", "open")}, ValueError, ("p1", "open")),
+        ({("p1", "open"): RatMatrix.from_rows([[5, 7]])}, ValueError, ("p1", "open")),
+        ({("p1", "open"): RatMatrix.from_rows([[5, 7]]),
+          ("e12", "e13"): RatMatrix.from_rows([[1]])}, ValueError, ("e12", "e13")),
+        ({("p1", "ghost"): RatMatrix.from_rows([[1, 0]]),
+          ("p2", "open"): v.proj("p2", "open")}, UnknownIdError, "ghost"),
+        ({("e12", "e13"): RatMatrix.from_rows([[1]]),
+          ("ghost", "open"): RatMatrix.zeros(0, 1)}, ValueError, ("e12", "e13")),
+    ]
+    for extra, error, witness in cases:
+        with pytest.raises(error) as exc:
+            CoefficientSystem.from_cover_maps(space, dict(v.dims), {**cover_maps, **extra})
+        if error is ValueError:
+            assert str(exc.value) == f"cover_maps entry on the non-cover pair {witness}"
+        else:
+            assert exc.value.stratum_id == witness
+    w = CoefficientSystem.from_cover_maps(space, dict(v.dims), cover_maps)
+    assert w.proj("p1", "open") == v.proj("p1", "open")
 
 
 # ---------------------------------------------------------------------------

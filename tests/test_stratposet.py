@@ -48,6 +48,79 @@ def test_equal_stabilizer_cover_rejected():
         StratSpace.from_covers(1, strata, [("a", "b")])
 
 
+def _reduction(ids, relation):
+    """The transitive reduction of an acyclic relation, by brute force."""
+    up = {x: {x} for x in ids}
+    for x, y in relation:
+        up[x].add(y)
+    for z in ids:
+        for x in ids:
+            if z in up[x]:
+                up[x] |= up[z]
+    return brute_covers(ids, lambda a, b: b in up[a])
+
+
+def _first_bad_cover(strata, relation):
+    """(pair, message) of the first cover in sorted order whose stabilizers
+    are not nested with a strict dimension drop, one cover at a time; None
+    when every cover passes."""
+    for x, y in _reduction(sorted(strata), relation):
+        if _reference_coordinates(strata[x], strata[y]) is None:
+            reason = "stabilizer of the upper stratum is not inside the lower one"
+        elif strata[y].dim >= strata[x].dim:
+            reason = "stabilizer dimension does not strictly decrease"
+        else:
+            continue
+        return (x, y), f"cover {(x, y)}: {reason}"
+    return None
+
+
+# generator lists on T^2: [[2, 0]] and [[1, 0]] span the same line, and
+# [[1, 1], [0, 1]] the whole algebra, so distinct lists share a stabilizer
+_POOL = ([], [[1, 0]], [[2, 0]], [[0, 1]], [[1, 1]], [[1, 0], [0, 1]], [[1, 1], [0, 1]])
+
+
+def _witness_cases(rng):
+    """Hand-made failing descriptions, then seeded random acyclic relations."""
+    line, other, full = [[1, 0]], [[0, 1]], [[1, 0], [0, 1]]
+    yield {"a": line, "b": other, "c": line, "d": other}, [("c", "d"), ("a", "b")]
+    yield {"a": line, "b": [[2, 0]], "c": line, "d": other}, [("a", "b"), ("c", "d")]
+    yield {"a": full, "b": line, "c": full, "d": line, "e": full, "f": full,
+           "g": line, "h": line}, [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")]
+    for _ in range(300):
+        names = rng.sample("abcdefgh", rng.randint(2, 7))
+        rel = [(x, y) for i, x in enumerate(names) for y in names[i + 1:]
+               if rng.random() < 0.35]
+        yield {x: rng.choice(_POOL) for x in names}, rel
+
+
+def test_first_failing_cover_matches_a_per_cover_walk_seeded():
+    """Covers sharing a stabilizer pair share one verdict; the raised pair and
+    message are still those of the first failing cover in sorted order, and
+    a space that loads has every cover's coordinates."""
+    rng = random.Random(41)
+    seen = {"inside": 0, "dimension": 0, "shared": 0, "loaded": 0}
+    for gens, rel in _witness_cases(rng):
+        desc = SpaceDescription(2, sorted(gens.items()), rel)
+        strata = {x: Subalgebra.span(2, g) for x, g in gens.items()}
+        expected = _first_bad_cover(strata, rel)
+        if expected is None:
+            space, _ = build_from_description(desc)
+            for (x, y), m in space.cover_coords.items():
+                assert [[row.get(i, 0) for i in range(strata[x].dim)] for row in m] == \
+                    _reference_coordinates(strata[x], strata[y])
+            seen["loaded"] += 1
+            continue
+        with pytest.raises(StabilizerMonotonicityError) as exc:
+            build_from_description(desc)
+        assert (exc.value.pair, str(exc.value)) == expected
+        seen["inside" if "inside" in expected[1] else "dimension"] += 1
+        x, y = expected[0]
+        seen["shared"] += sum((strata[a], strata[b]) == (strata[x], strata[y])
+                              for a, b in _reduction(sorted(strata), rel)) > 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_unknown_cover_endpoint():
     with pytest.raises(UnknownIdError):
         StratSpace.from_covers(1, {"a": Subalgebra.full(1)}, [("a", "ghost")])
