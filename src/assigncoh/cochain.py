@@ -77,6 +77,7 @@ from .errors import (
     InvalidMorphismError,
     NotExactError,
     NoUniqueMinimumError,
+    UnknownIdError,
 )
 from .ratlin import (
     RatMatrix,
@@ -145,11 +146,16 @@ class Cochain:
         self.coords = tuple(_frac(c) for c in coords)
 
     def value_on(self, t: Tuple[str, ...]) -> List[Fraction]:
+        """The block at t: zero for a tuple of known ids that is no chain here."""
         if len(t) != self.basis.degree + 1:
             raise ValueError(f"tuple length {len(t)} != degree+1")
         blk = self.basis.block(tuple(t))
         if blk is None:
-            return [_ZERO] * self.basis.system.dims[t[-1]]
+            dims = self.basis.system.dims
+            for x in t:
+                if x not in dims:
+                    raise UnknownIdError(x)
+            return [_ZERO] * dims[t[-1]]
         off, w = blk
         return list(self.coords[off:off + w])
 

@@ -26,9 +26,11 @@ pair is composed from the cover maps: a family of values with
 a_y = proj(x, y) a_x on every cover and every explicit non-identity entry
 has it on every comparable pair.  A system records those pairs once, as
 its cut, and the assignments (degree-0 cocycles) are solved on the cut
-alone.  Likewise check_functor tests composition on the cover squares
+alone.  A moment system satisfies the functor laws by construction and
+carries the empty report from the start; on any other system
+check_functor tests composition on the cover squares
 proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
-give every strict triple by induction along covers, once per system: the
+give every strict triple by induction along covers, once per system.  The
 report is kept, and square_failures reads off it the triples on which every
 cochain complex's d^2 = 0 fails (README, `check`).
 
@@ -107,7 +109,8 @@ class CoefficientSystem:
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
     the business of check_functor, so that deliberately perturbed systems
-    can be loaded and then diagnosed; the report is kept (_report).
+    can be loaded and then diagnosed; the report is kept (_report), and
+    moment_system sets it when it builds a system.
     """
 
     def __init__(
@@ -200,9 +203,7 @@ class CoefficientSystem:
 
         y is the first of space.lower_covers(z) above x (x itself is no
         lower cover of z here): the first path a walk up from x along the
-        linear extension those lists are sorted by reaches z by.  The covers
-        are immediate, so for every y in lower_covers(z) strictly above x,
-        (x, z) is no cover and its path value is this composition.
+        linear extension those lists are sorted by reaches z by.
         """
         up = self.space.upset(x)
         y = next(y for y in self.space.lower_covers(z) if y in up)
@@ -244,10 +245,14 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     from them on first use, as from_cover_maps would.  Along X < Y < Z,
     expanding the basis of Z over Y and then over X gives an expansion of
     Z over X, and that expansion is unique, so every composed projection
-    equals the one a direct solve would give.
+    equals the one a direct solve would give.  So the functor laws hold by
+    construction, and the system carries the empty report (check_functor)
+    instead of walking them.
     """
     dims = {x: space.stabilizer(x).dim for x in space.ids}
-    return CoefficientSystem._of_rows(space, dims, space.cover_coords, {})
+    v = CoefficientSystem._of_rows(space, dims, space.cover_coords, {})
+    v._report = FunctorReport((), ())
+    return v
 
 
 @dataclass(frozen=True)
@@ -263,45 +268,32 @@ class FunctorReport:
 def check_functor(v: CoefficientSystem) -> FunctorReport:
     """Verify the identity and composition laws of the system.
 
-    A system never changes, so its laws are walked once (`_walk_laws`) and kept.
+    A moment system's report is empty by construction (moment_system).
+    Any other system never changes, so its laws are walked once
+    (`_walk_laws`) and kept.
     """
     return v._report
 
 
 def _walk_laws(v: CoefficientSystem) -> FunctorReport:
-    """The functor report of v.
+    """The functor report of v, a system that is not a moment system.
 
     The composition law on every strict triple follows from the cover
     squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and
     x < y, by induction along covers: for y < w < z with w a lower cover
     of z, proj(y, z) proj(x, y) = proj(w, z) proj(y, w) proj(x, y)
     = proj(w, z) proj(x, w) = proj(x, z).  So the squares are checked
-    first, walking each z's lower covers y in order and each y's strict
-    downset, and every strict triple is walked only when a square fails,
-    to list every violation.  A square holds by construction, and is
-    skipped, when y is the route of (x, z), the first lower cover of z
-    above x (`CoefficientSystem._compose`), and none of its three pairs
-    carries an explicit entry.  That rests on the covers being immediate:
-    with x < y and y a lower cover of z, (x, z) is no cover, so without an
-    explicit entry proj(x, z) is the composition through its route.
+    first, and every strict triple is walked only when a square fails, to
+    list every violation.
     """
-    space = v.space
-    rows, explicit = v._rows, v._explicit
+    space, rows = v.space, v._rows
     bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
 
     def squares_hold() -> bool:
-        for z in space.ids:
-            routed = set()
-            for y in space.lower_covers(z):
-                for x in space.below(y):
-                    # the first y reached from x is the route of (x, z)
-                    if x not in routed:
-                        routed.add(x)
-                        if not (explicit and any(
-                                p in explicit for p in ((x, y), (y, z), (x, z)))):
-                            continue
-                    if _mul(rows(y, z), rows(x, y)) != rows(x, z):
-                        return False
+        for y, z in space.covers:
+            for x in space.below(y):
+                if _mul(rows(y, z), rows(x, y)) != rows(x, z):
+                    return False
         return True
 
     if squares_hold():

@@ -145,7 +145,8 @@ MUTANTS = (
         "    @cached_property\n    def _report(",
         "    @property\n    def _report(",
         ("tests/test_cli.py::test_check_les_checks_the_functor_laws_once",),
-        note="every reader would walk the laws again: correct but slower",
+        note="every reader would walk the laws again, and moment_system could not "
+             "set its report",
     ),
     Mutant(
         "compose-through-the-last-lower-cover",
@@ -160,10 +161,9 @@ MUTANTS = (
         "                if y not in up:\n",
         "                if True:\n",
         ("tests/test_stratposet.py::test_order_tables_match_brute_force_seeded",
-         "tests/test_stratposet.py::test_implied_pairs_leave_the_order_tables_unchanged_seeded",
-         "tests/test_cli.py::test_implied_pair_in_covers_is_checked_as_an_explicit_entry"),
-        note="a listed implied pair would count as a cover, and check would skip "
-             "the square its projection breaks",
+         "tests/test_stratposet.py::test_implied_pairs_leave_the_order_tables_unchanged_seeded"),
+        note="a listed implied pair would count as a cover; check still walks "
+             "the square its projection breaks, so only the order tables show it",
     ),
     Mutant(
         "implied-check-in-id-order",
@@ -201,37 +201,43 @@ MUTANTS = (
              "compositions still use it",
     ),
     Mutant(
-        "square-skip-ignores-explicit-entries",
-        "coeffsys.py",
-        "                        if not (explicit and any(\n"
-        "                                p in explicit for p in ((x, y), (y, z), (x, z)))):\n"
-        "                            continue\n",
-        "                        continue\n",
-        ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",),
-    ),
-    Mutant(
-        "square-skip-on-the-non-route-squares",
-        "coeffsys.py",
-        "                    if x not in routed:\n                        routed.add(x)\n",
-        "                    if x in routed or routed.add(x):\n",
-        ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",
-         "tests/test_coeffsys.py::test_check_functor_skips_the_squares_composed_through_their_route"),
-    ),
-    Mutant(
-        "square-skip-disabled",
-        "coeffsys.py",
-        "                    if x not in routed:\n",
-        "                    if x in routed:\n",
-        ("tests/test_coeffsys.py::test_check_functor_skips_the_squares_composed_through_their_route",),
-        note="every square is multiplied: correct but slower, so only the count test sees it",
-    ),
-    Mutant(
         "every-square-skipped",
         "coeffsys.py",
-        "                    if _mul(rows(y, z), rows(x, y)) != rows(x, z):\n"
-        "                        return False\n",
-        "                    continue\n",
+        "                if _mul(rows(y, z), rows(x, y)) != rows(x, z):\n"
+        "                    return False\n",
+        "                continue\n",
         ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",),
+    ),
+    Mutant(
+        "square-walk-disabled",
+        "coeffsys.py",
+        "if squares_hold():",
+        "if False:",
+        ("tests/test_coeffsys.py::test_check_functor_multiplies_each_cover_square_once",),
+        note="every strict triple is multiplied: correct but slower, so only the count test sees it",
+    ),
+    Mutant(
+        "certificate-on-every-system",
+        "coeffsys.py",
+        "        v._keep(space, dims, covers, explicit)\n",
+        "        v._keep(space, dims, covers, explicit)\n        v._report = FunctorReport((), ())\n",
+        ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",),
+        note="a system with user-given projections would pass check without a walk",
+    ),
+    Mutant(
+        "cover-coordinate-off-by-one",
+        "stratposet.py",
+        "                    coords[i] = q\n",
+        "                    coords[i] = q + (i == 1)\n",
+        ("tests/test_cochain.py::test_simple_polytopes_have_one_class_per_facet_and_none_above_seeded",
+         "tests/test_coeffsys.py::test_moment_systems_arrive_certified_and_pass_the_law_walk_seeded",
+         "tests/test_acceptance.py::test_acceptance_4_toric_vanishing",
+         "tests/test_cochain.py::test_product_cohomology_matches_the_kunneth_formula",
+         "tests/test_stratposet.py::test_coordinates_of_matches_reference_solve_randomized"),
+        note="the second coordinate of every cover map with one is off by one, so "
+             "the moment system breaks its laws behind its certificate; 38 tests of "
+             "the whole suite fail, the polytope oracle and the law walk on moment "
+             "systems among them",
     ),
     Mutant(
         "extend-skips-the-cut-check",

@@ -1,6 +1,8 @@
 """Hand-entered example spaces reused across test modules."""
 
-from assigncoh import CoefficientSystem, RatMatrix, StratSpace, Subalgebra, moment_system
+from assigncoh import (
+    CoefficientSystem, PolytopeData, RatMatrix, StratSpace, Subalgebra, moment_system,
+)
 
 
 def cp2():
@@ -99,3 +101,24 @@ def zero_system(space):
     for x in space.ids:
         proj[(x, x)] = RatMatrix.zeros(0, 0)
     return CoefficientSystem(space, dims, proj)
+
+
+def truncated(data, rng, cuts):
+    """The simple polytope left after cutting `cuts` random vertices off data.
+
+    Cutting vertex v adds a facet whose inward normal is the sum of the
+    normals of the facets through v, and replaces v by one vertex per facet
+    F through v, on v's other facets and the new one.  The normals at every
+    vertex stay independent, so the result is simple, with one more facet
+    per cut.  Needs dim >= 2, where every facet through v keeps a vertex.
+    """
+    normals = dict(data.facets)
+    vertices = dict(data.vertices)
+    for k in range(cuts):
+        v = rng.choice(sorted(vertices))
+        fs = vertices.pop(v)
+        cut = f"t{k}"
+        normals[cut] = tuple(map(sum, zip(*(normals[f] for f in fs))))
+        for f in fs:
+            vertices[f"{v}-{f}"] = tuple(g for g in fs if g != f) + (cut,)
+    return PolytopeData.make(data.dim, normals.items(), vertices.items())

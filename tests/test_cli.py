@@ -691,10 +691,20 @@ def test_check_les_on_non_functorial_system_is_not_checked(capsys, perturbed_cub
 
 
 def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
-    path = str(tmp_path / "cube.space")
-    assert run(capsys, ["build", "polytope", "--cube", "--out", path])[0] == 0
+    """A moment system's laws hold by construction, so `check` walks none;
+    the same system given by dims and cover projections walks them once."""
+    path = tmp_path / "cube.space"
+    assert run(capsys, ["build", "polytope", "--cube", "--out", str(path)])[0] == 0
+    obj = json.loads(path.read_text())
+    space, system = build_from_description(SpaceDescription.from_json_dict(obj))
+    obj["dims"] = dict(system.dims)
+    obj["projections"] = [
+        {"pair": list(c), "matrix": [[str(e) for e in row] for row in system.proj(*c).data]}
+        for c in space.covers]
+    given = tmp_path / "given.space"
+    given.write_text(json.dumps(obj))
     # the report is read by the functor line, the d^2 line, the sequence's
-    # own check and each degree of its three complexes, and walked once
+    # own check and each degree of its three complexes
     walks = []
     walk = assigncoh.coeffsys._walk_laws
 
@@ -703,10 +713,14 @@ def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
         return walk(v)
 
     monkeypatch.setattr(assigncoh.coeffsys, "_walk_laws", counting)
-    code, out, _ = run(capsys, ["check", path, "--les", "v000"])
-    assert code == 0
-    assert "LES for pair (space, {v000}): exact" in out
-    assert len(walks) == 1
+    verdicts = []
+    for file, count in ((path, 0), (given, 1)):
+        code, out, _ = run(capsys, ["check", str(file), "--les", "v000"])
+        assert code == 0
+        assert "LES for pair (space, {v000}): exact" in out
+        assert len(walks) == count
+        verdicts.append(out)
+    assert verdicts[0] == verdicts[1]
 
 
 def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_file):

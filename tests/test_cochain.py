@@ -58,7 +58,7 @@ from assigncoh.cochain import (
     _exactness_walk,
 )
 from assigncoh.coeffsys import square_failures
-from assigncoh.errors import BrokenProjectionError
+from assigncoh.errors import BrokenProjectionError, UnknownIdError
 from assigncoh.ratlin import _apply, _transpose
 
 from oracles import (
@@ -80,6 +80,7 @@ from spaces import (
     free_stratum,
     s4,
     s4_chain,
+    truncated,
     two_stratum,
     zero_system,
 )
@@ -375,6 +376,20 @@ def test_representatives_are_cocycles():
     assert res.diagnostics["dim_chain"] == 24
 
 
+def test_value_on_an_unknown_id_names_it():
+    _, v = _poly("square")
+    rep = cohomology(v, 0).representatives[0]
+    assert rep.value_on(("v00",)) == rep.as_dict().get(("v00",), [0, 0])
+    for cochain, t in ((rep, ("nope",)),
+                       (Cochain(chain_basis(v, 1), [0] * chain_space_dim(v, 1)), ("v00", "nope"))):
+        with pytest.raises(UnknownIdError) as exc:
+            cochain.value_on(t)
+        assert exc.value.stratum_id == "nope"
+    # a tuple of known ids that is no chain has the zero value
+    assert Cochain(chain_basis(v, 1), [1] * chain_space_dim(v, 1)).value_on(
+        ("v00", "v11")) == [0, 0]
+
+
 def test_euler_characteristics():
     _, v2 = cp2()
     _, v6 = S6
@@ -475,6 +490,33 @@ def test_full_equals_reduced(make):
     _, v = make()
     for k in range(4):
         assert cohomology(v, k, strict=False).dim == cohomology(v, k).dim
+
+
+def test_simple_polytopes_have_one_class_per_facet_and_none_above_seeded():
+    """A simple d-polytope with f facets has HA^0 = f and HA^k = 0 for 1 <= k <= d+1.
+
+    V(F) is the linear functions on the span of F's cone in the normal fan,
+    so the moment system is the degree-1 part of the sheaf of piecewise
+    polynomials on that simplicial fan: HA^0 is the piecewise-linear
+    functions, one value per ray, and the sheaf is flabby (Barthel,
+    Brasselet, Fieseler and Kaup, Tohoku Math. J. 2002; Brion 1997).  Checked
+    on both complexes, over vertex truncations and products, which are
+    simple polytopes too.
+    """
+    rng = random.Random(44)
+    polytopes = [truncated(preset_polytope(name), rng, cuts) for name, cuts in
+                 (("square", 3), ("triangle", 4), ("cube", 1), ("cube", 3), ("cube", 6))]
+    cases = [(build_polytope(p), len(p.facets), p.dim) for p in polytopes]
+    for left, right in ((polytopes[0], preset_polytope("segment")),
+                        (truncated(preset_polytope("triangle"), rng, 1),
+                         preset_polytope("square"))):
+        cases.append((build_product(build_polytope(left), build_polytope(right)),
+                      len(left.facets) + len(right.facets), left.dim + right.dim))
+    assert max(len(space.ids) for (space, _), _, _ in cases) == 81
+    for (_, v), f, d in cases:
+        for strict in (True, False):
+            cx = _Complex(v, strict)
+            assert [cx.data(k).dim for k in range(d + 2)] == [f] + [0] * (d + 1)
 
 
 @pytest.mark.parametrize("weights", [[(1,), (-1,)], [(1, 0), (0, 1)],

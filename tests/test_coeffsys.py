@@ -13,6 +13,7 @@ from assigncoh import (
     SystemMorphism,
     assignment_basis,
     build_from_description,
+    build_linear_rep,
     build_polytope,
     build_product,
     build_sphere_product,
@@ -30,6 +31,7 @@ from assigncoh import (
 import assigncoh.cli
 import assigncoh.coeffsys
 from assigncoh.cochain import _CohomologyData, _Complex
+from assigncoh.coeffsys import FunctorReport
 from assigncoh.errors import (
     IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError, UnknownIdError,
 )
@@ -42,7 +44,9 @@ from oracles import (
     reference_from_cover_maps,
     system_adapter,
 )
-from spaces import CP2_FIXED, cp2, free_stratum, s4, zero_system
+from spaces import (
+    CP2_FIXED, cp2, free_stratum, s4, s4_chain, truncated, two_stratum, zero_system,
+)
 
 
 def single_sphere():
@@ -530,24 +534,29 @@ def test_degree_zero_from_cut_pairs_matches_d0_seeded():
     assert fewer >= 30 and every >= 5
 
 
-def test_check_functor_skips_the_squares_composed_through_their_route(monkeypatch):
-    """Each composed pair (x, z) has one cover square that holds by construction.
+def test_check_functor_multiplies_each_cover_square_once(monkeypatch):
+    """When every cover square holds, walking the laws makes one product per square.
 
-    Once every pair is composed, check_functor multiplies the other cover
-    squares only; with explicit entries on every pair it skips none.
+    That holds for a from_cover_maps copy of the cube's moment system and for
+    the copy with an explicit entry on every pair.  The moment system itself
+    carries its report from the start and multiplies nothing.
     """
     space, v = build_polytope(preset_polytope("cube"))
+    covers = {c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]])
+              for c in space.covers}
+    copy = CoefficientSystem.from_cover_maps(space, v.dims, covers)
     explicit = CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})
     squares = sum(len(space.below(y)) for y, _ in space.covers)
-    composed = len(space.comparable_pairs()) - len(space.covers)
-    for w, skipped in ((v, composed), (explicit, 0)):
+    for w, products in ((copy, squares), (explicit, squares), (v, 0)):
         for x, z in space.comparable_pairs():
             w._rows(x, z)
         calls = []
         monkeypatch.setattr(assigncoh.coeffsys, "_mul", lambda a, b: calls.append(1) or _mul(a, b))
         assert check_functor(w).ok
         monkeypatch.setattr(assigncoh.coeffsys, "_mul", _mul)
-        assert len(calls) == squares - skipped and composed > 0
+        assert len(calls) == products
+    # the walk over every strict triple would make more products
+    assert squares < sum(len(space.above(y)) for _, y in space.comparable_pairs())
 
 
 def test_check_functor_matches_dense_triple_walk_seeded():
@@ -562,6 +571,39 @@ def test_check_functor_matches_dense_triple_walk_seeded():
         failing += bool(composition)
         passing += not composition
     assert failing >= 20 and passing >= 5
+
+
+def _built_moment_systems(rng):
+    """Moment systems from every builder, on fixed and on seeded random input."""
+    yield from (make()[1] for make in (cp2, s4, two_stratum, free_stratum, flag_chain, fork))
+    yield s4_chain(3)[1]
+    for space in _gate_spaces():
+        yield moment_system(space)
+        yield build_from_description(SpaceDescription.from_space(space))[1]
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        yield build_linear_rep(weights)[1]
+        yield build_sphere_product(n, [tuple(rng.randint(-2, 2) for _ in range(n))
+                                       for _ in range(rng.randint(1, 3))])[1]
+        polytope = build_polytope(truncated(preset_polytope(rng.choice(
+            ["triangle", "square", "pentagon", "cube"])), rng, rng.randint(1, 3)))
+        yield polytope[1]
+        yield build_product(polytope, build_polytope(preset_polytope(rng.choice(
+            ["segment", "triangle"]))))[1]
+
+
+def test_moment_systems_arrive_certified_and_pass_the_law_walk_seeded():
+    """A moment system carries the empty functor report from its builder, and
+    walking its laws finds that report: the certificate is the walk's answer."""
+    rng = random.Random(26)
+    empty = FunctorReport((), ())
+    count = 0
+    for v in _built_moment_systems(rng):
+        assert vars(v)["_report"] == empty
+        assert assigncoh.coeffsys._walk_laws(v) == empty
+        count += 1
+    assert count == 33
 
 
 def _record_compositions(monkeypatch):
