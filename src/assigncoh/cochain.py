@@ -38,9 +38,15 @@ of basis.  Beside the public accessors (`ChainBasis.block`,
 up blocks by tuple.  The routine checks that every connecting value lies
 in the image of the first complex, builds the induced maps on canonical
 representatives as sparse image rows, then checks exactness node by node.
+No coboundary is built or reduced twice: a pair's relative and subset
+complexes share the space's complex wherever theirs equal it (`_Complex`),
+and the connecting map applies d_k by columns (`ratlin._combine` on the
+transpose of d_k, which the image pass of degree k+1 builds anyway), so it
+reads only the columns where the lift is nonzero.
 
 A cochain is a sparse vector (column -> nonzero entry, ints where
-integral) from assembly to the connecting map: differentials, kernels,
+integral) from assembly to the connecting map, and so are the class
+coordinates of the induced maps: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
 the two passes of `ratlin.sparse_echelon` do every elimination,
 fraction-free.  A degree k >= 1 where d_k d_{k-1} != 0 has no cohomology
@@ -86,6 +92,8 @@ from .ratlin import (
     _ZERO,
     _apply,
     _back,
+    _combine,
+    _exact,
     _forward,
     _frac,
     _mul,
@@ -296,11 +304,12 @@ class _CohomologyData:
         rows, pivots = _back(*self._im)
         return dict(zip(pivots, _normalize(rows, pivots)))
 
-    def class_coords(self, vec: SparseRow) -> List[Fraction]:
+    def class_coords(self, vec: SparseRow) -> list:
         """Coordinates of a cocycle's class over the canonical representatives.
 
-        A cocycle is sum_{p in P} vec[p] * (image row p) + w, w in W.  Raises
-        ValueError when vec is not a cocycle.
+        A cocycle is sum_{p in P} vec[p] * (image row p) + w, w in W.  The
+        coordinates are ints where integral, Fractions otherwise, as in
+        `sparse_rref`.  Raises ValueError when vec is not a cocycle.
         """
         out = dict(vec)
         for p in [p for p in vec if p in self._im_at]:
@@ -311,7 +320,7 @@ class _CohomologyData:
                 _sub_scaled(out, c, row)
         if out:
             raise ValueError("vector does not represent a cohomology class here")
-        return [_frac(c) for c in coords]
+        return [_exact(c) for c in coords]
 
 
 @dataclass
@@ -327,6 +336,11 @@ class _Complex:
 
     A complex with a support can filter the tuples of `whole`, the
     unfiltered complex of the same system, instead of enumerating chains.
+    It then shares whole's values wherever they are its own (`_keeps`): a
+    basis that keeps all of whole's tuples, d_k and its transpose where
+    bases k and k+1 do, and the cohomology data of degree k where bases
+    k-1, k and k+1 do.  For a pair on an antichain, such as the minimal
+    strata, that is every d_k with k >= 1 and every degree k >= 2.
     """
 
     def __init__(self, v: CoefficientSystem, strict: bool = True, support=None,
@@ -337,22 +351,45 @@ class _Complex:
         self.whole = whole
         self._bases: Dict[int, ChainBasis] = {}
         self._ds: Dict[int, Rows] = {}
+        self._dts: Dict[int, Rows] = {}
         self._data: Dict[int, _CohomologyData] = {}
 
     def basis(self, k: int) -> ChainBasis:
         if k not in self._bases:
-            ts = (self.whole.basis(k).tuples if self.whole is not None
-                  else chains(self.v.space, k, self.strict))
-            self._bases[k] = ChainBasis(self.v, k, self.strict,
-                                        _filtered_tuples(ts, self.support))
+            if self.whole is None:
+                ts = _filtered_tuples(chains(self.v.space, k, self.strict), self.support)
+            else:
+                whole = self.whole.basis(k)
+                ts = _filtered_tuples(whole.tuples, self.support)
+                # a filtered basis is a sublist of whole's: equal lengths, equal lists
+                if len(ts) == len(whole.tuples):
+                    self._bases[k] = whole
+                    return whole
+            self._bases[k] = ChainBasis(self.v, k, self.strict, ts)
         return self._bases[k]
+
+    def _keeps(self, *ks: int) -> bool:
+        """Whether the bases of degrees ks keep all of whole's tuples, and so are whole's."""
+        return self.whole is not None and all(
+            self.basis(k) is self.whole.basis(k) for k in ks)
 
     def d(self, k: int) -> Rows:
         if k not in self._ds:
-            self._ds[k] = _differential(self.v, self.basis(k), self.basis(k + 1))
+            self._ds[k] = (self.whole.d(k) if self._keeps(k, k + 1)
+                           else _differential(self.v, self.basis(k), self.basis(k + 1)))
         return self._ds[k]
 
+    def d_t(self, k: int) -> Rows:
+        """The rows of the transpose of d_k: column j of d_k as row j."""
+        if k not in self._dts:
+            self._dts[k] = (self.whole.d_t(k) if self._keeps(k, k + 1)
+                            else _transpose(self.d(k), self.basis(k).total_dim))
+        return self._dts[k]
+
     def data(self, k: int) -> _CohomologyData:
+        if k not in self._data and self._keeps(*range(max(k - 1, 0), k + 2)):
+            # d_{k-1} and d_k are whole's, so is everything computed from them
+            self._data[k] = self.whole.data(k)
         if k not in self._data:
             src = self.basis(k)
             if k > 0:
@@ -361,7 +398,7 @@ class _Complex:
                                for t in self.basis(k + 1).tuples):
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
-                d_in_t, d_out = _transpose(self.d(k - 1), self.basis(k - 1).total_dim), self.d(k)
+                d_in_t, d_out = self.d_t(k - 1), self.d(k)
             elif self.strict and self.support is None:
                 # the rows of d_0 at the system's cut pairs have its kernel
                 d_in_t, d_out = [], _differential(
@@ -483,6 +520,8 @@ def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
     coordinate of the block: the image of that basis vector.  Empty blocks
     share the offset of the next block.
     """
+    if blocks is None and src.tuples == dst.tuples:
+        return dict(vec)
     at: Dict[int, SparseRow] = {}
     for j, x in vec.items():
         i = bisect_right(src.offsets, j) - 1
@@ -556,8 +595,10 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     moves unchanged.  The connecting map lifts a cocycle of c through g's
     preimage map (free variables zero), applies d_b and retracts through
     f's; carrying the retracted value back through i must give d_b of the
-    lift again.  Degrees run to one past the last nonzero chain space of b,
-    beyond which everything is zero.  The induced maps need cocycles to
+    lift again.  d_b applies by columns, from b's cached transpose of d_k
+    (`_Complex.d_t`), so only the lift's columns are read.  Degrees run to
+    one past the last nonzero chain space of b, beyond which everything is
+    zero.  The induced maps need cocycles to
     stay cocycles, which holds only for functors (`_require_functors`).
     """
     top = 0
@@ -569,7 +610,7 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
         for h in (f, g) for make in (_transpose, _preimage))
 
     def connect(k, r):
-        w = _apply(b.d(k), _carry(r, c.basis(k), b.basis(k), g_pre))
+        w = _combine(b.d_t(k), _carry(r, c.basis(k), b.basis(k), g_pre))
         lo, hi = a.basis(k + 1), b.basis(k + 1)
         back = _carry(w, hi, lo, f_pre)
         if _carry(back, lo, hi, f_img) != w:

@@ -13,9 +13,11 @@ pass on d_k with the image's pivot columns pinned to zero
 `sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
 `solve` are thin wrappers that take and give the dense `RatMatrix` value
 type (`solve` through `_preimage`).  It is also the package's only
-arithmetic on sparse rows (`Rows`): `_mul`, `_apply`, `_transpose`,
-`_sub_scaled` and `_identity_rows`, which `RatMatrix`'s `@`, `apply` and
-`transpose` wrap as well.
+arithmetic on sparse rows (`Rows`): `_mul` (a `_combine` of b's rows per
+row of a), `_apply`, `_transpose`, `_sub_scaled` and `_identity_rows`,
+which `RatMatrix`'s `@`, `apply` and `transpose` wrap as well.  Given a
+matrix's transpose, `_combine` is `_apply` by columns: it reads only the
+columns where the vector is nonzero.
 
 Canonical outputs, relied on by golden tests elsewhere:
 
@@ -79,20 +81,30 @@ def _identity_rows(n: int) -> Rows:
     return [{i: 1} for i in range(n)]
 
 
+def _combine(rows: Rows, coeffs: SparseRow) -> SparseRow:
+    """sum_k coeffs[k] * rows[k], ints kept where integral and columns ascending.
+
+    Given the columns of a matrix as rows (its `_transpose`), this is the
+    matrix times coeffs, `_apply` by columns: it reads only the columns
+    where coeffs is nonzero.
+
+    >>> _combine([{0: 1}, {0: -1, 1: 2}], {0: 3, 1: 3})
+    {1: 6}
+    """
+    acc: SparseRow = {}
+    for k, x in coeffs.items():
+        for j, y in rows[k].items():
+            acc[j] = acc.get(j, 0) + x * y
+    return {j: _exact(acc[j]) for j in sorted(acc) if acc[j]}
+
+
 def _mul(a: Rows, b: Rows) -> Rows:
     """The rows of a @ b, ints kept where integral and columns ascending.
 
     >>> _mul([{0: 1, 1: 2}], [{1: Fraction(1, 2)}, {0: 3, 1: Fraction(1, 4)}])
     [{0: 6, 1: 1}]
     """
-    out = []
-    for arow in a:
-        acc: SparseRow = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: _exact(acc[j]) for j in sorted(acc) if acc[j]})
-    return out
+    return [_combine(b, arow) for arow in a]
 
 
 def _transpose(rows: Rows, ncols: int) -> Rows:

@@ -63,6 +63,16 @@ MUTANTS = (
          "tests/test_cochain.py::test_les_pair_fixed_points"),
     ),
     Mutant(
+        "sharing-window-without-k-minus-1",
+        "cochain.py",
+        "self._keeps(*range(max(k - 1, 0), k + 2))",
+        "self._keeps(*range(k, k + 2))",
+        ("tests/test_cochain.py::test_les_pair_fixed_points",
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded"),
+        note="a relative complex would take the space's cohomology in a degree "
+             "whose incoming differential it does not share",
+    ),
+    Mutant(
         "canonical-pass-only-above-one-class",
         "cochain.py",
         "        if self.dim:\n",
@@ -256,6 +266,13 @@ MUTANTS = (
         "+ 0",
         ("tests/test_cochain.py::test_counted_chain_dims_match_enumeration_seeded[weak]",
          "tests/test_cochain.py::test_counted_chain_dims_reach_large_degrees"),
+    ),
+    Mutant(
+        "column-product-sign-flipped",
+        "ratlin.py",
+        "acc[j] = acc.get(j, 0) + x * y",
+        "acc[j] = acc.get(j, 0) - x * y",
+        ("tests/test_ratlin.py::test_product_apply_and_transpose_match_dense_loops_seeded",),
     ),
     Mutant(
         "transpose-wrapper-swaps-the-shape",

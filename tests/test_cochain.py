@@ -693,6 +693,62 @@ def test_les_pair_enumerates_each_degree_once(monkeypatch):
     assert sorted(Counter(calls).items()) == [(k, 1) for k in range(6)]
 
 
+def _les_pair_unshared(v, nset):
+    """The pair's sequence with relative and subset complexes that filter
+    chains themselves, sharing nothing with the space's complex."""
+    rel = _Complex(v, True, support=("rel", nset))
+    sub = _Complex(v, True, support=("sub", nset))
+    return assigncoh.cochain._long_exact_sequence(
+        ("pair", "space", "subset"), rel, _Complex(v, True), sub)
+
+
+def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
+    # a pair's complexes take the space's bases, d_k and cohomology data
+    # wherever their own would equal them; on every kind of subset the
+    # sequence is the one built with nothing shared.  On an antichain (the
+    # minimal strata) the relative complex keeps every tuple of degree >= 1,
+    # so sharing leaves no nonempty differential assembled twice
+    rng = random.Random(61)
+    spaces = [cp2(), s4(), s4_chain(2), S6, _poly("cube"),
+              build_product(_poly("square"), _poly("segment"))]
+    for _ in range(2):
+        spaces.append(build_product(_poly(rng.choice(("segment", "triangle", "square"))),
+                                    _poly(rng.choice(("segment", "triangle")))))
+    assembled = []
+    differential = assigncoh.cochain._differential
+
+    def counting(v, src, dst):
+        if src.tuples:
+            assembled.append((src.tuples, dst.tuples))
+        return differential(v, src, dst)
+
+    monkeypatch.setattr(assigncoh.cochain, "_differential", counting)
+    seen = 0
+    for space, v in spaces:
+        ids = space.ids
+        minimal = frozenset(minimal_strata(space))
+        top = rng.choice([x for x in ids if x not in minimal])
+        low = rng.choice(sorted(minimal))
+        subsets = {"empty": frozenset(), "all": frozenset(ids), "antichain": minimal,
+                   "down-closed": frozenset(space.below(top)) | {top},
+                   "up-closed": space.upset(low)}
+        for kind, nset in subsets.items():
+            del assembled[:]
+            rep = les_pair_check(v, nset)
+            shared = list(assembled)
+            del assembled[:]
+            ref = _les_pair_unshared(v, nset)
+            assert (rep.node_names, rep.node_dims, rep.map_ranks, rep.failures) == (
+                ref.node_names, ref.node_dims, ref.map_ranks, ref.failures), kind
+            assert rep.ok
+            if kind == "antichain":
+                assert len(set(shared)) == len(shared) < len(assembled)
+                assert len(set(assembled)) < len(assembled)
+            seen += any(rep.node_dims[3::3])
+    # some pair has classes above degree 0, where the sharing starts
+    assert seen
+
+
 def _random_sparse(rng, n):
     vec = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(n)
            if rng.random() < 0.4}
@@ -915,10 +971,12 @@ def test_les_coefficients_through_non_identity_stratum_maps():
 
 
 def _connecting_value_all_ones(monkeypatch):
-    # d_b(lift(r)) is the only product of sparse rows by a vector in the
-    # sequence; make it 1 at every coordinate of the next chain space
-    monkeypatch.setattr(assigncoh.cochain, "_apply",
-                        lambda rows, vec: {i: 1 for i in range(len(rows))})
+    # d_b(lift(r)) is the only product by columns (`_combine` on the
+    # transpose of d_b) in the sequence; make it 1 at every row some
+    # column reaches, which in a strict complex is every coordinate of the
+    # next chain space
+    monkeypatch.setattr(assigncoh.cochain, "_combine",
+                        lambda cols, vec: dict.fromkeys(sorted({i for c in cols for i in c}), 1))
 
 
 def test_les_pair_connecting_check_fires(monkeypatch):

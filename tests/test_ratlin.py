@@ -8,6 +8,8 @@ import assigncoh.ratlin
 from assigncoh.cochain import _Complex
 from assigncoh.ratlin import (
     RatMatrix,
+    _apply,
+    _combine,
     _forward,
     _preimage,
     _rank,
@@ -141,8 +143,10 @@ def test_product_apply_and_transpose_match_dense_loops_seeded():
     # `@`, `apply` and `transpose` go through the sparse row kernel
     # (`_mul`, `_apply`, `_transpose`); the dense loops they replaced are
     # the reference, on shapes with no rows or no columns too, and `apply`
-    # still takes int and string entries
+    # still takes int and string entries.  `_combine` on the transpose is
+    # `_apply` by columns: the same dict, keys ascending, ints where integral
     rng = random.Random(43)
+    seen = {"fraction": 0, "cancelled": 0}
 
     def rand(m, n):
         return RatMatrix.from_rows(
@@ -162,6 +166,23 @@ def test_product_apply_and_transpose_match_dense_loops_seeded():
         out = a.apply(vec)
         assert out == dense_apply(a, vec)
         assert all(type(x) is Fraction for x in out)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a.data]
+        coeffs = {j: Fraction(x) for j, x in enumerate(vec) if Fraction(x)}
+        by_cols = _combine(_transpose(rows, k), coeffs)
+        by_rows = _apply(rows, coeffs)
+        assert by_cols == by_rows and list(by_cols) == sorted(by_rows)
+        assert by_cols == {i: x for i, x in enumerate(out) if x}
+        assert all(type(x) is int for x in by_cols.values() if x.denominator == 1)
+        seen["fraction"] += any(type(x) is Fraction for x in by_cols.values())
+        # a row whose products are not all zero but sum to zero is dropped
+        seen["cancelled"] += sum(
+            1 for i, row in enumerate(rows) if i not in by_cols
+            and any(j in coeffs for j in row))
+    assert seen["fraction"] and seen["cancelled"]
+    # the entries at column 0 cancel; keys come out ascending
+    assert _combine([{1: 1, 0: 2}, {0: -2, 2: Fraction(1, 2)}], {0: 1, 1: 1}) == {
+        1: 1, 2: Fraction(1, 2)}
+    assert list(_combine([{2: 1}, {0: 1}], {0: 1, 1: 1})) == [0, 2]
     with pytest.raises(ValueError, match="shape mismatch"):
         rand(2, 3) @ rand(2, 3)
     with pytest.raises(ValueError, match="vector length"):
