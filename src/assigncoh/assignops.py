@@ -86,13 +86,16 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
     return AssignmentReport(tuple(bad))
 
 
+def _basis_values(v: CoefficientSystem) -> List[Dict[str, list]]:
+    """The canonical basis vectors' values at every stratum, as exact entries:
+    ints where integral, Fractions otherwise (`Cochain._blocks`)."""
+    return [{t[0]: vals for t, vals in rep._blocks()}
+            for rep in cohomology(v, 0, strict=True).representatives]
+
+
 def assignment_basis(v: CoefficientSystem) -> List[AssignmentVector]:
     """Canonical basis of the assignment space (degree-zero cohomology)."""
-    out = []
-    for rep in cohomology(v, 0, strict=True).representatives:
-        values = {t[0]: tuple(rep.value_on(t)) for t in rep.basis.tuples}
-        out.append(AssignmentVector(v, values))
-    return out
+    return [AssignmentVector(v, values) for values in _basis_values(v)]
 
 
 def restrict_to_minimal(a: AssignmentVector) -> MinimalAssignment:

@@ -20,7 +20,8 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import assignops, builders, cochain, coeffsys, momentpoly
 from .builders import DescriptionError, SpaceDescription, WeightMatrix
@@ -92,7 +93,44 @@ def _printable():
                           "digits, the limit for printing one") from None
 
 
-def _vector_table(values: Dict[str, Tuple[Fraction, ...]]) -> Dict[str, List[str]]:
+def _json_text(obj, indent: str = "\n") -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), by str.join.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    raises TypeError on anything else.  indent is the line break and the
+    indentation that close obj; its items sit two spaces deeper.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # string leaves, most of a report, are quoted here without a call
+        body = ("," + inner).join([
+            _quote(k) + ": " + (_quote(x) if type(x) is str else _json_text(x, inner))
+            for k, x in sorted(obj.items())])
+        return "{" + inner + body + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_quote(x) if type(x) is str else _json_text(x, inner)
+                                   for x in obj])
+        return "[" + inner + body + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _vector_table(values: Dict[str, Sequence]) -> Dict[str, List[str]]:
+    """A value per stratum as text; entries are ints or Fractions, and
+    str(n) == str(Fraction(n))."""
     with _printable():
         return {x: [str(v) for v in values[x]] for x in sorted(values)}
 
@@ -102,27 +140,30 @@ def _format_assignment(values: Dict[str, List[str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report dict, text lines)
+# command handlers: each returns (report dict, text lines); the lines are a
+# generator, so a --json run never builds them
 
-def cmd_assignments(args) -> Tuple[dict, List[str]]:
+def cmd_assignments(args) -> Tuple[dict, Iterable[str]]:
     space, system, digest = _load_space(args.file)
-    basis = assignops.assignment_basis(system)
+    basis = [_vector_table(values) for values in assignops._basis_values(system)]
     report = {
         "command": "assignments",
         "input_digest": digest,
         "dim": len(basis),
-        "basis": [_vector_table(b.values) for b in basis],
+        "basis": basis,
     }
-    lines = [f"dim A = {len(basis)}"]
-    for i, b in enumerate(basis):
-        lines.append(f"basis {i + 1}: {_format_assignment(report['basis'][i])}")
-    return report, lines
+
+    def text():
+        yield f"dim A = {len(basis)}"
+        for i, table in enumerate(basis):
+            yield f"basis {i + 1}: {_format_assignment(table)}"
+    return report, text()
 
 
 def _cochain_blocks(c) -> Dict[str, List[str]]:
-    blocks = c.as_dict()
+    """A cochain's nonzero blocks as text, keyed by the comma-joined tuple."""
     with _printable():
-        return {",".join(t): [str(v) for v in vec] for t, vec in blocks.items()}
+        return {",".join(t): [str(v) for v in vec] for t, vec in c._blocks() if any(vec)}
 
 
 def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
@@ -144,7 +185,7 @@ def _cohomology_block(system, degree: int, strict: bool, relative) -> dict:
     }
 
 
-def cmd_cohomology(args) -> Tuple[dict, List[str]]:
+def cmd_cohomology(args) -> Tuple[dict, Iterable[str]]:
     space, system, digest = _load_space(args.file)
     relative = _subset_option(space, args.relative)
     which = {"full": [False], "reduced": [True], "both": [True, False]}[args.complex]
@@ -155,24 +196,25 @@ def cmd_cohomology(args) -> Tuple[dict, List[str]]:
         "relative": sorted(relative) if relative is not None else None,
         "results": {},
     }
-    lines = []
     for strict in which:
         name = "reduced" if strict else "full"
-        block = _cohomology_block(system, args.degree, strict, relative)
-        report["results"][name] = block
-        prefix = "HA" if relative is None else "HA_rel"
-        lines.append(f"{name}: dim {prefix}^{args.degree} = {block['dim']}")
-        for i, rep in enumerate(block["representatives"]):
-            shown = " ".join(
-                f"({t})=[{','.join(vec)}]" for t, vec in sorted(rep.items())
-            )
-            lines.append(f"  rep {i + 1}: {shown}")
+        report["results"][name] = _cohomology_block(system, args.degree, strict, relative)
     if len(which) == 2:
-        dims = {name: blk["dim"] for name, blk in report["results"].items()}
-        agree = dims["full"] == dims["reduced"]
-        report["agreement"] = agree
-        lines.append(f"full/reduced agreement: {'yes' if agree else 'NO'}")
-    return report, lines
+        results = report["results"]
+        report["agreement"] = results["full"]["dim"] == results["reduced"]["dim"]
+
+    def text():
+        prefix = "HA" if relative is None else "HA_rel"
+        for name, block in report["results"].items():
+            yield f"{name}: dim {prefix}^{args.degree} = {block['dim']}"
+            for i, rep in enumerate(block["representatives"]):
+                shown = " ".join(
+                    f"({t})=[{','.join(vec)}]" for t, vec in sorted(rep.items())
+                )
+                yield f"  rep {i + 1}: {shown}"
+        if "agreement" in report:
+            yield f"full/reduced agreement: {'yes' if report['agreement'] else 'NO'}"
+    return report, text()
 
 
 def _parse_weight_rows(text: str) -> List[List[int]]:
@@ -193,7 +235,7 @@ def _parse_weight_rows(text: str) -> List[List[int]]:
 _POLYTOPE_PRESETS = ("segment", "triangle", "square", "pentagon", "cube")
 
 
-def cmd_build(args) -> Tuple[dict, List[str]]:
+def cmd_build(args) -> Tuple[dict, Iterable[str]]:
     params: dict
     if args.kind == "linear-rep":
         if not args.weights:
@@ -239,7 +281,7 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
         raise _InputError(f"unknown build kind {args.kind!r}")
 
     desc = SpaceDescription.from_space(space)
-    payload = json.dumps(desc.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    payload = _json_text(desc.to_json_dict()) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -256,20 +298,19 @@ def cmd_build(args) -> Tuple[dict, List[str]]:
         "torus_dim": space.torus_dim,
         "out": args.out,
     }
-    lines = [
-        f"built {args.kind}: {len(space.ids)} strata, {len(space.covers)} covers,"
-        f" torus dim {space.torus_dim}"
-    ]
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    return report, lines
+
+    def text():
+        yield (f"built {args.kind}: {report['strata']} strata, {report['covers']} covers,"
+               f" torus dim {report['torus_dim']}")
+        if args.out:
+            yield f"wrote {args.out}"
+    return report, text()
 
 
-def cmd_check(args) -> Tuple[dict, List[str]]:
+def cmd_check(args) -> Tuple[dict, Iterable[str]]:
     space, system, digest = _load_space(args.file)
     n = _subset_option(space, args.les)
     report = {"command": "check", "input_digest": digest}
-    lines = []
 
     fr = coeffsys.check_functor(system)
     report["functor"] = {
@@ -277,31 +318,18 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
         "identity_violations": sorted(fr.identity_violations),
         "composition_violations": sorted(fr.composition_violations),
     }
-    if fr.ok:
-        lines.append("functor laws: ok")
-    else:
-        bad = fr.composition_violations or fr.identity_violations
-        lines.append(f"functor laws: FAIL at {bad[0]}")
-
     # every degree's d^2 = 0, read off the functor report (README, `check`)
     square_ok = not coeffsys.square_failures(system, strict=False)
     report["d_squared_zero"] = {"ok": square_ok, "degree": None if square_ok else 0}
-    lines.append("d^2 = 0 (degrees 0..2): ok" if square_ok else "d^2 = 0: FAIL at degree 0")
-
     if args.euler:
-        chi = cochain.euler_characteristic(system)
-        report["euler_characteristic"] = chi
-        lines.append(f"euler characteristic = {chi}")
-
+        report["euler_characteristic"] = cochain.euler_characteristic(system)
     if n is not None:
         # the sequence is only defined for a functor: class coordinates of
         # induced maps fail on a perturbed system
         if fr.ok:
             les = cochain.les_pair_check(system, n)
-            verdict = "exact" if les.ok else f"NOT exact: {les.failures[0]}"
         else:
             les = cochain.ExactSequenceReport([], [], [], ["not checked: functor laws fail"])
-            verdict = "not checked (functor laws fail)"
         report["les"] = {
             "subset": sorted(n),
             "ok": les.ok,
@@ -309,13 +337,28 @@ def cmd_check(args) -> Tuple[dict, List[str]]:
             "node_dims": list(les.node_dims),
             "failures": list(les.failures),
         }
-        lines.append(f"LES for pair (space, {{{','.join(sorted(n))}}}): {verdict}")
+
+    def text():
         if fr.ok:
-            lines.append("node dims: " + ", ".join(str(d) for d in les.node_dims))
-    return report, lines
+            yield "functor laws: ok"
+        else:
+            bad = fr.composition_violations or fr.identity_violations
+            yield f"functor laws: FAIL at {bad[0]}"
+        yield "d^2 = 0 (degrees 0..2): ok" if square_ok else "d^2 = 0: FAIL at degree 0"
+        if args.euler:
+            yield f"euler characteristic = {report['euler_characteristic']}"
+        if n is not None:
+            if not fr.ok:
+                verdict = "not checked (functor laws fail)"
+            else:
+                verdict = "exact" if les.ok else f"NOT exact: {les.failures[0]}"
+            yield f"LES for pair (space, {{{','.join(sorted(n))}}}): {verdict}"
+            if fr.ok:
+                yield "node dims: " + ", ".join(str(d) for d in les.node_dims)
+    return report, text()
 
 
-def cmd_extend(args) -> Tuple[dict, List[str]]:
+def cmd_extend(args) -> Tuple[dict, Iterable[str]]:
     space, system, digest = _load_space(args.file)
     malformed = "malformed values file"
     obj, raw = _read_json(args.values, malformed)
@@ -335,17 +378,19 @@ def cmd_extend(args) -> Tuple[dict, List[str]]:
         "values_digest": _digest(raw),
         "assignment": values,
     }
-    lines = ["extended assignment:"]
-    for x, vec in sorted(values.items()):
-        lines.append(f"  {x} = [{','.join(vec)}]")
-    return report, lines
+
+    def text():
+        yield "extended assignment:"
+        for x, vec in sorted(values.items()):
+            yield f"  {x} = [{','.join(vec)}]"
+    return report, text()
 
 
 def _monomial_names(keys) -> List[str]:
     return [momentpoly._exp_text(k, l) or "1" for (k, l) in keys]
 
 
-def cmd_decompose(args) -> Tuple[dict, List[str]]:
+def cmd_decompose(args) -> Tuple[dict, Iterable[str]]:
     rows = _parse_weight_rows(args.weights)
     w = WeightMatrix.from_rows(rows)
     try:
@@ -370,12 +415,15 @@ def cmd_decompose(args) -> Tuple[dict, List[str]]:
         "g": gs,
         "one_form": momentpoly._one_form(zip(fs, gs)),
     }
-    lines = [f"psi = {report['psi']}", "condition: ok"]
-    for j, (f, g) in enumerate(zip(report["f"], report["g"])):
-        lines.append(f"f{j + 1} = {f}")
-        lines.append(f"g{j + 1} = {g}")
-    lines.append(report["one_form"])
-    return report, lines
+
+    def text():
+        yield f"psi = {psi}"
+        yield "condition: ok"
+        for j, (f, g) in enumerate(zip(fs, gs)):
+            yield f"f{j + 1} = {f}"
+            yield f"g{j + 1} = {g}"
+        yield report["one_form"]
+    return report, text()
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +527,8 @@ def _fail(args, exc: Exception, code: int) -> int:
     else:
         detail = str(exc)
     if getattr(args, "json", False):
-        print(json.dumps(
-            {"error": {"type": type(exc).__name__, "message": detail}, "exit_code": code},
-            sort_keys=True, indent=2,
-        ))
+        print(_json_text(
+            {"error": {"type": type(exc).__name__, "message": detail}, "exit_code": code}))
     print(f"error: {detail}", file=sys.stderr)
     return code
 
@@ -513,7 +559,7 @@ def _run(args) -> int:
                 return _fail(args, exc, code)
         raise  # pragma: no cover - mapping is exhaustive
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         for line in lines:
             print(line)

@@ -55,9 +55,12 @@ degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
 a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
 rank, from the forward pass on d_k with the image's pivot columns pinned
 to zero.  Only a degree with classes takes the kernel, whose RREF is the
-representatives.  Dense lists of Fractions appear only in public values (`Cochain`,
-`differential_matrix`, the homotopy operators, pullbacks), converted once
-when they are returned.
+representatives.  A `Cochain` keeps its sparse row as well: the
+representatives and pullbacks are wrapped as they come, and the command
+line prints their blocks from the row's exact entries (`Cochain._blocks`).
+Dense lists of Fractions appear only in public values: `Cochain.coords`,
+built on first access, `value_on` and `as_dict`, and the matrices of
+`differential_matrix`, the homotopy operators and `pullback_matrix`.
 Kernel/image bookkeeping is canonical: representatives come from reduced
 row echelon forms, so equal inputs give byte-equal outputs.
 """
@@ -143,7 +146,12 @@ class ChainBasis:
 
 
 class Cochain:
-    """A vector in one chain space, addressable by tuple."""
+    """A vector in one chain space, addressable by tuple.
+
+    It keeps its sparse row (column -> nonzero entry, an int or a Fraction);
+    `coords`, `value_on` and `as_dict` give Fractions, and `coords` is built
+    on first access.
+    """
 
     def __init__(self, basis: ChainBasis, coords: Sequence):
         if len(coords) != basis.total_dim:
@@ -151,7 +159,28 @@ class Cochain:
                 f"coordinate length {len(coords)} != chain dimension {basis.total_dim}"
             )
         self.basis = basis
-        self.coords = tuple(_frac(c) for c in coords)
+        self._row = {j: _exact(x) for j, x in enumerate(map(_frac, coords)) if x}
+
+    @classmethod
+    def _from_row(cls, basis: ChainBasis, row: SparseRow) -> "Cochain":
+        """The cochain of a sparse row of basis's space, kept as it is."""
+        c = cls.__new__(cls)
+        c.basis, c._row = basis, row
+        return c
+
+    @cached_property
+    def coords(self) -> Tuple[Fraction, ...]:
+        dense = [_ZERO] * self.basis.total_dim
+        for j, x in self._row.items():
+            dense[j] = _frac(x)
+        return tuple(dense)
+
+    def _blocks(self):
+        """(tuple, its block's entries) for every tuple of the basis, in order;
+        the entries are those of the sparse row, 0 where it has none."""
+        row = self._row
+        for t, off, w in zip(self.basis.tuples, self.basis.offsets, self.basis.block_dims):
+            yield t, [row.get(j, 0) for j in range(off, off + w)]
 
     def value_on(self, t: Tuple[str, ...]) -> List[Fraction]:
         """The block at t: zero for a tuple of known ids that is no chain here."""
@@ -165,15 +194,10 @@ class Cochain:
                     raise UnknownIdError(x)
             return [_ZERO] * dims[t[-1]]
         off, w = blk
-        return list(self.coords[off:off + w])
+        return [_frac(self._row.get(j, _ZERO)) for j in range(off, off + w)]
 
     def as_dict(self) -> Dict[Tuple[str, ...], List[Fraction]]:
-        out = {}
-        for t, off, w in zip(self.basis.tuples, self.basis.offsets, self.basis.block_dims):
-            vals = list(self.coords[off:off + w])
-            if any(vals):
-                out[t] = vals
-        return out
+        return {t: [_frac(x) for x in vals] for t, vals in self._blocks() if any(vals)}
 
     def __repr__(self):
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
@@ -413,8 +437,7 @@ class _Complex:
             raise ValueError("degree must be >= 0")
         data = self.data(k)
         basis = self.basis(k)
-        reps = [Cochain(basis, r)
-                for r in RatMatrix.from_sparse(data._rep_rows, basis.total_dim).data]
+        reps = [Cochain._from_row(basis, r) for r in data._rep_rows]
         diag = {
             "dim_chain": data.dim_chain,
             "dim_cocycles": data.dim_cocycles,
@@ -753,10 +776,8 @@ def pullback(
         v_source = moment_system(f.source)
     k = phi.basis.degree
     dst = chain_basis(v_target, k, strict=False)
-    coords = {j: x for j, x in enumerate(phi.coords) if x}
-    vec = _carry(coords, phi.basis, dst)
-    if len(vec) != len(coords):
+    vec = _carry(phi._row, phi.basis, dst)
+    if len(vec) != len(phi._row):
         raise ValueError("cochain has support outside the full basis")
     src = chain_basis(v_source, k, strict=False)
-    out = _apply(_pullback_rows(f, v_target, v_source, src, dst), vec)
-    return Cochain(src, [out.get(i, 0) for i in range(src.total_dim)])
+    return Cochain._from_row(src, _apply(_pullback_rows(f, v_target, v_source, src, dst), vec))

@@ -301,6 +301,24 @@ MUTANTS = (
              "verify_decomposition still holds and only the texts show it",
     ),
     Mutant(
+        "report-writer-key-separator-without-space",
+        "cli.py",
+        '_quote(k) + ": " + (',
+        '_quote(k) + ":" + (',
+        ("tests/test_cli.py::test_json_writer_matches_json_dumps_seeded",),
+        note="every --json report and built space file would lose the space after each key",
+    ),
+    Mutant(
+        "sparse-block-offset-off-by-one",
+        "cochain.py",
+        "yield t, [row.get(j, 0) for j in range(off, off + w)]",
+        "yield t, [row.get(j, 0) for j in range(off + 1, off + w + 1)]",
+        ("tests/test_cochain.py::test_sparse_and_dense_cochains_read_alike_seeded[cp2]",
+         "tests/test_cli.py::test_assignments_tables_are_the_basis_vectors_as_text",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
+        note="every printed block would start one coordinate late",
+    ),
+    Mutant(
         "parser-registers-only-the-named-subcommands",
         "cli.py",
         "p = sub.add_parser(name, help=help_text, built=name in named)",

@@ -3,8 +3,10 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,16 +17,18 @@ from assigncoh.cochain import _Complex
 from assigncoh.ratlin import _transpose
 from assigncoh import (
     SpaceDescription,
+    assignment_basis,
     build_from_description,
     check_functor,
     cli,
+    is_assignment,
     les_coefficients_check,
     les_pair_check,
     pair_ses,
 )
 
 from oracles import _composes_to_zero
-from spaces import cp2
+from spaces import cp2, free_stratum, s4, s4_chain, two_stratum
 
 
 @pytest.fixture()
@@ -137,6 +141,27 @@ def test_assignments_json_is_deterministic(capsys, cp2_file):
     assert len(report["basis"]) == 3
     code, out2, _ = run(capsys, ["--json", "assignments", cp2_file])
     assert out1 == out2
+
+
+def test_assignments_tables_are_the_basis_vectors_as_text(capsys, tmp_path):
+    """`assignments --json` prints the tables of `assignment_basis`, read from
+    the representatives' sparse rows (a Fraction projection included)."""
+    texts = [json.dumps(SpaceDescription.from_space(make()[0]).to_json_dict())
+             for make in (cp2, s4, lambda: s4_chain(2), two_stratum, free_stratum)]
+    texts.append(_CHAIN.replace("@", "1").replace("#", '[["2/3"]]'))
+    fractions = 0
+    for i, text in enumerate(texts):
+        path = tmp_path / f"s{i}.space"
+        path.write_text(text)
+        _, v = build_from_description(SpaceDescription.from_json_dict(json.loads(text)))
+        basis = assignment_basis(v)
+        assert all(is_assignment(v, b).ok for b in basis)
+        code, out, _ = run(capsys, ["--json", "assignments", str(path)])
+        assert code == 0
+        tables = json.loads(out)["basis"]
+        assert tables == [cli._vector_table(b.values) for b in basis]
+        fractions += sum("/" in x for table in tables for vec in table.values() for x in vec)
+    assert fractions
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):
@@ -937,3 +962,55 @@ def test_decompose_json_deterministic(capsys):
     report = json.loads(out1)
     assert report["condition"] == "ok"
     assert report["f"] == ["2 zb1"]
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+_TEXT_CHARS = ("a", "Z", "7", " ", "/", ",", ":", '"', "\\", "\n", "\t", "\x00", "\x1f",
+               "\x7f", "\u00e9", "\u2202", "\u2028", "\U0001f600")
+
+
+def _random_text(rng, seen):
+    text = "".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randint(0, 5)))
+    seen.update(text)
+    return text
+
+
+def _random_value(rng, depth, seen):
+    """A report-shaped value; seen collects the characters and kinds it holds."""
+    kind = rng.choice(("dict", "list", "tuple", "leaf", "leaf") if depth else ("leaf",))
+    if kind == "leaf":
+        pick = rng.randrange(6)
+        if not pick:
+            return _random_text(rng, seen)
+        leaf = (None, True, False, rng.randint(-2, 2), rng.randint(-10 ** 12, 10 ** 12))[pick - 1]
+        if leaf is None or isinstance(leaf, bool):
+            seen.add(repr(leaf))
+        elif isinstance(leaf, int):
+            seen.add("negative int" if leaf < 0 else "int")
+        return leaf
+    n = rng.randint(0, 4)
+    seen.add(f"{'empty ' if not n else ''}{kind}")
+    if kind == "dict":
+        return {_random_text(rng, seen): _random_value(rng, depth - 1, seen) for _ in range(n)}
+    items = [_random_value(rng, depth - 1, seen) for _ in range(n)]
+    return items if kind == "list" else tuple(items)
+
+
+def test_json_writer_matches_json_dumps_seeded():
+    """The report writer gives the bytes of json.dumps(sort_keys=True, indent=2)."""
+    rng = random.Random(2828)
+    seen = set()
+    for _ in range(600):
+        report = {_random_text(rng, seen): _random_value(rng, 4, seen)
+                  for _ in range(rng.randint(0, 6))}
+        assert cli._json_text(report) == json.dumps(report, sort_keys=True, indent=2)
+    assert seen >= set(_TEXT_CHARS) | {
+        kind + name for kind in ("", "empty ") for name in ("dict", "list", "tuple")} | {
+        "int", "negative int", "True", "False", "None"}
+    for leaf in ("x\u00e9\"", -5, True, False, None, (), [], {}, ((1,), [])):
+        assert cli._json_text(leaf) == json.dumps(leaf, sort_keys=True, indent=2)
+    for bad in (1.5, Fraction(1, 2), {1, 2}, {"a": [0.5]}, {"a": (Fraction(3),)}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
