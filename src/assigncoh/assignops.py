@@ -24,7 +24,7 @@ from .errors import (
     MissingMinimalValueError,
     UnknownIdError,
 )
-from .ratlin import SparseRow, _apply, _exact, _frac
+from .ratlin import SparseRow, _apply, _frac, _normal
 from .stratposet import minimal_strata
 
 
@@ -129,7 +129,7 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
     values: Dict[str, SparseRow] = {}
     origin: Dict[str, str] = {}
     for x in minima:
-        values[x] = {j: _exact(c) for j, c in enumerate(map(Fraction, m.values[x])) if c}
+        values[x] = _normal(dict(enumerate(m.values[x])), v.dims[x])
         origin[x] = x
     for x in minima:
         for y in space.above(x):

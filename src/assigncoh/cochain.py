@@ -96,10 +96,12 @@ from .ratlin import (
     _apply,
     _back,
     _combine,
+    _dense,
     _exact,
     _forward,
     _frac,
     _mul,
+    _normal,
     _normalize,
     _preimage,
     _rank,
@@ -159,7 +161,7 @@ class Cochain:
                 f"coordinate length {len(coords)} != chain dimension {basis.total_dim}"
             )
         self.basis = basis
-        self._row = {j: _exact(x) for j, x in enumerate(map(_frac, coords)) if x}
+        self._row = _normal(dict(enumerate(coords)), basis.total_dim)
 
     @classmethod
     def _from_row(cls, basis: ChainBasis, row: SparseRow) -> "Cochain":
@@ -170,10 +172,7 @@ class Cochain:
 
     @cached_property
     def coords(self) -> Tuple[Fraction, ...]:
-        dense = [_ZERO] * self.basis.total_dim
-        for j, x in self._row.items():
-            dense[j] = _frac(x)
-        return tuple(dense)
+        return tuple(_dense(self._row, self.basis.total_dim))
 
     def _blocks(self):
         """(tuple, its block's entries) for every tuple of the basis, in order;

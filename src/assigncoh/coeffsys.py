@@ -16,8 +16,8 @@ all) and serves public values only.  `_at` holds the identity rows and the
 cover maps; every other pair is composed from them on first use, along
 the route `space.lower_covers` fixes, and memoized there.  The readers in
 this package (the differential, the functor and d^2 checks, sub/quotient
-systems, assignments) take those rows; `proj` builds the public
-`RatMatrix` of Fractions on demand.  Every product of rows here is
+systems, assignments) take those rows; a `RatMatrix` shares them both
+ways (`proj`, the constructors).  Every product of rows here is
 `ratlin._mul`: the row arithmetic lives in `ratlin` alone.
 
 Every pair in `space.covers` is immediate (`StratSpace.from_covers` keeps
@@ -59,7 +59,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, Rows, _identity_rows, _mul, _rank, _sparse
+from .ratlin import RatMatrix, Rows, _identity_rows, _mul, _rank
 from .stratposet import StratSpace
 
 
@@ -121,7 +121,7 @@ class CoefficientSystem:
     ):
         _check_shapes(space, dims, proj, [(x, x) for x in space.ids] + space.comparable_pairs())
         _check_comparable(space, proj)
-        self._keep(space, dims, {}, {pair: _sparse(m) for pair, m in proj.items()})
+        self._keep(space, dims, {}, {pair: m._rows for pair, m in proj.items()})
 
     def _keep(self, space: StratSpace, dims: Mapping[str, int],
               covers: Mapping[Tuple[str, str], Rows],
@@ -183,8 +183,8 @@ class CoefficientSystem:
                        and p[1] in space.upset(p[0])])
         _check_comparable(space, explicit)
         return cls._of_rows(
-            space, dims, {c: _sparse(cover_maps[c]) for c in space.covers},
-            {pair: _sparse(m) for pair, m in explicit.items()})
+            space, dims, {c: cover_maps[c]._rows for c in space.covers},
+            {pair: m._rows for pair, m in explicit.items()})
 
     def _rows(self, x: str, y: str) -> Rows:
         """proj(x, y) as rows: the explicit entry, else the path; x <= y."""
@@ -388,7 +388,7 @@ def restriction_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSys
 
 
 class SystemMorphism:
-    """Stratum-wise linear maps commuting with the projections.
+    """Stratum-wise linear maps commuting with the projections, one per stratum.
 
     Naturality is part of the type: construction fails on a non-commuting
     square, naming the pair.
@@ -403,16 +403,16 @@ class SystemMorphism:
         if source.space is not target.space:
             raise ValueError("source and target systems live on different spaces")
         space = source.space
-        for x in space.ids:
-            m = maps.get(x)
-            if m is None:
-                raise UnknownIdError(x)
+        mismatched = set(maps).symmetric_difference(space.ids)
+        if mismatched:
+            raise UnknownIdError(min(mismatched))
+        for x, m in sorted(maps.items()):
             if m.shape() != (target.dims[x], source.dims[x]):
                 raise ValueError(
                     f"map at {x!r} has shape {m.shape()}, expected "
                     f"({target.dims[x]}, {source.dims[x]})"
                 )
-        rows = {x: _sparse(maps[x]) for x in space.ids}
+        rows = {x: maps[x]._rows for x in space.ids}
         for x, y in space.comparable_pairs():
             if _mul(rows[y], source._rows(x, y)) != _mul(target._rows(x, y), rows[x]):
                 raise ValueError(f"naturality square fails at pair ({x!r}, {y!r})")

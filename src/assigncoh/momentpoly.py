@@ -37,14 +37,9 @@ from .errors import (
     NonzeroConstantTermError,
     ParseError,
 )
-from .ratlin import _exact, sparse_rref
+from .ratlin import _coef, sparse_rref
 
 ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
-
-
-def _coef(x):
-    """x as an exact coefficient: an int where integral, else a Fraction."""
-    return x if type(x) is int else _exact(Fraction(x))
 
 
 def _exp_text(k: Sequence[int], l: Sequence[int]) -> str:
@@ -341,8 +336,8 @@ class MomentReport:
 _Group = Tuple[Tuple[int, ...], List[ExpPair], List[Optional[list]]]
 
 
-def _solve(p: MomentPolynomial) -> Tuple[List[ExpPair], List[_Group]]:
-    """The keys sorted, and one elimination per monomial support.
+def _solve(p: MomentPolynomial) -> List[_Group]:
+    """One elimination per monomial support, keys sorted within each group.
 
     The coefficients express the term's covector over the weights of the
     monomial's variables, with smallest-index pivots and free variables
@@ -358,9 +353,8 @@ def _solve(p: MomentPolynomial) -> Tuple[List[ExpPair], List[_Group]]:
         raise NonzeroConstantTermError(
             "polynomial has a nonzero constant term; it must vanish at the origin"
         )
-    keys = sorted(p.terms)
     by_support: Dict[Tuple[int, ...], List[ExpPair]] = {}
-    for key in keys:
+    for key in sorted(p.terms):
         k, l = key
         by_support.setdefault(tuple([i for i in range(d) if k[i] or l[i]]), []).append(key)
     wrows, terms = p.weights.rows, p.terms
@@ -383,19 +377,18 @@ def _solve(p: MomentPolynomial) -> Tuple[List[ExpPair], List[_Group]]:
                 lam[piv] = row.get(c, 0)
             lams.append(lam)
         groups.append((support, group, lams))
-    return keys, groups
+    return groups
 
 
-def _solutions(p: MomentPolynomial) -> List[Tuple[ExpPair, Optional[list]]]:
-    """(key, coefficients) of each term, keys sorted; see `_solve`."""
-    keys, groups = _solve(p)
-    lam_of = {key: lam for _, group, lams in groups for key, lam in zip(group, lams)}
-    return [(key, lam_of[key]) for key in keys]
+def _failing(groups: List[_Group]) -> Tuple[ExpPair, ...]:
+    """The sorted keys of the terms `_solve` found no coefficients for."""
+    return tuple(sorted(key for _, group, lams in groups
+                        for key, lam in zip(group, lams) if lam is None))
 
 
 def check_moment_condition(p: MomentPolynomial) -> MomentReport:
     """Each coefficient must lie in the span of its monomial's weights."""
-    return MomentReport(tuple(key for key, lam in _solutions(p) if lam is None))
+    return MomentReport(_failing(_solve(p)))
 
 
 def decompose(p: MomentPolynomial) -> FormCoefficients:
@@ -408,9 +401,8 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
     one term with l = l' + e_i and k_i = 0: every cofactor coefficient is
     assigned once, never summed.
     """
-    _, groups = _solve(p)
-    failing = tuple(sorted(key for _, group, lams in groups
-                           for key, lam in zip(group, lams) if lam is None))
+    groups = _solve(p)
+    failing = _failing(groups)
     if failing:
         raise ConditionFailedError(failing)
     d = p.weights.count

@@ -11,11 +11,11 @@ cohomology degree with no classes, whose dimension comes from the forward
 pass on d_k with the image's pivot columns pinned to zero
 (`cochain._CohomologyData`).  `sparse_rref` divides the rows of
 `sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
-`solve` are thin wrappers that take and give the dense `RatMatrix` value
-type (`solve` through `_preimage`).  It is also the package's only
+`solve` are thin wrappers that run on a `RatMatrix`'s sparse rows
+(`solve` through `_preimage`).  It is also the package's only
 arithmetic on sparse rows (`Rows`): `_mul` (a `_combine` of b's rows per
 row of a), `_apply`, `_transpose`, `_sub_scaled` and `_identity_rows`,
-which `RatMatrix`'s `@`, `apply` and `transpose` wrap as well.  Given a
+which `RatMatrix`'s `@`, `+`, `apply` and `transpose` wrap as well.  Given a
 matrix's transpose, `_combine` is `_apply` by columns: it reads only the
 columns where the vector is nonzero.
 
@@ -38,7 +38,7 @@ reduced by a pivot p with entry f by cross-multiplication,
 pivot other than 1 is divided by its content again.  Pivots stay positive
 ints, and no Fraction is created inside the loop.  Each row is divided by
 its pivot once, at the public boundary: `sparse_rref` keeps entries ints
-where integral, and every `RatMatrix` result carries `Fraction` entries.
+where integral, and every dense value of a `RatMatrix` holds Fractions.
 Scaling a row keeps its support, so the pivot rows and the fill-in are
 those of division-based elimination, and the RREF is the same.  The
 forward pass updates unused rows only, exactly as a one-pass Gauss-Jordan
@@ -75,6 +75,26 @@ def _exact(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _coef(x):
+    """x (an int, a Fraction or a numeric string) as an int where integral, else a Fraction."""
+    return x if type(x) is int else _exact(_frac(x))
+
+
+def _normal(row: SparseRow, cols: int) -> SparseRow:
+    """A new row of row's nonzero entries as `_coef`s; IndexError off range(cols)."""
+    if row and not (min(row) >= 0 and max(row) < cols):
+        raise IndexError(f"a column of {sorted(row)} lies outside range({cols})")
+    return {j: y for j, x in row.items() if (y := _coef(x))}
+
+
+def _dense(row: SparseRow, n: int) -> List[Fraction]:
+    """The sparse row as a list of n Fractions."""
+    out = [_ZERO] * n
+    for j, x in row.items():
+        out[j] = _frac(x)
+    return out
 
 
 def _identity_rows(n: int) -> Rows:
@@ -145,39 +165,35 @@ def _sub_scaled(out: SparseRow, c, row: SparseRow) -> None:
 
 
 class RatMatrix:
-    """Immutable-by-convention dense matrix of Fractions."""
+    """Immutable-by-convention matrix kept as its sparse rows (`_rows`); `data`,
+    its dense rows of Fractions, is a read-only view built on first read."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_rows", "_data")
 
     def __init__(self, rows: int, cols: int, data: list):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("matrix data does not match declared shape")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.rows, self.cols, self._data = rows, cols, None
+        self._rows = [_normal(dict(enumerate(r)), cols) for r in data]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        data = [[_frac(x) for x in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
+        data = [list(row) for row in rows]
+        return cls(len(data), len(data[0]) if data else 0, data)
 
     @classmethod
     def from_sparse(cls, rows: Sequence[SparseRow], cols: int) -> "RatMatrix":
-        """Dense matrix of Fractions from rows given as column -> value maps."""
-        data = []
-        for row in rows:
-            dense = [_ZERO] * cols
-            for j, x in row.items():
-                dense[j] = _frac(x)
-            data.append(dense)
-        return cls(len(data), cols, data)
+        """The matrix with these rows, given as column -> value maps."""
+        m = cls(0, cols, [])  # refuses a negative cols
+        m._rows = [_normal(row, cols) for row in rows]
+        m.rows = len(m._rows)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, [[0] * cols] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -187,49 +203,47 @@ class RatMatrix:
     def diagonal(cls, values: Sequence) -> "RatMatrix":
         return cls.from_sparse([{i: x} for i, x in enumerate(values)], len(values))
 
+    @property
+    def data(self) -> list:
+        if self._data is None:
+            self._data = [_dense(row, self.cols) for row in self._rows]
+        return self._data
+
     def row(self, i: int) -> list:
-        return list(self.data[i])
+        return _dense(self._rows[i], self.cols)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.rows)
+        return RatMatrix.from_sparse(_transpose(self._rows, self.cols), self.rows)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return self.shape() == other.shape() and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch for product: {self.shape()} @ {other.shape()}"
             )
-        return RatMatrix.from_sparse(_mul(_sparse(self), _sparse(other)), other.cols)
+        return RatMatrix.from_sparse(_mul(self._rows, other._rows), other.cols)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape() != other.shape():
             raise ValueError("shape mismatch for sum")
-        data = [
-            [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return RatMatrix(self.rows, self.cols, data)
+        return RatMatrix.from_sparse(
+            [_combine(pair, {0: 1, 1: 1}) for pair in zip(self._rows, other._rows)], self.cols)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, returning a plain list of Fractions."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != column count {self.cols}")
-        out = _apply(_sparse(self), {j: v for j, v in enumerate(map(_frac, vec)) if v})
-        return [_frac(out.get(i, 0)) for i in range(self.rows)]
+        return _dense(_apply(self._rows, _normal(dict(enumerate(vec)), self.cols)), self.rows)
 
     def shape(self) -> tuple:
         return (self.rows, self.cols)
@@ -475,10 +489,6 @@ def sparse_kernel(red: Sequence[SparseRow], pivots: Sequence[int],
     return basis
 
 
-def _sparse(m: RatMatrix) -> List[SparseRow]:
-    return [{j: _exact(x) for j, x in enumerate(row) if x} for row in m.data]
-
-
 class RrefResult(NamedTuple):
     matrix: RatMatrix
     rank: int
@@ -487,21 +497,21 @@ class RrefResult(NamedTuple):
 
 def rref(m: RatMatrix) -> RrefResult:
     """Reduced row echelon form; zero rows come last."""
-    red, pivots = sparse_rref(_sparse(m), m.cols)
+    red, pivots = sparse_rref(m._rows, m.cols)
     zero_rows = [{}] * (m.rows - len(red))
     return RrefResult(RatMatrix.from_sparse(red + zero_rows, m.cols), len(pivots), pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return _rank(_sparse(m), m.cols)
+    return _rank(m._rows, m.cols)
 
 
 def kernel_basis(m: RatMatrix) -> list:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, pivots = sparse_echelon(_sparse(m), m.cols)
+    red, pivots = sparse_echelon(m._rows, m.cols)
     pivot_set = set(pivots)
     free = [f for f in range(m.cols) if f not in pivot_set]
-    return RatMatrix.from_sparse(_normalize(sparse_kernel(red, pivots, m.cols), free), m.cols).data
+    return [_dense(v, m.cols) for v in _normalize(sparse_kernel(red, pivots, m.cols), free)]
 
 
 def _preimage(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
@@ -529,6 +539,5 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
     b = [_frac(y) for y in b]
-    x = _apply(_transpose(_preimage(_sparse(a), a.cols), a.cols), dict(enumerate(b)))
-    x = [_frac(x.get(j, 0)) for j in range(a.cols)]
+    x = _dense(_apply(_transpose(_preimage(a._rows, a.cols), a.cols), dict(enumerate(b))), a.cols)
     return x if a.apply(x) == b else None

@@ -277,9 +277,28 @@ MUTANTS = (
     Mutant(
         "transpose-wrapper-swaps-the-shape",
         "ratlin.py",
-        "return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.rows)",
-        "return RatMatrix.from_sparse(_transpose(_sparse(self), self.cols), self.cols)",
+        "return RatMatrix.from_sparse(_transpose(self._rows, self.cols), self.rows)",
+        "return RatMatrix.from_sparse(_transpose(self._rows, self.cols), self.cols)",
         ("tests/test_ratlin.py::test_product_apply_and_transpose_match_dense_loops_seeded",),
+    ),
+    Mutant(
+        "from-sparse-keeps-zero-entries",
+        "ratlin.py",
+        "return {j: y for j, x in row.items() if (y := _coef(x))}",
+        "return {j: _coef(x) for j, x in row.items()}",
+        ("tests/test_ratlin.py::test_dense_and_row_built_matrices_are_one_value_seeded",
+         "tests/test_ratlin.py::test_matrix_algebra"),
+        note="a matrix given an explicit zero would differ, in == and hash, "
+             "from the same matrix without it",
+    ),
+    Mutant(
+        "data-view-columns-from-the-row-count",
+        "ratlin.py",
+        "self._data = [_dense(row, self.cols) for row in self._rows]",
+        "self._data = [_dense(row, self.rows) for row in self._rows]",
+        ("tests/test_ratlin.py::test_dense_and_row_built_matrices_are_one_value_seeded",
+         "tests/test_cochain.py::test_pullback_matches_dense_reference_seeded"),
+        note="the dense rows of a non-square matrix would have the wrong length",
     ),
     Mutant(
         "parse-error-position-of-the-next-token",

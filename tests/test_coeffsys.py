@@ -236,6 +236,21 @@ def test_morphism_naturality_enforced():
     assert "e12" in str(exc.value)
 
 
+def test_morphism_refuses_a_key_that_is_no_stratum():
+    # like from_cover_maps, the first stray key in sorted order is named
+    space, v = cp2()
+    blocks = {x: RatMatrix.identity(v.dims[x]) for x in space.ids}
+    for stray in (["zzz"], ["zzz", "aaa"]):
+        maps = dict(blocks, **{x: RatMatrix.identity(1) for x in stray})
+        with pytest.raises(UnknownIdError) as exc:
+            SystemMorphism(v, v, maps)
+        assert exc.value.stratum_id == min(stray)
+    missing = {x: m for x, m in blocks.items() if x != "e12"}
+    with pytest.raises(UnknownIdError, match="e12"):
+        SystemMorphism(v, v, missing)
+    assert SystemMorphism(v, v, blocks).maps == blocks
+
+
 def test_from_cover_maps_reproduces_moment_system():
     """moment_system composes cover maps; each pair must still be the direct
     expansion of the upper stabilizer basis over the lower one.  The product

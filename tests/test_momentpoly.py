@@ -20,7 +20,7 @@ from assigncoh import (
     recombine,
     verify_decomposition,
 )
-from assigncoh.momentpoly import _solutions
+from assigncoh.momentpoly import _solve
 from oracles import brute_rank, plus_terms, reference_solve
 
 W1 = WeightMatrix.from_rows([(1,)])
@@ -328,7 +328,8 @@ def test_criterion_matches_brute_rank_randomized():
             terms[key] = vec
         p = MomentPolynomial(w, terms)
         expected = []
-        solutions = dict(_solutions(p))
+        solutions = {key: lam for _, group, lams in _solve(p)
+                     for key, lam in zip(group, lams)}
         for key in sorted(p.terms):
             rows = [w.rows[i] for i in range(d) if key[0][i] or key[1][i]]
             if brute_rank(rows + [p.terms[key]]) != brute_rank(rows):

@@ -1,10 +1,15 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import assigncoh.ratlin
+from assigncoh import (
+    block_scaling_matrix, build_polytope, build_product, differential_matrix, homotopy_L,
+    preset_polytope,
+)
 from assigncoh.cochain import _Complex
 from assigncoh.ratlin import (
     RatMatrix,
@@ -187,6 +192,94 @@ def test_product_apply_and_transpose_match_dense_loops_seeded():
         rand(2, 3) @ rand(2, 3)
     with pytest.raises(ValueError, match="vector length"):
         rand(2, 3).apply([1, 2])
+
+
+def test_dense_and_row_built_matrices_are_one_value_seeded():
+    # a matrix built from dense rows (the constructor with ints and
+    # Fractions, from_rows with numeric strings) and the same matrix built
+    # from sparse rows (explicit zeros, Fraction(n, 1) entries) compare,
+    # hash, read and compute alike, 0 x n and n x 0 shapes among them; the
+    # eliminations match the dense references
+    rng = random.Random(89)
+    seen = {"empty": 0, "explicit zero": 0, "integral Fraction": 0}
+    for _ in range(300):
+        m, n, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
+        dense = [[Fraction(rng.choice((0, 0, 0, 1, -1, 2, 3)), rng.choice((1, 1, 2, 3)))
+                  for _ in range(n)] for _ in range(m)]
+        sparse = [{j: x if x.denominator != 1 or rng.random() < 0.5 else x.numerator
+                   for j, x in enumerate(row) if x or rng.random() < 0.3} for row in dense]
+        seen["empty"] += not (m and n)
+        seen["explicit zero"] += any(not x for row in sparse for x in row.values())
+        seen["integral Fraction"] += any(type(x) is Fraction and x.denominator == 1 and x
+                                         for row in sparse for x in row.values())
+        by_rows = RatMatrix.from_sparse(sparse, n)
+        built = [
+            RatMatrix(m, n, [[x.numerator if x.denominator == 1 else x for x in row]
+                             for row in dense]),
+            RatMatrix.from_rows([[str(x) for x in row] for row in dense])
+            if m else RatMatrix(0, n, []),
+        ]
+        other = RatMatrix.from_rows(
+            [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(m)]) if m else RatMatrix.zeros(0, n)
+        right = RatMatrix.from_sparse(
+            [{j: rng.randint(-2, 2) for j in range(k) if rng.random() < 0.5}
+             for _ in range(n)], k)
+        vec = [rng.choice((0, 1, -2, "1/2", Fraction(-3, 4))) for _ in range(n)]
+        text = "; ".join(" ".join(str(x) for x in row) for row in dense)
+        for a in built:
+            assert a == by_rows and hash(a) == hash(by_rows)
+            assert a.data == dense and by_rows.data == dense
+            assert all(type(x) is Fraction for row in a.data for x in row)
+            assert [a.row(i) for i in range(m)] == [by_rows.row(i) for i in range(m)] == dense
+            assert repr(a) == repr(by_rows) == (
+                f"RatMatrix[{text}]" if m * n <= 36 else f"RatMatrix({m}x{n})")
+            assert a.transpose() == by_rows.transpose() == dense_transpose(a)
+            assert a @ right == by_rows @ right == dense_matmul(a, right)
+            total = a + other
+            assert total == by_rows + other
+            assert total.data == [[x + y for x, y in zip(r, s)]
+                                  for r, s in zip(dense, other.data)]
+            assert a.apply(vec) == by_rows.apply(vec) == dense_apply(a, vec)
+            assert a.is_zero() == by_rows.is_zero() == (not any(map(any, dense)))
+        res = rref(by_rows)
+        assert (res.matrix.data, res.rank, res.pivot_cols) == reference_rref(dense, n)
+        assert rank(by_rows) == res.rank
+        assert kernel_basis(by_rows) == reference_kernel(dense, n)
+        for b in (by_rows.apply([Fraction(rng.randint(-2, 2)) for _ in range(n)]),
+                  [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)]):
+            x = solve(by_rows, b)
+            assert x == reference_solve(dense, n, b)
+            assert x is None or _all_fractions([x])
+    assert all(seen.values()), seen
+    for stray in (2, -1):
+        with pytest.raises(IndexError):
+            RatMatrix.from_sparse([{stray: 1}], 2)
+
+
+def test_chain_level_maps_build_no_dense_data_until_read():
+    # d_1 of square x square is 2744 x 1000: its dense rows alone would take
+    # 8 bytes a slot.  The differentials, the homotopy L and their products
+    # and sum stay sparse rows, and `data` is built on its first read
+    square = build_polytope(preset_polytope("square"))
+    _, v = build_product(square, square)
+    tracemalloc.start()
+    try:
+        d0, d1 = (differential_matrix(v, k, strict=False) for k in (0, 1))
+        lhs = d0 @ homotopy_L(v, 1) + homotopy_L(v, 2) @ d1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d1.shape() == (2744, 1000)
+    assert peak < 8 * d1.rows * d1.cols / 4
+    assert lhs == block_scaling_matrix(v, 1)
+    data = lhs.data
+    assert data is lhs.data and len(data) == lhs.rows
+    assert all(len(row) == lhs.cols and all(type(x) is Fraction for x in row) for row in data)
+    assert [{j: x for j, x in enumerate(row) if x} for row in data] == [
+        {j: x for j, x in enumerate(lhs.row(i)) if x} for i in range(lhs.rows)]
+    with pytest.raises(AttributeError):
+        lhs.data = data
 
 
 def _of_rank(rng, m, n, r):
