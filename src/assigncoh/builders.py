@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coeffsys import CoefficientSystem, _check_shapes, moment_system
+from .coeffsys import CoefficientSystem, _check_shapes, _is_moment_system, moment_system
 from .errors import MalformedPolytopeError, UnknownIdError
 from .errors import DescriptionError
 from .ratlin import RatMatrix, rank
@@ -52,44 +52,45 @@ def _kernel_subalgebra(n: int, rows: List[Sequence[int]]) -> Subalgebra:
     return Subalgebra(n, _int_kernel(rows, n))
 
 
-class _CellMerge:
-    """Union-find merge of labelled cells into strata.
+def _orbit_space(
+    n: int,
+    weights: Sequence[Sequence[int]],
+    cells: Mapping[str, Tuple[int, ...]],
+    steps: Sequence[Tuple[str, str]],
+) -> Tuple[StratSpace, CoefficientSystem]:
+    """Orbit-type space of cells and its moment system.
 
-    Cells come with a partial order and stabilizers; comparable cells with
-    equal stabilizers collapse into one stratum, whose id is the smallest
-    cell name in the group.
+    cells maps each cell name to the indices of its active weights, whose
+    common kernel is the cell's stabilizer (taken once per distinct active
+    set); steps are the (lower, upper) cell pairs where upper switches one
+    more weight on.  Step-related cells with equal stabilizers merge, one
+    stratum per connected group, under the group's smallest cell name: the
+    union-find root, since a union hangs the larger root under the smaller.
     """
+    kernels = {}
+    stab = {}
+    for c, active in cells.items():
+        kernel = kernels.get(active)
+        if kernel is None:
+            kernel = kernels[active] = _kernel_subalgebra(n, [weights[i] for i in active])
+        stab[c] = kernel
+    parent = {c: c for c in cells}
 
-    def __init__(self, cells: Mapping[str, Subalgebra]):
-        self.cells = dict(cells)
-        self.parent = {c: c for c in cells}
-        self.pairs: List[Tuple[str, str]] = []   # strictly comparable cell pairs
-
-    def find(self, c: str) -> str:
-        while self.parent[c] != c:
-            self.parent[c] = self.parent[self.parent[c]]
-            c = self.parent[c]
+    def find(c: str) -> str:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
         return c
 
-    def relate(self, lo: str, hi: str):
-        self.pairs.append((lo, hi))
-        if self.cells[lo] == self.cells[hi]:
-            a, b = self.find(lo), self.find(hi)
-            if a != b:
-                self.parent[max(a, b)] = min(a, b)
-
-    def build(self, torus_dim: int) -> StratSpace:
-        groups: Dict[str, List[str]] = {}
-        for c in self.cells:
-            groups.setdefault(self.find(c), []).append(c)
-        name = {root: min(members) for root, members in groups.items()}
-        strata = {name[root]: self.cells[root] for root in groups}
-        rel = set()
-        for lo, hi in self.pairs:
-            a, b = name[self.find(lo)], name[self.find(hi)]
-            if a != b:
-                rel.add((a, b))
-        return StratSpace.from_covers(torus_dim, strata, rel)
+    for lo, hi in steps:
+        if stab[lo] == stab[hi]:
+            a, b = find(lo), find(hi)
+            parent[max(a, b)] = min(a, b)
+    # a step joins two strata exactly where it changes the stabilizer
+    strata = {root: stab[root] for root in map(find, cells)}
+    covers = [(find(lo), find(hi)) for lo, hi in steps if stab[lo] != stab[hi]]
+    space = StratSpace.from_covers(n, strata, covers)
+    return space, moment_system(space)
 
 
 def build_linear_rep(weights: WeightMatrix) -> Tuple[StratSpace, CoefficientSystem]:
@@ -101,27 +102,15 @@ def build_linear_rep(weights: WeightMatrix) -> Tuple[StratSpace, CoefficientSyst
     """
     if not isinstance(weights, WeightMatrix):
         weights = WeightMatrix.from_rows(weights)
-    n, d = weights.torus_dim, weights.count
+    d = weights.count
 
     def cell_name(subset: Tuple[int, ...]) -> str:
         return "c" + "".join(f"_{i + 1}" for i in subset)
 
-    cells = {}
-    for r in range(d + 1):
-        for subset in itertools.combinations(range(d), r):
-            cells[cell_name(subset)] = _kernel_subalgebra(
-                n, [weights.rows[i] for i in subset]
-            )
-    merge = _CellMerge(cells)
-    for r in range(d):
-        for subset in itertools.combinations(range(d), r):
-            lo = cell_name(subset)
-            for j in range(d):
-                if j not in subset:
-                    hi = cell_name(tuple(sorted(subset + (j,))))
-                    merge.relate(lo, hi)
-    space = merge.build(n)
-    return space, moment_system(space)
+    cells = {cell_name(s): s for r in range(d + 1) for s in itertools.combinations(range(d), r)}
+    steps = [(name, cell_name(tuple(sorted(s + (j,)))))
+             for name, s in cells.items() for j in range(d) if j not in s]
+    return _orbit_space(weights.torus_dim, weights.rows, cells, steps)
 
 
 def build_sphere_product(
@@ -140,23 +129,10 @@ def build_sphere_product(
         if len(row) != n:
             raise ValueError(f"weight row {row} has length {len(row)}, expected {n}")
     d = len(lam)
-    cells = {}
-    kernels = {}   # open factors -> their common kernel: 2^d of them for 3^d cells
-    for labels in itertools.product("NOS", repeat=d):
-        opened = tuple(j for j in range(d) if labels[j] == "O")
-        kernel = kernels.get(opened)
-        if kernel is None:
-            kernel = kernels[opened] = _kernel_subalgebra(n, [lam[j] for j in opened])
-        cells["".join(labels)] = kernel
-    merge = _CellMerge(cells)
-    for labels in itertools.product("NOS", repeat=d):
-        lo = "".join(labels)
-        for j in range(d):
-            if labels[j] != "O":
-                hi = "".join(labels[:j] + ("O",) + labels[j + 1:])
-                merge.relate(lo, hi)
-    space = merge.build(n)
-    return space, moment_system(space)
+    cells = {c: tuple(j for j in range(d) if c[j] == "O")
+             for c in map("".join, itertools.product("NOS", repeat=d))}
+    steps = [(c, c[:j] + "O" + c[j + 1:]) for c in cells for j in range(d) if c[j] != "O"]
+    return _orbit_space(n, lam, cells, steps)
 
 
 @dataclass(frozen=True)
@@ -235,8 +211,6 @@ def build_polytope(data: PolytopeData) -> Tuple[StratSpace, CoefficientSystem]:
                 vs = frozenset(w for w, wf in vfacets.items() if wf.issuperset(sub))
                 common = frozenset.intersection(*(vfacets[w] for w in vs))
                 faces[vs] = common
-
-    vertex_by_facets = {fs: vid for vid, fs in vfacets.items()}
 
     def face_id(vs: frozenset, fs: frozenset) -> str:
         if len(vs) == 1:
@@ -324,13 +298,17 @@ def build_product(
 ) -> Tuple[StratSpace, CoefficientSystem]:
     """Product action: strata are pairs, stabilizers are direct sums.
 
-    Both inputs must carry their moment systems; the result carries the
-    moment system of the product, whose blocks restrict to the factors.
+    Both inputs must carry their moment systems (ValueError names the first
+    factor, left for s1 and right for s2, that does not); the result carries
+    the moment system of the product, whose blocks restrict to the factors.
     The block-diagonal rows of two Hermite bases are echelon with positive
     pivots and zeros above the second block's pivots, and a direct sum of
     saturated lattices is saturated, so they are already the canonical
     basis of the direct sum.
     """
+    for side, (space, system) in (("left", s1), ("right", s2)):
+        if not _is_moment_system(space, system):
+            raise ValueError(f"the {side} factor's system is not the moment system of its space")
     space1, space2 = s1[0], s2[0]
     n1, n2 = space1.torus_dim, space2.torus_dim
     strata = {}

@@ -255,6 +255,14 @@ def moment_system(space: StratSpace) -> CoefficientSystem:
     return v
 
 
+def _is_moment_system(space: StratSpace, v: CoefficientSystem) -> bool:
+    """Whether v is space's moment system: the stabilizer dimensions, no
+    explicit entry, and the rows of space.cover_coords on every cover."""
+    return (v.dims == {x: space.stabilizer(x).dim for x in space.ids}
+            and not v._explicit
+            and all(v._at.get(c) == rows for c, rows in space.cover_coords.items()))
+
+
 @dataclass(frozen=True)
 class FunctorReport:
     identity_violations: Tuple[str, ...]

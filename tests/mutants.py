@@ -360,11 +360,24 @@ MUTANTS = (
     Mutant(
         "sphere-kernel-keyed-by-open-count",
         "builders.py",
-        "kernel = kernels.get(opened)\n        if kernel is None:\n"
-        "            kernel = kernels[opened] =",
-        "kernel = kernels.get(len(opened))\n        if kernel is None:\n"
-        "            kernel = kernels[len(opened)] =",
-        ("tests/test_builders.py::test_sphere_product_stabilizers_match_per_cell_kernels_seeded",),
-        note="cells with as many open factors would share the first one's kernel",
+        "kernel = kernels.get(active)\n        if kernel is None:\n"
+        "            kernel = kernels[active] =",
+        "kernel = kernels.get(len(active))\n        if kernel is None:\n"
+        "            kernel = kernels[len(active)] =",
+        ("tests/test_builders.py::test_sphere_product_stabilizers_match_per_cell_kernels_seeded",
+         "tests/test_builders.py::test_linear_rep_strata_are_the_merged_groups_of_equal_kernels_seeded"),
+        note="cells with as many active weights (open factors, nonzero "
+             "coordinates) would share the first one's kernel",
+    ),
+    Mutant(
+        "merged-stratum-named-by-its-largest-cell",
+        "builders.py",
+        "parent[max(a, b)] = min(a, b)",
+        "parent[min(a, b)] = max(a, b)",
+        ("tests/test_builders.py::test_linear_rep_strata_are_the_merged_groups_of_equal_kernels_seeded",
+         "tests/test_builders.py::test_deep_cells_merge_under_the_first_member_name",
+         "tests/test_builders.py::test_opposite_weights_on_a_circle",
+         "tests/test_builders.py::test_trivial_weight_collapses_everything"),
+        note="a merged stratum would take the largest cell name of its group",
     ),
 )

@@ -1,8 +1,10 @@
 """Builders: linear representations, sphere products, polytopes, products,
 and the serializable space description."""
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +90,46 @@ def test_origin_is_always_the_unique_minimum():
         assert cohomology(v, 1).dim == 0
         assert cohomology(v, 2).dim == 0
         assert cohomology(v, 0).dim == len(rows[0])
+
+
+def test_linear_rep_strata_are_the_merged_groups_of_equal_kernels_seeded():
+    """With zero and repeated weights, cells S and S + {j} with equal kernels
+    merge: each stratum, named by its first cell c_S, has the kernel of the
+    weights in S, and the strata are the groups of step-related cells with
+    equal kernels, counted here by a flood over the subsets."""
+    rng = random.Random(37)
+    merged = 0
+    for _ in range(40):
+        n, d = rng.randint(1, 3), rng.randint(1, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+        if rng.random() < 0.5:
+            rows[rng.randrange(d)] = (0,) * n
+        if d > 1:
+            rows[rng.randrange(d)] = rows[rng.randrange(d)]
+        space, _ = build_linear_rep(rows)
+        subsets = [s for r in range(d + 1) for s in itertools.combinations(range(d), r)]
+        kernel = {s: _kernel_subalgebra(n, [rows[i] for i in s]) for s in subsets}
+        firsts, seen = [], set()
+        for s in subsets:
+            if s in seen:
+                continue
+            group, todo = [], [s]
+            seen.add(s)
+            while todo:
+                t = todo.pop()
+                group.append("c" + "".join(f"_{i + 1}" for i in t))
+                for u in (tuple(sorted(set(t) ^ {j})) for j in range(d)):
+                    if u not in seen and kernel[u] == kernel[t]:
+                        seen.add(u)
+                        todo.append(u)
+            firsts.append(min(group))
+        assert len(space.ids) == len(firsts), rows
+        assert list(space.ids) == sorted(firsts), rows
+        for x in space.ids:
+            cell = tuple(int(i) - 1 for i in x.split("_")[1:])
+            assert space.stabilizer(x) == kernel[cell], (rows, x)
+        merged += len(space.ids) < 2 ** d
+    assert merged >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +268,38 @@ def test_product_with_a_free_stratum():
     space, v = build_product(cp2(), free_stratum())
     assert len(space.ids) == 7
     assert assignment_space_dim(v) == 3
+
+
+def test_product_refuses_a_factor_that_is_not_its_moment_system():
+    """A factor system with other dims, an explicit entry or other cover rows
+    than its space's moment system raises ValueError naming the first such
+    factor; the moment system given as dims and cover projections builds the
+    same product as the space's own."""
+    space, v = cp2()
+    seg = build_polytope(preset_polytope("segment"))
+
+    def given(dims, projections):
+        desc = SpaceDescription.from_space(space)
+        desc.dims, desc.projections = dims, projections
+        return build_from_description(desc)
+
+    moment = [(x, y, [list(r) for r in v.proj(x, y).data]) for x, y in space.covers]
+    same = build_product(given(v.dims, moment), seg)[0]
+    assert (SpaceDescription.from_space(same).to_json_dict()
+            == SpaceDescription.from_space(build_product((space, v), seg)[0]).to_json_dict())
+    i = next(i for i, (_, _, m) in enumerate(moment) if m)   # a cover with rows
+    x, y, m = moment[i]
+    halved = moment[:i] + [(x, y, [[e * Fraction(1, 2) for e in r] for r in m])] + moment[i + 1:]
+    explicit = moment + [("p1", "open", [])]
+    constant = [(x, y, [[1]]) for x, y in space.covers]
+    for bad in (given(v.dims, halved), given(v.dims, explicit),
+                given(dict.fromkeys(space.ids, 1), constant)):
+        with pytest.raises(ValueError, match="^the left factor's system is not the moment"):
+            build_product(bad, seg)
+        with pytest.raises(ValueError, match="^the right factor's system is not the moment"):
+            build_product(seg, bad)
+        with pytest.raises(ValueError, match="^the left factor's"):
+            build_product(bad, bad)
 
 
 def test_product_id_collision():

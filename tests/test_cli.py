@@ -568,6 +568,29 @@ def test_build_product(capsys, tmp_path):
     assert out.splitlines()[0] == "dim A = 4"
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_build_product_refuses_a_factor_with_its_own_system(capsys, tmp_path, side):
+    """A factor file with dims and projections that are not its moment system
+    exits 2 with the factor named, and writes no --out file."""
+    seg = str(tmp_path / "seg.space")
+    run(capsys, ["build", "polytope", "--segment", "--out", seg])
+    halved = tmp_path / "halved.space"
+    halved.write_text(json.dumps({
+        "torus_dim": 1, "covers": [["a", "b"]], "dims": {"a": 1, "b": 1},
+        "strata": [{"id": "a", "stabilizer": [[1]]}, {"id": "b", "stabilizer": []}],
+        "projections": [{"pair": ["a", "b"], "matrix": [["1/2"]]}]}))
+    factors = {"left": seg, "right": seg, side: str(halved)}
+    out_file = tmp_path / "out.space"
+    code, out, err = run(capsys, ["--json", "build", "product", "--left", factors["left"],
+                                  "--right", factors["right"], "--out", str(out_file)])
+    message = f"the {side} factor's system is not the moment system of its space"
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message},
+                               "exit_code": cli.EXIT_VALIDATION}
+    assert err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
 def test_build_missing_parameters(capsys):
     code, _, err = run(capsys, ["build", "linear-rep"])
     assert code == cli.EXIT_INPUT

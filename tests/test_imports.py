@@ -1,5 +1,6 @@
 """Every module of the package uses every name it imports, and every helper,
-and passes its doctests; every private name is taken from its home.
+every function reads every local it assigns, and every module passes its
+doctests; every private name is taken from its home.
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.  A module-level function or class is a helper unless it is in
@@ -91,6 +92,47 @@ def test_modules_use_every_helper():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _unused_helpers(sources, set(assigncoh.__all__)) == []
+
+
+def _unused_locals(source: str):
+    """(line, name) of each single-name assignment `x = ...` inside a function
+    that no expression of that function (nested functions included) reads."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id not in read):
+                found.add((node.lineno, node.targets[0].id))
+    return sorted(found)
+
+
+def test_unused_local_detector():
+    source = (
+        "TOP = 1\n"
+        "def f(rows):\n"
+        "    dead = {r: 1 for r in rows}\n"
+        "    used = len(rows)\n"
+        "    a, b = used, 2\n"
+        "    rows[0] = a\n"
+        "    closed = 3\n"
+        "    def g():\n"
+        "        inner = closed\n"
+        "        return f'{b}'\n"
+        "    return g\n"
+    )
+    assert _unused_locals(source) == [(3, "dead"), (9, "inner")]
+    assert _unused_locals("x = 1\n") == []
+
+
+def test_functions_read_every_local():
+    found = {path.name: _unused_locals(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
