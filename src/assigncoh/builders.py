@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .coeffsys import CoefficientSystem, _check_shapes, _is_moment_system, moment_system
 from .errors import MalformedPolytopeError, UnknownIdError
 from .errors import DescriptionError
-from .ratlin import RatMatrix, rank
+from .ratlin import RatMatrix, _integer, rank
 from .stratposet import StratSpace, Subalgebra, _int_kernel
 
 
@@ -29,7 +29,7 @@ class WeightMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], torus_dim: Optional[int] = None):
-        rs = tuple(tuple(int(x) for x in r) for r in rows)
+        rs = tuple(tuple(map(_integer, r)) for r in rows)
         if not rs:
             raise ValueError("need at least one weight row")
         n = torus_dim if torus_dim is not None else len(rs[0])
@@ -122,7 +122,7 @@ def build_sphere_product(
     between them); the stabilizer of a product cell is the common kernel
     of the weights at its O positions.
     """
-    lam = [tuple(int(x) for x in row) for row in lambdas]
+    lam = [tuple(map(_integer, row)) for row in lambdas]
     if not lam:
         raise ValueError("need at least one sphere factor")
     for row in lam:
@@ -145,13 +145,13 @@ class PolytopeData:
 
     @classmethod
     def make(cls, dim, facets, vertices) -> "PolytopeData":
-        fs = tuple((str(fid), tuple(int(x) for x in nrm)) for fid, nrm in facets)
+        fs = tuple((str(fid), tuple(map(_integer, nrm))) for fid, nrm in facets)
         vs = tuple((str(vid), tuple(str(f) for f in fids)) for vid, fids in vertices)
         return cls(dim, fs, vs)
 
     @classmethod
     def from_json_dict(cls, obj) -> "PolytopeData":
-        """Polytope from a parsed JSON file, without make's int() and str():
+        """Polytope from a parsed JSON file, without make's conversions:
         KeyError, TypeError or ValueError unless `dim` and the normal entries
         are JSON integers, the ids JSON strings and the lists JSON arrays."""
         fs = [(_json_str(fid), tuple(map(_json_int, _json_list(nrm))))

@@ -485,8 +485,9 @@ def pair_ses(
     """
     nset = _check_subset(v.space, n)
     direction = _closure_direction(v.space, nset)
-    off_part = quotient_system(v, nset)   # supported off n
-    on_part = restriction_system(v, nset)  # supported on n
+    # n is checked once: these are quotient_system(v, n) and restriction_system(v, n)
+    off_part = _kept_on(v, frozenset(v.space.ids) - nset)   # supported off n
+    on_part = _kept_on(v, nset)                               # supported on n
     if direction in ("down", "both"):
         sub, quot = off_part, on_part
     else:

@@ -5,10 +5,11 @@ covector coefficients beta.  The membership criterion asks each beta to lie
 in the span of the weights of the variables actually present in its
 monomial; when it holds the polynomial splits as
 sum_j (z_j f_j + zbar_j g_j) alpha_j with scalar polynomial cofactors.
-Both questions are answered by one elimination per monomial support: the
-criterion fails exactly at the monomials whose covector has no solution
-over those weights, and the solutions of the others (smallest-index
-pivots, free variables zero) are the cofactor coefficients.
+Both questions are answered by one elimination per monomial support
+(`ratlin._solutions`, the package's one solve): the criterion fails
+exactly at the monomials whose covector has no solution over those
+weights, and the solutions of the others (smallest-index pivots, free
+variables zero, kept as sparse maps) are the cofactor coefficients.
 
 The path of `decompose` touches each token and each term a few times in
 straight-line code.  `parse_poly` splits the text with one `findall` pass
@@ -37,7 +38,7 @@ from .errors import (
     NonzeroConstantTermError,
     ParseError,
 )
-from .ratlin import _coef, sparse_rref
+from .ratlin import SparseRow, _coef, _solutions
 
 ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
 
@@ -332,8 +333,9 @@ class MomentReport:
 
 
 # (support, keys, solutions): the terms on one monomial support and, per
-# term, its coefficients over the weights of that support, or None
-_Group = Tuple[Tuple[int, ...], List[ExpPair], List[Optional[list]]]
+# term, its coefficients over the weights of that support (position in the
+# support -> nonzero coefficient), or None
+_Group = Tuple[Tuple[int, ...], List[ExpPair], List[Optional[SparseRow]]]
 
 
 def _solve(p: MomentPolynomial) -> List[_Group]:
@@ -342,11 +344,9 @@ def _solve(p: MomentPolynomial) -> List[_Group]:
     The coefficients express the term's covector over the weights of the
     monomial's variables, with smallest-index pivots and free variables
     zero; they are None when the covector lies outside the span of those
-    weights.  All terms on one support are solved together: the weight
-    columns come first and each term's covector is one more column, so a
-    term fails exactly when its column is nonzero on a row whose pivot is
-    not a weight column, and otherwise its solution is that column read
-    at the pivot rows.
+    weights.  All terms on one support are solved together by
+    `ratlin._solutions`: the weight columns come first and each term's
+    covector is one right-hand side column.
     """
     d, n = p.weights.count, p.weights.torus_dim
     if ((0,) * d, (0,) * d) in p.terms:
@@ -360,23 +360,11 @@ def _solve(p: MomentPolynomial) -> List[_Group]:
     wrows, terms = p.weights.rows, p.terms
     groups = []
     for support, group in by_support.items():
-        m = len(support)
         cols = [wrows[i] for i in support] + [terms[key] for key in group]
         rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(n)]
-        red, pivots = sparse_rref(rows, len(cols))
-        rank = sum(1 for c in pivots if c < m)
-        outside = set().union(*red[rank:])
-        head = list(zip(red[:rank], pivots))
-        lams = []
-        for c in range(m, len(cols)):
-            if c in outside:
-                lams.append(None)
-                continue
-            lam = [0] * m
-            for row, piv in head:
-                lam[piv] = row.get(c, 0)
-            lams.append(lam)
-        groups.append((support, group, lams))
+        lams, outside = _solutions(rows, len(support), len(group))
+        groups.append((support, group,
+                       [None if t in outside else lam for t, lam in enumerate(lams)]))
     return groups
 
 
@@ -412,9 +400,8 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
     g_terms = [g.terms for g in gs]
     for support, group, lams in groups:
         for (k, l), lam in zip(group, lams):
-            for i, c in zip(support, lam):
-                if not c:
-                    continue
+            for j, c in lam.items():
+                i = support[j]
                 if k[i] > 0:
                     smaller = list(k)
                     smaller[i] -= 1

@@ -11,8 +11,11 @@ cohomology degree with no classes, whose dimension comes from the forward
 pass on d_k with the image's pivot columns pinned to zero
 (`cochain._CohomologyData`).  `sparse_rref` divides the rows of
 `sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
-`solve` are thin wrappers that run on a `RatMatrix`'s sparse rows
-(`solve` through `_preimage`).  It is also the package's only
+`solve` are thin wrappers that run on a `RatMatrix`'s sparse rows.  Every
+solution is read off one `sparse_rref` of an augmented matrix
+[A | b_0 ... b_{r-1}] by `_solutions`: `solve` eliminates [A | b], the
+preimage map `_preimage` [A | I], and `momentpoly` a support's weights
+beside its terms' covectors.  It is also the package's only
 arithmetic on sparse rows (`Rows`): `_mul` (a `_combine` of b's rows per
 row of a), `_apply`, `_transpose`, `_sub_scaled` and `_identity_rows`,
 which `RatMatrix`'s `@`, `+`, `apply` and `transpose` wrap as well.  Given a
@@ -53,6 +56,7 @@ give the one-pass output entry for entry.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -80,6 +84,27 @@ def _exact(x):
 def _coef(x):
     """x (an int, a Fraction or a numeric string) as an int where integral, else a Fraction."""
     return x if type(x) is int else _exact(_frac(x))
+
+
+def _integer(x) -> int:
+    """int(x) for an integral x; ValueError naming x for any other value.
+
+    An int, an integral Fraction, float or Decimal, or an integer string
+    converts as int() converts it; int() would truncate 1.5 to 1.
+
+    >>> _integer(Fraction(4, 2)), _integer(2.0), _integer("2")
+    (2, 2, 2)
+    >>> _integer(Fraction(3, 2))
+    Traceback (most recent call last):
+    ...
+    ValueError: non-integral entry Fraction(3, 2)
+    """
+    if type(x) is int:
+        return x
+    n = int(x)
+    if n != x and not isinstance(x, (str, bytes)):
+        raise ValueError(f"non-integral entry {x!r}")
+    return n
 
 
 def _normal(row: SparseRow, cols: int) -> SparseRow:
@@ -514,30 +539,50 @@ def kernel_basis(m: RatMatrix) -> list:
     return [_dense(v, m.cols) for v in _normalize(sparse_kernel(red, pivots, m.cols), free)]
 
 
-def _preimage(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
-    """A preimage map of the matrix with these rows and ncols columns, as image rows.
+def _solutions(rows: Sequence[SparseRow], ncols: int,
+               nrhs: int) -> Tuple[List[SparseRow], set]:
+    """(solutions, outside) of A x = b_k for the rows of [A | b_0 ... b_{nrhs-1}].
 
-    Row k is the image of e_k, read off one `sparse_rref` of [rows | I].  For
-    b in the column space, sum_k b[k] * (row k) solves rows @ x = b with every
-    free variable zero, as `solve` does; for any other b it is no solution.
+    Column ncols + k of the rows holds b_k.  One `sparse_rref` of those
+    columns gives, for each k, the solution with every free variable zero:
+    its entry at the pivot column p of A is the row with pivot p read at
+    column ncols + k.  outside holds the k with b_k outside A's column
+    space, those with an entry on a row whose pivot is a right-hand side
+    column; their solutions mean nothing.
+
+    >>> _solutions([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6, 3: 1}], 2, 2)[1]
+    {1}
+    >>> _solutions([{0: 2, 1: 4, 2: 3}, {0: 1, 1: 2, 2: Fraction(3, 2)}], 2, 1)
+    ([{0: Fraction(3, 2)}], set())
     """
-    m = len(rows)
-    red, pivots = sparse_rref([{**row, ncols + k: 1} for k, row in enumerate(rows)],
-                              ncols + m)
-    out: List[SparseRow] = [{} for _ in range(m)]
-    for row, p in zip(red, pivots):
-        if p >= ncols:
-            break
+    red, pivots = sparse_rref(rows, ncols + nrhs)
+    rank = bisect_left(pivots, ncols)
+    out: List[SparseRow] = [{} for _ in range(nrhs)]
+    for row, p in zip(red[:rank], pivots):
         for j, x in row.items():
             if j >= ncols:
                 out[j - ncols][p] = x
-    return out
+    return out, {j - ncols for row in red[rank:] for j in row}
+
+
+def _preimage(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
+    """A preimage map of the matrix with these rows and ncols columns, as image rows.
+
+    Row k is the image of e_k: `_solutions` of [rows | I].  For b in the
+    column space, sum_k b[k] * (row k) solves rows @ x = b with every free
+    variable zero, as `solve` does; for any other b it is no solution.
+    """
+    return _solutions([{**row, ncols + k: 1} for k, row in enumerate(rows)],
+                      ncols, len(rows))[0]
 
 
 def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
-    """One exact solution of a x = b (free variables zero), or None."""
+    """One exact solution of a x = b (free variables zero), or None.
+
+    Read off one `_solutions` of the single augmented column [a | b].
+    """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    b = [_frac(y) for y in b]
-    x = _dense(_apply(_transpose(_preimage(a._rows, a.cols), a.cols), dict(enumerate(b))), a.cols)
-    return x if a.apply(x) == b else None
+    aug = [{**row, a.cols: y} if (y := _coef(x)) else row for row, x in zip(a._rows, b)]
+    xs, outside = _solutions(aug, a.cols, 1)
+    return None if outside else _dense(xs[0], a.cols)

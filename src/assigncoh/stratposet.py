@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleError, StabilizerMonotonicityError, UnknownIdError
-from .ratlin import RatMatrix, SparseRow
+from .ratlin import RatMatrix, SparseRow, _integer
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ class Subalgebra:
         """
         rows = []
         for v in vectors:
-            v = tuple(int(x) for x in v)
+            v = tuple(map(_integer, v))
             if len(v) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dimension {ambient_dim}"

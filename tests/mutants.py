@@ -301,6 +301,31 @@ MUTANTS = (
         note="the dense rows of a non-square matrix would have the wrong length",
     ),
     Mutant(
+        "solutions-rank-counts-the-first-rhs-pivot",
+        "ratlin.py",
+        "rank = bisect_left(pivots, ncols)",
+        "rank = sum(1 for c in pivots if c <= ncols)",
+        ("tests/test_ratlin.py::test_solutions_match_reference_solve_seeded",
+         "tests/test_ratlin.py::test_solve_inconsistent",
+         "tests/test_ratlin.py::test_preimage_and_solve_match_reference_solve_seeded",
+         "tests/test_momentpoly.py::test_criterion_matches_brute_rank_randomized"),
+        note="a b_0 outside the column space would read as solved, with an "
+             "entry in its own column",
+    ),
+    Mutant(
+        "solutions-outside-skips-the-first-rhs-pivot-row",
+        "ratlin.py",
+        "for row in red[rank:] for j in row}",
+        "for row in red[rank + 1:] for j in row}",
+        ("tests/test_ratlin.py::test_solutions_match_reference_solve_seeded",
+         "tests/test_ratlin.py::test_solve_inconsistent",
+         "tests/test_momentpoly.py::test_criterion_matches_brute_rank_randomized",
+         "tests/test_imports.py::test_module_doctest[ratlin]",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[light]"),
+        note="the right-hand sides seen only on the first row past the rank "
+             "would read as solved",
+    ),
+    Mutant(
         "parse-error-position-of-the-next-token",
         "momentpoly.py",
         "        if j == i:\n            at = m.start()\n",

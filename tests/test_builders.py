@@ -4,6 +4,7 @@ and the serializable space description."""
 import itertools
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -421,3 +422,29 @@ def test_description_projection_on_non_comparable_pair():
     desc.projections = [("pt", "open", [[1]]), ("open", "pt", [[1]])]
     with pytest.raises(ValueError, match=r"\('open', 'pt'\), which is not comparable"):
         build_from_description(desc)
+
+
+# each constructor given the entry x in the row [x, 1] (a spanning vector,
+# a weight, a factor's weight, a facet normal), and what it gives for x = 2
+_INTEGER_ENTRY = {
+    "Subalgebra.span": (lambda x: Subalgebra.span(2, [[x, 1]]).basis_rows, ((2, 1),)),
+    "WeightMatrix.from_rows": (lambda x: WeightMatrix.from_rows([[x, 1]]).rows, ((2, 1),)),
+    "build_sphere_product": (
+        lambda x: build_sphere_product(2, [[x, 1]])[0].stabilizers["O"].basis_rows,
+        ((1, -2),)),
+    "PolytopeData.make": (
+        lambda x: PolytopeData.make(2, [("a", [x, 1]), ("b", [0, 1])],
+                                    [("v", ["a", "b"])]).facets[0][1],
+        (2, 1)),
+}
+
+
+@pytest.mark.parametrize("make,expected", _INTEGER_ENTRY.values(), ids=_INTEGER_ENTRY.keys())
+def test_constructors_refuse_non_integral_entries(make, expected):
+    # int() would truncate each of these and build another space silently
+    for x in (1.5, Fraction(3, 2), Decimal("2.5")):
+        with pytest.raises(ValueError) as exc:
+            make(x)
+        assert repr(x) in str(exc.value)
+    for x in (2, 2.0, Fraction(4, 2), "2"):
+        assert make(x) == expected

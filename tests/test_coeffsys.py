@@ -209,6 +209,30 @@ def test_pair_ses_exact_both_closure_directions():
         assert rep.ok, (sorted(n), rep)
 
 
+def test_pair_ses_parts_are_the_quotient_and_restriction():
+    # pair_ses checks n once and builds both parts itself: they are the
+    # systems quotient_system and restriction_system give, and a bad n
+    # raises what those raise
+    space, v = cp2()
+
+    def same(a, b):
+        return a.dims == b.dims and all(a._rows(x, y) == b._rows(x, y) for x, y in v.pairs())
+
+    for n, down in ((CP2_FIXED, True), (frozenset({"e12", "e13", "e23", "open"}), False),
+                    (frozenset(), True), (frozenset(space.ids), True)):
+        f, g = pair_ses(v, iter(n))
+        off, on = quotient_system(v, n), restriction_system(v, n)
+        sub, quot = (off, on) if down else (on, off)
+        assert f.target is v and g.source is v
+        assert same(f.source, sub) and same(g.target, quot)
+    for n in ({"nope", "e12"}, {"e12"}):
+        with pytest.raises((NotUnionOfStrataError, NotOpenError)) as exc:
+            pair_ses(v, n)
+        with pytest.raises(type(exc.value)) as ref:
+            quotient_system(v, n)
+        assert str(exc.value) == str(ref.value)
+
+
 def test_ses_identity_then_zero_fails_surjectivity():
     _, v = cp2()
     f = SystemMorphism.identity(v)

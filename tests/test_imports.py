@@ -8,7 +8,9 @@ re-exports.  A module-level function or class is a helper unless it is in
 package.  Every module's doctests run, so a new one needs no wiring.  A
 private name (one leading underscore) that `src/` or `tests/` imports, or
 reads as a module attribute, must come from the module that defines it, so
-a helper that moves leaves no second way to it.
+a helper that moves leaves no second way to it.  Only `ratlin` and
+`cochain` take the elimination passes, so every other module solves
+through `ratlin`'s wrappers and a second solve cannot grow beside them.
 """
 
 import ast
@@ -133,6 +135,45 @@ def test_functions_read_every_local():
     found = {path.name: _unused_locals(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_PASSES = frozenset({"sparse_rref", "sparse_echelon", "_forward", "_back"})
+
+
+def _elimination_users(sources, allowed):
+    """(file, line, name) of each elimination pass (`_PASSES`) that a module
+    not in allowed imports, or reads as an attribute."""
+    found = []
+    for name, text in sources.items():
+        if name in allowed:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found.extend((name, node.lineno, n) for n in names if n in _PASSES)
+    return sorted(found)
+
+
+def test_elimination_user_detector():
+    sources = {
+        "ratlin.py": "def sparse_rref():\n    pass\n",
+        "a.py": "from .ratlin import _coef, sparse_rref as rr\n",
+        "b.py": "import assigncoh.ratlin as r\nr._forward(r.rank)\n",
+        "c.py": "from .ratlin import _back\n",
+    }
+    assert _elimination_users(sources, {"ratlin.py", "c.py"}) == [
+        ("a.py", 1, "sparse_rref"), ("b.py", 2, "_forward"),
+    ]
+
+
+def test_only_ratlin_and_cochain_run_the_elimination_passes():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _elimination_users(sources, {"ratlin.py", "cochain.py"}) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)

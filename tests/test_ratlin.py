@@ -18,6 +18,7 @@ from assigncoh.ratlin import (
     _forward,
     _preimage,
     _rank,
+    _solutions,
     _transpose,
     kernel_basis,
     rank,
@@ -322,6 +323,52 @@ def test_preimage_and_solve_match_reference_solve_seeded():
             assert any(k[:2] == (injective, surjective) for k in seen)
     assert any(k[2] and not k[3] for k in seen) and any(k[3] and not k[2] for k in seen)
     assert any(k[4] for k in seen) and any(not k[4] for k in seen)
+
+
+def test_solutions_match_reference_solve_seeded():
+    # one elimination for several right-hand sides at once, some in the
+    # column space and some not, over maps of every rank with 0-row and
+    # 0-column ones among them: each b inside gets reference_solve's
+    # solution as a sparse map, and outside holds exactly the others
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        r = rng.randint(0, min(m, n))
+        rows = _of_rank(rng, m, n, r)
+        a = RatMatrix(m, n, rows)
+        rhs = [a.apply([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)])
+               if rng.random() < 0.5 else
+               [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+               for _ in range(rng.randint(1, 4))]
+        aug = [{j: x for j, x in enumerate(row + [b[i] for b in rhs]) if x}
+               for i, row in enumerate(rows)]
+        xs, outside = _solutions(aug, n, len(rhs))
+        assert len(xs) == len(rhs) and outside <= set(range(len(rhs)))
+        for k, b in enumerate(rhs):
+            ref = reference_solve(rows, n, b)
+            assert (k in outside) == (ref is None)
+            if ref is not None:
+                assert set(xs[k]) <= set(range(n)) and all(xs[k].values())
+                assert [xs[k].get(j, 0) for j in range(n)] == ref
+        seen.add((r < min(m, n), m == 0, n == 0, 0 < len(outside) < len(rhs)))
+    assert any(k[0] and k[3] for k in seen)   # rank-deficient, b inside and outside
+    assert any(k[1] and not k[2] for k in seen) and any(k[2] and not k[1] for k in seen)
+
+
+def test_preimage_rows_solve_every_image_seeded():
+    # A (sum_k b[k] * row k) = b for every b in the column space: the
+    # columns of A, which span it, and random images
+    rng = random.Random(37)
+    for _ in range(200):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [{j: x for j, x in enumerate(row) if x}
+                for row in _of_rank(rng, m, n, rng.randint(0, min(m, n)))]
+        pre = _preimage(rows, n)
+        images = _transpose(rows, n) + [
+            _apply(rows, {j: rng.randint(-3, 3) for j in range(n)}) for _ in range(3)]
+        for b in images:
+            assert _apply(rows, _combine(pre, b)) == b
 
 
 def _sparse_pm1(rng, nrows, ncols):
