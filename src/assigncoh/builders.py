@@ -147,7 +147,7 @@ class PolytopeData:
     def make(cls, dim, facets, vertices) -> "PolytopeData":
         fs = tuple((str(fid), tuple(map(_integer, nrm))) for fid, nrm in facets)
         vs = tuple((str(vid), tuple(str(f) for f in fids)) for vid, fids in vertices)
-        return cls(dim, fs, vs)
+        return cls(_integer(dim), fs, vs)
 
     @classmethod
     def from_json_dict(cls, obj) -> "PolytopeData":

@@ -173,11 +173,14 @@ def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
     return coeffsys._check_subset(space, (s for s in text.split(",") if s))
 
 
-def _cohomology_block(system, degree: int, strict: bool, relative) -> dict:
-    if relative is None:
-        res = cochain.cohomology(system, degree, strict=strict)
-    else:
+def _cohomology_block(system, degree: int, strict: bool, relative, both: bool) -> dict:
+    if relative is not None:
         res = cochain.relative_cohomology(system, relative, degree, strict=strict)
+    elif both:
+        # the cross-check builds both order complexes, whatever the degree
+        res = cochain._Complex(system, strict).result(degree)
+    else:
+        res = cochain.cohomology(system, degree, strict=strict)
     return {
         "dim": res.dim,
         "representatives": [_cochain_blocks(r) for r in res.representatives],
@@ -198,7 +201,8 @@ def cmd_cohomology(args) -> Tuple[dict, Iterable[str]]:
     }
     for strict in which:
         name = "reduced" if strict else "full"
-        report["results"][name] = _cohomology_block(system, args.degree, strict, relative)
+        report["results"][name] = _cohomology_block(system, args.degree, strict, relative,
+                                                    len(which) == 2)
     if len(which) == 2:
         results = report["results"]
         report["agreement"] = results["full"]["dim"] == results["reduced"]["dim"]

@@ -15,10 +15,24 @@ degree by degree.  In degree 0 the strict, unfiltered complex takes its
 cocycles (the assignments) from the rows of d_0 at the system's cut pairs
 (`CoefficientSystem._cut`: the covers and explicit entries, from which
 every other pair is composed): they have the kernel of d_0, hence the
-same reduced echelon form and the same canonical representatives.  The
-differential d_0 itself stays whole, for degree 1 and the connecting
+same reduced echelon form and the same canonical representatives.  A
+system whose clean functor report is known without a walk (a moment
+system) needs only the forest cut, one lower cover per component of each
+stratum (`_forest`): the covers below a stratum z carry the values of the
+minimal strata, and two covers that share a minimal stratum agree at z.
+The differential d_0 itself stays whole, for degree 1 and the connecting
 maps.  Relative complexes (cochains vanishing on tuples inside a chosen
 stratum subset) reuse the same assembly with a tuple filter.
+
+The same pass over the poset builds R, a minimal projective resolution of
+the constant functor to degree 2, whose cells sit at strata.  HA^k is
+Ext^k(Q, V), which any projective resolution computes, and Hom(R, V) has
+one block per cell, not per chain.  `cohomology` in degree 1 of a
+functor reads dim H^1 off it (`_resolution_dims`) and builds the order
+complex only where dim H^1 > 0, for the canonical representatives.
+Every other degree, relative complexes, systems off the functor laws and
+the command line's `--complex both` cross-check stay on the order
+complex.
 
 One routine, `_assemble`, assembles every chain-level operator: the
 differential, the block scaling, the homotopies L and Q and the pullback
@@ -423,9 +437,11 @@ class _Complex:
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
             elif self.strict and self.support is None:
-                # the rows of d_0 at the system's cut pairs have its kernel
-                d_in_t, d_out = [], _differential(
-                    self.v, src, ChainBasis(self.v, 1, True, self.v._cut))
+                # rows of d_0 with its kernel: the forest cut of a functor
+                # known without a walk, else the system's cut pairs
+                known = vars(self.v).get("_report")
+                cut = _forest(self.v.space)[0] if known and known.ok else self.v._cut
+                d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, cut))
             else:
                 d_in_t, d_out = [], self.d(0)
             self._data[k] = _CohomologyData(d_in_t, d_out, src.total_dim)
@@ -445,11 +461,123 @@ class _Complex:
         return CohomologyResult(k, data.dim, reps, diag)
 
 
+def _forest(space: StratSpace, faces: bool = False):
+    """One pass over the strata by (len(below), id): (cut, cells, bounds).
+
+    R is the minimal resolution of the constant functor to degree 2; a cell
+    is a tuple ending in its stratum.  Each minimal stratum m has a 0-cell
+    (m,).  At any other z, the lower covers fall into components, two
+    covers joined when a minimal stratum lies below both (bitmasks of the
+    minimal strata below each stratum).  cut lists one cover y of each
+    component as the pair (y, z), sorted: a functor's assignments need no
+    other (`_Complex.data`).  Each component beyond the first adds the
+    1-cell (a, b, z) with boundary a - b, a and b the first minimal strata
+    below the first component and below this one.  With faces, the 1-cells
+    below z that close a cycle of a spanning forest (a union-find) are the
+    columns of the 2-cell boundaries below z; after one forward pass, each
+    such 1-cell c off the pivots adds the 2-cell (c, z), whose boundary
+    (bounds) is c's fundamental cycle.
+    """
+    mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
+    at: Dict[str, list] = {}          # stratum -> its 1-cells and 2-cells
+    cut: List[Tuple[str, str]] = []
+    cells: Tuple[list, list, list] = ([], [], [])
+    bounds: Dict[tuple, Dict[tuple, int]] = {}
+    for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
+        if not space.below(z):
+            mask[z] = 1 << len(cells[0])
+            cells[0].append((z,))
+            continue
+        parts: Dict[int, str] = {}    # a component's minimal strata -> one of its covers
+        for y in space.lower_covers(z):
+            m, first = mask[y], y
+            for p in [p for p in parts if p & m]:
+                m |= p
+                first = parts.pop(p)
+            parts[m] = first
+        cut += [(y, z) for y in parts.values()]
+        # each part's first minimal stratum: its lowest bit
+        a, *rest = (cells[0][(p & -p).bit_length() - 1][0] for p in parts)
+        mine = at[z] = [(a, b, z) for b in rest]
+        cells[1].extend(mine)
+        mask[z] = sum(parts)          # the parts are disjoint
+        if not faces:
+            continue
+        parent: Dict[str, str] = {}
+        tree: Dict[str, list] = {}    # vertex -> (neighbour, 1-cell, sign of the step)
+        closing, filled = [], []      # 1-cells closing a cycle, 2-cells below z
+        for c in (c for x in space.below(z) for c in at.get(x, ())):
+            if len(c) == 2:
+                filled.append(c)
+                continue
+            ra, rb = c[0], c[1]
+            while ra in parent:
+                ra = parent[ra]
+            while rb in parent:
+                rb = parent[rb]
+            if ra == rb:
+                closing.append(c)
+                continue
+            parent[ra] = rb
+            tree.setdefault(c[1], []).append((c[0], c, 1))
+            tree.setdefault(c[0], []).append((c[1], c, -1))
+        col = {c: j for j, c in enumerate(closing)}
+        rows = [{col[c]: x for c, x in bounds[f].items() if c in col} for f in filled]
+        pins = set(_forward(rows, len(closing))[1])
+        for c in closing:
+            if col[c] in pins:
+                continue
+            # the tree path from c[0] to c[1] closes c into a cycle
+            prev, queue = {c[0]: None}, [c[0]]
+            for u in queue:
+                for w, e, s in tree.get(u, ()):
+                    if w not in prev:
+                        prev[w] = (u, e, s)
+                        queue.append(w)
+            cycle, w = {c: 1}, c[1]
+            while prev[w]:
+                w, e, s = prev[w]
+                cycle[e] = s
+            bounds[(c, z)] = cycle
+            mine.append((c, z))
+            cells[2].append((c, z))
+    return sorted(cut), cells, bounds
+
+
+def _resolution_dims(v: CoefficientSystem) -> Tuple[int, int]:
+    """dim H^0 and dim H^1 of a functor from Hom(R, V) (`_forest`).
+
+    C^j is the sum of V(z) over the degree-j cells at z (a `ChainBasis` of
+    the cells, which end in their strata as chains do), and the block of
+    delta at a cell at y with boundary sum a_c c, c at x, is
+    sum a_c proj(x, y); R is exact to degree 1, so dim H^1 is
+    dim C^1 - rank delta_1 - rank delta_0.
+    """
+    _, cells, bounds = _forest(v.space, faces=True)
+    b0, b1, b2 = (ChainBasis(v, j, True, cs) for j, cs in enumerate(cells))
+    rows = v._rows
+    r0 = _rank(_assemble(b1, b0, lambda c: [((c[0],), 1, rows(c[0], c[-1])),
+                                            ((c[1],), -1, rows(c[1], c[-1]))]), b0.total_dim)
+    r1 = _rank(_assemble(b2, b1, lambda f: [(c, a, rows(c[-1], f[-1]))
+                                            for c, a in bounds[f].items()]), b1.total_dim)
+    return b0.total_dim - r0, b1.total_dim - r1 - r0
+
+
 def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
     """Cohomology at degree k with canonical echelon representatives.
 
+    Degree 1 of a functor (`check_functor(v).ok`) takes its dimension from
+    the resolution (`_resolution_dims`) and its diagnostics from chain
+    counts; only where dim H^1 > 0 is the order complex built, for the
+    representatives.  Every other degree and system uses the order complex.
     Raises ValueError for k < 0 and in a degree where d_k d_{k-1} != 0.
     """
+    if k == 1 and v._report.ok:
+        h0, h1 = _resolution_dims(v)
+        if not h1:
+            rank = chain_space_dim(v, 0, strict) - h0
+            return CohomologyResult(1, 0, [], {"dim_chain": chain_space_dim(v, 1, strict),
+                                               "dim_cocycles": rank, "rank_coboundaries": rank})
     return _Complex(v, strict).result(k)
 
 

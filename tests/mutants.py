@@ -32,10 +32,11 @@ MUTANTS = (
         "cochain.py",
         "pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain)",
         "pinned = _forward(d_out, dim_chain)",
-        ("tests/test_acceptance.py::test_acceptance_1_cp2_dimensions",
+        ("tests/test_acceptance.py::test_acceptance_4_toric_vanishing",
          "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
-         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
-        note="dim H^k would read dim ker d_k",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="dim H^k would read dim ker d_k; degree 1 of a functor, as in every "
+             "degree-1 op of elim, is read off the resolution and never sees it",
     ),
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",
@@ -241,11 +242,11 @@ MUTANTS = (
         "                    coords[i] = q + (i == 1)\n",
         ("tests/test_cochain.py::test_simple_polytopes_have_one_class_per_facet_and_none_above_seeded",
          "tests/test_coeffsys.py::test_moment_systems_arrive_certified_and_pass_the_law_walk_seeded",
-         "tests/test_acceptance.py::test_acceptance_4_toric_vanishing",
-         "tests/test_cochain.py::test_product_cohomology_matches_the_kunneth_formula",
+         "tests/test_cochain.py::test_forest_cut_has_the_kernel_of_the_system_cut_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]",
          "tests/test_stratposet.py::test_coordinates_of_matches_reference_solve_randomized"),
         note="the second coordinate of every cover map with one is off by one, so "
-             "the moment system breaks its laws behind its certificate; 38 tests of "
+             "the moment system breaks its laws behind its certificate; 41 tests of "
              "the whole suite fail, the polytope oracle and the law walk on moment "
              "systems among them",
     ),
@@ -404,5 +405,41 @@ MUTANTS = (
          "tests/test_builders.py::test_opposite_weights_on_a_circle",
          "tests/test_builders.py::test_trivial_weight_collapses_everything"),
         note="a merged stratum would take the largest cell name of its group",
+    ),
+    Mutant(
+        "resolution-2-cell-boundary-coefficient-negated",
+        "cochain.py",
+        "cycle, w = {c: 1}, c[1]",
+        "cycle, w = {c: -1}, c[1]",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded",),
+        note="a 2-cell's boundary would be no cycle, and rank delta_1 and dim H^1 change",
+    ),
+    Mutant(
+        "forest-cut-keeps-only-the-first-cover",
+        "cochain.py",
+        "cut += [(y, z) for y in parts.values()]",
+        "cut.append((space.lower_covers(z)[0], z))",
+        ("tests/test_cochain.py::test_forest_cut_has_the_kernel_of_the_system_cut_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
+        note="with components ignored, a moment system's degree 0 would gain "
+             "vectors that break the dropped covers",
+    ),
+    Mutant(
+        "new-1-cell-joins-a-component-to-itself",
+        "cochain.py",
+        "mine = at[z] = [(a, b, z) for b in rest]",
+        "mine = at[z] = [(b, b, z) for b in rest]",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded",
+         "tests/test_cochain.py::test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution"),
+        note="the 1-cell m - m has a zero delta_0 row, so R's H^0 and H^1 both grow",
+    ),
+    Mutant(
+        "complex-both-answered-through-the-resolution",
+        "cli.py",
+        "    elif both:\n",
+        "    elif False:\n",
+        ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",),
+        note="the cross-check would read degree 1 off the resolution instead of "
+             "building both order complexes",
     ),
 )

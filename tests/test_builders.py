@@ -436,13 +436,18 @@ _INTEGER_ENTRY = {
         lambda x: PolytopeData.make(2, [("a", [x, 1]), ("b", [0, 1])],
                                     [("v", ["a", "b"])]).facets[0][1],
         (2, 1)),
+    # the dimension too: 2 builds the square
+    "PolytopeData.make-dim": (
+        lambda x: build_polytope(PolytopeData.make(
+            x, preset_polytope("square").facets, preset_polytope("square").vertices))[0].ids,
+        build_polytope(preset_polytope("square"))[0].ids),
 }
 
 
 @pytest.mark.parametrize("make,expected", _INTEGER_ENTRY.values(), ids=_INTEGER_ENTRY.keys())
 def test_constructors_refuse_non_integral_entries(make, expected):
     # int() would truncate each of these and build another space silently
-    for x in (1.5, Fraction(3, 2), Decimal("2.5")):
+    for x in (1.5, Fraction(3, 2), Fraction(5, 2), Decimal("2.5")):
         with pytest.raises(ValueError) as exc:
             make(x)
         assert repr(x) in str(exc.value)

@@ -19,6 +19,7 @@ from assigncoh import (
     SpaceDescription,
     assignment_basis,
     build_from_description,
+    build_sphere_product,
     check_functor,
     cli,
     is_assignment,
@@ -377,6 +378,37 @@ def test_cohomology_both_complexes_agree(capsys, cp2_file):
     assert "reduced: dim HA^1 = 0" in out
     assert "full: dim HA^1 = 0" in out
     assert "full/reduced agreement: yes" in out
+
+
+@pytest.mark.parametrize("degree", ["0", "1", "2"])
+def test_cohomology_both_builds_both_order_complexes(capsys, tmp_path, monkeypatch, degree):
+    """`--complex both` is the cross-check: it never asks the resolution,
+    and each of its blocks has the bytes of that complex asked for alone
+    (cp2 has no class in degree 1, the sphere product s6 has one)."""
+    files = []
+    for name, (space, _) in (("cp2", cp2()),
+                             ("s6", build_sphere_product(2, [(1, 0), (0, 1), (1, -1)]))):
+        path = tmp_path / f"{name}.space"
+        path.write_text(json.dumps(SpaceDescription.from_space(space).to_json_dict()))
+        files.append(str(path))
+    for path in files:
+        alone = {}
+        for name in ("reduced", "full"):
+            code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
+                                        "--complex", name])
+            assert code == 0
+            alone[name] = json.loads(out)["results"][name]
+
+        def refuse(v):
+            raise AssertionError("--complex both asked the resolution")
+
+        monkeypatch.setattr(assigncoh.cochain, "_resolution_dims", refuse)
+        code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
+                                    "--complex", "both"])
+        monkeypatch.undo()
+        assert code == 0
+        both = json.loads(out)
+        assert both["results"] == alone and both["agreement"]
 
 
 def test_cohomology_relative(capsys, cp2_file):

@@ -51,6 +51,7 @@ from assigncoh import (
 )
 import assigncoh.cochain
 from assigncoh.cochain import (
+    ChainBasis,
     Cochain,
     _Complex,
     _carry,
@@ -1239,6 +1240,14 @@ def _constant(space):
         space, dict.fromkeys(space.ids, 1), {c: RatMatrix.identity(1) for c in space.covers})
 
 
+def _kunneth_factors():
+    factors = [build_polytope(preset_polytope(name))
+               for name in ("segment", "triangle", "square")]
+    factors += [build_sphere_product(1, [[1]]), build_linear_rep([(1, 0), (0, 1), (1, 1)]),
+                _crown()]
+    return factors
+
+
 def test_product_cohomology_matches_the_kunneth_formula():
     """The moment system of P x Q is pi_1^* V_1 + pi_2^* V_2, so in degree k
     dim H^k(P x Q) = sum_{i+j=k} h^i(P; V_1) h^j(Q; Q) + h^i(P; Q) h^j(Q; V_2).
@@ -1246,10 +1255,7 @@ def test_product_cohomology_matches_the_kunneth_formula():
     The crown's order complex is a circle (H^1(crown; Q) = 1), so products
     with it have classes above degree 0.
     """
-    factors = [build_polytope(preset_polytope(name))
-               for name in ("segment", "triangle", "square")]
-    factors += [build_sphere_product(1, [[1]]), build_linear_rep([(1, 0), (0, 1), (1, 1)]),
-                _crown()]
+    factors = _kunneth_factors()
     degrees = range(4)
 
     def dims(v):
@@ -1269,3 +1275,114 @@ def test_product_cohomology_matches_the_kunneth_formula():
             assert got == expected, (p, q)
             above_zero += any(got[1:])
     assert above_zero == 11
+
+
+# ---------------------------------------------------------------------------
+# the forest pass: the forest cut of degree 0 and the resolution's degree 1
+
+def _gauged_constant(space, rng):
+    """The constant system Q in a random gauge g: proj(x, y) = g(y)/g(x),
+    a functor isomorphic to Q whose maps are not all 1."""
+    g = {x: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for x in space.ids}
+    return CoefficientSystem.from_cover_maps(
+        space, dict.fromkeys(space.ids, 1),
+        {(x, y): RatMatrix.from_rows([[g[y] / g[x]]]) for x, y in space.covers})
+
+
+def _forest_cases(rng):
+    """The moment system and a gauged constant system of the Kunneth test's
+    factors and of all their products."""
+    factors = _kunneth_factors()
+    for space, v in factors + [build_product(a, b) for a in factors for b in factors]:
+        yield v
+        yield _gauged_constant(space, rng)
+
+
+def test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded():
+    """R (`_forest`) gives dim H^0 and dim H^1 of the order complex, and
+    `cohomology` in degree 1 gives the order complex's result on both
+    complexes: dimension, the three diagnostics and the representatives."""
+    seen = Counter()
+    for v in _forest_cases(random.Random(53)):
+        h0, h1 = assigncoh.cochain._resolution_dims(v)
+        for strict in (True, False):
+            cx = _Complex(v, strict)
+            want, got = cx.result(1), cohomology(v, 1, strict)
+            assert (h0, h1) == (cx.data(0).dim, want.dim)
+            assert (got.dim, got.diagnostics) == (want.dim, want.diagnostics)
+            assert [r._row for r in got.representatives] == [r._row for r in want.representatives]
+            seen[h1 > 0] += 1
+    assert seen[True] >= 40 and seen[False] >= 100
+
+
+def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
+    """Degree 0 of a functor whose report is known eliminates one cover per
+    component (the forest cut): the same canonical rows and pivots as the
+    rows at the system's cut pairs, from fewer rows."""
+    fewer = 0
+    for v in _forest_cases(random.Random(59)):
+        assert check_functor(v).ok
+        n = chain_space_dim(v, 0)
+        basis = chain_basis(v, 0)
+        ref = assigncoh.cochain._CohomologyData(
+            [], _differential(v, basis, ChainBasis(v, 1, True, v._cut)), n)
+        cut = assigncoh.cochain._forest(v.space)[0]
+        got = _Complex(v, True).data(0)
+        assert (got.dim, got._rep_rows, got.rep_pivots) == (ref.dim, ref._rep_rows, ref.rep_pivots)
+        assert set(cut) <= set(v.space.covers)
+        fewer += len(cut) < len(v._cut)
+    assert fewer >= 40
+
+
+def test_systems_off_the_laws_keep_the_order_complex(monkeypatch):
+    """A system whose laws fail, or whose report is not yet known, never
+    reaches the forest pass in degree 0; degree 1 walks the report and then
+    refuses, or answers, on the order complex as before.  A zero identity
+    map with no failing square is a weak complex with fewer assignments."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forest pass ran")
+
+    chain = build_from_description(SpaceDescription.from_json_dict({
+        "torus_dim": 2, "covers": [["m", "a"], ["a", "b"]],
+        "strata": [{"id": "m", "stabilizer": [[1, 0], [0, 1]]},
+                   {"id": "a", "stabilizer": [[1, 0]]}, {"id": "b", "stabilizer": []}],
+        "dims": {"m": 1, "a": 1, "b": 1},
+        "projections": [{"pair": ["m", "a"], "matrix": [["1"]]},
+                        {"pair": ["a", "b"], "matrix": [["1"]]},
+                        {"pair": ["m", "b"], "matrix": [["2"]]}]}))[1]
+    point = build_from_description(SpaceDescription.from_json_dict({
+        "torus_dim": 1, "covers": [], "strata": [{"id": "a", "stabilizer": [[1]]}],
+        "dims": {"a": 1}, "projections": [{"pair": ["a", "a"], "matrix": [["0"]]}]}))[1]
+    monkeypatch.setattr(assigncoh.cochain, "_forest", refuse)
+    assert cohomology(chain, 0).dim == 0
+    assert check_functor(chain).composition_violations == (("m", "a", "b"),)
+    assert cohomology(chain, 0).dim == 0
+    for strict in (True, False):
+        with pytest.raises(ValueError, match="degree 1 has no cohomology"):
+            cohomology(chain, 1, strict)
+    assert [cohomology(point, 0, strict).dim for strict in (True, False)] == [1, 0]
+    full = cohomology(point, 1, strict=False)
+    assert (full.dim, full.diagnostics) == (
+        0, {"dim_chain": 1, "dim_cocycles": 1, "rank_coboundaries": 1})
+
+
+def test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution(monkeypatch):
+    """HA^0 = 12 facets and HA^1 = 0 on cube x cube (729 strata), with no
+    order-complex chain above degree 0: degree 1 is answered by R alone."""
+    degrees = []
+    enumerate_chains = assigncoh.cochain.chains
+
+    def counted(space, k, strict):
+        degrees.append(k)
+        return enumerate_chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", counted)
+    _, v = build_product(_poly("cube"), _poly("cube"))
+    assert cohomology(v, 0).dim == 12
+    for strict in (True, False):
+        res = cohomology(v, 1, strict)
+        assert (res.dim, res.representatives) == (0, [])
+        assert res.diagnostics["dim_chain"] == chain_space_dim(v, 1, strict)
+        assert res.diagnostics["rank_coboundaries"] == chain_space_dim(v, 0) - 12
+    assert degrees == [0]
