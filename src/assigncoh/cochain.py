@@ -25,14 +25,20 @@ maps.  Relative complexes (cochains vanishing on tuples inside a chosen
 stratum subset) reuse the same assembly with a tuple filter.
 
 The same pass over the poset builds R, a minimal projective resolution of
-the constant functor to degree 2, whose cells sit at strata.  HA^k is
-Ext^k(Q, V), which any projective resolution computes, and Hom(R, V) has
-one block per cell, not per chain.  `cohomology` in degree 1 of a
-functor reads dim H^1 off it (`_resolution_dims`) and builds the order
-complex only where dim H^1 > 0, for the canonical representatives.
-Every other degree, relative complexes, systems off the functor laws and
-the command line's `--complex both` cross-check stay on the order
-complex.
+the constant functor, to the degree its caller reads; its cells end in
+their strata as chains do.  HA^k is Ext^k(Q, V), which any projective
+resolution computes, and Hom(R, V) has one block per cell, not per chain:
+`_Complex` given R's cells is that complex, with the same bases,
+assembly, sharing and block maps as on chains.  `cohomology` in a degree
+k >= 1 of a functor reads dim H^k off it (`_resolution_dims`) and builds
+the order complex only where dim H^k > 0, for the canonical
+representatives.  Hom(R, -) is exact, so a short exact sequence of
+functors gives one of complexes on R's cells: the coefficient sequence
+always runs there, and so does the pair's for a down-closed subset N,
+whose relative and subset complexes are those of v off N and v on N.
+Degree 0, relative cohomology, the pair's sequence off a down-closed
+subset, systems off the functor laws and the command line's `--complex
+both` cross-check stay on the order complex.
 
 One routine, `_assemble`, assembles every chain-level operator: the
 differential, the block scaling, the homotopies L and Q and the pullback
@@ -85,7 +91,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice, takewhile
+from itertools import groupby, islice, takewhile, zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffsys import (
@@ -118,9 +124,11 @@ from .ratlin import (
     _normal,
     _normalize,
     _preimage,
+    _primitive,
     _rank,
     _sub_scaled,
     _transpose,
+    sparse_echelon,
     sparse_kernel,
     sparse_rref,
 )
@@ -216,14 +224,20 @@ class Cochain:
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
 
 
-def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[str, ...]]:
+def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support,
+                     cells: bool = False) -> Sequence[Tuple[str, ...]]:
+    """The tuples a support keeps: "rel" those not inside its stratum set
+    N, "sub" those inside.  A chain is inside N when all its strata are; a
+    cell of R, when its stratum (its last entry) is, which for a
+    down-closed N is the same filter on chains."""
     if support is None:
         return ts
     kind, nset = support
+    inside = (lambda t: t[-1] in nset) if cells else (lambda t: all(x in nset for x in t))
     if kind == "rel":
-        return [t for t in ts if any(x not in nset for x in t)]
+        return [t for t in ts if not inside(t)]
     if kind == "sub":
-        return [t for t in ts if all(x in nset for x in t)]
+        return [t for t in ts if inside(t)]
     raise ValueError(f"unknown support kind {kind!r}")
 
 
@@ -282,13 +296,19 @@ def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
     return rows
 
 
-def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
+def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis,
+                  bounds: Optional[Dict[tuple, Dict[tuple, int]]] = None) -> Rows:
     """Sparse rows of d from src to dst, one per coordinate of dst.
 
     Faces keeping the top stratum are identity blocks with alternating
-    sign; dropping the top stratum projects the value.
+    sign; dropping the top stratum projects the value.  On R's cells, with
+    their boundaries (`_forest`), the block of a cell f at y at each cell c
+    of its boundary, at x, is the coefficient times proj(x, y).
     """
     proj = v._rows
+    if bounds is not None:
+        return _assemble(dst, src, lambda f: [(c, a, proj(c[-1], f[-1]))
+                                              for c, a in bounds[f].items()])
 
     def terms(t):
         n = len(t) - 1
@@ -371,21 +391,26 @@ class CohomologyResult:
 class _Complex:
     """Lazy basis/differential/cohomology cache for one filtered complex.
 
-    A complex with a support can filter the tuples of `whole`, the
-    unfiltered complex of the same system, instead of enumerating chains.
-    It then shares whole's values wherever they are its own (`_keeps`): a
-    basis that keeps all of whole's tuples, d_k and its transpose where
-    bases k and k+1 do, and the cohomology data of degree k where bases
-    k-1, k and k+1 do.  For a pair on an antichain, such as the minimal
-    strata, that is every d_k with k >= 1 and every degree k >= 2.
+    Its tuples are the chains of the order complex or, given resolution,
+    the cells and boundaries of R that `_forest` returns, built to every
+    degree the caller reads: then it is Hom(R, V), strict, and its
+    supports read the cells' strata (`_filtered_tuples`).  A complex with
+    a support can filter the tuples of `whole`, the unfiltered complex of
+    the same system and kind, instead of enumerating them.  It then
+    shares whole's values wherever they are its own (`_keeps`): a basis
+    that keeps all of whole's tuples, d_k and its transpose where bases k
+    and k+1 do, and the cohomology data of degree k where bases k-1, k
+    and k+1 do.  For a pair on an antichain, such as the minimal strata,
+    that is every d_k with k >= 1 and every degree k >= 2.
     """
 
     def __init__(self, v: CoefficientSystem, strict: bool = True, support=None,
-                 whole: Optional["_Complex"] = None):
+                 whole: Optional["_Complex"] = None, resolution=None):
         self.v = v
         self.strict = strict
         self.support = support
         self.whole = whole
+        self.resolution = whole.resolution if whole is not None else resolution
         self._bases: Dict[int, ChainBasis] = {}
         self._ds: Dict[int, Rows] = {}
         self._dts: Dict[int, Rows] = {}
@@ -393,11 +418,13 @@ class _Complex:
 
     def basis(self, k: int) -> ChainBasis:
         if k not in self._bases:
+            cells = self.resolution is not None
             if self.whole is None:
-                ts = _filtered_tuples(chains(self.v.space, k, self.strict), self.support)
+                ts = self.resolution[0][k] if cells else chains(self.v.space, k, self.strict)
+                ts = _filtered_tuples(ts, self.support, cells)
             else:
                 whole = self.whole.basis(k)
-                ts = _filtered_tuples(whole.tuples, self.support)
+                ts = _filtered_tuples(whole.tuples, self.support, cells)
                 # a filtered basis is a sublist of whole's: equal lengths, equal lists
                 if len(ts) == len(whole.tuples):
                     self._bases[k] = whole
@@ -413,7 +440,8 @@ class _Complex:
     def d(self, k: int) -> Rows:
         if k not in self._ds:
             self._ds[k] = (self.whole.d(k) if self._keeps(k, k + 1)
-                           else _differential(self.v, self.basis(k), self.basis(k + 1)))
+                           else _differential(self.v, self.basis(k), self.basis(k + 1),
+                                              self.resolution and self.resolution[1]))
         return self._ds[k]
 
     def d_t(self, k: int) -> Rows:
@@ -436,7 +464,7 @@ class _Complex:
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
-            elif self.strict and self.support is None:
+            elif self.strict and self.support is None and self.resolution is None:
                 # rows of d_0 with its kernel: the forest cut of a functor
                 # known without a walk, else the system's cut pairs
                 known = vars(self.v).get("_report")
@@ -461,30 +489,41 @@ class _Complex:
         return CohomologyResult(k, data.dim, reps, diag)
 
 
-def _forest(space: StratSpace, faces: bool = False):
+def _forest(space: StratSpace, degree: int = 1):
     """One pass over the strata by (len(below), id): (cut, cells, bounds).
 
-    R is the minimal resolution of the constant functor to degree 2; a cell
-    is a tuple ending in its stratum.  Each minimal stratum m has a 0-cell
-    (m,).  At any other z, the lower covers fall into components, two
-    covers joined when a minimal stratum lies below both (bitmasks of the
-    minimal strata below each stratum).  cut lists one cover y of each
-    component as the pair (y, z), sorted: a functor's assignments need no
-    other (`_Complex.data`).  Each component beyond the first adds the
-    1-cell (a, b, z) with boundary a - b, a and b the first minimal strata
-    below the first component and below this one.  With faces, the 1-cells
-    below z that close a cycle of a spanning forest (a union-find) are the
+    R is the minimal resolution of the constant functor, built to degree
+    (at least 1): cells[j] lists the j-cells, each a tuple ending in its
+    stratum, and bounds maps each cell of degree >= 1 to its boundary
+    (cell -> coefficient).  Each minimal stratum m has a 0-cell (m,).  At
+    any other z, the lower covers fall into components, two covers joined
+    when a minimal stratum lies below both (bitmasks of the minimal strata
+    below each stratum).  cut lists one cover y of each component as the
+    pair (y, z), sorted: a functor's assignments need no other
+    (`_Complex.data`).  Each component beyond the first adds the 1-cell
+    (a, b, z) with boundary a - b, a and b the first minimal strata below
+    the first component and below this one.  In degree 2, the 1-cells below
+    z that close a cycle of a spanning forest (a union-find) are the
     columns of the 2-cell boundaries below z; after one forward pass, each
-    such 1-cell c off the pivots adds the 2-cell (c, z), whose boundary
-    (bounds) is c's fundamental cycle.
+    such 1-cell c off the pivots adds the 2-cell (c, z), whose boundary is
+    c's fundamental cycle.  In each degree d >= 3, the kernel of the
+    boundary on the (d-1)-cells below z (`sparse_echelon` of the transposed
+    boundary rows, then `sparse_kernel`: one vector per free column) holds
+    the boundaries of the d-cells below z; read on the free columns, one
+    forward pass on those leaves the free columns c off its pivots, and
+    each adds the d-cell (c, z) whose boundary is c's kernel vector made
+    primitive.  The cells at z have boundaries independent of those below
+    z, so the kernel at z never involves them.
     """
     mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
-    at: Dict[str, list] = {}          # stratum -> its 1-cells and 2-cells
+    at: Dict[str, List[list]] = {}    # stratum -> its j-cells, j = 0..degree
     cut: List[Tuple[str, str]] = []
-    cells: Tuple[list, list, list] = ([], [], [])
+    cells: Tuple[list, ...] = tuple([] for _ in range(degree + 1))
     bounds: Dict[tuple, Dict[tuple, int]] = {}
     for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
-        if not space.below(z):
+        below = space.below(z)
+        mine = at[z] = [[] for _ in cells]
+        if not below:
             mask[z] = 1 << len(cells[0])
             cells[0].append((z,))
             continue
@@ -498,18 +537,17 @@ def _forest(space: StratSpace, faces: bool = False):
         cut += [(y, z) for y in parts.values()]
         # each part's first minimal stratum: its lowest bit
         a, *rest = (cells[0][(p & -p).bit_length() - 1][0] for p in parts)
-        mine = at[z] = [(a, b, z) for b in rest]
-        cells[1].extend(mine)
+        mine[1] = [(a, b, z) for b in rest]
+        for c in mine[1]:
+            bounds[c] = {(a,): 1, (c[1],): -1}
+        cells[1].extend(mine[1])
         mask[z] = sum(parts)          # the parts are disjoint
-        if not faces:
+        if degree < 2:
             continue
         parent: Dict[str, str] = {}
         tree: Dict[str, list] = {}    # vertex -> (neighbour, 1-cell, sign of the step)
-        closing, filled = [], []      # 1-cells closing a cycle, 2-cells below z
-        for c in (c for x in space.below(z) for c in at.get(x, ())):
-            if len(c) == 2:
-                filled.append(c)
-                continue
+        closing = []                  # 1-cells closing a cycle
+        for c in (c for x in below for c in at[x][1]):
             ra, rb = c[0], c[1]
             while ra in parent:
                 ra = parent[ra]
@@ -522,7 +560,8 @@ def _forest(space: StratSpace, faces: bool = False):
             tree.setdefault(c[1], []).append((c[0], c, 1))
             tree.setdefault(c[0], []).append((c[1], c, -1))
         col = {c: j for j, c in enumerate(closing)}
-        rows = [{col[c]: x for c, x in bounds[f].items() if c in col} for f in filled]
+        rows = [{col[c]: x for c, x in bounds[f].items() if c in col}
+                for x in below for f in at[x][2]]
         pins = set(_forward(rows, len(closing))[1])
         for c in closing:
             if col[c] in pins:
@@ -539,44 +578,64 @@ def _forest(space: StratSpace, faces: bool = False):
                 w, e, s = prev[w]
                 cycle[e] = s
             bounds[(c, z)] = cycle
-            mine.append((c, z))
-            cells[2].append((c, z))
+            mine[2].append((c, z))
+        cells[2].extend(mine[2])
+        for d in range(3, degree + 1):
+            faces = [c for x in below for c in at[x][d - 1]]
+            if not faces:
+                continue
+            trans: Dict[tuple, SparseRow] = {}    # (d-2)-cell -> its row of the boundary's transpose
+            for j, c in enumerate(faces):
+                for e, x in bounds[c].items():
+                    trans.setdefault(e, {})[j] = x
+            red, pivots = sparse_echelon(list(trans.values()), len(faces))
+            pinned = set(pivots)
+            free = [j for j in range(len(faces)) if j not in pinned]
+            slot = {faces[j]: i for i, j in enumerate(free)}
+            rows = [{slot[c]: x for c, x in bounds[f].items() if c in slot}
+                    for x in below for f in at[x][d]]
+            pins = set(_forward(rows, len(free))[1])
+            for i, vec in enumerate(sparse_kernel(red, pivots, len(faces))):
+                if i not in pins:
+                    cell = (faces[free[i]], z)
+                    bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}
+                    mine[d].append(cell)
+            cells[d].extend(mine[d])
     return sorted(cut), cells, bounds
 
 
-def _resolution_dims(v: CoefficientSystem) -> Tuple[int, int]:
-    """dim H^0 and dim H^1 of a functor from Hom(R, V) (`_forest`).
+def _resolution_dims(v: CoefficientSystem, k: int) -> List[int]:
+    """dim H^0, ..., dim H^k of a functor from Hom(R, V), R built to degree k+1.
 
-    C^j is the sum of V(z) over the degree-j cells at z (a `ChainBasis` of
-    the cells, which end in their strata as chains do), and the block of
-    delta at a cell at y with boundary sum a_c c, c at x, is
-    sum a_c proj(x, y); R is exact to degree 1, so dim H^1 is
-    dim C^1 - rank delta_1 - rank delta_0.
+    Its cochains are those of `_Complex` on R's cells; R is exact, so
+    dim H^j is dim C^j - rank delta_j - rank delta_{j-1}.
     """
-    _, cells, bounds = _forest(v.space, faces=True)
-    b0, b1, b2 = (ChainBasis(v, j, True, cs) for j, cs in enumerate(cells))
-    rows = v._rows
-    r0 = _rank(_assemble(b1, b0, lambda c: [((c[0],), 1, rows(c[0], c[-1])),
-                                            ((c[1],), -1, rows(c[1], c[-1]))]), b0.total_dim)
-    r1 = _rank(_assemble(b2, b1, lambda f: [(c, a, rows(c[-1], f[-1]))
-                                            for c, a in bounds[f].items()]), b1.total_dim)
-    return b0.total_dim - r0, b1.total_dim - r1 - r0
+    cx = _Complex(v, True, resolution=_forest(v.space, k + 1)[1:])
+    dims = [cx.basis(j).total_dim for j in range(k + 1)]
+    ranks = [_rank(cx.d(j), n) for j, n in enumerate(dims)]
+    return [n - r - (ranks[j - 1] if j else 0) for j, (n, r) in enumerate(zip(dims, ranks))]
 
 
 def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
     """Cohomology at degree k with canonical echelon representatives.
 
-    Degree 1 of a functor (`check_functor(v).ok`) takes its dimension from
-    the resolution (`_resolution_dims`) and its diagnostics from chain
-    counts; only where dim H^1 > 0 is the order complex built, for the
-    representatives.  Every other degree and system uses the order complex.
-    Raises ValueError for k < 0 and in a degree where d_k d_{k-1} != 0.
+    A degree k >= 1 of a functor (`check_functor(v).ok`) takes its
+    dimension from the resolution (`_resolution_dims`), which has no cell,
+    and so no class, in a degree beyond the number of strata.  Where
+    dim H^k is 0 the diagnostics come from chain counts: rank d_j =
+    dim C^j - dim H^j - rank d_{j-1}.  Only where dim H^k > 0 is the order
+    complex built, for the representatives.  Degree 0 and every other
+    system use the order complex.  Raises ValueError for k < 0 and in a
+    degree where d_k d_{k-1} != 0.
     """
-    if k == 1 and v._report.ok:
-        h0, h1 = _resolution_dims(v)
-        if not h1:
-            rank = chain_space_dim(v, 0, strict) - h0
-            return CohomologyResult(1, 0, [], {"dim_chain": chain_space_dim(v, 1, strict),
+    if k > 0 and v._report.ok:
+        dims = _resolution_dims(v, min(k, len(v.space.ids)))
+        if len(dims) <= k or not dims[k]:
+            sizes = list(islice(_chain_dims(v, strict), k + 1))  # dim C^0..C^k, to the last chain
+            rank = 0
+            for c, h in zip_longest(sizes[:k], dims[:k], fillvalue=0):
+                rank = c - h - rank
+            return CohomologyResult(k, 0, [], {"dim_chain": sizes[k] if k < len(sizes) else 0,
                                                "dim_cocycles": rank, "rank_coboundaries": rank})
     return _Complex(v, strict).result(k)
 
@@ -585,11 +644,22 @@ def assignment_space_dim(v: CoefficientSystem) -> int:
     return cohomology(v, 0, strict=True).dim
 
 
+def _chain_dims(v: CoefficientSystem, strict: bool):
+    """dim C^0, dim C^1, ..., sum_y dim V(y) N_k(y) from `_chain_counts`, up to
+    the first k with no chain (never, on the full complex)."""
+    counts = takewhile(lambda c: any(c.values()), _chain_counts(v.space, strict))
+    return (sum(v.dims[y] * n for y, n in c.items()) for c in counts)
+
+
 def euler_characteristic(v: CoefficientSystem) -> int:
-    """Alternating sum of reduced chain dimensions, sum_k (-1)^k sum_y dim V(y) N_k(y),
-    from the strict counts of `_chain_counts` up to the first k with no chain."""
-    counts = takewhile(lambda c: any(c.values()), _chain_counts(v.space, True))
-    return sum((-1) ** k * sum(v.dims[y] * n for y, n in c.items()) for k, c in enumerate(counts))
+    """Alternating sum of reduced chain dimensions, sum_k (-1)^k dim C^k (`_chain_dims`)."""
+    return sum((-1) ** k * c for k, c in enumerate(_chain_dims(v, True)))
+
+
+def _top_degree(space: StratSpace) -> int:
+    """The order complex's top degree: the last k with a strict chain of k+1
+    strata, from `_chain_counts`."""
+    return sum(1 for _ in takewhile(lambda c: any(c.values()), _chain_counts(space, True))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +818,12 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     lift again.  d_b applies by columns, from b's cached transpose of d_k
     (`_Complex.d_t`), so only the lift's columns are read.  Degrees run to
     one past the last nonzero chain space of b, beyond which everything is
-    zero.  The induced maps need cocycles to
-    stay cocycles, which holds only for functors (`_require_functors`).
+    zero; that degree is the order complex's (`_top_degree`) on either
+    kind of complex, so the nodes are the same.  The induced maps need
+    cocycles to stay cocycles, which holds only for functors
+    (`_require_functors`).
     """
-    top = 0
-    while b.basis(top + 1).tuples:
-        top += 1
+    top = _top_degree(b.v.space)
     # image rows of f and g and of their preimage maps at each stratum; None for a pair
     f_img, f_pre, g_img, g_pre = (
         h and {x: make(rows, h.source.dims[x]) for x, rows in h._rows.items()}
@@ -800,12 +870,18 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
 
     The relative complex (cochains vanishing on n) includes into the full
     one, which restricts to tuples inside n.  Connecting maps extend a
-    subset cocycle by zero and apply the ambient differential.  A system
-    failing the functor laws raises ValueError naming its first violation.
+    subset cocycle by zero and apply the ambient differential.  For a
+    down-closed n (no stratum outside n below one in n) the relative and
+    subset complexes are those of the functors v off n and v on n, which
+    Hom(R, V) computes on R's cells (`_les_resolution`); any other n stays on
+    the order complex.  A system failing the functor laws raises
+    ValueError naming its first violation.
     """
-    nset = _check_subset(v.space, n)
+    space = v.space
+    nset = _check_subset(space, n)
     _require_functors(v)
-    full = _Complex(v, True)
+    down = all(x in nset for y in nset for x in space.below(y))
+    full = _Complex(v, True, resolution=_les_resolution(space) if down else None)
     rel = _Complex(v, True, support=("rel", nset), whole=full)
     sub = _Complex(v, True, support=("sub", nset), whole=full)
     return _long_exact_sequence(("pair", "space", "subset"), rel, full, sub)
@@ -823,8 +899,17 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
     if not report.ok:
         raise NotExactError(f"not a short exact sequence: {report}")
     _require_functors(f.source, f.target, g.target)
-    return _long_exact_sequence(("sub", "total", "quotient"), _Complex(f.source, True),
-                                _Complex(f.target, True), _Complex(g.target, True), f, g)
+    # the three functors share one poset, so they share one R
+    res = _les_resolution(f.target.space)
+    return _long_exact_sequence(("sub", "total", "quotient"),
+                                *(_Complex(w, True, resolution=res)
+                                  for w in (f.source, f.target, g.target)), f, g)
+
+
+def _les_resolution(space: StratSpace):
+    """R's cells and boundaries to every degree a long exact sequence reads:
+    `_long_exact_sequence` runs d_k to one past the top degree."""
+    return _forest(space, _top_degree(space) + 2)[1:]
 
 
 # ---------------------------------------------------------------------------

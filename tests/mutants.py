@@ -32,11 +32,12 @@ MUTANTS = (
         "cochain.py",
         "pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain)",
         "pinned = _forward(d_out, dim_chain)",
-        ("tests/test_acceptance.py::test_acceptance_4_toric_vanishing",
+        ("tests/test_acceptance.py::test_acceptance_2_relative_cp2",
          "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
-        note="dim H^k would read dim ker d_k; degree 1 of a functor, as in every "
-             "degree-1 op of elim, is read off the resolution and never sees it",
+        note="dim H^k would read dim ker d_k; a degree k >= 1 of a functor, as in "
+             "every degree-1 op of elim and the toric vanishing test, is read off the "
+             "resolution and never sees it",
     ),
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",
@@ -411,7 +412,7 @@ MUTANTS = (
         "cochain.py",
         "cycle, w = {c: 1}, c[1]",
         "cycle, w = {c: -1}, c[1]",
-        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded",),
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
         note="a 2-cell's boundary would be no cycle, and rank delta_1 and dim H^1 change",
     ),
     Mutant(
@@ -427,11 +428,47 @@ MUTANTS = (
     Mutant(
         "new-1-cell-joins-a-component-to-itself",
         "cochain.py",
-        "mine = at[z] = [(a, b, z) for b in rest]",
-        "mine = at[z] = [(b, b, z) for b in rest]",
-        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded",
+        "mine[1] = [(a, b, z) for b in rest]",
+        "mine[1] = [(b, b, z) for b in rest]",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
          "tests/test_cochain.py::test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution"),
-        note="the 1-cell m - m has a zero delta_0 row, so R's H^0 and H^1 both grow",
+        note="the 1-cell (b, b, z) would have the boundary -b in place of a - b, "
+             "so R is no resolution and its H^0 and H^1 change",
+    ),
+    Mutant(
+        "pair-sequence-on-the-resolution-for-every-subset",
+        "cochain.py",
+        "down = all(x in nset for y in nset for x in space.below(y))",
+        "down = True",
+        ("tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded"),
+        note="off a down-closed subset a chain can leave the subset below its top "
+             "stratum, so the cells' filter is not the chains'",
+    ),
+    Mutant(
+        "subset-and-relative-swapped-on-cells",
+        "cochain.py",
+        "inside = (lambda t: t[-1] in nset) if cells",
+        "inside = (lambda t: t[-1] not in nset) if cells",
+        ("tests/test_cochain.py::test_les_pair_fixed_points",
+         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded"),
+    ),
+    Mutant(
+        "resolution-stops-one-degree-early",
+        "cochain.py",
+        "for d in range(3, degree + 1):",
+        "for d in range(3, degree):",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
+        note="R's top degree would have no cells, so its H is C^k - rank delta_{k-1}",
+    ),
+    Mutant(
+        "resolution-cell-boundary-free-entry-negated",
+        "cochain.py",
+        "bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}",
+        "bounds[cell] = {faces[j]: -x if j == free[i] else x for j, x in _primitive(vec).items()}",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
+        note="a cell of degree >= 3 would have a boundary off the kernel; negating a "
+             "whole boundary only changes the cell's sign, which changes no result",
     ),
     Mutant(
         "complex-both-answered-through-the-resolution",

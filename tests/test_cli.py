@@ -14,11 +14,13 @@ import pytest
 import assigncoh.cochain
 import assigncoh.coeffsys
 from assigncoh.cochain import _Complex
-from assigncoh.ratlin import _transpose
+from assigncoh.ratlin import _rank, _transpose
 from assigncoh import (
     SpaceDescription,
     assignment_basis,
     build_from_description,
+    build_polytope,
+    build_product,
     build_sphere_product,
     check_functor,
     cli,
@@ -26,6 +28,7 @@ from assigncoh import (
     les_coefficients_check,
     les_pair_check,
     pair_ses,
+    preset_polytope,
 )
 
 from oracles import _composes_to_zero
@@ -409,6 +412,30 @@ def test_cohomology_both_builds_both_order_complexes(capsys, tmp_path, monkeypat
         assert code == 0
         both = json.loads(out)
         assert both["results"] == alone and both["agreement"]
+
+
+def test_cohomology_without_classes_enumerates_no_chain(capsys, tmp_path, monkeypatch):
+    """A degree with no class is answered by R and chain counts alone: the
+    full complex of cube x square (243 strata; 65,610 coordinates in
+    degree 3) gives dim 0 and the order complex's diagnostics with chain
+    enumeration refused."""
+    space, v = build_product(*(build_polytope(preset_polytope(name)) for name in ("cube", "square")))
+    path = tmp_path / "cs.space"
+    path.write_text(json.dumps(SpaceDescription.from_space(space).to_json_dict()))
+    full = _Complex(v, False)
+    rank = _rank(full.d(2), full.basis(2).total_dim)
+    assert _Complex(v, True).data(3).dim == 0
+    want = {"dim": 0, "representatives": [], "diagnostics": {
+        "dim_chain": full.basis(3).total_dim, "dim_cocycles": rank, "rank_coboundaries": rank}}
+
+    def refuse(*args):
+        raise AssertionError("a chain was enumerated")
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", refuse)
+    code, out, _ = run(capsys, ["--json", "cohomology", str(path), "--complex", "full",
+                                "--degree", "3"])
+    assert code == 0
+    assert json.loads(out)["results"] == {"full": want}
 
 
 def test_cohomology_relative(capsys, cp2_file):

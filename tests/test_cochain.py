@@ -718,10 +718,13 @@ def test_les_pair_rejects_unknown_strata():
 
 
 def test_les_pair_enumerates_each_degree_once(monkeypatch):
-    # the relative and subset complexes filter the full complex's tuples
+    # off a down-closed subset the relative and subset complexes filter the
+    # full complex's tuples; on a down-closed one the sequence runs on R's
+    # cells and enumerates no chain
     space, v = build_product(_poly("square"), _poly("segment"))
-    n = [x for x in space.ids if space.stabilizer(x).dim == 3]
+    n = [x for x in space.ids if space.stabilizer(x).dim == 2]
     nset = frozenset(n)
+    assert any(y not in nset for x in n for y in space.below(x))
     expected = []
     for k in range(5):
         expected += [relative_cohomology(v, n, k).dim, cohomology(v, k).dim,
@@ -739,6 +742,10 @@ def test_les_pair_enumerates_each_degree_once(monkeypatch):
     assert rep.node_dims == expected
     # degrees 0..4 carry nodes; degree 5 closes the last differential
     assert sorted(Counter(calls).items()) == [(k, 1) for k in range(6)]
+    del calls[:]
+    vertices = [x for x in space.ids if space.stabilizer(x).dim == 3]
+    assert les_pair_check(v, vertices).ok
+    assert calls == []
 
 
 def _les_pair_unshared(v, nset):
@@ -753,9 +760,10 @@ def _les_pair_unshared(v, nset):
 def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
     # a pair's complexes take the space's bases, d_k and cohomology data
     # wherever their own would equal them; on every kind of subset the
-    # sequence is the one built with nothing shared.  On an antichain (the
-    # minimal strata) the relative complex keeps every tuple of degree >= 1,
-    # so sharing leaves no nonempty differential assembled twice
+    # sequence is the one built with nothing shared.  On the maximal strata,
+    # an antichain that is up-closed and so stays on the order complex, the
+    # relative complex keeps every tuple of degree >= 1, so sharing leaves
+    # no nonempty differential assembled twice
     rng = random.Random(61)
     spaces = [cp2(), s4(), s4_chain(2), S6, _poly("cube"),
               build_product(_poly("square"), _poly("segment"))]
@@ -765,10 +773,10 @@ def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
     assembled = []
     differential = assigncoh.cochain._differential
 
-    def counting(v, src, dst):
+    def counting(v, src, dst, bounds=None):
         if src.tuples:
             assembled.append((src.tuples, dst.tuples))
-        return differential(v, src, dst)
+        return differential(v, src, dst, bounds)
 
     monkeypatch.setattr(assigncoh.cochain, "_differential", counting)
     seen = 0
@@ -779,7 +787,8 @@ def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
         low = rng.choice(sorted(minimal))
         subsets = {"empty": frozenset(), "all": frozenset(ids), "antichain": minimal,
                    "down-closed": frozenset(space.below(top)) | {top},
-                   "up-closed": space.upset(low)}
+                   "up-closed": space.upset(low),
+                   "maximal": frozenset(x for x in ids if space.upset(x) == {x})}
         for kind, nset in subsets.items():
             del assembled[:]
             rep = les_pair_check(v, nset)
@@ -789,7 +798,7 @@ def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
             assert (rep.node_names, rep.node_dims, rep.map_ranks, rep.failures) == (
                 ref.node_names, ref.node_dims, ref.map_ranks, ref.failures), kind
             assert rep.ok
-            if kind == "antichain":
+            if kind == "maximal":
                 assert len(set(shared)) == len(shared) < len(assembled)
                 assert len(set(assembled)) < len(assembled)
             seen += any(rep.node_dims[3::3])
@@ -1298,21 +1307,57 @@ def _forest_cases(rng):
         yield _gauged_constant(space, rng)
 
 
-def test_resolution_matches_the_order_complex_in_degrees_zero_and_one_seeded():
-    """R (`_forest`) gives dim H^0 and dim H^1 of the order complex, and
-    `cohomology` in degree 1 gives the order complex's result on both
-    complexes: dimension, the three diagnostics and the representatives."""
+def _deep_sphere_product():
+    """An (S^2)^4 over T^3 (45 strata) where one stratum carries three of
+    R's degree-3 cells."""
+    return build_sphere_product(3, [(1, -1, 1), (-1, 0, 0), (1, -1, 0), (-1, 1, -1)])
+
+
+def test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded():
+    """R (`_forest`) gives dim H^0..H^3 of the order complex, and
+    `cohomology` in degrees 1..3 gives the order complex's result on both
+    complexes: dimension, the three diagnostics and the representatives
+    (the full complex above degree 1 only on spaces of at most 30 strata,
+    for time).  Both long exact sequences on R give the order complex's
+    nodes, ranks and failures: the pair's on down-closed subsets and the
+    one `pair_ses` induces on each of them."""
+    rng = random.Random(53)
+    deep = _deep_sphere_product()
+    crown3 = build_product(build_product(_crown(), _crown()), _crown())[0]
+    cases = list(_forest_cases(rng)) + [
+        deep[1], build_sphere_product(3, [(0, 0, -1), (0, 1, 1), (-1, -1, 1), (1, 0, -1)])[1],
+        _constant(crown3), _gauged_constant(crown3, rng)]
     seen = Counter()
-    for v in _forest_cases(random.Random(53)):
-        h0, h1 = assigncoh.cochain._resolution_dims(v)
+    for v in cases:
+        dims = assigncoh.cochain._resolution_dims(v, 3)
         for strict in (True, False):
             cx = _Complex(v, strict)
-            want, got = cx.result(1), cohomology(v, 1, strict)
-            assert (h0, h1) == (cx.data(0).dim, want.dim)
-            assert (got.dim, got.diagnostics) == (want.dim, want.diagnostics)
-            assert [r._row for r in got.representatives] == [r._row for r in want.representatives]
-            seen[h1 > 0] += 1
-    assert seen[True] >= 40 and seen[False] >= 100
+            top = 3 if strict or len(v.space.ids) <= 30 else 1
+            assert dims[:top + 1] == [cx.data(k).dim for k in range(top + 1)]
+            for k in range(1, top + 1):
+                want, got = cx.result(k), cohomology(v, k, strict)
+                assert (got.dim, got.diagnostics) == (want.dim, want.diagnostics)
+                assert ([r._row for r in got.representatives]
+                        == [r._row for r in want.representatives])
+        seen.update(k for k in range(1, 4) if dims[k])
+    assert seen == {1: 25, 2: 4, 3: 2}
+    _, cells, _ = assigncoh.cochain._forest(deep[0], 3)
+    assert max(Counter(c[-1] for c in cells[3]).values()) == 3
+    spaces = [deep, build_product(_poly("triangle"), two_stratum()),
+              build_product(_poly("square"), _crown())]
+    sequences = 0
+    for space, v in spaces:
+        z = rng.choice([x for x in space.ids if space.below(x)])
+        for nset in (frozenset(minimal_strata(space)), frozenset(space.below(z)),
+                     frozenset(space.below(z)) | {z}, frozenset(), frozenset(space.ids)):
+            ref = _les_pair_unshared(v, nset)
+            want = (ref.node_names, ref.node_dims, ref.map_ranks, ref.failures)
+            rep = les_pair_check(v, nset)
+            assert (rep.node_names, rep.node_dims, rep.map_ranks, rep.failures) == want
+            coeff = les_coefficients_check(*pair_ses(v, nset))
+            assert (coeff.node_dims, coeff.map_ranks, coeff.failures) == want[1:]
+            sequences += rep.ok and any(rep.node_dims[3:])
+    assert sequences >= 9
 
 
 def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
