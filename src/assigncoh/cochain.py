@@ -21,8 +21,15 @@ system) needs only the forest cut, one lower cover per component of each
 stratum (`_forest`): the covers below a stratum z carry the values of the
 minimal strata, and two covers that share a minimal stratum agree at z.
 The differential d_0 itself stays whole, for degree 1 and the connecting
-maps.  Relative complexes (cochains vanishing on tuples inside a chosen
-stratum subset) reuse the same assembly with a tuple filter.
+maps.
+
+A down-closed stratum subset N is a system: a tuple lies inside N exactly
+when its top stratum does, so the cochains vanishing on the tuples inside
+N are those of v off N, and the cochains on those tuples are those of v
+on N (`coeffsys._kept_on`, with a block of width 0 wherever the system
+vanishes).  Relative cohomology and the pair's sequence hand these
+functors to the routines that serve every functor.  Only the order
+complex of any other subset filters its chains by a support.
 
 The same pass over the poset builds R, a minimal projective resolution of
 the constant functor, to the degree its caller reads; its cells end in
@@ -34,11 +41,10 @@ k >= 1 of a functor reads dim H^k off it (`_resolution_dims`) and builds
 the order complex only where dim H^k > 0, for the canonical
 representatives.  Hom(R, -) is exact, so a short exact sequence of
 functors gives one of complexes on R's cells: the coefficient sequence
-always runs there, and so does the pair's for a down-closed subset N,
-whose relative and subset complexes are those of v off N and v on N.
-Degree 0, relative cohomology, the pair's sequence off a down-closed
-subset, systems off the functor laws and the command line's `--complex
-both` cross-check stay on the order complex.
+always runs there, and so does the pair's for a down-closed subset.
+Degree 0, subsets that are not down-closed, systems off the functor laws
+and the command line's `--complex both` cross-check stay on the order
+complex.
 
 One routine, `_assemble`, assembles every chain-level operator: the
 differential, the block scaling, the homotopies L and Q and the pullback
@@ -91,13 +97,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice, takewhile, zip_longest
+from itertools import groupby
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeffsys import (
     CoefficientSystem,
     SystemMorphism,
     _check_subset,
+    _down_closed,
+    _kept_on,
     moment_system,
     ses_check,
     square_failures,
@@ -224,20 +233,18 @@ class Cochain:
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
 
 
-def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support,
-                     cells: bool = False) -> Sequence[Tuple[str, ...]]:
-    """The tuples a support keeps: "rel" those not inside its stratum set
-    N, "sub" those inside.  A chain is inside N when all its strata are; a
-    cell of R, when its stratum (its last entry) is, which for a
-    down-closed N is the same filter on chains."""
+def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[str, ...]]:
+    """The chains a support keeps: "rel" those not inside its stratum set
+    N, "sub" those inside, a chain being inside N when all its strata are.
+    Only the order complex of a subset that is not down-closed takes one;
+    a down-closed subset is a system (`coeffsys._kept_on`)."""
     if support is None:
         return ts
     kind, nset = support
-    inside = (lambda t: t[-1] in nset) if cells else (lambda t: all(x in nset for x in t))
     if kind == "rel":
-        return [t for t in ts if not inside(t)]
+        return [t for t in ts if not all(x in nset for x in t)]
     if kind == "sub":
-        return [t for t in ts if inside(t)]
+        return [t for t in ts if all(x in nset for x in t)]
     raise ValueError(f"unknown support kind {kind!r}")
 
 
@@ -245,22 +252,50 @@ def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None)
     return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
 
 
-def _chain_counts(space: StratSpace, strict: bool):
-    """N_0, N_1, ...: N_k(y) chains of k+1 strata end at y, with N_0(y) = 1 and
-    N_k(y) the sum of N_{k-1}(x) over x < y (strict) or x <= y (weak)."""
-    counts = dict.fromkeys(space.ids, 1)
-    while True:
-        yield counts
-        counts = {y: sum(counts[x] for x in space.below(y)) + (0 if strict else counts[y])
-                  for y in space.ids}
+def _chain_counts(space: StratSpace):
+    """S_0, S_1, ...: S_i(y) strict chains of i+1 strata end at y, with
+    S_0(y) = 1 and S_i(y) the sum of S_{i-1}(x) over x < y, up to the top
+    degree, the last i with a chain.  A weak chain of k+1 strata ending at
+    y repeats the entries of a strict one of i+1 strata, C(k, i) ways, so
+    it counts N_k(y) = sum_i S_i(y) C(k, i)."""
+    c = dict.fromkeys(space.ids, 1)
+    while any(c.values()):
+        yield c
+        c = {y: sum(c[x] for x in space.below(y)) for y in space.ids}
+
+
+def _chain_sizes(v: CoefficientSystem, last: int) -> List[int]:
+    """T_0, ..., T_m, m the lesser of last and the top degree: T_i =
+    sum_y dim V(y) S_i(y) (`_chain_counts`), the dimensions of the reduced
+    complex."""
+    return [sum(v.dims[y] * n for y, n in c.items())
+            for _, c in zip(range(last + 1), _chain_counts(v.space))]
+
+
+def _chain_dim(sizes: List[int], k: int, strict: bool) -> int:
+    """dim C^k from `_chain_sizes(v, k)`: T_k, or sum_i T_i C(k, i) on the full complex."""
+    if strict:
+        return sizes[k] if k < len(sizes) else 0
+    return sum(t * comb(k, i) for i, t in enumerate(sizes))
+
+
+def _alternating(xs: Sequence[int], k: int) -> int:
+    """sum_{j<k} (-1)^(k-1-j) xs[j], xs zero beyond its end."""
+    return sum(-x if (k - 1 - j) & 1 else x for j, x in enumerate(xs[:k]))
+
+
+def _alternating_binomials(k: int, i: int) -> int:
+    """sum_{j<k} (-1)^(k-1-j) C(j, i), in closed form: 2^(i+1) times it is
+    sum_{t<=i} (-1)^(i-t) C(k, t) 2^t + (-1)^(i+1+k)."""
+    total = sum((-1) ** (i - t) * comb(k, t) * 2 ** t for t in range(i + 1))
+    return (total + (-1) ** ((i + 1 + k) & 1)) >> (i + 1)
 
 
 def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
-    """dim C^k = sum_y dim V(y) N_k(y), by counting chains (`_chain_counts`)."""
+    """dim C^k = sum_y dim V(y) N_k(y), by counting chains (`_chain_dim`)."""
     if k < 0:
         raise ValueError("chain degree must be >= 0")
-    counts = next(islice(_chain_counts(v.space, strict), k, None))
-    return sum(v.dims[y] * n for y, n in counts.items())
+    return _chain_dim(_chain_sizes(v, k), k, strict)
 
 
 def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
@@ -389,19 +424,22 @@ class CohomologyResult:
 
 
 class _Complex:
-    """Lazy basis/differential/cohomology cache for one filtered complex.
+    """Lazy basis/differential/cohomology cache for one complex.
 
     Its tuples are the chains of the order complex or, given resolution,
     the cells and boundaries of R that `_forest` returns, built to every
-    degree the caller reads: then it is Hom(R, V), strict, and its
-    supports read the cells' strata (`_filtered_tuples`).  A complex with
-    a support can filter the tuples of `whole`, the unfiltered complex of
-    the same system and kind, instead of enumerating them.  It then
+    degree the caller reads: then it is Hom(R, V), strict.  On chains a
+    support filters the tuples (`_filtered_tuples`); no complex on R's
+    cells takes one.  A complex with a `whole`, an unfiltered complex of
+    the same kind on the same tuples, reads its tuples from whole's instead
+    of enumerating them.  Its system is whole's, filtered by a support, or
+    (on R's cells) v off or on a down-closed subset (`coeffsys._kept_on`),
+    whose blocks differ from v's only at strata of another width.  It
     shares whole's values wherever they are its own (`_keeps`): a basis
-    that keeps all of whole's tuples, d_k and its transpose where bases k
-    and k+1 do, and the cohomology data of degree k where bases k-1, k
-    and k+1 do.  For a pair on an antichain, such as the minimal strata,
-    that is every d_k with k >= 1 and every degree k >= 2.
+    whose tuples and block widths are whole's, d_k and its transpose where
+    bases k and k+1 are, and the cohomology data of degree k where bases
+    k-1, k and k+1 are.  For a pair on an antichain, such as the minimal
+    strata, that is every d_k with k >= 1 and every degree k >= 2.
     """
 
     def __init__(self, v: CoefficientSystem, strict: bool = True, support=None,
@@ -418,22 +456,24 @@ class _Complex:
 
     def basis(self, k: int) -> ChainBasis:
         if k not in self._bases:
-            cells = self.resolution is not None
             if self.whole is None:
-                ts = self.resolution[0][k] if cells else chains(self.v.space, k, self.strict)
-                ts = _filtered_tuples(ts, self.support, cells)
+                ts = (self.resolution[0][k] if self.resolution is not None
+                      else chains(self.v.space, k, self.strict))
+                ts = _filtered_tuples(ts, self.support)
             else:
                 whole = self.whole.basis(k)
-                ts = _filtered_tuples(whole.tuples, self.support, cells)
-                # a filtered basis is a sublist of whole's: equal lengths, equal lists
-                if len(ts) == len(whole.tuples):
+                ts = _filtered_tuples(whole.tuples, self.support)
+                # a filtered basis is a sublist of whole's: equal lengths, equal
+                # lists; on those tuples v off or on a subset may have other widths
+                if len(ts) == len(whole.tuples) and whole.block_dims == tuple(
+                        self.v.dims[t[-1]] for t in ts):
                     self._bases[k] = whole
                     return whole
             self._bases[k] = ChainBasis(self.v, k, self.strict, ts)
         return self._bases[k]
 
     def _keeps(self, *ks: int) -> bool:
-        """Whether the bases of degrees ks keep all of whole's tuples, and so are whole's."""
+        """Whether the bases of degrees ks are whole's: its tuples and block widths."""
         return self.whole is not None and all(
             self.basis(k) is self.whole.basis(k) for k in ks)
 
@@ -621,21 +661,25 @@ def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyR
 
     A degree k >= 1 of a functor (`check_functor(v).ok`) takes its
     dimension from the resolution (`_resolution_dims`), which has no cell,
-    and so no class, in a degree beyond the number of strata.  Where
-    dim H^k is 0 the diagnostics come from chain counts: rank d_j =
-    dim C^j - dim H^j - rank d_{j-1}.  Only where dim H^k > 0 is the order
-    complex built, for the representatives.  Degree 0 and every other
-    system use the order complex.  Raises ValueError for k < 0 and in a
-    degree where d_k d_{k-1} != 0.
+    and so no class, in a degree beyond the order complex's top degree (a
+    cell at z of degree d comes from the homology of the chains below z
+    in degree d - 1).  Where dim H^k is 0 the diagnostics come from chain
+    counts: rank d_j = dim C^j - dim H^j - rank d_{j-1}, so rank d_{k-1}
+    is the alternating sum of dim C^j - dim H^j over j < k, in closed
+    form on the full complex (`_alternating_binomials`), for any k.  Only
+    where dim H^k > 0 is the order complex built, for the
+    representatives.  Degree 0 and every other system use the order
+    complex.  Raises ValueError for k < 0 and in a degree where
+    d_k d_{k-1} != 0.
     """
     if k > 0 and v._report.ok:
-        dims = _resolution_dims(v, min(k, len(v.space.ids)))
+        sizes = _chain_sizes(v, k)
+        dims = _resolution_dims(v, len(sizes) - 1)
         if len(dims) <= k or not dims[k]:
-            sizes = list(islice(_chain_dims(v, strict), k + 1))  # dim C^0..C^k, to the last chain
-            rank = 0
-            for c, h in zip_longest(sizes[:k], dims[:k], fillvalue=0):
-                rank = c - h - rank
-            return CohomologyResult(k, 0, [], {"dim_chain": sizes[k] if k < len(sizes) else 0,
+            chain = (_alternating(sizes, k) if strict else
+                     sum(t * _alternating_binomials(k, i) for i, t in enumerate(sizes)))
+            rank = chain - _alternating(dims, k)
+            return CohomologyResult(k, 0, [], {"dim_chain": _chain_dim(sizes, k, strict),
                                                "dim_cocycles": rank, "rank_coboundaries": rank})
     return _Complex(v, strict).result(k)
 
@@ -644,22 +688,16 @@ def assignment_space_dim(v: CoefficientSystem) -> int:
     return cohomology(v, 0, strict=True).dim
 
 
-def _chain_dims(v: CoefficientSystem, strict: bool):
-    """dim C^0, dim C^1, ..., sum_y dim V(y) N_k(y) from `_chain_counts`, up to
-    the first k with no chain (never, on the full complex)."""
-    counts = takewhile(lambda c: any(c.values()), _chain_counts(v.space, strict))
-    return (sum(v.dims[y] * n for y, n in c.items()) for c in counts)
-
-
 def euler_characteristic(v: CoefficientSystem) -> int:
-    """Alternating sum of reduced chain dimensions, sum_k (-1)^k dim C^k (`_chain_dims`)."""
-    return sum((-1) ** k * c for k, c in enumerate(_chain_dims(v, True)))
+    """Alternating sum of reduced chain dimensions, sum_k (-1)^k dim C^k
+    (`_chain_sizes`; the top degree is below the number of strata)."""
+    return sum(-c if k & 1 else c for k, c in enumerate(_chain_sizes(v, len(v.space.ids))))
 
 
 def _top_degree(space: StratSpace) -> int:
     """The order complex's top degree: the last k with a strict chain of k+1
     strata, from `_chain_counts`."""
-    return sum(1 for _ in takewhile(lambda c: any(c.values()), _chain_counts(space, True))) - 1
+    return sum(1 for _ in _chain_counts(space)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +763,17 @@ def relative_cohomology(
 ) -> CohomologyResult:
     """Cohomology of cochains vanishing on tuples lying entirely inside n.
 
-    Raises ValueError for k < 0 and where this complex's d_k d_{k-1} != 0.
+    For a down-closed n a tuple lies inside n exactly when its top stratum
+    does, so this complex is that of v off n (`coeffsys._kept_on`, zero on
+    n), which has the same coordinates (a tuple inside n has a block of
+    width 0) and is a functor when v is one: `cohomology` answers it,
+    from R where it can, and its representatives are cochains of that
+    system.  Any other n filters the order complex's chains.  Raises
+    ValueError for k < 0 and where this complex's d_k d_{k-1} != 0.
     """
     nset = _check_subset(v.space, n)
+    if _down_closed(v.space, nset):
+        return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)
     return _Complex(v, strict, support=("rel", nset)).result(k)
 
 
@@ -735,12 +781,12 @@ def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
            blocks: Optional[Dict[str, Rows]] = None) -> SparseRow:
     """The block map: vec's blocks carried to the same tuples of dst.
 
-    Tuples that dst lacks are dropped.  With blocks, each block goes
-    through the rows blocks[x] at the tuple's top stratum x, one row per
-    coordinate of the block: the image of that basis vector.  Empty blocks
-    share the offset of the next block.
+    Tuples that dst lacks, or where its block has width 0, are dropped.
+    With blocks, each block goes through the rows blocks[x] at the tuple's
+    top stratum x, one row per coordinate of the block: the image of that
+    basis vector.  Empty blocks share the offset of the next block.
     """
-    if blocks is None and src.tuples == dst.tuples:
+    if blocks is None and src.tuples == dst.tuples and src.block_dims == dst.block_dims:
         return dict(vec)
     at: Dict[int, SparseRow] = {}
     for j, x in vec.items():
@@ -750,7 +796,7 @@ def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
     for i, blk in at.items():
         t = src.tuples[i]
         o = dst.block(t)
-        if o is None:
+        if o is None or not o[1]:
             continue
         if blocks is not None:
             blk = _mul([blk], blocks[t[-1]])[0]
@@ -804,7 +850,7 @@ def _induced_rows(target: _CohomologyData, images: Iterable[SparseRow]) -> Rows:
     return [{i: x for i, x in enumerate(target.class_coords(vec)) if x} for vec in images]
 
 
-def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
+def _long_exact_sequence(labels, top: int, a: _Complex, b: _Complex, c: _Complex,
                          f: Optional[SystemMorphism] = None,
                          g: Optional[SystemMorphism] = None) -> ExactSequenceReport:
     """Long exact cohomology sequence of a short exact sequence 0 -> a -> b -> c -> 0.
@@ -817,13 +863,12 @@ def _long_exact_sequence(labels, a: _Complex, b: _Complex, c: _Complex,
     f's; carrying the retracted value back through i must give d_b of the
     lift again.  d_b applies by columns, from b's cached transpose of d_k
     (`_Complex.d_t`), so only the lift's columns are read.  Degrees run to
-    one past the last nonzero chain space of b, beyond which everything is
-    zero; that degree is the order complex's (`_top_degree`) on either
-    kind of complex, so the nodes are the same.  The induced maps need
-    cocycles to stay cocycles, which holds only for functors
-    (`_require_functors`).
+    one past top, the last nonzero chain space of the order complex
+    (`_top_degree`), beyond which everything is zero, on either kind of
+    complex, so the nodes are the same; on R's cells, R is built to
+    top + 2 for the last d_k.  The induced maps need cocycles to stay
+    cocycles, which holds only for functors (`_require_functors`).
     """
-    top = _top_degree(b.v.space)
     # image rows of f and g and of their preimage maps at each stratum; None for a pair
     f_img, f_pre, g_img, g_pre = (
         h and {x: make(rows, h.source.dims[x]) for x, rows in h._rows.items()}
@@ -872,19 +917,25 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
     one, which restricts to tuples inside n.  Connecting maps extend a
     subset cocycle by zero and apply the ambient differential.  For a
     down-closed n (no stratum outside n below one in n) the relative and
-    subset complexes are those of the functors v off n and v on n, which
-    Hom(R, V) computes on R's cells (`_les_resolution`); any other n stays on
-    the order complex.  A system failing the functor laws raises
-    ValueError naming its first violation.
+    subset complexes are those of the functors v off n and v on n
+    (`coeffsys._kept_on`), which Hom(R, V) computes on the space's cells of
+    R, with a block of width 0 at each cell where they vanish; any other n
+    filters the order complex's chains.  A system failing the functor laws
+    raises ValueError naming its first violation.
     """
     space = v.space
     nset = _check_subset(space, n)
     _require_functors(v)
-    down = all(x in nset for y in nset for x in space.below(y))
-    full = _Complex(v, True, resolution=_les_resolution(space) if down else None)
-    rel = _Complex(v, True, support=("rel", nset), whole=full)
-    sub = _Complex(v, True, support=("sub", nset), whole=full)
-    return _long_exact_sequence(("pair", "space", "subset"), rel, full, sub)
+    top = _top_degree(space)
+    if _down_closed(space, nset):
+        full = _Complex(v, True, resolution=_forest(space, top + 2)[1:])
+        rel, sub = (_Complex(_kept_on(v, keep), True, whole=full)
+                    for keep in (frozenset(space.ids) - nset, nset))
+    else:
+        full = _Complex(v, True)
+        rel, sub = (_Complex(v, True, support=(kind, nset), whole=full)
+                    for kind in ("rel", "sub"))
+    return _long_exact_sequence(("pair", "space", "subset"), top, rel, full, sub)
 
 
 def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenceReport:
@@ -900,16 +951,12 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
         raise NotExactError(f"not a short exact sequence: {report}")
     _require_functors(f.source, f.target, g.target)
     # the three functors share one poset, so they share one R
-    res = _les_resolution(f.target.space)
-    return _long_exact_sequence(("sub", "total", "quotient"),
+    space = f.target.space
+    top = _top_degree(space)
+    res = _forest(space, top + 2)[1:]
+    return _long_exact_sequence(("sub", "total", "quotient"), top,
                                 *(_Complex(w, True, resolution=res)
                                   for w in (f.source, f.target, g.target)), f, g)
-
-
-def _les_resolution(space: StratSpace):
-    """R's cells and boundaries to every degree a long exact sequence reads:
-    `_long_exact_sequence` runs d_k to one past the top degree."""
-    return _forest(space, _top_degree(space) + 2)[1:]
 
 
 # ---------------------------------------------------------------------------

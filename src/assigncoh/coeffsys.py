@@ -27,8 +27,9 @@ a_y = proj(x, y) a_x on every cover and every explicit non-identity entry
 has it on every comparable pair.  A system records those pairs once, as
 its cut, and the assignments (degree-0 cocycles) are solved on the cut
 alone.  A moment system satisfies the functor laws by construction and
-carries the empty report from the start; on any other system
-check_functor tests composition on the cover squares
+carries the empty report from the start, and so does an order-closed
+quotient or restriction of a system whose clean report is known; on any
+other system check_functor tests composition on the cover squares
 proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
 give every strict triple by induction along covers, once per system.  The
 report is kept, and square_failures reads off it the triples on which every
@@ -109,8 +110,9 @@ class CoefficientSystem:
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
     the business of check_functor, so that deliberately perturbed systems
-    can be loaded and then diagnosed; the report is kept (_report), and
-    moment_system sets it when it builds a system.
+    can be loaded and then diagnosed; the report is kept (_report),
+    moment_system sets it when it builds a system, and _kept_on passes a
+    clean one on.
     """
 
     def __init__(
@@ -132,7 +134,9 @@ class CoefficientSystem:
         """
         self.space = space
         self.dims = dict(dims)
-        self._at = {(x, x): _identity_rows(dims[x]) for x in space.ids}
+        # strata of one dimension share their identity rows, as equal covers share theirs
+        ident = {d: _identity_rows(d) for d in set(dims.values())}
+        self._at = {(x, x): ident[dims[x]] for x in space.ids}
         self._at.update(covers)
         self._explicit = explicit
         self._cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
@@ -354,7 +358,7 @@ def _closure_direction(space: StratSpace, n: frozenset) -> str:
     up_witness = next(
         ((x, y) for x in sorted(n) for y in space.above(x) if y not in n), None
     )
-    down = all(space.upset(x).isdisjoint(n) for x in space.ids if x not in n)
+    down = _down_closed(space, n)
     if up_witness is None and down:
         return "both"
     if up_witness is None:
@@ -364,16 +368,35 @@ def _closure_direction(space: StratSpace, n: frozenset) -> str:
     raise NotOpenError(up_witness)
 
 
+def _down_closed(space: StratSpace, n: frozenset) -> bool:
+    """Whether no stratum outside n lies below one in n.
+
+    It reads the strata below each member of n, so it costs nothing for a
+    set of minimal strata.
+    """
+    return all(x in n for y in n for x in space.below(y))
+
+
 def _kept_on(v: CoefficientSystem, keep: frozenset) -> CoefficientSystem:
-    """v on the strata of keep, zero elsewhere: projections touching the rest vanish."""
+    """v on the strata of an order-closed keep, zero elsewhere.
+
+    It keeps v's cover maps, as zero rows where a cover leaves keep, and
+    v's explicit entries inside keep; every other pair is composed on first
+    use, as in any system.  Every stratum between two kept strata is kept,
+    so a pair inside keep composes to v's value, and a pair that leaves keep
+    composes through a zero cover map.  An order-closed quotient or
+    restriction of a functor is a functor, so the result carries v's report
+    when that report is known and clean, and walks no law.
+    """
     dims = {x: (v.dims[x] if x in keep else 0) for x in v.space.ids}
-    rows = {}
-    for x, y in v.pairs():
-        if x in keep and y in keep:
-            rows[(x, y)] = v._rows(x, y)
-        else:
-            rows[(x, y)] = [{}] * dims[y]
-    return CoefficientSystem._of_rows(v.space, dims, {}, rows)
+    covers = {(x, y): v._rows(x, y) if x in keep and y in keep else [{}] * dims[y]
+              for x, y in v.space.covers}
+    explicit = {p: rows for p, rows in v._explicit.items() if p[0] in keep and p[1] in keep}
+    w = CoefficientSystem._of_rows(v.space, dims, covers, explicit)
+    known = vars(v).get("_report")
+    if known is not None and known.ok:
+        w._report = known
+    return w
 
 
 def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem:
@@ -381,7 +404,10 @@ def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem
 
     n must be order-closed upward or downward inside the space; otherwise
     the zeroed data would fail the composition law and NotOpenError names
-    an escaping pair.
+    an escaping pair.  The result is built from v's cover maps (`_kept_on`)
+    and is a functor when v is one.  For a down-closed n its cochain
+    complexes are the relative complexes of the pair (v, n), with a block of
+    width 0 at each tuple inside n (`cochain.relative_cohomology`).
     """
     nset = _check_subset(v.space, n)
     _closure_direction(v.space, nset)

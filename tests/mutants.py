@@ -264,10 +264,14 @@ MUTANTS = (
     Mutant(
         "weak-chain-counter-with-the-strict-step",
         "cochain.py",
-        "+ (0 if strict else counts[y])",
-        "+ 0",
+        "return sum(t * comb(k, i) for i, t in enumerate(sizes))",
+        "return sizes[k] if k < len(sizes) else 0",
         ("tests/test_cochain.py::test_counted_chain_dims_match_enumeration_seeded[weak]",
-         "tests/test_cochain.py::test_counted_chain_dims_reach_large_degrees"),
+         "tests/test_cochain.py::test_counted_chain_dims_reach_large_degrees",
+         "tests/test_cochain.py::test_chain_counts_in_closed_form_match_the_recurrences",
+         "tests/test_cli.py::test_huge_degrees_are_answered_from_counts"),
+        note="retargeted from the weak recurrence, which the closed form replaced: "
+             "the full complex's dim C^k would be the reduced one's",
     ),
     Mutant(
         "column-product-sign-flipped",
@@ -438,20 +442,79 @@ MUTANTS = (
     Mutant(
         "pair-sequence-on-the-resolution-for-every-subset",
         "cochain.py",
-        "down = all(x in nset for y in nset for x in space.below(y))",
-        "down = True",
+        "    if _down_closed(space, nset):\n        full = _Complex(",
+        "    if True:\n        full = _Complex(",
         ("tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
-         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded"),
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
+         "tests/test_properties.py::test_pair_sequences_of_arbitrary_subsets_randomized"),
         note="off a down-closed subset a chain can leave the subset below its top "
-             "stratum, so the cells' filter is not the chains'",
+             "stratum, so v off and on the subset are not the pair's relative and "
+             "subset complexes",
     ),
     Mutant(
-        "subset-and-relative-swapped-on-cells",
+        "kept-on-inherits-a-failing-report",
+        "coeffsys.py",
+        "if known is not None and known.ok:",
+        "if known is not None:",
+        ("tests/test_coeffsys.py::test_kept_on_takes_only_a_known_clean_report",
+         "tests/test_cochain.py::test_relative_cohomology_answers_a_law_violation_inside_the_subset",
+         "tests/test_cli.py::test_les_on_non_functorial_system_names_the_violation"),
+        note="v off a subset holding every failing triple would keep v's violations, "
+             "so its relative groups would be refused",
+    ),
+    Mutant(
+        "carry-writes-into-a-zero-width-block",
         "cochain.py",
-        "inside = (lambda t: t[-1] in nset) if cells",
-        "inside = (lambda t: t[-1] not in nset) if cells",
+        "if o is None or not o[1]:",
+        "if o is None:",
+        ("tests/test_cochain.py::test_les_pair_empty_subset",
+         "tests/test_cochain.py::test_both_long_exact_sequences_agree_on_down_closed_subsets_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="a cell's entries would land in the next block of a complex that is "
+             "zero at that cell's stratum",
+    ),
+    Mutant(
+        "carry-copies-between-bases-of-other-widths",
+        "cochain.py",
+        "src.tuples == dst.tuples and src.block_dims == dst.block_dims",
+        "src.tuples == dst.tuples",
+        ("tests/test_cochain.py::test_les_pair_empty_subset",
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="a cochain would be copied as it is between R's cells of v and of v off "
+             "or on a subset, whose offsets differ",
+    ),
+    Mutant(
+        "relative-through-the-quotient-for-every-subset",
+        "cochain.py",
+        "    if _down_closed(v.space, nset):\n        return cohomology(",
+        "    if True:\n        return cohomology(",
+        ("tests/test_cochain.py::test_relative_differs_from_quotient_for_up_closed_subset",
+         "tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
+         "tests/test_properties.py::test_pair_sequences_of_arbitrary_subsets_randomized"),
+        note="v off a subset that is not down-closed is no quotient of the pair",
+    ),
+    Mutant(
+        "sharing-by-tuples-alone",
+        "cochain.py",
+        " and whole.block_dims == tuple(\n                        self.v.dims[t[-1]] for t in ts):",
+        ":",
         ("tests/test_cochain.py::test_les_pair_fixed_points",
-         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded"),
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="the relative complex on R's cells would take the space's basis, and so "
+             "its d_0 and cohomology, where a stratum of the subset has another width",
+    ),
+    Mutant(
+        "alternating-binomials-last-sign-flipped",
+        "cochain.py",
+        "(-1) ** ((i + 1 + k) & 1)",
+        "(-1) ** ((i + k) & 1)",
+        ("tests/test_cochain.py::test_chain_counts_in_closed_form_match_the_recurrences",
+         "tests/test_cli.py::test_huge_degrees_are_answered_from_counts",
+         "tests/test_cli.py::test_cohomology_without_classes_enumerates_no_chain"),
+        note="rank_coboundaries of the full complex would change in a degree "
+             "without classes",
     ),
     Mutant(
         "resolution-stops-one-degree-early",

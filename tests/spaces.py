@@ -1,7 +1,8 @@
 """Hand-entered example spaces reused across test modules."""
 
 from assigncoh import (
-    CoefficientSystem, PolytopeData, RatMatrix, StratSpace, Subalgebra, moment_system,
+    CoefficientSystem, PolytopeData, RatMatrix, StratSpace, Subalgebra, build_polytope,
+    moment_system, preset_polytope,
 )
 
 
@@ -101,6 +102,20 @@ def zero_system(space):
     for x in space.ids:
         proj[(x, x)] = RatMatrix.zeros(0, 0)
     return CoefficientSystem(space, dims, proj)
+
+
+def cube_broken_on_a_face():
+    """The cube's moment system with the explicit entry of one (vertex,
+    face) pair doubled: its laws fail only inside that face's closed
+    downset.  Returns the space, the system and that downset."""
+    space, cube = build_polytope(preset_polytope("cube"))
+    face = next(x for x in space.ids if space.stabilizer(x).dim == 1)
+    vertex = space.below(face)[0]
+    explicit = {(vertex, face): RatMatrix.from_rows(
+        [[2 * x for x in row] for row in cube.proj(vertex, face).data])}
+    v = CoefficientSystem.from_cover_maps(
+        space, cube.dims, {c: cube.proj(*c) for c in space.covers}, explicit)
+    return space, v, frozenset(space.below(face)) | {face}
 
 
 def truncated(data, rng, cuts):

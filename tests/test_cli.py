@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from assigncoh import (
     build_polytope,
     build_product,
     build_sphere_product,
+    chain_space_dim,
+    chains,
     check_functor,
     cli,
     is_assignment,
@@ -445,6 +449,26 @@ def test_cohomology_relative(capsys, cp2_file):
     assert out.splitlines()[0] == "reduced: dim HA_rel^1 = 3"
 
 
+def test_cohomology_relative_to_the_minimal_strata_enumerates_no_chain(capsys, tmp_path,
+                                                                       monkeypatch):
+    """A down-closed subset is answered through v off it: degree 2 of the
+    cube relative to its vertices has no class, so R answers it and no
+    chain of the order complex is enumerated."""
+    path = str(tmp_path / "cube.space")
+    assert cli.main(["build", "polytope", "--cube", "--out", path]) == 0
+    capsys.readouterr()
+    space, _ = build_from_description(SpaceDescription.from_json_dict(json.loads(
+        Path(path).read_text())))
+    vertices = ",".join(x for x in space.ids if not space.below(x))
+
+    def refuse(*args):
+        raise AssertionError("chains were enumerated")
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", refuse)
+    code, out, err = run(capsys, ["cohomology", path, "--degree", "2", "--relative", vertices])
+    assert (code, out, err) == (0, "reduced: dim HA_rel^2 = 0\n", "")
+
+
 def test_cohomology_relative_to_no_strata(capsys, cp2_file):
     code, out, _ = run(capsys, ["cohomology", cp2_file, "--degree", "0",
                                 "--relative", ","])
@@ -500,6 +524,36 @@ def test_cohomology_far_above_the_longest_chain(cp2_file):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"reduced: dim HA^{degree} = 0\n"
+
+
+def test_huge_degrees_are_answered_from_counts(capsys, tmp_path):
+    """Degree 10**20 of the square exits 0 within a second on both
+    complexes.  Its diagnostics come from the strict chain counts S_i:
+    dim C^k = sum_i T_i C(k, i) on the full complex, T_i the strict chains
+    of i+1 strata weighted by their top's dim, and the coboundary ranks of
+    degrees k and k-1 add up to dim C^(k-1) (no class above degree 0)."""
+    path = str(tmp_path / "square.space")
+    assert cli.main(["build", "polytope", "--square", "--out", path]) == 0
+    capsys.readouterr()
+    space, v = build_from_description(SpaceDescription.from_json_dict(json.loads(
+        Path(path).read_text())))
+    sizes = [sum(v.dims[t[-1]] for t in chains(space, i, True)) for i in range(3)]
+    k = 10**20
+    for name, dim_chain in (("reduced", lambda k: 0),
+                            ("full", lambda k: sum(t * comb(k, i) for i, t in enumerate(sizes)))):
+        diags = []
+        for degree in (k - 1, k):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", str(degree),
+                                        "--complex", name])
+            assert code == 0 and time.perf_counter() - start < 1.0
+            block = json.loads(out)["results"][name]
+            assert (block["dim"], block["representatives"]) == (0, [])
+            diags.append(block["diagnostics"])
+            assert diags[-1]["dim_chain"] == dim_chain(degree)
+            assert diags[-1]["dim_cocycles"] == diags[-1]["rank_coboundaries"]
+        assert diags[0]["rank_coboundaries"] + diags[1]["rank_coboundaries"] == dim_chain(k - 1)
+        assert chain_space_dim(v, k, strict=name == "reduced") == dim_chain(k)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@ from oracles import (
 from spaces import (
     CP2_FIXED,
     cp2,
+    cube_broken_on_a_face,
     free_stratum,
     s4,
     s4_chain,
@@ -464,6 +465,40 @@ def test_counted_chain_dims_match_enumeration_seeded(strict):
         chain_space_dim(v, -1, strict)
 
 
+def _weak_counts(space):
+    """N_0, N_1, ...: the weak chains of k+1 strata ending at each stratum,
+    by the recurrence N_k(y) = sum over x <= y of N_{k-1}(x)."""
+    counts = dict.fromkeys(space.ids, 1)
+    while True:
+        yield counts
+        counts = {y: sum(counts[x] for x in space.below(y)) + counts[y] for y in space.ids}
+
+
+@pytest.mark.parametrize("make", [cp2, s4, lambda: s4_chain(2), two_stratum, free_stratum,
+                                  _cp2_zero])
+def test_chain_counts_in_closed_form_match_the_recurrences(make):
+    """dim C^k = sum_i T_i C(k, i) on the full complex, and the alternating
+    sum behind `cohomology`'s rank_coboundaries in closed form, agree with
+    the weak recurrence and the rank recurrence rank d_k = dim C^k -
+    dim H^k - rank d_{k-1} for k <= 30, on both complexes."""
+    space, v = make()
+    h = [cohomology(v, k).dim for k in range(31)]
+    for strict in (True, False):
+        if strict:
+            counts = [Counter(t[-1] for t in chains(space, k, True)) for k in range(31)]
+        else:
+            counts = [c for c, _ in zip(_weak_counts(space), range(31))]
+        sizes = [sum(v.dims[y] * n for y, n in c.items()) for c in counts]
+        rank = 0
+        for k in range(31):
+            assert chain_space_dim(v, k, strict) == sizes[k], (strict, k)
+            if k:
+                diag = cohomology(v, k, strict).diagnostics
+                assert diag == {"dim_chain": sizes[k], "dim_cocycles": rank + h[k],
+                                "rank_coboundaries": rank}, (strict, k)
+            rank = sizes[k] - h[k] - rank
+
+
 def test_counted_chain_dims_reach_large_degrees():
     cube = _poly("cube")
     _, cc = build_product(cube, cube)
@@ -668,8 +703,61 @@ def test_relative_equals_quotient_for_down_closed_subset():
     # top carries a nonzero quotient space, so the complexes coincide
     _, v = cp2()
     q = quotient_system(v, CP2_FIXED)
+    rel = _Complex(v, True, support=("rel", CP2_FIXED))
     for k in range(3):
-        assert relative_cohomology(v, CP2_FIXED, k).dim == cohomology(q, k).dim
+        assert rel.data(k).dim == cohomology(q, k).dim
+
+
+def _same_result(got, want):
+    return ((got.dim, got.diagnostics, [r._row for r in got.representatives])
+            == (want.dim, want.diagnostics, [r._row for r in want.representatives]))
+
+
+def test_relative_cohomology_matches_the_filtered_complex_seeded():
+    """For a down-closed N `relative_cohomology` answers through v off N
+    (`_kept_on`), from R where it can; it gives the filtered order
+    complex's dimension, diagnostics and representative rows in degrees
+    0..3 on both complexes (the full one above degree 1 only on spaces of
+    at most 30 strata, for time).  N is the minimal strata, a stratum's
+    strict or closed downset, the empty set or every stratum."""
+    rng = random.Random(89)
+    cases = list(_forest_cases(rng))
+    cases = rng.sample(cases, 24) + [_elim_class_sphere_product()[1]]
+    kinds = Counter()
+    for v in cases:
+        space = v.space
+        z = rng.choice([x for x in space.ids if space.below(x)])
+        subsets = {"minimal": frozenset(minimal_strata(space)),
+                   "strict downset": frozenset(space.below(z)),
+                   "closed downset": frozenset(space.below(z)) | {z},
+                   "empty": frozenset(), "all": frozenset(space.ids)}
+        for kind in ("minimal", rng.choice(sorted(subsets))):
+            nset = subsets[kind]
+            for strict in (True, False):
+                want = _Complex(v, strict, support=("rel", nset))
+                top = 3 if strict or len(space.ids) <= 30 else 1
+                for k in range(top + 1):
+                    got = relative_cohomology(v, nset, k, strict)
+                    assert _same_result(got, want.result(k)), (kind, strict, k)
+                    kinds[kind] += bool(got.dim)
+    assert set(kinds) == {"minimal", "strict downset", "closed downset", "empty", "all"}
+    assert kinds["minimal"] and kinds["closed downset"]
+
+
+def test_relative_cohomology_answers_a_law_violation_inside_the_subset():
+    """A system whose laws fail only inside a down-closed N has no
+    cohomology in degree 1, yet its relative groups are those of v off N, a
+    functor: the filtered complex never reaches the failing triple either."""
+    _, v, nset = cube_broken_on_a_face()
+    assert not check_functor(v).ok
+    assert all(set(t) <= nset for t in check_functor(v).composition_violations)
+    with pytest.raises(ValueError, match="no cohomology"):
+        cohomology(v, 1)
+    assert check_functor(quotient_system(v, nset)).ok
+    for strict in (True, False):
+        want = _Complex(v, strict, support=("rel", nset))
+        for k in range(3):
+            assert _same_result(relative_cohomology(v, nset, k, strict), want.result(k))
 
 
 def test_relative_differs_from_quotient_for_up_closed_subset():
@@ -754,7 +842,8 @@ def _les_pair_unshared(v, nset):
     rel = _Complex(v, True, support=("rel", nset))
     sub = _Complex(v, True, support=("sub", nset))
     return assigncoh.cochain._long_exact_sequence(
-        ("pair", "space", "subset"), rel, _Complex(v, True), sub)
+        ("pair", "space", "subset"), assigncoh.cochain._top_degree(v.space),
+        rel, _Complex(v, True), sub)
 
 
 def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):

@@ -45,7 +45,8 @@ from oracles import (
     system_adapter,
 )
 from spaces import (
-    CP2_FIXED, cp2, free_stratum, s4, s4_chain, truncated, two_stratum, zero_system,
+    CP2_FIXED, cp2, cube_broken_on_a_face, free_stratum, s4, s4_chain, truncated, two_stratum,
+    zero_system,
 )
 
 
@@ -231,6 +232,80 @@ def test_pair_ses_parts_are_the_quotient_and_restriction():
         with pytest.raises(type(exc.value)) as ref:
             quotient_system(v, n)
         assert str(exc.value) == str(ref.value)
+
+
+def _kept_on_all_pairs(v, keep):
+    """v on keep and zero elsewhere, from every pair's matrix."""
+    dims = {x: v.dims[x] if x in keep else 0 for x in v.space.ids}
+    return CoefficientSystem(v.space, dims, {
+        (x, y): v.proj(x, y) if x in keep and y in keep else RatMatrix.zeros(dims[y], dims[x])
+        for x, y in v.pairs()})
+
+
+def _explicit_square():
+    """The square as dims, cover projections and explicit entries on two of
+    its vertex -> interior pairs, as in the fuzz test."""
+    space, v = build_polytope(preset_polytope("square"))
+    desc = SpaceDescription.from_space(space).to_json_dict()
+    desc["dims"] = dict(v.dims)
+    desc["projections"] = [
+        {"pair": [x, y], "matrix": [[str(e) for e in row] for row in v.proj(x, y).data]}
+        for x, y in [*space.covers, ("v00", "interior"), ("v01", "interior")]]
+    return build_from_description(SpaceDescription.from_json_dict(desc))
+
+
+def test_kept_on_matches_the_all_pairs_construction():
+    """`_kept_on` builds from the cover maps and composes the rest on first
+    use; on every up-closed and down-closed subset its dims, every
+    projection and its functor report are those of the system built from
+    all pairs, on and off the functor laws."""
+    space, v = cp2()
+    broken = {p: v.proj(*p) for p in v.pairs()}
+    broken[("p1", "e12")] = RatMatrix.from_rows([[2, 2]])
+    systems = [cp2(), build_polytope(preset_polytope("cube")), _explicit_square(),
+               (space, CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})),
+               (space, CoefficientSystem(space, v.dims, broken)), cube_broken_on_a_face()[:2]]
+    seen = 0
+    for space, w in systems:
+        keeps = {frozenset(), frozenset(space.ids)}
+        for z in space.ids:
+            keeps |= {frozenset(space.below(z)), frozenset(space.below(z)) | {z},
+                      space.upset(z), space.upset(z) - {z}}
+        for keep in keeps:
+            got, want = assigncoh.coeffsys._kept_on(w, keep), _kept_on_all_pairs(w, keep)
+            assert got.dims == want.dims
+            assert all(got.proj(*p) == want.proj(*p) for p in w.pairs()), sorted(keep)
+            assert check_functor(got) == check_functor(want)
+            seen += not check_functor(got).ok
+    assert seen
+
+
+def test_kept_on_takes_only_a_known_clean_report(monkeypatch):
+    """An order-closed quotient or restriction of a functor whose clean
+    report is known walks no law; one whose report is unknown walks its
+    own, and so does one of a system whose laws fail, which may be clean."""
+    walks = []
+    walk = assigncoh.coeffsys._walk_laws
+
+    def counting(v):
+        walks.append(v)
+        return walk(v)
+
+    monkeypatch.setattr(assigncoh.coeffsys, "_walk_laws", counting)
+    space, v = cp2()
+    nonfixed = frozenset(space.ids) - CP2_FIXED
+    for n in (CP2_FIXED, nonfixed):
+        assert check_functor(quotient_system(v, n)).ok
+        assert check_functor(restriction_system(v, n)).ok
+    assert walks == []
+    generic = CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})
+    assert check_functor(quotient_system(generic, CP2_FIXED)).ok
+    assert len(walks) == 1
+    _, bad, nset = cube_broken_on_a_face()
+    assert not check_functor(bad).ok
+    assert check_functor(quotient_system(bad, nset)).ok
+    assert not check_functor(restriction_system(bad, nset)).ok
+    assert len(walks) == 4
 
 
 def test_ses_identity_then_zero_fails_surjectivity():

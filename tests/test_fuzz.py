@@ -4,7 +4,8 @@ The square's space file, the same space as a generic system (explicit
 dims and cover projections), and that generic system with explicit
 entries on two of its vertex -> interior pairs get one or two leaves
 replaced by hostile JSON values.  Every command run on the result must return a documented
-exit code (0-5) and raise nothing.  Mutations that grow sizes (a huge
+exit code (0-5) and raise nothing; two of them take the square's vertices, a down-closed
+subset, so the relative groups and the pair's sequence run through v off that subset.  Mutations that grow sizes (a huge
 torus_dim, say) are left out: there is no size budget to refuse them yet.
 
 Integer literals longer than the interpreter converts and nesting deeper
@@ -21,7 +22,9 @@ import pytest
 from assigncoh import SpaceDescription, build_from_description, cli
 
 VALUES = [1.5, 1e400, -1, True, "x", None, [], {}, "1/2"]
-COMMANDS = [["assignments"], ["check", "--euler"], ["cohomology", "--degree", "1"]]
+COMMANDS = [["assignments"], ["check", "--euler"], ["cohomology", "--degree", "1"],
+            ["cohomology", "--degree", "1", "--relative", "v00,v01,v10,v11"],
+            ["check", "--les", "v00,v01,v10,v11"]]
 MUTATIONS_PER_FILE = 100
 
 
