@@ -111,6 +111,14 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
     IncompatibleMinimalValuesError naming the first offending triple; its
     subclass BrokenProjectionError names the first pair of the system's cut
     (`CoefficientSystem._cut`) the values break, as where the functor laws fail.
+
+    The value x pushes to Y is proj(x, Y) v(x), and no projection matrix is
+    composed for it: it is the cover map (C, Y) applied to the value pushed
+    to C, for C the first of space.lower_covers(Y) above x, the route
+    `CoefficientSystem._compose` takes, so it is that composition's value.
+    Where the system has an explicit entry at (x, Y), that entry is applied
+    to v(x) instead, as `CoefficientSystem._rows` reads it, and the route
+    above Y still runs through the cover.
     """
     space = v.space
     minima = minimal_strata(space)
@@ -132,8 +140,19 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
         values[x] = _normal(dict(enumerate(m.values[x])), v.dims[x])
         origin[x] = x
     for x in minima:
+        up = space.upset(x)
+        path = {x: values[x]}    # y -> proj(x, y) v(x) along the cover route
+
+        def push(y: str) -> SparseRow:
+            got = path.get(y)
+            if got is None:
+                c = next(c for c in space.lower_covers(y) if c in up)
+                got = path[y] = _apply(v._rows(c, y), push(c))
+            return got
+
         for y in space.above(x):
-            pushed = _apply(v._rows(x, y), values[x])
+            rows = v._explicit.get((x, y))
+            pushed = push(y) if rows is None else _apply(rows, values[x])
             if y in values:
                 if values[y] != pushed:
                     raise IncompatibleMinimalValuesError((origin[y], x, y))

@@ -9,6 +9,7 @@ returns the resulting poset with its moment coefficient system.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -345,6 +346,28 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_rational(x) -> Fraction:
+    """Fraction(str(x)) for a JSON number or a rational string such as
+    "1/2", "0.5" or "1e3"; ValueError or ZeroDivisionError otherwise.
+
+    Fraction computes 10**exp for an exponent, with no bound on its digits,
+    so an exponent of magnitude past the interpreter's limit on integer
+    digits (`sys.get_int_max_str_digits()`, which refuses longer JSON
+    integers and digit strings already) is refused before Fraction runs.
+    """
+    s = str(x)
+    at = max(s.rfind("e"), s.rfind("E"))
+    limit = sys.get_int_max_str_digits()
+    if at >= 0 and limit:
+        try:
+            exp = int(s[at + 1:])
+        except ValueError:
+            exp = 0     # no exponent Fraction reads: it raises its own error
+        if abs(exp) > limit:
+            raise ValueError(f"an exponent past {limit} gives more than {limit} digits")
+    return Fraction(s)
+
+
 def _json_list(x) -> list:
     """x when it is a JSON array; TypeError otherwise (iterating "12" gives a row)."""
     if not isinstance(x, list):
@@ -422,7 +445,7 @@ class SpaceDescription:
                 try:
                     x, y = _json_list(p["pair"])
                     x, y = _json_str(x), _json_str(y)
-                    mat = [[Fraction(str(e)) for e in _json_list(row)]
+                    mat = [[_json_rational(e) for e in _json_list(row)]
                            for row in _json_list(p["matrix"])]
                 except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
                     raise DescriptionError(f"malformed projection entry: {p!r}") from None

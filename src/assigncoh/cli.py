@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -368,7 +367,7 @@ def cmd_extend(args) -> Tuple[dict, Iterable[str]]:
     obj, raw = _read_json(args.values, malformed)
     try:
         table = {
-            str(x): tuple(Fraction(str(e)) for e in builders._json_list(vec))
+            str(x): tuple(builders._json_rational(e) for e in builders._json_list(vec))
             for x, vec in obj["values"].items()
         }
     except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
@@ -405,9 +404,10 @@ def cmd_decompose(args) -> Tuple[dict, Iterable[str]]:
     if not momentpoly.verify_decomposition(p, fc):
         raise RuntimeError("decomposition does not reproduce the polynomial")
     with _printable():
-        fs = [f.to_text() for f, _ in fc.pairs]
-        gs = [g.to_text() for _, g in fc.pairs]
-        psi = p.to_text()
+        texts = {}   # each monomial is rendered once for psi and the cofactors
+        fs = [f.to_text(texts) for f, _ in fc.pairs]
+        gs = [g.to_text(texts) for _, g in fc.pairs]
+        psi = p.to_text(texts)
     report = {
         "command": "decompose",
         "input_digest": _digest(

@@ -105,7 +105,7 @@ class CoefficientSystem:
     Two tables of rows: _explicit, the explicit entries, gives public values
     only; _at holds the identities, the cover maps and their compositions
     along the route space.lower_covers fixes, never an explicit entry.  No
-    pair is in both, and the cut follows from the two (see _keep).
+    pair is in both, and the cut follows from the two (see _cut).
 
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
@@ -128,10 +128,7 @@ class CoefficientSystem:
     def _keep(self, space: StratSpace, dims: Mapping[str, int],
               covers: Mapping[Tuple[str, str], Rows],
               explicit: Dict[Tuple[str, str], Rows]) -> None:
-        """Store the tables and the cut, the pairs whose conditions cut out
-        the assignments (`cochain._Complex.data(0)`): the covers and the
-        explicit non-identity entries.
-        """
+        """Store the tables: the identity rows and covers in _at, explicit in _explicit."""
         self.space = space
         self.dims = dict(dims)
         # strata of one dimension share their identity rows, as equal covers share theirs
@@ -139,7 +136,20 @@ class CoefficientSystem:
         self._at = {(x, x): ident[dims[x]] for x in space.ids}
         self._at.update(covers)
         self._explicit = explicit
-        self._cut = sorted(set(covers).union(p for p in explicit if p[0] != p[1]))
+
+    @cached_property
+    def _cut(self) -> List[Tuple[str, str]]:
+        """The pairs whose conditions cut out the assignments
+        (`cochain._Complex.data(0)`, `assignops.extend_minimal`), sorted: the
+        covers and the explicit non-identity entries.
+
+        A system either keeps every cover's map in _at or has an explicit
+        entry on every comparable pair (the constructor), so the covers are
+        in the cut either way.  Sorted on first use: most systems, such as
+        those of the pair sequence, never read it.
+        """
+        return sorted(set(self.space.covers).union(
+            p for p in self._explicit if p[0] != p[1]))
 
     @classmethod
     def _of_rows(cls, space: StratSpace, dims: Mapping[str, int],

@@ -5,18 +5,23 @@ covector coefficients beta.  The membership criterion asks each beta to lie
 in the span of the weights of the variables actually present in its
 monomial; when it holds the polynomial splits as
 sum_j (z_j f_j + zbar_j g_j) alpha_j with scalar polynomial cofactors.
-Both questions are answered by one elimination per monomial support
-(`ratlin._solutions`, the package's one solve): the criterion fails
-exactly at the monomials whose covector has no solution over those
-weights, and the solutions of the others (smallest-index pivots, free
-variables zero, kept as sparse maps) are the cofactor coefficients.
+Both questions are answered by one elimination per polynomial
+(`ratlin._solutions`, the package's one solve, on a block-diagonal system
+with one block per monomial support): the criterion fails exactly at the
+monomials whose covector has no solution over those weights, and the
+solutions of the others (smallest-index pivots, free variables zero, kept
+as sparse maps) are the cofactor coefficients.
 
-The path of `decompose` touches each token and each term a few times in
-straight-line code.  `parse_poly` splits the text with one `findall` pass
-and walks the token strings by index; a character position is worked out
-only on the way to an error, by scanning the text again.  The keys are
-sorted once and each support computed once.  Each monomial of a cofactor
-comes from exactly one term, so its coefficient is assigned, not summed.
+The path of `decompose` does each exact step once.  `parse_poly` splits
+the text with one `findall` pass and walks the token strings by index; a
+character position is worked out only on the way to an error, by scanning
+the text again.  It reads each variable token once per call and builds
+each coefficient in the convention below, so the polynomial is normalized
+again only where two terms share a monomial.  Each support is computed
+once.  Each monomial of a cofactor comes from exactly one term, so its
+coefficient is assigned, not summed.  `verify_decomposition` compares the
+recombined terms with p's as they stand, and the texts of psi and the
+cofactors can share one table of monomial texts.
 
 Coefficients follow the convention of `ratlin.sparse_rref`: an int where
 the value is integral, a `Fraction` only where a denominator remains, never
@@ -45,16 +50,12 @@ ExpPair = Tuple[Tuple[int, ...], Tuple[int, ...]]   # (k, l) exponent vectors
 
 def _exp_text(k: Sequence[int], l: Sequence[int]) -> str:
     parts = []
-    for i, e in enumerate(k):
-        if e == 1:
-            parts.append(f"z{i + 1}")
-        elif e > 1:
-            parts.append(f"z{i + 1}^{e}")
-    for i, e in enumerate(l):
-        if e == 1:
-            parts.append(f"zb{i + 1}")
-        elif e > 1:
-            parts.append(f"zb{i + 1}^{e}")
+    for i, e in enumerate(k, 1):
+        if e > 0:
+            parts.append(f"z{i}^{e}" if e > 1 else f"z{i}")
+    for i, e in enumerate(l, 1):
+        if e > 0:
+            parts.append(f"zb{i}^{e}" if e > 1 else f"zb{i}")
     return " ".join(parts)
 
 
@@ -75,6 +76,15 @@ class MomentPolynomial:
             if any(v):
                 clean[key] = v
         self.terms = clean
+
+    @classmethod
+    def _of_clean(cls, weights: WeightMatrix,
+                  terms: Dict[ExpPair, Tuple]) -> "MomentPolynomial":
+        """A polynomial from terms already as the constructor keeps them:
+        tuples of torus_dim coefficients in the convention, none all zero."""
+        p = cls.__new__(cls)
+        p.weights, p.terms = weights, terms
+        return p
 
     def __eq__(self, other):
         return (
@@ -108,16 +118,24 @@ class MomentPolynomial:
             {key: tuple(c * x for x in vec) for key, vec in self.terms.items()},
         )
 
-    def to_text(self) -> str:
+    def to_text(self, texts: Optional[Dict[ExpPair, str]] = None) -> str:
+        """The polynomial as `parse_poly` reads it, terms sorted.
+
+        texts maps a monomial to its text and gains each one rendered here,
+        so callers that render several polynomials can share one.
+        """
         if not self.terms:
             n = self.weights.torus_dim
             return "[" + ",".join(["0"] * n) + "]"
+        if texts is None:
+            texts = {}
         chunks = []
-        for (k, l) in sorted(self.terms):
-            vec = self.terms[(k, l)]
-            head = "[" + ",".join(str(x) for x in vec) + "]"
-            tail = _exp_text(k, l)
-            chunks.append(head + (" " + tail if tail else ""))
+        for key in sorted(self.terms):
+            tail = texts.get(key)
+            if tail is None:
+                tail = texts[key] = _exp_text(*key)
+            head = "[" + ",".join(map(str, self.terms[key])) + "]"
+            chunks.append(head + " " + tail if tail else head)
         return " + ".join(chunks)
 
 
@@ -144,21 +162,26 @@ class ScalarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_text(self) -> str:
+    def to_text(self, texts: Optional[Dict[ExpPair, str]] = None) -> str:
+        """The polynomial, terms sorted; texts as for `MomentPolynomial.to_text`."""
         if not self.terms:
             return "0"
+        if texts is None:
+            texts = {}
         chunks = []
-        for (k, l) in sorted(self.terms):
-            c = self.terms[(k, l)]
-            tail = _exp_text(k, l)
+        for key in sorted(self.terms):
+            c = str(self.terms[key])      # "1" exactly when c == 1, int or Fraction
+            tail = texts.get(key)
+            if tail is None:
+                tail = texts[key] = _exp_text(*key)
             if not tail:
-                chunks.append(str(c))
-            elif c == 1:
+                chunks.append(c)
+            elif c == "1":
                 chunks.append(tail)
-            elif c == -1:
+            elif c == "-1":
                 chunks.append("-" + tail)
             else:
-                chunks.append(f"{c} {tail}")
+                chunks.append(c + " " + tail)
         return " + ".join(chunks)
 
 
@@ -241,7 +264,9 @@ def parse_poly(text: str, weights: WeightMatrix) -> MomentPolynomial:
     toks = _TOKEN.findall(text)
     toks.append("")                  # the end of the input
     n, d = weights.torus_dim, weights.count
-    terms: Dict[ExpPair, list] = {}
+    terms: Dict[ExpPair, Sequence] = {}
+    merged = False
+    names: Dict[str, Tuple[bool, int]] = {}   # variable token -> (conj, index)
     t = toks[0]
     i = 1 if t == "+" or t == "-" else 0
     sign = -1 if t == "-" else 1
@@ -266,7 +291,8 @@ def parse_poly(text: str, weights: WeightMatrix) -> MomentPolynomial:
                     den = _number(text, toks, i)
                     if not den:
                         raise ParseError("zero denominator", _at(text, i))
-                    x = Fraction(x, den)
+                    q, r = divmod(x, den)
+                    x = Fraction(x, den) if r else q
                     i += 1
                 vec.append(s * x)
                 if toks[i] != ",":
@@ -286,36 +312,44 @@ def parse_poly(text: str, weights: WeightMatrix) -> MomentPolynomial:
                 t = toks[i]
                 if not (len(t) > 1 and t[0] == "z"):
                     raise _expected(text, toks, i, "var")
-            conj = t[1] == "b"
-            digits = t[2:] if conj else t[1:]
-            try:
-                idx = int(digits)
-            except ValueError:
-                raise _too_long(text, digits, i) from None
-            if not 1 <= idx <= d:
-                raise ArityError(f"variable {t} out of range for {d} coordinates "
-                                 f"(at position {_at(text, i)})")
+            var = names.get(t)
+            if var is None:
+                conj = t[1] == "b"
+                digits = t[2:] if conj else t[1:]
+                try:
+                    idx = int(digits)
+                except ValueError:
+                    raise _too_long(text, digits, i) from None
+                if not 1 <= idx <= d:
+                    raise ArityError(f"variable {t} out of range for {d} coordinates "
+                                     f"(at position {_at(text, i)})")
+                var = names[t] = (conj, idx - 1)
             i += 1
             exp = 1
             if toks[i] == "^":
                 i += 1
                 exp = _number(text, toks, i)
                 i += 1
-            (l if conj else k)[idx - 1] += exp
+            (l if var[0] else k)[var[1]] += exp
             t = toks[i]
-        key = (tuple(k), tuple(l))
-        cur = terms.get(key)
-        if cur is None:
-            terms[key] = vec
-        else:
-            terms[key] = [a + b for a, b in zip(cur, vec)]
+        if any(vec):
+            key = (tuple(k), tuple(l))
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = tuple(vec)
+            else:
+                terms[key] = [a + b for a, b in zip(cur, vec)]
+                merged = True
         if t == "+" or t == "-":
             sign = -1 if t == "-" else 1
             i += 1
         elif t:
             raise _expected(text, toks, i, "end")
-        else:
+        elif merged:
+            # a sum can cancel, or leave an integral Fraction
             return MomentPolynomial(weights, terms)
+        else:
+            return MomentPolynomial._of_clean(weights, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +373,18 @@ _Group = Tuple[Tuple[int, ...], List[ExpPair], List[Optional[SparseRow]]]
 
 
 def _solve(p: MomentPolynomial) -> List[_Group]:
-    """One elimination per monomial support, keys sorted within each group.
+    """One elimination for the whole polynomial; a group per monomial support.
 
     The coefficients express the term's covector over the weights of the
     monomial's variables, with smallest-index pivots and free variables
     zero; they are None when the covector lies outside the span of those
-    weights.  All terms on one support are solved together by
-    `ratlin._solutions`: the weight columns come first and each term's
-    covector is one right-hand side column.
+    weights.  Every term is solved in one `ratlin._solutions` call on a
+    block-diagonal system: the weight columns of every support come first,
+    in support order, then one right-hand side column per term, and each
+    support contributes torus_dim rows with entries in its own columns
+    only.  The RREF of a block-diagonal matrix is the RREF of each block,
+    so each term gets the solution of its own support's system; its keys
+    are shifted back by the block's column offset.
     """
     d, n = p.weights.count, p.weights.torus_dim
     if ((0,) * d, (0,) * d) in p.terms:
@@ -354,17 +392,31 @@ def _solve(p: MomentPolynomial) -> List[_Group]:
             "polynomial has a nonzero constant term; it must vanish at the origin"
         )
     by_support: Dict[Tuple[int, ...], List[ExpPair]] = {}
-    for key in sorted(p.terms):
+    for key in p.terms:
         k, l = key
         by_support.setdefault(tuple([i for i in range(d) if k[i] or l[i]]), []).append(key)
     wrows, terms = p.weights.rows, p.terms
-    groups = []
+    width = sum(map(len, by_support))
+    rows: List[SparseRow] = []
+    offset, col = 0, width       # the block's first weight column and first term column
     for support, group in by_support.items():
-        cols = [wrows[i] for i in support] + [terms[key] for key in group]
-        rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(n)]
-        lams, outside = _solutions(rows, len(support), len(group))
-        groups.append((support, group,
-                       [None if t in outside else lam for t, lam in enumerate(lams)]))
+        for r in range(n):
+            row = {offset + j: x for j, i in enumerate(support) if (x := wrows[i][r])}
+            for t, key in enumerate(group, col):
+                if x := terms[key][r]:
+                    row[t] = x
+            rows.append(row)
+        offset += len(support)
+        col += len(group)
+    lams, outside = _solutions(rows, width, len(terms))
+    groups = []
+    offset, t = 0, 0
+    for support, group in by_support.items():
+        groups.append((support, group, [
+            None if u in outside else {c - offset: x for c, x in lams[u].items()}
+            for u in range(t, t + len(group))]))
+        offset += len(support)
+        t += len(group)
     return groups
 
 
@@ -413,10 +465,11 @@ def decompose(p: MomentPolynomial) -> FormCoefficients:
     return FormCoefficients(p.weights, tuple(zip(fs, gs)))
 
 
-def recombine(fc: FormCoefficients) -> MomentPolynomial:
-    """Expand sum_j (z_j f_j + zbar_j g_j) alpha_j back into a polynomial."""
+def _recombined(fc: FormCoefficients) -> Dict[ExpPair, Tuple]:
+    """The terms of sum_j (z_j f_j + zbar_j g_j) alpha_j, as sums: a vector
+    can be zero, and an entry a Fraction with denominator 1."""
     w = fc.weights
-    terms: Dict[ExpPair, list] = {}
+    terms: Dict[ExpPair, Tuple] = {}
     for j, (f, g) in enumerate(fc.pairs):
         alpha = w.rows[j]
         for (k, l), c in f.terms.items():
@@ -424,18 +477,38 @@ def recombine(fc: FormCoefficients) -> MomentPolynomial:
             bigger[j] += 1
             key = (tuple(bigger), l)
             cur = terms.get(key)
-            terms[key] = ([c * a for a in alpha] if cur is None
-                          else [x + c * a for x, a in zip(cur, alpha)])
+            terms[key] = (tuple([c * a for a in alpha]) if cur is None
+                          else tuple([x + c * a for x, a in zip(cur, alpha)]))
         for (k, l), c in g.terms.items():
             bigger = list(l)
             bigger[j] += 1
             key = (k, tuple(bigger))
             cur = terms.get(key)
-            terms[key] = ([c * a for a in alpha] if cur is None
-                          else [x + c * a for x, a in zip(cur, alpha)])
-    return MomentPolynomial(w, terms)
+            terms[key] = (tuple([c * a for a in alpha]) if cur is None
+                          else tuple([x + c * a for x, a in zip(cur, alpha)]))
+    return terms
+
+
+def recombine(fc: FormCoefficients) -> MomentPolynomial:
+    """Expand sum_j (z_j f_j + zbar_j g_j) alpha_j back into a polynomial."""
+    return MomentPolynomial(fc.weights, _recombined(fc))
 
 
 def verify_decomposition(p: MomentPolynomial, fc: FormCoefficients) -> bool:
-    """Exact term-map comparison of p against the recombined cofactors."""
-    return fc.weights == p.weights and recombine(fc) == p
+    """Exact term-map comparison of p against the recombined cofactors.
+
+    The truth value of recombine(fc) == p, with no polynomial built: the
+    recombined terms that are not zero are p's keys, with equal vectors
+    (an int and a Fraction compare equal).
+    """
+    if fc.weights != p.weights:
+        return False
+    got, want = _recombined(fc), p.terms
+    for key, vec in got.items():
+        w = want.get(key)
+        if w is None:
+            if any(vec):
+                return False
+        elif w != vec:
+            return False
+    return got.keys() >= want.keys()

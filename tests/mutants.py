@@ -262,6 +262,16 @@ MUTANTS = (
         note="on a system that breaks the functor laws extend would print a non-assignment",
     ),
     Mutant(
+        "extend-pushes-through-an-explicit-entry",
+        "assignops.py",
+        "pushed = push(y) if rows is None else _apply(rows, values[x])",
+        "pushed = push(y) if rows is None else path.setdefault(y, _apply(rows, values[x]))",
+        ("tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[cube]",
+         "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[square*segment]"),
+        note="a stratum above an explicit entry (x, y) would take the entry's value "
+             "as the step of its route, where proj composes the cover maps",
+    ),
+    Mutant(
         "weak-chain-counter-with-the-strict-step",
         "cochain.py",
         "return sum(t * comb(k, i) for i, t in enumerate(sizes))",
@@ -349,6 +359,27 @@ MUTANTS = (
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[light]"),
         note="z^-1 zbar-terms land in f; recombine adds the exponent back, so "
              "verify_decomposition still holds and only the texts show it",
+    ),
+    Mutant(
+        "batched-solve-block-offset-off-by-one",
+        "momentpoly.py",
+        "row = {offset + j: x for j, i in enumerate(support) if (x := wrows[i][r])}",
+        "row = {offset + j + 1: x for j, i in enumerate(support) if (x := wrows[i][r])}",
+        ("tests/test_momentpoly.py::test_one_elimination_matches_one_per_support_seeded",
+         "tests/test_momentpoly.py::test_criterion_matches_brute_rank_randomized",
+         "tests/test_momentpoly.py::test_decompose_mixed_term_prefers_low_index",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[light]"),
+        note="each support's weights would sit one column late in the block-diagonal "
+             "system, the last one on the first term's column",
+    ),
+    Mutant(
+        "verify-ignores-terms-missing-from-the-recombination",
+        "momentpoly.py",
+        "return got.keys() >= want.keys()",
+        "return True",
+        ("tests/test_momentpoly.py::test_verify_decomposition_agrees_with_recombine_seeded",
+         "tests/test_momentpoly.py::test_verify_rejects_wrong_cofactors"),
+        note="cofactors that recombine to p with some terms left out would pass",
     ),
     Mutant(
         "report-writer-key-separator-without-space",

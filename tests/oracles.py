@@ -35,6 +35,13 @@ package's former `cochain._reduce`, moved here verbatim once `cochain`
 took its classes from one elimination with the image's pivots pinned.
 `plus_terms` adds terms to a `ScalarPoly` through the package's own
 constructor, which drops zeros and keeps ints where integral.
+`per_support_solve` and `per_support_cofactors` are the package's former
+`momentpoly._solve` (one `ratlin._solutions` per monomial support) and the
+cofactor loop of `decompose` on it: the references for the one
+block-diagonal elimination per polynomial.  `per_pair_extend` is the
+package's former walk of `assignops.extend_minimal`, which applies
+`v._rows(x, y)` to each minimal x and each y above it: the reference for
+the values pushed along the cover route.
 """
 
 from fractions import Fraction
@@ -43,18 +50,23 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assigncoh.cochain import _Complex
+from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
     RatMatrix,
     Rows,
     SparseRow,
+    _apply,
     _integral,
+    _normal,
     _normalize,
     _primitive,
+    _solutions,
     _sub_scaled,
     _transpose,
     sparse_kernel,
 )
+from assigncoh.stratposet import minimal_strata
 
 _ZERO = Fraction(0)
 
@@ -727,3 +739,61 @@ def plus_terms(s: ScalarPoly, terms) -> ScalarPoly:
     for key, c in terms.items():
         out[key] = out.get(key, 0) + c
     return ScalarPoly(s.d, out)
+
+
+def per_support_solve(p):
+    """[(support, keys, solutions)], one `_solutions` call per monomial support.
+
+    Keys are sorted within a group, and a term's solution is None when its
+    covector lies outside the span of its support's weights.
+    """
+    d, n = p.weights.count, p.weights.torus_dim
+    by_support = {}
+    for key in sorted(p.terms):
+        k, l = key
+        by_support.setdefault(tuple(i for i in range(d) if k[i] or l[i]), []).append(key)
+    groups = []
+    for support, group in by_support.items():
+        cols = [p.weights.rows[i] for i in support] + [p.terms[key] for key in group]
+        rows = [{c: col[r] for c, col in enumerate(cols) if col[r]} for r in range(n)]
+        lams, outside = _solutions(rows, len(support), len(group))
+        groups.append((support, group,
+                       [None if t in outside else lam for t, lam in enumerate(lams)]))
+    return groups
+
+
+def per_support_cofactors(p) -> List[Tuple[ScalarPoly, ScalarPoly]]:
+    """The pairs (f_i, g_i) from `per_support_solve`, for a p with no failing
+    term: z_i factored out of a term where k_i > 0, zbar_i otherwise."""
+    d = p.weights.count
+    f, g = [{} for _ in range(d)], [{} for _ in range(d)]
+    for support, group, lams in per_support_solve(p):
+        for (k, l), lam in zip(group, lams):
+            for j, c in lam.items():
+                i = support[j]
+                if k[i] > 0:
+                    f[i][(k[:i] + (k[i] - 1,) + k[i + 1:], l)] = c
+                else:
+                    g[i][(k, l[:i] + (l[i] - 1,) + l[i + 1:])] = c
+    return [(ScalarPoly(d, a), ScalarPoly(d, b)) for a, b in zip(f, g)]
+
+
+def per_pair_extend(v, values) -> Dict[str, SparseRow]:
+    """The extension of the minimal values (stratum -> sequence) as sparse
+    rows, each pair's pushed value `v._rows(x, y)` applied to v(x); raises
+    as `assignops.extend_minimal` does, naming the same triple or pair."""
+    space = v.space
+    minima = minimal_strata(space)
+    out = {x: _normal(dict(enumerate(values[x])), v.dims[x]) for x in minima}
+    origin = {x: x for x in minima}
+    for x in minima:
+        for y in space.above(x):
+            pushed = _apply(v._rows(x, y), out[x])
+            if y not in out:
+                out[y], origin[y] = pushed, x
+            elif out[y] != pushed:
+                raise IncompatibleMinimalValuesError((origin[y], x, y))
+    for x, y in v._cut:
+        if _apply(v._rows(x, y), out[x]) != out[y]:
+            raise BrokenProjectionError((x, y))
+    return out

@@ -1043,6 +1043,22 @@ def test_values_vector_must_be_an_array(capsys, cp2_file, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, entry, b", [
+    ('"1e3"', '"0.5"', "500"), ('"0.5"', '"1/2"', "1/4"), ('"1/2"', "3", "3/2"),
+    ("2", '"2E-1"', "2/5"), ("1.5", '"-1e+1"', "-15"),
+])
+def test_rationals_with_exponents_and_decimals_load(capsys, tmp_path, value, entry, b):
+    # values and projection entries share one reader, which refuses only an
+    # exponent past the interpreter's digit limit (tests/test_fuzz.py)
+    space = tmp_path / "chain.space"
+    space.write_text(_CHAIN.replace("@", "1").replace("#", f"[[{entry}]]"))
+    values = tmp_path / "values.json"
+    values.write_text('{"values": {"a": [' + value + ']}}')
+    code, out, err = run(capsys, ["extend", str(space), "--values", str(values)])
+    assert (code, err) == (0, "")
+    assert f"  b = [{b}]" in out and f"  c = [{b}]" in out
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

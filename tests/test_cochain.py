@@ -69,6 +69,7 @@ from oracles import (
     brute_differential,
     brute_rank,
     d_squared_witness,
+    per_pair_extend,
     reference_block_scaling,
     reference_homotopy_L,
     reference_homotopy_Q,
@@ -539,6 +540,67 @@ def test_every_successful_extend_is_an_assignment_seeded(make):
                     assert is_assignment(w, a).ok
                     seen["ok"] += 1
     assert seen["ok"] and seen["cut"], seen
+
+
+def _explicit_on_covers(rng, v, pairs):
+    """v rebuilt from its cover maps, with one cover map or one explicit entry
+    on a pair of `pairs` that is no cover replaced by a random block."""
+    space = v.space
+    covers = {c: v.proj(*c) for c in space.covers}
+    x, y = rng.choice([(x, y) for x, y in pairs if v.dims[x] and v.dims[y]])
+    new = RatMatrix(v.dims[y], v.dims[x],
+                    [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                      for _ in range(v.dims[x])] for _ in range(v.dims[y])])
+    if (x, y) in covers:
+        covers[(x, y)] = new
+        return CoefficientSystem.from_cover_maps(space, v.dims, covers)
+    return CoefficientSystem.from_cover_maps(space, v.dims, covers, {(x, y): new})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _poly("cube"), cp2, lambda: S6,
+    lambda: build_product(_poly("square"), _poly("segment")),
+], ids=["cube", "cp2", "s6", "square*segment"])
+def test_extend_matches_the_per_pair_walk_seeded(make):
+    # values pushed along the cover route against each pair's rows applied to
+    # the minimal value, on the systems of the test above and on systems
+    # built from cover maps with an explicit entry or a changed cover map,
+    # where the route and the explicit entry differ
+    rng = random.Random(72)
+    space, moment = make()
+    minima = minimal_strata(space)
+    from_minima = [(x, y) for x in minima for y in space.above(x)]
+    seen = Counter()
+    for base in (moment, _constant_system(space, 2)):
+        basis = assignment_basis(base)
+        systems = [base]
+        for _ in range(4):
+            systems += [_perturbed(rng, base, space.comparable_pairs()),
+                        _explicit_on_covers(rng, base, from_minima),
+                        _explicit_on_covers(rng, base, space.comparable_pairs())]
+        for w in systems:
+            for _ in range(4):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                values = {x: tuple(sum(c * a.value(x)[i] for c, a in zip(coeffs, basis))
+                                   for i in range(base.dims[x])) for x in minima}
+                try:
+                    ref = per_pair_extend(w, values)
+                except BrokenProjectionError as e:
+                    expected = ("cut", e.pair)
+                except IncompatibleMinimalValuesError as e:
+                    expected = ("pushes", e.witness)
+                else:
+                    expected = ("ok", {y: tuple(Fraction(vec.get(i, 0)) for i in range(w.dims[y]))
+                                       for y, vec in ref.items()})
+                try:
+                    got = ("ok", extend_minimal(w, MinimalAssignment(values)).values)
+                except BrokenProjectionError as e:
+                    got = ("cut", e.pair)
+                except IncompatibleMinimalValuesError as e:
+                    got = ("pushes", e.witness)
+                assert got == expected
+                seen[expected[0]] += 1
+    assert seen["ok"] and seen["cut"] and seen["pushes"], seen
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ torus_dim, say) are left out: there is no size budget to refuse them yet.
 
 Integer literals longer than the interpreter converts and nesting deeper
 than the JSON decoder follows are tried on their own, in every input file
-and in a polynomial: each must exit 1.
+and in a polynomial: each must exit 1.  So must an exponent past that
+limit in a rational string of a values file or a projection entry, before
+`Fraction` spends seconds to hours on the power of ten.
 """
 
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -134,4 +137,33 @@ def test_over_long_literals_and_deep_nesting_exit_1(capsys, tmp_path, square_fil
                 pytest.fail(f"{[a[:40] for a in argv]}: raised {exc!r}")
             err = capsys.readouterr().err
             assert code == 1, ([a[:40] for a in argv], code, err[:200])
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Fraction("1e10000000") computes 10**10000000 and takes about ten seconds
+# (a longer exponent takes hours, too long for a test to find it slow)
+EXPONENTS = ["1e10000000", "-2.5E-10000000"]
+
+
+def test_exponents_past_the_digit_limit_exit_1_at_once(capsys, tmp_path, square_files):
+    space = tmp_path / "square.space"
+    space.write_text(json.dumps(square_files["square"]))
+    runs = []
+    for e in EXPONENTS:
+        values = tmp_path / f"values{len(runs)}.json"
+        values.write_text(json.dumps({"values": {"v00": [e, "0"], "v01": [e, e]}}))
+        runs.append(["extend", str(space), "--values", str(values)])
+        generic = copy.deepcopy(square_files["square-generic"])
+        entry = next(p for p in generic["projections"] if p["matrix"] and p["matrix"][0])
+        entry["matrix"][0][0] = e
+        path = tmp_path / f"exp{len(runs)}.space"
+        path.write_text(json.dumps(generic))
+        runs.append(["assignments", str(path)])
+    for argv in runs:
+        for report in ([], ["--json"]):
+            start = time.perf_counter()
+            code = cli.main(report + argv)
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code == 1 and seconds < 2, (argv, code, seconds, err[:200])
             assert err.startswith("error: ") and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Moment polynomials: parsing, membership criterion, one-form cofactors."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from assigncoh import (
     verify_decomposition,
 )
 from assigncoh.momentpoly import _solve
-from oracles import brute_rank, plus_terms, reference_solve
+from oracles import (
+    brute_rank,
+    per_support_cofactors,
+    per_support_solve,
+    plus_terms,
+    reference_solve,
+)
 
 W1 = WeightMatrix.from_rows([(1,)])
 W2 = WeightMatrix.from_rows([(1,), (-1,)])
@@ -350,6 +357,131 @@ def test_criterion_matches_brute_rank_randomized():
         failed += len(expected)
         passed += len(p.terms) - len(expected)
     assert passed > 100 and failed > 100
+
+
+def _random_weights(rng, n, d):
+    """Rows in -2..2; now and then a zero row, or a row a multiple of another."""
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(d)] = [0] * n
+    if d > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(d), 2)
+        m = rng.choice((-2, -1, 2))
+        rows[i] = [m * x for x in rows[j]]
+    return WeightMatrix.from_rows(rows, torus_dim=n)
+
+
+def _random_poly(rng, w, count):
+    """count draws of a term: mostly in the span of its support's weights,
+    else a random covector, which fails unless it happens to lie there."""
+    n, d = w.torus_dim, w.count
+    zero = ((0,) * d, (0,) * d)
+    terms = {}
+    for _ in range(count):
+        key = zero
+        while key == zero:
+            key = (tuple(rng.randint(0, 2) for _ in range(d)),
+                   tuple(rng.randint(0, 1) for _ in range(d)))
+        support = [i for i in range(d) if key[0][i] or key[1][i]]
+        if rng.random() < 0.7:
+            c = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in support}
+            terms[key] = [sum(c[i] * w.rows[i][r] for i in support) for r in range(n)]
+        else:
+            terms[key] = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    return MomentPolynomial(w, terms)
+
+
+def _typed(groups):
+    """key -> (support, solution with each entry's type), from `_solve`'s groups."""
+    return {key: (support, None if lam is None else {j: (type(x), x) for j, x in lam.items()})
+            for support, group, lams in groups for key, lam in zip(group, lams)}
+
+
+def test_one_elimination_matches_one_per_support_seeded():
+    # the block-diagonal system of the whole polynomial gives each term the
+    # solution of its own support's system: same values and types, the same
+    # failing terms and the same cofactor texts
+    rng = random.Random(35)
+    seen = Counter()
+    for _ in range(1000):
+        w = _random_weights(rng, rng.randint(1, 3), rng.randint(1, 5))
+        p = _random_poly(rng, w, rng.randint(1, 10))
+        ref = per_support_solve(p)
+        expected = _typed(ref)
+        assert _typed(_solve(p)) == expected
+        failing = tuple(sorted(key for key, (_, lam) in expected.items() if lam is None))
+        assert check_moment_condition(p).failing == failing
+        if failing:
+            with pytest.raises(ConditionFailedError) as exc:
+                decompose(p)
+            assert exc.value.failing == failing
+            seen["failing"] += 1
+        else:
+            texts = {}      # shared, as `decompose` on the command line shares it
+            pairs = [(f.to_text(texts), g.to_text(texts)) for f, g in decompose(p).pairs]
+            assert pairs == [(f.to_text(), g.to_text()) for f, g in per_support_cofactors(p)]
+            assert p.to_text(texts) == p.to_text()
+            seen["ok"] += 1
+        seen["blocks"] += len(ref) > 1
+        seen["shared support"] += any(len(group) > 1 for _, group, _ in ref)
+        seen["fraction"] += any(t is Fraction for _, lam in expected.values()
+                                for t, _ in (lam or {}).values())
+    assert min(seen.values()) > 100, seen
+
+
+def _corrupted(rng, fc, kind):
+    """fc with one change of the given kind to a random cofactor term."""
+    w, pairs = fc.weights, [list(pair) for pair in fc.pairs]
+    if kind == "weights":
+        rows = [list(r) for r in w.rows]
+        if rng.random() < 0.5:
+            rows[rng.randrange(len(rows))][rng.randrange(w.torus_dim)] += 1
+        return FormCoefficients(WeightMatrix.from_rows(rows, torus_dim=w.torus_dim),
+                                fc.pairs)
+    spots = [(j, side) for j, pair in enumerate(pairs) for side in (0, 1) if pair[side].terms]
+    if kind == "same" or not spots:
+        return fc
+    j, side = rng.choice(spots)
+    terms = dict(pairs[j][side].terms)
+    key = rng.choice(sorted(terms))
+    c = terms.pop(key)
+    if kind == "coefficient":
+        terms[key] = c + rng.choice((1, -1, Fraction(1, 2)))
+    elif kind == "moved":
+        k, l = key
+        i = rng.randrange(len(k))
+        terms[(k, l[:i] + (l[i] + 1,) + l[i + 1:])] = c
+    pairs[j][side] = ScalarPoly(pairs[j][side].d, terms)
+    return FormCoefficients(w, tuple(map(tuple, pairs)))
+
+
+def test_verify_decomposition_agrees_with_recombine_seeded():
+    # weights in -1..1 give zero and opposite rows, so recombined vectors
+    # cancel to zero; every corruption must read as recombine(fc) == p does
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(1000):
+        n, d = rng.randint(1, 2), rng.randint(1, 3)
+        w = WeightMatrix.from_rows([[rng.randint(-1, 1) for _ in range(n)] for _ in range(d)],
+                                   torus_dim=n)
+
+        def cofactor():
+            return ScalarPoly(d, {
+                (tuple(rng.randint(0, 1) for _ in range(d)),
+                 tuple(rng.randint(0, 1) for _ in range(d))):
+                Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                for _ in range(rng.randint(0, 3))})
+
+        fc = FormCoefficients(w, tuple((cofactor(), cofactor()) for _ in range(d)))
+        p = recombine(fc)
+        kind = rng.choice(["same", "coefficient", "moved", "dropped", "weights"])
+        bad = _corrupted(rng, fc, kind)
+        truth = recombine(bad) == p
+        assert verify_decomposition(p, bad) is truth, (kind, p, bad)
+        seen[kind, truth] += 1
+    assert all(seen[kind, truth] > 20 for kind in ("coefficient", "moved", "dropped", "weights")
+               for truth in (False, True)), seen
+    assert seen["same", True] > 100 and not seen["same", False]
 
 
 def test_constant_term_is_rejected():
