@@ -162,7 +162,7 @@ def cmd_assignments(args) -> Tuple[dict, Iterable[str]]:
 def _cochain_blocks(c) -> Dict[str, List[str]]:
     """A cochain's nonzero blocks as text, keyed by the comma-joined tuple."""
     with _printable():
-        return {",".join(t): [str(v) for v in vec] for t, vec in c._blocks() if any(vec)}
+        return {",".join(t): [str(v) for v in vec] for t, vec in c._nonzero_blocks()}
 
 
 def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:

@@ -44,13 +44,15 @@ functors gives one of complexes on R's cells: the coefficient sequence
 always runs there, and so does the pair's for a down-closed subset.
 Degree 0, subsets that are not down-closed, systems off the functor laws
 and the command line's `--complex both` cross-check stay on the order
-complex.
+complex (but the full relative one is counted above the top degree).
 
-One routine, `_assemble`, assembles every chain-level operator: the
-differential, the block scaling, the homotopies L and Q and the pullback
-each list, for a tuple, the tuples it reaches with a sign and a block, and
-`_assemble` writes those blocks into sparse rows.  It is the only code that
-looks up faces.
+The chain differential writes each row from the tuple's faces, building
+no pair of faces that cancel (`_differential`).  That rule belongs to
+chains alone, so one routine, `_assemble`, serves every other
+chain-level operator: R's boundaries, the block scaling, the homotopies
+L and Q and the pullback each list, for a tuple, the tuples it reaches
+with a sign and a block, and `_assemble` writes those blocks into sparse
+rows.  The two are the only code that looks up faces.
 
 Both long exact sequences, of a pair and of a short exact sequence of
 coefficient systems, come from one routine given the three complexes and
@@ -60,10 +62,11 @@ per-stratum rows at the tuple's top stratum: the image rows of f or g, or
 of a preimage map of f or g (`ratlin._preimage`), built once per stratum.
 The block map `_carry` does that, and `pullback` uses it for its change
 of basis.  Beside the public accessors (`ChainBasis.block`,
-`Cochain.value_on`), `_assemble` and `_carry` are the only code that looks
-up blocks by tuple.  The routine checks that every connecting value lies
-in the image of the first complex, builds the induced maps on canonical
-representatives as sparse image rows, then checks exactness node by node.
+`Cochain.value_on`), the face lookups and `_carry` are the only code
+that looks up blocks by tuple.  The routine checks that every connecting
+value lies in the image of the first complex, builds the induced maps on
+canonical representatives as sparse image rows, then checks exactness
+node by node.
 No coboundary is built or reduced twice: a pair's relative and subset
 complexes share the space's complex wherever theirs equal it (`_Complex`),
 and the connecting map applies d_k by columns (`ratlin._combine` on the
@@ -83,7 +86,8 @@ rank, from the forward pass on d_k with the image's pivot columns pinned
 to zero.  Only a degree with classes takes the kernel, whose RREF is the
 representatives.  A `Cochain` keeps its sparse row as well: the
 representatives and pullbacks are wrapped as they come, and the command
-line prints their blocks from the row's exact entries (`Cochain._blocks`).
+line prints their nonzero blocks from the row's exact entries, walking
+only its columns (`Cochain._nonzero_blocks`).
 Dense lists of Fractions appear only in public values: `Cochain.coords`,
 built on first access, `value_on` and `as_dict`, and the matrices of
 `differential_matrix`, the homotopy operators and `pullback_matrix`.
@@ -97,7 +101,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, zip_longest
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -207,10 +211,22 @@ class Cochain:
 
     def _blocks(self):
         """(tuple, its block's entries) for every tuple of the basis, in order;
-        the entries are those of the sparse row, 0 where it has none."""
+        the entries are those of the sparse row, 0 where it has none.  Only
+        `assignments`, which prints every stratum, walks every block."""
         row = self._row
         for t, off, w in zip(self.basis.tuples, self.basis.offsets, self.basis.block_dims):
             yield t, [row.get(j, 0) for j in range(off, off + w)]
+
+    def _nonzero_blocks(self):
+        """The blocks of `_blocks` that are not all zero, from the row's
+        columns alone: zero-width blocks share the next block's offset."""
+        row, offsets = self._row, self.basis.offsets
+        last = -1
+        for j in sorted(row):
+            i = bisect_right(offsets, j) - 1
+            if i != last:
+                last, off, w = i, offsets[i], self.basis.block_dims[i]
+                yield self.basis.tuples[i], [row.get(c, 0) for c in range(off, off + w)]
 
     def value_on(self, t: Tuple[str, ...]) -> List[Fraction]:
         """The block at t: zero for a tuple of known ids that is no chain here."""
@@ -227,7 +243,7 @@ class Cochain:
         return [_frac(self._row.get(j, _ZERO)) for j in range(off, off + w)]
 
     def as_dict(self) -> Dict[Tuple[str, ...], List[Fraction]]:
-        return {t: [_frac(x) for x in vals] for t, vals in self._blocks() if any(vals)}
+        return {t: [_frac(x) for x in vals] for t, vals in self._nonzero_blocks()}
 
     def __repr__(self):
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
@@ -252,24 +268,27 @@ def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None)
     return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
 
 
-def _chain_counts(space: StratSpace):
+def _chain_counts(space: StratSpace, keep: Optional[frozenset] = None):
     """S_0, S_1, ...: S_i(y) strict chains of i+1 strata end at y, with
     S_0(y) = 1 and S_i(y) the sum of S_{i-1}(x) over x < y, up to the top
     degree, the last i with a chain.  A weak chain of k+1 strata ending at
     y repeats the entries of a strict one of i+1 strata, C(k, i) ways, so
-    it counts N_k(y) = sum_i S_i(y) C(k, i)."""
-    c = dict.fromkeys(space.ids, 1)
+    it counts N_k(y) = sum_i S_i(y) C(k, i).  With keep, only the chains
+    inside keep count, at its strata."""
+    lower = ({y: space.below(y) for y in space.ids} if keep is None else
+             {y: [x for x in space.below(y) if x in keep] for y in space.ids if y in keep})
+    c = dict.fromkeys(lower, 1)
     while any(c.values()):
         yield c
-        c = {y: sum(c[x] for x in space.below(y)) for y in space.ids}
+        c = {y: sum(c[x] for x in xs) for y, xs in lower.items()}
 
 
-def _chain_sizes(v: CoefficientSystem, last: int) -> List[int]:
+def _chain_sizes(v: CoefficientSystem, last: int, keep: Optional[frozenset] = None) -> List[int]:
     """T_0, ..., T_m, m the lesser of last and the top degree: T_i =
-    sum_y dim V(y) S_i(y) (`_chain_counts`), the dimensions of the reduced
-    complex."""
+    sum_y dim V(y) S_i(y) (`_chain_counts`, inside keep if given), the
+    dimensions of the reduced complex."""
     return [sum(v.dims[y] * n for y, n in c.items())
-            for _, c in zip(range(last + 1), _chain_counts(v.space))]
+            for _, c in zip(range(last + 1), _chain_counts(v.space, keep))]
 
 
 def _chain_dim(sizes: List[int], k: int, strict: bool) -> int:
@@ -291,6 +310,18 @@ def _alternating_binomials(k: int, i: int) -> int:
     return (total + (-1) ** ((i + 1 + k) & 1)) >> (i + 1)
 
 
+def _from_counts(sizes: List[int], dims: List[int], k: int, strict: bool) -> CohomologyResult:
+    """The result of a degree k with dim H^k = 0, from the chain sizes
+    (`_chain_sizes`) and dim H^j for j < k (zero beyond dims' end): rank
+    d_{k-1} is the alternating sum of dim C^j - dim H^j over j < k, in
+    closed form on the full complex (`_alternating_binomials`)."""
+    chain = (_alternating(sizes, k) if strict else
+             sum(t * _alternating_binomials(k, i) for i, t in enumerate(sizes)))
+    rank = chain - _alternating(dims, k)
+    return CohomologyResult(k, 0, [], {"dim_chain": _chain_dim(sizes, k, strict),
+                                       "dim_cocycles": rank, "rank_coboundaries": rank})
+
+
 def chain_space_dim(v: CoefficientSystem, k: int, strict: bool = True) -> int:
     """dim C^k = sum_y dim V(y) N_k(y), by counting chains (`_chain_dim`)."""
     if k < 0:
@@ -304,8 +335,7 @@ def _assemble(rows_of: ChainBasis, cols_of: ChainBasis, terms) -> Rows:
     For each tuple t of rows_of, terms(t) lists (u, sign, block): sign times
     block (a projection's sparse rows, or None for the identity) goes into
     the rows of t at the columns of u in cols_of.  Tuples that cols_of
-    lacks are skipped, and entries that cancel (repeated faces of a weak
-    tuple) are dropped.
+    lacks are skipped, and zero entries (a block scaling of 0) are dropped.
     """
     index, offsets = cols_of.index, cols_of.offsets
     rows: Rows = []
@@ -335,23 +365,48 @@ def _differential(v: CoefficientSystem, src: ChainBasis, dst: ChainBasis,
                   bounds: Optional[Dict[tuple, Dict[tuple, int]]] = None) -> Rows:
     """Sparse rows of d from src to dst, one per coordinate of dst.
 
-    Faces keeping the top stratum are identity blocks with alternating
-    sign; dropping the top stratum projects the value.  On R's cells, with
-    their boundaries (`_forest`), the block of a cell f at y at each cell c
-    of its boundary, at x, is the coefficient times proj(x, y).
+    On R's cells (`_forest`'s bounds) `_assemble` writes each cell f's
+    block at each cell c of its boundary: the coefficient times
+    proj(c[-1], f[-1]).  On chains each row is written once from the
+    tuple t's faces.  Face i < n = len(t) - 1 is an identity block of sign
+    (-1)^i; where t[i] == t[i+1] and i+1 < n, faces i and i+1 are one tuple
+    of opposite signs, and neither is built.  The top face costs
+    proj(t[-2], t[-1]), which off the identity law need not cancel face
+    n-1 when t[-2] == t[-1]; it alone can meet another face, so its
+    entries are added and zeros dropped.  Faces src lacks are skipped.
     """
     proj = v._rows
     if bounds is not None:
         return _assemble(dst, src, lambda f: [(c, a, proj(c[-1], f[-1]))
                                               for c, a in bounds[f].items()])
-
-    def terms(t):
+    index, offsets = src.index, src.offsets
+    rows: Rows = []
+    for t, w in zip(dst.tuples, dst.block_dims):
+        if not w:
+            continue
         n = len(t) - 1
-        out = [(t[:i] + t[i + 1:], -1 if i & 1 else 1, None) for i in range(n)]
-        out.append((t[:-1], -1 if n & 1 else 1, proj(t[-2], t[-1])))
-        return out
-
-    return _assemble(dst, src, terms)
+        faces = []                    # (offset, sign) of each identity block
+        i = 0
+        while i < n:
+            if i + 1 < n and t[i] == t[i + 1]:
+                i += 2
+                continue
+            j = index.get(t[:i] + t[i + 1:])
+            if j is not None:
+                faces.append((offsets[j], -1 if i & 1 else 1))
+            i += 1
+        j = index.get(t[:-1])
+        top, c0 = ([{}] * w, 0) if j is None else (proj(t[-2], t[-1]), offsets[j])
+        s = -1 if n & 1 else 1
+        for r, prow in enumerate(top):
+            row = {c + r: s0 for c, s0 in faces}
+            for c, x in prow.items():
+                c += c0
+                x = row.pop(c, 0) + s * x
+                if x:
+                    row[c] = x
+            rows.append(row)
+    return rows
 
 
 def differential_matrix(v: CoefficientSystem, k: int, strict: bool = True) -> RatMatrix:
@@ -664,10 +719,8 @@ def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyR
     and so no class, in a degree beyond the order complex's top degree (a
     cell at z of degree d comes from the homology of the chains below z
     in degree d - 1).  Where dim H^k is 0 the diagnostics come from chain
-    counts: rank d_j = dim C^j - dim H^j - rank d_{j-1}, so rank d_{k-1}
-    is the alternating sum of dim C^j - dim H^j over j < k, in closed
-    form on the full complex (`_alternating_binomials`), for any k.  Only
-    where dim H^k > 0 is the order complex built, for the
+    counts (`_from_counts`).  Only where dim H^k > 0 is the order complex
+    built, for the
     representatives.  Degree 0 and every other system use the order
     complex.  Raises ValueError for k < 0 and in a degree where
     d_k d_{k-1} != 0.
@@ -676,11 +729,7 @@ def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyR
         sizes = _chain_sizes(v, k)
         dims = _resolution_dims(v, len(sizes) - 1)
         if len(dims) <= k or not dims[k]:
-            chain = (_alternating(sizes, k) if strict else
-                     sum(t * _alternating_binomials(k, i) for i, t in enumerate(sizes)))
-            rank = chain - _alternating(dims, k)
-            return CohomologyResult(k, 0, [], {"dim_chain": _chain_dim(sizes, k, strict),
-                                               "dim_cocycles": rank, "rank_coboundaries": rank})
+            return _from_counts(sizes, dims, k, strict)
     return _Complex(v, strict).result(k)
 
 
@@ -768,13 +817,22 @@ def relative_cohomology(
     n), which has the same coordinates (a tuple inside n has a block of
     width 0) and is a functor when v is one: `cohomology` answers it,
     from R where it can, and its representatives are cochains of that
-    system.  Any other n filters the order complex's chains.  Raises
-    ValueError for k < 0 and where this complex's d_k d_{k-1} != 0.
+    system.  Any other n filters the order complex's chains, but above the
+    top degree a functor's full complex is counted (`_from_counts`): dim
+    H^k = 0, its chain sizes are T_i - T_i^n (T_i^n: chains inside n), and
+    the reduced dims give dim H^j for j <= top.  Raises ValueError for
+    k < 0 and where this complex's d_k d_{k-1} != 0.
     """
     nset = _check_subset(v.space, n)
     if _down_closed(v.space, nset):
         return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)
-    return _Complex(v, strict, support=("rel", nset)).result(k)
+    support = ("rel", nset)
+    if not strict and k > (top := _top_degree(v.space)) and v._report.ok:
+        sizes = [t - u for t, u in zip_longest(_chain_sizes(v, top),
+                                               _chain_sizes(v, top, nset), fillvalue=0)]
+        reduced = _Complex(v, True, support=support)
+        return _from_counts(sizes, [reduced.data(j).dim for j in range(top + 1)], k, False)
+    return _Complex(v, strict, support=support).result(k)
 
 
 def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,

@@ -21,19 +21,19 @@ ways (`proj`, the constructors).  Every product of rows here is
 `ratlin._mul`: the row arithmetic lives in `ratlin` alone.
 
 Every pair in `space.covers` is immediate (`StratSpace.from_covers` keeps
-no implied pair), and no explicit entry sits on a cover, so every other
-pair is composed from the cover maps: a family of values with
-a_y = proj(x, y) a_x on every cover and every explicit non-identity entry
-has it on every comparable pair.  A system records those pairs once, as
-its cut, and the assignments (degree-0 cocycles) are solved on the cut
-alone.  A moment system satisfies the functor laws by construction and
-carries the empty report from the start, and so does an order-closed
-quotient or restriction of a system whose clean report is known; on any
-other system check_functor tests composition on the cover squares
-proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and x < y, which
-give every strict triple by induction along covers, once per system.  The
-report is kept, and square_failures reads off it the triples on which every
-cochain complex's d^2 = 0 fails (README, `check`).
+no implied pair), and `from_cover_maps` takes no explicit entry on a
+cover, so every other pair is composed from the cover maps: a family of
+values with a_y = proj(x, y) a_x on every cover and every explicit
+non-identity entry has it on every comparable pair.  A system records
+those pairs once, as its cut, and the assignments (degree-0 cocycles) are
+solved on the cut alone.  A moment system satisfies the functor laws by
+construction and carries the empty report from the start, and so does
+an order-closed quotient or restriction of a system whose clean report is
+known; on any other system check_functor tests composition on the cover
+squares proj(y, z) proj(x, y) = proj(x, z), y a lower cover of z and
+x < y, which give every strict triple by induction along covers, once per
+system.  The report is kept, and square_failures reads off it the triples
+on which every cochain complex's d^2 = 0 fails (README, `check`).
 
 >>> from assigncoh.builders import build_linear_rep
 >>> space, v = build_linear_rep([(1, 0), (0, 1)])
@@ -104,8 +104,12 @@ class CoefficientSystem:
 
     Two tables of rows: _explicit, the explicit entries, gives public values
     only; _at holds the identities, the cover maps and their compositions
-    along the route space.lower_covers fixes, never an explicit entry.  No
-    pair is in both, and the cut follows from the two (see _cut).
+    along the route space.lower_covers fixes.  A pair may sit in both: the
+    constructor's explicit entries cover every comparable pair, identities
+    included, and _kept_on copies the covers inside its kept set into _at
+    while keeping their explicit entries.  _rows reads _explicit first, so
+    the explicit entry is the pair's value wherever it has one.  The cut
+    follows from the two tables (see _cut).
 
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is

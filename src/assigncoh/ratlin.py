@@ -358,8 +358,11 @@ def _forward(rows: Sequence[SparseRow],
     chosen, so it is zero left of its pivot but not yet at later pivot
     columns.  pivots lists the pivot columns and order the pivot rows; for
     each pivot, earlier lists the earlier pivot rows with an entry at its
-    column, the rows `_back` clears there.  len(pivots) is the rank.
+    column, the rows `_back` clears there.  len(pivots) is the rank.  With
+    no entry in any row it returns at once, before indexing any column.
     """
+    if not any(rows):
+        return [{} for _ in rows], [], [], []
     work = [_primitive(r) for r in rows]
     at: List[Optional[set]] = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
     for i, r in enumerate(work):

@@ -85,11 +85,31 @@ MUTANTS = (
     Mutant(
         "top-face-sign-flipped-from-degree-2",
         "cochain.py",
-        "out.append((t[:-1], -1 if n & 1 else 1, proj(t[-2], t[-1])))",
-        "out.append((t[:-1], (-1 if n & 1 else 1) * (-1 if n >= 3 else 1), "
-        "proj(t[-2], t[-1])))",
+        "s = -1 if n & 1 else 1",
+        "s = (-1 if n & 1 else 1) * (-1 if n >= 3 else 1)",
         ("tests/test_cochain.py::test_d_squared_is_zero",
-         "tests/test_cochain.py::test_degree_zero_witness_decides_degrees_zero_to_three_seeded"),
+         "tests/test_cochain.py::test_degree_zero_witness_decides_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_chain_differential_matches_one_term_per_face_seeded"),
+    ),
+    Mutant(
+        "cancelling-pair-reaches-the-top-face",
+        "cochain.py",
+        "if i + 1 < n and t[i] == t[i + 1]:",
+        "if t[i] == t[i + 1]:",
+        ("tests/test_cochain.py::test_chain_differential_matches_one_term_per_face_seeded",
+         "tests/test_cochain.py::test_d_squared_is_zero[cp2-False]",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="a repeat at the top would drop identity face n-1 and keep proj(x, x) alone",
+    ),
+    Mutant(
+        "empty-elimination-when-any-row-is-empty",
+        "ratlin.py",
+        "if not any(rows):",
+        "if not all(rows):",
+        ("tests/test_ratlin.py::test_fraction_free_elimination_matches_reference_randomized",
+         "tests/test_cochain.py::test_full_equals_reduced[cp2]",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[light]"),
+        note="one empty row would end the elimination with rank 0",
     ),
     Mutant(
         "normalize-without-division",
@@ -394,10 +414,22 @@ MUTANTS = (
         "cochain.py",
         "yield t, [row.get(j, 0) for j in range(off, off + w)]",
         "yield t, [row.get(j, 0) for j in range(off + 1, off + w + 1)]",
-        ("tests/test_cochain.py::test_sparse_and_dense_cochains_read_alike_seeded[cp2]",
+        ("tests/test_assignops.py::test_minimal_roundtrip_on_basis[cp2]",
          "tests/test_cli.py::test_assignments_tables_are_the_basis_vectors_as_text",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
-        note="every printed block would start one coordinate late",
+        note="every block of the dense walk, which `assignments` prints, would start "
+             "one coordinate late",
+    ),
+    Mutant(
+        "nonzero-block-of-a-column-by-bisect-left",
+        "cochain.py",
+        "i = bisect_right(offsets, j) - 1",
+        "i = bisect_right(offsets, j - 1) - 1",
+        ("tests/test_cochain.py::test_nonzero_blocks_are_the_dense_walks_nonzero_blocks_seeded",
+         "tests/test_cochain.py::test_sparse_and_dense_cochains_read_alike_seeded[cp2]",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="bisect_left on integer offsets: a column at a block's first coordinate "
+             "would land in the block before, a zero-width one where blocks share the offset",
     ),
     Mutant(
         "parser-registers-only-the-named-subcommands",

@@ -1,8 +1,8 @@
 """Independent oracles used by the tests.
 
 Everything here but `d_squared_witness`, `_composes_to_zero`,
-`reference_from_cover_maps`, `interleaved_echelon`, `_reduce` and
-`ReferenceCohomologyData` is written
+`reference_from_cover_maps`, `interleaved_echelon`, `_reduce`,
+`ReferenceCohomologyData` and `reference_chain_differential` is written
 against the mathematical definitions directly, without the package's
 code, so agreement is meaningful: plain Gaussian elimination for ranks,
 the dense first-nonzero Gauss-Jordan elimination as the reference for
@@ -41,7 +41,11 @@ cofactor loop of `decompose` on it: the references for the one
 block-diagonal elimination per polynomial.  `per_pair_extend` is the
 package's former walk of `assignops.extend_minimal`, which applies
 `v._rows(x, y)` to each minimal x and each y above it: the reference for
-the values pushed along the cover route.
+the values pushed along the cover route.  `reference_chain_differential`
+is the package's former chain differential: a (face, sign, block) term
+for every face of every tuple, the faces that cancel included, written by
+`cochain._assemble`; it is the reference for the rows the differential
+now writes straight from each tuple's faces.
 """
 
 from fractions import Fraction
@@ -49,7 +53,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex
+from assigncoh.cochain import _Complex, _assemble
 from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
@@ -797,3 +801,16 @@ def per_pair_extend(v, values) -> Dict[str, SparseRow]:
         if _apply(v._rows(x, y), out[x]) != out[y]:
             raise BrokenProjectionError((x, y))
     return out
+
+
+def reference_chain_differential(v, src, dst) -> Rows:
+    """Sparse rows of d from src to dst on chains, one term per face."""
+    proj = v._rows
+
+    def terms(t):
+        n = len(t) - 1
+        out = [(t[:i] + t[i + 1:], -1 if i & 1 else 1, None) for i in range(n)]
+        out.append((t[:-1], -1 if n & 1 else 1, proj(t[-2], t[-1])))
+        return out
+
+    return _assemble(dst, src, terms)

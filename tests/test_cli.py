@@ -556,6 +556,21 @@ def test_huge_degrees_are_answered_from_counts(capsys, tmp_path):
         assert chain_space_dim(v, k, strict=name == "reduced") == dim_chain(k)
 
 
+def test_huge_full_degree_relative_to_an_up_closed_subset(capsys, tmp_path):
+    """Degree 10**18 of the full complex relative to the square's interior,
+    an up-closed subset, exits 0 within a second: beyond the top degree the
+    full relative complex is answered from counts, not enumerated."""
+    path = str(tmp_path / "square.space")
+    assert cli.main(["build", "polytope", "--square", "--out", path]) == 0
+    capsys.readouterr()
+    degree = str(10**18)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["cohomology", path, "--complex", "full", "--degree", degree,
+                                "--relative", "interior"])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert out == f"full: dim HA_rel^{degree} = 0\n"
+
+
 # ---------------------------------------------------------------------------
 # build
 

@@ -308,6 +308,28 @@ def test_kept_on_takes_only_a_known_clean_report(monkeypatch):
     assert len(walks) == 4
 
 
+def test_a_pair_in_both_tables_reads_its_explicit_rows():
+    """A pair may sit in both `_at` and `_explicit`: the constructor's
+    explicit entries cover every comparable pair, identities included, and
+    `_kept_on` copies the covers inside its kept set into `_at` while
+    keeping their explicit entries.  `_rows` reads the explicit rows there,
+    also where they differ from `_at`'s (an identity entry of 2)."""
+    space, v = build_polytope(preset_polytope("square"))
+    proj = {p: v.proj(*p) for p in v.pairs()}
+    doubled = {**proj, ("v00", "v00"): RatMatrix.from_rows([[2, 0], [0, 2]])}
+    seen = set()
+    for given in (proj, doubled):
+        w = CoefficientSystem(space, v.dims, given)
+        for u in (w, assigncoh.coeffsys._kept_on(w, frozenset(space.ids) - {"v00"}),
+                  assigncoh.coeffsys._kept_on(w, frozenset(space.ids) - {"interior"})):
+            both = u._at.keys() & u._explicit.keys()
+            assert all(u._rows(*p) is u._explicit[p] for p in both)
+            seen |= both
+    assert {("v00", "v00"), ("v01", "left"), ("left", "interior")} <= seen
+    doubled_rows = CoefficientSystem(space, v.dims, doubled)._rows("v00", "v00")
+    assert doubled_rows == [{0: 2}, {1: 2}]
+
+
 def test_ses_identity_then_zero_fails_surjectivity():
     _, v = cp2()
     f = SystemMorphism.identity(v)

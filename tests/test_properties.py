@@ -50,6 +50,7 @@ from assigncoh import (
     restrict_to_minimal,
     verify_decomposition,
 )
+from assigncoh.cochain import _Complex, _resolution_dims
 from assigncoh.coeffsys import _closure_direction
 from assigncoh.errors import NotOpenError
 
@@ -531,15 +532,21 @@ def _random_small_system(rng):
 def test_full_equals_reduced_in_every_degree_randomized():
     # weak tuples repeat entries, so the full chain spaces never vanish;
     # the degrees run to one past the last nonzero reduced chain space,
-    # where the reduced dim is 0 and the full dim must be 0 too
+    # where the reduced dim is 0 and the full dim must be 0 too.  These
+    # functors take degrees k >= 1 off R in `cohomology`, so both order
+    # complexes are also compared with R's dims directly
     rng = random.Random(83)
     cases = higher = 0
     while cases < 200:
         _, v = _random_small_system(rng)
+        assert check_functor(v).ok
         top = max((k for k in range(len(v.space.ids)) if chain_space_dim(v, k)), default=-1)
+        resolved = _resolution_dims(v, top + 1)
+        complexes = [_Complex(v, strict) for strict in (True, False)]
         for k in range(top + 2):
             dim = cohomology(v, k).dim
             assert cohomology(v, k, strict=False).dim == dim, k
+            assert [cx.result(k).dim for cx in complexes] == [resolved[k]] * 2, k
             higher += k > 0 and dim > 0
             cases += 1
     assert cases >= 200 and higher
