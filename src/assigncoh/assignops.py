@@ -88,8 +88,10 @@ def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> Assignme
 
 def _basis_values(v: CoefficientSystem) -> List[Dict[str, list]]:
     """The canonical basis vectors' values at every stratum, as exact entries:
-    ints where integral, Fractions otherwise (`Cochain._blocks`)."""
-    return [{t[0]: vals for t, vals in rep._blocks()}
+    ints where integral, Fractions otherwise; zeros at the strata where a
+    vector has no entry (`Cochain._nonzero_blocks`)."""
+    return [{**{x: [0] * d for x, d in v.dims.items()},
+             **{t[0]: vals for t, vals in rep._nonzero_blocks()}}
             for rep in cohomology(v, 0, strict=True).representatives]
 
 

@@ -85,9 +85,9 @@ a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
 rank, from the forward pass on d_k with the image's pivot columns pinned
 to zero.  Only a degree with classes takes the kernel, whose RREF is the
 representatives.  A `Cochain` keeps its sparse row as well: the
-representatives and pullbacks are wrapped as they come, and the command
-line prints their nonzero blocks from the row's exact entries, walking
-only its columns (`Cochain._nonzero_blocks`).
+representatives and pullbacks are wrapped as they come.  One split
+(`ChainBasis._split`) decides which block holds a column; the printed
+blocks (`Cochain._nonzero_blocks`) and `_carry` read only the row's columns.
 Dense lists of Fractions appear only in public values: `Cochain.coords`,
 built on first access, `value_on` and `as_dict`, and the matrices of
 `differential_matrix`, the homotopy operators and `pullback_matrix`.
@@ -174,6 +174,16 @@ class ChainBasis:
         self.total_dim = pos
         self.index = {t: i for i, t in enumerate(self.tuples)}
 
+    def _split(self, row: SparseRow) -> Dict[int, SparseRow]:
+        """A sparse row's entries as block index -> {position: entry}; the
+        last block at offset <= j holds column j (zero-width blocks share
+        the next block's offset)."""
+        out: Dict[int, SparseRow] = {}
+        for j, x in row.items():
+            i = bisect_right(self.offsets, j) - 1
+            out.setdefault(i, {})[j - self.offsets[i]] = x
+        return out
+
     def block(self, t: Tuple[str, ...]) -> Optional[Tuple[int, int]]:
         """(offset, width) of a tuple's coordinate block, or None."""
         i = self.index.get(t)
@@ -209,24 +219,12 @@ class Cochain:
     def coords(self) -> Tuple[Fraction, ...]:
         return tuple(_dense(self._row, self.basis.total_dim))
 
-    def _blocks(self):
-        """(tuple, its block's entries) for every tuple of the basis, in order;
-        the entries are those of the sparse row, 0 where it has none.  Only
-        `assignments`, which prints every stratum, walks every block."""
-        row = self._row
-        for t, off, w in zip(self.basis.tuples, self.basis.offsets, self.basis.block_dims):
-            yield t, [row.get(j, 0) for j in range(off, off + w)]
-
     def _nonzero_blocks(self):
-        """The blocks of `_blocks` that are not all zero, from the row's
-        columns alone: zero-width blocks share the next block's offset."""
-        row, offsets = self._row, self.basis.offsets
-        last = -1
-        for j in sorted(row):
-            i = bisect_right(offsets, j) - 1
-            if i != last:
-                last, off, w = i, offsets[i], self.basis.block_dims[i]
-                yield self.basis.tuples[i], [row.get(c, 0) for c in range(off, off + w)]
+        """(tuple, its block's entries, 0 where none) of each block the row
+        touches, in column order."""
+        b = self.basis
+        for i, blk in sorted(b._split(self._row).items()):
+            yield b.tuples[i], [blk.get(r, 0) for r in range(b.block_dims[i])]
 
     def value_on(self, t: Tuple[str, ...]) -> List[Fraction]:
         """The block at t: zero for a tuple of known ids that is no chain here."""
@@ -601,7 +599,8 @@ def _forest(space: StratSpace, degree: int = 1):
     z that close a cycle of a spanning forest (a union-find) are the
     columns of the 2-cell boundaries below z; after one forward pass, each
     such 1-cell c off the pivots adds the 2-cell (c, z), whose boundary is
-    c's fundamental cycle.  In each degree d >= 3, the kernel of the
+    c's fundamental cycle (the kernel step below, run from d = 2, gives the
+    same cells in twice the time).  In each degree d >= 3, the kernel of the
     boundary on the (d-1)-cells below z (`sparse_echelon` of the transposed
     boundary rows, then `sparse_kernel`: one vector per free column) holds
     the boundaries of the d-cells below z; read on the free columns, one
@@ -842,22 +841,18 @@ def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
     Tuples that dst lacks, or where its block has width 0, are dropped.
     With blocks, each block goes through the rows blocks[x] at the tuple's
     top stratum x, one row per coordinate of the block: the image of that
-    basis vector.  Empty blocks share the offset of the next block.
+    basis vector.  The blocks are vec's split (`ChainBasis._split`).
     """
     if blocks is None and src.tuples == dst.tuples and src.block_dims == dst.block_dims:
         return dict(vec)
-    at: Dict[int, SparseRow] = {}
-    for j, x in vec.items():
-        i = bisect_right(src.offsets, j) - 1
-        at.setdefault(i, {})[j - src.offsets[i]] = x
     out: SparseRow = {}
-    for i, blk in at.items():
+    for i, blk in src._split(vec).items():
         t = src.tuples[i]
         o = dst.block(t)
         if o is None or not o[1]:
             continue
         if blocks is not None:
-            blk = _mul([blk], blocks[t[-1]])[0]
+            blk = _combine(blocks[t[-1]], blk)
         out.update((o[0] + r, x) for r, x in blk.items())
     return out
 
@@ -903,9 +898,13 @@ def _exactness_walk(node_names, node_dims, maps) -> ExactSequenceReport:
     return ExactSequenceReport(list(node_names), list(node_dims), ranks, failures)
 
 
-def _induced_rows(target: _CohomologyData, images: Iterable[SparseRow]) -> Rows:
-    """Image rows of an induced map: the class coordinates in target of each cocycle."""
-    return [{i: x for i, x in enumerate(target.class_coords(vec)) if x} for vec in images]
+def _induced_rows(name: str, target: _CohomologyData, images: Iterable[SparseRow]) -> Rows:
+    """Image rows of an induced map: the class coordinates in target (node
+    name) of each cocycle; an image off the cocycles is a program fault."""
+    try:
+        return [{i: x for i, x in enumerate(target.class_coords(vec)) if x} for vec in images]
+    except ValueError as exc:
+        raise AssertionError(f"induced image off the cocycles of {name}") from exc
 
 
 def _long_exact_sequence(labels, top: int, a: _Complex, b: _Complex, c: _Complex,
@@ -950,10 +949,11 @@ def _long_exact_sequence(labels, top: int, a: _Complex, b: _Complex, c: _Complex
         ba, bb, bc = a.basis(k), b.basis(k), c.basis(k)
         names += [f"H^{k}({label})" for label in labels]
         dims += [ha.dim, hb.dim, hc.dim]
-        maps.append(_induced_rows(hb, (_carry(r, ba, bb, f_img) for r in ha._rep_rows)))
-        maps.append(_induced_rows(hc, (_carry(r, bb, bc, g_img) for r in hb._rep_rows)))
+        maps.append(_induced_rows(names[-2], hb, (_carry(r, ba, bb, f_img) for r in ha._rep_rows)))
+        maps.append(_induced_rows(names[-1], hc, (_carry(r, bb, bc, g_img) for r in hb._rep_rows)))
         if k <= top:
-            maps.append(_induced_rows(a.data(k + 1), (connect(k, r) for r in hc._rep_rows)))
+            maps.append(_induced_rows(f"H^{k + 1}({labels[0]})", a.data(k + 1),
+                                      (connect(k, r) for r in hc._rep_rows)))
     return _exactness_walk(names, dims, maps)
 
 

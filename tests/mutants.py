@@ -412,24 +412,35 @@ MUTANTS = (
     Mutant(
         "sparse-block-offset-off-by-one",
         "cochain.py",
-        "yield t, [row.get(j, 0) for j in range(off, off + w)]",
-        "yield t, [row.get(j, 0) for j in range(off + 1, off + w + 1)]",
+        "out.setdefault(i, {})[j - self.offsets[i]] = x",
+        "out.setdefault(i, {})[j - self.offsets[i] - 1] = x",
         ("tests/test_assignops.py::test_minimal_roundtrip_on_basis[cp2]",
          "tests/test_cli.py::test_assignments_tables_are_the_basis_vectors_as_text",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
-        note="every block of the dense walk, which `assignments` prints, would start "
-             "one coordinate late",
+        note="the split would read every block one coordinate late, so `assignments` "
+             "would print each stratum's value shifted",
     ),
     Mutant(
         "nonzero-block-of-a-column-by-bisect-left",
         "cochain.py",
-        "i = bisect_right(offsets, j) - 1",
-        "i = bisect_right(offsets, j - 1) - 1",
+        "i = bisect_right(self.offsets, j) - 1",
+        "i = bisect_right(self.offsets, j - 1) - 1",
         ("tests/test_cochain.py::test_nonzero_blocks_are_the_dense_walks_nonzero_blocks_seeded",
          "tests/test_cochain.py::test_sparse_and_dense_cochains_read_alike_seeded[cp2]",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
         note="bisect_left on integer offsets: a column at a block's first coordinate "
              "would land in the block before, a zero-width one where blocks share the offset",
+    ),
+    Mutant(
+        "split-without-the-block-offset",
+        "cochain.py",
+        "[j - self.offsets[i]] = x",
+        "[j] = x",
+        ("tests/test_cochain.py::test_move_splits_cochains_into_relative_and_subset_parts",
+         "tests/test_cochain.py::test_les_coefficients_through_non_identity_stratum_maps",
+         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded"),
+        note="a block's positions would be its columns, so the block map `_carry` "
+             "would write every block but the first past its end, or drop it",
     ),
     Mutant(
         "parser-registers-only-the-named-subcommands",

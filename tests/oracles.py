@@ -45,7 +45,13 @@ the values pushed along the cover route.  `reference_chain_differential`
 is the package's former chain differential: a (face, sign, block) term
 for every face of every tuple, the faces that cancel included, written by
 `cochain._assemble`; it is the reference for the rows the differential
-now writes straight from each tuple's faces.
+now writes straight from each tuple's faces.  `dense_blocks` is the
+package's former `Cochain._blocks`, the walk over every block of the
+basis: the reference for the blocks the one split (`ChainBasis._split`)
+finds from a row's columns.  `kernel_forest` is `cochain._forest` with its
+degree-2 union-find deleted and the kernel step of the degrees d >= 3
+run from d = 2: the reference for the cut, cells and boundaries the
+union-find gives.
 """
 
 from fractions import Fraction
@@ -61,6 +67,7 @@ from assigncoh.ratlin import (
     Rows,
     SparseRow,
     _apply,
+    _forward,
     _integral,
     _normal,
     _normalize,
@@ -68,6 +75,7 @@ from assigncoh.ratlin import (
     _solutions,
     _sub_scaled,
     _transpose,
+    sparse_echelon,
     sparse_kernel,
 )
 from assigncoh.stratposet import minimal_strata
@@ -814,3 +822,61 @@ def reference_chain_differential(v, src, dst) -> Rows:
         return out
 
     return _assemble(dst, src, terms)
+
+
+def dense_blocks(c):
+    """(tuple, its block's entries) for every tuple of c's basis, in order;
+    the entries are those of the sparse row, 0 where it has none."""
+    row, basis = c._row, c.basis
+    for t, off, w in zip(basis.tuples, basis.offsets, basis.block_dims):
+        yield t, [row.get(j, 0) for j in range(off, off + w)]
+
+
+def kernel_forest(space, degree: int = 1):
+    """(cut, cells, bounds) as `cochain._forest` gives them, every degree
+    d >= 2 from the kernel of the boundary on the (d-1)-cells below z."""
+    mask, at, cut, bounds = {}, {}, [], {}
+    cells = tuple([] for _ in range(degree + 1))
+    for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
+        below = space.below(z)
+        mine = at[z] = [[] for _ in cells]
+        if not below:
+            mask[z] = 1 << len(cells[0])
+            cells[0].append((z,))
+            continue
+        parts = {}
+        for y in space.lower_covers(z):
+            m, first = mask[y], y
+            for p in [p for p in parts if p & m]:
+                m |= p
+                first = parts.pop(p)
+            parts[m] = first
+        cut += [(y, z) for y in parts.values()]
+        a, *rest = (cells[0][(p & -p).bit_length() - 1][0] for p in parts)
+        mine[1] = [(a, b, z) for b in rest]
+        for c in mine[1]:
+            bounds[c] = {(a,): 1, (c[1],): -1}
+        cells[1].extend(mine[1])
+        mask[z] = sum(parts)
+        for d in range(2, degree + 1):
+            faces = [c for x in below for c in at[x][d - 1]]
+            if not faces:
+                continue
+            trans = {}
+            for j, c in enumerate(faces):
+                for e, x in bounds[c].items():
+                    trans.setdefault(e, {})[j] = x
+            red, pivots = sparse_echelon(list(trans.values()), len(faces))
+            pinned = set(pivots)
+            free = [j for j in range(len(faces)) if j not in pinned]
+            slot = {faces[j]: i for i, j in enumerate(free)}
+            rows = [{slot[c]: x for c, x in bounds[f].items() if c in slot}
+                    for x in below for f in at[x][d]]
+            pins = set(_forward(rows, len(free))[1])
+            for i, vec in enumerate(sparse_kernel(red, pivots, len(faces))):
+                if i not in pins:
+                    cell = (faces[free[i]], z)
+                    bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}
+                    mine[d].append(cell)
+            cells[d].extend(mine[d])
+    return sorted(cut), cells, bounds

@@ -1,6 +1,7 @@
 """Cochain complexes, cohomology, homotopies, relative/LES machinery."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -60,7 +61,7 @@ from assigncoh.cochain import (
 )
 from assigncoh.coeffsys import square_failures
 from assigncoh.errors import BrokenProjectionError, UnknownIdError
-from assigncoh.ratlin import _apply, _transpose
+from assigncoh.ratlin import _apply, _combine, _transpose
 
 from oracles import (
     ReferenceCohomologyData,
@@ -69,6 +70,8 @@ from oracles import (
     brute_differential,
     brute_rank,
     d_squared_witness,
+    dense_blocks,
+    kernel_forest,
     per_pair_extend,
     reference_block_scaling,
     reference_chain_differential,
@@ -474,9 +477,9 @@ def test_sparse_and_dense_cochains_read_alike_seeded(make):
 
 
 def test_nonzero_blocks_are_the_dense_walks_nonzero_blocks_seeded():
-    """`Cochain._nonzero_blocks` finds each block from the row's columns;
-    it gives exactly the blocks of the dense walk (`_blocks`) that are not
-    all zero, in basis order.  The bases: both complexes, R's cells, a
+    """`Cochain._nonzero_blocks` finds each block from the row's columns
+    (`ChainBasis._split`); it gives exactly the blocks of the dense walk
+    (`oracles.dense_blocks`) that are not all zero, in basis order.  The bases: both complexes, R's cells, a
     relative basis filtered from the chains and one of v off a down-closed
     subset, on moment systems (width 0 at the open strata) and systems
     with blocks of width 0 anywhere; the rows: representatives and seeded
@@ -506,7 +509,7 @@ def test_nonzero_blocks_are_the_dense_walks_nonzero_blocks_seeded():
                     walked["zero-width"] += 0 in basis.block_dims
                     for row in rows:
                         c = Cochain._from_row(basis, row)
-                        want = [(t, vals) for t, vals in c._blocks() if any(vals)]
+                        want = [(t, vals) for t, vals in dense_blocks(c) if any(vals)]
                         assert list(c._nonzero_blocks()) == want
                         walked["blocks"] += len(want)
     assert walked["zero-width"] and walked["blocks"]
@@ -1309,12 +1312,16 @@ def test_les_coefficients_through_non_identity_stratum_maps():
 
 
 def _connecting_value_all_ones(monkeypatch):
-    # d_b(lift(r)) is the only product by columns (`_combine` on the
-    # transpose of d_b) in the sequence; make it 1 at every row some
-    # column reaches, which in a strict complex is every coordinate of the
-    # next chain space
-    monkeypatch.setattr(assigncoh.cochain, "_combine",
-                        lambda cols, vec: dict.fromkeys(sorted({i for c in cols for i in c}), 1))
+    # d_b(lift(r)) is the connecting map's product by columns (`_combine`
+    # on the transpose of d_b, called from `connect`; the block map calls
+    # it too); make it 1 at every row some column reaches, which in a
+    # strict complex is every coordinate of the next chain space
+    def ones(cols, vec):
+        if sys._getframe(1).f_code.co_name != "connect":
+            return _combine(cols, vec)
+        return dict.fromkeys(sorted({i for c in cols for i in c}), 1)
+
+    monkeypatch.setattr(assigncoh.cochain, "_combine", ones)
 
 
 def test_les_pair_connecting_check_fires(monkeypatch):
@@ -1325,6 +1332,28 @@ def test_les_pair_connecting_check_fires(monkeypatch):
     _connecting_value_all_ones(monkeypatch)
     with pytest.raises(AssertionError, match="connecting value in degree 1"):
         les_pair_check(v, n)
+
+
+def test_les_pair_induced_image_off_the_cocycles_is_a_program_fault(monkeypatch):
+    # a chain map of functors sends cocycles to cocycles: an induced image
+    # that is none ends in an AssertionError naming the node, never in the
+    # ValueError of a user's input
+    _, v = cp2()
+    n = {"p1", "p2", "e12"}
+    induced = assigncoh.cochain._induced_rows
+    moved = []
+
+    def corrupt(name, target, images):
+        images = list(images)
+        if images and not moved:
+            moved.append(name)
+            images[0] = {j + 1: x for j, x in images[0].items()}
+        return induced(name, target, images)
+
+    monkeypatch.setattr(assigncoh.cochain, "_induced_rows", corrupt)
+    with pytest.raises(AssertionError, match=r"induced image off the cocycles of H\^0\(subset\)"):
+        les_pair_check(v, n)
+    assert moved == ["H^0(subset)"]
 
 
 def test_les_coefficients_connecting_check_fires(monkeypatch):
@@ -1634,6 +1663,25 @@ def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
         assert set(cut) <= set(v.space.covers)
         fewer += len(cut) < len(v._cut)
     assert fewer >= 40
+
+
+def test_forest_union_find_is_the_kernel_step_from_degree_two_seeded():
+    """`_forest`'s degree-2 union-find gives the cut, cells and boundaries
+    of the kernel step run from d = 2 (`oracles.kernel_forest`), in degrees
+    2 and 3: on the spaces of `_forest_cases`, the deep (S^2)^4 and seeded
+    (S^2)^4 spaces over T^3."""
+    rng = random.Random(61)
+    spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
+    spaces.append(_deep_sphere_product()[0])
+    spaces += [build_sphere_product(3, [[rng.randint(-1, 1) for _ in range(3)]
+                                        for _ in range(4)])[0] for _ in range(4)]
+    two_cells = 0
+    for space in spaces:
+        for degree in (2, 3):
+            got = assigncoh.cochain._forest(space, degree)
+            assert got == kernel_forest(space, degree)
+        two_cells += len(got[1][2])
+    assert two_cells == 276
 
 
 def test_systems_off_the_laws_keep_the_order_complex(monkeypatch):

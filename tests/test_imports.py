@@ -5,7 +5,10 @@ doctests; every private name is taken from its home.
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.  A module-level function or class is a helper unless it is in
 `assigncoh.__all__`; each helper must be named on some other line of the
-package.  Every module's doctests run, so a new one needs no wiring.  A
+package.  Every private function, at module level or a method (a name
+with a leading underscore that is no dunder), is referenced in the
+package's code outside its own def, by name or as an attribute: a
+docstring's mention does not count.  Every module's doctests run, so a new one needs no wiring.  A
 private name (one leading underscore) that `src/` or `tests/` imports, or
 reads as a module attribute, must come from the module that defines it, so
 a helper that moves leaves no second way to it.  Only `ratlin` and
@@ -17,6 +20,7 @@ import ast
 import doctest
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,6 +98,49 @@ def test_modules_use_every_helper():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _unused_helpers(sources, set(assigncoh.__all__)) == []
+
+
+def _unreferenced_privates(sources):
+    """(file, line, name) of each private module-level function or method
+    that no Name or Attribute of the sources reads outside its own def."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def refs(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((refs(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and private(fn.name) and total[fn.name] <= refs(fn)[fn.name]):
+                    found.append((name, fn.lineno, fn.name))
+    return sorted(found)
+
+
+def test_unreferenced_private_detector():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _lonely():\n    \"\"\"Not _lonely.\"\"\"\n\n\n"
+                "def _recursive():\n    return _recursive()\n\n\n"
+                "class C:\n    def __init__(self):\n        self._run()\n\n"
+                "    def _run(self):\n        pass\n\n    def _idle(self):\n        pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert _unreferenced_privates(sources) == [
+        ("a.py", 5, "_lonely"), ("a.py", 9, "_recursive"), ("a.py", 20, "_idle"),
+    ]
+
+
+def test_every_private_function_and_method_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _unreferenced_privates(sources) == []
 
 
 def _unused_locals(source: str):
