@@ -259,7 +259,7 @@ def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[s
         return [t for t in ts if not all(x in nset for x in t)]
     if kind == "sub":
         return [t for t in ts if all(x in nset for x in t)]
-    raise ValueError(f"unknown support kind {kind!r}")
+    raise AssertionError(f"unknown support kind {kind!r}")
 
 
 def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None) -> ChainBasis:
@@ -595,19 +595,15 @@ def _forest(space: StratSpace, degree: int = 1):
     pair (y, z), sorted: a functor's assignments need no other
     (`_Complex.data`).  Each component beyond the first adds the 1-cell
     (a, b, z) with boundary a - b, a and b the first minimal strata below
-    the first component and below this one.  In degree 2, the 1-cells below
-    z that close a cycle of a spanning forest (a union-find) are the
-    columns of the 2-cell boundaries below z; after one forward pass, each
-    such 1-cell c off the pivots adds the 2-cell (c, z), whose boundary is
-    c's fundamental cycle (the kernel step below, run from d = 2, gives the
-    same cells in twice the time).  In each degree d >= 3, the kernel of the
-    boundary on the (d-1)-cells below z (`sparse_echelon` of the transposed
-    boundary rows, then `sparse_kernel`: one vector per free column) holds
-    the boundaries of the d-cells below z; read on the free columns, one
-    forward pass on those leaves the free columns c off its pivots, and
-    each adds the d-cell (c, z) whose boundary is c's kernel vector made
-    primitive.  The cells at z have boundaries independent of those below
-    z, so the kernel at z never involves them.
+    the first component and below this one.  Each degree d >= 2 takes one
+    step: a finder gives a basis of the cycles on the (d-1)-cells below z,
+    one per closing face, nonzero there and zero at the other closing faces
+    (`_tree_cycles`, a union-find, at d = 2, where the kernel step costs
+    twice as much; `_kernel_cycles` above).  One forward pass of the
+    d-cell boundaries below z, read on the closing faces, pins some; each
+    other closing face c adds the d-cell (c, z) bounded by its cycle.  The
+    (d-1)-cells at z have boundaries independent of those below z, so no
+    cycle at z involves them.
     """
     mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
     at: Dict[str, List[list]] = {}    # stratum -> its j-cells, j = 0..degree
@@ -636,66 +632,77 @@ def _forest(space: StratSpace, degree: int = 1):
             bounds[c] = {(a,): 1, (c[1],): -1}
         cells[1].extend(mine[1])
         mask[z] = sum(parts)          # the parts are disjoint
-        if degree < 2:
-            continue
-        parent: Dict[str, str] = {}
-        tree: Dict[str, list] = {}    # vertex -> (neighbour, 1-cell, sign of the step)
-        closing = []                  # 1-cells closing a cycle
-        for c in (c for x in below for c in at[x][1]):
-            ra, rb = c[0], c[1]
-            while ra in parent:
-                ra = parent[ra]
-            while rb in parent:
-                rb = parent[rb]
-            if ra == rb:
-                closing.append(c)
-                continue
-            parent[ra] = rb
-            tree.setdefault(c[1], []).append((c[0], c, 1))
-            tree.setdefault(c[0], []).append((c[1], c, -1))
-        col = {c: j for j, c in enumerate(closing)}
-        rows = [{col[c]: x for c, x in bounds[f].items() if c in col}
-                for x in below for f in at[x][2]]
-        pins = set(_forward(rows, len(closing))[1])
-        for c in closing:
-            if col[c] in pins:
-                continue
-            # the tree path from c[0] to c[1] closes c into a cycle
-            prev, queue = {c[0]: None}, [c[0]]
-            for u in queue:
-                for w, e, s in tree.get(u, ()):
-                    if w not in prev:
-                        prev[w] = (u, e, s)
-                        queue.append(w)
-            cycle, w = {c: 1}, c[1]
-            while prev[w]:
-                w, e, s = prev[w]
-                cycle[e] = s
-            bounds[(c, z)] = cycle
-            mine[2].append((c, z))
-        cells[2].extend(mine[2])
-        for d in range(3, degree + 1):
+        for d in range(2, degree + 1):
             faces = [c for x in below for c in at[x][d - 1]]
             if not faces:
                 continue
-            trans: Dict[tuple, SparseRow] = {}    # (d-2)-cell -> its row of the boundary's transpose
-            for j, c in enumerate(faces):
-                for e, x in bounds[c].items():
-                    trans.setdefault(e, {})[j] = x
-            red, pivots = sparse_echelon(list(trans.values()), len(faces))
-            pinned = set(pivots)
-            free = [j for j in range(len(faces)) if j not in pinned]
-            slot = {faces[j]: i for i, j in enumerate(free)}
-            rows = [{slot[c]: x for c, x in bounds[f].items() if c in slot}
+            closing, cycle = (_tree_cycles if d == 2 else _kernel_cycles)(faces, bounds)
+            col = {c: j for j, c in enumerate(closing)}
+            rows = [{col[c]: x for c, x in bounds[f].items() if c in col}
                     for x in below for f in at[x][d]]
-            pins = set(_forward(rows, len(free))[1])
-            for i, vec in enumerate(sparse_kernel(red, pivots, len(faces))):
-                if i not in pins:
-                    cell = (faces[free[i]], z)
-                    bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}
-                    mine[d].append(cell)
+            pins = set(_forward(rows, len(closing))[1])
+            for j, c in enumerate(closing):
+                if j not in pins:
+                    bounds[c, z] = cycle(j)
+                    mine[d].append((c, z))
             cells[d].extend(mine[d])
     return sorted(cut), cells, bounds
+
+
+def _tree_cycles(faces, bounds):
+    """(closing, cycle) on 1-cells: closing lists the faces that close a
+    cycle of a spanning forest (a union-find over their ends, c[0] and
+    c[1], so bounds is not read), and cycle(j) is closing[j]'s fundamental
+    cycle, 1 at closing[j] and the signed tree path between its ends."""
+    parent: Dict[str, str] = {}
+    tree: Dict[str, list] = {}    # vertex -> (neighbour, 1-cell, sign of the step)
+    closing = []
+    for c in faces:
+        ra, rb = c[0], c[1]
+        while ra in parent:
+            ra = parent[ra]
+        while rb in parent:
+            rb = parent[rb]
+        if ra == rb:
+            closing.append(c)
+            continue
+        parent[ra] = rb
+        tree.setdefault(c[1], []).append((c[0], c, 1))
+        tree.setdefault(c[0], []).append((c[1], c, -1))
+
+    def cycle(j):
+        # the tree path from c[0] to c[1] closes c into a cycle
+        c = closing[j]
+        prev, queue = {c[0]: None}, [c[0]]
+        for u in queue:
+            for w, e, s in tree.get(u, ()):
+                if w not in prev:
+                    prev[w] = (u, e, s)
+                    queue.append(w)
+        path, w = {c: 1}, c[1]
+        while prev[w]:
+            w, e, s = prev[w]
+            path[e] = s
+        return path
+
+    return closing, cycle
+
+
+def _kernel_cycles(faces, bounds):
+    """(closing, cycle) on cells of any degree: the kernel of the boundary on
+    faces (`sparse_echelon` of the transposed boundary rows, then
+    `sparse_kernel`) has one vector per free column; closing lists the free
+    columns' faces, and cycle(j) is the j-th vector made primitive."""
+    trans: Dict[tuple, SparseRow] = {}    # a face of the faces -> its row of the boundary's transpose
+    for j, c in enumerate(faces):
+        for e, x in bounds[c].items():
+            trans.setdefault(e, {})[j] = x
+    red, pivots = sparse_echelon(list(trans.values()), len(faces))
+    pinned = set(pivots)
+    free = [j for j in range(len(faces)) if j not in pinned]
+    kernel = sparse_kernel(red, pivots, len(faces))
+    return ([faces[j] for j in free],
+            lambda i: {faces[j]: x for j, x in _primitive(kernel[i]).items()})
 
 
 def _resolution_dims(v: CoefficientSystem, k: int) -> List[int]:

@@ -488,9 +488,10 @@ MUTANTS = (
     Mutant(
         "resolution-2-cell-boundary-coefficient-negated",
         "cochain.py",
-        "cycle, w = {c: 1}, c[1]",
-        "cycle, w = {c: -1}, c[1]",
-        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
+        "path, w = {c: 1}, c[1]",
+        "path, w = {c: -1}, c[1]",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seeded"),
         note="a 2-cell's boundary would be no cycle, and rank delta_1 and dim H^1 change",
     ),
     Mutant(
@@ -593,19 +594,31 @@ MUTANTS = (
     Mutant(
         "resolution-stops-one-degree-early",
         "cochain.py",
-        "for d in range(3, degree + 1):",
-        "for d in range(3, degree):",
+        "for d in range(2, degree + 1):",
+        "for d in range(2, degree):",
         ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
         note="R's top degree would have no cells, so its H is C^k - rank delta_{k-1}",
     ),
     Mutant(
         "resolution-cell-boundary-free-entry-negated",
         "cochain.py",
-        "bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}",
-        "bounds[cell] = {faces[j]: -x if j == free[i] else x for j, x in _primitive(vec).items()}",
-        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",),
+        "lambda i: {faces[j]: x for j, x in _primitive(kernel[i]).items()}",
+        "lambda i: {faces[j]: -x if j == free[i] else x for j, x in _primitive(kernel[i]).items()}",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seeded"),
         note="a cell of degree >= 3 would have a boundary off the kernel; negating a "
              "whole boundary only changes the cell's sign, which changes no result",
+    ),
+    Mutant(
+        "cycle-finder-union-find-beyond-degree-two",
+        "cochain.py",
+        "(_tree_cycles if d == 2 else _kernel_cycles)",
+        "(_tree_cycles if d <= 3 else _kernel_cycles)",
+        ("tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_forest_union_find_is_the_kernel_step_from_degree_two_seeded",
+         "tests/test_cochain.py::test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seeded"),
+        note="the union-find would read a 2-cell (c, y) as an edge from c to y, so "
+             "R's 3-cells would miss classes of the 2-cells below their strata",
     ),
     Mutant(
         "complex-both-answered-through-the-resolution",

@@ -1684,6 +1684,44 @@ def test_forest_union_find_is_the_kernel_step_from_degree_two_seeded():
     assert two_cells == 276
 
 
+def test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seeded():
+    """At every stratum z, `_tree_cycles` and `_kernel_cycles` on the 1-cells
+    below z (in `_forest`'s order) return the same closing faces and the
+    same cycle for each; and `_forest(space, top + 2)` has no cell above
+    the order complex's top degree: on the spaces of `_forest_cases`, the
+    deep (S^2)^4 and seeded (S^2)^4 spaces over T^3."""
+    rng = random.Random(67)
+    spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
+    spaces.append(_deep_sphere_product()[0])
+    spaces += [build_sphere_product(3, [[rng.randint(-1, 1) for _ in range(3)]
+                                        for _ in range(4)])[0] for _ in range(4)]
+    closing = reaches_top = 0
+    for space in spaces:
+        top = assigncoh.cochain._top_degree(space)
+        _, cells, bounds = assigncoh.cochain._forest(space, top + 2)
+        assert not any(cells[top + 1:])
+        reaches_top += bool(cells[top])
+        at = {}
+        for c in cells[1]:
+            at.setdefault(c[-1], []).append(c)
+        for z in space.ids:
+            faces = [c for x in space.below(z) for c in at.get(x, ())]
+            tree, tree_cycle = assigncoh.cochain._tree_cycles(faces, bounds)
+            kernel, kernel_cycle = assigncoh.cochain._kernel_cycles(faces, bounds)
+            assert tree == kernel
+            assert all(tree_cycle(j) == kernel_cycle(j) for j in range(len(tree)))
+            closing += len(tree)
+    assert (closing, reaches_top) == (621, 35)
+
+
+def test_an_unknown_support_kind_is_a_program_fault():
+    """The support kinds are internal, so an unknown one is a bug: it raises
+    AssertionError, which the command line does not read as a user's
+    validation error (a bare ValueError exits 2)."""
+    with pytest.raises(AssertionError, match="unknown support kind 'both'"):
+        assigncoh.cochain._filtered_tuples([("m",)], ("both", frozenset({"m"})))
+
+
 def test_systems_off_the_laws_keep_the_order_complex(monkeypatch):
     """A system whose laws fail, or whose report is not yet known, never
     reaches the forest pass in degree 0; degree 1 walks the report and then

@@ -14,6 +14,8 @@ reads as a module attribute, must come from the module that defines it, so
 a helper that moves leaves no second way to it.  Only `ratlin` and
 `cochain` take the elimination passes, so every other module solves
 through `ratlin`'s wrappers and a second solve cannot grow beside them.
+The count of bare `raise ValueError` sites may only fall: the command line
+reads a bare ValueError as a user's validation error.
 """
 
 import ast
@@ -221,6 +223,45 @@ def test_only_ratlin_and_cochain_run_the_elimination_passes():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _elimination_users(sources, {"ratlin.py", "cochain.py"}) == []
+
+
+def _bare_value_errors(source: str):
+    """Line numbers of each `raise ValueError` or `raise ValueError(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_bare_value_error_detector():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError(f'bad {x}')\n"
+        "    try:\n"
+        "        raise ValueError\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise errors.ValueError('other')\n"
+        "    raise TypeError('x') from ValueError('y')\n"
+    )
+    assert _bare_value_errors(source) == [3, 5]
+
+
+_BARE_VALUE_ERRORS = 46
+
+
+def test_no_new_bare_value_error():
+    count = sum(len(_bare_value_errors(path.read_text(encoding="utf-8")))
+                for path in PACKAGE_DIR.glob("*.py"))
+    assert count <= _BARE_VALUE_ERRORS, (
+        f"{count} bare `raise ValueError` sites in src/assigncoh, at most "
+        f"{_BARE_VALUE_ERRORS}: the command line exits 2 on any ValueError, as on "
+        "bad input; raise AssertionError for a program fault, and let a new input "
+        "check wait for ROADMAP item 6's validation error class")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
