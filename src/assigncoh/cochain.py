@@ -17,11 +17,11 @@ cocycles (the assignments) from the rows of d_0 at the system's cut pairs
 every other pair is composed): they have the kernel of d_0, hence the
 same reduced echelon form and the same canonical representatives.  A
 system whose clean functor report is known without a walk (a moment
-system) needs only the forest cut, one lower cover per component of each
-stratum (`_forest`): the covers below a stratum z carry the values of the
-minimal strata, and two covers that share a minimal stratum agree at z.
-The differential d_0 itself stays whole, for degree 1 and the connecting
-maps.
+system) needs only the forest cut (`_forest_cut`), one lower cover per
+component of each stratum (`_components`): the covers below a stratum z
+carry the values of the minimal strata, and two covers that share a
+minimal stratum agree at z.  The differential d_0 stays whole, for
+degree 1 and the connecting maps.
 
 A down-closed stratum subset N is a system: a tuple lies inside N exactly
 when its top stratum does, so the cochains vanishing on the tuples inside
@@ -31,8 +31,8 @@ vanishes).  Relative cohomology and the pair's sequence hand these
 functors to the routines that serve every functor.  Only the order
 complex of any other subset filters its chains by a support.
 
-The same pass over the poset builds R, a minimal projective resolution of
-the constant functor, to the degree its caller reads; its cells end in
+The same components give R (`_forest`), a minimal projective resolution
+of the constant functor, to the degree its caller reads; its cells end in
 their strata as chains do.  HA^k is Ext^k(Q, V), which any projective
 resolution computes, and Hom(R, V) has one block per cell, not per chain:
 `_Complex` given R's cells is that complex, with the same bases,
@@ -439,7 +439,7 @@ class _CohomologyData:
         self.dim_cocycles = self.dim + self.im_rank
         self.cocycles, self._rep_rows, self.rep_pivots = None, [], ()
         if self.dim:
-            self.cocycles = sparse_kernel(*_back(*pinned), dim_chain)
+            _, self.cocycles = sparse_kernel(*_back(*pinned), dim_chain)
             self._rep_rows, self.rep_pivots = sparse_rref(self.cocycles, dim_chain)
 
     @cached_property
@@ -561,7 +561,7 @@ class _Complex:
                 # rows of d_0 with its kernel: the forest cut of a functor
                 # known without a walk, else the system's cut pairs
                 known = vars(self.v).get("_report")
-                cut = _forest(self.v.space)[0] if known and known.ok else self.v._cut
+                cut = _forest_cut(self.v.space) if known and known.ok else self.v._cut
                 d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, cut))
             else:
                 d_in_t, d_out = [], self.d(0)
@@ -582,56 +582,68 @@ class _Complex:
         return CohomologyResult(k, data.dim, reps, diag)
 
 
-def _forest(space: StratSpace, degree: int = 1):
-    """One pass over the strata by (len(below), id): (cut, cells, bounds).
+def _components(space: StratSpace) -> Dict[str, Dict[int, str]]:
+    """Each stratum's lower covers in components, by (len(below), id).
 
-    R is the minimal resolution of the constant functor, built to degree
-    (at least 1): cells[j] lists the j-cells, each a tuple ending in its
-    stratum, and bounds maps each cell of degree >= 1 to its boundary
-    (cell -> coefficient).  Each minimal stratum m has a 0-cell (m,).  At
-    any other z, the lower covers fall into components, two covers joined
-    when a minimal stratum lies below both (bitmasks of the minimal strata
-    below each stratum).  cut lists one cover y of each component as the
-    pair (y, z), sorted: a functor's assignments need no other
-    (`_Complex.data`).  Each component beyond the first adds the 1-cell
-    (a, b, z) with boundary a - b, a and b the first minimal strata below
-    the first component and below this one.  Each degree d >= 2 takes one
-    step: a finder gives a basis of the cycles on the (d-1)-cells below z,
-    one per closing face, nonzero there and zero at the other closing faces
-    (`_tree_cycles`, a union-find, at d = 2, where the kernel step costs
-    twice as much; `_kernel_cycles` above).  One forward pass of the
-    d-cell boundaries below z, read on the closing faces, pins some; each
-    other closing face c adds the d-cell (c, z) bounded by its cycle.  The
-    (d-1)-cells at z have boundaries independent of those below z, so no
-    cycle at z involves them.
+    Two covers are joined when a minimal stratum lies below both (bitmasks
+    of the minimal strata at or below each stratum; bit i is the i-th
+    minimal stratum by id).  Each stratum maps to {a component's bitmask:
+    the cover the walk keeps for it}; a minimal stratum has none.
     """
     mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
-    at: Dict[str, List[list]] = {}    # stratum -> its j-cells, j = 0..degree
-    cut: List[Tuple[str, str]] = []
-    cells: Tuple[list, ...] = tuple([] for _ in range(degree + 1))
-    bounds: Dict[tuple, Dict[tuple, int]] = {}
+    out = {}
     for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
-        below = space.below(z)
-        mine = at[z] = [[] for _ in cells]
-        if not below:
-            mask[z] = 1 << len(cells[0])
-            cells[0].append((z,))
-            continue
-        parts: Dict[int, str] = {}    # a component's minimal strata -> one of its covers
+        parts = out[z] = {}
         for y in space.lower_covers(z):
             m, first = mask[y], y
             for p in [p for p in parts if p & m]:
                 m |= p
                 first = parts.pop(p)
             parts[m] = first
-        cut += [(y, z) for y in parts.values()]
+        # the parts are disjoint; minimal strata come first, one bit each
+        mask[z] = sum(parts) or 1 << len(mask)
+    return out
+
+
+def _forest_cut(space: StratSpace) -> List[Tuple[str, str]]:
+    """The pair (y, z) of each component's kept cover y at each stratum z,
+    sorted: a functor's assignments need no other (`_Complex.data`)."""
+    return sorted((y, z) for z, parts in _components(space).items() for y in parts.values())
+
+
+def _forest(space: StratSpace, degree: int):
+    """(cells, bounds) of R to degree >= 1, in `_components` order.
+
+    cells[j] lists the j-cells, each a tuple ending in its stratum; bounds
+    maps each cell of degree >= 1 to its boundary (cell -> coefficient).
+    Each minimal stratum m has a 0-cell (m,).  At any other z, each
+    component beyond the first adds the 1-cell (a, b, z) with boundary
+    a - b, a and b the first minimal strata below the first component and
+    below this one.  Each degree d >= 2 takes one step: a finder gives a
+    basis of the cycles on the (d-1)-cells below z, one per closing face,
+    nonzero there and zero at the other closing faces (`_tree_cycles` at
+    d = 2, where a union-find is faster; `_kernel_cycles` above).  One
+    forward pass of the d-cell boundaries below z, read on the closing
+    faces, pins some; each other closing face c adds the d-cell (c, z)
+    bounded by its cycle.  No cycle at z involves the (d-1)-cells at z:
+    their boundaries are independent of those below z.
+    """
+    comps = _components(space)
+    minima = [z for z, parts in comps.items() if not parts]
+    at = {}    # stratum -> its j-cells, j = 0..degree
+    cells = ([(m,) for m in minima],) + tuple([] for _ in range(degree))
+    bounds = {}
+    for z, parts in comps.items():
+        mine = at[z] = [[] for _ in cells]
+        if not parts:
+            continue
+        below = space.below(z)
         # each part's first minimal stratum: its lowest bit
-        a, *rest = (cells[0][(p & -p).bit_length() - 1][0] for p in parts)
+        a, *rest = (minima[(p & -p).bit_length() - 1] for p in parts)
         mine[1] = [(a, b, z) for b in rest]
         for c in mine[1]:
             bounds[c] = {(a,): 1, (c[1],): -1}
         cells[1].extend(mine[1])
-        mask[z] = sum(parts)          # the parts are disjoint
         for d in range(2, degree + 1):
             faces = [c for x in below for c in at[x][d - 1]]
             if not faces:
@@ -646,7 +658,7 @@ def _forest(space: StratSpace, degree: int = 1):
                     bounds[c, z] = cycle(j)
                     mine[d].append((c, z))
             cells[d].extend(mine[d])
-    return sorted(cut), cells, bounds
+    return cells, bounds
 
 
 def _tree_cycles(faces, bounds):
@@ -671,7 +683,6 @@ def _tree_cycles(faces, bounds):
         tree.setdefault(c[0], []).append((c[1], c, -1))
 
     def cycle(j):
-        # the tree path from c[0] to c[1] closes c into a cycle
         c = closing[j]
         prev, queue = {c[0]: None}, [c[0]]
         for u in queue:
@@ -690,17 +701,13 @@ def _tree_cycles(faces, bounds):
 
 def _kernel_cycles(faces, bounds):
     """(closing, cycle) on cells of any degree: the kernel of the boundary on
-    faces (`sparse_echelon` of the transposed boundary rows, then
-    `sparse_kernel`) has one vector per free column; closing lists the free
-    columns' faces, and cycle(j) is the j-th vector made primitive."""
+    faces has one vector per free column; closing lists the free columns'
+    faces, and cycle(j) is the j-th vector made primitive."""
     trans: Dict[tuple, SparseRow] = {}    # a face of the faces -> its row of the boundary's transpose
     for j, c in enumerate(faces):
         for e, x in bounds[c].items():
             trans.setdefault(e, {})[j] = x
-    red, pivots = sparse_echelon(list(trans.values()), len(faces))
-    pinned = set(pivots)
-    free = [j for j in range(len(faces)) if j not in pinned]
-    kernel = sparse_kernel(red, pivots, len(faces))
+    free, kernel = sparse_kernel(*sparse_echelon(list(trans.values()), len(faces)), len(faces))
     return ([faces[j] for j in free],
             lambda i: {faces[j]: x for j, x in _primitive(kernel[i]).items()})
 
@@ -711,7 +718,7 @@ def _resolution_dims(v: CoefficientSystem, k: int) -> List[int]:
     Its cochains are those of `_Complex` on R's cells; R is exact, so
     dim H^j is dim C^j - rank delta_j - rank delta_{j-1}.
     """
-    cx = _Complex(v, True, resolution=_forest(v.space, k + 1)[1:])
+    cx = _Complex(v, True, resolution=_forest(v.space, k + 1))
     dims = [cx.basis(j).total_dim for j in range(k + 1)]
     ranks = [_rank(cx.d(j), n) for j, n in enumerate(dims)]
     return [n - r - (ranks[j - 1] if j else 0) for j, (n, r) in enumerate(zip(dims, ranks))]
@@ -726,9 +733,8 @@ def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyR
     cell at z of degree d comes from the homology of the chains below z
     in degree d - 1).  Where dim H^k is 0 the diagnostics come from chain
     counts (`_from_counts`).  Only where dim H^k > 0 is the order complex
-    built, for the
-    representatives.  Degree 0 and every other system use the order
-    complex.  Raises ValueError for k < 0 and in a degree where
+    built, for the representatives.  Degree 0 and every other system use
+    the order complex.  Raises ValueError for k < 0 and in a degree where
     d_k d_{k-1} != 0.
     """
     if k > 0 and v._report.ok:
@@ -993,7 +999,7 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
     _require_functors(v)
     top = _top_degree(space)
     if _down_closed(space, nset):
-        full = _Complex(v, True, resolution=_forest(space, top + 2)[1:])
+        full = _Complex(v, True, resolution=_forest(space, top + 2))
         rel, sub = (_Complex(_kept_on(v, keep), True, whole=full)
                     for keep in (frozenset(space.ids) - nset, nset))
     else:
@@ -1018,7 +1024,7 @@ def les_coefficients_check(f: SystemMorphism, g: SystemMorphism) -> ExactSequenc
     # the three functors share one poset, so they share one R
     space = f.target.space
     top = _top_degree(space)
-    res = _forest(space, top + 2)[1:]
+    res = _forest(space, top + 2)
     return _long_exact_sequence(("sub", "total", "quotient"), top,
                                 *(_Complex(w, True, resolution=res)
                                   for w in (f.source, f.target, g.target)), f, g)

@@ -491,13 +491,14 @@ def sparse_rref(rows: Sequence[SparseRow],
 
 
 def sparse_kernel(red: Sequence[SparseRow], pivots: Sequence[int],
-                  ncols: int) -> List[SparseRow]:
-    """Integer right-kernel basis from the output of `sparse_echelon`.
+                  ncols: int) -> Tuple[List[int], List[SparseRow]]:
+    """(free, vectors): the free columns in ascending order and an integer
+    right-kernel basis, from the output of `sparse_echelon`.
 
-    One vector per free column f, in ascending order: a positive entry m
-    at f (the lcm of the pivots of the rows with an entry at f), zero at
-    the other free columns, and -(m/p)*x in pivot slot ``pivots[i]`` where
-    row i has pivot p and entry x at f.  Divided by m, it is the canonical
+    One vector per free column f, in that order: a positive entry m at f
+    (the lcm of the pivots of the rows with an entry at f), zero at the
+    other free columns, and -(m/p)*x in pivot slot ``pivots[i]`` where row
+    i has pivot p and entry x at f.  Divided by m, it is the canonical
     vector with entry 1 at f.
     """
     pivot_set = set(pivots)
@@ -514,7 +515,7 @@ def sparse_kernel(red: Sequence[SparseRow], pivots: Sequence[int],
         for c, p, x in entries:
             vec[c] = -x * (m // p)
         basis.append(vec)
-    return basis
+    return list(at), basis
 
 
 class RrefResult(NamedTuple):
@@ -536,10 +537,8 @@ def rank(m: RatMatrix) -> int:
 
 def kernel_basis(m: RatMatrix) -> list:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, pivots = sparse_echelon(m._rows, m.cols)
-    pivot_set = set(pivots)
-    free = [f for f in range(m.cols) if f not in pivot_set]
-    return [_dense(v, m.cols) for v in _normalize(sparse_kernel(red, pivots, m.cols), free)]
+    free, kernel = sparse_kernel(*sparse_echelon(m._rows, m.cols), m.cols)
+    return [_dense(v, m.cols) for v in _normalize(kernel, free)]
 
 
 def _solutions(rows: Sequence[SparseRow], ncols: int,

@@ -497,12 +497,40 @@ MUTANTS = (
     Mutant(
         "forest-cut-keeps-only-the-first-cover",
         "cochain.py",
-        "cut += [(y, z) for y in parts.values()]",
-        "cut.append((space.lower_covers(z)[0], z))",
+        "for z, parts in _components(space).items() for y in parts.values())",
+        "for z, parts in _components(space).items() for y in space.lower_covers(z)[:1])",
         ("tests/test_cochain.py::test_forest_cut_has_the_kernel_of_the_system_cut_seeded",
+         "tests/test_cochain.py::test_resolution_and_forest_cut_digests_are_unchanged",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
         note="with components ignored, a moment system's degree 0 would gain "
              "vectors that break the dropped covers",
+    ),
+    Mutant(
+        "minimal-stratum-bit-shifted",
+        "cochain.py",
+        "mask[z] = sum(parts) or 1 << len(mask)",
+        "mask[z] = sum(parts) or 1 << len(mask) + 1",
+        ("tests/test_cochain.py::test_components_join_covers_that_share_a_minimal_stratum_seeded",
+         "tests/test_cochain.py::test_resolution_and_forest_cut_digests_are_unchanged",
+         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
+         "tests/test_cochain.py::test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution"),
+        note="the components stay the same, but each lowest bit would name the next "
+             "minimal stratum, so R's 1-cells would join strata not below their own "
+             "(or index past the last one); the forest cut does not change",
+    ),
+    Mutant(
+        "kernel-free-columns-reversed",
+        "ratlin.py",
+        "return list(at), basis",
+        "return list(at)[::-1], basis",
+        ("tests/test_ratlin.py::test_fraction_free_elimination_matches_reference_randomized",
+         "tests/test_ratlin.py::test_kernel_matches_dense_reference_randomized",
+         "tests/test_cochain.py::test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seeded",
+         "tests/test_cochain.py::test_resolution_and_forest_cut_digests_are_unchanged"),
+        note="each kernel vector would be paired with another free column: "
+             "`kernel_basis` would normalize by the wrong entry and `_kernel_cycles` "
+             "would bound a cell by another face's cycle; the cohomology data, which "
+             "reads only the vectors, would not change",
     ),
     Mutant(
         "new-1-cell-joins-a-component-to-itself",

@@ -50,8 +50,8 @@ package's former `Cochain._blocks`, the walk over every block of the
 basis: the reference for the blocks the one split (`ChainBasis._split`)
 finds from a row's columns.  `kernel_forest` is `cochain._forest` with its
 degree-2 union-find deleted and the kernel step of the degrees d >= 3
-run from d = 2: the reference for the cut, cells and boundaries the
-union-find gives.
+run from d = 2, on the same components (`cochain._components`): the
+reference for the cells and boundaries the union-find gives.
 """
 
 from fractions import Fraction
@@ -59,7 +59,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _assemble
+from assigncoh.cochain import _Complex, _assemble, _components
 from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
@@ -722,7 +722,7 @@ class ReferenceCohomologyData:
 
     def __init__(self, d_in_t, d_out, dim_chain):
         self.dim_chain = dim_chain
-        self.cocycles = sparse_kernel(*interleaved_echelon(d_out, dim_chain), dim_chain)
+        _, self.cocycles = sparse_kernel(*interleaved_echelon(d_out, dim_chain), dim_chain)
         im_rows, im_pivots = interleaved_echelon(d_in_t, dim_chain)
         self.im_rank = len(im_pivots)
         self._im_at = dict(zip(im_pivots, im_rows))
@@ -832,32 +832,23 @@ def dense_blocks(c):
         yield t, [row.get(j, 0) for j in range(off, off + w)]
 
 
-def kernel_forest(space, degree: int = 1):
-    """(cut, cells, bounds) as `cochain._forest` gives them, every degree
-    d >= 2 from the kernel of the boundary on the (d-1)-cells below z."""
-    mask, at, cut, bounds = {}, {}, [], {}
-    cells = tuple([] for _ in range(degree + 1))
-    for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
+def kernel_forest(space, degree: int):
+    """(cells, bounds) as `cochain._forest` gives them, every degree d >= 2
+    from the kernel of the boundary on the (d-1)-cells below z."""
+    comps = _components(space)
+    minima = [z for z, parts in comps.items() if not parts]
+    at, bounds = {}, {}
+    cells = ([(m,) for m in minima],) + tuple([] for _ in range(degree))
+    for z, parts in comps.items():
         below = space.below(z)
         mine = at[z] = [[] for _ in cells]
-        if not below:
-            mask[z] = 1 << len(cells[0])
-            cells[0].append((z,))
+        if not parts:
             continue
-        parts = {}
-        for y in space.lower_covers(z):
-            m, first = mask[y], y
-            for p in [p for p in parts if p & m]:
-                m |= p
-                first = parts.pop(p)
-            parts[m] = first
-        cut += [(y, z) for y in parts.values()]
-        a, *rest = (cells[0][(p & -p).bit_length() - 1][0] for p in parts)
+        a, *rest = (minima[(p & -p).bit_length() - 1] for p in parts)
         mine[1] = [(a, b, z) for b in rest]
         for c in mine[1]:
             bounds[c] = {(a,): 1, (c[1],): -1}
         cells[1].extend(mine[1])
-        mask[z] = sum(parts)
         for d in range(2, degree + 1):
             faces = [c for x in below for c in at[x][d - 1]]
             if not faces:
@@ -866,17 +857,16 @@ def kernel_forest(space, degree: int = 1):
             for j, c in enumerate(faces):
                 for e, x in bounds[c].items():
                     trans.setdefault(e, {})[j] = x
-            red, pivots = sparse_echelon(list(trans.values()), len(faces))
-            pinned = set(pivots)
-            free = [j for j in range(len(faces)) if j not in pinned]
+            free, kernel = sparse_kernel(*sparse_echelon(list(trans.values()), len(faces)),
+                                         len(faces))
             slot = {faces[j]: i for i, j in enumerate(free)}
             rows = [{slot[c]: x for c, x in bounds[f].items() if c in slot}
                     for x in below for f in at[x][d]]
             pins = set(_forward(rows, len(free))[1])
-            for i, vec in enumerate(sparse_kernel(red, pivots, len(faces))):
+            for i, vec in enumerate(kernel):
                 if i not in pins:
                     cell = (faces[free[i]], z)
                     bounds[cell] = {faces[j]: x for j, x in _primitive(vec).items()}
                     mine[d].append(cell)
             cells[d].extend(mine[d])
-    return sorted(cut), cells, bounds
+    return cells, bounds

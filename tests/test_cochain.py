@@ -1,5 +1,6 @@
 """Cochain complexes, cohomology, homotopies, relative/LES machinery."""
 
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -492,7 +493,7 @@ def test_nonzero_blocks_are_the_dense_walks_nonzero_blocks_seeded():
             nset = frozenset(rng.sample(space.ids, len(space.ids) // 2))
             down = frozenset(space.below(rng.choice(space.ids)))
             complexes = [_Complex(v, True), _Complex(v, False),
-                         _Complex(v, True, resolution=assigncoh.cochain._forest(space, 3)[1:]),
+                         _Complex(v, True, resolution=assigncoh.cochain._forest(space, 3)),
                          _Complex(v, False, support=("rel", nset)),
                          _Complex(quotient_system(v, down), True)]
             for cx in complexes:
@@ -1627,7 +1628,7 @@ def test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded():
                         == [r._row for r in want.representatives])
         seen.update(k for k in range(1, 4) if dims[k])
     assert seen == {1: 25, 2: 4, 3: 2}
-    _, cells, _ = assigncoh.cochain._forest(deep[0], 3)
+    cells, _ = assigncoh.cochain._forest(deep[0], 3)
     assert max(Counter(c[-1] for c in cells[3]).values()) == 3
     spaces = [deep, build_product(_poly("triangle"), two_stratum()),
               build_product(_poly("square"), _crown())]
@@ -1657,7 +1658,7 @@ def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
         basis = chain_basis(v, 0)
         ref = assigncoh.cochain._CohomologyData(
             [], _differential(v, basis, ChainBasis(v, 1, True, v._cut)), n)
-        cut = assigncoh.cochain._forest(v.space)[0]
+        cut = assigncoh.cochain._forest_cut(v.space)
         got = _Complex(v, True).data(0)
         assert (got.dim, got._rep_rows, got.rep_pivots) == (ref.dim, ref._rep_rows, ref.rep_pivots)
         assert set(cut) <= set(v.space.covers)
@@ -1665,22 +1666,85 @@ def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
     assert fewer >= 40
 
 
+def _sphere_products_over_t3(rng):
+    """The deep (S^2)^4 and four seeded (S^2)^4 spaces over T^3."""
+    return [_deep_sphere_product()[0]] + [
+        build_sphere_product(3, [[rng.randint(-1, 1) for _ in range(3)] for _ in range(4)])[0]
+        for _ in range(4)]
+
+
+def test_components_join_covers_that_share_a_minimal_stratum_seeded():
+    """`_components` against brute force: at each stratum, in (len(below),
+    id) order, two lower covers are in one component when the minimal
+    strata at or below them meet, closed transitively.  Each component's
+    key has bit i set for the i-th minimal stratum by id at or below it,
+    and its kept cover is one of its covers (the walk keeps the cover of
+    the last part a merge pops, not always its first in `lower_covers`
+    order; `_forest_cut` depends on that choice, so it stays as it is).
+    On the spaces of `_forest_cases` and (S^2)^4 spaces over T^3."""
+    rng = random.Random(71)
+    spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
+    spaces += _sphere_products_over_t3(rng)
+    joined = 0
+    for space in spaces:
+        comps = assigncoh.cochain._components(space)
+        assert list(comps) == sorted(space.ids, key=lambda z: (len(space.below(z)), z))
+        minima = sorted(minimal_strata(space))
+        low = {y: {m for m in minima if m == y or m in space.below(y)} for y in space.ids}
+        for z, parts in comps.items():
+            groups = [[y] for y in space.lower_covers(z)]
+            while True:
+                meet = next(((g, h) for g in groups for h in groups if g is not h
+                             and any(low[x] & low[y] for x in g for y in h)), None)
+                if meet is None:
+                    break
+                groups.remove(meet[1])
+                meet[0].extend(meet[1])
+            want = {sum(1 << minima.index(m) for m in set().union(*(low[y] for y in g))): g
+                    for g in groups}
+            assert set(parts) == set(want)
+            assert all(y in want[m] for m, y in parts.items())
+            assert bool(parts) == bool(space.below(z))
+            joined += sum(len(g) > 1 for g in groups)
+    assert joined == 443
+
+
+def test_resolution_and_forest_cut_digests_are_unchanged():
+    """SHA-256 of R to the top degree + 2 (the cells in order, the
+    boundaries sorted by repr) and of the forest cut on cube x square and
+    s7, as the single pass over the poset gave them before `_forest` and
+    the cut were split: a regression guard for any rewrite of the walk."""
+    cases = {
+        "cube x square": (build_product(_poly("cube"), _poly("square"))[0],
+                          "c52b6aab5de43e3aee6727d7bec5d3b4b4fd43230af44bbdc77c3a8b75d33397",
+                          "c57aa0a7b475080ece1f12a364bf07a8ff4bf321ed82ee5662af7c97e26b70cf"),
+        "s7": (build_sphere_product(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                                        [0, 1, 1], [1, 0, 1], [1, 1, 1]])[0],
+               "8502ea5b630c0dc860ca6bf22b27564137fe156f8ad2893c458838c89fea039c",
+               "40e3bbbfe424f6935cb3c653173ffae8fff895e0b8745dd2febb41c6d2d67f94"),
+    }
+    for name, (space, want_r, want_cut) in cases.items():
+        cells, bounds = assigncoh.cochain._forest(space, assigncoh.cochain._top_degree(space) + 2)
+        canon = repr((cells, sorted(repr((c, sorted(b.items()))) for c, b in bounds.items())))
+        cut = repr(assigncoh.cochain._forest_cut(space))
+        assert hashlib.sha256(canon.encode()).hexdigest() == want_r, name
+        assert hashlib.sha256(cut.encode()).hexdigest() == want_cut, name
+
+
 def test_forest_union_find_is_the_kernel_step_from_degree_two_seeded():
-    """`_forest`'s degree-2 union-find gives the cut, cells and boundaries
-    of the kernel step run from d = 2 (`oracles.kernel_forest`), in degrees
+    """`_forest`'s degree-2 union-find gives the cells and boundaries of
+    the kernel step run from d = 2 (`oracles.kernel_forest`), in degrees
     2 and 3: on the spaces of `_forest_cases`, the deep (S^2)^4 and seeded
     (S^2)^4 spaces over T^3."""
     rng = random.Random(61)
     spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
-    spaces.append(_deep_sphere_product()[0])
-    spaces += [build_sphere_product(3, [[rng.randint(-1, 1) for _ in range(3)]
-                                        for _ in range(4)])[0] for _ in range(4)]
+    spaces += _sphere_products_over_t3(rng)
     two_cells = 0
     for space in spaces:
         for degree in (2, 3):
             got = assigncoh.cochain._forest(space, degree)
             assert got == kernel_forest(space, degree)
-        two_cells += len(got[1][2])
+        two_cells += len(got[0][2])
     assert two_cells == 276
 
 
@@ -1692,13 +1756,11 @@ def test_both_cycle_finders_agree_on_one_cells_and_r_ends_at_the_top_degree_seed
     deep (S^2)^4 and seeded (S^2)^4 spaces over T^3."""
     rng = random.Random(67)
     spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
-    spaces.append(_deep_sphere_product()[0])
-    spaces += [build_sphere_product(3, [[rng.randint(-1, 1) for _ in range(3)]
-                                        for _ in range(4)])[0] for _ in range(4)]
+    spaces += _sphere_products_over_t3(rng)
     closing = reaches_top = 0
     for space in spaces:
         top = assigncoh.cochain._top_degree(space)
-        _, cells, bounds = assigncoh.cochain._forest(space, top + 2)
+        cells, bounds = assigncoh.cochain._forest(space, top + 2)
         assert not any(cells[top + 1:])
         reaches_top += bool(cells[top])
         at = {}

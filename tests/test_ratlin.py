@@ -442,10 +442,11 @@ def _check_integer_echelon(rows, ncols):
         assert row[c] > 0
         assert gcd(*row.values()) == 1
         assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == ref
-    # an integer kernel vector per free column: positive there, zero at the
-    # other free columns, and annihilated by every input row
-    free = [f for f in range(ncols) if f not in pivots]
-    kernel = sparse_kernel(red, pivots, ncols)
+    # the free columns are the non-pivot columns in ascending order, with an
+    # integer kernel vector each: positive there, zero at the other free
+    # columns, and annihilated by every input row
+    free, kernel = sparse_kernel(red, pivots, ncols)
+    assert free == [f for f in range(ncols) if f not in pivots]
     assert len(kernel) == len(free)
     for f, vec in zip(free, kernel):
         assert vec[f] > 0 and all(j == f or j in pivots for j in vec)
