@@ -116,8 +116,8 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
 
     The value x pushes to Y is proj(x, Y) v(x), and no projection matrix is
     composed for it: it is the cover map (C, Y) applied to the value pushed
-    to C, for C the first of space.lower_covers(Y) above x, the route
-    `CoefficientSystem._compose` takes, so it is that composition's value.
+    to C, for C = space._route(x, Y), the step `CoefficientSystem._compose`
+    takes, so it is that composition's value.
     Where the system has an explicit entry at (x, Y), that entry is applied
     to v(x) instead, as `CoefficientSystem._rows` reads it, and the route
     above Y still runs through the cover.
@@ -136,19 +136,15 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
                 f"value at {x!r} has length {len(val)}, expected {v.dims[x]}"
             )
 
-    values: Dict[str, SparseRow] = {}
-    origin: Dict[str, str] = {}
+    values = {x: _normal(dict(enumerate(m.values[x])), v.dims[x]) for x in minima}
+    origin = {x: x for x in minima}
     for x in minima:
-        values[x] = _normal(dict(enumerate(m.values[x])), v.dims[x])
-        origin[x] = x
-    for x in minima:
-        up = space.upset(x)
         path = {x: values[x]}    # y -> proj(x, y) v(x) along the cover route
 
         def push(y: str) -> SparseRow:
             got = path.get(y)
             if got is None:
-                c = next(c for c in space.lower_covers(y) if c in up)
+                c = space._route(x, y)
                 got = path[y] = _apply(v._rows(c, y), push(c))
             return got
 

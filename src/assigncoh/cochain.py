@@ -12,16 +12,9 @@ a projection:
 The reduced complex keeps only strictly increasing tuples; it computes the
 same cohomology, which the homotopy operators in this module certify
 degree by degree.  In degree 0 the strict, unfiltered complex takes its
-cocycles (the assignments) from the rows of d_0 at the system's cut pairs
-(`CoefficientSystem._cut`: the covers and explicit entries, from which
-every other pair is composed): they have the kernel of d_0, hence the
-same reduced echelon form and the same canonical representatives.  A
-system whose clean functor report is known without a walk (a moment
-system) needs only the forest cut (`_forest_cut`), one lower cover per
-component of each stratum (`_components`): the covers below a stratum z
-carry the values of the minimal strata, and two covers that share a
-minimal stratum agree at z.  The differential d_0 stays whole, for
-degree 1 and the connecting maps.
+cocycles (the assignments) from the rows of d_0 at the system's cut
+(`CoefficientSystem._cut`), which have d_0's kernel and so its canonical
+representatives, while d_0 stays whole for degree 1 and the connecting maps.
 
 A down-closed stratum subset N is a system: a tuple lies inside N exactly
 when its top stratum does, so the cochains vanishing on the tuples inside
@@ -31,12 +24,13 @@ vanishes).  Relative cohomology and the pair's sequence hand these
 functors to the routines that serve every functor.  Only the order
 complex of any other subset filters its chains by a support.
 
-The same components give R (`_forest`), a minimal projective resolution
-of the constant functor, to the degree its caller reads; its cells end in
-their strata as chains do.  HA^k is Ext^k(Q, V), which any projective
-resolution computes, and Hom(R, V) has one block per cell, not per chain:
-`_Complex` given R's cells is that complex, with the same bases,
-assembly, sharing and block maps as on chains.  `cohomology` in a degree
+The components of the lower covers (`stratposet._components`) give R
+(`_forest`), a minimal projective resolution of the constant functor, to
+the degree its caller reads; its cells end in their strata as chains do.
+HA^k is Ext^k(Q, V), which any projective resolution computes, and
+Hom(R, V) has one block per cell, not per chain: `_Complex` given R's
+cells is that complex, with the same bases, assembly, sharing and block
+maps as on chains.  `cohomology` in a degree
 k >= 1 of a functor reads dim H^k off it (`_resolution_dims`) and builds
 the order complex only where dim H^k > 0, for the canonical
 representatives.  Hom(R, -) is exact, so a short exact sequence of
@@ -101,7 +95,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, zip_longest
+from itertools import groupby
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -145,7 +139,7 @@ from .ratlin import (
     sparse_kernel,
     sparse_rref,
 )
-from .stratposet import PosetMap, StratSpace, chains, minimal_strata, poset_morphism_check
+from .stratposet import PosetMap, StratSpace, _components, chains, minimal_strata, poset_morphism_check
 
 
 class ChainBasis:
@@ -266,27 +260,25 @@ def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None)
     return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
 
 
-def _chain_counts(space: StratSpace, keep: Optional[frozenset] = None):
+def _chain_counts(space: StratSpace):
     """S_0, S_1, ...: S_i(y) strict chains of i+1 strata end at y, with
     S_0(y) = 1 and S_i(y) the sum of S_{i-1}(x) over x < y, up to the top
     degree, the last i with a chain.  A weak chain of k+1 strata ending at
     y repeats the entries of a strict one of i+1 strata, C(k, i) ways, so
-    it counts N_k(y) = sum_i S_i(y) C(k, i).  With keep, only the chains
-    inside keep count, at its strata."""
-    lower = ({y: space.below(y) for y in space.ids} if keep is None else
-             {y: [x for x in space.below(y) if x in keep] for y in space.ids if y in keep})
+    it counts N_k(y) = sum_i S_i(y) C(k, i)."""
+    lower = {y: space.below(y) for y in space.ids}
     c = dict.fromkeys(lower, 1)
     while any(c.values()):
         yield c
         c = {y: sum(c[x] for x in xs) for y, xs in lower.items()}
 
 
-def _chain_sizes(v: CoefficientSystem, last: int, keep: Optional[frozenset] = None) -> List[int]:
+def _chain_sizes(v: CoefficientSystem, last: int) -> List[int]:
     """T_0, ..., T_m, m the lesser of last and the top degree: T_i =
-    sum_y dim V(y) S_i(y) (`_chain_counts`, inside keep if given), the
-    dimensions of the reduced complex."""
+    sum_y dim V(y) S_i(y) (`_chain_counts`), the dimensions of the
+    reduced complex."""
     return [sum(v.dims[y] * n for y, n in c.items())
-            for _, c in zip(range(last + 1), _chain_counts(v.space, keep))]
+            for _, c in zip(range(last + 1), _chain_counts(v.space))]
 
 
 def _chain_dim(sizes: List[int], k: int, strict: bool) -> int:
@@ -558,11 +550,8 @@ class _Complex:
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
             elif self.strict and self.support is None and self.resolution is None:
-                # rows of d_0 with its kernel: the forest cut of a functor
-                # known without a walk, else the system's cut pairs
-                known = vars(self.v).get("_report")
-                cut = _forest_cut(self.v.space) if known and known.ok else self.v._cut
-                d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, cut))
+                # rows of d_0 at the system's cut, with d_0's kernel
+                d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, self.v._cut))
             else:
                 d_in_t, d_out = [], self.d(0)
             self._data[k] = _CohomologyData(d_in_t, d_out, src.total_dim)
@@ -580,35 +569,6 @@ class _Complex:
             "rank_coboundaries": data.im_rank,
         }
         return CohomologyResult(k, data.dim, reps, diag)
-
-
-def _components(space: StratSpace) -> Dict[str, Dict[int, str]]:
-    """Each stratum's lower covers in components, by (len(below), id).
-
-    Two covers are joined when a minimal stratum lies below both (bitmasks
-    of the minimal strata at or below each stratum; bit i is the i-th
-    minimal stratum by id).  Each stratum maps to {a component's bitmask:
-    the cover the walk keeps for it}; a minimal stratum has none.
-    """
-    mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
-    out = {}
-    for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
-        parts = out[z] = {}
-        for y in space.lower_covers(z):
-            m, first = mask[y], y
-            for p in [p for p in parts if p & m]:
-                m |= p
-                first = parts.pop(p)
-            parts[m] = first
-        # the parts are disjoint; minimal strata come first, one bit each
-        mask[z] = sum(parts) or 1 << len(mask)
-    return out
-
-
-def _forest_cut(space: StratSpace) -> List[Tuple[str, str]]:
-    """The pair (y, z) of each component's kept cover y at each stratum z,
-    sorted: a functor's assignments need no other (`_Complex.data`)."""
-    return sorted((y, z) for z, parts in _components(space).items() for y in parts.values())
 
 
 def _forest(space: StratSpace, degree: int):
@@ -831,19 +791,18 @@ def relative_cohomology(
     from R where it can, and its representatives are cochains of that
     system.  Any other n filters the order complex's chains, but above the
     top degree a functor's full complex is counted (`_from_counts`): dim
-    H^k = 0, its chain sizes are T_i - T_i^n (T_i^n: chains inside n), and
-    the reduced dims give dim H^j for j <= top.  Raises ValueError for
-    k < 0 and where this complex's d_k d_{k-1} != 0.
+    H^k = 0, and the strict relative complex gives the chain sizes and
+    dim H^j for j <= top.  Raises ValueError for k < 0 and where this
+    complex's d_k d_{k-1} != 0.
     """
     nset = _check_subset(v.space, n)
     if _down_closed(v.space, nset):
         return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)
     support = ("rel", nset)
     if not strict and k > (top := _top_degree(v.space)) and v._report.ok:
-        sizes = [t - u for t, u in zip_longest(_chain_sizes(v, top),
-                                               _chain_sizes(v, top, nset), fillvalue=0)]
         reduced = _Complex(v, True, support=support)
-        return _from_counts(sizes, [reduced.data(j).dim for j in range(top + 1)], k, False)
+        dims = [reduced.data(j).dim for j in range(top + 1)]
+        return _from_counts([reduced.basis(j).total_dim for j in range(top + 1)], dims, k, False)
     return _Complex(v, strict, support=support).result(k)
 
 

@@ -14,7 +14,7 @@ denominator remains, in two tables.  `_explicit` holds the explicit
 entries of a description (every pair, when the constructor is given them
 all) and serves public values only.  `_at` holds the identity rows and the
 cover maps; every other pair is composed from them on first use, along
-the route `space.lower_covers` fixes, and memoized there.  The readers in
+the route `space._route` fixes, and memoized there.  The readers in
 this package (the differential, the functor and d^2 checks, sub/quotient
 systems, assignments) take those rows; a `RatMatrix` shares them both
 ways (`proj`, the constructors).  Every product of rows here is
@@ -26,7 +26,9 @@ cover, so every other pair is composed from the cover maps: a family of
 values with a_y = proj(x, y) a_x on every cover and every explicit
 non-identity entry has it on every comparable pair.  A system records
 those pairs once, as its cut, and the assignments (degree-0 cocycles) are
-solved on the cut alone.  A moment system satisfies the functor laws by
+solved on the cut alone; a functor whose clean report is known when the
+cut is first read needs only one cover per component of each stratum,
+the forest cut (`_cut`).  A moment system satisfies the functor laws by
 construction and carries the empty report from the start, and so does
 an order-closed quotient or restriction of a system whose clean report is
 known; on any other system check_functor tests composition on the cover
@@ -61,7 +63,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
 from .ratlin import RatMatrix, Rows, _identity_rows, _mul, _rank
-from .stratposet import StratSpace
+from .stratposet import StratSpace, _components
 
 
 def _check_shapes(space: StratSpace, dims: Mapping[str, int], proj, pairs) -> None:
@@ -104,12 +106,12 @@ class CoefficientSystem:
 
     Two tables of rows: _explicit, the explicit entries, gives public values
     only; _at holds the identities, the cover maps and their compositions
-    along the route space.lower_covers fixes.  A pair may sit in both: the
+    along the route space._route fixes.  A pair may sit in both: the
     constructor's explicit entries cover every comparable pair, identities
     included, and _kept_on copies the covers inside its kept set into _at
     while keeping their explicit entries.  _rows reads _explicit first, so
     the explicit entry is the pair's value wherever it has one.  The cut
-    follows from the two tables (see _cut).
+    follows from the two tables and the report (see _cut).
 
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
@@ -144,14 +146,22 @@ class CoefficientSystem:
     @cached_property
     def _cut(self) -> List[Tuple[str, str]]:
         """The pairs whose conditions cut out the assignments
-        (`cochain._Complex.data(0)`, `assignops.extend_minimal`), sorted: the
-        covers and the explicit non-identity entries.
+        (`cochain._Complex.data(0)`, `assignops.extend_minimal`), sorted.
 
-        A system either keeps every cover's map in _at or has an explicit
-        entry on every comparable pair (the constructor), so the covers are
-        in the cut either way.  Sorted on first use: most systems, such as
-        those of the pair sequence, never read it.
+        A functor whose clean report is known (`_known_clean`) takes the
+        forest cut: the kept cover of each component of each stratum
+        (`stratposet._components`).  The covers below z carry the values of
+        the minimal strata, and two covers that share one agree at z.  Any
+        other system takes the covers and the explicit non-identity
+        entries: it keeps every cover's map in _at or has an explicit entry
+        on every comparable pair (the constructor).  Decided on first read,
+        so a system whose laws are walked later keeps the cover cut, which
+        has the same kernel.  Most systems, such as those of the pair
+        sequence, never read it.
         """
+        if _known_clean(self):
+            return sorted((y, z) for z, parts in _components(self.space).items()
+                          for y in parts.values())
         return sorted(set(self.space.covers).union(
             p for p in self._explicit if p[0] != p[1]))
 
@@ -174,7 +184,7 @@ class CoefficientSystem:
     ) -> "CoefficientSystem":
         """Fill all comparable pairs by composing cover maps along one path.
 
-        The path is the route space.lower_covers fixes, so the result is
+        The path is the route space._route fixes, so the result is
         deterministic; if different paths disagree the construction keeps
         that one and check_functor will name a violating triple.  Entries
         in `explicit` give the public value of their pair, never a step of
@@ -217,14 +227,9 @@ class CoefficientSystem:
         return rows
 
     def _compose(self, x: str, z: str) -> Rows:
-        """proj(x, z) for x < z not a cover: cover(y, z) @ path(x, y).
-
-        y is the first of space.lower_covers(z) above x (x itself is no
-        lower cover of z here): the first path a walk up from x along the
-        linear extension those lists are sorted by reaches z by.
-        """
-        up = self.space.upset(x)
-        y = next(y for y in self.space.lower_covers(z) if y in up)
+        """proj(x, z) for x < z not a cover: cover(y, z) @ path(x, y), y the
+        step `space._route(x, z)` takes into z."""
+        y = self.space._route(x, z)
         return _mul(self._at[(y, z)], self._path(x, y))
 
     @cached_property
@@ -299,6 +304,13 @@ def check_functor(v: CoefficientSystem) -> FunctorReport:
     (`_walk_laws`) and kept.
     """
     return v._report
+
+
+def _known_clean(v: CoefficientSystem) -> bool:
+    """Whether v's functor report is known, set or walked, and clean; no
+    law is walked for it.  The one reader of the cached report."""
+    known = vars(v).get("_report")
+    return known is not None and known.ok
 
 
 def _walk_laws(v: CoefficientSystem) -> FunctorReport:
@@ -407,9 +419,8 @@ def _kept_on(v: CoefficientSystem, keep: frozenset) -> CoefficientSystem:
               for x, y in v.space.covers}
     explicit = {p: rows for p, rows in v._explicit.items() if p[0] in keep and p[1] in keep}
     w = CoefficientSystem._of_rows(v.space, dims, covers, explicit)
-    known = vars(v).get("_report")
-    if known is not None and known.ok:
-        w._report = known
+    if _known_clean(v):
+        w._report = v._report
     return w
 
 

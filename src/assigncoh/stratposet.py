@@ -17,6 +17,8 @@ StratSpace.from_covers takes any acyclic relation, keeps only its immediate
 pairs as the covers, and computes the order and inclusion facts once (upsets,
 strict upsets and downsets, lower covers, cover coordinates); coeffsys,
 cochain and builders read them from the space instead of deriving them again.
+The route of covers every composition takes (`StratSpace._route`) and the
+components of each stratum's lower covers (`_components`) are decided here.
 Most strata share a stabilizer, so each distinct stabilizer pair along the
 covers is validated and solved once per load, and its rows are shared by
 every cover with that pair.
@@ -25,7 +27,7 @@ every cover with that pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleError, StabilizerMonotonicityError, UnknownIdError
 from .ratlin import RatMatrix, SparseRow, _integer
@@ -228,7 +230,7 @@ class StratSpace:
 
     from_covers stores the upsets (leq, upset, _closure_direction), the
     sorted strict upsets and downsets (above, below), the lower covers in
-    the order compositions take them (lower_covers) and each cover's
+    route order (lower_covers, _route) and each cover's
     coordinates as sparse integer rows (cover_coords, which moment_system
     keeps as its cover maps).  Every pair in covers is immediate: no
     stratum lies strictly between its ends.  coeffsys checks assignments
@@ -364,12 +366,14 @@ class StratSpace:
         return self._below[x]
 
     def lower_covers(self, x: str) -> List[str]:
-        """The strata x covers, by shrinking upset, then id: a linear extension.
-
-        A CoefficientSystem composes proj(w, x) through the first of these
-        that lies above w.
-        """
+        """The strata x covers, by shrinking upset, then id: a linear extension."""
         return self._covered[x]
+
+    def _route(self, x: str, z: str) -> str:
+        """The first of lower_covers(z) weakly above x, for x < z: the step
+        every composed proj(x, z) and every pushed value takes into z."""
+        up = self._upsets[x]
+        return next(y for y in self._covered[z] if y in up)
 
     def upset(self, x: str) -> frozenset:
         if x not in self._upsets:
@@ -393,6 +397,29 @@ class StratSpace:
 def minimal_strata(space: StratSpace) -> Tuple[str, ...]:
     """Sorted ids with nothing strictly below them."""
     return tuple(x for x in space.ids if not space.below(x))
+
+
+def _components(space: StratSpace) -> Dict[str, Dict[int, str]]:
+    """Each stratum's lower covers in components, by (len(below), id).
+
+    Two covers are joined when a minimal stratum lies below both (bitmasks
+    of the minimal strata at or below each stratum; bit i is the i-th
+    minimal stratum by id).  Each stratum maps to {a component's bitmask:
+    the cover the walk keeps for it}; a minimal stratum has none.
+    """
+    mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
+    out = {}
+    for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
+        parts = out[z] = {}
+        for y in space.lower_covers(z):
+            m, first = mask[y], y
+            for p in [p for p in parts if p & m]:
+                m |= p
+                first = parts.pop(p)
+            parts[m] = first
+        # the parts are disjoint; minimal strata come first, one bit each
+        mask[z] = sum(parts) or 1 << len(mask)
+    return out
 
 
 def chains(space: StratSpace, k: int, strict: bool) -> List[Tuple[str, ...]]:

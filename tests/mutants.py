@@ -182,10 +182,12 @@ MUTANTS = (
     ),
     Mutant(
         "compose-through-the-last-lower-cover",
-        "coeffsys.py",
-        "y = next(y for y in self.space.lower_covers(z) if y in up)",
-        "y = [y for y in self.space.lower_covers(z) if y in up][-1]",
+        "stratposet.py",
+        "return next(y for y in self._covered[z] if y in up)",
+        "return [y for y in self._covered[z] if y in up][-1]",
         ("tests/test_coeffsys.py::test_lazy_pairs_match_eager_composition_seeded",),
+        note="`_compose` and `extend` take the one route, so they move together and "
+             "agree; only the eager composition along the first cover sees it",
     ),
     Mutant(
         "from-covers-keeps-implied-pairs",
@@ -496,18 +498,38 @@ MUTANTS = (
     ),
     Mutant(
         "forest-cut-keeps-only-the-first-cover",
-        "cochain.py",
-        "for z, parts in _components(space).items() for y in parts.values())",
-        "for z, parts in _components(space).items() for y in space.lower_covers(z)[:1])",
+        "coeffsys.py",
+        "for y in parts.values())",
+        "for y in self.space.lower_covers(z)[:1])",
         ("tests/test_cochain.py::test_forest_cut_has_the_kernel_of_the_system_cut_seeded",
          "tests/test_cochain.py::test_resolution_and_forest_cut_digests_are_unchanged",
+         "tests/test_coeffsys.py::test_cut_is_the_forest_cut_exactly_when_a_clean_report_is_known_seeded",
+         "tests/test_coeffsys.py::test_degree_zero_from_cut_pairs_matches_d0_seeded",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
         note="with components ignored, a moment system's degree 0 would gain "
-             "vectors that break the dropped covers",
+             "vectors that break the dropped covers; 74 tests of the whole suite fail",
+    ),
+    Mutant(
+        "cut-ignores-the-report",
+        "coeffsys.py",
+        "if _known_clean(self):",
+        "if True:",
+        ("tests/test_coeffsys.py::test_cut_is_the_forest_cut_exactly_when_a_clean_report_is_known_seeded",
+         "tests/test_coeffsys.py::test_degree_zero_from_cut_pairs_matches_d0_seeded",
+         "tests/test_coeffsys.py::test_from_cover_maps_refuses_an_explicit_entry_on_a_cover",
+         "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
+         "tests/test_cochain.py::test_systems_off_the_laws_keep_the_order_complex",
+         "tests/test_cochain.py::test_every_successful_extend_is_an_assignment_seeded[cube]",
+         "tests/test_cochain.py::test_every_successful_extend_is_an_assignment_seeded[s6]",
+         "tests/test_cochain.py::test_every_successful_extend_is_an_assignment_seeded[square*segment]",
+         "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[s6]",
+         "tests/test_cli.py::test_extend_checks_the_cut_of_a_system_that_breaks_the_functor_laws"),
+        note="a system off the functor laws would take the forest cut, so its degree 0 "
+             "would gain vectors and extend would check too few pairs",
     ),
     Mutant(
         "minimal-stratum-bit-shifted",
-        "cochain.py",
+        "stratposet.py",
         "mask[z] = sum(parts) or 1 << len(mask)",
         "mask[z] = sum(parts) or 1 << len(mask) + 1",
         ("tests/test_cochain.py::test_components_join_covers_that_share_a_minimal_stratum_seeded",
@@ -516,7 +538,8 @@ MUTANTS = (
          "tests/test_cochain.py::test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution"),
         note="the components stay the same, but each lowest bit would name the next "
              "minimal stratum, so R's 1-cells would join strata not below their own "
-             "(or index past the last one); the forest cut does not change",
+             "(or index past the last one); the forest cut does not change; 75 tests "
+             "of the whole suite fail",
     ),
     Mutant(
         "kernel-free-columns-reversed",
@@ -557,13 +580,16 @@ MUTANTS = (
     Mutant(
         "kept-on-inherits-a-failing-report",
         "coeffsys.py",
-        "if known is not None and known.ok:",
-        "if known is not None:",
+        "return known is not None and known.ok",
+        "return known is not None",
         ("tests/test_coeffsys.py::test_kept_on_takes_only_a_known_clean_report",
+         "tests/test_coeffsys.py::test_cut_is_the_forest_cut_exactly_when_a_clean_report_is_known_seeded",
          "tests/test_cochain.py::test_relative_cohomology_answers_a_law_violation_inside_the_subset",
+         "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_cli.py::test_les_on_non_functorial_system_names_the_violation"),
         note="v off a subset holding every failing triple would keep v's violations, "
-             "so its relative groups would be refused",
+             "so its relative groups would be refused; a system whose failing report "
+             "is known would take the forest cut in degree 0 and extend",
     ),
     Mutant(
         "carry-writes-into-a-zero-width-block",

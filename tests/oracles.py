@@ -50,7 +50,7 @@ package's former `Cochain._blocks`, the walk over every block of the
 basis: the reference for the blocks the one split (`ChainBasis._split`)
 finds from a row's columns.  `kernel_forest` is `cochain._forest` with its
 degree-2 union-find deleted and the kernel step of the degrees d >= 3
-run from d = 2, on the same components (`cochain._components`): the
+run from d = 2, on the same components (`stratposet._components`): the
 reference for the cells and boundaries the union-find gives.
 """
 
@@ -59,7 +59,7 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _assemble, _components
+from assigncoh.cochain import _Complex, _assemble
 from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
@@ -78,7 +78,7 @@ from assigncoh.ratlin import (
     sparse_echelon,
     sparse_kernel,
 )
-from assigncoh.stratposet import minimal_strata
+from assigncoh.stratposet import _components, minimal_strata
 
 _ZERO = Fraction(0)
 

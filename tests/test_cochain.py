@@ -52,6 +52,7 @@ from assigncoh import (
     ses_check,
 )
 import assigncoh.cochain
+import assigncoh.stratposet
 from assigncoh.cochain import (
     ChainBasis,
     Cochain,
@@ -1648,21 +1649,21 @@ def test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded():
 
 
 def test_forest_cut_has_the_kernel_of_the_system_cut_seeded():
-    """Degree 0 of a functor whose report is known eliminates one cover per
-    component (the forest cut): the same canonical rows and pivots as the
-    rows at the system's cut pairs, from fewer rows."""
+    """Degree 0 of a functor whose report is known runs on its cut, the
+    forest cut (one cover per component, `CoefficientSystem._cut`): the
+    same canonical rows and pivots as the rows at every cover, from fewer
+    rows."""
     fewer = 0
     for v in _forest_cases(random.Random(59)):
         assert check_functor(v).ok
         n = chain_space_dim(v, 0)
         basis = chain_basis(v, 0)
         ref = assigncoh.cochain._CohomologyData(
-            [], _differential(v, basis, ChainBasis(v, 1, True, v._cut)), n)
-        cut = assigncoh.cochain._forest_cut(v.space)
+            [], _differential(v, basis, ChainBasis(v, 1, True, v.space.covers)), n)
         got = _Complex(v, True).data(0)
         assert (got.dim, got._rep_rows, got.rep_pivots) == (ref.dim, ref._rep_rows, ref.rep_pivots)
-        assert set(cut) <= set(v.space.covers)
-        fewer += len(cut) < len(v._cut)
+        assert set(v._cut) <= set(v.space.covers)
+        fewer += len(v._cut) < len(v.space.covers)
     assert fewer >= 40
 
 
@@ -1680,14 +1681,14 @@ def test_components_join_covers_that_share_a_minimal_stratum_seeded():
     key has bit i set for the i-th minimal stratum by id at or below it,
     and its kept cover is one of its covers (the walk keeps the cover of
     the last part a merge pops, not always its first in `lower_covers`
-    order; `_forest_cut` depends on that choice, so it stays as it is).
+    order; the forest cut depends on that choice, so it stays as it is).
     On the spaces of `_forest_cases` and (S^2)^4 spaces over T^3."""
     rng = random.Random(71)
     spaces = list({id(v.space): v.space for v in _forest_cases(rng)}.values())
     spaces += _sphere_products_over_t3(rng)
     joined = 0
     for space in spaces:
-        comps = assigncoh.cochain._components(space)
+        comps = assigncoh.stratposet._components(space)
         assert list(comps) == sorted(space.ids, key=lambda z: (len(space.below(z)), z))
         minima = sorted(minimal_strata(space))
         low = {y: {m for m in minima if m == y or m in space.below(y)} for y in space.ids}
@@ -1711,9 +1712,10 @@ def test_components_join_covers_that_share_a_minimal_stratum_seeded():
 
 def test_resolution_and_forest_cut_digests_are_unchanged():
     """SHA-256 of R to the top degree + 2 (the cells in order, the
-    boundaries sorted by repr) and of the forest cut on cube x square and
-    s7, as the single pass over the poset gave them before `_forest` and
-    the cut were split: a regression guard for any rewrite of the walk."""
+    boundaries sorted by repr) and of the forest cut (the moment system's
+    `_cut`) on cube x square and s7, as the single pass over the poset
+    gave them before `_forest` and the cut were split: a regression guard
+    for any rewrite of the walk."""
     cases = {
         "cube x square": (build_product(_poly("cube"), _poly("square"))[0],
                           "c52b6aab5de43e3aee6727d7bec5d3b4b4fd43230af44bbdc77c3a8b75d33397",
@@ -1726,7 +1728,7 @@ def test_resolution_and_forest_cut_digests_are_unchanged():
     for name, (space, want_r, want_cut) in cases.items():
         cells, bounds = assigncoh.cochain._forest(space, assigncoh.cochain._top_degree(space) + 2)
         canon = repr((cells, sorted(repr((c, sorted(b.items()))) for c, b in bounds.items())))
-        cut = repr(assigncoh.cochain._forest_cut(space))
+        cut = repr(moment_system(space)._cut)
         assert hashlib.sha256(canon.encode()).hexdigest() == want_r, name
         assert hashlib.sha256(cut.encode()).hexdigest() == want_cut, name
 

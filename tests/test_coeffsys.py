@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from assigncoh.errors import (
     IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError, UnknownIdError,
 )
 from assigncoh.ratlin import _mul
-from assigncoh.stratposet import minimal_strata
+from assigncoh.stratposet import _components, minimal_strata
 from oracles import (
     brute_assignment_dim,
     brute_cohomology_dim,
@@ -668,6 +669,47 @@ def test_degree_zero_from_cut_pairs_matches_d0_seeded():
         fewer += len(v._cut) < len(v.space.comparable_pairs())
         every += v._cut == v.space.comparable_pairs()
     assert fewer >= 30 and every >= 5
+
+
+def test_cut_is_the_forest_cut_exactly_when_a_clean_report_is_known_seeded():
+    """`_cut` is the forest cut (each component's kept cover at each stratum,
+    `_components`, sorted) when the system's clean functor report is known
+    at its first read, and the covers with the explicit non-identity
+    entries otherwise.  Moment systems and their `_kept_on` and quotient
+    children take the forest cut.  A description with `projections` keeps
+    the cover cut when read before its laws are walked, and a fresh copy
+    takes the forest cut after a clean walk.  `_cut_cases`' systems are
+    read after the walk: a perturbed one keeps the cover cut."""
+    rng = random.Random(83)
+
+    def forest(space):
+        return sorted((y, z) for z, parts in _components(space).items() for y in parts.values())
+
+    def covers(v):
+        return sorted(set(v.space.covers).union(p for p in v._explicit if p[0] != p[1]))
+
+    seen = Counter()
+    for space in _gate_spaces():
+        v = moment_system(space)
+        z = rng.choice([x for x in space.ids if space.below(x)])
+        low = frozenset(space.below(z))
+        for w in (v, quotient_system(v, low), restriction_system(v, space.upset(z)),
+                  assigncoh.coeffsys._kept_on(v, frozenset(space.ids) - low)):
+            assert w._cut == forest(space)
+        longer = [p for p in space.comparable_pairs() if p not in space.cover_coords]
+        explicit = {p: v.proj(*p) for p in rng.sample(longer, min(2, len(longer)))}
+        cover_maps = {c: v.proj(*c) for c in space.covers}
+        before, after = (_described(space, v.dims, cover_maps, explicit) for _ in range(2))
+        cut = before._cut
+        assert check_functor(before).ok and check_functor(after).ok
+        assert before._cut == cut == covers(before)
+        assert after._cut == forest(space)
+        seen["differ"] += forest(space) != covers(before)
+    for v in _cut_cases(rng):
+        ok = check_functor(v).ok
+        assert v._cut == (forest(v.space) if ok else covers(v))
+        seen["perturbed" if not ok else "clean"] += forest(v.space) != covers(v)
+    assert seen == {"differ": 5, "perturbed": 41, "clean": 36}, seen
 
 
 def test_check_functor_multiplies_each_cover_square_once(monkeypatch):

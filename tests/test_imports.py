@@ -14,6 +14,8 @@ reads as a module attribute, must come from the module that defines it, so
 a helper that moves leaves no second way to it.  Only `ratlin` and
 `cochain` take the elimination passes, so every other module solves
 through `ratlin`'s wrappers and a second solve cannot grow beside them.
+Only `coeffsys` calls `vars(...)`: whether a system's functor report is
+known without a walk is decided there alone (`coeffsys._known_clean`).
 The count of bare `raise ValueError` sites may only fall: the command line
 reads a bare ValueError as a user's validation error.
 """
@@ -223,6 +225,30 @@ def test_only_ratlin_and_cochain_run_the_elimination_passes():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _elimination_users(sources, {"ratlin.py", "cochain.py"}) == []
+
+
+def _vars_callers(sources):
+    """(file, line) of each call of the builtin `vars` in the sources."""
+    return sorted((name, node.lineno) for name, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "vars")
+
+
+def test_vars_caller_detector():
+    sources = {
+        "a.py": "def f(v):\n    return vars(v).get('_report')\n",
+        "b.py": "x = obj.vars(1)\nvars = 2\n",
+    }
+    assert _vars_callers(sources) == [("a.py", 2)]
+
+
+def test_only_coeffsys_reads_a_cached_report():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f for f, _ in _vars_callers(sources) if f != "coeffsys.py"]
+    assert not found, (f"{found[0]} calls vars(...): only coeffsys.py decides whether "
+                       "a system's report is known (`coeffsys._known_clean`)")
 
 
 def _bare_value_errors(source: str):
