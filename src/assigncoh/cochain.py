@@ -30,12 +30,11 @@ the degree its caller reads; its cells end in their strata as chains do.
 HA^k is Ext^k(Q, V), which any projective resolution computes, and
 Hom(R, V) has one block per cell, not per chain: `_Complex` given R's
 cells is that complex, with the same bases, assembly, sharing and block
-maps as on chains.  `cohomology` in a degree
-k >= 1 of a functor reads dim H^k off it (`_resolution_dims`) and builds
-the order complex only where dim H^k > 0, for the canonical
-representatives.  Hom(R, -) is exact, so a short exact sequence of
-functors gives one of complexes on R's cells: the coefficient sequence
-always runs there, and so does the pair's for a down-closed subset.
+maps as on chains.  `cohomology` in a degree k >= 1 of a functor reads
+dim H^k off it and builds the order complex only where dim H^k > 0.
+Hom(R, -) is exact, so a short exact sequence of functors gives one of
+complexes on R's cells: the coefficient sequence always runs there, and
+so does the pair's for a down-closed subset.
 Degree 0, subsets that are not down-closed, systems off the functor laws
 and the command line's `--complex both` cross-check stay on the order
 complex (but the full relative one is counted above the top degree).
@@ -64,8 +63,7 @@ node by node.
 No coboundary is built or reduced twice: a pair's relative and subset
 complexes share the space's complex wherever theirs equal it (`_Complex`),
 and the connecting map applies d_k by columns (`ratlin._combine` on the
-transpose of d_k, which the image pass of degree k+1 builds anyway), so it
-reads only the columns where the lift is nonzero.
+transpose that the image pass of degree k+1 builds anyway).
 
 A cochain is a sparse vector (column -> nonzero entry, ints where
 integral) from assembly to the connecting map, and so are the class
@@ -76,17 +74,16 @@ fraction-free.  A degree k >= 1 where d_k d_{k-1} != 0 has no cohomology
 and raises ValueError before anything is assembled: some tuple t of
 degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
 a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
-rank, from the forward pass on d_k with the image's pivot columns pinned
-to zero.  Only a degree with classes takes the kernel, whose RREF is the
-representatives.  A `Cochain` keeps its sparse row as well: the
-representatives and pullbacks are wrapped as they come.  One split
+rank, and only a degree with classes takes the kernel, whose RREF is the
+representatives, so equal inputs give byte-equal outputs
+(`_CohomologyData`: with no image, one right-to-left pass gives both).
+A `Cochain` keeps its sparse row as well: the representatives and
+pullbacks are wrapped as they come.  One split
 (`ChainBasis._split`) decides which block holds a column; the printed
 blocks (`Cochain._nonzero_blocks`) and `_carry` read only the row's columns.
 Dense lists of Fractions appear only in public values: `Cochain.coords`,
 built on first access, `value_on` and `as_dict`, and the matrices of
 `differential_matrix`, the homotopy operators and `pullback_matrix`.
-Kernel/image bookkeeping is canonical: representatives come from reduced
-row echelon forms, so equal inputs give byte-equal outputs.
 """
 
 from __future__ import annotations
@@ -418,7 +415,8 @@ class _CohomologyData:
     complement the image in ker d_k, so dim H^k = dim C^k - rank of those
     pinned rows.  Only when dim > 0 does the canonical pass run: the back
     pass, the kernel W (`cocycles`, else None) and its RREF, the canonical
-    representatives.
+    representatives.  With no image a right-to-left pinned pass makes W,
+    divided at its free columns, that RREF.
     """
 
     def __init__(self, d_in_t: Rows, d_out: Rows, dim_chain: int):
@@ -426,13 +424,15 @@ class _CohomologyData:
         self._im = _forward(d_in_t, dim_chain)
         pins = self._im[1]
         self.im_rank = len(pins)
-        pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain)
+        pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain, 1 if pins else -1)
         self.dim = dim_chain - len(pinned[1])
         self.dim_cocycles = self.dim + self.im_rank
         self.cocycles, self._rep_rows, self.rep_pivots = None, [], ()
         if self.dim:
-            _, self.cocycles = sparse_kernel(*_back(*pinned), dim_chain)
-            self._rep_rows, self.rep_pivots = sparse_rref(self.cocycles, dim_chain)
+            free, self.cocycles = sparse_kernel(*_back(*pinned), dim_chain)
+            self._rep_rows, self.rep_pivots = (
+                sparse_rref(self.cocycles, dim_chain) if pins
+                else (_normalize(self.cocycles, free), tuple(free)))
 
     @cached_property
     def _im_at(self) -> Dict[int, SparseRow]:

@@ -7,11 +7,10 @@ elimination, in two passes that share one row-clearing step (`_clear`):
 `_forward` clears each pivot column below the pivot and yields the rank,
 and `_back` clears it above.  `sparse_echelon` runs both; rank-only
 callers (`_rank`, `rank`) stop after the forward pass, and so does a
-cohomology degree with no classes, whose dimension comes from the forward
-pass on d_k with the image's pivot columns pinned to zero
-(`cochain._CohomologyData`).  `sparse_rref` divides the rows of
-`sparse_echelon` by their pivots, and `rref`, `rank`, `kernel_basis` and
-`solve` are thin wrappers that run on a `RatMatrix`'s sparse rows.  Every
+cohomology degree with no classes (`cochain._CohomologyData`).
+`sparse_rref` divides the rows of `sparse_echelon` by their pivots, and
+`rref`, `rank`, `kernel_basis` and `solve` are thin wrappers that run on
+a `RatMatrix`'s sparse rows.  Every
 solution is read off one `sparse_rref` of an augmented matrix
 [A | b_0 ... b_{r-1}] by `_solutions`: `solve` eliminates [A | b], the
 preimage map `_preimage` [A | I], and `momentpoly` a support's weights
@@ -24,7 +23,9 @@ columns where the vector is nonzero.
 
 Canonical outputs, relied on by golden tests elsewhere:
 
-* Columns are scanned left to right.  The reduced row echelon form for a
+* Columns are scanned left to right (`_forward` can scan right to left:
+  then each `sparse_kernel` vector starts at its free column, and the
+  normalized kernel is its own RREF).  The reduced row echelon form for a
   fixed column order is unique, so the choice of pivot row is free: the
   kernel takes the unused row with the fewest nonzeros (lowest index on
   ties) to keep fill-in low, and the result is the same for any order of
@@ -346,20 +347,21 @@ def _clear(work: List[SparseRow], targets: Sequence[int], c: int, prow: SparseRo
                     row[j] //= g
 
 
-def _forward(rows: Sequence[SparseRow],
-             ncols: int) -> Tuple[List[SparseRow], List[int], List[int], List[List[int]]]:
+def _forward(rows: Sequence[SparseRow], ncols: int,
+             step: int = 1) -> Tuple[List[SparseRow], List[int], List[int], List[List[int]]]:
     """The forward pass of `sparse_echelon`: (rows, pivots, order, earlier).
 
-    Each row is scaled to a primitive integer row; columns are scanned left
-    to right.  The pivot row for a column is the unused row with the fewest
-    nonzeros, lowest index on ties; its sign is flipped to make the pivot
-    positive, it is divided by its content, and `_clear` clears the column
-    from every other unused row.  A pivot row is never updated after it is
-    chosen, so it is zero left of its pivot but not yet at later pivot
-    columns.  pivots lists the pivot columns and order the pivot rows; for
-    each pivot, earlier lists the earlier pivot rows with an entry at its
-    column, the rows `_back` clears there.  len(pivots) is the rank.  With
-    no entry in any row it returns at once, before indexing any column.
+    Each row is scaled to a primitive integer row; columns are scanned in
+    range(ncols)[::step] order.  The pivot row for a column is the unused
+    row with the fewest nonzeros, lowest index on ties; its sign is flipped
+    to make the pivot positive, it is divided by its content, and `_clear`
+    clears the column from every other unused row.  A pivot row is never
+    updated after it is chosen, so it is zero at the columns scanned before
+    its pivot but not yet at later pivot columns.  pivots lists the pivot
+    columns and order the pivot rows; for each pivot, earlier lists the
+    earlier pivot rows with an entry at its column, the rows `_back` clears
+    there.  len(pivots) is the rank.  With no entry in any row it returns
+    at once.
     """
     if not any(rows):
         return [{} for _ in rows], [], [], []
@@ -372,10 +374,10 @@ def _forward(rows: Sequence[SparseRow],
     pivots: List[int] = []
     order: List[int] = []
     above: List[List[int]] = []
-    for c in range(ncols):
+    for c in range(ncols)[::step]:
         hits = at[c]
-        # unused rows are zero left of c, and pivot rows are no longer
-        # updated, so the index of column c is never read or updated again
+        # unused rows are zero at the columns scanned before c, and pivot
+        # rows are no longer updated, so column c's index is never read again
         at[c] = None
         best, best_len = -1, 0
         earlier, below = [], []
@@ -414,9 +416,10 @@ def _back(work: List[SparseRow], pivots: List[int], order: List[int],
 
     From the last pivot to the first, the pivot row is divided by its
     content and `_clear` clears its column from the earlier pivot rows the
-    forward pass recorded.  That row is already zero at every other pivot column
-    (left of its pivot since the forward pass, right of it since the later
-    steps), so the pass fills in no pivot column and needs no index.
+    forward pass recorded.  That row is already zero at every other pivot
+    column (those scanned before its pivot since the forward pass, the
+    later ones since the later steps), so the pass fills in no pivot column
+    and needs no index.
     """
     for c, i, earlier in zip(reversed(pivots), reversed(order), reversed(above)):
         prow = work[i]
@@ -440,11 +443,10 @@ def sparse_echelon(rows: Sequence[SparseRow],
     """Fraction-free reduced echelon form: (integer pivot rows, pivot columns).
 
     Rows hold nonzero entries only and are not modified.  `_forward`
-    eliminates below the pivots and `_back` above them.  Scaling a row
-    keeps its support, so the pivot rows and the fill-in are those of
-    division-based elimination.  Returns the nonzero rows in pivot order,
-    row i primitive with a positive entry in column ``pivots[i]`` and zero
-    in the other pivot columns: row i of the RREF times that entry.
+    eliminates below the pivots and `_back` above them.  Returns the
+    nonzero rows in pivot order, row i primitive with a positive entry in
+    column ``pivots[i]`` and zero in the other pivot columns: row i of the
+    RREF times that entry.
 
     >>> sparse_echelon([{0: 2, 1: 1, 2: 3}, {0: 4, 1: 3, 2: 1}], 3)
     ([{0: 1, 2: 4}, {1: 1, 2: -5}], (0, 1))

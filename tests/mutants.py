@@ -30,14 +30,33 @@ MUTANTS = (
     Mutant(
         "image-pivots-not-pinned",
         "cochain.py",
-        "pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain)",
-        "pinned = _forward(d_out, dim_chain)",
+        "pinned = _forward(d_out + [{p: 1} for p in pins], dim_chain, 1 if pins else -1)",
+        "pinned = _forward(d_out, dim_chain, 1 if pins else -1)",
         ("tests/test_acceptance.py::test_acceptance_2_relative_cp2",
          "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
         note="dim H^k would read dim ker d_k; a degree k >= 1 of a functor, as in "
              "every degree-1 op of elim and the toric vanishing test, is read off the "
              "resolution and never sees it",
+    ),
+    Mutant(
+        "degree-zero-scans-left-to-right",
+        "cochain.py",
+        "dim_chain, 1 if pins else -1)",
+        "dim_chain, 1)",
+        ("tests/test_cochain.py::test_degree_zero_representatives_are_the_rref_of_the_kernel_seeded",
+         "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[elim]"),
+        note="the kernel read as its own RREF would lead at a pivot column, not at "
+             "its free column",
+    ),
+    Mutant(
+        "degree-zero-takes-the-second-elimination",
+        "cochain.py",
+        "sparse_rref(self.cocycles, dim_chain) if pins",
+        "sparse_rref(self.cocycles, dim_chain) if True",
+        ("tests/test_cochain.py::test_degree_zero_runs_one_elimination",),
+        note="the same bytes from a second elimination: only the guard sees it",
     ),
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",

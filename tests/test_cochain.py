@@ -1,10 +1,12 @@
 """Cochain complexes, cohomology, homotopies, relative/LES machinery."""
 
 import hashlib
+import json
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,9 +63,11 @@ from assigncoh.cochain import (
     _differential,
     _exactness_walk,
 )
-from assigncoh.coeffsys import square_failures
+from assigncoh.coeffsys import _kept_on, square_failures
 from assigncoh.errors import BrokenProjectionError, UnknownIdError
-from assigncoh.ratlin import _apply, _combine, _transpose
+from assigncoh.ratlin import (
+    _apply, _combine, _forward, _transpose, sparse_echelon, sparse_kernel, sparse_rref,
+)
 
 from oracles import (
     ReferenceCohomologyData,
@@ -93,6 +97,8 @@ from spaces import (
     two_stratum,
     zero_system,
 )
+from test_coeffsys import _cut_cases
+from test_ratlin import _typed
 
 S6 = build_sphere_product(2, [(1, 0), (0, 1), (1, -1)])
 
@@ -1200,6 +1206,70 @@ def test_degree_one_of_the_cube_runs_no_kernel(monkeypatch):
     assert cohomology(moment_system(space), 1).dim == 0
     assert not calls
     assert cohomology(moment_system(space), 0).dim > 0 and calls["kernel"] == 1
+
+
+def _elim_systems(monkeypatch):
+    """The systems of the 20 spaces of the benchmark's `elim` workload, seed 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    files, _ = workloads.generate(assigncoh, "elim", 0)
+    return [build_from_description(SpaceDescription.from_json_dict(json.loads(data)))[1]
+            for data in files.values()]
+
+
+def test_degree_zero_representatives_are_the_rref_of_the_kernel_seeded(monkeypatch):
+    """Degree 0 reads its representatives off one right-to-left pass: they
+    are `sparse_rref` of d_0's left-to-right kernel, rows (entry types
+    included) and pivots.  On functors (`_forest_cases`), descriptions with
+    Fraction projections (`_cut_cases`) and the `elim` spaces: the strict
+    and weak complexes, and the strict complex of v kept on an order-closed
+    subset (`_kept_on`)."""
+    rng = random.Random(67)
+    systems = (list(_forest_cases(random.Random(59))) + list(_cut_cases(random.Random(16)))
+               + _elim_systems(monkeypatch))
+    seen = Counter()
+    for v in systems:
+        space = v.space
+        z = rng.choice(space.ids)
+        keep = frozenset(rng.choice((space.below, space.above))(z)) | {z}
+        for cx in (_Complex(v, True), _Complex(v, False), _Complex(_kept_on(v, keep), True)):
+            n = cx.basis(0).total_dim
+            red, pivots = sparse_rref(sparse_kernel(*sparse_echelon(cx.d(0), n), n)[1], n)
+            data = cx.data(0)
+            assert (_typed(data._rep_rows), data.rep_pivots) == (_typed(red), pivots)
+            seen["classes"] += data.dim > 0
+            seen["fractions"] += any(type(x) is Fraction for r in red for x in r.values())
+    assert len(systems) >= 180 and seen["classes"] >= 350 and seen["fractions"] >= 100, seen
+
+
+def test_degree_zero_runs_one_elimination(monkeypatch):
+    """`data(0)` with classes runs `_forward` on nonempty rows once and no
+    `sparse_rref`; a degree with an image still takes the RREF of its
+    cocycles."""
+    calls = Counter()
+
+    def counted_forward(rows, *args):
+        calls["forward"] += any(rows)
+        return _forward(rows, *args)
+
+    def refused(*args):
+        raise AssertionError("degree 0 took a second elimination")
+
+    def counted_rref(*args):
+        calls["rref"] += 1
+        return sparse_rref(*args)
+
+    monkeypatch.setattr(assigncoh.cochain, "_forward", counted_forward)
+    monkeypatch.setattr(assigncoh.cochain, "sparse_rref", refused)
+    spheres = _elim_class_sphere_product()[1]
+    for v in (_poly("cube")[1], spheres):
+        for strict in (True, False):
+            calls.clear()
+            assert _Complex(v, strict).data(0).dim > 0 and calls["forward"] == 1
+    monkeypatch.setattr(assigncoh.cochain, "sparse_rref", counted_rref)
+    assert _Complex(spheres, True).data(1).dim > 0 and calls["rref"] == 1
 
 
 @pytest.mark.parametrize("make", [cp2, lambda: S6])

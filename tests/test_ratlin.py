@@ -14,8 +14,10 @@ from assigncoh.cochain import _Complex
 from assigncoh.ratlin import (
     RatMatrix,
     _apply,
+    _back,
     _combine,
     _forward,
+    _normalize,
     _preimage,
     _rank,
     _solutions,
@@ -26,6 +28,7 @@ from assigncoh.ratlin import (
     solve,
     sparse_echelon,
     sparse_kernel,
+    sparse_rref,
 )
 from oracles import (
     brute_rank,
@@ -524,3 +527,30 @@ def test_two_pass_echelon_matches_interleaved_seeded():
         # the forward pass leaves entries above some pivot for the back pass
         back += any(_forward(rows, ncols)[3])
     assert non_unit >= 30 and back >= 30
+
+
+def _typed(rows):
+    """Sparse rows as sorted (column, type, entry) lists: 1 and Fraction(1) differ."""
+    return [[(j, type(x), x) for j, x in sorted(row.items())] for row in rows]
+
+
+def test_right_to_left_kernel_is_its_own_rref_seeded():
+    """After a right-to-left `_forward`, `_back` and `sparse_kernel`, the
+    kernel normalized at its free columns is `sparse_rref` of the
+    left-to-right kernel: rows (entry types included) and pivots, on int
+    and Fraction rows with zero and repeated rows, and with no columns."""
+    rng = random.Random(47)
+    cases = [([], 0), ([{}], 0), ([{}, {}], 3)]
+    for _ in range(200):
+        ncols = rng.randint(1, 30)
+        rows = _sparse_small_ints(rng, rng.randint(1, 20), ncols)
+        if rng.random() < 0.5:
+            rows = [{j: Fraction(x, rng.randint(1, 4)) for j, x in row.items()} for row in rows]
+        cases.append((rows, ncols))
+    fractions = 0
+    for rows, ncols in cases:
+        free, kernel = sparse_kernel(*_back(*_forward(rows, ncols, -1)), ncols)
+        red, pivots = sparse_rref(sparse_kernel(*sparse_echelon(rows, ncols), ncols)[1], ncols)
+        assert (_typed(_normalize(kernel, free)), tuple(free)) == (_typed(red), pivots)
+        fractions += any(type(x) is Fraction for r in red for x in r.values())
+    assert fractions >= 30
