@@ -24,7 +24,7 @@ from .errors import (
     MissingMinimalValueError,
     UnknownIdError,
 )
-from .ratlin import SparseRow, _apply, _frac, _normal
+from .ratlin import _apply, _frac, _normal
 from .stratposet import minimal_strata
 
 
@@ -75,14 +75,17 @@ class AssignmentReport:
 def is_assignment(v: CoefficientSystem, candidate: AssignmentVector) -> AssignmentReport:
     """List every comparable pair where projection misses the upper value.
 
-    Each violation carries the residual proj(value at X) - value at Y.
+    Each violation carries the residual proj(value at X) - value at Y, the
+    value X pushes up (`CoefficientSystem._pushed`).  The candidate is
+    read as v's, so a wrong id or length raises.
     """
+    values = AssignmentVector(v, candidate.values).values
     bad = []
-    for x, y in v.space.comparable_pairs():
-        pushed = _apply(v._rows(x, y), {j: c for j, c in enumerate(candidate.value(x)) if c})
-        residual = [_frac(pushed.get(i, 0)) - b for i, b in enumerate(candidate.value(y))]
-        if any(residual):
-            bad.append(((x, y), tuple(residual)))
+    for x in v.space.ids:
+        for y, pushed in v._pushed(x, {j: c for j, c in enumerate(values[x]) if c}):
+            residual = [_frac(pushed.get(i, 0)) - b for i, b in enumerate(values[y])]
+            if any(residual):
+                bad.append(((x, y), tuple(residual)))
     return AssignmentReport(tuple(bad))
 
 
@@ -109,21 +112,13 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
     """Rebuild the full assignment from its minimal-stratum values.
 
     Every stratum Y lies above some minimal stratum, and all minimal strata
-    below Y must push the same value to Y; a disagreement raises
-    IncompatibleMinimalValuesError naming the first offending triple; its
-    subclass BrokenProjectionError names the first pair of the system's cut
-    (`CoefficientSystem._cut`) the values break, as where the functor laws fail.
-
-    The value x pushes to Y is proj(x, Y) v(x), and no projection matrix is
-    composed for it: it is the cover map (C, Y) applied to the value pushed
-    to C, for C = space._route(x, Y), the step `CoefficientSystem._compose`
-    takes, so it is that composition's value.
-    Where the system has an explicit entry at (x, Y), that entry is applied
-    to v(x) instead, as `CoefficientSystem._rows` reads it, and the route
-    above Y still runs through the cover.
+    below Y must push the same value to Y (`CoefficientSystem._pushed`); a
+    disagreement raises IncompatibleMinimalValuesError naming the first
+    offending triple; its subclass BrokenProjectionError names the first
+    pair of the system's cut (`CoefficientSystem._cut`) the values break,
+    as where the functor laws fail.
     """
-    space = v.space
-    minima = minimal_strata(space)
+    minima = minimal_strata(v.space)
     given = set(m.values)
     missing = [x for x in minima if x not in given]
     extra = sorted(given - set(minima))
@@ -139,18 +134,7 @@ def extend_minimal(v: CoefficientSystem, m: MinimalAssignment) -> AssignmentVect
     values = {x: _normal(dict(enumerate(m.values[x])), v.dims[x]) for x in minima}
     origin = {x: x for x in minima}
     for x in minima:
-        path = {x: values[x]}    # y -> proj(x, y) v(x) along the cover route
-
-        def push(y: str) -> SparseRow:
-            got = path.get(y)
-            if got is None:
-                c = space._route(x, y)
-                got = path[y] = _apply(v._rows(c, y), push(c))
-            return got
-
-        for y in space.above(x):
-            rows = v._explicit.get((x, y))
-            pushed = push(y) if rows is None else _apply(rows, values[x])
+        for y, pushed in v._pushed(x, values[x]):
             if y in values:
                 if values[y] != pushed:
                     raise IncompatibleMinimalValuesError((origin[y], x, y))

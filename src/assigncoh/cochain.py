@@ -578,8 +578,7 @@ def _forest(space: StratSpace, degree: int):
     maps each cell of degree >= 1 to its boundary (cell -> coefficient).
     Each minimal stratum m has a 0-cell (m,).  At any other z, each
     component beyond the first adds the 1-cell (a, b, z) with boundary
-    a - b, a and b the first minimal strata below the first component and
-    below this one.  Each degree d >= 2 takes one step: a finder gives a
+    a - b, a and b the names of the first component and of this one.  Each degree d >= 2 takes one step: a finder gives a
     basis of the cycles on the (d-1)-cells below z, one per closing face,
     nonzero there and zero at the other closing faces (`_tree_cycles` at
     d = 2, where a union-find is faster; `_kernel_cycles` above).  One
@@ -589,17 +588,15 @@ def _forest(space: StratSpace, degree: int):
     their boundaries are independent of those below z.
     """
     comps = _components(space)
-    minima = [z for z, parts in comps.items() if not parts]
     at = {}    # stratum -> its j-cells, j = 0..degree
-    cells = ([(m,) for m in minima],) + tuple([] for _ in range(degree))
+    cells = ([(z,) for z, p in comps.items() if not p],) + tuple([] for _ in range(degree))
     bounds = {}
     for z, parts in comps.items():
         mine = at[z] = [[] for _ in cells]
         if not parts:
             continue
         below = space.below(z)
-        # each part's first minimal stratum: its lowest bit
-        a, *rest = (minima[(p & -p).bit_length() - 1] for p in parts)
+        a, *rest = parts
         mine[1] = [(a, b, z) for b in rest]
         for c in mine[1]:
             bounds[c] = {(a,): 1, (c[1],): -1}

@@ -14,11 +14,11 @@ denominator remains, in two tables.  `_explicit` holds the explicit
 entries of a description (every pair, when the constructor is given them
 all) and serves public values only.  `_at` holds the identity rows and the
 cover maps; every other pair is composed from them on first use, along
-the route `space._route` fixes, and memoized there.  The readers in
-this package (the differential, the functor and d^2 checks, sub/quotient
-systems, assignments) take those rows; a `RatMatrix` shares them both
-ways (`proj`, the constructors).  Every product of rows here is
-`ratlin._mul`: the row arithmetic lives in `ratlin` alone.
+the route `space._route` fixes, and memoized there.  The differential,
+the functor and d^2 checks and sub/quotient systems read those rows, and
+assignments the values pushed along that route (`_pushed`); a `RatMatrix`
+shares rows both ways (`proj`, the constructors).  The row arithmetic
+lives in `ratlin` alone.
 
 Every pair in `space.covers` is immediate (`StratSpace.from_covers` keeps
 no implied pair), and `from_cover_maps` takes no explicit entry on a
@@ -59,10 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, Rows, _identity_rows, _mul, _rank
+from .ratlin import RatMatrix, Rows, SparseRow, _apply, _identity_rows, _mul, _rank
 from .stratposet import StratSpace, _components
 
 
@@ -104,14 +104,11 @@ def _check_comparable(space: StratSpace, pairs) -> None:
 class CoefficientSystem:
     """Dimensions and projection matrices over a StratSpace.
 
-    Two tables of rows: _explicit, the explicit entries, gives public values
-    only; _at holds the identities, the cover maps and their compositions
-    along the route space._route fixes.  A pair may sit in both: the
-    constructor's explicit entries cover every comparable pair, identities
-    included, and _kept_on copies the covers inside its kept set into _at
-    while keeping their explicit entries.  _rows reads _explicit first, so
-    the explicit entry is the pair's value wherever it has one.  The cut
-    follows from the two tables and the report (see _cut).
+    A pair may sit in both tables (module docstring): the constructor's
+    explicit entries cover every comparable pair, identities included, and
+    _kept_on copies the covers inside its kept set into _at while keeping
+    their explicit entries.  _rows reads _explicit first, so the explicit
+    entry is the pair's value wherever it has one.
 
     The constructor checks shapes and presence only; whether the data is
     actually functorial (identities and path-independent compositions) is
@@ -231,6 +228,28 @@ class CoefficientSystem:
         step `space._route(x, z)` takes into z."""
         y = self.space._route(x, z)
         return _mul(self._at[(y, z)], self._path(x, y))
+
+    def _pushed(self, x: str, value: SparseRow) -> Iterator[Tuple[str, SparseRow]]:
+        """(y, proj(x, y) value) for each y in space.above(x), in that order.
+
+        The value pushed to y is the cover map (c, y) applied to the value
+        pushed to c = space._route(x, y), the step `_compose` takes, so no
+        matrix is composed; those values are memoized for this x only.  An
+        explicit entry at (x, y) is applied to value instead, as `_rows`
+        reads it; the route above y still runs through the cover.
+        """
+        path = {x: value}    # y -> proj(x, y) value along the cover route
+
+        def push(y: str) -> SparseRow:
+            got = path.get(y)
+            if got is None:
+                c = self.space._route(x, y)
+                got = path[y] = _apply(self._at[(c, y)], push(c))
+            return got
+
+        for y in self.space.above(x):
+            rows = self._explicit.get((x, y))
+            yield y, push(y) if rows is None else _apply(rows, value)
 
     @cached_property
     def _report(self) -> FunctorReport:

@@ -17,8 +17,9 @@ StratSpace.from_covers takes any acyclic relation, keeps only its immediate
 pairs as the covers, and computes the order and inclusion facts once (upsets,
 strict upsets and downsets, lower covers, cover coordinates); coeffsys,
 cochain and builders read them from the space instead of deriving them again.
-The route of covers every composition takes (`StratSpace._route`) and the
-components of each stratum's lower covers (`_components`) are decided here.
+The route of covers (`StratSpace._route`) and the components of each
+stratum's lower covers, named by their first minimal strata
+(`_components`), are decided here.
 Most strata share a stabilizer, so each distinct stabilizer pair along the
 covers is validated and solved once per load, and its rows are shared by
 every cover with that pair.
@@ -399,18 +400,19 @@ def minimal_strata(space: StratSpace) -> Tuple[str, ...]:
     return tuple(x for x in space.ids if not space.below(x))
 
 
-def _components(space: StratSpace) -> Dict[str, Dict[int, str]]:
+def _components(space: StratSpace) -> Dict[str, Dict[str, str]]:
     """Each stratum's lower covers in components, by (len(below), id).
 
-    Two covers are joined when a minimal stratum lies below both (bitmasks
-    of the minimal strata at or below each stratum; bit i is the i-th
-    minimal stratum by id).  Each stratum maps to {a component's bitmask:
-    the cover the walk keeps for it}; a minimal stratum has none.
+    Two covers are joined when a minimal stratum lies below both (bit i of
+    a mask is the i-th minimal stratum by id).  Each stratum maps to {a
+    component's first minimal stratum: the cover the walk keeps for it};
+    a minimal stratum has none.
     """
+    minima = minimal_strata(space)
     mask: Dict[str, int] = {}         # stratum -> the minimal strata at or below it
     out = {}
     for z in sorted(space.ids, key=lambda z: (len(space.below(z)), z)):
-        parts = out[z] = {}
+        parts = {}
         for y in space.lower_covers(z):
             m, first = mask[y], y
             for p in [p for p in parts if p & m]:
@@ -419,6 +421,7 @@ def _components(space: StratSpace) -> Dict[str, Dict[int, str]]:
             parts[m] = first
         # the parts are disjoint; minimal strata come first, one bit each
         mask[z] = sum(parts) or 1 << len(mask)
+        out[z] = {minima[(p & -p).bit_length() - 1]: y for p, y in parts.items()}
     return out
 
 

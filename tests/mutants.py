@@ -304,13 +304,32 @@ MUTANTS = (
     ),
     Mutant(
         "extend-pushes-through-an-explicit-entry",
-        "assignops.py",
-        "pushed = push(y) if rows is None else _apply(rows, values[x])",
-        "pushed = push(y) if rows is None else path.setdefault(y, _apply(rows, values[x]))",
-        ("tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[cube]",
+        "coeffsys.py",
+        "yield y, push(y) if rows is None else _apply(rows, value)",
+        "yield y, push(y) if rows is None else path.setdefault(y, _apply(rows, value))",
+        ("tests/test_coeffsys.py::test_pushed_values_are_the_rows_applied_seeded",
+         "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[cube]",
          "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[square*segment]"),
-        note="a stratum above an explicit entry (x, y) would take the entry's value "
-             "as the step of its route, where proj composes the cover maps",
+        note="retargeted from `extend_minimal`'s push into `_pushed`: a stratum above "
+             "an explicit entry (x, y) would take the entry's value as the step of its "
+             "route, where proj composes the cover maps",
+    ),
+    Mutant(
+        "is-assignment-checks-minimal-strata-only",
+        "assignops.py",
+        "    for x in v.space.ids:\n",
+        "    for x in minimal_strata(v.space):\n",
+        ("tests/test_cochain.py::test_is_assignment_matches_the_per_pair_walk_seeded",),
+        note="a violation between two strata above the minimal ones would go unreported",
+    ),
+    Mutant(
+        "is-assignment-trusts-a-foreign-candidate",
+        "assignops.py",
+        "values = AssignmentVector(v, candidate.values).values",
+        "values = candidate.values",
+        ("tests/test_assignops.py::test_a_candidate_of_another_system_is_read_as_this_one",),
+        note="a candidate with fewer coordinates than v would be compared only on the "
+             "coordinates it has",
     ),
     Mutant(
         "weak-chain-counter-with-the-strict-step",
@@ -556,9 +575,21 @@ MUTANTS = (
          "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
          "tests/test_cochain.py::test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution"),
         note="the components stay the same, but each lowest bit would name the next "
-             "minimal stratum, so R's 1-cells would join strata not below their own "
-             "(or index past the last one); the forest cut does not change; 75 tests "
-             "of the whole suite fail",
+             "minimal stratum, and the last one indexes past the end: `_components` "
+             "decodes the names itself, so it raises on every space with a stratum "
+             "above a minimal one; 159 tests of the whole suite fail (75 while `_forest` "
+             "decoded them)",
+    ),
+    Mutant(
+        "component-named-by-its-highest-bit",
+        "stratposet.py",
+        "minima[(p & -p).bit_length() - 1]",
+        "minima[p.bit_length() - 1]",
+        ("tests/test_cochain.py::test_components_join_covers_that_share_a_minimal_stratum_seeded",),
+        note="a component would be named by its last minimal stratum; R would stay a "
+             "resolution with other 1-cell names, and on the digest test's spaces every "
+             "stratum with two or more components has one minimal stratum in each, so "
+             "only the components test sees it",
     ),
     Mutant(
         "kernel-free-columns-reversed",

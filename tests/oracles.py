@@ -41,11 +41,14 @@ cofactor loop of `decompose` on it: the references for the one
 block-diagonal elimination per polynomial.  `per_pair_extend` is the
 package's former walk of `assignops.extend_minimal`, which applies
 `v._rows(x, y)` to each minimal x and each y above it: the reference for
-the values pushed along the cover route.  `reference_chain_differential`
-is the package's former chain differential: a (face, sign, block) term
-for every face of every tuple, the faces that cancel included, written by
-`cochain._assemble`; it is the reference for the rows the differential
-now writes straight from each tuple's faces.  `dense_blocks` is the
+the values pushed along the cover route; `per_pair_violations` is the
+package's former `assignops.is_assignment`, which composes every pair's
+rows: the reference for the violations it finds from the pushed values.
+`reference_chain_differential` is the package's former chain
+differential: a (face, sign, block) term for every face of every tuple,
+the faces that cancel included, written by `cochain._assemble`; it is the
+reference for the rows the differential now writes straight from each
+tuple's faces.  `dense_blocks` is the
 package's former `Cochain._blocks`, the walk over every block of the
 basis: the reference for the blocks the one split (`ChainBasis._split`)
 finds from a row's columns.  `kernel_forest` is `cochain._forest` with its
@@ -68,6 +71,7 @@ from assigncoh.ratlin import (
     SparseRow,
     _apply,
     _forward,
+    _frac,
     _integral,
     _normal,
     _normalize,
@@ -811,6 +815,18 @@ def per_pair_extend(v, values) -> Dict[str, SparseRow]:
     return out
 
 
+def per_pair_violations(v, candidate):
+    """The violations `assignops.is_assignment` reports, each pair's rows
+    `v._rows(x, y)` applied to the value at x."""
+    bad = []
+    for x, y in v.space.comparable_pairs():
+        pushed = _apply(v._rows(x, y), {j: c for j, c in enumerate(candidate.value(x)) if c})
+        residual = [_frac(pushed.get(i, 0)) - b for i, b in enumerate(candidate.value(y))]
+        if any(residual):
+            bad.append(((x, y), tuple(residual)))
+    return tuple(bad)
+
+
 def reference_chain_differential(v, src, dst) -> Rows:
     """Sparse rows of d from src to dst on chains, one term per face."""
     proj = v._rows
@@ -836,15 +852,14 @@ def kernel_forest(space, degree: int):
     """(cells, bounds) as `cochain._forest` gives them, every degree d >= 2
     from the kernel of the boundary on the (d-1)-cells below z."""
     comps = _components(space)
-    minima = [z for z, parts in comps.items() if not parts]
     at, bounds = {}, {}
-    cells = ([(m,) for m in minima],) + tuple([] for _ in range(degree))
+    cells = ([(z,) for z, p in comps.items() if not p],) + tuple([] for _ in range(degree))
     for z, parts in comps.items():
         below = space.below(z)
         mine = at[z] = [[] for _ in cells]
         if not parts:
             continue
-        a, *rest = (minima[(p & -p).bit_length() - 1] for p in parts)
+        a, *rest = parts
         mine[1] = [(a, b, z) for b in rest]
         for c in mine[1]:
             bounds[c] = {(a,): 1, (c[1],): -1}

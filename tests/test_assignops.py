@@ -11,10 +11,14 @@ from assigncoh import (
     MissingMinimalValueError,
     UnknownIdError,
     assignment_basis,
+    build_polytope,
+    build_product,
     build_sphere_product,
     cohomology,
     extend_minimal,
     is_assignment,
+    preset_polytope,
+    quotient_system,
     restrict_to_minimal,
 )
 
@@ -92,6 +96,28 @@ def test_zero_candidate_is_an_assignment():
     _, v = cp2()
     zero = AssignmentVector(v, {x: _zero(v.dims[x]) for x in v.space.ids})
     assert is_assignment(v, zero).ok
+
+
+def test_a_candidate_of_another_system_is_read_as_this_one():
+    # a candidate built on the square's quotient off its vertices has width 0
+    # there: it raises, where the same values padded with zeros are read
+    space, v = build_polytope(preset_polytope("square"))
+    w = quotient_system(v, ["interior", "left", "right", "top", "bottom"])
+    values = {x: ((1, 0) if x == "v00" else _zero(w.dims[x])) for x in space.ids}
+    with pytest.raises(ValueError, match="length 0, expected 1"):
+        is_assignment(v, AssignmentVector(w, values))
+    padded = AssignmentVector(v, {x: values[x] or _zero(v.dims[x]) for x in space.ids})
+    assert not is_assignment(v, padded).ok
+
+
+def test_is_assignment_composes_no_pair():
+    # the values are pushed up the order: no composed pair is kept
+    cube = build_polytope(preset_polytope("cube"))
+    _, v = build_product(cube, cube)
+    zero = AssignmentVector(v, {x: _zero(v.dims[x]) for x in v.space.ids})
+    kept = len(v._at)
+    assert is_assignment(v, zero).ok
+    assert len(v._at) == kept
 
 
 def test_vector_validation():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from assigncoh import (
+    AssignmentVector,
     CoefficientSystem,
     IncompatibleMinimalValuesError,
     MinimalAssignment,
@@ -79,6 +80,7 @@ from oracles import (
     dense_blocks,
     kernel_forest,
     per_pair_extend,
+    per_pair_violations,
     reference_block_scaling,
     reference_chain_differential,
     reference_homotopy_L,
@@ -684,6 +686,39 @@ def test_extend_matches_the_per_pair_walk_seeded(make):
                 assert got == expected
                 seen[expected[0]] += 1
     assert seen["ok"] and seen["cut"] and seen["pushes"], seen
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _poly("cube"), cp2, lambda: S6,
+    lambda: build_product(_poly("square"), _poly("segment")),
+], ids=["cube", "cp2", "s6", "square*segment"])
+def test_is_assignment_matches_the_per_pair_walk_seeded(make):
+    # the violations from the pushed values against those from every pair's
+    # rows, in order, on the systems of the test above: random values, the
+    # base system's assignments, and those with one stratum's value changed
+    rng = random.Random(73)
+    space, moment = make()
+    seen = Counter()
+    for base in (moment, _constant_system(space, 2)):
+        basis = assignment_basis(base)
+        systems = [base]
+        for _ in range(3):
+            systems += [_perturbed(rng, base, space.comparable_pairs()),
+                        _explicit_on_covers(rng, base, space.comparable_pairs())]
+        for w in systems:
+            for _ in range(3):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                sums = {x: [sum(c * a.value(x)[i] for c, a in zip(coeffs, basis))
+                            for i in range(base.dims[x])] for x in space.ids}
+                changed = rng.choice([x for x in space.ids if base.dims[x]])
+                for values in ({x: [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                    for _ in range(base.dims[x])] for x in space.ids},
+                               sums, {**sums, changed: [c + 1 for c in sums[changed]]}):
+                    candidate = AssignmentVector(w, values)
+                    want = per_pair_violations(w, candidate)
+                    assert is_assignment(w, candidate).violations == want
+                    seen["ok" if not want else "bad"] += 1
+    assert seen["ok"] and seen["bad"], seen
 
 
 # ---------------------------------------------------------------------------
@@ -1748,8 +1783,8 @@ def test_components_join_covers_that_share_a_minimal_stratum_seeded():
     """`_components` against brute force: at each stratum, in (len(below),
     id) order, two lower covers are in one component when the minimal
     strata at or below them meet, closed transitively.  Each component's
-    key has bit i set for the i-th minimal stratum by id at or below it,
-    and its kept cover is one of its covers (the walk keeps the cover of
+    key is the first minimal stratum by id at or below it, and its kept
+    cover is one of its covers (the walk keeps the cover of
     the last part a merge pops, not always its first in `lower_covers`
     order; the forest cut depends on that choice, so it stays as it is).
     On the spaces of `_forest_cases` and (S^2)^4 spaces over T^3."""
@@ -1771,8 +1806,7 @@ def test_components_join_covers_that_share_a_minimal_stratum_seeded():
                     break
                 groups.remove(meet[1])
                 meet[0].extend(meet[1])
-            want = {sum(1 << minima.index(m) for m in set().union(*(low[y] for y in g))): g
-                    for g in groups}
+            want = {min(set().union(*(low[y] for y in g))): g for g in groups}
             assert set(parts) == set(want)
             assert all(y in want[m] for m, y in parts.items())
             assert bool(parts) == bool(space.below(z))

@@ -36,7 +36,7 @@ from assigncoh.coeffsys import FunctorReport
 from assigncoh.errors import (
     IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError, UnknownIdError,
 )
-from assigncoh.ratlin import _mul
+from assigncoh.ratlin import _apply, _mul
 from assigncoh.stratposet import _components, minimal_strata
 from oracles import (
     brute_assignment_dim,
@@ -649,6 +649,40 @@ def _cut_cases(rng):
                 x, z = rng.choice(far)
                 yield _described(space, v.dims, covers,
                                  {(x, z): _random_matrix(rng, v.dims[z], v.dims[x])})
+
+
+def test_pushed_values_are_the_rows_applied_seeded():
+    """`_pushed(x, value)` gives (y, `_rows(x, y)` applied to value) for each
+    y above x, in `space.above` order: on `_cut_cases` (Fraction explicit
+    entries, perturbed systems), on the systems built from every pair's
+    matrix and their `_kept_on` children, and on moment systems.  Counts
+    the pairs (x, z) whose cover route passes a y where the explicit entry
+    (x, y) gives another value than the route: the route must not step
+    through it."""
+    rng = random.Random(42)
+    systems = []
+    for v in _cut_cases(rng):
+        w = CoefficientSystem(v.space, v.dims, {p: v.proj(*p) for p in v.pairs()})
+        z = rng.choice(v.space.ids)
+        systems += [v, w, assigncoh.coeffsys._kept_on(w, frozenset(v.space.below(z))),
+                    assigncoh.coeffsys._kept_on(w, v.space.upset(z))]
+    systems += [moment_system(space) for space in _gate_spaces()]
+    shadowed = 0
+    for v in systems:
+        space = v.space
+        for x in space.ids:
+            value = {j: c for j in range(v.dims[x])
+                     if (c := Fraction(rng.randint(-3, 3), rng.randint(1, 3)))}
+            got = list(v._pushed(x, value))
+            assert got == [(y, _apply(v._rows(x, y), value)) for y in space.above(x)]
+            for z in space.above(x):
+                y = z
+                while (x, z) not in v._explicit and y != x:
+                    y = space._route(x, y)
+                    explicit = v._explicit.get((x, y))
+                    shadowed += y != x and explicit is not None and (
+                        _apply(explicit, value) != _apply(v._path(x, y), value))
+    assert (len(systems), shadowed) == (4 * 80 + 5, 7)
 
 
 def test_degree_zero_from_cut_pairs_matches_d0_seeded():

@@ -16,6 +16,10 @@ a helper that moves leaves no second way to it.  Only `ratlin` and
 through `ratlin`'s wrappers and a second solve cannot grow beside them.
 Only `coeffsys` calls `vars(...)`: whether a system's functor report is
 known without a walk is decided there alone (`coeffsys._known_clean`).
+Only `coeffsys` reads a system's tables (`_explicit`, `_at`) or takes the
+cover route (`._route`), so a value pushed up the order has one rule
+(`CoefficientSystem._pushed`); only `stratposet` calls `.bit_length()`,
+so the bits of a component stay where `_components` sets them.
 The count of bare `raise ValueError` sites may only fall: the command line
 reads a bare ValueError as a user's validation error.
 """
@@ -249,6 +253,40 @@ def test_only_coeffsys_reads_a_cached_report():
     found = [f for f, _ in _vars_callers(sources) if f != "coeffsys.py"]
     assert not found, (f"{found[0]} calls vars(...): only coeffsys.py decides whether "
                        "a system's report is known (`coeffsys._known_clean`)")
+
+
+_OWNERS = {"_explicit": "coeffsys.py", "_at": "coeffsys.py", "_route": "coeffsys.py",
+           "bit_length": "stratposet.py"}
+
+
+def _foreign_reads(sources):
+    """(file, line, attribute) of each read or call of an attribute in
+    `_OWNERS` by a module other than its owner."""
+    return sorted((name, node.lineno, node.attr) for name, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute) and _OWNERS.get(node.attr, name) != name)
+
+
+def test_foreign_read_detector():
+    sources = {
+        "coeffsys.py": "def f(v):\n    return v._explicit, v._at, v.space._route(1, 2)\n",
+        "a.py": "def g(v, p):\n    return v._explicit.get(p), v.space._route(*p)\n",
+        "b.py": "x = v._at\ny = (p & -p).bit_length()\nz = _route(1, 2)\n",
+        "stratposet.py": "n = p.bit_length()\nq = v._at\n",
+    }
+    assert _foreign_reads(sources) == [
+        ("a.py", 2, "_explicit"), ("a.py", 2, "_route"), ("b.py", 1, "_at"),
+        ("b.py", 2, "bit_length"), ("stratposet.py", 2, "_at"),
+    ]
+
+
+def test_only_coeffsys_pushes_values_and_only_stratposet_reads_bits():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = _foreign_reads(sources)
+    assert not found, (f"{found[0]}: only coeffsys.py reads a system's tables or "
+                       "takes the cover route (`CoefficientSystem._pushed`), and only "
+                       "stratposet.py decodes the bits of a component")
 
 
 def _bare_value_errors(source: str):
