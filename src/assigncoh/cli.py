@@ -176,7 +176,7 @@ def _cohomology_block(system, degree: int, strict: bool, relative, both: bool) -
     if relative is not None:
         res = cochain.relative_cohomology(system, relative, degree, strict=strict)
     elif both:
-        # the cross-check builds both order complexes, whatever the degree
+        # the cross-check builds both order complexes to the top degree
         res = cochain._Complex(system, strict).result(degree)
     else:
         res = cochain.cohomology(system, degree, strict=strict)

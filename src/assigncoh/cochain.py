@@ -37,7 +37,8 @@ complexes on R's cells: the coefficient sequence always runs there, and
 so does the pair's for a down-closed subset.
 Degree 0, subsets that are not down-closed, systems off the functor laws
 and the command line's `--complex both` cross-check stay on the order
-complex (but the full relative one is counted above the top degree).
+complex, whose `result` counts a functor's full complex above the top
+degree.
 
 The chain differential writes each row from the tuple's faces, building
 no pair of faces that cancel (`_differential`).  That rule belongs to
@@ -76,7 +77,7 @@ degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
 a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
 rank, and only a degree with classes takes the kernel, whose RREF is the
 representatives, so equal inputs give byte-equal outputs
-(`_CohomologyData`: with no image, one right-to-left pass gives both).
+(`_CohomologyData`).
 A `Cochain` keeps its sparse row as well: the representatives and
 pullbacks are wrapped as they come.  One split
 (`ChainBasis._split`) decides which block holds a column; the printed
@@ -240,9 +241,7 @@ class Cochain:
 
 def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[str, ...]]:
     """The chains a support keeps: "rel" those not inside its stratum set
-    N, "sub" those inside, a chain being inside N when all its strata are.
-    Only the order complex of a subset that is not down-closed takes one;
-    a down-closed subset is a system (`coeffsys._kept_on`)."""
+    N, "sub" those inside, a chain being inside N when all its strata are."""
     if support is None:
         return ts
     kind, nset = support
@@ -558,17 +557,19 @@ class _Complex:
         return self._data[k]
 
     def result(self, k: int) -> CohomologyResult:
+        """Degree k from `data(k)`; above the top degree a functor's full
+        complex is counted (`_from_counts`), dim H^k = 0, from the reduced
+        complex with this support."""
         if k < 0:
             raise ValueError("degree must be >= 0")
-        data = self.data(k)
-        basis = self.basis(k)
-        reps = [Cochain._from_row(basis, r) for r in data._rep_rows]
-        diag = {
-            "dim_chain": data.dim_chain,
-            "dim_cocycles": data.dim_cocycles,
-            "rank_coboundaries": data.im_rank,
-        }
-        return CohomologyResult(k, data.dim, reps, diag)
+        if not self.strict and k > (top := _top_degree(self.v.space)) and self.v._report.ok:
+            reduced = _Complex(self.v, True, support=self.support)
+            return _from_counts([reduced.basis(j).total_dim for j in range(top + 1)],
+                                [reduced.data(j).dim for j in range(top + 1)], k, False)
+        data, basis = self.data(k), self.basis(k)
+        return CohomologyResult(k, data.dim, [Cochain._from_row(basis, r) for r in data._rep_rows],
+                                {"dim_chain": data.dim_chain, "dim_cocycles": data.dim_cocycles,
+                                 "rank_coboundaries": data.im_rank})
 
 
 def _forest(space: StratSpace, degree: int):
@@ -783,24 +784,16 @@ def relative_cohomology(
 
     For a down-closed n a tuple lies inside n exactly when its top stratum
     does, so this complex is that of v off n (`coeffsys._kept_on`, zero on
-    n), which has the same coordinates (a tuple inside n has a block of
-    width 0) and is a functor when v is one: `cohomology` answers it,
-    from R where it can, and its representatives are cochains of that
-    system.  Any other n filters the order complex's chains, but above the
-    top degree a functor's full complex is counted (`_from_counts`): dim
-    H^k = 0, and the strict relative complex gives the chain sizes and
-    dim H^j for j <= top.  Raises ValueError for k < 0 and where this
-    complex's d_k d_{k-1} != 0.
+    n), which has the same coordinates and is a functor when v is one:
+    `cohomology` answers it, from R where it can, and its representatives
+    are cochains of that system.  Any other n filters the order complex's
+    chains (`_Complex.result`).  Raises ValueError for k < 0 and where
+    this complex's d_k d_{k-1} != 0.
     """
     nset = _check_subset(v.space, n)
     if _down_closed(v.space, nset):
         return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)
-    support = ("rel", nset)
-    if not strict and k > (top := _top_degree(v.space)) and v._report.ok:
-        reduced = _Complex(v, True, support=support)
-        dims = [reduced.data(j).dim for j in range(top + 1)]
-        return _from_counts([reduced.basis(j).total_dim for j in range(top + 1)], dims, k, False)
-    return _Complex(v, strict, support=support).result(k)
+    return _Complex(v, strict, support=("rel", nset)).result(k)
 
 
 def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,

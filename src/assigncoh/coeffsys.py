@@ -15,10 +15,10 @@ entries of a description (every pair, when the constructor is given them
 all) and serves public values only.  `_at` holds the identity rows and the
 cover maps; every other pair is composed from them on first use, along
 the route `space._route` fixes, and memoized there.  The differential,
-the functor and d^2 checks and sub/quotient systems read those rows, and
-assignments the values pushed along that route (`_pushed`); a `RatMatrix`
-shares rows both ways (`proj`, the constructors).  The row arithmetic
-lives in `ratlin` alone.
+the d^2 check and sub/quotient systems read those rows; assignments and
+the cover squares read values pushed along that route (`_pushed`); a
+`RatMatrix` shares rows both ways (`proj`, the constructors).  The row
+arithmetic lives in `ratlin` alone.
 
 Every pair in `space.covers` is immediate (`StratSpace.from_covers` keeps
 no implied pair), and `from_cover_maps` takes no explicit entry on a
@@ -62,7 +62,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
-from .ratlin import RatMatrix, Rows, SparseRow, _apply, _identity_rows, _mul, _rank
+from .ratlin import RatMatrix, Rows, _apply, _identity_rows, _mul, _rank
 from .stratposet import StratSpace, _components
 
 
@@ -229,27 +229,28 @@ class CoefficientSystem:
         y = self.space._route(x, z)
         return _mul(self._at[(y, z)], self._path(x, y))
 
-    def _pushed(self, x: str, value: SparseRow) -> Iterator[Tuple[str, SparseRow]]:
-        """(y, proj(x, y) value) for each y in space.above(x), in that order.
+    def _pushed(self, x: str, value, apply=_apply) -> Iterator[tuple]:
+        """(y, proj(x, y) value) for each y in space.above(x), in that order;
+        value is a sparse vector, or rows for apply=_mul.
 
         The value pushed to y is the cover map (c, y) applied to the value
         pushed to c = space._route(x, y), the step `_compose` takes, so no
-        matrix is composed; those values are memoized for this x only.  An
+        matrix is kept; those values are memoized for this x only.  An
         explicit entry at (x, y) is applied to value instead, as `_rows`
         reads it; the route above y still runs through the cover.
         """
         path = {x: value}    # y -> proj(x, y) value along the cover route
 
-        def push(y: str) -> SparseRow:
+        def push(y: str):
             got = path.get(y)
             if got is None:
                 c = self.space._route(x, y)
-                got = path[y] = _apply(self._at[(c, y)], push(c))
+                got = path[y] = apply(self._at[(c, y)], push(c))
             return got
 
         for y in self.space.above(x):
             rows = self._explicit.get((x, y))
-            yield y, push(y) if rows is None else _apply(rows, value)
+            yield y, push(y) if rows is None else apply(rows, value)
 
     @cached_property
     def _report(self) -> FunctorReport:
@@ -341,16 +342,19 @@ def _walk_laws(v: CoefficientSystem) -> FunctorReport:
     of z, proj(y, z) proj(x, y) = proj(w, z) proj(y, w) proj(x, y)
     = proj(w, z) proj(x, w) = proj(x, z).  So the squares are checked
     first, and every strict triple is walked only when a square fails, to
-    list every violation.
+    list every violation.  Each x pushes its identity up (`_pushed`), so
+    no pair is kept.
     """
     space, rows = v.space, v._rows
     bad_id = [x for x in space.ids if rows(x, x) != _identity_rows(v.dims[x])]
 
     def squares_hold() -> bool:
-        for y, z in space.covers:
-            for x in space.below(y):
-                if _mul(rows(y, z), rows(x, y)) != rows(x, z):
-                    return False
+        for x in space.ids:
+            p = dict(v._pushed(x, _identity_rows(v.dims[x]), _mul))
+            for z in p:
+                for y in space.lower_covers(z):
+                    if y in p and _mul(rows(y, z), p[y]) != p[z]:
+                        return False
         return True
 
     if squares_hold():

@@ -256,10 +256,11 @@ MUTANTS = (
     Mutant(
         "every-square-skipped",
         "coeffsys.py",
-        "                if _mul(rows(y, z), rows(x, y)) != rows(x, z):\n"
-        "                    return False\n",
-        "                continue\n",
+        "                    if y in p and _mul(rows(y, z), p[y]) != p[z]:\n"
+        "                        return False\n",
+        "                    continue\n",
         ("tests/test_coeffsys.py::test_check_functor_matches_dense_triple_walk_seeded",),
+        note="retargeted to the squares read off the pushed rows",
     ),
     Mutant(
         "square-walk-disabled",
@@ -305,8 +306,8 @@ MUTANTS = (
     Mutant(
         "extend-pushes-through-an-explicit-entry",
         "coeffsys.py",
-        "yield y, push(y) if rows is None else _apply(rows, value)",
-        "yield y, push(y) if rows is None else path.setdefault(y, _apply(rows, value))",
+        "yield y, push(y) if rows is None else apply(rows, value)",
+        "yield y, push(y) if rows is None else path.setdefault(y, apply(rows, value))",
         ("tests/test_coeffsys.py::test_pushed_values_are_the_rows_applied_seeded",
          "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[cube]",
          "tests/test_cochain.py::test_extend_matches_the_per_pair_walk_seeded[square*segment]"),
@@ -729,8 +730,29 @@ MUTANTS = (
         "cli.py",
         "    elif both:\n",
         "    elif False:\n",
-        ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",),
+        ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",
+         "tests/test_cli.py::test_cohomology_both_counts_the_full_complex_above_the_top"),
         note="the cross-check would read degree 1 off the resolution instead of "
              "building both order complexes",
+    ),
+    Mutant(
+        "counted-for-a-non-functor",
+        "cochain.py",
+        "k > (top := _top_degree(self.v.space)) and self.v._report.ok:",
+        "k > (top := _top_degree(self.v.space)):",
+        ("tests/test_cochain.py::test_full_complex_of_a_non_functor_beyond_the_top_degree_is_enumerated",
+         "tests/test_cochain.py::test_systems_off_the_laws_keep_the_order_complex"),
+        note="a system off the functor laws would read dim 0 above the top degree, "
+             "where its full complex has d^2 != 0",
+    ),
+    Mutant(
+        "counted-at-the-top-degree",
+        "cochain.py",
+        "not self.strict and k > (top",
+        "not self.strict and k >= (top",
+        ("tests/test_cochain.py::test_full_complex_beyond_the_top_degree_is_counted_seeded",
+         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded",
+         "tests/test_properties.py::test_full_equals_reduced_in_every_degree_randomized"),
+        note="the top degree would read dim 0 wherever the full complex has a class there",
     ),
 )

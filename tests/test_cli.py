@@ -418,6 +418,34 @@ def test_cohomology_both_builds_both_order_complexes(capsys, tmp_path, monkeypat
         assert both["results"] == alone and both["agreement"]
 
 
+@pytest.mark.parametrize("degree", ["80", str(10 ** 23)])
+def test_cohomology_both_counts_the_full_complex_above_the_top(capsys, tmp_path,
+                                                               monkeypatch, degree):
+    """Above the top degree `--complex both` counts a functor's full complex
+    (segment^3: 27 strata, top degree 3), so it answers at once, without
+    the resolution, with each block's bytes of that complex asked for alone."""
+    seg, sq, seg3 = (str(tmp_path / f"{n}.space") for n in ("seg", "sq", "seg3"))
+    run(capsys, ["build", "polytope", "--segment", "--out", seg])
+    run(capsys, ["build", "product", "--left", seg, "--right", seg, "--out", sq])
+    run(capsys, ["build", "product", "--left", sq, "--right", seg, "--out", seg3])
+    alone = {}
+    for name in ("reduced", "full"):
+        code, out, _ = run(capsys, ["--json", "cohomology", seg3, "--degree", degree,
+                                    "--complex", name])
+        assert code == 0
+        alone[name] = json.loads(out)["results"][name]
+
+    def refuse(v, k):
+        raise AssertionError("--complex both asked the resolution")
+
+    monkeypatch.setattr(assigncoh.cochain, "_resolution_dims", refuse)
+    code, out, _ = run(capsys, ["--json", "cohomology", seg3, "--degree", degree,
+                                "--complex", "both"])
+    assert code == 0
+    both = json.loads(out)
+    assert both["results"] == alone and both["agreement"]
+
+
 def test_cohomology_without_classes_enumerates_no_chain(capsys, tmp_path, monkeypatch):
     """A degree with no class is answered by R and chain counts alone: the
     full complex of cube x square (243 strata; 65,610 coordinates in

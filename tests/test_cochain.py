@@ -59,6 +59,7 @@ import assigncoh.stratposet
 from assigncoh.cochain import (
     ChainBasis,
     Cochain,
+    CohomologyResult,
     _Complex,
     _carry,
     _differential,
@@ -918,10 +919,75 @@ def test_relative_cohomology_matches_the_filtered_complex_seeded():
                 top = 3 if strict or len(space.ids) <= 30 else 1
                 for k in range(top + 1):
                     got = relative_cohomology(v, nset, k, strict)
-                    assert _same_result(got, want.result(k)), (kind, strict, k)
+                    assert _same_result(got, _enumerated(want, k)), (kind, strict, k)
                     kinds[kind] += bool(got.dim)
     assert set(kinds) == {"minimal", "strict downset", "closed downset", "empty", "all"}
     assert kinds["minimal"] and kinds["closed downset"]
+
+
+def _enumerated(cx, k):
+    """Degree k of cx read off its enumerated complex (`_Complex.data`), as
+    `_Complex.result` reads it at or below the top degree."""
+    data = cx.data(k)
+    return CohomologyResult(k, data.dim, [Cochain._from_row(cx.basis(k), r) for r in data._rep_rows],
+                            {"dim_chain": data.dim_chain, "dim_cocycles": data.dim_cocycles,
+                             "rank_coboundaries": data.im_rank})
+
+
+def _recording_weak_chains(monkeypatch):
+    """Record in the returned list, for each chain enumeration, whether it is weak."""
+    weak = []
+    enumerate_chains = assigncoh.cochain.chains
+
+    def recording(space, k, strict):
+        weak.append(not strict)
+        return enumerate_chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", recording)
+    return weak
+
+
+def test_full_complex_beyond_the_top_degree_is_counted_seeded(monkeypatch):
+    """`_Complex.result` counts a functor's full complex in degrees
+    top+1..top+3, with no support, an up-closed one or a mixed one,
+    enumerating no weak chain: the enumerated complex's dim and diagnostics,
+    and no representative.  The top degree itself is enumerated: the
+    crown's constant system has a class there."""
+    rng = random.Random(47)
+    crown = _crown()[0]
+    cases = [cp2(), s4(), _poly("square"), _poly("triangle"), _poly("cube"), S6,
+             (crown, _constant(crown))]
+    classes = 0
+    for space, v in cases:
+        assert check_functor(v).ok
+        top = assigncoh.cochain._top_degree(space)
+        z = rng.choice([x for x in space.ids if space.below(x)])
+        supports = [None, ("rel", space.upset(z)),
+                    ("rel", frozenset(rng.sample(space.ids, len(space.ids) // 2)))]
+        for support in supports:
+            want = _Complex(v, False, support=support)
+            for k in range(top, top + 4):
+                with monkeypatch.context() as m:
+                    weak = _recording_weak_chains(m)
+                    got = _Complex(v, False, support=support).result(k)
+                assert _same_result(got, _enumerated(want, k)), (support, k)
+                assert any(weak) == (k == top)
+                classes += bool(got.dim)
+    assert classes
+
+
+def test_full_complex_of_a_non_functor_beyond_the_top_degree_is_enumerated():
+    """Only a functor's full complex is counted above the top degree: the
+    cube with one doubled entry fails a composition law, and its full
+    complex, alone or relative to a face's upset, has weak chains that end
+    in the failing triple in every degree above the top, so each is refused."""
+    space, v, _ = cube_broken_on_a_face()
+    top = assigncoh.cochain._top_degree(space)
+    face = next(x for x in space.ids if space.stabilizer(x).dim == 1)
+    for support in (None, ("rel", space.upset(face))):
+        for k in (top + 1, top + 2):
+            with pytest.raises(ValueError, match=f"degree {k} has no cohomology"):
+                _Complex(v, False, support=support).result(k)
 
 
 def test_full_relative_cohomology_beyond_the_top_degree_from_counts_seeded(monkeypatch):
@@ -932,13 +998,6 @@ def test_full_relative_cohomology_beyond_the_top_degree_from_counts_seeded(monke
     rng = random.Random(43)
     cases = [cp2(), s4(), two_stratum(), _poly("square"), _poly("triangle"), _poly("cube"), S6]
     kinds = Counter()
-    weak = []
-    enumerate_chains = assigncoh.cochain.chains
-
-    def recording(space, k, strict):
-        weak.append(not strict)
-        return enumerate_chains(space, k, strict)
-
     for space, v in cases:
         top = assigncoh.cochain._top_degree(space)
         z = rng.choice([x for x in space.ids if space.below(x)])
@@ -949,10 +1008,10 @@ def test_full_relative_cohomology_beyond_the_top_degree_from_counts_seeded(monke
                 continue
             want = _Complex(v, False, support=("rel", nset))
             for k in range(top + 1, top + 4):
-                monkeypatch.setattr(assigncoh.cochain, "chains", recording)
-                got = relative_cohomology(v, nset, k, strict=False)
-                monkeypatch.setattr(assigncoh.cochain, "chains", enumerate_chains)
-                assert _same_result(got, want.result(k)), (kind, k)
+                with monkeypatch.context() as m:
+                    weak = _recording_weak_chains(m)
+                    got = relative_cohomology(v, nset, k, strict=False)
+                assert _same_result(got, _enumerated(want, k)), (kind, k)
                 assert not any(weak)
                 kinds[kind] += 1
     assert kinds["up-closed"] and kinds["mixed"]
@@ -1728,7 +1787,7 @@ def test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded():
             top = 3 if strict or len(v.space.ids) <= 30 else 1
             assert dims[:top + 1] == [cx.data(k).dim for k in range(top + 1)]
             for k in range(1, top + 1):
-                want, got = cx.result(k), cohomology(v, k, strict)
+                want, got = _enumerated(cx, k), cohomology(v, k, strict)
                 assert (got.dim, got.diagnostics) == (want.dim, want.diagnostics)
                 assert ([r._row for r in got.representatives]
                         == [r._row for r in want.representatives])

@@ -747,11 +747,15 @@ def test_cut_is_the_forest_cut_exactly_when_a_clean_report_is_known_seeded():
 
 
 def test_check_functor_multiplies_each_cover_square_once(monkeypatch):
-    """When every cover square holds, walking the laws makes one product per square.
+    """When every cover square holds, walking the laws makes one product per
+    square and keeps no composed pair.
 
-    That holds for a from_cover_maps copy of the cube's moment system and for
-    the copy with an explicit entry on every pair.  The moment system itself
-    carries its report from the start and multiplies nothing.
+    Each x pushes its identity rows up (`_pushed`, one product per stratum
+    above x), and each square (x, y, z), (y, z) a cover and x < y, reads
+    only the cover's rows and multiplies them once by the rows pushed to y.
+    That holds for a from_cover_maps copy of the cube's moment system and
+    for the copy with an explicit entry on every pair.  The moment system
+    itself carries its report from the start and multiplies nothing.
     """
     space, v = build_polytope(preset_polytope("cube"))
     covers = {c: RatMatrix.from_sparse(space.cover_coords[c], v.dims[c[0]])
@@ -759,14 +763,20 @@ def test_check_functor_multiplies_each_cover_square_once(monkeypatch):
     copy = CoefficientSystem.from_cover_maps(space, v.dims, covers)
     explicit = CoefficientSystem(space, v.dims, {p: v.proj(*p) for p in v.pairs()})
     squares = sum(len(space.below(y)) for y, _ in space.covers)
-    for w, products in ((copy, squares), (explicit, squares), (v, 0)):
-        for x, z in space.comparable_pairs():
-            w._rows(x, z)
-        calls = []
+    pairs = len(space.comparable_pairs())
+    read = CoefficientSystem._rows
+    for w, walked in ((copy, True), (explicit, True), (v, False)):
+        kept = len(w._at)
+        calls, reads = [], []
         monkeypatch.setattr(assigncoh.coeffsys, "_mul", lambda a, b: calls.append(1) or _mul(a, b))
+        monkeypatch.setattr(CoefficientSystem, "_rows",
+                            lambda self, x, y: reads.append((x, y)) or read(self, x, y))
         assert check_functor(w).ok
-        monkeypatch.setattr(assigncoh.coeffsys, "_mul", _mul)
-        assert len(calls) == products
+        monkeypatch.undo()
+        assert len(w._at) == kept
+        assert all(x == y or (x, y) in space.cover_coords for x, y in reads)
+        assert sum(x != y for x, y in reads) == (squares if walked else 0)
+        assert len(calls) == ((squares + pairs) if walked else 0)
     # the walk over every strict triple would make more products
     assert squares < sum(len(space.above(y)) for _, y in space.comparable_pairs())
 

@@ -20,6 +20,8 @@ Only `coeffsys` reads a system's tables (`_explicit`, `_at`) or takes the
 cover route (`._route`), so a value pushed up the order has one rule
 (`CoefficientSystem._pushed`); only `stratposet` calls `.bit_length()`,
 so the bits of a component stay where `_components` sets them.
+Only `cohomology` and `_Complex.result` read `_from_counts`, so a degree
+answered from chain counts has one owner per route.
 The count of bare `raise ValueError` sites may only fall: the command line
 reads a bare ValueError as a user's validation error.
 """
@@ -287,6 +289,50 @@ def test_only_coeffsys_pushes_values_and_only_stratposet_reads_bits():
     assert not found, (f"{found[0]}: only coeffsys.py reads a system's tables or "
                        "takes the cover route (`CoefficientSystem._pushed`), and only "
                        "stratposet.py decodes the bits of a component")
+
+
+def _count_readers(sources):
+    """(file, line, enclosing def) of each read of `_from_counts`, by name
+    or as an attribute; a def is named `Class.method` inside a class, and
+    module level `<module>`."""
+    found = []
+
+    def walk(name, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(name, child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if (getattr(child, "id", None) == "_from_counts"
+                    or getattr(child, "attr", None) == "_from_counts"):
+                found.append((name, child.lineno, scope))
+            walk(name, child, scope)
+
+    for name, text in sources.items():
+        walk(name, ast.parse(text), "<module>")
+    return sorted(found)
+
+
+def test_count_reader_detector():
+    sources = {
+        "a.py": ("def cohomology(v):\n    return _from_counts(1)\n\n\n"
+                 "class _Complex:\n    def result(self):\n        return c._from_counts(2)\n\n"
+                 "    def data(self):\n        return [_from_counts(3) for _ in x]\n"),
+        "b.py": ("x = _from_counts\ndef f():\n    def g():\n        return h(_from_counts)\n"
+                 "    return from_counts(5)\n"),
+    }
+    assert _count_readers(sources) == [
+        ("a.py", 2, "cohomology"), ("a.py", 7, "_Complex.result"), ("a.py", 10, "_Complex.data"),
+        ("b.py", 1, "<module>"), ("b.py", 4, "f.g"),
+    ]
+
+
+def test_only_cohomology_and_complex_result_count_a_degree():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f for f in _count_readers(sources) if f[0] != "cochain.py"
+             or f[2] not in {"cohomology", "_Complex.result"}]
+    assert not found, (f"{found[0]} reads `_from_counts`: only `cohomology` and "
+                       "`_Complex.result` answer a degree from chain counts")
 
 
 def _bare_value_errors(source: str):

@@ -546,7 +546,7 @@ def test_full_equals_reduced_in_every_degree_randomized():
         for k in range(top + 2):
             dim = cohomology(v, k).dim
             assert cohomology(v, k, strict=False).dim == dim, k
-            assert [cx.result(k).dim for cx in complexes] == [resolved[k]] * 2, k
+            assert [cx.data(k).dim for cx in complexes] == [resolved[k]] * 2, k
             higher += k > 0 and dim > 0
             cases += 1
     assert cases >= 200 and higher
