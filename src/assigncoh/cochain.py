@@ -252,8 +252,8 @@ def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[s
     raise AssertionError(f"unknown support kind {kind!r}")
 
 
-def chain_basis(v: CoefficientSystem, k: int, strict: bool = True, support=None) -> ChainBasis:
-    return ChainBasis(v, k, strict, _filtered_tuples(chains(v.space, k, strict), support))
+def chain_basis(v: CoefficientSystem, k: int, strict: bool = True) -> ChainBasis:
+    return ChainBasis(v, k, strict, chains(v.space, k, strict))
 
 
 def _chain_counts(space: StratSpace):

@@ -316,6 +316,23 @@ MUTANTS = (
              "route, where proj composes the cover maps",
     ),
     Mutant(
+        "naturality-on-covers-only",
+        "coeffsys.py",
+        "for x, y in sorted(set(source._given).union(target._given)):",
+        "for x, y in space.covers:",
+        ("tests/test_coeffsys.py::test_morphism_naturality_matches_the_per_pair_walk_seeded",),
+        note="a map that commutes on every cover but not at an explicit entry off "
+             "a cover would be accepted",
+    ),
+    Mutant(
+        "naturality-on-the-source-given-pairs-only",
+        "coeffsys.py",
+        "for x, y in sorted(set(source._given).union(target._given)):",
+        "for x, y in source._given:",
+        ("tests/test_coeffsys.py::test_morphism_naturality_matches_the_per_pair_walk_seeded",),
+        note="a target's explicit entry that leaves the route would go unchecked",
+    ),
+    Mutant(
         "is-assignment-checks-minimal-strata-only",
         "assignops.py",
         "    for x in v.space.ids:\n",

@@ -44,6 +44,10 @@ package's former walk of `assignops.extend_minimal`, which applies
 the values pushed along the cover route; `per_pair_violations` is the
 package's former `assignops.is_assignment`, which composes every pair's
 rows: the reference for the violations it finds from the pushed values.
+`per_pair_naturality` is the package's former naturality loop of
+`coeffsys.SystemMorphism`, which composes both systems' rows on every
+comparable pair: the reference for the check on the pairs the two systems
+are given on.
 `reference_chain_differential` is the package's former chain
 differential: a (face, sign, block) term for every face of every tuple,
 the faces that cancel included, written by `cochain._assemble`; it is the
@@ -73,6 +77,7 @@ from assigncoh.ratlin import (
     _forward,
     _frac,
     _integral,
+    _mul,
     _normal,
     _normalize,
     _primitive,
@@ -825,6 +830,16 @@ def per_pair_violations(v, candidate):
         if any(residual):
             bad.append(((x, y), tuple(residual)))
     return tuple(bad)
+
+
+def per_pair_naturality(source, target, maps) -> None:
+    """Raise ValueError at the first comparable pair, in `comparable_pairs`
+    order, where the stratum maps do not commute with the projections."""
+    space = source.space
+    rows = {x: maps[x]._rows for x in space.ids}
+    for x, y in space.comparable_pairs():
+        if _mul(rows[y], source._rows(x, y)) != _mul(target._rows(x, y), rows[x]):
+            raise ValueError(f"naturality square fails at pair ({x!r}, {y!r})")
 
 
 def reference_chain_differential(v, src, dst) -> Rows:

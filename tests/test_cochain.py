@@ -1389,8 +1389,8 @@ def test_move_splits_cochains_into_relative_and_subset_parts():
     rng = random.Random(13)
     for k in range(3):
         full = chain_basis(v, k)
-        rel = chain_basis(v, k, support=("rel", n))
-        sub = chain_basis(v, k, support=("sub", n))
+        rel = _Complex(v, True, support=("rel", n)).basis(k)
+        sub = _Complex(v, True, support=("sub", n)).basis(k)
         for _ in range(10):
             vec = _random_sparse(rng, full.total_dim)
             parts = [(b, _carry(vec, full, b)) for b in (rel, sub)]

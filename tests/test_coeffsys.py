@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from collections import Counter
@@ -42,6 +43,7 @@ from oracles import (
     brute_assignment_dim,
     brute_cohomology_dim,
     brute_functor_violations,
+    per_pair_naturality,
     reference_from_cover_maps,
     system_adapter,
 )
@@ -921,3 +923,123 @@ def test_incompatible_minimal_values_name_the_eager_triple(tmp_path, capsys):
         assert json.loads(out.out)["error"] == {
             "type": "IncompatibleMinimalValuesError", "message": message}
         assert out.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# morphisms checked on the pairs their systems are given on
+
+
+def _pair_named(exc):
+    """The pair a naturality refusal names."""
+    return ast.literal_eval(str(exc).rsplit(" at pair ", 1)[1])
+
+
+def _identity_maps(v):
+    return {x: RatMatrix.identity(v.dims[x]) for x in v.space.ids}
+
+
+def _entry_off_the_route():
+    """The cube's moment copy from its cover maps and the copy whose
+    explicit (vertex, face) entry is doubled (`cube_broken_on_a_face`):
+    their cover maps are equal, and the entry differs from its route."""
+    space, broken, _ = cube_broken_on_a_face()
+    plain = CoefficientSystem.from_cover_maps(
+        space, broken.dims, {c: broken.proj(*c) for c in space.covers})
+    return plain, broken
+
+
+def _morphism_cases(rng):
+    """(source, target, stratum maps) for the naturality gate.
+
+    The identity maps of moment systems, of `_cut_cases`' descriptions, of
+    the constructor's systems (every pair explicit, one identity entry
+    doubled) and of a `_kept_on` child of each; the two maps of `pair_ses`
+    across that child's kept set; and identity blocks between two systems
+    whose one explicit entry off a cover differs, on either side.
+    """
+    systems = [moment_system(space) for space in _gate_spaces()] + list(_cut_cases(rng))
+    for w in systems[::4]:
+        proj = {p: w.proj(*p) for p in w.pairs()}
+        x = rng.choice([x for x in w.space.ids if w.dims[x]])
+        proj[(x, x)] = proj[(x, x)] + proj[(x, x)]
+        systems.append(CoefficientSystem(w.space, w.dims, proj))
+    for v in systems:
+        space = v.space
+        yield v, v, _identity_maps(v)
+        z = rng.choice([x for x in space.ids if space.below(x)])
+        keep = rng.choice([frozenset(space.below(z)), space.upset(z)])
+        child = assigncoh.coeffsys._kept_on(v, keep)
+        yield child, child, _identity_maps(child)
+        for f in pair_ses(v, keep):
+            yield f.source, f.target, f.maps
+    plain, broken = _entry_off_the_route()
+    yield plain, broken, _identity_maps(plain)
+    yield broken, plain, _identity_maps(plain)
+
+
+def _map_variants(rng, space, maps):
+    """maps, each stratum's block scaled by 1, 2 or -1, and maps with one
+    stratum's block replaced by a random matrix."""
+    yield maps
+    scale = {x: rng.choice((1, 2, -1)) for x in space.ids}
+    yield {x: RatMatrix(*m.shape(), [[scale[x] * e for e in row] for row in m.data])
+           for x, m in maps.items()}
+    x = rng.choice(space.ids)
+    yield {**maps, x: _random_matrix(rng, *maps[x].shape())}
+
+
+def test_morphism_naturality_matches_the_per_pair_walk_seeded():
+    """A `SystemMorphism` accepts or refuses its maps exactly where the walk
+    over every comparable pair (`per_pair_naturality`) does.  A refusal
+    names the first pair, in the sorted union of the two systems' given
+    pairs (`_given`), where the square fails.  Some refused maps commute
+    on every cover, and some on every pair the source is given on: the
+    identity blocks across an explicit entry off its route, which the
+    target holds, and which the source holds."""
+    rng = random.Random(44)
+    seen = Counter()
+    for source, target, base in _morphism_cases(rng):
+        given = sorted(set(source._given) | set(target._given))
+        for maps in _map_variants(rng, source.space, base):
+            try:
+                SystemMorphism(source, target, maps)
+            except ValueError as exc:
+                failing = [(x, y) for x, y in given
+                           if maps[y] @ source.proj(x, y) != target.proj(x, y) @ maps[x]]
+                assert failing and _pair_named(exc) == failing[0]
+                with pytest.raises(ValueError, match="naturality square fails"):
+                    per_pair_naturality(source, target, maps)
+                seen["refused"] += 1
+                seen["off the covers"] += not set(failing) & set(source.space.covers)
+                seen["off the source's pairs"] += not set(failing) & set(source._given)
+            else:
+                per_pair_naturality(source, target, maps)
+                seen["accepted"] += 1
+    assert seen["refused"] >= 300 and seen["accepted"] >= 600, seen
+    assert seen["off the covers"] >= 2 and seen["off the source's pairs"] >= 1, seen
+
+
+def test_morphisms_compose_no_pair(monkeypatch):
+    """Building a morphism reads only the pairs its systems are given on: on
+    cube x cube neither the identity nor the two maps of the pair sequence
+    on the minimal strata compose a pair or grow the system's `_at`."""
+    cube = build_polytope(preset_polytope("cube"))
+    space, v = build_product(cube, cube)
+    kept = len(v._at)
+    seen = _record_compositions(monkeypatch)
+    SystemMorphism.identity(v)
+    assert len(v._at) == kept
+    pair_ses(v, minimal_strata(space))
+    assert len(v._at) == kept
+    assert seen == []
+
+
+def test_zero_morphism_refuses_systems_on_different_spaces():
+    """`SystemMorphism.zero` between systems on two spaces raises the
+    constructor's ValueError, whether or not the spaces share their ids."""
+    _, cube = build_polytope(preset_polytope("cube"))
+    _, square = build_polytope(preset_polytope("square"))
+    _, other_cube = build_polytope(preset_polytope("cube"))
+    for source, target in ((cube, square), (square, cube), (cube, other_cube)):
+        with pytest.raises(ValueError, match="different spaces"):
+            SystemMorphism.zero(source, target)

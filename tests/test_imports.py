@@ -21,7 +21,10 @@ cover route (`._route`), so a value pushed up the order has one rule
 (`CoefficientSystem._pushed`); only `stratposet` calls `.bit_length()`,
 so the bits of a component stay where `_components` sets them.
 Only `cohomology` and `_Complex.result` read `_from_counts`, so a degree
-answered from chain counts has one owner per route.
+answered from chain counts has one owner per route.  In `coeffsys`, only
+the constructor's shape check, `pairs()` and the listing walk of
+`_walk_laws` call `comparable_pairs()`: every other check reads the pairs
+a system is given on (`CoefficientSystem._given`) and composes none.
 The count of bare `raise ValueError` sites may only fall: the command line
 reads a bare ValueError as a user's validation error.
 """
@@ -291,8 +294,8 @@ def test_only_coeffsys_pushes_values_and_only_stratposet_reads_bits():
                        "stratposet.py decodes the bits of a component")
 
 
-def _count_readers(sources):
-    """(file, line, enclosing def) of each read of `_from_counts`, by name
+def _readers(sources, target):
+    """(file, line, enclosing def) of each read of the name target, by name
     or as an attribute; a def is named `Class.method` inside a class, and
     module level `<module>`."""
     found = []
@@ -302,8 +305,7 @@ def _count_readers(sources):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(name, child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
-            if (getattr(child, "id", None) == "_from_counts"
-                    or getattr(child, "attr", None) == "_from_counts"):
+            if getattr(child, "id", None) == target or getattr(child, "attr", None) == target:
                 found.append((name, child.lineno, scope))
             walk(name, child, scope)
 
@@ -320,7 +322,7 @@ def test_count_reader_detector():
         "b.py": ("x = _from_counts\ndef f():\n    def g():\n        return h(_from_counts)\n"
                  "    return from_counts(5)\n"),
     }
-    assert _count_readers(sources) == [
+    assert _readers(sources, "_from_counts") == [
         ("a.py", 2, "cohomology"), ("a.py", 7, "_Complex.result"), ("a.py", 10, "_Complex.data"),
         ("b.py", 1, "<module>"), ("b.py", 4, "f.g"),
     ]
@@ -329,10 +331,35 @@ def test_count_reader_detector():
 def test_only_cohomology_and_complex_result_count_a_degree():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    found = [f for f in _count_readers(sources) if f[0] != "cochain.py"
+    found = [f for f in _readers(sources, "_from_counts") if f[0] != "cochain.py"
              or f[2] not in {"cohomology", "_Complex.result"}]
     assert not found, (f"{found[0]} reads `_from_counts`: only `cohomology` and "
                        "`_Complex.result` answer a degree from chain counts")
+
+
+def test_pair_walker_detector():
+    sources = {
+        "coeffsys.py": ("class CoefficientSystem:\n    def pairs(self):\n"
+                        "        return self.space.comparable_pairs()\n\n"
+                        "class SystemMorphism:\n    def __init__(self, space):\n"
+                        "        for p in space.comparable_pairs():\n            pass\n"),
+        "a.py": "def f(space):\n    return comparable_pairs(space)\n",
+    }
+    assert _readers(sources, "comparable_pairs") == [
+        ("a.py", 2, "f"), ("coeffsys.py", 3, "CoefficientSystem.pairs"),
+        ("coeffsys.py", 7, "SystemMorphism.__init__"),
+    ]
+
+
+_PAIR_WALKERS = {"CoefficientSystem.__init__", "CoefficientSystem.pairs", "_walk_laws"}
+
+
+def test_only_the_shape_check_pairs_and_the_law_listing_walk_every_pair():
+    text = (PACKAGE_DIR / "coeffsys.py").read_text(encoding="utf-8")
+    found = [f for f in _readers({"coeffsys.py": text}, "comparable_pairs")
+             if f[2] not in _PAIR_WALKERS]
+    assert not found, (f"{found[0]} calls `comparable_pairs()`: a check on a system "
+                       "reads the pairs it is given on (`CoefficientSystem._given`)")
 
 
 def _bare_value_errors(source: str):
