@@ -448,7 +448,9 @@ class SpaceDescription:
                     mat = [[_json_rational(e) for e in _json_list(row)]
                            for row in _json_list(p["matrix"])]
                 except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError):
-                    raise DescriptionError(f"malformed projection entry: {p!r}") from None
+                    mat = None
+                if mat is None or len(set(map(len, mat))) > 1:    # or ragged rows
+                    raise DescriptionError(f"malformed projection entry: {p!r}")
                 projections.append((x, y, mat))
         return cls(torus_dim, strata, covers, dims, projections)
 

@@ -18,11 +18,13 @@ representatives, while d_0 stays whole for degree 1 and the connecting maps.
 
 A down-closed stratum subset N is a system: a tuple lies inside N exactly
 when its top stratum does, so the cochains vanishing on the tuples inside
-N are those of v off N, and the cochains on those tuples are those of v
-on N (`coeffsys._kept_on`, with a block of width 0 wherever the system
-vanishes).  Relative cohomology and the pair's sequence hand these
-functors to the routines that serve every functor.  Only the order
-complex of any other subset filters its chains by a support.
+N are those of v off N (`coeffsys._kept_on`, with a block of width 0
+wherever the system vanishes).  Only relative cohomology takes v off N,
+and hands it to `cohomology`, which serves every functor.  The pair's
+sequence filters the space's own complex by a support: for a down-closed
+N, R's cells by their strata (those at strata of N are N's own
+resolution, and their boundaries stay in N); for any other N, the order
+complex's chains.
 
 The components of the lower covers (`stratposet._components`) give R
 (`_forest`), a minimal projective resolution of the constant functor, to
@@ -239,16 +241,20 @@ class Cochain:
         return f"Cochain(degree={self.basis.degree}, {self.as_dict()})"
 
 
-def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support) -> Sequence[Tuple[str, ...]]:
-    """The chains a support keeps: "rel" those not inside its stratum set
-    N, "sub" those inside, a chain being inside N when all its strata are."""
+def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support,
+                     cells: bool = False) -> Sequence[Tuple[str, ...]]:
+    """The tuples a support keeps: "rel" those not inside its stratum set
+    N, "sub" those inside.  A chain is inside N when all its strata are; a
+    cell of R, whose entries nest, when its stratum t[-1] is, which for the
+    down-closed N that R serves is the same rule."""
     if support is None:
         return ts
     kind, nset = support
+    inside = (lambda t: t[-1] in nset) if cells else (lambda t: all(x in nset for x in t))
     if kind == "rel":
-        return [t for t in ts if not all(x in nset for x in t)]
+        return [t for t in ts if not inside(t)]
     if kind == "sub":
-        return [t for t in ts if all(x in nset for x in t)]
+        return [t for t in ts if inside(t)]
     raise AssertionError(f"unknown support kind {kind!r}")
 
 
@@ -472,18 +478,16 @@ class _Complex:
 
     Its tuples are the chains of the order complex or, given resolution,
     the cells and boundaries of R that `_forest` returns, built to every
-    degree the caller reads: then it is Hom(R, V), strict.  On chains a
-    support filters the tuples (`_filtered_tuples`); no complex on R's
-    cells takes one.  A complex with a `whole`, an unfiltered complex of
-    the same kind on the same tuples, reads its tuples from whole's instead
-    of enumerating them.  Its system is whole's, filtered by a support, or
-    (on R's cells) v off or on a down-closed subset (`coeffsys._kept_on`),
-    whose blocks differ from v's only at strata of another width.  It
-    shares whole's values wherever they are its own (`_keeps`): a basis
-    whose tuples and block widths are whole's, d_k and its transpose where
-    bases k and k+1 are, and the cohomology data of degree k where bases
-    k-1, k and k+1 are.  For a pair on an antichain, such as the minimal
-    strata, that is every d_k with k >= 1 and every degree k >= 2.
+    degree the caller reads: then it is Hom(R, V), strict.  A support
+    filters the tuples (`_filtered_tuples`), on R's cells only for a
+    down-closed subset.  A complex with a `whole`, an unfiltered complex of
+    the same kind on the same system, reads its tuples from whole's instead
+    of enumerating them.  It shares whole's values wherever they are its
+    own (`_keeps`): a basis where the filter keeps every tuple, d_k and its
+    transpose where bases k and k+1 are whole's, and the cohomology data of
+    degree k where bases k-1, k and k+1 are.  For a pair on an antichain,
+    such as the minimal strata, that is every d_k with k >= 1 and every
+    degree k >= 2.
     """
 
     def __init__(self, v: CoefficientSystem, strict: bool = True, support=None,
@@ -500,24 +504,18 @@ class _Complex:
 
     def basis(self, k: int) -> ChainBasis:
         if k not in self._bases:
-            if self.whole is None:
-                ts = (self.resolution[0][k] if self.resolution is not None
-                      else chains(self.v.space, k, self.strict))
-                ts = _filtered_tuples(ts, self.support)
-            else:
-                whole = self.whole.basis(k)
-                ts = _filtered_tuples(whole.tuples, self.support)
-                # a filtered basis is a sublist of whole's: equal lengths, equal
-                # lists; on those tuples v off or on a subset may have other widths
-                if len(ts) == len(whole.tuples) and whole.block_dims == tuple(
-                        self.v.dims[t[-1]] for t in ts):
-                    self._bases[k] = whole
-                    return whole
-            self._bases[k] = ChainBasis(self.v, k, self.strict, ts)
+            whole = self.whole and self.whole.basis(k)
+            ts = whole.tuples if whole is not None else (
+                self.resolution[0][k] if self.resolution is not None
+                else chains(self.v.space, k, self.strict))
+            ts = _filtered_tuples(ts, self.support, self.resolution is not None)
+            # a filtered basis is a sublist of whole's: equal lengths, equal lists
+            self._bases[k] = (whole if whole is not None and len(ts) == len(whole.tuples)
+                              else ChainBasis(self.v, k, self.strict, ts))
         return self._bases[k]
 
     def _keeps(self, *ks: int) -> bool:
-        """Whether the bases of degrees ks are whole's: its tuples and block widths."""
+        """Whether the bases of degrees ks are whole's: the filter kept every tuple."""
         return self.whole is not None and all(
             self.basis(k) is self.whole.basis(k) for k in ks)
 
@@ -935,26 +933,20 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
 
     The relative complex (cochains vanishing on n) includes into the full
     one, which restricts to tuples inside n.  Connecting maps extend a
-    subset cocycle by zero and apply the ambient differential.  For a
-    down-closed n (no stratum outside n below one in n) the relative and
-    subset complexes are those of the functors v off n and v on n
-    (`coeffsys._kept_on`), which Hom(R, V) computes on the space's cells of
-    R, with a block of width 0 at each cell where they vanish; any other n
-    filters the order complex's chains.  A system failing the functor laws
-    raises ValueError naming its first violation.
+    subset cocycle by zero and apply the ambient differential.  Both are
+    filters of the space's complex (`_filtered_tuples`): for a down-closed
+    n (no stratum outside n below one in n) of Hom(R, V), whose cells at
+    strata of n are n's own resolution and whose boundaries stay in n, and
+    for any other n of the order complex.  A system failing the functor
+    laws raises ValueError naming its first violation.
     """
     space = v.space
     nset = _check_subset(space, n)
     _require_functors(v)
     top = _top_degree(space)
-    if _down_closed(space, nset):
-        full = _Complex(v, True, resolution=_forest(space, top + 2))
-        rel, sub = (_Complex(_kept_on(v, keep), True, whole=full)
-                    for keep in (frozenset(space.ids) - nset, nset))
-    else:
-        full = _Complex(v, True)
-        rel, sub = (_Complex(v, True, support=(kind, nset), whole=full)
-                    for kind in ("rel", "sub"))
+    full = (_Complex(v, True, resolution=_forest(space, top + 2)) if _down_closed(space, nset)
+            else _Complex(v, True))
+    rel, sub = (_Complex(v, True, support=(kind, nset), whole=full) for kind in ("rel", "sub"))
     return _long_exact_sequence(("pair", "space", "subset"), top, rel, full, sub)
 
 
@@ -997,11 +989,12 @@ def _bridge_rows(f: PosetMap, v_target: CoefficientSystem,
             if v_target.dims[y] != tgt_space.stabilizer(y).dim:
                 raise ValueError(
                     "pullback needs stabilizer coordinates on the target "
-                    "(or an all-zero target system)"
+                    f"(or an all-zero target system), unlike at {y!r}"
                 )
         for x in src_space.ids:
             if v_source.dims[x] != src_space.stabilizer(x).dim:
-                raise ValueError("pullback needs stabilizer coordinates on the source")
+                raise ValueError(
+                    f"pullback needs stabilizer coordinates on the source, unlike at {x!r}")
     bridges = {}
     for x in src_space.ids:
         if zero_target:

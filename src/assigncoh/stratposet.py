@@ -229,13 +229,13 @@ class Subalgebra:
 class StratSpace:
     """Finite stratification poset with a stabilizer subalgebra per stratum.
 
-    from_covers stores the upsets (leq, upset, _closure_direction), the
-    sorted strict upsets and downsets (above, below), the lower covers in
-    route order (lower_covers, _route) and each cover's
-    coordinates as sparse integer rows (cover_coords, which moment_system
-    keeps as its cover maps).  Every pair in covers is immediate: no
-    stratum lies strictly between its ends.  coeffsys checks assignments
-    and the functor laws on the covers alone, which rests on that.
+    from_covers stores the upsets (leq, upset), the sorted strict upsets
+    and downsets (above, below), the lower covers in route order
+    (lower_covers, _route) and each cover's coordinates as sparse integer
+    rows (cover_coords, which moment_system keeps as its cover maps).
+    Every pair in covers is immediate: no stratum lies strictly between
+    its ends.  coeffsys checks assignments and the functor laws on the
+    covers alone, which rests on that.
     """
 
     def __init__(self, torus_dim, ids, stabilizers, cover_coords, upsets):

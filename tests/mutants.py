@@ -636,14 +636,25 @@ MUTANTS = (
     Mutant(
         "pair-sequence-on-the-resolution-for-every-subset",
         "cochain.py",
-        "    if _down_closed(space, nset):\n        full = _Complex(",
-        "    if True:\n        full = _Complex(",
+        "if _down_closed(space, nset)\n",
+        "if True\n",
         ("tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
          "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
          "tests/test_properties.py::test_pair_sequences_of_arbitrary_subsets_randomized"),
         note="off a down-closed subset a chain can leave the subset below its top "
-             "stratum, so v off and on the subset are not the pair's relative and "
-             "subset complexes",
+             "stratum, so R's cells filtered by their strata are not the pair's "
+             "relative and subset complexes",
+    ),
+    Mutant(
+        "cell-inside-by-all-entries",
+        "cochain.py",
+        "(lambda t: t[-1] in nset) if cells",
+        "(lambda t: all(x in nset for x in t)) if cells",
+        ("tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded",
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
+         "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded"),
+        note="a cell of degree >= 2 nests a cell, which is no stratum, so the subset "
+             "complex would drop every such cell and the relative complex keep it",
     ),
     Mutant(
         "kept-on-inherits-a-failing-report",
@@ -664,22 +675,21 @@ MUTANTS = (
         "cochain.py",
         "if o is None or not o[1]:",
         "if o is None:",
-        ("tests/test_cochain.py::test_les_pair_empty_subset",
-         "tests/test_cochain.py::test_both_long_exact_sequences_agree_on_down_closed_subsets_seeded",
-         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        ("tests/test_cochain.py::test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks",
+         "tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded"),
         note="a cell's entries would land in the next block of a complex that is "
-             "zero at that cell's stratum",
+             "zero at that cell's stratum; a pair's complexes share one system, so "
+             "only bases of two systems, as in the kept-systems reference, reach it",
     ),
     Mutant(
         "carry-copies-between-bases-of-other-widths",
         "cochain.py",
         "src.tuples == dst.tuples and src.block_dims == dst.block_dims",
         "src.tuples == dst.tuples",
-        ("tests/test_cochain.py::test_les_pair_empty_subset",
-         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
-         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
-        note="a cochain would be copied as it is between R's cells of v and of v off "
-             "or on a subset, whose offsets differ",
+        ("tests/test_cochain.py::test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks",
+         "tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded"),
+        note="a cochain would be copied as it is between bases of v and of v off or "
+             "on a subset, whose offsets differ",
     ),
     Mutant(
         "relative-through-the-quotient-for-every-subset",
@@ -690,17 +700,6 @@ MUTANTS = (
          "tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
          "tests/test_properties.py::test_pair_sequences_of_arbitrary_subsets_randomized"),
         note="v off a subset that is not down-closed is no quotient of the pair",
-    ),
-    Mutant(
-        "sharing-by-tuples-alone",
-        "cochain.py",
-        " and whole.block_dims == tuple(\n                        self.v.dims[t[-1]] for t in ts):",
-        ":",
-        ("tests/test_cochain.py::test_les_pair_fixed_points",
-         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
-         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
-        note="the relative complex on R's cells would take the space's basis, and so "
-             "its d_0 and cohomology, where a stratum of the subset has another width",
     ),
     Mutant(
         "alternating-binomials-last-sign-flipped",

@@ -59,6 +59,10 @@ finds from a row's columns.  `kernel_forest` is `cochain._forest` with its
 degree-2 union-find deleted and the kernel step of the degrees d >= 3
 run from d = 2, on the same components (`stratposet._components`): the
 reference for the cells and boundaries the union-find gives.
+`pair_sequence_on_kept_systems` is the pair's sequence on a down-closed
+subset as `cochain.les_pair_check` once built it, on the systems v off
+and v on the subset (`coeffsys._kept_on`), with each complex on R its
+own: the reference for the pair's complexes as filters of the space's.
 """
 
 from fractions import Fraction
@@ -66,7 +70,10 @@ from itertools import product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from assigncoh.cochain import _Complex, _assemble
+from assigncoh.cochain import (
+    _Complex, _assemble, _forest, _long_exact_sequence, _top_degree,
+)
+from assigncoh.coeffsys import _kept_on
 from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
@@ -900,3 +907,16 @@ def kernel_forest(space, degree: int):
                     mine[d].append(cell)
             cells[d].extend(mine[d])
     return cells, bounds
+
+
+def pair_sequence_on_kept_systems(v, nset):
+    """The long exact sequence of the pair (space, nset), nset down-closed,
+    from three complexes on R's cells: v off nset, v and v on nset, whose
+    blocks have width 0 wherever they vanish.  None has a `whole`: a
+    complex that shares one reads its system's widths as whole's."""
+    space = v.space
+    top = _top_degree(space)
+    res = _forest(space, top + 2)
+    rel, sub = (_kept_on(v, keep) for keep in (frozenset(space.ids) - nset, frozenset(nset)))
+    return _long_exact_sequence(("pair", "space", "subset"), top,
+                                *(_Complex(w, True, resolution=res) for w in (rel, v, sub)))

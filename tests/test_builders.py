@@ -366,6 +366,25 @@ def test_description_with_explicit_system():
     assert [list(r) for r in v.proj("pt", "open").data] == [[1, 1]]
 
 
+def test_description_with_a_system_round_trips_through_json():
+    # dims, a cover and a non-cover projection and a Fraction entry: the
+    # description comes back equal, and so does the system on every pair
+    desc = SpaceDescription(
+        2, [("a", [[1, 0], [0, 1]]), ("b", [[1, 0]]), ("c", [])], [("a", "b"), ("b", "c")],
+        {"a": 2, "b": 1, "c": 1},
+        [("a", "b", [[Fraction(1, 2), -1]]), ("b", "c", [[3]]),
+         ("a", "c", [[Fraction(3, 2), -3]])])
+    obj = desc.to_json_dict()
+    assert obj["dims"] == {"a": 2, "b": 1, "c": 1}
+    assert obj["projections"][0] == {"pair": ["a", "b"], "matrix": [["1/2", "-1"]]}
+    back = SpaceDescription.from_json_dict(json.loads(json.dumps(obj)))
+    assert back == desc
+    (space, v), (_, w) = build_from_description(desc), build_from_description(back)
+    pairs = space.comparable_pairs()
+    assert ("a", "c") in pairs
+    assert all(w._rows(x, y) == v._rows(x, y) for x, y in pairs)
+
+
 def test_description_validation():
     with pytest.raises(DescriptionError):
         SpaceDescription.from_json_dict([])

@@ -305,6 +305,21 @@ def test_duplicate_projection_is_input_error(capsys, tmp_path):
     assert err == "error: duplicate projection for pair ('a', 'b')\n"
 
 
+def test_ragged_projection_matrix_is_input_error(capsys, tmp_path):
+    # rows of unequal length used to end in the matrix constructor's bare
+    # ValueError, exit 2, with no pair named; a non-numeric entry already
+    # gave this report
+    path = tmp_path / "chain.space"
+    for matrix in ('[[1], [2, 3]]', '[["x"]]'):
+        path.write_text(_CHAIN.replace("@", "2").replace("#", matrix))
+        code, out, err = run(capsys, ["--json", "check", str(path)])
+        assert code == cli.EXIT_INPUT
+        message = ("malformed projection entry: "
+                   f"{{'pair': ['a', 'b'], 'matrix': {json.loads(matrix)!r}}}")
+        assert json.loads(out)["error"] == {"type": "DescriptionError", "message": message}
+        assert err == f"error: {message}\n"
+
+
 def test_projections_without_dims_are_input_error(capsys, tmp_path):
     # without a dims table the moment system is used, and the projections
     # used to be dropped unread

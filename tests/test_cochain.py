@@ -66,10 +66,11 @@ from assigncoh.cochain import (
     _exactness_walk,
 )
 from assigncoh.coeffsys import _kept_on, square_failures
-from assigncoh.errors import BrokenProjectionError, UnknownIdError
+from assigncoh.errors import BrokenProjectionError, InvalidMorphismError, UnknownIdError
 from assigncoh.ratlin import (
     _apply, _combine, _forward, _transpose, sparse_echelon, sparse_kernel, sparse_rref,
 )
+from assigncoh.stratposet import MorphismReport, poset_morphism_check
 
 from oracles import (
     ReferenceCohomologyData,
@@ -80,6 +81,7 @@ from oracles import (
     d_squared_witness,
     dense_blocks,
     kernel_forest,
+    pair_sequence_on_kept_systems,
     per_pair_extend,
     per_pair_violations,
     reference_block_scaling,
@@ -1119,6 +1121,16 @@ def _les_pair_unshared(v, nset):
         rel, _Complex(v, True), sub)
 
 
+def _les_pair_spaces(rng):
+    """Hand-made spaces, a square x segment and two random products of polygons."""
+    spaces = [cp2(), s4(), s4_chain(2), S6, _poly("cube"),
+              build_product(_poly("square"), _poly("segment"))]
+    for _ in range(2):
+        spaces.append(build_product(_poly(rng.choice(("segment", "triangle", "square"))),
+                                    _poly(rng.choice(("segment", "triangle")))))
+    return spaces
+
+
 def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
     # a pair's complexes take the space's bases, d_k and cohomology data
     # wherever their own would equal them; on every kind of subset the
@@ -1127,11 +1139,7 @@ def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
     # relative complex keeps every tuple of degree >= 1, so sharing leaves
     # no nonempty differential assembled twice
     rng = random.Random(61)
-    spaces = [cp2(), s4(), s4_chain(2), S6, _poly("cube"),
-              build_product(_poly("square"), _poly("segment"))]
-    for _ in range(2):
-        spaces.append(build_product(_poly(rng.choice(("segment", "triangle", "square"))),
-                                    _poly(rng.choice(("segment", "triangle")))))
+    spaces = _les_pair_spaces(rng)
     assembled = []
     differential = assigncoh.cochain._differential
 
@@ -1166,6 +1174,46 @@ def test_les_pair_sharing_matches_unshared_complexes_seeded(monkeypatch):
             seen += any(rep.node_dims[3::3])
     # some pair has classes above degree 0, where the sharing starts
     assert seen
+
+
+def test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded():
+    """On a down-closed subset the pair's complexes filter the space's
+    complex on R by the cells' strata, and the sequence is the one on v off
+    and v on the subset (`oracles.pair_sequence_on_kept_systems`): node
+    names, dims, map ranks and failures.  Systems: the moment systems of
+    the sharing test's spaces and a sample of `_forest_cases`; subsets: the
+    minimal strata, a random stratum's closed and strict downsets, the empty
+    set and every stratum."""
+    rng = random.Random(73)
+    systems = [v for _, v in _les_pair_spaces(rng)]
+    systems += rng.sample(list(_forest_cases(rng)), 14)
+    seen = 0
+    for v in systems:
+        space = v.space
+        z = rng.choice(space.ids)
+        for nset in (frozenset(minimal_strata(space)), frozenset(space.below(z)) | {z},
+                     frozenset(space.below(z)), frozenset(), frozenset(space.ids)):
+            rep = les_pair_check(v, nset)
+            ref = pair_sequence_on_kept_systems(v, nset)
+            assert (rep.node_names, rep.node_dims, rep.map_ranks, rep.failures) == (
+                ref.node_names, ref.node_dims, ref.map_ranks, ref.failures)
+            seen += any(rep.node_dims[3:])
+    # some pair has a class above degree 0
+    assert seen
+
+
+def test_les_pair_builds_no_system(monkeypatch):
+    # a pair's complexes hold v itself on either model: on a down-closed
+    # subset they filter R's cells by their strata
+    _, v = cp2()
+
+    def refused(*args):
+        raise AssertionError("les_pair_check built a system")
+
+    monkeypatch.setattr(assigncoh.cochain, "_kept_on", refused)
+    rep = les_pair_check(v, CP2_FIXED)
+    assert rep.ok
+    assert rep.dims_by_degree()[:2] == [(0, 3, 6), (3, 0, 0)]
 
 
 def _random_sparse(rng, n):
@@ -1405,6 +1453,29 @@ def test_move_splits_cochains_into_relative_and_subset_parts():
             assert back == vec
 
 
+def test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks():
+    # bases on the same tuples whose systems differ, v and v off or on a
+    # down-closed subset (`_kept_on`): a block moves to its tuple, and one
+    # the destination holds at width 0 is dropped, not written into the
+    # next block
+    rng = random.Random(79)
+    space, v = cp2()
+    dropped = 0
+    for keep in (CP2_FIXED, frozenset(space.ids) - CP2_FIXED):
+        w = _kept_on(v, keep)
+        for k in range(2):
+            src, dst = chain_basis(v, k), chain_basis(w, k)
+            assert src.tuples == dst.tuples
+            for _ in range(5):
+                vec = _random_sparse(rng, src.total_dim)
+                got = Cochain._from_row(dst, _carry(vec, src, dst))
+                whole = Cochain._from_row(src, vec)
+                for t in src.tuples:
+                    assert got.value_on(t) == (whole.value_on(t) if w.dims[t[-1]] else [])
+                dropped += len(got._row) < len(vec)
+    assert dropped
+
+
 def test_les_coefficients_reproduces_pair_sequence():
     space, v = cp2()
     nonfixed = [x for x in space.ids if x not in CP2_FIXED]
@@ -1632,6 +1703,34 @@ def test_pullback_rejects_support_outside_the_full_basis():
     phi = Cochain(foreign, [1] * foreign.total_dim)
     with pytest.raises(ValueError, match="support outside"):
         pullback(f, tri_v, phi, seg_v)
+
+
+def test_pullback_refuses_a_map_that_is_not_a_morphism():
+    # swapping two fixed points sends p1 < e13 and p2 < e23 to incomparable pairs
+    space, v = cp2()
+    swap = PosetMap(space, space, {x: {"p1": "p2", "p2": "p1"}.get(x, x) for x in space.ids})
+    report = MorphismReport((("p1", "e13"), ("p2", "e23")), ())
+    assert poset_morphism_check(dict(swap.mapping), space, space) == report
+    phi = Cochain(chain_basis(v, 0, strict=False), [0] * chain_space_dim(v, 0, strict=False))
+    for call in (lambda: pullback_matrix(swap, v, 0), lambda: pullback(swap, v, phi)):
+        with pytest.raises(InvalidMorphismError) as exc:
+            call()
+        assert str(exc.value) == f"not a morphism of stratified spaces: {report}"
+
+
+def test_pullback_refuses_systems_off_stabilizer_coordinates():
+    # the constant system has dimension 1 at every stratum; cp2's fixed
+    # points have a stabilizer of dimension 2 and its open stratum one of 0
+    space, v = cp2()
+    identity = PosetMap(space, space, {x: x for x in space.ids})
+    constant = _constant(space)
+    with pytest.raises(ValueError) as exc:
+        pullback_matrix(identity, constant, 0, v)
+    assert str(exc.value) == ("pullback needs stabilizer coordinates on the target "
+                              "(or an all-zero target system), unlike at 'open'")
+    with pytest.raises(ValueError) as exc:
+        pullback_matrix(identity, v, 0, constant)
+    assert str(exc.value) == "pullback needs stabilizer coordinates on the source, unlike at 'open'"
 
 
 def test_pullback_collapse_to_point():

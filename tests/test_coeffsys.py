@@ -33,7 +33,7 @@ from assigncoh import (
 import assigncoh.cli
 import assigncoh.coeffsys
 from assigncoh.cochain import _CohomologyData, _Complex
-from assigncoh.coeffsys import FunctorReport
+from assigncoh.coeffsys import FunctorReport, SesReport
 from assigncoh.errors import (
     IncompatibleMinimalValuesError, NotOpenError, NotUnionOfStrataError, UnknownIdError,
 )
@@ -340,6 +340,41 @@ def test_ses_identity_then_zero_fails_surjectivity():
     rep = ses_check(f, g)
     assert not rep.ok
     assert "p1" in rep.surjective_failures
+
+
+def test_ses_zero_then_identity_fails_injectivity():
+    # every stratum of positive dimension loses its values; open has none
+    _, v = cp2()
+    rep = ses_check(SystemMorphism.zero(v, v), SystemMorphism.identity(v))
+    assert rep == SesReport(("e12", "e13", "e23", "p1", "p2", "p3"), (), ())
+
+
+def test_ses_refuses_differing_middles():
+    # an equal system built again is another middle: the check reads identity
+    space, v = cp2()
+    with pytest.raises(ValueError, match="^middle systems of the sequence differ$"):
+        ses_check(SystemMorphism.identity(v), SystemMorphism.identity(moment_system(space)))
+
+
+def test_morphism_refuses_a_block_of_the_wrong_shape():
+    space, v = cp2()
+    blocks = {x: RatMatrix.identity(v.dims[x]) for x in space.ids}
+    blocks["e13"] = RatMatrix.identity(2)
+    with pytest.raises(ValueError) as exc:
+        SystemMorphism(v, v, blocks)
+    assert str(exc.value) == "map at 'e13' has shape (2, 2), expected (1, 1)"
+
+
+def test_proj_refuses_unknown_ids_and_incomparable_pairs():
+    _, v = cp2()
+    for x, y in (("ghost", "open"), ("p1", "ghost")):
+        with pytest.raises(UnknownIdError) as exc:
+            v.proj(x, y)
+        assert exc.value.stratum_id == "ghost"
+    for x, y in (("p1", "p2"), ("e12", "p1")):
+        with pytest.raises(ValueError) as exc:
+            v.proj(x, y)
+        assert str(exc.value) == f"strata {x!r} and {y!r} are not comparable"
 
 
 def test_ses_zero_systems_exact():

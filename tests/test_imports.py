@@ -362,6 +362,25 @@ def test_only_the_shape_check_pairs_and_the_law_listing_walk_every_pair():
                        "reads the pairs it is given on (`CoefficientSystem._given`)")
 
 
+def test_kept_system_reader_detector():
+    sources = {
+        "cochain.py": ("def relative_cohomology(v, n):\n    return cohomology(_kept_on(v, n))\n\n\n"
+                       "def les_pair_check(v, n):\n"
+                       "    rel = (_Complex(_kept_on(v, k)) for k in n)\n"),
+    }
+    assert _readers(sources, "_kept_on") == [
+        ("cochain.py", 2, "relative_cohomology"), ("cochain.py", 6, "les_pair_check"),
+    ]
+
+
+def test_only_relative_cohomology_builds_a_kept_system():
+    text = (PACKAGE_DIR / "cochain.py").read_text(encoding="utf-8")
+    found = [f for f in _readers({"cochain.py": text}, "_kept_on")
+             if f[2] != "relative_cohomology"]
+    assert not found, (f"{found[0]} calls `_kept_on`: a pair's complexes filter the "
+                       "space's own complex (`_filtered_tuples`) and hold its system")
+
+
 def _bare_value_errors(source: str):
     """Line numbers of each `raise ValueError` or `raise ValueError(...)`."""
     found = []
