@@ -11,20 +11,11 @@ a projection:
 
 The reduced complex keeps only strictly increasing tuples; it computes the
 same cohomology, which the homotopy operators in this module certify
-degree by degree.  In degree 0 the strict, unfiltered complex takes its
-cocycles (the assignments) from the rows of d_0 at the system's cut
-(`CoefficientSystem._cut`), which have d_0's kernel and so its canonical
-representatives, while d_0 stays whole for degree 1 and the connecting maps.
-
-A down-closed stratum subset N is a system: a tuple lies inside N exactly
-when its top stratum does, so the cochains vanishing on the tuples inside
-N are those of v off N (`coeffsys._kept_on`, with a block of width 0
-wherever the system vanishes).  Only relative cohomology takes v off N,
-and hands it to `cohomology`, which serves every functor.  The pair's
-sequence filters the space's own complex by a support: for a down-closed
-N, R's cells by their strata (those at strata of N are N's own
-resolution, and their boundaries stay in N); for any other N, the order
-complex's chains.
+degree by degree.  In degree 0 the strict complex, unfiltered or
+relative, takes its cocycles (the assignments) from the rows of d_0 at
+the system's cut (`CoefficientSystem._cut`), which have d_0's kernel and
+so its canonical representatives, while d_0 stays whole for degree 1 and
+the connecting maps.
 
 The components of the lower covers (`stratposet._components`) give R
 (`_forest`), a minimal projective resolution of the constant functor, to
@@ -32,15 +23,21 @@ the degree its caller reads; its cells end in their strata as chains do.
 HA^k is Ext^k(Q, V), which any projective resolution computes, and
 Hom(R, V) has one block per cell, not per chain: `_Complex` given R's
 cells is that complex, with the same bases, assembly, sharing and block
-maps as on chains.  `cohomology` in a degree k >= 1 of a functor reads
-dim H^k off it and builds the order complex only where dim H^k > 0.
-Hom(R, -) is exact, so a short exact sequence of functors gives one of
-complexes on R's cells: the coefficient sequence always runs there, and
-so does the pair's for a down-closed subset.
-Degree 0, subsets that are not down-closed, systems off the functor laws
-and the command line's `--complex both` cross-check stay on the order
-complex, whose `result` counts a functor's full complex above the top
-degree.
+maps as on chains.  A degree k >= 1 of a functor reads dim H^k off it
+and builds the order complex only where dim H^k > 0.  Hom(R, -) is
+exact, so a short exact sequence of functors gives one of complexes on
+R's cells, where the coefficient sequence runs.  Degree 0, systems off
+the functor laws and the command line's `--complex both` cross-check
+stay on the order complex, whose `result` counts a functor's full
+complex above the top degree.
+
+Cochains vanishing on the tuples inside a stratum subset N filter the
+space's own complex by a support, so every cochain returned here is one
+of the caller's system.  For a down-closed N a tuple lies inside N
+exactly when its top stratum does, so relative cohomology and the pair's
+sequence filter R's cells by their strata (those at strata of N are N's
+own resolution, and their boundaries stay in N); for any other N they
+filter the order complex's chains.
 
 The chain differential writes each row from the tuple's faces, building
 no pair of faces that cancel (`_differential`).  That rule belongs to
@@ -104,7 +101,6 @@ from .coeffsys import (
     SystemMorphism,
     _check_subset,
     _down_closed,
-    _kept_on,
     moment_system,
     ses_check,
     square_failures,
@@ -113,6 +109,7 @@ from .errors import (
     InvalidMorphismError,
     NotExactError,
     NoUniqueMinimumError,
+    SystemMismatchError,
     UnknownIdError,
 )
 from .ratlin import (
@@ -244,13 +241,14 @@ class Cochain:
 def _filtered_tuples(ts: Sequence[Tuple[str, ...]], support,
                      cells: bool = False) -> Sequence[Tuple[str, ...]]:
     """The tuples a support keeps: "rel" those not inside its stratum set
-    N, "sub" those inside.  A chain is inside N when all its strata are; a
-    cell of R, whose entries nest, when its stratum t[-1] is, which for the
-    down-closed N that R serves is the same rule."""
+    N, "sub" those inside.  A chain is inside N when all its strata are
+    (its top is read first: most chains end outside N); a cell of R, whose
+    entries nest, when its stratum t[-1] is, which for the down-closed N
+    that R serves is the same rule."""
     if support is None:
         return ts
     kind, nset = support
-    inside = (lambda t: t[-1] in nset) if cells else (lambda t: all(x in nset for x in t))
+    inside = lambda t: t[-1] in nset and (cells or all(x in nset for x in t))
     if kind == "rel":
         return [t for t in ts if not inside(t)]
     if kind == "sub":
@@ -275,11 +273,11 @@ def _chain_counts(space: StratSpace):
         c = {y: sum(c[x] for x in xs) for y, xs in lower.items()}
 
 
-def _chain_sizes(v: CoefficientSystem, last: int) -> List[int]:
+def _chain_sizes(v: CoefficientSystem, last: int, nset: frozenset = frozenset()) -> List[int]:
     """T_0, ..., T_m, m the lesser of last and the top degree: T_i =
-    sum_y dim V(y) S_i(y) (`_chain_counts`), the dimensions of the
-    reduced complex."""
-    return [sum(v.dims[y] * n for y, n in c.items())
+    sum_y dim V(y) S_i(y) (`_chain_counts`) over y outside nset, the
+    dimensions of the reduced complex relative to a down-closed nset."""
+    return [sum(v.dims[y] * n for y, n in c.items() if y not in nset)
             for _, c in zip(range(last + 1), _chain_counts(v.space))]
 
 
@@ -546,8 +544,8 @@ class _Complex:
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
-            elif self.strict and self.support is None and self.resolution is None:
-                # rows of d_0 at the system's cut, with d_0's kernel
+            elif self.strict and self.resolution is None and (self.support or ("rel",))[0] == "rel":
+                # rows of d_0 at the system's cut, with d_0's kernel (empty inside N)
                 d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, self.v._cut))
             else:
                 d_in_t, d_out = [], self.d(0)
@@ -668,37 +666,45 @@ def _kernel_cycles(faces, bounds):
             lambda i: {faces[j]: x for j, x in _primitive(kernel[i]).items()})
 
 
-def _resolution_dims(v: CoefficientSystem, k: int) -> List[int]:
+def _resolution_dims(v: CoefficientSystem, k: int, support=None) -> List[int]:
     """dim H^0, ..., dim H^k of a functor from Hom(R, V), R built to degree k+1.
 
-    Its cochains are those of `_Complex` on R's cells; R is exact, so
-    dim H^j is dim C^j - rank delta_j - rank delta_{j-1}.
+    Its cochains are those of `_Complex` on R's cells, filtered by a
+    down-closed support's strata; R is exact, so dim H^j is
+    dim C^j - rank delta_j - rank delta_{j-1}.
     """
-    cx = _Complex(v, True, resolution=_forest(v.space, k + 1))
+    cx = _Complex(v, True, support=support, resolution=_forest(v.space, k + 1))
     dims = [cx.basis(j).total_dim for j in range(k + 1)]
     ranks = [_rank(cx.d(j), n) for j, n in enumerate(dims)]
     return [n - r - (ranks[j - 1] if j else 0) for j, (n, r) in enumerate(zip(dims, ranks))]
 
 
-def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
-    """Cohomology at degree k with canonical echelon representatives.
+def _cohomology(v: CoefficientSystem, nset: frozenset, k: int, strict: bool) -> CohomologyResult:
+    """Degree k of v's complex relative to nset (absolute for an empty nset).
 
-    A degree k >= 1 of a functor (`check_functor(v).ok`) takes its
-    dimension from the resolution (`_resolution_dims`), which has no cell,
-    and so no class, in a degree beyond the order complex's top degree (a
-    cell at z of degree d comes from the homology of the chains below z
-    in degree d - 1).  Where dim H^k is 0 the diagnostics come from chain
-    counts (`_from_counts`).  Only where dim H^k > 0 is the order complex
-    built, for the representatives.  Degree 0 and every other system use
-    the order complex.  Raises ValueError for k < 0 and in a degree where
-    d_k d_{k-1} != 0.
+    A degree k >= 1 of a functor (`check_functor(v).ok`) relative to a
+    down-closed nset takes its dimension from R (`_resolution_dims`),
+    which has no cell, and so no class, beyond the order complex's top
+    degree (a cell at z of degree d comes from the homology of the chains
+    below z in degree d - 1).  Where dim H^k is 0 the diagnostics come
+    from chain counts (`_from_counts`); elsewhere the order complex
+    answers.
     """
-    if k > 0 and v._report.ok:
-        sizes = _chain_sizes(v, k)
-        dims = _resolution_dims(v, len(sizes) - 1)
+    support = ("rel", nset) if nset else None
+    if k > 0 and v._report.ok and _down_closed(v.space, nset):
+        sizes = _chain_sizes(v, k, nset)
+        dims = _resolution_dims(v, len(sizes) - 1, support)
         if len(dims) <= k or not dims[k]:
             return _from_counts(sizes, dims, k, strict)
-    return _Complex(v, strict).result(k)
+    return _Complex(v, strict, support=support).result(k)
+
+
+def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:
+    """Cohomology at degree k with canonical echelon representatives
+    (`_cohomology`).  Raises ValueError for k < 0 and in a degree where
+    d_k d_{k-1} != 0.
+    """
+    return _cohomology(v, frozenset(), k, strict)
 
 
 def assignment_space_dim(v: CoefficientSystem) -> int:
@@ -775,41 +781,35 @@ def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
 # ---------------------------------------------------------------------------
 # relative complexes and long exact sequences
 
-def relative_cohomology(
-    v: CoefficientSystem, n: Iterable[str], k: int, strict: bool = True
-) -> CohomologyResult:
+def relative_cohomology(v: CoefficientSystem, n: Iterable[str], k: int,
+                        strict: bool = True) -> CohomologyResult:
     """Cohomology of cochains vanishing on tuples lying entirely inside n.
 
-    For a down-closed n a tuple lies inside n exactly when its top stratum
-    does, so this complex is that of v off n (`coeffsys._kept_on`, zero on
-    n), which has the same coordinates and is a functor when v is one:
-    `cohomology` answers it, from R where it can, and its representatives
-    are cochains of that system.  Any other n filters the order complex's
-    chains (`_Complex.result`).  Raises ValueError for k < 0 and where
-    this complex's d_k d_{k-1} != 0.
+    This complex filters v's own (`_cohomology`, from R in a degree k >= 1
+    of a functor where n is down-closed), so its representatives are
+    cochains of v that vanish inside n.  Raises ValueError for k < 0 and where this complex's
+    d_k d_{k-1} != 0.
     """
-    nset = _check_subset(v.space, n)
-    if _down_closed(v.space, nset):
-        return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)
-    return _Complex(v, strict, support=("rel", nset)).result(k)
+    return _cohomology(v, _check_subset(v.space, n), k, strict)
 
 
 def _carry(vec: SparseRow, src: ChainBasis, dst: ChainBasis,
            blocks: Optional[Dict[str, Rows]] = None) -> SparseRow:
     """The block map: vec's blocks carried to the same tuples of dst.
 
-    Tuples that dst lacks, or where its block has width 0, are dropped.
-    With blocks, each block goes through the rows blocks[x] at the tuple's
-    top stratum x, one row per coordinate of the block: the image of that
-    basis vector.  The blocks are vec's split (`ChainBasis._split`).
+    Tuples that dst lacks are dropped.  Without blocks both bases are of
+    one system; with blocks, each block goes through the rows blocks[x] at
+    the tuple's top stratum x, one row per coordinate of the block: the
+    image of that basis vector.  The blocks are vec's split
+    (`ChainBasis._split`).
     """
-    if blocks is None and src.tuples == dst.tuples and src.block_dims == dst.block_dims:
+    if blocks is None and src.tuples == dst.tuples:
         return dict(vec)
     out: SparseRow = {}
     for i, blk in src._split(vec).items():
         t = src.tuples[i]
         o = dst.block(t)
-        if o is None or not o[1]:
+        if o is None:
             continue
         if blocks is not None:
             blk = _combine(blocks[t[-1]], blk)
@@ -933,12 +933,11 @@ def les_pair_check(v: CoefficientSystem, n: Iterable[str]) -> ExactSequenceRepor
 
     The relative complex (cochains vanishing on n) includes into the full
     one, which restricts to tuples inside n.  Connecting maps extend a
-    subset cocycle by zero and apply the ambient differential.  Both are
-    filters of the space's complex (`_filtered_tuples`): for a down-closed
-    n (no stratum outside n below one in n) of Hom(R, V), whose cells at
-    strata of n are n's own resolution and whose boundaries stay in n, and
-    for any other n of the order complex.  A system failing the functor
-    laws raises ValueError naming its first violation.
+    subset cocycle by zero and apply the ambient differential.  Both
+    filter the space's complex (`_filtered_tuples`): Hom(R, V) for a
+    down-closed n (no stratum outside n below one in n), the order complex
+    for any other.  A system failing the functor laws raises ValueError
+    naming its first violation.
     """
     space = v.space
     nset = _check_subset(space, n)
@@ -987,13 +986,13 @@ def _bridge_rows(f: PosetMap, v_target: CoefficientSystem,
     if not zero_target:
         for y in tgt_space.ids:
             if v_target.dims[y] != tgt_space.stabilizer(y).dim:
-                raise ValueError(
+                raise SystemMismatchError(
                     "pullback needs stabilizer coordinates on the target "
                     f"(or an all-zero target system), unlike at {y!r}"
                 )
         for x in src_space.ids:
             if v_source.dims[x] != src_space.stabilizer(x).dim:
-                raise ValueError(
+                raise SystemMismatchError(
                     f"pullback needs stabilizer coordinates on the source, unlike at {x!r}")
     bridges = {}
     for x in src_space.ids:
@@ -1039,17 +1038,22 @@ def pullback(
     phi: Cochain,
     v_source: Optional[CoefficientSystem] = None,
 ) -> Cochain:
-    """Pull a cochain on the target back along f, on the full complex.
+    """Pull a cochain of v_target back along f, on the full complex.
 
-    A cochain handed over on the strict basis is read as the full-complex
-    cochain vanishing on tuples with repeats.
+    A cochain on the strict basis, or on a relative one
+    (`relative_cohomology`), is read as the full-complex cochain vanishing
+    on the tuples its basis lacks.  Raises SystemMismatchError for a
+    cochain of another system, naming the first stratum of other dims.
     """
+    if phi.basis.system.space is not v_target.space:
+        raise SystemMismatchError("pullback of a cochain on another space")
+    for x in v_target.space.ids:
+        if phi.basis.system.dims[x] != v_target.dims[x]:
+            raise SystemMismatchError(f"pullback of a cochain of another system, unlike at {x!r}")
     if v_source is None:
         v_source = moment_system(f.source)
     k = phi.basis.degree
     dst = chain_basis(v_target, k, strict=False)
-    vec = _carry(phi._row, phi.basis, dst)
-    if len(vec) != len(phi._row):
-        raise ValueError("cochain has support outside the full basis")
     src = chain_basis(v_source, k, strict=False)
-    return Cochain._from_row(src, _apply(_pullback_rows(f, v_target, v_source, src, dst), vec))
+    return Cochain._from_row(src, _apply(_pullback_rows(f, v_target, v_source, src, dst),
+                                         _carry(phi._row, phi.basis, dst)))

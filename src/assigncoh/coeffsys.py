@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .errors import NotOpenError, NotUnionOfStrataError, UnknownIdError
+from .errors import NotOpenError, NotUnionOfStrataError, SystemMismatchError, UnknownIdError
 from .ratlin import RatMatrix, Rows, _apply, _identity_rows, _mul, _rank
 from .stratposet import StratSpace, _components
 
@@ -473,8 +473,9 @@ def quotient_system(v: CoefficientSystem, n: Iterable[str]) -> CoefficientSystem
     the zeroed data would fail the composition law and NotOpenError names
     an escaping pair.  The result is built from v's cover maps (`_kept_on`)
     and is a functor when v is one.  For a down-closed n its cochain
-    complexes are the relative complexes of the pair (v, n), with a block of
-    width 0 at each tuple inside n (`cochain.relative_cohomology`).
+    complexes have the coordinates of the pair's relative complexes, with a
+    block of width 0 at each tuple inside n; `cochain.relative_cohomology`
+    filters v's own complex instead.
     """
     nset = _check_subset(v.space, n)
     _closure_direction(v.space, nset)
@@ -505,7 +506,7 @@ class SystemMorphism:
         maps: Mapping[str, RatMatrix],
     ):
         if source.space is not target.space:
-            raise ValueError("source and target systems live on different spaces")
+            raise SystemMismatchError("source and target systems live on different spaces")
         space = source.space
         mismatched = set(maps).symmetric_difference(space.ids)
         if mismatched:
@@ -558,7 +559,7 @@ class SesReport:
 def ses_check(f: SystemMorphism, g: SystemMorphism) -> SesReport:
     """Stratum-wise exactness of 0 -> f.source -> f.target -> g.target -> 0."""
     if f.target is not g.source:
-        raise ValueError("middle systems of the sequence differ")
+        raise SystemMismatchError("middle systems of the sequence differ")
     inj, surj, mid = [], [], []
     for x in f.source.space.ids:
         rf, rg = (_rank(h._rows[x], h.source.dims[x]) for h in (f, g))

@@ -65,6 +65,10 @@ class InvalidMorphismError(ValueError):
     """A poset map failing monotonicity or stabilizer inclusion."""
 
 
+class SystemMismatchError(ValueError):
+    """Coefficient systems, or a cochain and a system, that do not fit together."""
+
+
 class IncompatibleMinimalValuesError(ValueError):
     """Minimal-stratum values that disagree after projection: witness (x0, x1, y)."""
 

@@ -648,8 +648,8 @@ MUTANTS = (
     Mutant(
         "cell-inside-by-all-entries",
         "cochain.py",
-        "(lambda t: t[-1] in nset) if cells",
-        "(lambda t: all(x in nset for x in t)) if cells",
+        "(cells or all(x in nset for x in t))",
+        "all(x in nset for x in t)",
         ("tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded",
          "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
          "tests/test_cochain.py::test_resolution_matches_the_order_complex_in_degrees_zero_to_three_seeded"),
@@ -667,39 +667,38 @@ MUTANTS = (
          "tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_cli.py::test_les_on_non_functorial_system_names_the_violation"),
         note="v off a subset holding every failing triple would keep v's violations, "
-             "so its relative groups would be refused; a system whose failing report "
+             "so its quotient would fail `check_functor`; a system whose failing report "
              "is known would take the forest cut in degree 0 and extend",
-    ),
-    Mutant(
-        "carry-writes-into-a-zero-width-block",
-        "cochain.py",
-        "if o is None or not o[1]:",
-        "if o is None:",
-        ("tests/test_cochain.py::test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks",
-         "tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded"),
-        note="a cell's entries would land in the next block of a complex that is "
-             "zero at that cell's stratum; a pair's complexes share one system, so "
-             "only bases of two systems, as in the kept-systems reference, reach it",
-    ),
-    Mutant(
-        "carry-copies-between-bases-of-other-widths",
-        "cochain.py",
-        "src.tuples == dst.tuples and src.block_dims == dst.block_dims",
-        "src.tuples == dst.tuples",
-        ("tests/test_cochain.py::test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks",
-         "tests/test_cochain.py::test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded"),
-        note="a cochain would be copied as it is between bases of v and of v off or "
-             "on a subset, whose offsets differ",
     ),
     Mutant(
         "relative-through-the-quotient-for-every-subset",
         "cochain.py",
-        "    if _down_closed(v.space, nset):\n        return cohomology(",
-        "    if True:\n        return cohomology(",
-        ("tests/test_cochain.py::test_relative_differs_from_quotient_for_up_closed_subset",
-         "tests/test_cochain.py::test_les_pair_enumerates_each_degree_once",
+        "v._report.ok and _down_closed(v.space, nset):",
+        "v._report.ok:",
+        ("tests/test_cochain.py::test_full_relative_cohomology_beyond_the_top_degree_from_counts_seeded",
+         "tests/test_cochain.py::test_les_pair_enumerates_each_degree_once"),
+        note="R's cells filtered by their strata would answer a subset that is not "
+             "down-closed, where a chain can leave the subset below its top stratum",
+    ),
+    Mutant(
+        "pullback-accepts-another-system",
+        "cochain.py",
+        "if phi.basis.system.dims[x] != v_target.dims[x]:",
+        "if False:",
+        ("tests/test_cochain.py::test_pullback_refuses_a_cochain_of_another_system",),
+        note="a cochain of another system on the same space would be copied block by "
+             "block into the target's basis and read by position",
+    ),
+    Mutant(
+        "degree-zero-cut-for-a-sub-complex",
+        "cochain.py",
+        '(self.support or ("rel",))[0] == "rel"',
+        "True",
+        ("tests/test_cochain.py::test_relative_degree_zero_reads_the_cut_seeded",
+         "tests/test_cochain.py::test_les_pair_sharing_matches_unshared_complexes_seeded",
          "tests/test_properties.py::test_pair_sequences_of_arbitrary_subsets_randomized"),
-        note="v off a subset that is not down-closed is no quotient of the pair",
+        note="a cut pair leaving the subset would constrain the subset complex's "
+             "degree 0, whose cochains need not extend past the subset",
     ),
     Mutant(
         "alternating-binomials-last-sign-flipped",

@@ -61,8 +61,12 @@ run from d = 2, on the same components (`stratposet._components`): the
 reference for the cells and boundaries the union-find gives.
 `pair_sequence_on_kept_systems` is the pair's sequence on a down-closed
 subset as `cochain.les_pair_check` once built it, on the systems v off
-and v on the subset (`coeffsys._kept_on`), with each complex on R its
-own: the reference for the pair's complexes as filters of the space's.
+and v on the subset, with each complex on R its own and the maps of
+`coeffsys.pair_ses` between them: the reference for the pair's complexes
+as filters of the space's.  `relative_on_kept_system` is
+`cochain.relative_cohomology` on a down-closed subset as it once ran,
+the cohomology of v off the subset (`coeffsys._kept_on`): the reference
+for the relative groups as a filter of the space's complex.
 """
 
 from fractions import Fraction
@@ -71,9 +75,9 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assigncoh.cochain import (
-    _Complex, _assemble, _forest, _long_exact_sequence, _top_degree,
+    _Complex, _assemble, _forest, _long_exact_sequence, _top_degree, cohomology,
 )
-from assigncoh.coeffsys import _kept_on
+from assigncoh.coeffsys import _kept_on, pair_ses
 from assigncoh.errors import BrokenProjectionError, IncompatibleMinimalValuesError
 from assigncoh.momentpoly import ScalarPoly
 from assigncoh.ratlin import (
@@ -912,11 +916,19 @@ def kernel_forest(space, degree: int):
 def pair_sequence_on_kept_systems(v, nset):
     """The long exact sequence of the pair (space, nset), nset down-closed,
     from three complexes on R's cells: v off nset, v and v on nset, whose
-    blocks have width 0 wherever they vanish.  None has a `whole`: a
-    complex that shares one reads its system's widths as whole's."""
-    space = v.space
-    top = _top_degree(space)
-    res = _forest(space, top + 2)
-    rel, sub = (_kept_on(v, keep) for keep in (frozenset(space.ids) - nset, frozenset(nset)))
+    blocks have width 0 wherever they vanish, joined by the inclusion and
+    projection of `pair_ses`.  None has a `whole`: a complex that shares
+    one reads its system's widths as whole's."""
+    top = _top_degree(v.space)
+    res = _forest(v.space, top + 2)
+    f, g = pair_ses(v, nset)
     return _long_exact_sequence(("pair", "space", "subset"), top,
-                                *(_Complex(w, True, resolution=res) for w in (rel, v, sub)))
+                                *(_Complex(w, True, resolution=res)
+                                  for w in (f.source, f.target, g.target)), f, g)
+
+
+def relative_on_kept_system(v, nset, k, strict=True):
+    """Degree k of v relative to a down-closed nset as the cohomology of v
+    off nset, a system whose blocks have width 0 inside nset: the same
+    coordinates, so the same representative rows."""
+    return cohomology(_kept_on(v, frozenset(v.space.ids) - nset), k, strict)

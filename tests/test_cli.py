@@ -494,9 +494,9 @@ def test_cohomology_relative(capsys, cp2_file):
 
 def test_cohomology_relative_to_the_minimal_strata_enumerates_no_chain(capsys, tmp_path,
                                                                        monkeypatch):
-    """A down-closed subset is answered through v off it: degree 2 of the
-    cube relative to its vertices has no class, so R answers it and no
-    chain of the order complex is enumerated."""
+    """A down-closed subset is answered from R's cells outside it: degree 2
+    of the cube relative to its vertices has no class, so R answers it and
+    no chain of the order complex is enumerated."""
     path = str(tmp_path / "cube.space")
     assert cli.main(["build", "polytope", "--cube", "--out", path]) == 0
     capsys.readouterr()

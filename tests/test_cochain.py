@@ -15,6 +15,7 @@ from assigncoh import (
     CoefficientSystem,
     IncompatibleMinimalValuesError,
     MinimalAssignment,
+    SystemMismatchError,
     NoUniqueMinimumError,
     build_polytope,
     NotExactError,
@@ -60,6 +61,7 @@ from assigncoh.cochain import (
     ChainBasis,
     Cochain,
     CohomologyResult,
+    _CohomologyData,
     _Complex,
     _carry,
     _differential,
@@ -89,6 +91,7 @@ from oracles import (
     reference_homotopy_L,
     reference_homotopy_Q,
     reference_pullback,
+    relative_on_kept_system,
     system_adapter,
 )
 from spaces import (
@@ -897,12 +900,13 @@ def _same_result(got, want):
 
 
 def test_relative_cohomology_matches_the_filtered_complex_seeded():
-    """For a down-closed N `relative_cohomology` answers through v off N
-    (`_kept_on`), from R where it can; it gives the filtered order
-    complex's dimension, diagnostics and representative rows in degrees
-    0..3 on both complexes (the full one above degree 1 only on spaces of
-    at most 30 strata, for time).  N is the minimal strata, a stratum's
-    strict or closed downset, the empty set or every stratum."""
+    """For a down-closed N `relative_cohomology` answers from R where it
+    can; it gives the filtered order complex's dimension, diagnostics and
+    representative rows in degrees 0..3 on both complexes (the full one
+    above degree 1 only on spaces of at most 30 strata, for time), and so
+    does the cohomology of v off N (`oracles.relative_on_kept_system`).
+    N is the minimal strata, a stratum's strict or closed downset, the
+    empty set or every stratum."""
     rng = random.Random(89)
     cases = list(_forest_cases(rng))
     cases = rng.sample(cases, 24) + [_elim_class_sphere_product()[1]]
@@ -922,6 +926,7 @@ def test_relative_cohomology_matches_the_filtered_complex_seeded():
                 for k in range(top + 1):
                     got = relative_cohomology(v, nset, k, strict)
                     assert _same_result(got, _enumerated(want, k)), (kind, strict, k)
+                    assert _same_result(got, relative_on_kept_system(v, nset, k, strict))
                     kinds[kind] += bool(got.dim)
     assert set(kinds) == {"minimal", "strict downset", "closed downset", "empty", "all"}
     assert kinds["minimal"] and kinds["closed downset"]
@@ -1021,8 +1026,9 @@ def test_full_relative_cohomology_beyond_the_top_degree_from_counts_seeded(monke
 
 def test_relative_cohomology_answers_a_law_violation_inside_the_subset():
     """A system whose laws fail only inside a down-closed N has no
-    cohomology in degree 1, yet its relative groups are those of v off N, a
-    functor: the filtered complex never reaches the failing triple either."""
+    cohomology in degree 1, yet its relative groups, read off the order
+    complex, are those of v off N, a functor: the filtered complex never
+    reaches the failing triple."""
     _, v, nset = cube_broken_on_a_face()
     assert not check_functor(v).ok
     assert all(set(t) <= nset for t in check_functor(v).composition_violations)
@@ -1033,6 +1039,46 @@ def test_relative_cohomology_answers_a_law_violation_inside_the_subset():
         want = _Complex(v, strict, support=("rel", nset))
         for k in range(3):
             assert _same_result(relative_cohomology(v, nset, k, strict), want.result(k))
+
+
+def test_relative_representatives_are_cochains_of_the_system_itself():
+    """A relative representative is a cochain of v on the filtered basis:
+    its value at a stratum of a down-closed N is that stratum's zero, as
+    for an N that is not down-closed, not an empty block of v off N."""
+    space, v = _poly("square")
+    for nset in ({"v00"}, {"v00", "interior"}):
+        rep = relative_cohomology(v, nset, 0).representatives[0]
+        assert rep.basis.system is v
+        assert rep.value_on(("v00",)) == [0, 0]
+
+
+def test_relative_degree_zero_reads_the_cut_seeded():
+    """Degree 0 of a strict relative complex takes its rows at the system's
+    cut (a pair inside N gives empty rows) and has d_0's kernel, so the
+    data d_0 gives, byte for byte, without assembling d_0; a subset complex
+    takes d_0 itself.  On functors and on `_cut_cases`, whose cut is the
+    pairs they are given; N is a closed downset, a closed upset or a random
+    half of the strata."""
+    rng = random.Random(101)
+    systems = rng.sample(list(_forest_cases(rng)), 20) + list(_cut_cases(random.Random(16)))
+    seen = Counter()
+    for v in systems:
+        space = v.space
+        z = rng.choice(space.ids)
+        subsets = {"down": frozenset(space.below(z)) | {z}, "up": space.upset(z),
+                   "mixed": frozenset(rng.sample(space.ids, len(space.ids) // 2))}
+        for kind, nset in subsets.items():
+            for support in (("rel", nset), ("sub", nset)):
+                cx = _Complex(v, True, support=support)
+                data = cx.data(0)
+                assert (0 in cx._ds) == (support[0] == "sub")
+                ref = _CohomologyData([], cx.d(0), cx.basis(0).total_dim)
+                assert (data.dim, data.dim_cocycles, data.im_rank) == (
+                    ref.dim, ref.dim_cocycles, ref.im_rank), (kind, support[0])
+                assert (_typed(data._rep_rows), data.rep_pivots) == (
+                    _typed(ref._rep_rows), ref.rep_pivots)
+                seen[kind] += data.dim > 0
+    assert all(seen[kind] >= 20 for kind in ("down", "up", "mixed")), seen
 
 
 def test_relative_differs_from_quotient_for_up_closed_subset():
@@ -1203,17 +1249,20 @@ def test_les_pair_on_down_closed_subsets_matches_the_kept_systems_seeded():
 
 
 def test_les_pair_builds_no_system(monkeypatch):
-    # a pair's complexes hold v itself on either model: on a down-closed
-    # subset they filter R's cells by their strata
-    _, v = cp2()
+    # a pair's complexes and the relative groups hold v itself on either
+    # model: on a down-closed subset they filter R's cells by their strata
+    space, v = cp2()
 
     def refused(*args):
-        raise AssertionError("les_pair_check built a system")
+        raise AssertionError("a system was built")
 
-    monkeypatch.setattr(assigncoh.cochain, "_kept_on", refused)
+    monkeypatch.setattr(CoefficientSystem, "_keep", refused)
     rep = les_pair_check(v, CP2_FIXED)
     assert rep.ok
     assert rep.dims_by_degree()[:2] == [(0, 3, 6), (3, 0, 0)]
+    nonfixed = frozenset(space.ids) - CP2_FIXED
+    assert [relative_cohomology(v, n, k).dim for n in (CP2_FIXED, nonfixed)
+            for k in range(3)] == [0, 3, 0, 0, 0, 0]
 
 
 def _random_sparse(rng, n):
@@ -1453,29 +1502,6 @@ def test_move_splits_cochains_into_relative_and_subset_parts():
             assert back == vec
 
 
-def test_carry_between_bases_of_other_widths_drops_the_zero_width_blocks():
-    # bases on the same tuples whose systems differ, v and v off or on a
-    # down-closed subset (`_kept_on`): a block moves to its tuple, and one
-    # the destination holds at width 0 is dropped, not written into the
-    # next block
-    rng = random.Random(79)
-    space, v = cp2()
-    dropped = 0
-    for keep in (CP2_FIXED, frozenset(space.ids) - CP2_FIXED):
-        w = _kept_on(v, keep)
-        for k in range(2):
-            src, dst = chain_basis(v, k), chain_basis(w, k)
-            assert src.tuples == dst.tuples
-            for _ in range(5):
-                vec = _random_sparse(rng, src.total_dim)
-                got = Cochain._from_row(dst, _carry(vec, src, dst))
-                whole = Cochain._from_row(src, vec)
-                for t in src.tuples:
-                    assert got.value_on(t) == (whole.value_on(t) if w.dims[t[-1]] else [])
-                dropped += len(got._row) < len(vec)
-    assert dropped
-
-
 def test_les_coefficients_reproduces_pair_sequence():
     space, v = cp2()
     nonfixed = [x for x in space.ids if x not in CP2_FIXED]
@@ -1701,8 +1727,37 @@ def test_pullback_rejects_support_outside_the_full_basis():
     _, v = cp2()
     foreign = chain_basis(v, 0)
     phi = Cochain(foreign, [1] * foreign.total_dim)
-    with pytest.raises(ValueError, match="support outside"):
+    with pytest.raises(SystemMismatchError, match="another space"):
         pullback(f, tri_v, phi, seg_v)
+
+
+def test_pullback_refuses_a_cochain_of_another_system():
+    """A cochain of another system on the same space is refused up front,
+    naming the first stratum whose dims differ: copied block by block it
+    would read as [1, 0] at each fixed point of the moment system."""
+    space, v = cp2()
+    ones = CoefficientSystem.from_cover_maps(
+        space, {x: int(x != "open") for x in space.ids},
+        {(x, y): RatMatrix.identity(1) if y != "open" else RatMatrix.zeros(0, 1)
+         for x, y in space.covers})
+    identity = PosetMap(space, space, {x: x for x in space.ids})
+    basis = chain_basis(ones, 0)
+    with pytest.raises(SystemMismatchError) as exc:
+        pullback(identity, v, Cochain(basis, [1] * basis.total_dim), v)
+    assert str(exc.value) == "pullback of a cochain of another system, unlike at 'p1'"
+
+
+def test_pullback_of_a_relative_representative():
+    """A representative relative to a down-closed subset is a cochain of v
+    on a filtered basis; along the identity it pulls back to itself,
+    zero on the tuples its basis lacks."""
+    space, v = cp2()
+    identity = PosetMap(space, space, {x: x for x in space.ids})
+    for k in (0, 1):
+        for rep in relative_cohomology(v, CP2_FIXED, k).representatives:
+            psi = pullback(identity, v, rep, v)
+            assert psi.as_dict() == rep.as_dict()
+            assert all(psi.value_on(t) == rep.value_on(t) for t in psi.basis.tuples)
 
 
 def test_pullback_refuses_a_map_that_is_not_a_morphism():
@@ -1724,11 +1779,11 @@ def test_pullback_refuses_systems_off_stabilizer_coordinates():
     space, v = cp2()
     identity = PosetMap(space, space, {x: x for x in space.ids})
     constant = _constant(space)
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(SystemMismatchError) as exc:
         pullback_matrix(identity, constant, 0, v)
     assert str(exc.value) == ("pullback needs stabilizer coordinates on the target "
                               "(or an all-zero target system), unlike at 'open'")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(SystemMismatchError) as exc:
         pullback_matrix(identity, v, 0, constant)
     assert str(exc.value) == "pullback needs stabilizer coordinates on the source, unlike at 'open'"
 

@@ -12,6 +12,7 @@ from assigncoh import (
     SpaceDescription,
     StratSpace,
     Subalgebra,
+    SystemMismatchError,
     SystemMorphism,
     assignment_basis,
     build_from_description,
@@ -352,7 +353,7 @@ def test_ses_zero_then_identity_fails_injectivity():
 def test_ses_refuses_differing_middles():
     # an equal system built again is another middle: the check reads identity
     space, v = cp2()
-    with pytest.raises(ValueError, match="^middle systems of the sequence differ$"):
+    with pytest.raises(SystemMismatchError, match="^middle systems of the sequence differ$"):
         ses_check(SystemMorphism.identity(v), SystemMorphism.identity(moment_system(space)))
 
 
@@ -1076,5 +1077,5 @@ def test_zero_morphism_refuses_systems_on_different_spaces():
     _, square = build_polytope(preset_polytope("square"))
     _, other_cube = build_polytope(preset_polytope("cube"))
     for source, target in ((cube, square), (square, cube), (cube, other_cube)):
-        with pytest.raises(ValueError, match="different spaces"):
+        with pytest.raises(SystemMismatchError, match="different spaces"):
             SystemMorphism.zero(source, target)

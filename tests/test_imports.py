@@ -20,8 +20,10 @@ Only `coeffsys` reads a system's tables (`_explicit`, `_at`) or takes the
 cover route (`._route`), so a value pushed up the order has one rule
 (`CoefficientSystem._pushed`); only `stratposet` calls `.bit_length()`,
 so the bits of a component stay where `_components` sets them.
-Only `cohomology` and `_Complex.result` read `_from_counts`, so a degree
-answered from chain counts has one owner per route.  In `coeffsys`, only
+Only `_cohomology` and `_Complex.result` read `_from_counts`, so a degree
+answered from chain counts has one owner per route.  No function of
+`cochain` reads `_kept_on`: a relative complex filters the space's own,
+so every cochain returned is one of the caller's system.  In `coeffsys`, only
 the constructor's shape check, `pairs()` and the listing walk of
 `_walk_laws` call `comparable_pairs()`: every other check reads the pairs
 a system is given on (`CoefficientSystem._given`) and composes none.
@@ -332,8 +334,8 @@ def test_only_cohomology_and_complex_result_count_a_degree():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
     found = [f for f in _readers(sources, "_from_counts") if f[0] != "cochain.py"
-             or f[2] not in {"cohomology", "_Complex.result"}]
-    assert not found, (f"{found[0]} reads `_from_counts`: only `cohomology` and "
+             or f[2] not in {"_cohomology", "_Complex.result"}]
+    assert not found, (f"{found[0]} reads `_from_counts`: only `_cohomology` and "
                        "`_Complex.result` answer a degree from chain counts")
 
 
@@ -366,19 +368,18 @@ def test_kept_system_reader_detector():
     sources = {
         "cochain.py": ("def relative_cohomology(v, n):\n    return cohomology(_kept_on(v, n))\n\n\n"
                        "def les_pair_check(v, n):\n"
-                       "    rel = (_Complex(_kept_on(v, k)) for k in n)\n"),
+                       "    rel = (_Complex(coeffsys._kept_on(v, k)) for k in n)\n"),
     }
     assert _readers(sources, "_kept_on") == [
         ("cochain.py", 2, "relative_cohomology"), ("cochain.py", 6, "les_pair_check"),
     ]
 
 
-def test_only_relative_cohomology_builds_a_kept_system():
+def test_no_cochain_function_builds_a_kept_system():
     text = (PACKAGE_DIR / "cochain.py").read_text(encoding="utf-8")
-    found = [f for f in _readers({"cochain.py": text}, "_kept_on")
-             if f[2] != "relative_cohomology"]
-    assert not found, (f"{found[0]} calls `_kept_on`: a pair's complexes filter the "
-                       "space's own complex (`_filtered_tuples`) and hold its system")
+    found = _readers({"cochain.py": text}, "_kept_on")
+    assert not found, (f"{found[0]} calls `_kept_on`: a relative complex filters the "
+                       "space's own complex (`_filtered_tuples`) and holds its system")
 
 
 def _bare_value_errors(source: str):
@@ -407,7 +408,7 @@ def test_bare_value_error_detector():
     assert _bare_value_errors(source) == [3, 5]
 
 
-_BARE_VALUE_ERRORS = 46
+_BARE_VALUE_ERRORS = 41
 
 
 def test_no_new_bare_value_error():
