@@ -173,13 +173,12 @@ def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
 
 
 def _cohomology_block(system, degree: int, strict: bool, relative, both: bool) -> dict:
-    if relative is not None:
-        res = cochain.relative_cohomology(system, relative, degree, strict=strict)
-    elif both:
-        # the cross-check builds both order complexes to the top degree
-        res = cochain._Complex(system, strict).result(degree)
+    if both:
+        # the cross-check builds both order complexes to the top degree, for any subset
+        support = ("rel", relative) if relative else None
+        res = cochain._Complex(system, strict, support=support).result(degree)
     else:
-        res = cochain.cohomology(system, degree, strict=strict)
+        res = cochain.relative_cohomology(system, relative or (), degree, strict=strict)
     return {
         "dim": res.dim,
         "representatives": [_cochain_blocks(r) for r in res.representatives],

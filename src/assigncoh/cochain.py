@@ -73,10 +73,11 @@ the two passes of `ratlin.sparse_echelon` do every elimination,
 fraction-free.  A degree k >= 1 where d_k d_{k-1} != 0 has no cohomology
 and raises ValueError before anything is assembled: some tuple t of
 degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
-a functor) and keeps t[:-2] in degree k-1.  A degree's dimension is a
-rank, and only a degree with classes takes the kernel, whose RREF is the
-representatives, so equal inputs give byte-equal outputs
-(`_CohomologyData`).
+a functor) and keeps t[:-2] in degree k-1; on the full complex with no
+support any failing triple decides it, before a tuple is enumerated.  A
+degree's dimension is a rank, and only a degree with classes takes the
+kernel, whose RREF is the representatives, so equal inputs give
+byte-equal outputs (`_CohomologyData`).
 A `Cochain` keeps its sparse row as well: the representatives and
 pullbacks are wrapped as they come.  One split
 (`ChainBasis._split`) decides which block holds a column; the printed
@@ -536,20 +537,23 @@ class _Complex:
             # d_{k-1} and d_k are whole's, so is everything computed from them
             self._data[k] = self.whole.data(k)
         if k not in self._data:
-            src = self.basis(k)
             if k > 0:
+                # with no support the full complex needs no tuple: each failing
+                # triple (a, b, c) ends (a,)*k + (b, c), whose prefix (a,)*k is a chain
                 bad = square_failures(self.v, self.strict)
-                if bad and any(t[-3:] in bad and t[:-2] in self.basis(k - 1).index
-                               for t in self.basis(k + 1).tuples):
+                if bad and (not self.strict and self.support is None or any(
+                        t[-3:] in bad and t[:-2] in self.basis(k - 1).index
+                        for t in self.basis(k + 1).tuples)):
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
             elif self.strict and self.resolution is None and (self.support or ("rel",))[0] == "rel":
                 # rows of d_0 at the system's cut, with d_0's kernel (empty inside N)
-                d_in_t, d_out = [], _differential(self.v, src, ChainBasis(self.v, 1, True, self.v._cut))
+                d_in_t, d_out = [], _differential(self.v, self.basis(0),
+                                                  ChainBasis(self.v, 1, True, self.v._cut))
             else:
                 d_in_t, d_out = [], self.d(0)
-            self._data[k] = _CohomologyData(d_in_t, d_out, src.total_dim)
+            self._data[k] = _CohomologyData(d_in_t, d_out, self.basis(k).total_dim)
         return self._data[k]
 
     def result(self, k: int) -> CohomologyResult:

@@ -61,10 +61,11 @@ MUTANTS = (
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",
         "cochain.py",
-        "if bad and any(t[-3:] in bad",
-        "if False and any(t[-3:] in bad",
+        "if bad and (not self.strict",
+        "if False and (not self.strict",
         ("tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",
+         "tests/test_cochain.py::test_full_complex_refuses_off_the_laws_before_any_tuple",
          "tests/test_cli.py::test_cohomology_refuses_where_d_squared_is_not_zero"),
     ),
     Mutant(
@@ -743,12 +744,30 @@ MUTANTS = (
     Mutant(
         "complex-both-answered-through-the-resolution",
         "cli.py",
-        "    elif both:\n",
-        "    elif False:\n",
+        "    if both:\n",
+        "    if False:\n",
         ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",
          "tests/test_cli.py::test_cohomology_both_counts_the_full_complex_above_the_top"),
         note="the cross-check would read degree 1 off the resolution instead of "
              "building both order complexes",
+    ),
+    Mutant(
+        "cross-check-drops-the-subset",
+        "cli.py",
+        'support = ("rel", relative) if relative else None',
+        "support = None",
+        ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",
+         "tests/test_cli.py::test_cohomology_both_counts_the_full_complex_above_the_top"),
+        note="`--complex both --relative N` would print the absolute groups",
+    ),
+    Mutant(
+        "full-complex-refusal-scans-its-tuples",
+        "cochain.py",
+        "(not self.strict and self.support is None or any(",
+        "(any(",
+        ("tests/test_cochain.py::test_full_complex_refuses_off_the_laws_before_any_tuple",),
+        note="the same verdicts, but a high degree of the full complex would "
+             "enumerate its weak chains before refusing",
     ),
     Mutant(
         "counted-for-a-non-functor",

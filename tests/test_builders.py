@@ -472,3 +472,26 @@ def test_constructors_refuse_non_integral_entries(make, expected):
         assert repr(x) in str(exc.value)
     for x in (2, 2.0, Fraction(4, 2), "2"):
         assert make(x) == expected
+
+
+_SEGMENT_FACETS = [("a", (1,)), ("b", (-1,))]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: build_polytope(PolytopeData.make(
+        1, _SEGMENT_FACETS, [("v0", ("a",)), ("v0", ("b",))])),
+     MalformedPolytopeError, "duplicate id 'v0'"),
+    # the segment's whole face is named `interior` too
+    (lambda: build_polytope(PolytopeData.make(
+        1, _SEGMENT_FACETS, [("interior", ("a",)), ("v1", ("b",))])),
+     MalformedPolytopeError, "face id collision at 'interior'"),
+    (lambda: SpaceDescription.from_json_dict({"torus_dim": 1, "strata": {}}),
+     DescriptionError, "strata and covers must be arrays"),
+    (lambda: SpaceDescription.from_json_dict(
+        {"torus_dim": 1, "strata": [], "projections": {}}),
+     DescriptionError, "projections must be an array"),
+], ids=["repeated-vertex-id", "vertex-named-interior", "strata-object", "projections-object"])
+def test_builder_refusals_name_their_fault(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert info.value.args == (message,)

@@ -402,63 +402,78 @@ def test_cohomology_both_complexes_agree(capsys, cp2_file):
     assert "full/reduced agreement: yes" in out
 
 
-@pytest.mark.parametrize("degree", ["0", "1", "2"])
-def test_cohomology_both_builds_both_order_complexes(capsys, tmp_path, monkeypatch, degree):
-    """`--complex both` is the cross-check: it never asks the resolution,
-    and each of its blocks has the bytes of that complex asked for alone
-    (cp2 has no class in degree 1, the sphere product s6 has one)."""
-    files = []
+def _relative_args(space, subset):
+    """The `--relative` option naming a subset of space: none, the empty
+    subset, the minimal strata (down-closed) or the upset of the first one
+    (up-closed, not down-closed)."""
+    if subset is None:
+        return []
+    if subset == "empty":
+        return ["--relative", ""]
+    minimal = [x for x in space.ids if not space.below(x)]
+    n = minimal if subset == "down" else space.upset(minimal[0])
+    return ["--relative", ",".join(sorted(n))]
+
+
+def _degrees_and_subsets(*degrees):
+    """Each degree with each subset of `_relative_args`; the case with no
+    `--relative` is named by its degree alone."""
+    return [pytest.param(d, s, id=d if s is None else f"{d}-{s}")
+            for d in degrees for s in (None, "empty", "down", "up")]
+
+
+def _both_against_alone(capsys, monkeypatch, path, degree, relative):
+    """`--complex both` on path, the resolution refused, against each complex
+    asked for alone: equal blocks, and the two agree."""
+    alone = {}
+    for name in ("reduced", "full"):
+        code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
+                                    "--complex", name, *relative])
+        assert code == 0
+        alone[name] = json.loads(out)["results"][name]
+
+    def refuse(*args):
+        raise AssertionError("--complex both asked the resolution")
+
+    for name in ("_resolution_dims", "_forest"):
+        monkeypatch.setattr(assigncoh.cochain, name, refuse)
+    code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
+                                "--complex", "both", *relative])
+    monkeypatch.undo()
+    assert code == 0
+    both = json.loads(out)
+    assert both["results"] == alone and both["agreement"]
+
+
+@pytest.mark.parametrize("degree, subset", _degrees_and_subsets("0", "1", "2"))
+def test_cohomology_both_builds_both_order_complexes(capsys, tmp_path, monkeypatch, degree,
+                                                     subset):
+    """`--complex both` is the cross-check: with or without `--relative` it
+    never asks the resolution, and each of its blocks has the bytes of that
+    complex asked for alone (cp2 has no class in degree 1, the sphere
+    product s6 has one)."""
     for name, (space, _) in (("cp2", cp2()),
                              ("s6", build_sphere_product(2, [(1, 0), (0, 1), (1, -1)]))):
         path = tmp_path / f"{name}.space"
         path.write_text(json.dumps(SpaceDescription.from_space(space).to_json_dict()))
-        files.append(str(path))
-    for path in files:
-        alone = {}
-        for name in ("reduced", "full"):
-            code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
-                                        "--complex", name])
-            assert code == 0
-            alone[name] = json.loads(out)["results"][name]
-
-        def refuse(v):
-            raise AssertionError("--complex both asked the resolution")
-
-        monkeypatch.setattr(assigncoh.cochain, "_resolution_dims", refuse)
-        code, out, _ = run(capsys, ["--json", "cohomology", path, "--degree", degree,
-                                    "--complex", "both"])
-        monkeypatch.undo()
-        assert code == 0
-        both = json.loads(out)
-        assert both["results"] == alone and both["agreement"]
+        _both_against_alone(capsys, monkeypatch, str(path), degree,
+                            _relative_args(space, subset))
 
 
-@pytest.mark.parametrize("degree", ["80", str(10 ** 23)])
+@pytest.mark.parametrize("degree, subset", _degrees_and_subsets("80", str(10 ** 23)))
 def test_cohomology_both_counts_the_full_complex_above_the_top(capsys, tmp_path,
-                                                               monkeypatch, degree):
+                                                               monkeypatch, degree, subset):
     """Above the top degree `--complex both` counts a functor's full complex
-    (segment^3: 27 strata, top degree 3), so it answers at once, without
-    the resolution, with each block's bytes of that complex asked for alone."""
+    (segment^3: 27 strata, top degree 3), with or without `--relative`, so
+    it answers at once, without the resolution, with each block's bytes of
+    that complex asked for alone."""
     seg, sq, seg3 = (str(tmp_path / f"{n}.space") for n in ("seg", "sq", "seg3"))
     run(capsys, ["build", "polytope", "--segment", "--out", seg])
     run(capsys, ["build", "product", "--left", seg, "--right", seg, "--out", sq])
     run(capsys, ["build", "product", "--left", sq, "--right", seg, "--out", seg3])
-    alone = {}
-    for name in ("reduced", "full"):
-        code, out, _ = run(capsys, ["--json", "cohomology", seg3, "--degree", degree,
-                                    "--complex", name])
-        assert code == 0
-        alone[name] = json.loads(out)["results"][name]
-
-    def refuse(v, k):
-        raise AssertionError("--complex both asked the resolution")
-
-    monkeypatch.setattr(assigncoh.cochain, "_resolution_dims", refuse)
-    code, out, _ = run(capsys, ["--json", "cohomology", seg3, "--degree", degree,
-                                "--complex", "both"])
-    assert code == 0
-    both = json.loads(out)
-    assert both["results"] == alone and both["agreement"]
+    with open(seg3) as fh:
+        space, _ = build_from_description(SpaceDescription.from_json_dict(json.load(fh)))
+    _both_against_alone(capsys, monkeypatch, seg3, degree, _relative_args(space, subset))
 
 
 def test_cohomology_without_classes_enumerates_no_chain(capsys, tmp_path, monkeypatch):
@@ -942,7 +957,8 @@ def test_check_les_checks_the_functor_laws_once(capsys, tmp_path, monkeypatch):
     assert verdicts[0] == verdicts[1]
 
 
-def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_file):
+def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_file,
+                                                       monkeypatch):
     with open(perturbed_cube_file) as fh:
         _, v = build_from_description(SpaceDescription.from_json_dict(json.load(fh)))
 
@@ -975,6 +991,20 @@ def test_cohomology_refuses_where_d_squared_is_not_zero(capsys, perturbed_cube_f
                                       str(degree), "--complex", "both"])
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert f"degree {degree} has no cohomology" in err
+    # the full complex refuses any degree off the failing triples, enumerating
+    # no weak chain (the cube's top degree is 3)
+    enumerate_chains = assigncoh.cochain.chains
+
+    def bounded(space, k, strict):
+        assert strict or k <= 4, f"weak chains of degree {k} enumerated"
+        return enumerate_chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", bounded)
+    for name in ("full", "both"):
+        code, out, err = run(capsys, ["cohomology", perturbed_cube_file, "--degree",
+                                      str(10 ** 6), "--complex", name])
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err.startswith(f"error: degree {10 ** 6} has no cohomology: ")
 
 
 def _chain_with_implied_pair(tmp_path, name, covers, far):
@@ -1224,3 +1254,20 @@ def test_json_writer_matches_json_dumps_seeded():
     for bad in (1.5, Fraction(1, 2), {1, 2}, {"a": [0.5]}, {"a": (Fraction(3),)}):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["build", "linear-rep", "--weights", ";"], cli.EXIT_INPUT, "no weight rows given"),
+    (["build", "linear-rep", "--weights", "1,0;;0,1"], cli.EXIT_OK,
+     {"weights": [[1, 0], [0, 1]]}),
+    (["assignments", "{empty}"], cli.EXIT_VALIDATION, "a space needs at least one stratum"),
+], ids=["no-weight-rows", "empty-weight-row-skipped", "space-without-strata"])
+def test_edge_inputs_report_their_fault(capsys, tmp_path, argv, code, want):
+    """Weight rows are split at `;` and empty chunks skipped, so `;` names
+    none (exit 1); a space file with no strata is a validation error (exit 2)."""
+    empty = tmp_path / "empty.space"
+    empty.write_text(json.dumps({"torus_dim": 1, "strata": []}))
+    got, out, _ = run(capsys, ["--json", *(a.format(empty=empty) for a in argv)])
+    report = json.loads(out)
+    assert got == code
+    assert (report["params"] if code == cli.EXIT_OK else report["error"]["message"]) == want

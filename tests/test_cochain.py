@@ -319,6 +319,28 @@ def test_square_failures_decide_every_degree_of_every_complex_seeded(make, monke
     assert seen["answers with failing triples"]
 
 
+def test_full_complex_refuses_off_the_laws_before_any_tuple(monkeypatch):
+    """With no support the full complex refuses every degree k >= 1 of a
+    system with a failing triple (a, b, c) from the triples alone: the weak
+    chain (a,)*k + (b, c) ends in it and keeps its prefix (a,)*k.  Weak
+    chains above the top degree + 1 are refused here, so degree 10**6 of
+    the cube broken on a face must be refused without enumerating any."""
+    space, v, _ = cube_broken_on_a_face()
+    assert square_failures(v, False)
+    top = assigncoh.cochain._top_degree(space)
+    enumerate_chains = assigncoh.cochain.chains
+
+    def bounded(space, k, strict):
+        assert strict or k <= top + 1, f"weak chains of degree {k} enumerated"
+        return enumerate_chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", bounded)
+    for k in (1, top + 2, 10 ** 6):
+        for ask in (lambda: _Complex(v, False).result(k), lambda: cohomology(v, k, strict=False)):
+            with pytest.raises(ValueError, match=f"^degree {k} has no cohomology: "):
+                ask()
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_differential_matches_brute_oracle(k, strict):
@@ -987,7 +1009,9 @@ def test_full_complex_of_a_non_functor_beyond_the_top_degree_is_enumerated():
     """Only a functor's full complex is counted above the top degree: the
     cube with one doubled entry fails a composition law, and its full
     complex, alone or relative to a face's upset, has weak chains that end
-    in the failing triple in every degree above the top, so each is refused."""
+    in the failing triple in every degree above the top, so each is refused
+    (the relative one after enumerating them, the whole one off the failing
+    triples alone)."""
     space, v, _ = cube_broken_on_a_face()
     top = assigncoh.cochain._top_degree(space)
     face = next(x for x in space.ids if space.stabilizer(x).dim == 1)
@@ -2155,3 +2179,14 @@ def test_cube_times_cube_meets_the_simple_polytope_oracle_through_the_resolution
         assert res.diagnostics["dim_chain"] == chain_space_dim(v, 1, strict)
         assert res.diagnostics["rank_coboundaries"] == chain_space_dim(v, 0) - 12
     assert degrees == [0]
+
+
+@pytest.mark.parametrize("ask, message", [
+    (lambda b: Cochain(b, [0, 0]), "coordinate length 2 != chain dimension 1"),
+    (lambda b: Cochain(b, [1]).value_on(("pt", "open")), "tuple length 2 != degree+1"),
+], ids=["coordinates-off-the-basis", "tuple-of-another-degree"])
+def test_cochain_refusals_name_their_fault(ask, message):
+    _, v = two_stratum()
+    with pytest.raises(ValueError) as info:
+        ask(chain_basis(v, 0))
+    assert info.value.args == (message,)

@@ -1079,3 +1079,14 @@ def test_zero_morphism_refuses_systems_on_different_spaces():
     for source, target in ((cube, square), (square, cube), (cube, other_cube)):
         with pytest.raises(SystemMismatchError, match="different spaces"):
             SystemMorphism.zero(source, target)
+
+
+@pytest.mark.parametrize("dims, missing", [
+    ({"pt": 1}, "open"),
+    ({"pt": 1, "open": 0, "ghost": 2}, "ghost"),
+], ids=["stratum-missing", "unknown-stratum"])
+def test_dims_table_refusals_name_the_stratum(dims, missing):
+    space, v = two_stratum()
+    with pytest.raises(UnknownIdError) as info:
+        CoefficientSystem.from_cover_maps(space, dims, {("pt", "open"): v.proj("pt", "open")})
+    assert info.value.stratum_id == missing

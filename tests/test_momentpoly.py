@@ -585,3 +585,15 @@ def test_recombine_is_linear():
         for f, g in fc.pairs
     ))
     assert recombine(doubled) == p.scale(2)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: MomentPolynomial(WSTD, {((1, 0), (0, 0)): (1,)}), ArityError,
+     "coefficient has length 1, expected 2"),
+    (lambda: parse_poly("[1,0] z1 * 2", WSTD), ParseError,
+     "expected 'var', found '2' (at position 11)"),
+], ids=["coefficient-length", "product-without-a-variable"])
+def test_polynomial_refusals_name_their_fault(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert info.value.args == (message,)

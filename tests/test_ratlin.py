@@ -554,3 +554,15 @@ def test_right_to_left_kernel_is_its_own_rref_seeded():
         assert (_typed(_normalize(kernel, free)), tuple(free)) == (_typed(red), pivots)
         fractions += any(type(x) is Fraction for r in red for x in r.values())
     assert fractions >= 30
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RatMatrix(-1, 0, []), "negative matrix dimensions"),
+    (lambda: RatMatrix(2, 1, [[1]]), "matrix data does not match declared shape"),
+    (lambda: RatMatrix.from_rows([[1]]) + RatMatrix.from_rows([[1, 2]]),
+     "shape mismatch for sum"),
+], ids=["negative-dims", "data-off-the-shape", "sum-of-two-shapes"])
+def test_matrix_refusals_name_their_fault(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.value.args == (message,)

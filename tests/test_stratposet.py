@@ -457,3 +457,28 @@ def test_coordinates_of_matches_reference_solve_randomized():
         if case == 0:
             assert expected is not None
     assert min(kinds.values()) >= 150, kinds
+
+
+@pytest.mark.parametrize("ask, error, message", [
+    (lambda s: StratSpace.from_covers(1, {}, []), ValueError,
+     "a space needs at least one stratum"),
+    (lambda s: StratSpace.from_covers(2, {"a": Subalgebra.zero(1)}, []), ValueError,
+     "stratum 'a': stabilizer ambient dim 1 != torus dim 2"),
+    (lambda s: chains(s, -1, True), ValueError, "chain degree must be >= 0"),
+    (lambda s: s.leq("ghost", "pt"), UnknownIdError, "unknown stratum id 'ghost'"),
+    (lambda s: s.leq("pt", "ghost"), UnknownIdError, "unknown stratum id 'ghost'"),
+    (lambda s: s.upset("ghost"), UnknownIdError, "unknown stratum id 'ghost'"),
+    (lambda s: s.stabilizer("ghost"), UnknownIdError, "unknown stratum id 'ghost'"),
+    (lambda s: PosetMap(s, s, {"pt": "pt", "open": "open"})("ghost"), UnknownIdError,
+     "unknown stratum id 'ghost'"),
+    (lambda s: poset_morphism_check({"pt": "pt", "open": "open", "ghost": "pt"}, s, s),
+     UnknownIdError, "unknown stratum id 'ghost'"),
+    (lambda s: poset_morphism_check({"pt": "pt", "open": "nowhere"}, s, s),
+     UnknownIdError, "unknown stratum id 'nowhere'"),
+], ids=["no-strata", "ambient-dim", "negative-chain-degree", "leq-below", "leq-above",
+        "upset", "stabilizer", "poset-map", "morphism-source", "morphism-target"])
+def test_poset_refusals_name_their_fault(ask, error, message):
+    space, _ = two_stratum()
+    with pytest.raises(error) as info:
+        ask(space)
+    assert info.value.args == (message,)
