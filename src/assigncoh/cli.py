@@ -8,16 +8,17 @@ Exit codes: 0 success, 1 unreadable input (file/JSON/polynomial syntax,
 over-long integer literals, over-deep nesting), an output file that cannot
 be written or a value too long to print, 2 semantic validation,
 3 subset is not a union of strata, 4 incompatible minimal values, 5 moment
-condition failed, 6 stdout closed before the output was written.
+condition failed, 6 stdout closed before the output was written, 7 out of
+memory.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
+import types
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,6 +46,7 @@ EXIT_SUBSET = 3
 EXIT_INCOMPATIBLE = 4
 EXIT_CONDITION = 5
 EXIT_PIPE = 6
+EXIT_MEMORY = 7
 
 
 def _digest(data: bytes) -> str:
@@ -134,10 +136,6 @@ def _vector_table(values: Dict[str, Sequence]) -> Dict[str, List[str]]:
         return {x: [str(v) for v in values[x]] for x in sorted(values)}
 
 
-def _format_assignment(values: Dict[str, List[str]]) -> str:
-    return " ".join(f"{x}=[{','.join(v)}]" for x, v in sorted(values.items()))
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (report dict, text lines); the lines are a
 # generator, so a --json run never builds them
@@ -155,7 +153,8 @@ def cmd_assignments(args) -> Tuple[dict, Iterable[str]]:
     def text():
         yield f"dim A = {len(basis)}"
         for i, table in enumerate(basis):
-            yield f"basis {i + 1}: {_format_assignment(table)}"
+            yield f"basis {i + 1}: " + " ".join(
+                f"{x}=[{','.join(v)}]" for x, v in sorted(table.items()))
     return report, text()
 
 
@@ -272,15 +271,13 @@ def cmd_build(args) -> Tuple[dict, Iterable[str]]:
                 raise _InputError(f"{args.file}: {malformed} ({e})") from None
             params = {"file_digest": _digest(raw)}
         space, system = builders.build_polytope(data)
-    elif args.kind == "product":
+    else:  # "product": argparse and _plain_args refuse any other kind
         if not args.left or not args.right:
             raise _InputError("product needs --left and --right")
         s1, v1, d1 = _load_space(args.left)
         s2, v2, d2 = _load_space(args.right)
         space, system = builders.build_product((s1, v1), (s2, v2))
         params = {"left_digest": d1, "right_digest": d2}
-    else:  # pragma: no cover - argparse restricts choices
-        raise _InputError(f"unknown build kind {args.kind!r}")
 
     desc = SpaceDescription.from_space(space)
     payload = _json_text(desc.to_json_dict()) + "\n"
@@ -388,10 +385,6 @@ def cmd_extend(args) -> Tuple[dict, Iterable[str]]:
     return report, text()
 
 
-def _monomial_names(keys) -> List[str]:
-    return [momentpoly._exp_text(k, l) or "1" for (k, l) in keys]
-
-
 def cmd_decompose(args) -> Tuple[dict, Iterable[str]]:
     rows = _parse_weight_rows(args.weights)
     w = WeightMatrix.from_rows(rows)
@@ -431,80 +424,113 @@ def cmd_decompose(args) -> Tuple[dict, Iterable[str]]:
 
 # ---------------------------------------------------------------------------
 
-def _cohomology_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--complex", choices=("full", "reduced", "both"), default="reduced")
-    p.add_argument("--relative", help="comma-separated stratum ids")
+_FILE = ("file", {})
 
-
-def _build_args(p) -> None:
-    p.add_argument("kind", choices=("linear-rep", "sphere-product", "polytope", "product"))
-    p.add_argument("--weights", help="rows 'a,b;c,d' for linear-rep")
-    p.add_argument("--n", type=int, help="torus dimension for sphere-product")
-    p.add_argument("--lambdas", help="rows 'a,b;c,d' for sphere-product")
-    for preset in _POLYTOPE_PRESETS:
-        p.add_argument(f"--{preset}", action="store_true")
-    p.add_argument("--file", help="polytope description file")
-    p.add_argument("--left", help="left factor space file")
-    p.add_argument("--right", help="right factor space file")
-    p.add_argument("--out", help="write the space description here")
-
-
-def _check_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--les", help="comma-separated subset of stratum ids")
-    p.add_argument("--euler", action="store_true")
-
-
-def _extend_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--values", required=True)
-
-
-def _decompose_args(p) -> None:
-    p.add_argument("--weights", required=True)
-    p.add_argument("--psi", required=True)
-
-
-# (name, help, handler, add-arguments) of each subcommand
+# (name, help, handler, arguments) of each subcommand; an argument is the
+# (name or flag, add_argument kwargs) that both _build_parser and _plain_args read
 _COMMANDS = (
     ("assignments", "dimension and basis of the assignment space", cmd_assignments,
-     lambda p: p.add_argument("file")),
-    ("cohomology", "assignment cohomology in one degree", cmd_cohomology, _cohomology_args),
-    ("build", "construct a space file", cmd_build, _build_args),
-    ("check", "validate functor laws, d^2 = 0, LES, Euler", cmd_check, _check_args),
-    ("extend", "extend minimal-stratum values to an assignment", cmd_extend, _extend_args),
-    ("decompose", "moment condition and cofactor split", cmd_decompose, _decompose_args),
+     (_FILE,)),
+    ("cohomology", "assignment cohomology in one degree", cmd_cohomology, (
+        _FILE, ("--degree", {"type": int, "required": True}),
+        ("--complex", {"choices": ("full", "reduced", "both"), "default": "reduced"}),
+        ("--relative", {"help": "comma-separated stratum ids"}))),
+    ("build", "construct a space file", cmd_build, (
+        ("kind", {"choices": ("linear-rep", "sphere-product", "polytope", "product")}),
+        ("--weights", {"help": "rows 'a,b;c,d' for linear-rep"}),
+        ("--n", {"type": int, "help": "torus dimension for sphere-product"}),
+        ("--lambdas", {"help": "rows 'a,b;c,d' for sphere-product"}),
+        *((f"--{preset}", {"action": "store_true"}) for preset in _POLYTOPE_PRESETS),
+        ("--file", {"help": "polytope description file"}),
+        ("--left", {"help": "left factor space file"}),
+        ("--right", {"help": "right factor space file"}),
+        ("--out", {"help": "write the space description here"}))),
+    ("check", "validate functor laws, d^2 = 0, LES, Euler", cmd_check, (
+        _FILE, ("--les", {"help": "comma-separated subset of stratum ids"}),
+        ("--euler", {"action": "store_true"}))),
+    ("extend", "extend minimal-stratum values to an assignment", cmd_extend,
+     (_FILE, ("--values", {"required": True}))),
+    ("decompose", "moment condition and cofactor split", cmd_decompose,
+     (("--weights", {"required": True}), ("--psi", {"required": True}))),
 )
 
 
-def _subparser(built: bool, **kwargs) -> Optional[argparse.ArgumentParser]:
+def _plain_args(argv: List[str]):
+    """The namespace argparse gives a plain argv, read from _COMMANDS; None otherwise.
+
+    A plain argv is an optional leading --json and a subcommand name, then
+    its exact positionals and each of its options at most once, every
+    required one among them, as `--flag value` or `--flag=value` (a
+    store_true flag bare), in any order; no other token starts with "-",
+    and every value converts by its type and lies in its choices.  Anything
+    else is left to argparse, which owns every help text and usage error.
+    """
+    json_flag = argv[:1] == ["--json"]
+    command = next((c for c in _COMMANDS if argv[json_flag:json_flag + 1] == [c[0]]), None)
+    if command is None:
+        return None
+    name, _, handler, arguments = command
+    declared, given = dict(arguments), {}
+    names = iter([arg for arg, _ in arguments if not arg.startswith("-")])
+    tokens = iter(argv[json_flag + 1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not token.startswith("-"):   # the next positional, "-" past the last
+            flag, eq, value = next(names, "-"), "=", token
+        kwargs = declared.get(flag)
+        if kwargs is None or flag in given or eq and "action" in kwargs:
+            return None
+        if "action" in kwargs:
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        given[flag] = value
+    ns = {"json": json_flag, "cmd": name, "handler": handler}
+    for arg, kwargs in arguments:
+        value = given.get(arg)
+        if value is None:
+            if kwargs.get("required", not arg.startswith("-")):
+                return None
+            value = kwargs.get("default", False if "action" in kwargs else None)
+        elif value is not True:
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        ns[arg.lstrip("-")] = value
+    return types.SimpleNamespace(**ns)
+
+
+def _subparser(built: bool, **kwargs):
     """A subcommand's parser, or None for a name registered but not built."""
+    import argparse
     return argparse.ArgumentParser(**kwargs) if built else None
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for argv.
+def _build_parser(argv: Sequence[str]):
+    """The argparse parser for argv: main's route for every argv that is not plain.
 
-    Every subcommand is registered with its name and help line, so usage,
-    help and `invalid choice` messages list them all, but only those whose
-    name appears in argv get a parser: the only subparser that parses is
-    the one argv names, and constructing a parser costs far more than
-    registering a name.
+    A plain argv (`_plain_args`) never builds one.  Every subcommand is
+    registered with its name and help line, so usage, help and `invalid
+    choice` messages list them all, but only those whose name appears in
+    argv get a parser, with the arguments of their _COMMANDS entry: the only
+    subparser that parses is the one argv names, and constructing a parser
+    costs far more than registering a name.
     """
-    ap = argparse.ArgumentParser(
-        prog="assigncoh",
-        description="Exact assignment spaces and assignment cohomology "
-        "for stratified torus actions.",
-    )
+    import argparse
+    ap = argparse.ArgumentParser(prog="assigncoh", description="Exact assignment spaces and "
+                                 "assignment cohomology for stratified torus actions.")
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_subparser)
-    named = set(argv)
-    for name, help_text, handler, add_arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, built=name in named)
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, built=name in argv)
         if p is not None:
-            add_arguments(p)
+            for arg, kwargs in arguments:
+                p.add_argument(arg, **kwargs)
             p.set_defaults(handler=handler)
     return ap
 
@@ -523,8 +549,7 @@ _ERROR_EXITS = (
 def _fail(args, exc: Exception, code: int) -> int:
     if isinstance(exc, ConditionFailedError):
         detail = "condition fails at monomials: " + ", ".join(
-            _monomial_names(exc.failing)
-        )
+            momentpoly._exp_text(k, l) or "1" for k, l in exc.failing)
     elif isinstance(exc, UnknownIdError):
         detail = exc.args[0]
     else:
@@ -539,7 +564,7 @@ def _fail(args, exc: Exception, code: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()
@@ -556,11 +581,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run(args) -> int:
     try:
         report, lines = args.handler(args)
+    except MemoryError:
+        # report the failure once the except block, and with it the traceback
+        # that holds the computation's frames, is left
+        report = None
     except tuple(c for classes, _ in _ERROR_EXITS for c in classes) as exc:
         for classes, code in _ERROR_EXITS:
             if isinstance(exc, classes):
                 return _fail(args, exc, code)
         raise  # pragma: no cover - mapping is exhaustive
+    if report is None:
+        return _fail(args, MemoryError("out of memory"), EXIT_MEMORY)
     if args.json:
         print(_json_text(report))
     else:

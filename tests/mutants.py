@@ -504,11 +504,51 @@ MUTANTS = (
     Mutant(
         "parser-registers-only-the-named-subcommands",
         "cli.py",
-        "p = sub.add_parser(name, help=help_text, built=name in named)",
-        "p = sub.add_parser(name, help=help_text, built=True) if name in named else None",
+        "p = sub.add_parser(name, help=help_text, built=name in argv)",
+        "p = sub.add_parser(name, help=help_text, built=True) if name in argv else None",
         ("tests/test_cli.py::test_parser_for_argv_matches_the_parser_for_every_name",),
         note="help, the usage {...} line and the invalid choice list would "
              "name only the subcommands in argv",
+    ),
+    Mutant(
+        "plain-reader-skips-choices",
+        "cli.py",
+        'if value not in kwargs.get("choices", (value,)):',
+        "if False:",
+        ("tests/test_cli.py::test_plain_reader_answers_as_argparse_seeded",
+         "tests/test_cli.py::test_edge_cases_stay_with_argparse"),
+        note="`--complex weird` would reach the handler as a KeyError instead of "
+             "argparse's invalid choice",
+    ),
+    Mutant(
+        "plain-reader-takes-a-dash-value",
+        "cli.py",
+        'if value.startswith("-"):',
+        "if False:",
+        ("tests/test_cli.py::test_plain_reader_answers_as_argparse_seeded",
+         "tests/test_cli.py::test_edge_cases_stay_with_argparse"),
+        note="`--relative -x` would be read as the value -x, `--degree -1` as -1 by "
+             "the reader's rules, and a missing value as \"-\"",
+    ),
+    Mutant(
+        "plain-reader-ignores-required",
+        "cli.py",
+        'if kwargs.get("required", not arg.startswith("-")):',
+        "if False:",
+        ("tests/test_cli.py::test_plain_reader_answers_as_argparse_seeded",
+         "tests/test_cli.py::test_edge_cases_stay_with_argparse"),
+        note="`cohomology f` with no --degree would reach the handler with degree None",
+    ),
+    Mutant(
+        "plain-reader-drops-json",
+        "cli.py",
+        'ns = {"json": json_flag,',
+        'ns = {"json": False,',
+        ("tests/test_cli.py::test_plain_reader_answers_as_argparse_seeded",
+         "tests/test_cli.py::test_plain_argv_builds_no_parser",
+         "tests/test_cli.py::test_json_error_report",
+         "tests/test_bench_reference.py::test_seed0_matches_recorded_digests[full]"),
+        note="a plain `--json` run would print the text report",
     ),
     Mutant(
         "cover-memo-keyed-by-upper-class",

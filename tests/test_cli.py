@@ -1,18 +1,22 @@
 """Command line interface: commands, exit codes, deterministic output."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import assigncoh
 import assigncoh.cochain
 import assigncoh.coeffsys
 from assigncoh.cochain import _Complex
@@ -78,21 +82,38 @@ def _usage_error(capsys, ap, argv):
     return exc.value.code, out.err
 
 
-def test_parser_for_argv_matches_the_parser_for_every_name(capsys, monkeypatch):
+@pytest.fixture()
+def parser_inits(monkeypatch):
+    """The prog of every ArgumentParser constructed while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+# an argv past its subcommand name for each subcommand
+_RESTS = {
+    "assignments": ["a.space"],
+    "cohomology": ["a.space", "--degree", "1", "--complex", "both", "--relative", "x,y"],
+    "build": ["polytope", "--cube", "--out", "c.space"],
+    "check": ["a.space", "--euler", "--les", "x"],
+    "extend": ["a.space", "--values", "v.json"],
+    "decompose": ["--weights", "1,0;0,1", "--psi", "z1"],
+}
+
+
+def test_parser_for_argv_matches_the_parser_for_every_name(capsys, parser_inits):
     """A parser given only the argv it parses answers as one built with every name."""
     names = [name for name, *_ in cli._COMMANDS]
     full = cli._build_parser(names)
-    rests = {
-        "assignments": ["a.space"],
-        "cohomology": ["a.space", "--degree", "1", "--complex", "both", "--relative", "x,y"],
-        "build": ["polytope", "--cube", "--out", "c.space"],
-        "check": ["a.space", "--euler", "--les", "x"],
-        "extend": ["a.space", "--values", "v.json"],
-        "decompose": ["--weights", "1,0;0,1", "--psi", "z1"],
-    }
-    assert sorted(rests) == sorted(names)
+    assert sorted(_RESTS) == sorted(names)
     assert cli._build_parser([]).format_help() == full.format_help()
-    for name, rest in rests.items():
+    for name, rest in _RESTS.items():
         for argv in ([name] + rest, ["--json", name] + rest):
             ap = cli._build_parser(argv)
             assert vars(ap.parse_args(argv)) == vars(full.parse_args(argv))
@@ -112,21 +133,151 @@ def test_parser_for_argv_matches_the_parser_for_every_name(capsys, monkeypatch):
             assert "(choose from " + ", ".join(map(repr, names)) + ")" in err
 
     # a parser for one subcommand constructs none for the other five
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     for name in names:
-        built.clear()
+        parser_inits.clear()
         cli._build_parser(["--json", name, "a.space"])
-        assert built == ["assigncoh", f"assigncoh {name}"]
-    built.clear()
+        assert parser_inits == ["assigncoh", f"assigncoh {name}"]
+    parser_inits.clear()
     cli._build_parser(names)
-    assert len(built) == 1 + len(names)
+    assert len(parser_inits) == 1 + len(names)
+
+
+def _argparse_answer(argv):
+    """argparse's namespace for argv as a dict, or None where it exits (help or usage)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _table_argv(rng, name, arguments):
+    """A plain argv of one subcommand: every required argument, some of the rest, shuffled."""
+    words = []
+    for arg, kwargs in arguments:
+        if not arg.startswith("-"):
+            words.append([rng.choice(kwargs.get("choices", ("a.space", "x,y", "")))])
+        elif "action" in kwargs:
+            if rng.random() < 0.5:
+                words.append([arg])
+        elif kwargs.get("required") or rng.random() < 0.6:
+            value = rng.choice(kwargs.get("choices") or (
+                ("0", "1", "12") if kwargs.get("type") else ("x", "1,0;0,1", "z1", "", "a b")))
+            words.append([f"{arg}={value}"] if rng.random() < 0.4 else [arg, value])
+    rng.shuffle(words)
+    return ["--json"] * (rng.random() < 0.5) + [name] + [w for word in words for w in word]
+
+
+# tokens that a plain argv never holds, or holds at most once
+_ODD_TOKENS = (["-h"], ["--"], ["--deg"], ["-1"], [""], ["-"], ["--euler=1"], ["--json"],
+               ["--psi", "-[1,0] z1 + [0,1] z2"], ["--degree", "-1"], ["x"], ["--complex"])
+
+
+def test_plain_reader_answers_as_argparse_seeded():
+    """Fuzz: wherever argparse refuses an argv the reader returns None, and a
+    namespace the reader returns is argparse's."""
+    rng = random.Random(48)
+    read = refused = 0
+    for _ in range(250):
+        name, _, _, arguments = rng.choice(cli._COMMANDS)
+        base = _table_argv(rng, name, arguments)
+        assert vars(cli._plain_args(base)) == _argparse_answer(base), base
+        for _ in range(6):
+            argv = list(base)
+            for _ in range(rng.randint(1, 2)):
+                move = rng.randrange(5)
+                i = rng.randrange(len(argv) + 1)
+                if move == 0 and argv:
+                    del argv[min(i, len(argv) - 1)]
+                elif move == 1:
+                    argv[i:i] = rng.choice(_ODD_TOKENS)
+                elif move == 2 and len(argv) > 1:
+                    j, k = rng.sample(range(len(argv)), 2)
+                    argv[j], argv[k] = argv[k], argv[j]
+                elif move == 3:
+                    # a repeated option, or --json toggled
+                    options = [a for a in argv if a.startswith("--") and a != "--json"]
+                    argv[i:i] = [rng.choice(options)] if options else ["--json"]
+                else:
+                    argv = argv[1:] if argv[:1] == ["--json"] else ["--json"] + argv
+            plain, answer = cli._plain_args(argv), _argparse_answer(argv)
+            if answer is None:
+                refused += 1
+                assert plain is None, argv
+            elif plain is not None:
+                read += 1
+                assert vars(plain) == answer, argv
+    assert read > 200 and refused > 200
+
+
+def _workload_argvs(monkeypatch):
+    """The argv of every op of each benchmark workload at seed 0; nothing is written."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    return [list(op.argv) for workload in ("elim", "full", "light")
+            for op in workloads.generate(assigncoh, workload, 0)[1]]
+
+
+def test_plain_argv_builds_no_parser(monkeypatch, parser_inits):
+    """main reads a plain argv without argparse: no ArgumentParser is constructed."""
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda args: ran.append(args) or 0)
+    argvs = [pre + [name] + rest for name, rest in _RESTS.items() for pre in ([], ["--json"])]
+    argvs += _workload_argvs(monkeypatch)
+    assert len(argvs) > 100
+    for argv in argvs:
+        parser_inits.clear()
+        assert cli.main(list(argv)) == 0
+        assert parser_inits == [], argv
+        assert vars(ran[-1]) == _argparse_answer(argv), argv
+
+
+def test_plain_argv_imports_no_argparse(cp2_file):
+    """A fresh process runs a plain argv to its report without importing argparse."""
+    script = ("import sys; from assigncoh import cli; code = cli.main(sys.argv[1:]); "
+              "print(code, 'argparse' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, "--json", "check", cp2_file, "--euler"],
+                          capture_output=True, text=True, env=_module_env(), timeout=120)
+    assert json.loads(proc.stdout)["command"] == "check"
+    assert proc.stderr == "0 False\n"
+
+
+def test_edge_cases_stay_with_argparse(capsys, cp2_file, monkeypatch, parser_inits):
+    """A value argparse reads by its own rules, a bad choice, a missing
+    option and a bad positional go through argparse, with its messages."""
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: assigncoh cohomology [-h] --degree DEGREE\n"
+             "                            [--complex {full,reduced,both}]\n"
+             "                            [--relative RELATIVE]\n"
+             "                            file\n")
+    cases = [
+        (["cohomology", cp2_file, "--degree", "-1"], "error: degree must be >= 0\n"),
+        (["cohomology", cp2_file, "--degree", "1", "--complex", "weird"],
+         usage + "assigncoh cohomology: error: argument --complex: invalid choice: 'weird' "
+         "(choose from 'full', 'reduced', 'both')\n"),
+        (["cohomology", cp2_file], usage + "assigncoh cohomology: error: the following "
+         "arguments are required: --degree\n"),
+        (["build", "nope"],
+         "usage: assigncoh build [-h] [--weights WEIGHTS] [--n N] [--lambdas LAMBDAS]\n"
+         "                       [--segment] [--triangle] [--square] [--pentagon]\n"
+         "                       [--cube] [--file FILE] [--left LEFT] [--right RIGHT]\n"
+         "                       [--out OUT]\n"
+         "                       {linear-rep,sphere-product,polytope,product}\n"
+         "assigncoh build: error: argument kind: invalid choice: 'nope' (choose from "
+         "'linear-rep', 'sphere-product', 'polytope', 'product')\n"),
+    ]
+    for argv, err in cases:
+        assert cli._plain_args(argv) is None
+        parser_inits.clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", err), argv
+        assert parser_inits[0] == "assigncoh"
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +1023,40 @@ def test_check_euler_on_cube_times_square(capsys, cs_file):
         "d^2 = 0 (degrees 0..2): ok",
         "euler characteristic = 10",
     ]
+
+
+def test_out_of_memory_is_exit_seven_without_a_traceback(capsys, cp2_file, monkeypatch):
+    """A MemoryError exits 7 with the error line and report, and the frames of
+    the failed computation are freed before anything is printed."""
+    class Big(list):
+        pass
+
+    held = []
+
+    def result(self, degree):
+        big = Big([0] * 1000)
+        held.append(weakref.ref(big))
+        try:
+            raise KeyError(degree)   # the MemoryError is chained to another
+        except KeyError:
+            raise MemoryError
+
+    fail = cli._fail
+
+    def checked_fail(args, exc, code):
+        assert held[0]() is None   # no frame of result() is alive
+        return fail(args, exc, code)
+
+    monkeypatch.setattr(assigncoh.cochain._Complex, "result", result)
+    monkeypatch.setattr(cli, "_fail", checked_fail)
+    for pre in ([], ["--json"]):
+        held.clear()
+        code, out, err = run(capsys, pre + ["cohomology", cp2_file, "--degree", "1",
+                                            "--complex", "both"])
+        assert code == cli.EXIT_MEMORY == 7
+        assert err == "error: out of memory\n"
+        report = {"error": {"type": "MemoryError", "message": "out of memory"}, "exit_code": 7}
+        assert out == (json.dumps(report, sort_keys=True, indent=2) + "\n" if pre else "")
 
 
 def test_closed_stdout_pipe_exits_cleanly(cs_file):
