@@ -123,12 +123,10 @@ def build_sphere_product(
     between them); the stabilizer of a product cell is the common kernel
     of the weights at its O positions.
     """
-    lam = [tuple(map(_integer, row)) for row in lambdas]
+    lam = list(lambdas)
     if not lam:
         raise ValueError("need at least one sphere factor")
-    for row in lam:
-        if len(row) != n:
-            raise ValueError(f"weight row {row} has length {len(row)}, expected {n}")
+    lam = WeightMatrix.from_rows(lam, n).rows
     d = len(lam)
     cells = {c: tuple(j for j in range(d) if c[j] == "O")
              for c in map("".join, itertools.product("NOS", repeat=d))}

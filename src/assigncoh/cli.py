@@ -505,33 +505,23 @@ def _plain_args(argv: List[str]):
     return types.SimpleNamespace(**ns)
 
 
-def _subparser(built: bool, **kwargs):
-    """A subcommand's parser, or None for a name registered but not built."""
-    import argparse
-    return argparse.ArgumentParser(**kwargs) if built else None
+def _build_parser():
+    """The argparse parser: main's route for every argv that is not plain.
 
-
-def _build_parser(argv: Sequence[str]):
-    """The argparse parser for argv: main's route for every argv that is not plain.
-
-    A plain argv (`_plain_args`) never builds one.  Every subcommand is
-    registered with its name and help line, so usage, help and `invalid
-    choice` messages list them all, but only those whose name appears in
-    argv get a parser, with the arguments of their _COMMANDS entry: the only
-    subparser that parses is the one argv names, and constructing a parser
-    costs far more than registering a name.
+    A plain argv (`_plain_args`) never builds one.  Every subcommand gets a
+    parser with the arguments of its _COMMANDS entry, so argparse owns every
+    help text and usage error.
     """
     import argparse
     ap = argparse.ArgumentParser(prog="assigncoh", description="Exact assignment spaces and "
                                  "assignment cohomology for stratified torus actions.")
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_subparser)
+    sub = ap.add_subparsers(dest="cmd", required=True)
     for name, help_text, handler, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, built=name in argv)
-        if p is not None:
-            for arg, kwargs in arguments:
-                p.add_argument(arg, **kwargs)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(handler=handler)
     return ap
 
 
@@ -564,7 +554,7 @@ def _fail(args, exc: Exception, code: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()

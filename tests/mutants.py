@@ -502,13 +502,15 @@ MUTANTS = (
              "would write every block but the first past its end, or drop it",
     ),
     Mutant(
-        "parser-registers-only-the-named-subcommands",
+        "parser-sets-no-handler",
         "cli.py",
-        "p = sub.add_parser(name, help=help_text, built=name in argv)",
-        "p = sub.add_parser(name, help=help_text, built=True) if name in argv else None",
-        ("tests/test_cli.py::test_parser_for_argv_matches_the_parser_for_every_name",),
-        note="help, the usage {...} line and the invalid choice list would "
-             "name only the subcommands in argv",
+        "p.set_defaults(handler=handler)",
+        "pass",
+        ("tests/test_cli.py::test_argparse_route_runs_its_handler",
+         "tests/test_cli.py::test_edge_cases_stay_with_argparse",
+         "tests/test_cli.py::test_plain_reader_answers_as_argparse_seeded"),
+        note="an argv that argparse reads, such as `--deg 1` or `--degree -1`, would "
+             "stop at a missing handler, and argparse's namespaces would lack it",
     ),
     Mutant(
         "plain-reader-skips-choices",

@@ -177,9 +177,9 @@ def test_sphere_product_stabilizers_match_per_cell_kernels_seeded():
 
 
 def test_sphere_product_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least one sphere factor$"):
         build_sphere_product(2, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight row \(1,\) has length 1, expected 2$"):
         build_sphere_product(2, [(1, 0), (1,)])
 
 

@@ -68,18 +68,14 @@ def _module_env():
 # the parser
 
 
-def _subparser(ap, name):
-    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
-
-
-def _usage_error(capsys, ap, argv):
-    """(exit code, stderr) of a parse that argparse refuses."""
-    with pytest.raises(SystemExit) as exc:
-        ap.parse_args(argv)
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), which argparse may end by SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
     out = capsys.readouterr()
-    assert out.out == ""
-    return exc.value.code, out.err
+    return code, out.out, out.err
 
 
 @pytest.fixture()
@@ -107,23 +103,38 @@ _RESTS = {
 }
 
 
-def test_parser_for_argv_matches_the_parser_for_every_name(capsys, parser_inits):
-    """A parser given only the argv it parses answers as one built with every name."""
+def _help_label(arg, kwargs):
+    """How argparse's help names a declared argument."""
+    choices = kwargs.get("choices")
+    metavar = "{" + ",".join(choices) + "}" if choices else arg.lstrip("-").upper()
+    if not arg.startswith("-"):
+        return metavar if choices else arg
+    return arg if "action" in kwargs else f"{arg} {metavar}"
+
+
+def test_parser_lists_every_subcommand_and_option(capsys, monkeypatch):
+    """Help lists every subcommand with its help line and every declared
+    argument of each; usage errors name every subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
     names = [name for name, *_ in cli._COMMANDS]
-    full = cli._build_parser(names)
     assert sorted(_RESTS) == sorted(names)
-    assert cli._build_parser([]).format_help() == full.format_help()
-    for name, rest in _RESTS.items():
-        for argv in ([name] + rest, ["--json", name] + rest):
-            ap = cli._build_parser(argv)
-            assert vars(ap.parse_args(argv)) == vars(full.parse_args(argv))
-            assert _subparser(ap, name).format_help() == _subparser(full, name).format_help()
+    code, out, err = _exit(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    listed = [line.split() for line in out.splitlines()]
+    for name, help_text, _, arguments in cli._COMMANDS:
+        assert [name] + help_text.split() in listed, name
+        code, out, err = _exit(capsys, [name, "-h"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: assigncoh {name} [-h]")
+        lines = [line.split() for line in out.splitlines()]
+        for arg, kwargs in arguments:
+            label = _help_label(arg, kwargs) + " " + kwargs.get("help", "")
+            assert label.split() in lines, (name, arg)
 
     # usage errors: an unknown subcommand, none, an unknown option, no file
     for argv in (["bogus"], [], ["--bogus", "check", "f"], ["check"]):
-        code, err = _usage_error(capsys, cli._build_parser(argv), argv)
-        assert (code, err) == _usage_error(capsys, full, argv)
-        assert code == 2
+        code, out, err = _exit(capsys, argv)
+        assert (code, out) == (2, ""), argv
         if argv == ["check"]:
             assert err.endswith("assigncoh check: error: the following arguments are "
                                 "required: file\n")
@@ -132,21 +143,12 @@ def test_parser_for_argv_matches_the_parser_for_every_name(capsys, parser_inits)
         if argv == ["bogus"]:
             assert "(choose from " + ", ".join(map(repr, names)) + ")" in err
 
-    # a parser for one subcommand constructs none for the other five
-    for name in names:
-        parser_inits.clear()
-        cli._build_parser(["--json", name, "a.space"])
-        assert parser_inits == ["assigncoh", f"assigncoh {name}"]
-    parser_inits.clear()
-    cli._build_parser(names)
-    assert len(parser_inits) == 1 + len(names)
-
 
 def _argparse_answer(argv):
     """argparse's namespace for argv as a dict, or None where it exits (help or usage)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._build_parser(argv).parse_args(argv))
+            return vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             return None
 
@@ -271,13 +273,24 @@ def test_edge_cases_stay_with_argparse(capsys, cp2_file, monkeypatch, parser_ini
     for argv, err in cases:
         assert cli._plain_args(argv) is None
         parser_inits.clear()
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:
-            code = e.code
-        out = capsys.readouterr()
-        assert (code, out.out, out.err) == (2, "", err), argv
+        assert _exit(capsys, argv) == (2, "", err), argv
         assert parser_inits[0] == "assigncoh"
+
+
+def test_argparse_route_runs_its_handler(capsys, cp2_file):
+    """Spellings that argparse reads and the plain reader leaves to it run to
+    the report of the plain spelling they mean."""
+    f = cp2_file
+    degree_one = ["--json", "cohomology", f, "--degree", "1"]
+    for spelling, plain in (
+            (["--json", "cohomology", f, "--deg", "1"], degree_one),
+            (["--json", "cohomology", f, "--degree", "0", "--degree", "1"], degree_one),
+            (["--json", "cohomology", "--degree", "1", "--", f], degree_one),
+            (["--json", "check", f, "--eul"], ["--json", "check", f, "--euler"])):
+        assert cli._plain_args(spelling) is None and cli._plain_args(plain) is not None
+        expected = run(capsys, plain)
+        assert expected[0] == 0 and json.loads(expected[1])
+        assert run(capsys, spelling) == expected, spelling
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +968,9 @@ def test_build_bad_weight_rows(capsys):
     code, _, err = run(capsys, ["build", "linear-rep", "--weights", "1,x"])
     assert code == cli.EXIT_INPUT
     assert "bad weight row" in err
+    code, out, err = run(capsys, ["build", "sphere-product", "--n", "0", "--lambdas=1"])
+    assert (code, out, err) == (cli.EXIT_VALIDATION, "",
+                                "error: weight row (1,) has length 1, expected 0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ def test_bare_value_error_detector():
     assert _bare_value_errors(source) == [3, 5]
 
 
-_BARE_VALUE_ERRORS = 41
+_BARE_VALUE_ERRORS = 40
 
 
 def test_no_new_bare_value_error():
