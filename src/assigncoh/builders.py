@@ -44,15 +44,6 @@ class WeightMatrix:
         return len(self.rows)
 
 
-def _kernel_subalgebra(n: int, rows: List[Sequence[int]]) -> Subalgebra:
-    """Common kernel of integer covectors, as a canonical subalgebra.
-
-    A kernel lattice is saturated and _int_kernel returns its Hermite basis,
-    which is already the canonical form Subalgebra.span would give.
-    """
-    return Subalgebra(n, _int_kernel(rows, n))
-
-
 def _orbit_space(
     n: int,
     weights: Sequence[Sequence[int]],
@@ -71,9 +62,11 @@ def _orbit_space(
     kernels = {}
     stab = {}
     for c, active in cells.items():
+        # a kernel lattice is saturated and _int_kernel returns its Hermite
+        # basis, already the canonical form Subalgebra.span would give
         kernel = kernels.get(active)
         if kernel is None:
-            kernel = kernels[active] = _kernel_subalgebra(n, [weights[i] for i in active])
+            kernel = kernels[active] = Subalgebra(n, _int_kernel([weights[i] for i in active], n))
         stab[c] = kernel
     parent = {c: c for c in cells}
 

@@ -28,14 +28,10 @@ from .builders import DescriptionError, SpaceDescription, WeightMatrix
 from .errors import (
     ArityError,
     ConditionFailedError,
-    CycleError,
     IncompatibleMinimalValuesError,
-    MissingMinimalValueError,
     NonzeroConstantTermError,
-    NotOpenError,
     NotUnionOfStrataError,
     ParseError,
-    StabilizerMonotonicityError,
     UnknownIdError,
 )
 
@@ -53,11 +49,12 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_json(path: str, malformed: str):
-    """(decoded JSON, raw bytes) of an input file.
+def _read_json(path: str, malformed: str, parse=lambda obj: obj):
+    """(parse(decoded JSON), raw bytes) of an input file.
 
     An unreadable file raises _InputError "cannot read <path>: <reason>";
-    bytes that do not decode raise _InputError "<path>: <malformed> (<error>)".
+    bytes that do not decode, or that parse refuses, raise _InputError
+    "<path>: <malformed> (<error>)".
     """
     try:
         with open(path, "rb") as fh:
@@ -65,11 +62,12 @@ def _read_json(path: str, malformed: str):
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e.strerror}") from None
     try:
-        return json.loads(raw.decode("utf-8")), raw
-    except (ValueError, RecursionError) as e:
+        return parse(json.loads(raw.decode("utf-8"))), raw
+    except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError,
+            RecursionError) as e:
         # ValueError covers UnicodeDecodeError, JSONDecodeError and an
         # integer literal longer than the interpreter converts;
-        # RecursionError is over-deep nesting
+        # RecursionError is over-deep nesting; the rest are parse's refusals
         raise _InputError(f"{path}: {malformed} ({e})") from None
 
 
@@ -158,12 +156,6 @@ def cmd_assignments(args) -> Tuple[dict, Iterable[str]]:
     return report, text()
 
 
-def _cochain_blocks(c) -> Dict[str, List[str]]:
-    """A cochain's nonzero blocks as text, keyed by the comma-joined tuple."""
-    with _printable():
-        return {",".join(t): [str(v) for v in vec] for t, vec in c._nonzero_blocks()}
-
-
 def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
     """The checked subset a comma-separated option names ("" names {}); None if absent."""
     if text is None:
@@ -172,15 +164,14 @@ def _subset_option(space, text: Optional[str]) -> Optional[frozenset]:
 
 
 def _cohomology_block(system, degree: int, strict: bool, relative, both: bool) -> dict:
-    if both:
-        # the cross-check builds both order complexes to the top degree, for any subset
-        support = ("rel", relative) if relative else None
-        res = cochain._Complex(system, strict, support=support).result(degree)
-    else:
-        res = cochain.relative_cohomology(system, relative or (), degree, strict=strict)
+    # the cross-check builds both order complexes to the top degree, for any subset
+    res = (cochain._order_complex if both else cochain.relative_cohomology)(
+        system, relative or frozenset(), degree, strict)
     return {
         "dim": res.dim,
-        "representatives": [_cochain_blocks(r) for r in res.representatives],
+        # each representative's nonzero blocks, keyed by the comma-joined tuple
+        "representatives": [_vector_table({",".join(t): vec for t, vec in r._nonzero_blocks()})
+                            for r in res.representatives],
         "diagnostics": dict(sorted(res.diagnostics.items())),
     }
 
@@ -242,8 +233,7 @@ def cmd_build(args) -> Tuple[dict, Iterable[str]]:
         if not args.weights:
             raise _InputError("linear-rep needs --weights")
         rows = _parse_weight_rows(args.weights)
-        w = WeightMatrix.from_rows(rows)
-        space, system = builders.build_linear_rep(w)
+        space, system = builders.build_linear_rep(rows)
         params = {"weights": rows}
     elif args.kind == "sphere-product":
         if not args.lambdas or args.n is None:
@@ -263,12 +253,8 @@ def cmd_build(args) -> Tuple[dict, Iterable[str]]:
             data = builders.preset_polytope(chosen[0])
             params = {"preset": chosen[0]}
         else:
-            malformed = "malformed polytope file"
-            obj, raw = _read_json(args.file, malformed)
-            try:
-                data = builders.PolytopeData.from_json_dict(obj)
-            except (KeyError, TypeError, ValueError) as e:
-                raise _InputError(f"{args.file}: {malformed} ({e})") from None
+            data, raw = _read_json(args.file, "malformed polytope file",
+                                   builders.PolytopeData.from_json_dict)
             params = {"file_digest": _digest(raw)}
         space, system = builders.build_polytope(data)
     else:  # "product": argparse and _plain_args refuse any other kind
@@ -359,15 +345,9 @@ def cmd_check(args) -> Tuple[dict, Iterable[str]]:
 
 def cmd_extend(args) -> Tuple[dict, Iterable[str]]:
     space, system, digest = _load_space(args.file)
-    malformed = "malformed values file"
-    obj, raw = _read_json(args.values, malformed)
-    try:
-        table = {
-            str(x): tuple(builders._json_rational(e) for e in builders._json_list(vec))
-            for x, vec in obj["values"].items()
-        }
-    except (KeyError, AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise _InputError(f"{args.values}: {malformed} ({e})") from None
+    table, raw = _read_json(args.values, "malformed values file", lambda obj: {
+        str(x): tuple(builders._json_rational(e) for e in builders._json_list(vec))
+        for x, vec in obj["values"].items()})
     minimal = assignops.MinimalAssignment(table)
     full = assignops.extend_minimal(system, minimal)
     values = _vector_table(full.values)
@@ -531,8 +511,7 @@ _ERROR_EXITS = (
     ((IncompatibleMinimalValuesError,), EXIT_INCOMPATIBLE),
     ((ConditionFailedError, NonzeroConstantTermError), EXIT_CONDITION),
     # remaining semantic failures: poset/stabilizer/subset/morphism validation
-    ((CycleError, StabilizerMonotonicityError, UnknownIdError,
-      MissingMinimalValueError, NotOpenError, ValueError), EXIT_VALIDATION),
+    ((UnknownIdError, ValueError), EXIT_VALIDATION),
 )
 
 
@@ -575,11 +554,9 @@ def _run(args) -> int:
         # report the failure once the except block, and with it the traceback
         # that holds the computation's frames, is left
         report = None
-    except tuple(c for classes, _ in _ERROR_EXITS for c in classes) as exc:
-        for classes, code in _ERROR_EXITS:
-            if isinstance(exc, classes):
-                return _fail(args, exc, code)
-        raise  # pragma: no cover - mapping is exhaustive
+    except (_InputError, UnknownIdError, ValueError) as exc:
+        return _fail(args, exc, next(code for classes, code in _ERROR_EXITS
+                                     if isinstance(exc, classes)))
     if report is None:
         return _fail(args, MemoryError("out of memory"), EXIT_MEMORY)
     if args.json:

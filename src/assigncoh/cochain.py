@@ -28,8 +28,9 @@ and builds the order complex only where dim H^k > 0.  Hom(R, -) is
 exact, so a short exact sequence of functors gives one of complexes on
 R's cells, where the coefficient sequence runs.  Degree 0, systems off
 the functor laws and the command line's `--complex both` cross-check
-stay on the order complex, whose `result` counts a functor's full
-complex above the top degree.
+stay on the order complex (`_order_complex`, the cross-check's one
+route), whose `result` counts a functor's full complex above the top
+degree.
 
 Cochains vanishing on the tuples inside a stratum subset N filter the
 space's own complex by a support, so every cochain returned here is one
@@ -692,15 +693,21 @@ def _cohomology(v: CoefficientSystem, nset: frozenset, k: int, strict: bool) -> 
     degree (a cell at z of degree d comes from the homology of the chains
     below z in degree d - 1).  Where dim H^k is 0 the diagnostics come
     from chain counts (`_from_counts`); elsewhere the order complex
-    answers.
+    answers (`_order_complex`).
     """
-    support = ("rel", nset) if nset else None
     if k > 0 and v._report.ok and _down_closed(v.space, nset):
         sizes = _chain_sizes(v, k, nset)
-        dims = _resolution_dims(v, len(sizes) - 1, support)
+        dims = _resolution_dims(v, len(sizes) - 1, ("rel", nset) if nset else None)
         if len(dims) <= k or not dims[k]:
             return _from_counts(sizes, dims, k, strict)
-    return _Complex(v, strict, support=support).result(k)
+    return _order_complex(v, nset, k, strict)
+
+
+def _order_complex(v: CoefficientSystem, nset: frozenset, k: int, strict: bool) -> CohomologyResult:
+    """Degree k of v's order complex relative to nset (absolute for an empty
+    nset), in any degree and for any subset: `_cohomology`'s last route and
+    the whole of the command line's `--complex both` cross-check."""
+    return _Complex(v, strict, support=("rel", nset) if nset else None).result(k)
 
 
 def cohomology(v: CoefficientSystem, k: int, strict: bool = True) -> CohomologyResult:

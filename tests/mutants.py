@@ -786,8 +786,8 @@ MUTANTS = (
     Mutant(
         "complex-both-answered-through-the-resolution",
         "cli.py",
-        "    if both:\n",
-        "    if False:\n",
+        "(cochain._order_complex if both else cochain.relative_cohomology)(",
+        "(cochain.relative_cohomology)(",
         ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",
          "tests/test_cli.py::test_cohomology_both_counts_the_full_complex_above_the_top"),
         note="the cross-check would read degree 1 off the resolution instead of "
@@ -795,12 +795,23 @@ MUTANTS = (
     ),
     Mutant(
         "cross-check-drops-the-subset",
-        "cli.py",
-        'support = ("rel", relative) if relative else None',
-        "support = None",
+        "cochain.py",
+        'support=("rel", nset) if nset else None).result(k)',
+        "support=None).result(k)",
         ("tests/test_cli.py::test_cohomology_both_builds_both_order_complexes",
          "tests/test_cli.py::test_cohomology_both_counts_the_full_complex_above_the_top"),
         note="`--complex both --relative N` would print the absolute groups",
+    ),
+    Mutant(
+        "description-error-exits-two",
+        "cli.py",
+        "((_InputError, DescriptionError), EXIT_INPUT),",
+        "((_InputError,), EXIT_INPUT),",
+        ("tests/test_cli.py::test_every_refusal_has_its_exit_code[DescriptionError]",
+         "tests/test_cli.py::test_negative_torus_dim_is_input_error",
+         "tests/test_fuzz.py::test_mutated_space_files_end_in_documented_exit_codes"),
+        note="a malformed space file would exit 2, the code of a semantic refusal, "
+             "instead of 1",
     ),
     Mutant(
         "full-complex-refusal-scans-its-tuples",

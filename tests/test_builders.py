@@ -27,8 +27,7 @@ from assigncoh import (
     minimal_strata,
     preset_polytope,
 )
-from assigncoh.builders import _kernel_subalgebra
-from assigncoh.stratposet import StratSpace
+from assigncoh.stratposet import StratSpace, Subalgebra, _int_kernel
 
 from oracles import brute_covers
 from spaces import cp2, free_stratum, s4, two_stratum
@@ -109,7 +108,7 @@ def test_linear_rep_strata_are_the_merged_groups_of_equal_kernels_seeded():
             rows[rng.randrange(d)] = rows[rng.randrange(d)]
         space, _ = build_linear_rep(rows)
         subsets = [s for r in range(d + 1) for s in itertools.combinations(range(d), r)]
-        kernel = {s: _kernel_subalgebra(n, [rows[i] for i in s]) for s in subsets}
+        kernel = {s: Subalgebra(n, _int_kernel([rows[i] for i in s], n)) for s in subsets}
         firsts, seen = [], set()
         for s in subsets:
             if s in seen:
@@ -173,7 +172,7 @@ def test_sphere_product_stabilizers_match_per_cell_kernels_seeded():
         space, _ = build_sphere_product(n, lam)
         for x in space.ids:
             rows = [lam[j] for j in range(d) if x[j] == "O"]
-            assert space.stabilizer(x) == _kernel_subalgebra(n, rows), (lam, x)
+            assert space.stabilizer(x) == Subalgebra(n, _int_kernel(rows, n)), (lam, x)
 
 
 def test_sphere_product_input_validation():

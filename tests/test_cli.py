@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 import weakref
 from fractions import Fraction
 from math import comb
@@ -32,6 +33,7 @@ from assigncoh import (
     chains,
     check_functor,
     cli,
+    errors,
     is_assignment,
     les_coefficients_check,
     les_pair_check,
@@ -546,6 +548,68 @@ def test_json_error_report(capsys, tmp_path):
     assert payload["error"]["type"] == "_InputError"
     assert payload["exit_code"] == 1
     assert err.startswith("error:")
+
+
+# (constructor arguments, exit code) of every class of assigncoh.errors, a
+# bare ValueError, cli._InputError and two builtins; None where it propagates
+_REFUSALS = {
+    "_InputError": (("cannot read f: gone",), 1),
+    "DescriptionError": (("top level must be an object",), 1),
+    "NotUnionOfStrataError": ((("q",),), 3),
+    "IncompatibleMinimalValuesError": ((("x0", "x1", "y"),), 4),
+    "BrokenProjectionError": ((("x", "y"),), 4),
+    "ConditionFailedError": ((([(1, 0), (0, 2)], [(0, 0), (1, 0)]),), 5),
+    "NonzeroConstantTermError": (("psi has a constant term",), 5),
+    "ArityError": (("variable index 3 out of range",), 2),
+    "CycleError": ((("a", "b", "a"),), 2),
+    "StabilizerMonotonicityError": ((("a", "b"), "no dimension drop"), 2),
+    "UnknownIdError": (("q",), 2),
+    "NotOpenError": ((("a", "b"),), 2),
+    "NoUniqueMinimumError": ((("a", "b"),), 2),
+    "NotExactError": (("not exact at the middle",), 2),
+    "InvalidMorphismError": (("not monotone",), 2),
+    "SystemMismatchError": (("systems on different spaces",), 2),
+    "MissingMinimalValueError": ((("a",), ("b",)), 2),
+    "MalformedPolytopeError": (("duplicate facet id 'f'",), 2),
+    "ValueError": (("bare",), 2),
+    "ParseError": (("unexpected token", 3), None),
+    "KeyError": (("k",), None),
+    "AssertionError": ((), None),
+}
+
+_RAISED = {name: cls for name, cls in vars(errors).items()
+           if isinstance(cls, type) and cls.__module__ == errors.__name__}
+_RAISED.update(ValueError=ValueError, _InputError=cli._InputError, KeyError=KeyError,
+               AssertionError=AssertionError)
+
+
+@pytest.mark.parametrize("name", sorted(_RAISED))
+def test_every_refusal_has_its_exit_code(capsys, name):
+    """A handler raising each class exits with the code written in _REFUSALS,
+    one `error: ` line on stderr and, with --json, a report of its type and
+    code; ParseError (a SyntaxError), a bare KeyError and an AssertionError
+    are no refusal and propagate.  A new class of errors.py needs an entry."""
+    assert name in _REFUSALS, f"errors.{name} has no exit code in _REFUSALS"
+    arguments, code = _REFUSALS[name]
+    exc = _RAISED[name](*arguments)
+
+    def handler(args):
+        raise exc
+
+    for json_flag in (False, True):
+        args = types.SimpleNamespace(handler=handler, json=json_flag)
+        if code is None:
+            with pytest.raises(_RAISED[name]):
+                cli._run(args)
+            continue
+        assert cli._run(args) == code
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if json_flag:
+            assert json.loads(out) == {"error": {"type": name, "message": err[7:-1]},
+                                       "exit_code": code}
+        else:
+            assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,7 @@ def test_no_new_bare_value_error():
         f"{count} bare `raise ValueError` sites in src/assigncoh, at most "
         f"{_BARE_VALUE_ERRORS}: the command line exits 2 on any ValueError, as on "
         "bad input; raise AssertionError for a program fault, and let a new input "
-        "check wait for ROADMAP item 6's validation error class")
+        "check wait for ROADMAP item 10's validation error class")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.stem)
