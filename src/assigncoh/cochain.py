@@ -72,13 +72,14 @@ coordinates of the induced maps: differentials, kernels,
 representatives and both long exact sequences work on such rows, and
 the two passes of `ratlin.sparse_echelon` do every elimination,
 fraction-free.  A degree k >= 1 where d_k d_{k-1} != 0 has no cohomology
-and raises ValueError before anything is assembled: some tuple t of
-degree k+1 ends in a failing triple (`coeffsys.square_failures`, none for
-a functor) and keeps t[:-2] in degree k-1; on the full complex with no
-support any failing triple decides it, before a tuple is enumerated.  A
-degree's dimension is a rank, and only a degree with classes takes the
-kernel, whose RREF is the representatives, so equal inputs give
-byte-equal outputs (`_CohomologyData`).
+and raises ValueError before anything is assembled: some failing triple
+(a, b, c) (`coeffsys.square_failures`, none for a functor) extends a kept
+tuple of degree k-1 that ends at a, with b and c in N for a subset
+complex.  A weak tuple can repeat its first entry, so the full complex
+reads its tuples of degree at most 1, and no refusal builds a basis above
+degree k-1.  A degree's dimension is a rank, and only a degree with
+classes takes the kernel, whose RREF is the representatives, so equal
+inputs give byte-equal outputs (`_CohomologyData`).
 A `Cochain` keeps its sparse row as well: the representatives and
 pullbacks are wrapped as they come.  One split
 (`ChainBasis._split`) decides which block holds a column; the printed
@@ -539,12 +540,14 @@ class _Complex:
             self._data[k] = self.whole.data(k)
         if k not in self._data:
             if k > 0:
-                # with no support the full complex needs no tuple: each failing
-                # triple (a, b, c) ends (a,)*k + (b, c), whose prefix (a,)*k is a chain
+                # a failing triple (a, b, c) decides where a kept p of degree k-1
+                # ends at a: p + (b, c) is kept ("sub": where b, c lie in N); a weak
+                # p can repeat its first entry, so degree 1 answers every degree
                 bad = square_failures(self.v, self.strict)
-                if bad and (not self.strict and self.support is None or any(
-                        t[-3:] in bad and t[:-2] in self.basis(k - 1).index
-                        for t in self.basis(k + 1).tuples)):
+                ends = bad and {p[-1] for p in self.basis(
+                    k - 1 if self.strict else min(k - 1, 1)).tuples}
+                sub = self.support and self.support[0] == "sub" and self.support[1]
+                if any(a in ends and (not sub or b in sub and c in sub) for a, b, c in bad):
                     raise ValueError(f"degree {k} has no cohomology: d_{k} d_{k - 1} != 0, "
                                      "so the system fails the functor laws (see `check`)")
                 d_in_t, d_out = self.d_t(k - 1), self.d(k)
@@ -742,11 +745,17 @@ def repeated_block_count(t: Tuple[str, ...]) -> int:
     return sum(len(list(run)) > 1 for _, run in groupby(t))
 
 
+def _full_operator(v: CoefficientSystem, k: int, lower: int, terms) -> RatMatrix:
+    """Matrix of the operator from full degree-k cochains to degree k - lower
+    whose rows `_assemble` writes from terms, given each target tuple."""
+    src = chain_basis(v, k, strict=False)
+    dst = chain_basis(v, k - lower, strict=False)
+    return RatMatrix.from_sparse(_assemble(dst, src, terms), src.total_dim)
+
+
 def block_scaling_matrix(v: CoefficientSystem, k: int) -> RatMatrix:
     """Diagonal operator scaling each degree-k tuple by its repeated blocks."""
-    basis = chain_basis(v, k, strict=False)
-    rows = _assemble(basis, basis, lambda t: [(t, repeated_block_count(t), None)])
-    return RatMatrix.from_sparse(rows, basis.total_dim)
+    return _full_operator(v, k, 0, lambda t: [(t, repeated_block_count(t), None)])
 
 
 def homotopy_L(v: CoefficientSystem, k: int) -> RatMatrix:
@@ -759,15 +768,10 @@ def homotopy_L(v: CoefficientSystem, k: int) -> RatMatrix:
     """
     if k < 1:
         raise ValueError("homotopy_L is defined for degree >= 1")
-    src = chain_basis(v, k, strict=False)
-    dst = chain_basis(v, k - 1, strict=False)
-
-    def terms(t):
-        # block j starts at i: repeat t[i] there
-        return [(t[:i] + t[i:i + 1] + t[i:], -1 if i & 1 else 1, None)
-                for i in range(len(t)) if i == 0 or t[i] != t[i - 1]]
-
-    return RatMatrix.from_sparse(_assemble(dst, src, terms), src.total_dim)
+    # block j starts at i: repeat t[i] there
+    return _full_operator(v, k, 1, lambda t: [
+        (t[:i] + t[i:i + 1] + t[i:], -1 if i & 1 else 1, None)
+        for i in range(len(t)) if i == 0 or t[i] != t[i - 1]])
 
 
 def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
@@ -782,11 +786,7 @@ def homotopy_Q(v: CoefficientSystem, k: int) -> RatMatrix:
     minima = minimal_strata(v.space)
     if len(minima) != 1:
         raise NoUniqueMinimumError(minima)
-    x0 = minima[0]
-    src = chain_basis(v, k, strict=False)
-    dst = chain_basis(v, k - 1, strict=False)
-    rows = _assemble(dst, src, lambda t: [((x0,) + t, 1, None)])
-    return RatMatrix.from_sparse(rows, src.total_dim)
+    return _full_operator(v, k, 1, lambda t: [(minima + t, 1, None)])
 
 
 # ---------------------------------------------------------------------------
@@ -1017,16 +1017,20 @@ def _bridge_rows(f: PosetMap, v_target: CoefficientSystem,
     return bridges
 
 
-def _pullback_rows(f: PosetMap, v_target: CoefficientSystem,
-                   v_source: CoefficientSystem, src: ChainBasis, dst: ChainBasis) -> Rows:
-    """Sparse rows of the pullback from dst (target cochains) to src."""
+def _pullback(f: PosetMap, v_target: CoefficientSystem, k: int,
+              v_source: Optional[CoefficientSystem]) -> Tuple[ChainBasis, ChainBasis, Rows]:
+    """(src, dst, rows): the full degree-k bases of v_source (by default
+    f.source's moment system) and of v_target, and the sparse rows of the
+    pullback from dst to src."""
+    if v_source is None:
+        v_source = moment_system(f.source)
+    dst = chain_basis(v_target, k, strict=False)
+    src = chain_basis(v_source, k, strict=False)
     report = poset_morphism_check(dict(f.mapping), f.source, f.target)
     if not report.ok:
-        raise InvalidMorphismError(
-            f"not a morphism of stratified spaces: {report}"
-        )
+        raise InvalidMorphismError(f"not a morphism of stratified spaces: {report}")
     bridges = _bridge_rows(f, v_target, v_source)
-    return _assemble(src, dst, lambda t: [(tuple(map(f, t)), 1, bridges[t[-1]])])
+    return src, dst, _assemble(src, dst, lambda t: [(tuple(map(f, t)), 1, bridges[t[-1]])])
 
 
 def pullback_matrix(
@@ -1036,10 +1040,7 @@ def pullback_matrix(
     v_source: Optional[CoefficientSystem] = None,
 ) -> RatMatrix:
     """Matrix of the pullback on full degree-k cochains."""
-    if v_source is None:
-        v_source = moment_system(f.source)
-    dst = chain_basis(v_target, k, strict=False)
-    rows = _pullback_rows(f, v_target, v_source, chain_basis(v_source, k, strict=False), dst)
+    _, dst, rows = _pullback(f, v_target, k, v_source)
     return RatMatrix.from_sparse(rows, dst.total_dim)
 
 
@@ -1061,10 +1062,5 @@ def pullback(
     for x in v_target.space.ids:
         if phi.basis.system.dims[x] != v_target.dims[x]:
             raise SystemMismatchError(f"pullback of a cochain of another system, unlike at {x!r}")
-    if v_source is None:
-        v_source = moment_system(f.source)
-    k = phi.basis.degree
-    dst = chain_basis(v_target, k, strict=False)
-    src = chain_basis(v_source, k, strict=False)
-    return Cochain._from_row(src, _apply(_pullback_rows(f, v_target, v_source, src, dst),
-                                         _carry(phi._row, phi.basis, dst)))
+    src, dst, rows = _pullback(f, v_target, phi.basis.degree, v_source)
+    return Cochain._from_row(src, _apply(rows, _carry(phi._row, phi.basis, dst)))

@@ -59,6 +59,16 @@ STUBS = {
     "cycle.space": {"torus_dim": 1, "strata": [{"id": x, "stabilizer": [[1]]}
                                                for x in ("s0", "s1", "s2")],
                     "covers": [["s0", "s1"], ["s1", "s2"], ["s2", "s0"]]},
+    # a < b < c with proj(a, c) = 2 off the composed covers: the failing triple (a, b, c)
+    "off_laws.space": {"torus_dim": 2,
+                       "strata": [{"id": "a", "stabilizer": [[1, 0], [0, 1]]},
+                                  {"id": "b", "stabilizer": [[1, 0]]},
+                                  {"id": "c", "stabilizer": []}],
+                       "covers": [["a", "b"], ["b", "c"]],
+                       "dims": {"a": 1, "b": 1, "c": 1},
+                       "projections": [{"pair": ["a", "b"], "matrix": [["1"]]},
+                                       {"pair": ["b", "c"], "matrix": [["1"]]},
+                                       {"pair": ["a", "c"], "matrix": [["2"]]}]},
 }
 
 _NAMES = ("assignments", "cohomology", "build", "check", "extend", "decompose")
@@ -109,8 +119,18 @@ _REFUSALS = (
     ["decompose", "--weights", "1,0;0,1", "--psi", "[1,0] + [1,0] z1 zb1"],
 )
 
+# a system off the functor laws: where d_k d_{k-1} != 0 decides the exit code
+_OFF_LAWS = tuple(["cohomology", "off_laws.space", *args] for args in (
+    ["--degree", "1"],
+    ["--degree", "1", "--complex", "full", "--relative", "c"],
+    ["--degree", "1", "--complex", "full", "--relative", "a"],
+    ["--degree", "2", "--complex", "both", "--relative", "a"],
+    ["--degree", "40", "--complex", "full", "--relative", "c"],
+))
+
 # the byte-identity list of the one-parser change, then every handler in text
-# and --json, then refusals of every exit code from 1 to 5 in both forms
+# and --json, then refusals of every exit code from 1 to 5 and the system off
+# the laws in both forms
 ARGVS = (
     [], ["-h"], ["--help"], ["--json"], ["--json", "bogus"], ["bogus"],
     ["--bogus", "check", "sq.space"],
@@ -123,7 +143,8 @@ ARGVS = (
     ["build", "nope"], ["build", "polytope", "--cub"], ["build", "product", "--left"],
     ["check", "sq.space", "--json"], ["check", "sq.space", "--euler=1"],
     ["decompose", "--weights", "1,0"],
-    *(argv for plain in _HANDLERS + _REFUSALS for argv in (plain, ["--json", *plain])),
+    *(argv for plain in _HANDLERS + _REFUSALS + _OFF_LAWS
+      for argv in (plain, ["--json", *plain])),
 )
 
 

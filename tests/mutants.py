@@ -61,20 +61,30 @@ MUTANTS = (
     Mutant(
         "no-refusal-where-d-squared-is-not-zero",
         "cochain.py",
-        "if bad and (not self.strict",
-        "if False and (not self.strict",
+        "if any(a in ends",
+        "if False and any(a in ends",
         ("tests/test_cochain.py::test_dims_first_matches_one_pass_cohomology_seeded",
          "tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",
          "tests/test_cochain.py::test_full_complex_refuses_off_the_laws_before_any_tuple",
-         "tests/test_cli.py::test_cohomology_refuses_where_d_squared_is_not_zero"),
+         "tests/test_cli.py::test_cohomology_refuses_where_d_squared_is_not_zero",
+         "tests/test_cli.py::test_huge_full_degree_relative_off_the_laws_is_refused_at_once"),
     ),
     Mutant(
         "refusal-without-the-prefix-test",
         "cochain.py",
-        "t[-3:] in bad and t[:-2] in self.basis(k - 1).index",
-        "t[-3:] in bad",
+        "any(a in ends and (not sub",
+        "any((not sub",
+        ("tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",
+         "tests/test_cochain.py::test_relative_cohomology_answers_a_law_violation_inside_the_subset"),
+        note="a relative or subset complex would refuse where no kept tuple ends at a",
+    ),
+    Mutant(
+        "sub-refusal-ignores-b-and-c",
+        "cochain.py",
+        " and (not sub or b in sub and c in sub)",
+        "",
         ("tests/test_cochain.py::test_square_failures_decide_every_degree_of_every_complex_seeded",),
-        note="a relative or subset complex would refuse where t[:-2] is no chain of it",
+        note="a subset complex would refuse where p + (b, c) leaves N",
     ),
     Mutant(
         "class-coords-skip-the-image",
@@ -816,11 +826,12 @@ MUTANTS = (
     Mutant(
         "full-complex-refusal-scans-its-tuples",
         "cochain.py",
-        "(not self.strict and self.support is None or any(",
-        "(any(",
-        ("tests/test_cochain.py::test_full_complex_refuses_off_the_laws_before_any_tuple",),
+        "k - 1 if self.strict else min(k - 1, 1)",
+        "k - 1",
+        ("tests/test_cochain.py::test_full_complex_refuses_off_the_laws_before_any_tuple",
+         "tests/test_cli.py::test_huge_full_degree_relative_off_the_laws_is_refused_at_once"),
         note="the same verdicts, but a high degree of the full complex would "
-             "enumerate its weak chains before refusing",
+             "enumerate its weak chains of degree k-1 before refusing",
     ),
     Mutant(
         "counted-for-a-non-functor",

@@ -1306,6 +1306,30 @@ def test_implied_pair_in_covers_is_checked_as_an_explicit_entry(capsys, tmp_path
     assert run(capsys, ["check", good])[1].startswith("functor laws: ok\n")
 
 
+def test_huge_full_degree_relative_off_the_laws_is_refused_at_once(capsys, tmp_path,
+                                                                   monkeypatch):
+    """Degree 10**6 of the full complex of a < b < c, with proj(a, c) off the
+    composition of the covers, relative to {c} exits 2 within 2 s: the failing
+    triple (a, b, c) and the kept weak (a, a) decide it, and no weak chain
+    above degree 1 is enumerated."""
+    path = _chain_with_implied_pair(tmp_path, "off_laws.space", [["a", "b"], ["b", "c"]], "2")
+    enumerate_chains = assigncoh.cochain.chains
+
+    def bounded(space, k, strict):
+        assert strict or k <= 1, f"weak chains of degree {k} enumerated"
+        return enumerate_chains(space, k, strict)
+
+    monkeypatch.setattr(assigncoh.cochain, "chains", bounded)
+    degree = str(10 ** 6)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["cohomology", path, "--complex", "full", "--relative", "c",
+                                  "--degree", degree])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: degree {degree} has no cohomology: ")
+
+
 def test_les_on_non_functorial_system_names_the_violation(perturbed_cube_file):
     with open(perturbed_cube_file) as fh:
         obj = json.load(fh)

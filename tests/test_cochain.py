@@ -320,23 +320,31 @@ def test_square_failures_decide_every_degree_of_every_complex_seeded(make, monke
 
 
 def test_full_complex_refuses_off_the_laws_before_any_tuple(monkeypatch):
-    """With no support the full complex refuses every degree k >= 1 of a
-    system with a failing triple (a, b, c) from the triples alone: the weak
-    chain (a,)*k + (b, c) ends in it and keeps its prefix (a,)*k.  Weak
-    chains above the top degree + 1 are refused here, so degree 10**6 of
-    the cube broken on a face must be refused without enumerating any."""
-    space, v, _ = cube_broken_on_a_face()
+    """The full complex refuses a degree k >= 1 from the failing triples and
+    the weak tuples of degree at most 1: a failing (a, b, c) decides where a
+    kept weak (x, a) ends at a, since (x,)*(k-1) + (a, b, c) is kept with it
+    ("sub": where b and c lie in N).  On the cube broken on a face, alone,
+    relative to the face's upset and on the face's closed downset, weak
+    chains above degree 1 are refused here, so degree 10**6 must be refused
+    without enumerating any."""
+    space, v, downset = cube_broken_on_a_face()
     assert square_failures(v, False)
     top = assigncoh.cochain._top_degree(space)
+    face = next(x for x in space.ids if space.stabilizer(x).dim == 1)
+    upset = space.upset(face)
     enumerate_chains = assigncoh.cochain.chains
 
     def bounded(space, k, strict):
-        assert strict or k <= top + 1, f"weak chains of degree {k} enumerated"
+        assert strict or k <= 1, f"weak chains of degree {k} enumerated"
         return enumerate_chains(space, k, strict)
 
     monkeypatch.setattr(assigncoh.cochain, "chains", bounded)
     for k in (1, top + 2, 10 ** 6):
-        for ask in (lambda: _Complex(v, False).result(k), lambda: cohomology(v, k, strict=False)):
+        asks = [lambda: _Complex(v, False).result(k), lambda: cohomology(v, k, strict=False),
+                lambda: _Complex(v, False, ("rel", upset)).result(k),
+                lambda: relative_cohomology(v, upset, k, strict=False),
+                lambda: _Complex(v, False, ("sub", downset)).result(k)]
+        for ask in asks:
             with pytest.raises(ValueError, match=f"^degree {k} has no cohomology: "):
                 ask()
 
@@ -1010,8 +1018,7 @@ def test_full_complex_of_a_non_functor_beyond_the_top_degree_is_enumerated():
     cube with one doubled entry fails a composition law, and its full
     complex, alone or relative to a face's upset, has weak chains that end
     in the failing triple in every degree above the top, so each is refused
-    (the relative one after enumerating them, the whole one off the failing
-    triples alone)."""
+    (off the failing triples and the weak tuples of degree at most 1)."""
     space, v, _ = cube_broken_on_a_face()
     top = assigncoh.cochain._top_degree(space)
     face = next(x for x in space.ids if space.stabilizer(x).dim == 1)
